@@ -984,6 +984,18 @@ pub fn multi_compressed_search(
         .collect()
 }
 
+/// Mask of a group's first `lanes` lanes. The id block a scanner holds is a
+/// snapshot; the real-time indexer may since have appended to the list and
+/// published the new position's code, so the published-lane mask read
+/// afterwards can cover lanes the snapshot has no id for. Clipping to the
+/// snapshot leaves such an image to the next query (its validity bit was
+/// not set when this one began either).
+fn low_lanes(lanes: usize) -> u32 {
+    const _: () = assert!(FASTSCAN_BLOCK == u32::BITS as usize);
+    debug_assert!((1..=FASTSCAN_BLOCK).contains(&lanes));
+    u32::MAX >> (FASTSCAN_BLOCK - lanes)
+}
+
 /// Stage 1 of the 4-bit compressed path over one list: loads each
 /// 32-code interleaved block (partial tail lanes masked), scores it with
 /// one [`jdvs_vector::simd::KernelSet::fastscan16`] call, and feeds the
@@ -1016,7 +1028,7 @@ fn fastscan_one_list(
         let mut g = 0usize;
         while g < ids.len() {
             let lanes = (ids.len() - g).min(FASTSCAN_BLOCK);
-            let mask = reader.load_group(base + g, &mut tile);
+            let mask = reader.load_group(base + g, &mut tile) & low_lanes(lanes);
             if mask != 0 {
                 let thr = topk.threshold();
                 if thr.to_bits() != bound_thr.to_bits() {
@@ -1074,7 +1086,7 @@ fn filtered_fastscan_one_list(
         let mut g = 0usize;
         while g < ids.len() {
             let lanes = (ids.len() - g).min(FASTSCAN_BLOCK);
-            let mask = reader.load_group(base + g, &mut tile);
+            let mask = reader.load_group(base + g, &mut tile) & low_lanes(lanes);
             let fmask = if mask != 0 {
                 view.lane_mask(&ids[g..g + lanes], mask)
             } else {
@@ -1176,7 +1188,7 @@ fn fastscan_one_list_multi(
         let mut g = 0usize;
         while g < ids.len() {
             let lanes = (ids.len() - g).min(FASTSCAN_BLOCK);
-            let mask = reader.load_group(base + g, tile);
+            let mask = reader.load_group(base + g, tile) & low_lanes(lanes);
             if mask != 0 {
                 // Pushdown: per-subscriber filter lanes resolve before the
                 // batched kernel; a group no subscriber admits skips the
@@ -2027,6 +2039,55 @@ mod tests {
             index.invalidate(key, &format!("u{i}")).unwrap();
         }
         (index, data)
+    }
+
+    /// The race the real-time indexer can set up between a scanner's two
+    /// reads, staged deterministically: a code is published at position
+    /// `len` of a list whose id block (as the scanner snapshots it) still
+    /// ends at `len`. All three block scanners must ignore that lane
+    /// rather than index one past the id block.
+    #[test]
+    fn code_published_past_the_id_snapshot_is_ignored() {
+        let (index, data) = build_pq_index(300, 47, 4);
+        let category = FilterSpec::by_category(0);
+        let search_all = |q: &[f32]| {
+            let multi = multi_compressed_search(
+                &index,
+                &[MultiQuery {
+                    features: q,
+                    k: 10,
+                    nprobe: 4,
+                    filter: None,
+                }],
+                3,
+            );
+            (
+                compressed_search(&index, q, 10, 4, 3),
+                filtered_compressed_search(&index, q, 10, 4, 3, &category),
+                multi,
+            )
+        };
+        let before: Vec<_> = data
+            .iter()
+            .take(5)
+            .map(|q| search_all(q.as_slice()))
+            .collect();
+
+        // Every list gets the stray code (only ragged tails can show it; a
+        // full last block's successor group is never loaded).
+        let pq = index.pq_store().unwrap();
+        let mut ragged = 0;
+        for (l, vector) in data.iter().enumerate().take(index.config().num_lists) {
+            let list = ListId(l as u32);
+            let len = index.inverted().list(list).len();
+            ragged += usize::from(len % FASTSCAN_BLOCK != 0);
+            pq.put(ImageId(10_000 + l as u32), list, len, vector);
+        }
+        assert!(ragged > 0, "the world must have a ragged list tail");
+
+        for (q, expected) in data.iter().take(5).zip(&before) {
+            assert_eq!(&search_all(q.as_slice()), expected);
+        }
     }
 
     /// The batched 4-bit engine must return, for every batch member, the

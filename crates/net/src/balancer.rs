@@ -19,8 +19,21 @@
 //! - **Jittered retry rotations** — after a fully-failed pass the balancer
 //!   sleeps a jittered exponential backoff ([`RetryPolicy`]) and makes
 //!   another pass, while the budget lasts.
-//! - **Hedged calls** — [`Balancer::call_hedged`] launches a second attempt
-//!   when the first one straggles past a threshold; the first success wins.
+//! - **Hedged calls** — [`Balancer::finish_hedged`] launches a second
+//!   attempt on another replica when the first one has been silent past a
+//!   threshold since its start; the first success wins.
+//!
+//! Like the [`CallTarget`]s under it, a balancer call is **split-phase**:
+//! [`Balancer::start`] picks the rotation's first admissible replica
+//! (skipping downed and breaker-open ones, forcing one probe when none is
+//! admissible) and sends the request there; [`Balancer::finish`] collects
+//! that reply, records the replica's health and — only if the attempt
+//! failed — carries on with the budgeted failover/retry loop over the
+//! remaining replicas. [`Balancer::call`] is `start` then `finish`. A
+//! broker or blender starts every partition/group before finishing any,
+//! so the branches of a fan-out overlap on the calling thread; the only
+//! threads this module ever spawns are the two that race a straggling
+//! primary against its hedge, and only once a hedge timer has fired.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,7 +55,52 @@ struct TargetEntry<T> {
     health: HealthTracker,
 }
 
-/// State shared between a balancer and its detached hedge threads.
+/// A balancer call whose first attempt is in flight; see
+/// [`Balancer::start`].
+pub struct InFlight<T: CallTarget> {
+    pending: T::Pending,
+    plan: Plan<T>,
+}
+
+/// What a started call needs to carry on after its first attempt.
+struct Plan<T: CallTarget> {
+    /// The target set as of the start; failover stays on this snapshot.
+    entries: Vec<Arc<TargetEntry<T>>>,
+    /// Rotation origin of this call.
+    begin: usize,
+    /// Rotation offset of the replica the first attempt went to.
+    offset: usize,
+    /// Where the first rotation carries on if that attempt fails: the
+    /// offset after it, or the end of the rotation for a forced probe.
+    resume_at: usize,
+    /// Kept for the failover attempts.
+    request: T::Request,
+    start: Instant,
+    /// Total budget of the call, running from `start`.
+    deadline: Duration,
+}
+
+impl<T: CallTarget> Plan<T> {
+    /// The `i`-th replica of this call's rotation.
+    fn entry(&self, i: usize) -> &Arc<TargetEntry<T>> {
+        &self.entries[(self.begin + i) % self.entries.len()]
+    }
+
+    fn primary(&self) -> &Arc<TargetEntry<T>> {
+        self.entry(self.offset)
+    }
+}
+
+impl<T: CallTarget> std::fmt::Debug for InFlight<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InFlight")
+            .field("target", &self.plan.primary().target.target_name())
+            .field("deadline", &self.plan.deadline)
+            .finish()
+    }
+}
+
+/// State shared between a balancer and its hedge threads.
 struct Inner<T: CallTarget> {
     /// The live target set. Growable: [`Balancer::push_target`] appends
     /// under the write lock while calls work off a cheap read-locked
@@ -56,23 +114,71 @@ struct Inner<T: CallTarget> {
     metrics: Option<Arc<ResilienceMetrics>>,
 }
 
-impl<T: CallTarget> Inner<T> {
-    /// A consistent snapshot of the target set for one call.
-    fn snapshot(&self) -> Vec<Arc<TargetEntry<T>>> {
-        self.targets.read().clone()
-    }
-
-    /// One budgeted, health-aware, retrying failover call; see
-    /// [`Balancer::call`].
-    fn call(&self, request: &T::Request, deadline: Duration) -> Result<T::Response, RpcError>
-    where
-        T::Request: Clone,
-    {
+impl<T: CallTarget> Inner<T>
+where
+    T::Request: Clone,
+{
+    /// Sends `request` to the rotation's first admissible replica; see
+    /// [`Balancer::start`].
+    fn start(&self, request: T::Request, deadline: Duration) -> InFlight<T> {
         let start = Instant::now();
-        let entries = self.snapshot();
+        // A consistent snapshot of the target set for this call.
+        let entries = self.targets.read().clone();
         let n = entries.len();
         let begin = self.next.fetch_add(1, Ordering::Relaxed);
-        let mut last_err = RpcError::NodeDown;
+        // The first replica that is neither known-down nor breaker-open (a
+        // skipped one spends no budget). When there is none, force one
+        // probe of the rotation's first replica, so a fully-tripped
+        // balancer still recovers within a call (and callers see the real
+        // error, not a stale one); a forced probe leaves nothing of the
+        // first rotation to fail over to.
+        let (offset, resume_at) = (0..n)
+            .find(|i| {
+                let entry = &entries[(begin + i) % n];
+                !entry.target.is_down() && entry.health.allow()
+            })
+            .map_or((0, n), |i| (i, i + 1));
+        let plan = Plan {
+            entries,
+            begin,
+            offset,
+            resume_at,
+            request,
+            start,
+            deadline,
+        };
+        let pending = plan.primary().target.start(plan.request.clone(), deadline);
+        InFlight { pending, plan }
+    }
+
+    /// Collects the first attempt and fails over if it failed; see
+    /// [`Balancer::finish`].
+    fn finish(&self, InFlight { pending, plan }: InFlight<T>) -> Result<T::Response, RpcError> {
+        let first = plan.primary().target.finish(pending);
+        self.conclude(&plan, first)
+    }
+
+    /// Books the first attempt's outcome; a failed one fails over.
+    fn conclude(
+        &self,
+        plan: &Plan<T>,
+        first: Result<T::Response, RpcError>,
+    ) -> Result<T::Response, RpcError> {
+        match self.record(plan.primary(), first) {
+            Ok(resp) => Ok(resp),
+            Err(e) => self.failover(plan, e),
+        }
+    }
+
+    /// The budgeted, health-aware, retrying failover loop behind a failed
+    /// first attempt (error `last_err`): the rest of the first rotation,
+    /// then up to `max_rotations - 1` further rotations, each after a
+    /// jittered backoff pause.
+    fn failover(&self, plan: &Plan<T>, mut last_err: RpcError) -> Result<T::Response, RpcError> {
+        let Plan {
+            start, deadline, ..
+        } = *plan;
+        let n = plan.entries.len();
         let rotations = self.retry.max_rotations.max(1);
         for rotation in 0..rotations {
             if rotation > 0 {
@@ -91,9 +197,11 @@ impl<T: CallTarget> Inner<T> {
                     m.retries.incr();
                 }
             }
-            let mut attempted = false;
-            for i in 0..n {
-                let entry = &entries[(begin + i) % n];
+            // The first rotation's first attempt was the call's `start`.
+            let mut attempted = rotation == 0;
+            let from = if rotation == 0 { plan.resume_at } else { 0 };
+            for i in from..n {
+                let entry = plan.entry(i);
                 if entry.target.is_down() {
                     last_err = RpcError::NodeDown;
                     continue;
@@ -103,16 +211,14 @@ impl<T: CallTarget> Inner<T> {
                     continue;
                 }
                 attempted = true;
-                match self.attempt(entry, request, start, deadline)? {
+                match self.attempt(entry, plan)? {
                     Ok(resp) => return Ok(resp),
                     Err(e) => last_err = e,
                 }
             }
             if !attempted {
-                // Every replica was down or breaker-open. Force one probe so
-                // a fully-tripped balancer still recovers within a call (and
-                // callers see the real error, not a stale one).
-                match self.attempt(&entries[begin % n], request, start, deadline)? {
+                // Forced probe, as in `start`.
+                match self.attempt(plan.entry(0), plan)? {
                     Ok(resp) => return Ok(resp),
                     Err(e) => last_err = e,
                 }
@@ -136,22 +242,24 @@ impl<T: CallTarget> Inner<T> {
     fn attempt(
         &self,
         entry: &TargetEntry<T>,
-        request: &T::Request,
-        start: Instant,
-        deadline: Duration,
-    ) -> Result<Result<T::Response, RpcError>, RpcError>
-    where
-        T::Request: Clone,
-    {
-        let remaining = deadline.saturating_sub(start.elapsed());
+        plan: &Plan<T>,
+    ) -> Result<Result<T::Response, RpcError>, RpcError> {
+        let deadline = plan.deadline;
+        let remaining = deadline.saturating_sub(plan.start.elapsed());
         if remaining.is_zero() {
             return Err(RpcError::Timeout { deadline });
         }
-        match entry.target.call(request.clone(), remaining) {
-            Ok(resp) => {
-                entry.health.record_success();
-                Ok(Ok(resp))
-            }
+        Ok(self.record(entry, entry.target.call(plan.request.clone(), remaining)))
+    }
+
+    /// Books one attempt's outcome into `entry`'s breaker and the metrics.
+    fn record(
+        &self,
+        entry: &TargetEntry<T>,
+        result: Result<T::Response, RpcError>,
+    ) -> Result<T::Response, RpcError> {
+        match &result {
+            Ok(_) => entry.health.record_success(),
             Err(RpcError::Overloaded) => {
                 // A shed is the admission controller doing its job, not a
                 // fault: it must not push the breaker toward open (that
@@ -160,9 +268,8 @@ impl<T: CallTarget> Inner<T> {
                 if let Some(m) = &self.metrics {
                     m.calls_overloaded.incr();
                 }
-                Ok(Err(RpcError::Overloaded))
             }
-            Err(e) => {
+            Err(_) => {
                 if entry.health.record_failure() {
                     if let Some(m) = &self.metrics {
                         m.breaker_opens.incr();
@@ -171,10 +278,27 @@ impl<T: CallTarget> Inner<T> {
                 if let Some(m) = &self.metrics {
                     m.call_failures.incr();
                 }
-                Ok(Err(e))
             }
         }
+        result
     }
+}
+
+/// Runs one side of a hedge race on a thread of its own and reports its
+/// result on `tx`. The thread is detached on purpose: the race's loser is
+/// not waited for.
+fn report_from_thread<R: Send + 'static>(
+    name: String,
+    tx: crossbeam::channel::Sender<R>,
+    run: impl FnOnce() -> R + Send + 'static,
+) {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            // The caller may have returned with the other side's result.
+            let _ = tx.send(run());
+        })
+        .expect("spawn hedge thread");
 }
 
 /// Round-robin balancer with budgeted, health-aware failover over any
@@ -287,34 +411,131 @@ impl<T: CallTarget> Balancer<T> {
         self.inner.targets.read()[idx].health.state()
     }
 
-    /// Calls one backend, rotating through replicas on failure. `deadline`
-    /// is the **total budget** for the call: every failover attempt and
-    /// backoff pause is deducted from it, and an exhausted budget returns
-    /// [`RpcError::Timeout`]. Requests are cloned per attempt, hence the
+    /// Sends `request` to one backend without waiting for the reply: the
+    /// rotation's first replica that is neither known-down nor
+    /// breaker-open (or a forced probe of the rotation's first replica
+    /// when none is). `deadline` is the **total budget** of the call and
+    /// runs from here. The request is cloned per attempt, hence the
     /// `Clone` bound.
+    pub fn start(&self, request: T::Request, deadline: Duration) -> InFlight<T>
+    where
+        T::Request: Clone,
+    {
+        self.inner.start(request, deadline)
+    }
+
+    /// Collects a started call: waits for the first attempt, records the
+    /// replica's health, and on failure rotates through the remaining
+    /// replicas. Every failover attempt and backoff pause is deducted from
+    /// the call's budget, and an exhausted budget returns
+    /// [`RpcError::Timeout`].
     ///
     /// # Errors
     ///
     /// Returns the **last** attempt error if every replica fails, or
     /// [`RpcError::Timeout`] once the budget is spent.
+    pub fn finish(&self, in_flight: InFlight<T>) -> Result<T::Response, RpcError>
+    where
+        T::Request: Clone,
+    {
+        self.inner.finish(in_flight)
+    }
+
+    /// [`Balancer::start`] then [`Balancer::finish`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Balancer::finish`].
     pub fn call(&self, request: T::Request, deadline: Duration) -> Result<T::Response, RpcError>
     where
         T::Request: Clone,
     {
-        self.inner.call(&request, deadline)
+        self.finish(self.start(request, deadline))
     }
 
-    /// Like [`Balancer::call`], but if no result arrived within
-    /// `hedge_after` a second (hedged) attempt is launched against the
-    /// rotation's next replica set, and the first success wins. The
-    /// straggler keeps running on a detached thread and its late result is
-    /// discarded. Falls back to a plain call when there is only one target
-    /// or `hedge_after >= deadline`.
+    /// Like [`Balancer::finish`], but if the first attempt is still silent
+    /// `hedge_after` after the call's start, a second (hedged) call goes to
+    /// the rotation's remaining replicas and the first success wins. Until
+    /// that moment everything runs on the calling thread; when the hedge
+    /// fires, one helper thread keeps waiting on the straggler and one
+    /// runs the hedge, and the loser's late result is discarded. An
+    /// attempt that *fails* before `hedge_after` fails over at once, like
+    /// a plain `finish`. Falls back to a plain `finish` when there is only
+    /// one target or `hedge_after` is not below the call's deadline.
     ///
     /// # Errors
     ///
     /// [`RpcError::Timeout`] when the budget is spent, otherwise the last
     /// error once both attempts have failed.
+    pub fn finish_hedged(
+        &self,
+        in_flight: InFlight<T>,
+        hedge_after: Duration,
+    ) -> Result<T::Response, RpcError>
+    where
+        T::Request: Clone,
+    {
+        let inner = &self.inner;
+        let InFlight { mut pending, plan } = in_flight;
+        let Plan {
+            start, deadline, ..
+        } = plan;
+        if plan.entries.len() < 2 || hedge_after >= deadline {
+            return inner.finish(InFlight { pending, plan });
+        }
+        let primary = Arc::clone(plan.primary());
+        if let Some(first) = primary.target.wait(&mut pending, Some(start + hedge_after)) {
+            return inner.conclude(&plan, first);
+        }
+
+        // The primary is straggling: race it against a hedge.
+        if let Some(m) = &inner.metrics {
+            m.hedges_launched.incr();
+        }
+        let (tx, rx) = crossbeam::channel::bounded(2);
+        let straggler = primary.target.target_name();
+        {
+            let inner = Arc::clone(inner);
+            report_from_thread(format!("hedge:{straggler}"), tx.clone(), move || {
+                let nothing_tried = RpcError::NodeDown;
+                inner.failover(&plan, nothing_tried)
+            });
+        }
+        {
+            let inner = Arc::clone(inner);
+            report_from_thread(format!("straggler:{straggler}"), tx.clone(), move || {
+                inner.record(&primary, primary.target.finish(pending))
+            });
+        }
+        drop(tx);
+        // Once both threads have reported, the channel disconnects and we
+        // return the last error.
+        let mut last_err = RpcError::NodeDown;
+        loop {
+            let remaining = deadline.saturating_sub(start.elapsed());
+            match rx.recv_timeout(remaining) {
+                Ok(Ok(resp)) => {
+                    if let Some(m) = &inner.metrics {
+                        m.hedges_won.incr();
+                    }
+                    return Ok(resp);
+                }
+                Ok(Err(e)) => last_err = e,
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                    return Err(RpcError::Timeout { deadline });
+                }
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                    return Err(last_err);
+                }
+            }
+        }
+    }
+
+    /// [`Balancer::start`] then [`Balancer::finish_hedged`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Balancer::finish_hedged`].
     pub fn call_hedged(
         &self,
         request: T::Request,
@@ -324,72 +545,7 @@ impl<T: CallTarget> Balancer<T> {
     where
         T::Request: Clone,
     {
-        if self.num_targets() < 2 || hedge_after >= deadline {
-            return self.inner.call(&request, deadline);
-        }
-        let start = Instant::now();
-        let (tx, rx) = crossbeam::channel::bounded::<Result<T::Response, RpcError>>(2);
-        {
-            let inner = Arc::clone(&self.inner);
-            let req = request.clone();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let _ = tx.send(inner.call(&req, deadline));
-            });
-        }
-        let mut first_err = None;
-        match rx.recv_timeout(hedge_after) {
-            Ok(Ok(resp)) => return Ok(resp),
-            Ok(Err(e)) => first_err = Some(e), // primary failed fast: hedge immediately
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {} // straggling
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                return Err(RpcError::NodeDown)
-            }
-        }
-        let remaining = deadline.saturating_sub(start.elapsed());
-        if remaining.is_zero() {
-            return Err(first_err.unwrap_or(RpcError::Timeout { deadline }));
-        }
-        if let Some(m) = &self.inner.metrics {
-            m.hedges_launched.incr();
-        }
-        {
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || {
-                let _ = tx.send(inner.call(&request, remaining));
-            });
-        }
-        // `tx` was moved into the hedge thread; once both threads finish the
-        // channel disconnects and we report the last error.
-        let mut errors = usize::from(first_err.is_some());
-        let mut last_err = first_err.unwrap_or(RpcError::NodeDown);
-        loop {
-            let remaining = deadline.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
-                return Err(RpcError::Timeout { deadline });
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(Ok(resp)) => {
-                    if let Some(m) = &self.inner.metrics {
-                        m.hedges_won.incr();
-                    }
-                    return Ok(resp);
-                }
-                Ok(Err(e)) => {
-                    errors += 1;
-                    last_err = e;
-                    if errors >= 2 {
-                        return Err(last_err);
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    return Err(RpcError::Timeout { deadline });
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(last_err);
-                }
-            }
-        }
+        self.finish_hedged(self.start(request, deadline), hedge_after)
     }
 }
 
@@ -667,6 +823,106 @@ mod tests {
             elapsed < Duration::from_millis(250),
             "hedge must win: took {elapsed:?}"
         );
+    }
+
+    /// Names of this process's live threads (Linux: `/proc/self/task`).
+    #[cfg(target_os = "linux")]
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn no_hedge_and_no_helper_thread_when_the_primary_answers_in_time() {
+        let m = Arc::new(ResilienceMetrics::new());
+        // Names unique to this test: helper threads are named after the
+        // straggling target (the kernel keeps 15 bytes of a thread name).
+        let a = Node::spawn("intime-a", SlowTagged(1, Duration::from_millis(5)), 1);
+        let b = Node::spawn("intime-b", SlowTagged(2, Duration::from_millis(5)), 1);
+        let lb = Balancer::new(vec![a.handle(), b.handle()]).with_metrics(Arc::clone(&m));
+        for _ in 0..20 {
+            lb.call_hedged((), Duration::from_secs(2), Duration::from_millis(500))
+                .unwrap();
+            #[cfg(target_os = "linux")]
+            assert!(
+                !thread_names().iter().any(|n| n.contains("intime-")
+                    && (n.starts_with("hedge:") || n.starts_with("straggler:"))),
+                "a helper thread exists without a fired hedge: {:?}",
+                thread_names()
+            );
+        }
+        let snap = m.snapshot();
+        assert_eq!((snap.hedges_launched, snap.hedges_won), (0, 0));
+    }
+
+    #[test]
+    fn fired_hedge_is_counted_and_raced_on_helper_threads() {
+        let m = Arc::new(ResilienceMetrics::new());
+        let slow = Node::spawn("fired-s", SlowTagged(7, Duration::from_millis(300)), 1);
+        let fast = Node::spawn("fired-f", SlowTagged(42, Duration::ZERO), 1);
+        let lb = Balancer::new(vec![slow.handle(), fast.handle()]).with_metrics(Arc::clone(&m));
+        let got = lb.call_hedged((), Duration::from_secs(2), Duration::from_millis(20));
+        assert_eq!(got, Ok(42));
+        // The straggler is still being waited on, by a helper thread.
+        #[cfg(target_os = "linux")]
+        assert!(
+            thread_names().iter().any(|n| n == "straggler:fired"),
+            "{:?}",
+            thread_names()
+        );
+        let snap = m.snapshot();
+        assert_eq!((snap.hedges_launched, snap.hedges_won), (1, 1));
+    }
+
+    #[test]
+    fn primary_failing_before_the_hedge_timer_fails_over_without_a_hedge() {
+        let m = Arc::new(ResilienceMetrics::new());
+        let flaky = Node::spawn("flaky", Tagged(0), 1);
+        let solid = Node::spawn("solid", Tagged(1), 1);
+        flaky.faults().set_drop_probability(1.0);
+        let lb = Balancer::new(vec![flaky.handle(), solid.handle()]).with_metrics(Arc::clone(&m));
+        for _ in 0..4 {
+            assert_eq!(lb.call_hedged((), DL, Duration::from_millis(200)), Ok(1));
+        }
+        assert_eq!(m.snapshot().hedges_launched, 0);
+    }
+
+    /// `call` is `start` then `finish`; the first attempt goes out in
+    /// `start`, failover happens in `finish`.
+    #[test]
+    fn start_sends_the_first_attempt_and_finish_fails_over() {
+        let flaky = Node::spawn("flaky", Counting(AtomicU64::new(0)), 1);
+        let solid = Node::spawn("solid", Counting(AtomicU64::new(1000)), 1);
+        let lb = Balancer::with_policies(
+            vec![flaky.handle(), solid.handle()],
+            HealthPolicy::disabled(),
+            RetryPolicy::no_retry(),
+            7,
+        );
+        // Healthy: the rotation's replica answers, the other is untouched.
+        let first = lb.start((), DL);
+        assert_eq!(lb.finish(first), Ok(0));
+        let second = lb.start((), DL);
+        assert_eq!(lb.finish(second), Ok(1000));
+        // Two calls started back to back are both in flight before either
+        // is finished, and finishing out of order is fine.
+        let (x, y) = (lb.start((), DL), lb.start((), DL));
+        assert_eq!(lb.finish(y), Ok(1001));
+        assert_eq!(lb.finish(x), Ok(1));
+        // The first attempt fails: `finish` rotates to the next replica.
+        flaky.faults().set_drop_probability(1.0);
+        let failing = lb.start((), DL);
+        assert_eq!(lb.finish(failing), Ok(1002));
+        // All replicas failing: the rotation's last error comes back
+        // (this rotation ends on the dropping replica, the next one on
+        // the downed one).
+        solid.faults().set_down(true);
+        let doomed = lb.start((), DL);
+        assert_eq!(lb.finish(doomed), Err(RpcError::Dropped));
+        assert_eq!(lb.call((), DL), Err(RpcError::NodeDown));
     }
 
     #[test]

@@ -122,21 +122,28 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Whether an I/O error is a socket read/write/connect timing out (the
+/// platform reports `WouldBlock` or `TimedOut`).
+pub(crate) fn io_timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 impl FrameError {
-    /// Whether the error was a socket read/write timing out (mapped from
-    /// the platform's `WouldBlock`/`TimedOut` kinds).
+    /// Whether the error was a socket read/write timing out.
     pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            FrameError::Io(e) if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            )
-        )
+        matches!(self, FrameError::Io(e) if io_timed_out(e))
     }
 }
 
-/// Writes one frame.
+/// Bytes of `[len][crc]` in front of every payload.
+const HEADER_BYTES: usize = 8;
+
+/// Writes one frame with a single `write`: header and payload leave in one
+/// buffer, so on a `TCP_NODELAY` socket a frame is one segment and wakes
+/// the receiver once.
 ///
 /// # Errors
 ///
@@ -151,15 +158,37 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         payload.len() <= MAX_FRAME_BYTES,
         "frame payload exceeds MAX_FRAME_BYTES"
     );
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32c(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Reads one frame's payload, verifying length bound and checksum.
+/// Splits a frame header into the payload length (bounded by
+/// [`MAX_FRAME_BYTES`]) and the checksum the payload must have.
+fn parse_header(header: &[u8]) -> Result<(usize, u32), FrameError> {
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let expected = u32::from_le_bytes(header[4..HEADER_BYTES].try_into().expect("4 bytes"));
+    if len > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge(len));
+    }
+    Ok((len, expected))
+}
+
+fn verify(payload: &[u8], expected: u32) -> Result<(), FrameError> {
+    let actual = crc32c(payload);
+    if actual != expected {
+        return Err(FrameError::Corrupt { expected, actual });
+    }
+    Ok(())
+}
+
+/// Reads one frame's payload, verifying length bound and checksum. Takes
+/// exactly the frame's bytes from `r` (one read for the header, one for
+/// the payload); a connection that reads frame after frame should own a
+/// [`FrameReader`] instead.
 ///
 /// # Errors
 ///
@@ -167,34 +196,116 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// [`FrameError::Io`] on I/O errors (including timeouts) anywhere else;
 /// [`FrameError::TooLarge`]/[`FrameError::Corrupt`] on malformed frames.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; HEADER_BYTES];
     // Distinguish clean EOF (peer closed between frames) from a torn read.
     match r.read(&mut header) {
         Ok(0) => return Err(FrameError::Closed),
         Ok(n) => {
             if n < header.len() {
-                r.read_exact(&mut header[n..]).map_err(map_eof)?;
+                r.read_exact(&mut header[n..]).map_err(FrameError::Io)?;
             }
         }
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    let expected = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(len));
-    }
+    let (len, expected) = parse_header(&header)?;
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(map_eof)?;
-    let actual = crc32c(&payload);
-    if actual != expected {
-        return Err(FrameError::Corrupt { expected, actual });
-    }
+    // EOF mid-frame is an I/O error (torn frame), not a clean close.
+    r.read_exact(&mut payload).map_err(FrameError::Io)?;
+    verify(&payload, expected)?;
     Ok(payload)
 }
 
-/// EOF mid-frame is an I/O error (torn frame), not a clean close.
-fn map_eof(e: io::Error) -> FrameError {
-    FrameError::Io(e)
+/// Buffer a [`FrameReader`] starts with.
+const READ_BUFFER_BYTES: usize = 8 * 1024;
+
+/// Largest buffer a [`FrameReader`] keeps between frames; one grown past
+/// this by an oversized frame is released once that frame is consumed.
+const KEPT_BUFFER_BYTES: usize = 256 * 1024;
+
+/// One connection's read side: frames are parsed out of a buffer that is
+/// filled with as much as each `read` returns, so a frame the peer wrote
+/// with one `write` costs one `read`, and bytes that arrive early or in
+/// pieces (the next frame, half a frame before a read timeout) are kept
+/// for the next call instead of desynchronizing the stream.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// `buf[pos..end]` holds bytes read from `inner` and not yet consumed.
+    pos: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`; every later read of it must go through this reader.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            buf: vec![0; READ_BUFFER_BYTES],
+            pos: 0,
+            end: 0,
+        }
+    }
+
+    /// The wrapped stream (e.g. to write to it or set its timeouts).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// The wrapped stream, mutably.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Reads the next frame's payload, verifying length bound and
+    /// checksum. The slice is valid until the next call.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Closed`] on clean EOF between frames;
+    /// [`FrameError::Io`] on I/O errors (including timeouts — the bytes
+    /// read so far are kept, and calling again resumes the same frame);
+    /// [`FrameError::TooLarge`]/[`FrameError::Corrupt`] on malformed
+    /// frames.
+    pub fn read_frame(&mut self) -> Result<&[u8], FrameError> {
+        self.fill(HEADER_BYTES)?;
+        let (len, expected) = parse_header(&self.buf[self.pos..self.pos + HEADER_BYTES])?;
+        self.fill(HEADER_BYTES + len)?;
+        let payload_at = self.pos + HEADER_BYTES;
+        self.pos = payload_at + len;
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+        }
+        let payload = &self.buf[payload_at..payload_at + len];
+        verify(payload, expected)?;
+        Ok(payload)
+    }
+
+    /// Reads until at least `need` unconsumed bytes are buffered.
+    fn fill(&mut self, need: usize) -> Result<(), FrameError> {
+        if self.pos + need > self.buf.len() {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if self.buf.len() < need {
+                self.buf.resize(need, 0);
+            }
+        } else if self.end == 0 && self.buf.len() > KEPT_BUFFER_BYTES {
+            self.buf.truncate(READ_BUFFER_BYTES);
+            self.buf.shrink_to_fit();
+        }
+        while self.end - self.pos < need {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == self.pos => return Err(FrameError::Closed),
+                Ok(0) => return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into())),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A decoded request envelope.
@@ -326,6 +437,193 @@ mod tests {
             read_frame(&mut Cursor::new(vec![1u8, 2, 3])),
             Err(FrameError::Io(_))
         ));
+    }
+
+    /// Counts `write` calls; accepts everything it is given.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_written_with_exactly_one_write() {
+        for payload in [&b""[..], b"x", &[7u8; 1200], &vec![1u8; 100_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "payload of {} bytes", payload.len());
+            assert_eq!(read_frame(&mut Cursor::new(w.bytes)).unwrap(), payload);
+        }
+    }
+
+    /// Hands out the stream in the given piece sizes, one piece per `read`
+    /// (then whatever is left), counting the reads.
+    struct Pieces {
+        bytes: Vec<u8>,
+        at: usize,
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let left = self.bytes.len() - self.at;
+            let piece = if self.reads < self.sizes.len() {
+                self.sizes[self.reads]
+            } else {
+                left
+            };
+            let n = piece.min(left).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    fn two_frames() -> (Vec<u8>, [Vec<u8>; 2]) {
+        let payloads = [b"first frame".to_vec(), vec![0xA5u8; 300]];
+        let mut bytes = Vec::new();
+        for p in &payloads {
+            write_frame(&mut bytes, p).unwrap();
+        }
+        (bytes, payloads)
+    }
+
+    #[test]
+    fn buffered_reader_takes_back_to_back_frames_from_one_read() {
+        let (bytes, payloads) = two_frames();
+        let mut reader = FrameReader::new(Pieces {
+            bytes,
+            at: 0,
+            sizes: Vec::new(),
+            reads: 0,
+        });
+        assert_eq!(reader.read_frame().unwrap(), payloads[0]);
+        assert_eq!(reader.read_frame().unwrap(), payloads[1]);
+        assert_eq!(reader.get_ref().reads, 1, "both frames came in one read");
+        assert!(matches!(reader.read_frame(), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn buffered_reader_reassembles_frames_split_at_every_byte() {
+        let (bytes, payloads) = two_frames();
+        for split in 1..bytes.len() {
+            let mut reader = FrameReader::new(Pieces {
+                bytes: bytes.clone(),
+                at: 0,
+                sizes: vec![split],
+                reads: 0,
+            });
+            assert_eq!(reader.read_frame().unwrap(), payloads[0], "split {split}");
+            assert_eq!(reader.read_frame().unwrap(), payloads[1], "split {split}");
+            assert!(matches!(reader.read_frame(), Err(FrameError::Closed)));
+        }
+        // One byte per read.
+        let mut reader = FrameReader::new(Pieces {
+            sizes: vec![1; bytes.len()],
+            bytes,
+            at: 0,
+            reads: 0,
+        });
+        assert_eq!(reader.read_frame().unwrap(), payloads[0]);
+        assert_eq!(reader.read_frame().unwrap(), payloads[1]);
+    }
+
+    /// Times out once after handing out `first` bytes.
+    struct Stalls {
+        bytes: Vec<u8>,
+        at: usize,
+        first: usize,
+        stalled: bool,
+    }
+
+    impl Read for Stalls {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.at == self.first && !self.stalled {
+                self.stalled = true;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let upto = if self.stalled {
+                self.bytes.len()
+            } else {
+                self.first
+            };
+            let n = (upto - self.at).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn buffered_reader_resumes_a_frame_after_a_read_timeout() {
+        let (bytes, payloads) = two_frames();
+        for first in [0, 3, 8, 12] {
+            let mut reader = FrameReader::new(Stalls {
+                bytes: bytes.clone(),
+                at: 0,
+                first,
+                stalled: false,
+            });
+            assert!(reader.read_frame().unwrap_err().is_timeout());
+            assert_eq!(
+                reader.read_frame().unwrap(),
+                payloads[0],
+                "stall at {first}"
+            );
+            assert_eq!(reader.read_frame().unwrap(), payloads[1]);
+        }
+    }
+
+    #[test]
+    fn buffered_reader_rejects_what_read_frame_rejects() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"payload").unwrap();
+        let mut flipped = buf.clone();
+        *flipped.last_mut().unwrap() ^= 0x40;
+        assert!(matches!(
+            FrameReader::new(Cursor::new(flipped)).read_frame(),
+            Err(FrameError::Corrupt { .. })
+        ));
+        let mut huge = buf.clone();
+        huge[3] = 0xFF;
+        assert!(matches!(
+            FrameReader::new(Cursor::new(huge)).read_frame(),
+            Err(FrameError::TooLarge(_))
+        ));
+        buf.truncate(buf.len() - 4);
+        assert!(matches!(
+            FrameReader::new(Cursor::new(buf)).read_frame(),
+            Err(FrameError::Io(_))
+        ));
+        assert!(matches!(
+            FrameReader::new(Cursor::new(vec![1u8, 2, 3])).read_frame(),
+            Err(FrameError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn buffered_reader_grows_for_a_large_frame_and_releases_it() {
+        let big = vec![0x3Cu8; KEPT_BUFFER_BYTES + 1000];
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &big).unwrap();
+        write_frame(&mut bytes, b"small").unwrap();
+        let mut reader = FrameReader::new(Cursor::new(bytes));
+        assert_eq!(reader.read_frame().unwrap(), big);
+        assert_eq!(reader.read_frame().unwrap(), b"small");
+        assert_eq!(reader.buf.len(), READ_BUFFER_BYTES);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! - [`fault`] — drop/fail/slow injection, runtime-togglable.
 //! - [`balancer`] — round-robin load balancer with budgeted, health-aware
 //!   failover and hedged calls (the paper's front end), generic over any
-//!   [`rpc::CallTarget`] (in-process handles or TCP channels).
+//!   [`rpc::CallTarget`] (in-process handles or TCP channels). Calls are
+//!   split-phase (`start`, then `finish`), so a fan-out overlaps its
+//!   branches on the calling thread.
 //! - [`health`] — per-node circuit breaker consulted by the balancer.
 //! - [`retry`] — jittered exponential-backoff retry policy.
-//! - [`cluster`] — lifecycle helper that shuts a set of nodes down.
 //!
 //! The network-native serving tier layers on top:
 //!
@@ -57,7 +58,6 @@
 
 pub mod admission;
 pub mod balancer;
-pub mod cluster;
 pub mod fault;
 pub mod frame;
 pub mod health;
@@ -69,7 +69,6 @@ pub mod tcp;
 
 pub use admission::{AdmissionConfig, AdmissionController};
 pub use balancer::Balancer;
-pub use cluster::Cluster;
 pub use fault::FaultInjector;
 pub use frame::ShedReason;
 pub use health::{CircuitState, HealthPolicy, HealthTracker};

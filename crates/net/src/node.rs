@@ -6,17 +6,24 @@
 //! are serviced concurrently; the rest queue, which is exactly the
 //! saturation behaviour Figure 13(a) measures.
 //!
-//! A [`NodeHandle`] is the cloneable client stub. Each call:
+//! A [`NodeHandle`] is the cloneable client stub. A call is split-phase
+//! (see [`CallTarget`]). `start`:
 //!
 //! 1. consults the node's [`FaultInjector`] (down? dropped? slowed?);
-//! 2. charges one sampled network latency on the caller thread;
-//! 3. enqueues the request with a one-shot reply channel;
-//! 4. waits for the reply with the caller's deadline.
+//! 2. samples one network latency and adds the injected slowdown — the
+//!    call's *wire delay*, carried in the [`NodePending`], not slept here;
+//! 3. enqueues the request with a one-shot reply channel.
+//!
+//! `finish` waits for the reply with the caller's deadline and then
+//! delivers it one wire delay after the worker completed it. Because the
+//! delay runs from the reply's completion and not from whenever `finish`
+//! happens to be called, the delays of a fan-out's branches overlap, and a
+//! straggling branch never holds up the send to the next one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -27,8 +34,13 @@ use crate::rpc::{CallTarget, RpcError, Service};
 
 struct Envelope<Req, Resp> {
     request: Req,
-    reply: Sender<Resp>,
+    /// Carries the response and the instant the worker completed it.
+    reply: Sender<(Resp, Instant)>,
 }
+
+/// Where a call's reply arrives: the response and the instant the worker
+/// completed it.
+type ReplyReceiver<Resp> = Receiver<(Resp, Instant)>;
 
 /// The node's request channel sender (wrapped so shutdown can drop it).
 type EnvelopeSender<S> = Sender<Envelope<<S as Service>::Request, <S as Service>::Response>>;
@@ -104,7 +116,7 @@ impl<S: Service> Node<S> {
                             let resp = service.handle(env.request);
                             // Caller may have timed out and dropped the
                             // receiver; that is not the worker's problem.
-                            let _ = env.reply.send(resp);
+                            let _ = env.reply.send((resp, Instant::now()));
                         }
                     })
                     .expect("spawning node worker thread")
@@ -196,38 +208,120 @@ impl<S: Service> NodeHandle<S> {
     /// [`RpcError::Dropped`] if fault injection dropped the request,
     /// [`RpcError::Timeout`] if no reply arrived within `deadline`.
     pub fn call(&self, request: S::Request, deadline: Duration) -> Result<S::Response, RpcError> {
+        CallTarget::call(self, request, deadline)
+    }
+
+    /// Fault check, wire-delay sample and enqueue of one request.
+    fn enqueue(
+        &self,
+        request: S::Request,
+    ) -> Result<(ReplyReceiver<S::Response>, Duration), RpcError> {
         if self.shared.stopped.load(Ordering::Relaxed) {
             return Err(RpcError::NodeDown);
         }
         let extra = self.shared.faults.check()?;
         let wire = self.shared.latency.sample() + extra;
-        if !wire.is_zero() {
-            std::thread::sleep(wire);
-        }
         let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
-        {
-            let tx = self.shared.tx.read();
-            let tx = tx.as_ref().ok_or(RpcError::NodeDown)?;
-            tx.send(Envelope {
-                request,
-                reply: reply_tx,
-            })
-            .map_err(|_| RpcError::NodeDown)?;
-        }
-        match reply_rx.recv_timeout(deadline) {
-            Ok(resp) => Ok(resp),
-            Err(RecvTimeoutError::Timeout) => Err(RpcError::Timeout { deadline }),
-            Err(RecvTimeoutError::Disconnected) => Err(RpcError::NodeDown),
-        }
+        let tx = self.shared.tx.read();
+        let tx = tx.as_ref().ok_or(RpcError::NodeDown)?;
+        tx.send(Envelope {
+            request,
+            reply: reply_tx,
+        })
+        .map_err(|_| RpcError::NodeDown)?;
+        Ok((reply_rx, wire))
+    }
+}
+
+/// A call on a [`NodeHandle`] whose request has been enqueued.
+pub struct NodePending<Resp> {
+    state: PendingState<Resp>,
+    /// Simulated network latency plus injected slowdown of this call.
+    wire: Duration,
+    deadline_at: Instant,
+    deadline: Duration,
+}
+
+enum PendingState<Resp> {
+    /// The request could not be enqueued.
+    Failed(RpcError),
+    /// Waiting for a worker's reply.
+    Queued(ReplyReceiver<Resp>),
+    /// The reply is here and is delivered at the given instant (its
+    /// completion plus the wire delay).
+    Replied(Resp, Instant),
+    /// The result has been handed out.
+    Done,
+}
+
+impl<Resp> std::fmt::Debug for NodePending<Resp> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodePending")
+            .field("wire", &self.wire)
+            .field("deadline", &self.deadline)
+            .finish()
     }
 }
 
 impl<S: Service> CallTarget for NodeHandle<S> {
     type Request = S::Request;
     type Response = S::Response;
+    type Pending = NodePending<S::Response>;
 
-    fn call(&self, request: S::Request, deadline: Duration) -> Result<S::Response, RpcError> {
-        NodeHandle::call(self, request, deadline)
+    fn start(&self, request: S::Request, deadline: Duration) -> Self::Pending {
+        let (state, wire) = match self.enqueue(request) {
+            Ok((rx, wire)) => (PendingState::Queued(rx), wire),
+            Err(e) => (PendingState::Failed(e), Duration::ZERO),
+        };
+        NodePending {
+            state,
+            wire,
+            deadline_at: Instant::now() + deadline,
+            deadline,
+        }
+    }
+
+    /// The deadline bounds the wait for the worker's reply (queueing plus
+    /// service time); the wire delay comes on top.
+    fn wait(
+        &self,
+        pending: &mut Self::Pending,
+        until: Option<Instant>,
+    ) -> Option<Result<S::Response, RpcError>> {
+        if let PendingState::Queued(rx) = &pending.state {
+            let give_up_at = until.filter(|u| *u < pending.deadline_at);
+            let limit = give_up_at.unwrap_or(pending.deadline_at);
+            match rx.recv_timeout(limit.saturating_duration_since(Instant::now())) {
+                Ok((resp, completed_at)) => {
+                    pending.state = PendingState::Replied(resp, completed_at + pending.wire);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    return match give_up_at {
+                        Some(_) => None,
+                        None => Some(Err(RpcError::Timeout {
+                            deadline: pending.deadline,
+                        })),
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => return Some(Err(RpcError::NodeDown)),
+            }
+        }
+        if let (PendingState::Replied(_, deliver_at), Some(until)) = (&pending.state, until) {
+            if until < *deliver_at {
+                std::thread::sleep(until.saturating_duration_since(Instant::now()));
+                return None;
+            }
+        }
+        match std::mem::replace(&mut pending.state, PendingState::Done) {
+            PendingState::Failed(e) => Some(Err(e)),
+            PendingState::Replied(resp, deliver_at) => {
+                std::thread::sleep(deliver_at.saturating_duration_since(Instant::now()));
+                Some(Ok(resp))
+            }
+            PendingState::Queued(_) | PendingState::Done => {
+                unreachable!("a pending call resolves once")
+            }
+        }
     }
 
     fn is_down(&self) -> bool {
@@ -376,6 +470,85 @@ mod tests {
         let start = std::time::Instant::now();
         h.call(1, DL).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(5));
+    }
+
+    /// `call` is `start` then `finish`: the two spellings agree on every
+    /// outcome a node can produce.
+    #[test]
+    fn start_then_finish_is_call() {
+        let node = Node::spawn("d", Doubler, 1);
+        let h = node.handle();
+        let split = |req| h.finish(h.start(req, DL));
+        assert_eq!(split(4), Ok(8));
+        assert_eq!(h.call(4, DL), Ok(8));
+        node.faults().set_drop_probability(1.0);
+        assert_eq!(split(4), Err(RpcError::Dropped));
+        assert_eq!(h.call(4, DL), Err(RpcError::Dropped));
+        node.faults().set_drop_probability(0.0);
+        node.faults().set_down(true);
+        assert_eq!(split(4), Err(RpcError::NodeDown));
+        assert_eq!(h.call(4, DL), Err(RpcError::NodeDown));
+        node.faults().set_down(false);
+        node.shutdown();
+        assert_eq!(split(4), Err(RpcError::NodeDown));
+        assert_eq!(h.call(4, DL), Err(RpcError::NodeDown));
+
+        // Timeout: the deadline runs from `start`, not from `finish`.
+        let slow = Node::spawn("slow", Sleeper(Duration::from_millis(600)), 2);
+        let h = slow.handle();
+        let deadline = Duration::from_millis(150);
+        let begun = Instant::now();
+        let pending = h.start((), deadline);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(h.finish(pending), Err(RpcError::Timeout { deadline }));
+        assert!(
+            begun.elapsed() < Duration::from_millis(230),
+            "finish waited a full deadline of its own: {:?}",
+            begun.elapsed()
+        );
+        assert_eq!(h.call((), deadline), Err(RpcError::Timeout { deadline }));
+    }
+
+    /// Wire delays of calls started together overlap, whatever the order
+    /// and time at which they are finished.
+    #[test]
+    fn wire_delays_of_started_calls_overlap() {
+        let wire = Duration::from_millis(100);
+        let nodes: Vec<_> = (0..3)
+            .map(|i| Node::spawn_with(format!("n{i}"), Doubler, 1, LatencyModel::Constant(wire), i))
+            .collect();
+        let handles: Vec<_> = nodes.iter().map(Node::handle).collect();
+        let begun = Instant::now();
+        let pending: Vec<_> = handles.iter().map(|h| h.start(1, DL)).collect();
+        assert!(
+            begun.elapsed() < wire / 2,
+            "start must not sleep the wire delay: {:?}",
+            begun.elapsed()
+        );
+        for (h, p) in handles.iter().zip(pending) {
+            assert_eq!(h.finish(p), Ok(2));
+        }
+        let elapsed = begun.elapsed();
+        assert!(elapsed >= wire, "the delay is still charged: {elapsed:?}");
+        assert!(
+            elapsed < wire * 2 - Duration::from_millis(20),
+            "three delays overlapped: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn bounded_wait_gives_up_and_can_be_resumed() {
+        let node = Node::spawn("d", Doubler, 1);
+        node.faults().set_slowdown(Duration::from_millis(120));
+        let h = node.handle();
+        let begun = Instant::now();
+        let mut pending = h.start(21, DL);
+        let early = begun + Duration::from_millis(30);
+        assert_eq!(h.wait(&mut pending, Some(early)), None, "still on the wire");
+        assert!(Instant::now() >= early, "gave up before the bound");
+        assert!(begun.elapsed() < Duration::from_millis(100));
+        assert_eq!(h.wait(&mut pending, None), Some(Ok(42)));
+        assert!(begun.elapsed() >= Duration::from_millis(120));
     }
 
     #[test]

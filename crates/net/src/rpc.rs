@@ -1,6 +1,6 @@
 //! RPC contract: the service trait, call targets, and call errors.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A request handler living inside a [`crate::node::Node`].
 ///
@@ -33,18 +33,59 @@ impl<S: Service> Service for std::sync::Arc<S> {
 /// to a remote tier. The balancer's resilience machinery (budgeted
 /// failover, circuit breakers, hedging) is written against this trait, so
 /// the same policies run unchanged over channels and over real sockets.
+///
+/// A call is **split-phase**: [`CallTarget::start`] sends the request and
+/// returns at once with a [`CallTarget::Pending`]; the reply is collected
+/// later with [`CallTarget::finish`]. A caller fanning out to several
+/// targets starts every branch before finishing any, so the branches are
+/// served concurrently without a thread per branch. The call's deadline
+/// runs from its `start`.
 pub trait CallTarget: Send + Sync + 'static {
     /// Request message type.
     type Request: Send + 'static;
     /// Response message type.
     type Response: Send + 'static;
+    /// A call that has been sent and not yet collected. A call that could
+    /// not even be sent is a `Pending` too: it carries its error to
+    /// `finish`.
+    type Pending: Send + 'static;
 
-    /// Performs one call with a deadline.
+    /// Sends one request without waiting for the reply.
+    fn start(&self, request: Self::Request, deadline: Duration) -> Self::Pending;
+
+    /// Waits for the reply of a started call: until the call's own
+    /// deadline when `until` is `None` (the result is then always `Some`),
+    /// otherwise no longer than `until`, returning `None` if the call is
+    /// still in flight at that instant. Nothing is lost by a `None`; the
+    /// same `pending` can be waited on again.
     ///
     /// # Errors
     ///
     /// Any [`RpcError`]; see the implementor for the exact mapping.
-    fn call(&self, request: Self::Request, deadline: Duration) -> Result<Self::Response, RpcError>;
+    fn wait(
+        &self,
+        pending: &mut Self::Pending,
+        until: Option<Instant>,
+    ) -> Option<Result<Self::Response, RpcError>>;
+
+    /// Collects the reply of a started call, waiting up to its deadline.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RpcError`]; see the implementor for the exact mapping.
+    fn finish(&self, mut pending: Self::Pending) -> Result<Self::Response, RpcError> {
+        self.wait(&mut pending, None)
+            .expect("a wait bounded only by the call's own deadline resolves")
+    }
+
+    /// Performs one call with a deadline: `start`, then `finish`.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RpcError`]; see the implementor for the exact mapping.
+    fn call(&self, request: Self::Request, deadline: Duration) -> Result<Self::Response, RpcError> {
+        self.finish(self.start(request, deadline))
+    }
 
     /// Whether the target is known-dead without spending a call on it
     /// (best-effort; network targets may only learn from a failed call).

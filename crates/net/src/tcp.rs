@@ -9,15 +9,23 @@
 //! *before* body decode, and tiers can be drained or crashed
 //! independently.
 //!
-//! ## Offline substitution
+//! ## Transport
 //!
 //! The design brief calls for a tokio-based transport; this build runs in
 //! an offline environment where tokio is not vendored, so the transport
-//! uses `std::net` blocking sockets with dedicated threads — a
-//! thread-per-connection accept loop, read-timeout polling for shutdown
-//! signals, and condvar-based admission queues. The wire format, the
-//! admission state machine and the drain/crash semantics are transport
-//! agnostic.
+//! uses `std::net` blocking sockets: an accept thread blocked in
+//! `accept()` (a stopping tier wakes it with a loopback connect), one
+//! thread per accepted connection, and condvar-based admission queues.
+//! What an async runtime would buy on the client side — many calls in
+//! flight from one thread — comes from the split-phase [`CallTarget`]
+//! contract instead: [`TcpChannel::start`](CallTarget::start) writes the
+//! request and returns holding the connection, the reply is read in
+//! `finish`, so a caller fanning out starts every branch before it reads
+//! any reply and no thread is spawned per branch. A frame is written with
+//! one `write` and read through the connection's
+//! [`FrameReader`], so a message costs one syscall and one receiver
+//! wake-up on each side. The wire format, the admission state machine and
+//! the drain/crash semantics are transport agnostic.
 
 use std::io;
 use std::marker::PhantomData;
@@ -33,17 +41,14 @@ use jdvs_metrics::ServingMetrics;
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::frame::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    FrameError, ResponseEnvelope,
+    decode_request, decode_response, encode_request, encode_response, io_timed_out, write_frame,
+    FrameError, FrameReader, ResponseEnvelope,
 };
 use crate::rpc::{CallTarget, RpcError, Service};
 
 /// How often a connection thread wakes from a blocked read to check the
 /// stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// How often the accept loop polls its non-blocking listener.
-const ACCEPT_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Idle connections kept per client channel.
 const POOL_CAP: usize = 8;
@@ -125,7 +130,6 @@ impl<S: Service> TcpTier<S> {
         metrics: Arc<ServingMetrics>,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let admission = Arc::new(AdmissionController::new(config, metrics));
@@ -144,40 +148,34 @@ impl<S: Service> TcpTier<S> {
             thread::Builder::new()
                 .name(format!("{name}-accept"))
                 .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if stream.set_nonblocking(false).is_err() {
-                                    continue;
-                                }
-                                let _ = stream.set_nodelay(true);
-                                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-                                if let Ok(clone) = stream.try_clone() {
-                                    streams.lock().push(clone);
-                                }
-                                let admission = Arc::clone(&admission);
-                                let service = Arc::clone(&service);
-                                let stop = Arc::clone(&stop);
-                                let handle = thread::Builder::new()
-                                    .name(format!("{name}-conn"))
-                                    .spawn(move || {
-                                        serve_connection(
-                                            stream,
-                                            &service,
-                                            &admission,
-                                            decode_request_body,
-                                            encode_response_body,
-                                            &stop,
-                                        );
-                                    })
-                                    .expect("spawn connection thread");
-                                workers.lock().push(handle);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                thread::sleep(ACCEPT_INTERVAL);
-                            }
-                            Err(_) => break,
+                    // Blocks in `accept`; `stop_threads` sets the flag and
+                    // then connects once so the loop sees it.
+                    while let Ok((stream, _)) = listener.accept() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
                         }
+                        let _ = stream.set_nodelay(true);
+                        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+                        if let Ok(clone) = stream.try_clone() {
+                            streams.lock().push(clone);
+                        }
+                        let admission = Arc::clone(&admission);
+                        let service = Arc::clone(&service);
+                        let stop = Arc::clone(&stop);
+                        let handle = thread::Builder::new()
+                            .name(format!("{name}-conn"))
+                            .spawn(move || {
+                                serve_connection(
+                                    stream,
+                                    &service,
+                                    &admission,
+                                    decode_request_body,
+                                    encode_response_body,
+                                    &stop,
+                                );
+                            })
+                            .expect("spawn connection thread");
+                        workers.lock().push(handle);
                     }
                     // Listener drops here: further connects are refused.
                 })
@@ -262,6 +260,11 @@ impl<S: Service> TcpTier<S> {
             let _ = s.shutdown(Shutdown::Both);
         }
         if let Some(h) = self.accept_handle.take() {
+            // Wake the accept thread out of `accept()`; it drops the
+            // listener on its way out, so later connects are refused. If
+            // the connect fails the backlog is full and `accept` is about
+            // to return anyway.
+            let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
             let _ = h.join();
         }
         let workers = std::mem::take(&mut *self.workers.lock());
@@ -284,21 +287,21 @@ impl<S: Service> Drop for TcpTier<S> {
 /// Serves one connection until the peer closes, the stream breaks, or the
 /// tier stops.
 ///
-/// A read timeout with no bytes consumed just re-polls the stop flag; a
-/// timeout *mid-frame* desynchronizes the stream, which the CRC check
-/// catches on the next frame — the connection is then dropped rather than
-/// risk misparsing.
+/// A read timeout just re-polls the stop flag: bytes of a frame that has
+/// only partly arrived stay in the connection's [`FrameReader`] and the
+/// next read resumes it.
 fn serve_connection<S: Service>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     service: &Arc<S>,
     admission: &Arc<AdmissionController>,
     decode_request_body: fn(&[u8]) -> Option<S::Request>,
     encode_response_body: fn(&S::Response) -> Vec<u8>,
     stop: &AtomicBool,
 ) {
+    let mut conn = FrameReader::new(stream);
     loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
+        let envelope = match conn.read_frame() {
+            Ok(payload) => decode_request(payload),
             Err(e) if e.is_timeout() => {
                 if stop.load(Ordering::SeqCst) {
                     return;
@@ -308,34 +311,30 @@ fn serve_connection<S: Service>(
             Err(_) => return, // closed, torn or corrupt: drop the connection
         };
         let metrics = admission.metrics();
-        let envelope = match decode_request(&payload) {
-            Ok(env) => env,
+        let reply = match envelope {
             Err(_) => {
                 metrics.decode_errors.incr();
-                if respond(&mut stream, &ResponseEnvelope::Error).is_err() {
-                    return;
+                ResponseEnvelope::Error
+            }
+            Ok(envelope) => match admission.admit(envelope.budget) {
+                Err(reason) => ResponseEnvelope::Overloaded(reason),
+                Ok(permit) => {
+                    let reply = match decode_request_body(&envelope.body) {
+                        Some(request) => {
+                            let response = service.handle(request);
+                            ResponseEnvelope::Ok(encode_response_body(&response))
+                        }
+                        None => {
+                            metrics.decode_errors.incr();
+                            ResponseEnvelope::Error
+                        }
+                    };
+                    drop(permit);
+                    reply
                 }
-                continue;
-            }
+            },
         };
-        let reply = match admission.admit(envelope.budget) {
-            Err(reason) => ResponseEnvelope::Overloaded(reason),
-            Ok(permit) => {
-                let reply = match decode_request_body(&envelope.body) {
-                    Some(request) => {
-                        let response = service.handle(request);
-                        ResponseEnvelope::Ok(encode_response_body(&response))
-                    }
-                    None => {
-                        metrics.decode_errors.incr();
-                        ResponseEnvelope::Error
-                    }
-                };
-                drop(permit);
-                reply
-            }
-        };
-        if respond(&mut stream, &reply).is_err() {
+        if respond(conn.get_mut(), &reply).is_err() {
             return;
         }
     }
@@ -344,6 +343,9 @@ fn serve_connection<S: Service>(
 fn respond(stream: &mut TcpStream, envelope: &ResponseEnvelope) -> io::Result<()> {
     write_frame(stream, &encode_response(envelope))
 }
+
+/// One pooled client connection; the reader keeps its buffer across calls.
+type Conn = FrameReader<TcpStream>;
 
 /// A pooled client channel to one remote tier, implementing
 /// [`CallTarget`] so a [`crate::balancer::Balancer`] can spread calls,
@@ -354,7 +356,7 @@ pub struct TcpChannel<Req, Resp> {
     addr: SocketAddr,
     encode_request_body: fn(&Req) -> Vec<u8>,
     decode_response_body: fn(&[u8]) -> Option<Resp>,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Conn>>,
 }
 
 impl<Req, Resp> std::fmt::Debug for TcpChannel<Req, Resp> {
@@ -366,11 +368,36 @@ impl<Req, Resp> std::fmt::Debug for TcpChannel<Req, Resp> {
     }
 }
 
-enum CallFail {
-    /// A pooled connection went stale (peer closed it between calls);
-    /// worth one retry on a fresh connection.
+/// A call on a [`TcpChannel`] whose request has been written: it holds the
+/// connection the reply will arrive on.
+#[derive(Debug)]
+pub struct TcpPending {
+    /// The connection the request went out on, or why it could not be sent.
+    conn: Result<Conn, RpcError>,
+    /// The encoded request, kept for the retry.
+    body: Vec<u8>,
+    /// Queries are idempotent, so a connection the peer closed before
+    /// replying (a stale pooled one, typically) is worth exactly one retry
+    /// on a fresh socket before reporting the node down. Set once spent.
+    retried: bool,
+    deadline_at: Instant,
+    deadline: Duration,
+}
+
+enum SendFail {
+    /// The connection is dead (peer closed it between calls).
     Stale,
     Rpc(RpcError),
+}
+
+impl SendFail {
+    /// What the call reports when no retry is left.
+    fn into_rpc(self) -> RpcError {
+        match self {
+            SendFail::Stale => RpcError::NodeDown,
+            SendFail::Rpc(e) => e,
+        }
+    }
 }
 
 impl<Req, Resp> TcpChannel<Req, Resp> {
@@ -396,55 +423,52 @@ impl<Req, Resp> TcpChannel<Req, Resp> {
         self.addr
     }
 
-    fn exchange(
+    /// Writes `body` as one request frame, on a pooled connection unless
+    /// `fresh`, and returns the connection the reply will arrive on.
+    fn send(
         &self,
-        stream: &mut TcpStream,
         body: &[u8],
         deadline_at: Instant,
-        total_deadline: Duration,
-    ) -> Result<Resp, CallFail> {
+        deadline: Duration,
+        fresh: bool,
+    ) -> Result<Conn, SendFail> {
+        let timeout = RpcError::Timeout { deadline };
+        let pooled = if fresh { None } else { self.pool.lock().pop() };
+        let mut conn = match pooled {
+            Some(conn) => conn,
+            None => {
+                let remaining = deadline_at.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    return Err(SendFail::Rpc(timeout));
+                }
+                let stream =
+                    TcpStream::connect_timeout(&self.addr, remaining.max(MIN_SOCKET_TIMEOUT))
+                        .map_err(|e| {
+                            SendFail::Rpc(if io_timed_out(&e) {
+                                timeout
+                            } else {
+                                RpcError::NodeDown
+                            })
+                        })?;
+                let _ = stream.set_nodelay(true);
+                FrameReader::new(stream)
+            }
+        };
         let remaining = deadline_at.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
-            return Err(CallFail::Rpc(RpcError::Timeout {
-                deadline: total_deadline,
-            }));
+            return Err(SendFail::Rpc(timeout));
         }
-        let socket_timeout = remaining.max(MIN_SOCKET_TIMEOUT);
-        let _ = stream.set_write_timeout(Some(socket_timeout));
-        let _ = stream.set_read_timeout(Some(socket_timeout));
-
-        let payload = encode_request(remaining, body);
-        if let Err(e) = write_frame(stream, &payload) {
-            return Err(
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
-                    CallFail::Rpc(RpcError::Timeout {
-                        deadline: total_deadline,
-                    })
-                } else {
-                    CallFail::Stale
-                },
-            );
-        }
-        let response = match read_frame(stream) {
-            Ok(p) => p,
-            Err(e) if e.is_timeout() => {
-                return Err(CallFail::Rpc(RpcError::Timeout {
-                    deadline: total_deadline,
-                }))
+        let _ = conn
+            .get_ref()
+            .set_write_timeout(Some(remaining.max(MIN_SOCKET_TIMEOUT)));
+        write_frame(conn.get_mut(), &encode_request(remaining, body)).map_err(|e| {
+            if io_timed_out(&e) {
+                SendFail::Rpc(timeout)
+            } else {
+                SendFail::Stale
             }
-            Err(FrameError::Closed) => return Err(CallFail::Stale),
-            Err(_) => return Err(CallFail::Rpc(RpcError::NodeDown)),
-        };
-        match decode_response(&response) {
-            Ok(ResponseEnvelope::Ok(body)) => {
-                (self.decode_response_body)(&body).ok_or(CallFail::Rpc(RpcError::NodeDown))
-            }
-            Ok(ResponseEnvelope::Overloaded(_)) => Err(CallFail::Rpc(RpcError::Overloaded)),
-            Ok(ResponseEnvelope::Error) | Err(_) => Err(CallFail::Rpc(RpcError::NodeDown)),
-        }
+        })?;
+        Ok(conn)
     }
 }
 
@@ -455,54 +479,85 @@ where
 {
     type Request = Req;
     type Response = Resp;
+    type Pending = TcpPending;
 
-    fn call(&self, request: Req, deadline: Duration) -> Result<Resp, RpcError> {
+    fn start(&self, request: Req, deadline: Duration) -> TcpPending {
         let deadline_at = Instant::now() + deadline;
         let body = (self.encode_request_body)(&request);
-
-        // Queries are idempotent, so a stale pooled connection (or one the
-        // peer closed mid-call) is worth exactly one retry on a fresh
-        // socket before reporting the node down.
-        for _attempt in 0..2 {
-            let pooled = self.pool.lock().pop();
-            let mut stream = match pooled {
-                Some(s) => s,
-                None => {
-                    let remaining = deadline_at.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(RpcError::Timeout { deadline });
-                    }
-                    match TcpStream::connect_timeout(&self.addr, remaining.max(MIN_SOCKET_TIMEOUT))
-                    {
-                        Ok(s) => {
-                            let _ = s.set_nodelay(true);
-                            s
-                        }
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                            ) =>
-                        {
-                            return Err(RpcError::Timeout { deadline })
-                        }
-                        Err(_) => return Err(RpcError::NodeDown),
-                    }
-                }
-            };
-            match self.exchange(&mut stream, &body, deadline_at, deadline) {
-                Ok(resp) => {
-                    let mut pool = self.pool.lock();
-                    if pool.len() < POOL_CAP {
-                        pool.push(stream);
-                    }
-                    return Ok(resp);
-                }
-                Err(CallFail::Stale) => continue, // fresh socket next round
-                Err(CallFail::Rpc(e)) => return Err(e),
+        let mut retried = false;
+        let conn = match self.send(&body, deadline_at, deadline, false) {
+            Err(SendFail::Stale) => {
+                retried = true;
+                self.send(&body, deadline_at, deadline, true)
             }
+            sent => sent,
         }
-        Err(RpcError::NodeDown)
+        .map_err(SendFail::into_rpc);
+        TcpPending {
+            conn,
+            body,
+            retried,
+            deadline_at,
+            deadline,
+        }
+    }
+
+    /// A read timing out at the call's deadline is [`RpcError::Timeout`];
+    /// a clean close before the reply spends the call's one retry on a
+    /// fresh socket; a shed reply is [`RpcError::Overloaded`]; anything
+    /// else (reset, torn or corrupt frame, error envelope, undecodable
+    /// body, refused connect) is [`RpcError::NodeDown`].
+    fn wait(
+        &self,
+        pending: &mut TcpPending,
+        until: Option<Instant>,
+    ) -> Option<Result<Resp, RpcError>> {
+        let deadline = pending.deadline;
+        let give_up_at = until.filter(|u| *u < pending.deadline_at);
+        loop {
+            let conn = match &mut pending.conn {
+                Ok(conn) => conn,
+                Err(e) => return Some(Err(*e)),
+            };
+            let remaining = give_up_at
+                .unwrap_or(pending.deadline_at)
+                .saturating_duration_since(Instant::now());
+            let _ = conn
+                .get_ref()
+                .set_read_timeout(Some(remaining.max(MIN_SOCKET_TIMEOUT)));
+            let reply = match conn.read_frame() {
+                Ok(payload) => decode_response(payload),
+                Err(e) if e.is_timeout() => {
+                    return match give_up_at {
+                        Some(_) => None,
+                        None => Some(Err(RpcError::Timeout { deadline })),
+                    }
+                }
+                Err(FrameError::Closed) if !pending.retried => {
+                    pending.retried = true;
+                    pending.conn = self
+                        .send(&pending.body, pending.deadline_at, deadline, true)
+                        .map_err(SendFail::into_rpc);
+                    continue;
+                }
+                Err(_) => return Some(Err(RpcError::NodeDown)),
+            };
+            return Some(match reply {
+                Ok(ResponseEnvelope::Ok(body)) => match (self.decode_response_body)(&body) {
+                    Some(response) => {
+                        let done = std::mem::replace(&mut pending.conn, Err(RpcError::NodeDown));
+                        let mut pool = self.pool.lock();
+                        if pool.len() < POOL_CAP {
+                            pool.extend(done);
+                        }
+                        Ok(response)
+                    }
+                    None => Err(RpcError::NodeDown),
+                },
+                Ok(ResponseEnvelope::Overloaded(_)) => Err(RpcError::Overloaded),
+                Ok(ResponseEnvelope::Error) | Err(_) => Err(RpcError::NodeDown),
+            });
+        }
     }
 
     fn is_down(&self) -> bool {
@@ -674,6 +729,149 @@ mod tests {
             fresh.call(vec![2], Duration::from_millis(300)).unwrap_err(),
             RpcError::NodeDown
         );
+    }
+
+    /// `call` is `start` then `finish`: the two spellings agree on every
+    /// outcome a tier can produce.
+    #[test]
+    fn start_then_finish_is_call() {
+        let split = |chan: &TcpChannel<Vec<u8>, Vec<u8>>, deadline| {
+            let pending = chan.start(vec![5, 6], deadline);
+            chan.finish(pending)
+        };
+        let spawn = |service_time, config| {
+            TcpTier::spawn(
+                "split",
+                Sleeper(service_time),
+                bytes_decode,
+                bytes_encode,
+                config,
+            )
+            .unwrap()
+        };
+
+        // Success, on a fresh and then on a pooled connection.
+        let mut tier = spawn(Duration::ZERO, AdmissionConfig::default());
+        let chan = channel_to(&tier);
+        for _ in 0..2 {
+            assert_eq!(split(&chan, Duration::from_secs(2)), Ok(vec![5, 6]));
+            assert_eq!(
+                chan.call(vec![5, 6], Duration::from_secs(2)),
+                Ok(vec![5, 6])
+            );
+        }
+        // Crashed tier: the pooled connection is dead and a fresh connect
+        // is refused.
+        tier.crash();
+        assert_eq!(
+            split(&chan, Duration::from_secs(1)),
+            Err(RpcError::NodeDown)
+        );
+        assert_eq!(
+            chan.call(vec![5, 6], Duration::from_secs(1)),
+            Err(RpcError::NodeDown)
+        );
+
+        // Overloaded.
+        let tier = spawn(
+            Duration::ZERO,
+            AdmissionConfig {
+                min_budget: Duration::from_millis(50),
+                ..AdmissionConfig::default()
+            },
+        );
+        let chan = channel_to(&tier);
+        assert_eq!(
+            split(&chan, Duration::from_millis(10)),
+            Err(RpcError::Overloaded)
+        );
+        assert_eq!(
+            chan.call(vec![5, 6], Duration::from_millis(10)),
+            Err(RpcError::Overloaded)
+        );
+
+        // Timeout: the deadline runs from `start`, not from `finish`.
+        let tier = spawn(Duration::from_millis(600), AdmissionConfig::default());
+        let chan = channel_to(&tier);
+        let deadline = Duration::from_millis(150);
+        let begun = Instant::now();
+        let pending = chan.start(vec![1], deadline);
+        thread::sleep(Duration::from_millis(100));
+        assert_eq!(chan.finish(pending), Err(RpcError::Timeout { deadline }));
+        assert!(
+            begun.elapsed() < Duration::from_millis(230),
+            "finish waited a full deadline of its own: {:?}",
+            begun.elapsed()
+        );
+        assert_eq!(
+            chan.call(vec![1], deadline),
+            Err(RpcError::Timeout { deadline })
+        );
+    }
+
+    /// A server that answers one request per connection and then closes
+    /// it, so every pooled connection is stale by the next call.
+    fn one_shot_server() -> (SocketAddr, Arc<AtomicBool>, JoinHandle<usize>) {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let server = thread::spawn(move || {
+            let mut served = 0;
+            while let Ok((stream, _)) = listener.accept() {
+                if stopped.load(Ordering::SeqCst) {
+                    break;
+                }
+                let mut conn = FrameReader::new(stream);
+                let Ok(request) = conn.read_frame().map(decode_request) else {
+                    continue; // a connection closed unused
+                };
+                let reply = ResponseEnvelope::Ok(request.unwrap().body);
+                respond(conn.get_mut(), &reply).unwrap();
+                served += 1;
+            }
+            served
+        });
+        (addr, stop, server)
+    }
+
+    #[test]
+    fn stale_pooled_connection_is_retried_once_on_a_fresh_socket() {
+        let (addr, stop, server) = one_shot_server();
+        let chan = TcpChannel::new("stale", addr, bytes_encode, bytes_decode);
+        let deadline = Duration::from_secs(2);
+        // Every call after the first finds a pooled connection the server
+        // has closed: the request goes out, the reply is a clean close,
+        // and the retry on a fresh socket succeeds — in either spelling.
+        assert_eq!(chan.call(vec![1], deadline), Ok(vec![1]));
+        assert_eq!(chan.call(vec![2], deadline), Ok(vec![2]));
+        let pending = chan.start(vec![3], deadline);
+        assert_eq!(chan.finish(pending), Ok(vec![3]));
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        assert_eq!(server.join().unwrap(), 3);
+    }
+
+    #[test]
+    fn stopping_wakes_a_blocked_accept_and_refuses_later_connects() {
+        let mut tier = TcpTier::spawn(
+            "idle",
+            Echo,
+            bytes_decode,
+            bytes_encode,
+            AdmissionConfig::default(),
+        )
+        .unwrap();
+        let addr = tier.local_addr();
+        // Nothing ever connected: the accept thread is parked in accept().
+        let begun = Instant::now();
+        assert!(tier.drain(Duration::from_secs(1)));
+        assert!(
+            begun.elapsed() < Duration::from_millis(500),
+            "stop did not wake the accept thread: {:?}",
+            begun.elapsed()
+        );
+        assert!(TcpStream::connect(addr).is_err(), "listener must be closed");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   the leader executes and hands their response back.
 //! - The batch executes as soon as it reaches [`BatchConfig::max_batch`]
 //!   members, the window expires, or the tier starts draining —
-//!   whichever comes first.
+//!   whichever comes first. The follower that fills a batch *seals* it —
+//!   takes it out of the open slot there and then — so the open slot
+//!   never holds a batch that cannot take members, and the next arrival
+//!   leads a fresh one even if the sealed batch's leader has yet to wake.
 //! - A query whose remaining deadline budget is below
 //!   [`BatchConfig::min_hold_budget`] is **never held**: it bypasses the
 //!   batcher and executes solo, so batching can only add latency to
@@ -73,13 +76,11 @@ impl Default for BatchConfig {
     }
 }
 
-/// One forming batch, owned by its leader.
+/// One forming batch, executed by its leader.
 struct OpenBatch {
     id: u64,
     queries: Vec<FanoutQuery>,
     arrivals: Vec<Instant>,
-    /// Closed early by the follower that filled it to `max_batch`.
-    full: bool,
 }
 
 /// An executed batch parked for follower pickup.
@@ -91,7 +92,10 @@ struct DoneBatch {
 
 #[derive(Default)]
 struct State {
+    /// The batch arrivals join; never full.
     open: Option<OpenBatch>,
+    /// Batches filled to `max_batch`, waiting for their leaders to wake.
+    sealed: HashMap<u64, OpenBatch>,
     done: HashMap<u64, DoneBatch>,
     next_id: u64,
     draining: bool,
@@ -173,14 +177,15 @@ impl BatchingSearcher {
             return self.inner.execute(&query);
         }
         match &mut state.open {
-            Some(open) if !open.full => {
+            Some(open) => {
                 // Join as follower.
                 let id = open.id;
                 let slot = open.queries.len();
                 open.queries.push(query);
                 open.arrivals.push(arrival);
                 if open.queries.len() >= self.config.max_batch {
-                    open.full = true;
+                    let full = state.open.take().expect("just joined");
+                    state.sealed.insert(id, full);
                     self.cv.notify_all();
                 }
                 loop {
@@ -195,40 +200,29 @@ impl BatchingSearcher {
                     }
                 }
             }
-            _ => {
-                // `open` is either absent or already full (its leader is
-                // about to take it): lead a fresh batch. Leading while a
-                // full batch is still parked would stack two open batches,
-                // so in that narrow race we execute solo instead.
-                if state.open.is_some() {
-                    drop(state);
-                    self.metrics.batch_depth.record_us(1);
-                    return self.inner.execute(&query);
-                }
+            None => {
+                // Lead a fresh batch.
                 let id = state.next_id;
                 state.next_id += 1;
                 state.open = Some(OpenBatch {
                     id,
                     queries: vec![query],
                     arrivals: vec![arrival],
-                    full: false,
                 });
                 let deadline = arrival + self.config.window;
-                loop {
-                    let open = state.open.as_ref().expect("leader owns the open batch");
-                    debug_assert_eq!(open.id, id);
-                    if open.full || state.draining {
-                        break;
+                let batch = loop {
+                    if let Some(full) = state.sealed.remove(&id) {
+                        break full;
                     }
-                    if Instant::now() >= deadline {
-                        break;
+                    if state.draining || Instant::now() >= deadline {
+                        break state.open.take().expect("an unsealed batch is still open");
                     }
                     let _ = self.cv.wait_for(
                         &mut state,
                         deadline.saturating_duration_since(Instant::now()),
                     );
-                }
-                let batch = state.open.take().expect("leader owns the open batch");
+                };
+                debug_assert_eq!(batch.id, id);
                 drop(state);
 
                 let exec_start = Instant::now();
@@ -477,14 +471,9 @@ mod tests {
             "8 members with max_batch=4 need >= 2 calls"
         );
         assert!(depth.max_us() <= 4, "no engine call may exceed max_batch");
-        // Batched members (leader + followers) record a hold time; only the
-        // narrow full-batch race executes solo without one — and that race
-        // requires a full batch (4 held members) to have formed first.
-        let waits = b.metrics.batch_wait.snapshot().count();
-        assert!(
-            (4..=8).contains(&waits),
-            "unexpected hold-time samples: {waits}"
-        );
+        // Every member was held in a batch: none executes solo, because a
+        // full batch leaves the open slot the moment it fills.
+        assert_eq!(b.metrics.batch_wait.snapshot().count(), 8);
         // All follower slots were collected; no parked batches leak.
         assert!(b.state.lock().done.is_empty());
     }

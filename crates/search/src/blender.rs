@@ -6,13 +6,18 @@
 //!
 //! [`BlenderService`] resolves the query's features (extracting from the
 //! image store when handed a URL — the expensive step, charged to the cost
-//! model), fans out to one instance of every broker group in parallel,
+//! model), fans out to one instance of every broker group — scatter-gather
+//! on the calling thread: a call is started on every group before any
+//! reply is awaited, then the calls are finished in group order, so the
+//! groups work concurrently, no thread is spawned per query, and the hits
+//! reach the ranker in the same order whichever group answers first —
 //! merges the group top-k lists, and applies the [`RankingPolicy`].
 //!
 //! Resilience: when the incoming [`SearchQuery`] carries a deadline
 //! `budget`, the time spent resolving features is deducted before fan-out
-//! and each broker-group call gets `min(broker_deadline, 0.9 × remaining)`
-//! — the budget the user stamped bounds the whole hierarchy. Broker groups
+//! and each broker-group call gets `min(broker_deadline, 0.9 × remaining)`,
+//! running from that group's own start — the budget the user stamped
+//! bounds the whole hierarchy. Broker groups
 //! that fail are accounted (via [`BlenderService::with_group_partitions`])
 //! into the response's partition coverage, so a degraded result is never
 //! silently incomplete.
@@ -251,28 +256,25 @@ where
             budget: remaining.map(|_| per_group),
             filter: query.filter.clone(),
         };
-        let responses: Vec<Result<PartialResponse, RpcError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .broker_groups
-                .iter()
-                .map(|group| {
-                    let q = fanout.clone();
-                    scope.spawn(move |_| group.call(q, per_group))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(Err(RpcError::NodeDown)))
-                .collect()
-        })
-        .expect("blender fan-out scope");
+        // Scatter: every group's request is sent before any reply is
+        // awaited. Gather: in group order.
+        let in_flight: Vec<_> = self
+            .broker_groups
+            .iter()
+            .map(|group| group.start(fanout.clone(), per_group))
+            .collect();
+        let responses = self
+            .broker_groups
+            .iter()
+            .zip(in_flight)
+            .map(|(group, call)| group.finish(call));
 
         let mut out = SearchResponse {
             detected_category,
             ..SearchResponse::default()
         };
         let mut all_hits = Vec::new();
-        for (g, resp) in responses.into_iter().enumerate() {
+        for (g, resp) in responses.enumerate() {
             match resp {
                 Ok(partial) => {
                     out.groups_answered += 1;

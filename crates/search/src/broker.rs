@@ -4,15 +4,25 @@
 //! collects the partial search results from each searcher."* A broker group
 //! owns a subset of partitions; each instance holds, per owned partition, a
 //! replica-failover [`Balancer`] over that partition's searchers. Fan-out
-//! is parallel (scoped threads — one in-flight call per partition), and the
-//! partial top-k lists are merged into the group's top-k.
+//! is scatter-gather on the calling thread: the broker *starts* a call on
+//! every owned partition (each request is on the wire before any reply is
+//! awaited, so the searchers work concurrently), then *finishes* the calls
+//! in partition order and merges the partial top-k lists into the group's
+//! top-k. Finishing in partition order keeps the merged output independent
+//! of which searcher happened to answer first; the fan-out takes as long
+//! as its slowest partition.
 //!
 //! Resilience: when the incoming [`FanoutQuery`] carries a deadline
 //! `budget`, each searcher call gets `min(searcher_deadline, 0.9 × budget)`
 //! — a straggling blender can never grant searchers more time than the user
-//! call has left. Partitions that fail are not silently absent: the merged
+//! call has left — and that deadline runs from the partition's own start.
+//! Partitions that fail are not silently absent: the merged
 //! [`PartialResponse`] accounts for every owned partition as ok, timed out,
-//! or failed, and an optional hedged second call races stragglers.
+//! shed or failed. A failed first attempt fails over inside that
+//! partition's finish, while the later partitions' calls are already in
+//! flight. With hedging on, a partition still silent `hedge_after` after
+//! its start gets a second call on another replica and the first success
+//! wins; the fault-free path spawns no thread.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -125,8 +135,9 @@ where
         self.partitions.read().len()
     }
 
-    /// Fans `query` to every owned partition in parallel and merges the
-    /// partial results into this group's top-k. Partitions that fail or
+    /// Fans `query` out to every owned partition (start all, then finish
+    /// in partition order) and merges the partial results into this
+    /// group's top-k. Partitions that fail or
     /// time out are absent from the hits but **accounted for** in the
     /// response's coverage fields — degraded never means silent.
     pub fn execute(&self, query: &FanoutQuery) -> PartialResponse {
@@ -140,23 +151,20 @@ where
         // Snapshot the partition list: a concurrent split's new balancer is
         // either fully in this fan-out or fully in the next one.
         let partitions = self.partitions.read().clone();
-        let responses: Vec<Result<PartialResponse, RpcError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
+        // Scatter: every partition's request is sent before any reply is
+        // awaited. Gather: in partition order.
+        let in_flight: Vec<_> = partitions
+            .iter()
+            .map(|balancer| balancer.start(fan.clone(), per_call))
+            .collect();
+        let responses =
+            partitions
                 .iter()
-                .map(|balancer| {
-                    let q = fan.clone();
-                    scope.spawn(move |_| match hedge_after {
-                        Some(h) if h < per_call => balancer.call_hedged(q, per_call, h),
-                        _ => balancer.call(q, per_call),
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(Err(RpcError::NodeDown)))
-                .collect()
-        })
-        .expect("broker fan-out scope");
+                .zip(in_flight)
+                .map(|(balancer, call)| match hedge_after {
+                    Some(h) if h < per_call => balancer.finish_hedged(call, h),
+                    _ => balancer.finish(call),
+                });
 
         let mut topk = TopK::new(query.k.max(1));
         let mut by_key: std::collections::HashMap<u64, PartialHit> =
@@ -436,12 +444,11 @@ mod tests {
             1,
         );
         slow.faults().set_slowdown(Duration::from_millis(400));
-        let broker = BrokerService::new(
-            0,
-            vec![Balancer::new(vec![slow.handle(), fast.handle()])],
-            DL,
-        )
-        .with_hedging(Duration::from_millis(25));
+        let m = Arc::new(ResilienceMetrics::new());
+        let balancer =
+            Balancer::new(vec![slow.handle(), fast.handle()]).with_metrics(Arc::clone(&m));
+        let broker =
+            BrokerService::new(0, vec![balancer], DL).with_hedging(Duration::from_millis(25));
         let feats = index.features(jdvs_core::ids::ImageId(3)).unwrap();
         let start = std::time::Instant::now();
         let resp = broker.execute(&fanout(feats.into_inner(), 1));
@@ -451,6 +458,55 @@ mod tests {
             elapsed < Duration::from_millis(350),
             "hedge must beat the straggler: took {elapsed:?}"
         );
+        let snap = m.snapshot();
+        assert_eq!((snap.hedges_launched, snap.hedges_won), (1, 1));
+    }
+
+    #[test]
+    fn slowed_branches_of_one_fanout_overlap() {
+        let (broker, indexes, nodes) = make_broker();
+        for node in &nodes {
+            node.faults().set_slowdown(Duration::from_millis(100));
+        }
+        let feats = indexes[0].features(jdvs_core::ids::ImageId(2)).unwrap();
+        let start = std::time::Instant::now();
+        let resp = broker.execute(&fanout(feats.into_inner(), 4));
+        let elapsed = start.elapsed();
+        assert!(resp.is_complete());
+        assert!(
+            elapsed >= Duration::from_millis(100),
+            "each branch still pays its delay: {elapsed:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(180),
+            "two 100 ms branches must overlap, not add up: took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn no_hedge_is_launched_when_every_primary_answers_in_time() {
+        let index = make_index(12, 0..30);
+        let replicas: Vec<_> = (0..2)
+            .map(|r| {
+                Node::spawn(
+                    format!("calm-{r}"),
+                    SearcherService::for_index(0, Arc::clone(&index)),
+                    1,
+                )
+            })
+            .collect();
+        let m = Arc::new(ResilienceMetrics::new());
+        let balancer =
+            Balancer::new(replicas.iter().map(Node::handle).collect()).with_metrics(Arc::clone(&m));
+        let broker = BrokerService::new(0, vec![balancer], DL)
+            .with_hedging(Duration::from_millis(500))
+            .with_metrics(Arc::clone(&m));
+        let feats = index.features(jdvs_core::ids::ImageId(3)).unwrap();
+        for _ in 0..10 {
+            let resp = broker.execute(&fanout(feats.clone().into_inner(), 1));
+            assert_eq!(resp.hits[0].local_id, 3);
+        }
+        assert_eq!(m.snapshot().hedges_launched, 0);
     }
 
     #[test]

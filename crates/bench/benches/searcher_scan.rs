@@ -1,9 +1,10 @@
 //! End-to-end searcher scan: the block execution engine against the
-//! pre-engine per-id scan, with and without SIMD dispatch and intra-query
-//! threads. The `searcher-scan` repro experiment records the same
-//! comparison into `bench_results/`.
+//! pre-engine per-id scan, with and without SIMD dispatch. The
+//! `searcher-scan` repro experiment records the same comparison into
+//! `bench_results/`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use jdvs_bench::baselines::ann_search_scalar_baseline;
 use jdvs_core::search;
 use jdvs_core::{IndexConfig, VisualIndex};
 use jdvs_storage::model::{ProductAttributes, ProductId};
@@ -49,16 +50,13 @@ fn bench_searcher_scan(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("searcher_scan");
     group.bench_function("scalar_per_id_baseline", |b| {
-        b.iter(|| search::ann_search_scalar_baseline(&index, black_box(q), K, NPROBE))
+        b.iter(|| ann_search_scalar_baseline(&index, black_box(q), K, NPROBE))
     });
     group.bench_function("dispatched_per_id_reference", |b| {
         b.iter(|| search::ann_search_reference(&index, black_box(q), K, NPROBE))
     });
-    group.bench_function("engine_1_thread", |b| {
-        b.iter(|| search::ann_search_with_threads(&index, black_box(q), K, NPROBE, 1))
-    });
-    group.bench_function("engine_4_threads", |b| {
-        b.iter(|| search::ann_search_with_threads(&index, black_box(q), K, NPROBE, 4))
+    group.bench_function("engine", |b| {
+        b.iter(|| index.search(black_box(q), K, NPROBE))
     });
     group.finish();
 }

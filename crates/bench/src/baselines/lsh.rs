@@ -16,10 +16,10 @@ use std::collections::HashMap;
 
 use parking_lot::RwLock;
 
-use crate::distance::dot;
-use crate::rng::Xoshiro256;
-use crate::topk::{Neighbor, TopK};
-use crate::vector::Vector;
+use jdvs_vector::distance::{dot, squared_l2};
+use jdvs_vector::rng::Xoshiro256;
+use jdvs_vector::topk::{Neighbor, TopK};
+use jdvs_vector::Vector;
 
 /// Configuration for [`LshIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +72,7 @@ impl Table {
 /// # Example
 ///
 /// ```
-/// use jdvs_vector::lsh::{LshConfig, LshIndex};
+/// use jdvs_bench::baselines::lsh::{LshConfig, LshIndex};
 /// use jdvs_vector::Vector;
 ///
 /// let index = LshIndex::new(LshConfig { dim: 4, tables: 4, bits: 6, seed: 1 });
@@ -195,7 +195,7 @@ impl LshIndex {
                             continue;
                         }
                         if let Some(v) = vectors.get(&id) {
-                            topk.push(id, crate::distance::squared_l2(query, v.as_slice()));
+                            topk.push(id, squared_l2(query, v.as_slice()));
                         }
                     }
                 }
@@ -215,7 +215,7 @@ impl LshIndex {
         let vectors = self.vectors.read();
         let mut topk = TopK::new(k);
         for (&id, v) in vectors.iter() {
-            topk.push(id, crate::distance::squared_l2(query, v.as_slice()));
+            topk.push(id, squared_l2(query, v.as_slice()));
         }
         topk.into_sorted_vec()
     }
@@ -232,7 +232,6 @@ impl LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256;
 
     fn clustered_data(n_per: usize, centers: usize, dim: usize, seed: u64) -> Vec<(u64, Vector)> {
         let mut rng = Xoshiro256::seed_from(seed);

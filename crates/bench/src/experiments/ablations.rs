@@ -398,7 +398,7 @@ pub fn pq(ctx: &Ctx) -> ExperimentResult {
 
 /// IVF inverted lists vs the multi-probe LSH baseline (refs \[21, 22\]).
 pub fn lsh(ctx: &Ctx) -> ExperimentResult {
-    use jdvs_vector::lsh::{LshConfig, LshIndex};
+    use crate::baselines::lsh::{LshConfig, LshIndex};
 
     let n_images = ctx.scaled(20_000, 2_000);
     let images = Arc::new(ImageStore::with_blob_len(64));

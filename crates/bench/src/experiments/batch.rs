@@ -1,16 +1,17 @@
 //! The multi-query batching experiment: amortized fast-scan block passes
 //! across co-arriving queries.
 //!
-//! One batched engine call probes the union of the batch's nprobe lists
-//! and walks each list's interleaved code blocks **once**, scoring every
+//! One engine call (`VisualIndex::execute`) probes the union of the
+//! batch's nprobe lists and walks each list's interleaved code blocks
+//! **once**, scoring every
 //! subscribed query against the shared block with its own register-
 //! resident LUT set (`fastscan16_multi`). Per-query work — centroid
 //! assignment, LUT build, top-k, exact re-rank — is untouched, so the
 //! speedup measures exactly what the shared list pass amortizes: the
 //! block loads, the nibble expansion, and the validity resolution of
-//! surviving lanes. Both arms use the same block-level top-k prune
-//! (`lanes_le16` against the quantized `prune_bound`), so the baseline is
-//! not handicapped.
+//! surviving lanes. The unbatched baseline is the same entry point called
+//! with a batch of one — what the serving tier runs with the micro-batcher
+//! off — so the baseline is not handicapped.
 //!
 //! The world is sized so the probed code blocks do **not** fit in a
 //! per-core L2 (600k images ≈ 4.8 MB of interleaved codes): re-streaming
@@ -28,7 +29,7 @@
 
 use std::time::Instant;
 
-use jdvs_core::search::{self, MultiQuery};
+use jdvs_core::search::{self, SearchPlan};
 use jdvs_core::{IndexConfig, VisualIndex};
 use jdvs_metrics::histogram::Histogram;
 use jdvs_storage::model::{ImageKey, ProductAttributes, ProductId};
@@ -46,6 +47,7 @@ const NUM_LISTS: usize = 128;
 const K: usize = 10;
 const NPROBE: usize = 64;
 const RERANK: usize = 8;
+/// The first arm (a batch of one) is the unbatched baseline.
 const BATCH_SIZES: &[usize] = &[1, 2, 4, 8, 16, 32];
 
 fn build(data: &[Vector]) -> VisualIndex {
@@ -81,7 +83,14 @@ fn build(data: &[Vector]) -> VisualIndex {
     index
 }
 
-/// One pass of the batched engine over `queries` chunked at `batch`.
+fn plans(chunk: &[Vector]) -> Vec<SearchPlan<'_>> {
+    chunk
+        .iter()
+        .map(|q| SearchPlan::new(q.as_slice(), K, NPROBE).compressed(RERANK))
+        .collect()
+}
+
+/// One pass of the engine over `queries` chunked at `batch`.
 /// Returns the pass's wall time; every member of a batch experiences the
 /// whole batched call's duration in `latency`.
 fn pass_batched(
@@ -93,17 +102,9 @@ fn pass_batched(
     let mut sink = 0usize;
     let t0 = Instant::now();
     for chunk in queries.chunks(batch) {
-        let members: Vec<MultiQuery<'_>> = chunk
-            .iter()
-            .map(|q| MultiQuery {
-                features: q.as_slice(),
-                k: K,
-                nprobe: NPROBE,
-                filter: None,
-            })
-            .collect();
+        let members = plans(chunk);
         let call = Instant::now();
-        let results = search::multi_compressed_search(index, &members, RERANK);
+        let results = index.execute(&members);
         let took = call.elapsed();
         for r in &results {
             sink = sink.wrapping_add(r.len());
@@ -115,28 +116,8 @@ fn pass_batched(
     elapsed
 }
 
-/// One pass of the sequential single-query engine (the unbatched
-/// searcher path) over the same queries.
-fn pass_unbatched(
-    index: &VisualIndex,
-    queries: &[Vector],
-    latency: &mut Histogram,
-) -> std::time::Duration {
-    let mut sink = 0usize;
-    let t0 = Instant::now();
-    for q in queries {
-        let call = Instant::now();
-        let r = search::compressed_search_with_threads(index, q.as_slice(), K, NPROBE, RERANK, 1);
-        latency.record(call.elapsed());
-        sink = sink.wrapping_add(r.len());
-    }
-    let elapsed = t0.elapsed();
-    assert!(sink > 0, "scan returned no results");
-    elapsed
-}
-
 /// `batch`: searcher QPS / per-query p99 frontier vs batch size.
-pub fn multi_query(ctx: &Ctx) -> ExperimentResult {
+pub fn batch_sizes(ctx: &Ctx) -> ExperimentResult {
     let n_images = ctx.scaled(600_000, 60_000);
     let mut rng = Xoshiro256::seed_from(0xBA7C);
     let data: Vec<Vector> = (0..n_images)
@@ -151,16 +132,8 @@ pub fn multi_query(ctx: &Ctx) -> ExperimentResult {
     // must return exactly the sequential per-id reference's results.
     for batch in [1usize, 3, 8] {
         for chunk in queries.chunks(batch).take(2) {
-            let members: Vec<MultiQuery<'_>> = chunk
-                .iter()
-                .map(|q| MultiQuery {
-                    features: q.as_slice(),
-                    k: K,
-                    nprobe: NPROBE,
-                    filter: None,
-                })
-                .collect();
-            let batched = search::multi_compressed_search(&index, &members, RERANK);
+            let members = plans(chunk);
+            let batched = index.execute(&members);
             for (m, got) in members.iter().zip(&batched) {
                 let want =
                     search::compressed_search_reference(&index, m.features, K, NPROBE, RERANK);
@@ -174,33 +147,23 @@ pub fn multi_query(ctx: &Ctx) -> ExperimentResult {
     // happened to run during a slow patch.
     let repeats = if ctx.quick { 2 } else { 6 };
     let mut scratch = Histogram::new();
-    pass_unbatched(&index, &queries, &mut scratch);
+    pass_batched(&index, &queries, 1, &mut scratch);
     pass_batched(&index, &queries, 8, &mut scratch);
-    let mut base_elapsed = std::time::Duration::ZERO;
-    let mut base_lat = Histogram::new();
     let mut arm_elapsed = vec![std::time::Duration::ZERO; BATCH_SIZES.len()];
     let mut arm_lat = vec![Histogram::new(); BATCH_SIZES.len()];
     for _ in 0..repeats {
-        base_elapsed += pass_unbatched(&index, &queries, &mut base_lat);
         for (i, &batch) in BATCH_SIZES.iter().enumerate() {
             arm_elapsed[i] += pass_batched(&index, &queries, batch, &mut arm_lat[i]);
         }
     }
     let total = (repeats * queries.len()) as f64;
-    let base_qps = total / base_elapsed.as_secs_f64();
+    let base_qps = total / arm_elapsed[0].as_secs_f64();
 
     let mut r = ExperimentResult::new(
         "batch",
         "Batched multi-query execution: QPS / per-query p99 frontier vs batch size",
         "not in paper — amortizes Section 2.4's PQ scan across co-arriving queries",
     );
-    r.push_row(row![
-        "batch_size" => "unbatched",
-        "qps" => format!("{base_qps:.0}"),
-        "speedup_vs_unbatched" => "1.00",
-        "p50_us" => base_lat.percentile_us(0.50),
-        "p99_us" => base_lat.percentile_us(0.99),
-    ]);
     let mut at_8 = 0.0f64;
     for (i, &batch) in BATCH_SIZES.iter().enumerate() {
         let qps = total / arm_elapsed[i].as_secs_f64();
@@ -231,9 +194,9 @@ pub fn multi_query(ctx: &Ctx) -> ExperimentResult {
          and forced-scalar kernels)",
     );
     r.note(
-        "both arms use the same block-level top-k prune (lanes_le16 vs the quantized \
-         prune_bound) and the same nearest-first probe order; arms are interleaved within every \
-         repeat so host noise cannot favor one",
+        "batch size 1 is the unbatched baseline (the same entry point, as the serving tier calls \
+         it with the micro-batcher off); arms are interleaved within every repeat so host noise \
+         cannot favor one",
     );
     r.note(format!(
         "searcher QPS at batch size 8: {at_8:.2}x unbatched (acceptance bar: >= 1.5x at equal recall)"

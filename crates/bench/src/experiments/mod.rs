@@ -131,7 +131,7 @@ pub fn run(id: &str, ctx: &Ctx) -> Vec<ExperimentResult> {
         "ablate-cache" => vec![ablations::cache(ctx)],
         "searcher-scan" => vec![scan::searcher_scan(ctx)],
         "pq-fastscan" => vec![pq_fastscan::pq_fastscan(ctx)],
-        "batch" => vec![batch::multi_query(ctx)],
+        "batch" => vec![batch::batch_sizes(ctx)],
         "filtered" => vec![filtered::filtered(ctx)],
         "recovery" => vec![recovery::recovery(ctx)],
         "serving" => vec![overload::serving_overload(ctx)],

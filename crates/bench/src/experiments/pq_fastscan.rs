@@ -74,7 +74,7 @@ fn recall(index: &VisualIndex, queries: &[Vector]) -> f64 {
             .into_iter()
             .map(|n| n.id)
             .collect();
-        let got = search::compressed_search_with_threads(index, q.as_slice(), K, NPROBE, RERANK, 1);
+        let got = index.search_compressed(q.as_slice(), K, NPROBE, RERANK);
         hit += got.iter().filter(|n| truth.contains(&n.id)).count();
     }
     hit as f64 / (queries.len() * K) as f64
@@ -121,8 +121,7 @@ pub fn pq_fastscan(ctx: &Ctx) -> ExperimentResult {
         for index in [&adc8, &fs4] {
             let reference =
                 search::compressed_search_reference(index, q.as_slice(), K, NPROBE, RERANK);
-            let engine =
-                search::compressed_search_with_threads(index, q.as_slice(), K, NPROBE, RERANK, 1);
+            let engine = index.search_compressed(q.as_slice(), K, NPROBE, RERANK);
             assert_eq!(engine, reference, "engine diverged from reference");
         }
     }
@@ -132,10 +131,10 @@ pub fn pq_fastscan(ctx: &Ctx) -> ExperimentResult {
 
     let repeats = if ctx.quick { 10 } else { 40 };
     let adc8_us = measure(&queries, repeats, |q| {
-        search::compressed_search_with_threads(&adc8, q, K, NPROBE, RERANK, 1).len()
+        adc8.search_compressed(q, K, NPROBE, RERANK).len()
     });
     let fs4_us = measure(&queries, repeats, |q| {
-        search::compressed_search_with_threads(&fs4, q, K, NPROBE, RERANK, 1).len()
+        fs4.search_compressed(q, K, NPROBE, RERANK).len()
     });
 
     let mut r = ExperimentResult::new(

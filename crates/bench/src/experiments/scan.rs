@@ -1,16 +1,15 @@
 //! The execution-engine experiment: per-query latency of the searcher's
 //! inverted-list scan across engine generations.
 //!
-//! Four variants over the same populated index and query set:
+//! Three variants over the same populated index and query set:
 //!
 //! - `scalar-per-id` — the pre-engine scan: per-id callbacks, two lock
 //!   acquisitions per candidate, forced scalar kernel (the baseline the
 //!   issue's ≥2x acceptance bar is measured against).
 //! - `dispatched-per-id` — same scan shape, SIMD-dispatched kernel
 //!   (isolates the kernel win from the memory-path win).
-//! - `engine-1-thread` — block scan + pinned snapshots + threshold-pruned
-//!   top-k, sequential.
-//! - `engine-N-threads` — the same with intra-query fan-out enabled.
+//! - `engine` — block scan + pinned snapshots + threshold-pruned top-k
+//!   (`VisualIndex::execute`, a batch of one).
 //!
 //! Every variant's results are differentially checked against the
 //! reference scan before timing starts; a mismatch fails the experiment.
@@ -19,6 +18,8 @@ use std::time::Instant;
 
 use jdvs_core::search;
 use jdvs_core::{IndexConfig, VisualIndex};
+
+use crate::baselines::ann_search_scalar_baseline;
 use jdvs_storage::model::{ImageKey, ProductAttributes, ProductId};
 use jdvs_vector::rng::Xoshiro256;
 use jdvs_vector::simd;
@@ -33,7 +34,6 @@ const DIM: usize = 64;
 const NUM_LISTS: usize = 128;
 const K: usize = 10;
 const NPROBE: usize = 16;
-const THREADS: usize = 4;
 
 /// Per-query mean latency of `f` over `queries`, repeated `repeats` times.
 fn measure(queries: &[Vector], repeats: usize, mut f: impl FnMut(&[f32]) -> usize) -> f64 {
@@ -91,32 +91,24 @@ pub fn searcher_scan(ctx: &Ctx) -> ExperimentResult {
     // kernel may differ in the last ulp, so ids only).
     for q in &queries {
         let reference = search::ann_search_reference(&index, q.as_slice(), K, NPROBE);
-        let engine = search::ann_search_with_threads(&index, q.as_slice(), K, NPROBE, 1);
+        let engine = index.search(q.as_slice(), K, NPROBE);
         assert_eq!(engine, reference, "engine diverged from reference");
-        let fanned = search::ann_search_with_threads(&index, q.as_slice(), K, NPROBE, THREADS);
-        assert_eq!(fanned, reference, "parallel engine diverged");
-        let baseline_ids: Vec<u64> =
-            search::ann_search_scalar_baseline(&index, q.as_slice(), K, NPROBE)
-                .into_iter()
-                .map(|n| n.id)
-                .collect();
+        let baseline_ids: Vec<u64> = ann_search_scalar_baseline(&index, q.as_slice(), K, NPROBE)
+            .into_iter()
+            .map(|n| n.id)
+            .collect();
         let reference_ids: Vec<u64> = reference.into_iter().map(|n| n.id).collect();
         assert_eq!(baseline_ids, reference_ids, "baseline diverged on ids");
     }
 
     let repeats = if ctx.quick { 10 } else { 40 };
     let baseline_us = measure(&queries, repeats, |q| {
-        search::ann_search_scalar_baseline(&index, q, K, NPROBE).len()
+        ann_search_scalar_baseline(&index, q, K, NPROBE).len()
     });
     let dispatched_us = measure(&queries, repeats, |q| {
         search::ann_search_reference(&index, q, K, NPROBE).len()
     });
-    let engine_us = measure(&queries, repeats, |q| {
-        search::ann_search_with_threads(&index, q, K, NPROBE, 1).len()
-    });
-    let fanned_us = measure(&queries, repeats, |q| {
-        search::ann_search_with_threads(&index, q, K, NPROBE, THREADS).len()
-    });
+    let engine_us = measure(&queries, repeats, |q| index.search(q, K, NPROBE).len());
 
     let mut r = ExperimentResult::new(
         "searcher-scan",
@@ -126,8 +118,7 @@ pub fn searcher_scan(ctx: &Ctx) -> ExperimentResult {
     for (variant, us) in [
         ("scalar-per-id", baseline_us),
         ("dispatched-per-id", dispatched_us),
-        ("engine-1-thread", engine_us),
-        (&format!("engine-{THREADS}-threads"), fanned_us),
+        ("engine", engine_us),
     ] {
         r.push_row(row![
             "variant" => variant,
@@ -140,7 +131,7 @@ pub fn searcher_scan(ctx: &Ctx) -> ExperimentResult {
         simd::active().name()
     ));
     r.note(format!(
-        "single-thread engine speedup over pre-engine scalar scan: {:.2}x (acceptance bar: >= 2x)",
+        "engine speedup over pre-engine scalar scan: {:.2}x (acceptance bar: >= 2x)",
         baseline_us / engine_us
     ));
     r.note(

@@ -15,6 +15,7 @@
 //! Results print as human-readable tables and are also dumped as JSON
 //! under `bench_results/` for EXPERIMENTS.md bookkeeping.
 
+pub mod baselines;
 pub mod experiments;
 pub mod report;
 

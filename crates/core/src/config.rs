@@ -37,20 +37,14 @@ pub struct IndexConfig {
     /// `k · rerank_factor` candidates by (quantized) ADC distance, stage 2
     /// re-ranks them with exact f32 distances. Must be positive.
     pub rerank_factor: usize,
-    /// Intra-query parallelism: maximum scoped threads a single search may
-    /// fan its probed lists across. `1` (the default) scans sequentially on
-    /// the calling thread; values above 1 only engage when the probed lists
-    /// hold enough candidates to amortize thread spawn (small queries stay
-    /// sequential regardless). Results are identical either way — per-thread
-    /// top-k collectors merge under a total order on (distance, id).
-    pub intra_query_threads: usize,
     /// Selectivity-aware probe escalation for **filtered** searches: when a
     /// filtered scan cannot fill its top-k from the base `nprobe` lists,
     /// probing widens (doubling each round, scanning only the newly added
     /// lists) until the top-k fills or this many lists have been probed.
-    /// `0` disables escalation; unfiltered searches never escalate. A
-    /// serving-time knob like `intra_query_threads` — not persisted in
-    /// snapshots.
+    /// `0` disables escalation; unfiltered searches never escalate. The one
+    /// serving-time knob: not persisted in snapshots —
+    /// [`crate::persist::load`] adopts it from the config the snapshot is
+    /// loaded for.
     pub nprobe_escalation: usize,
     /// Hierarchical coarse quantizer: beam width (`ef`) of the navigable
     /// small-world graph searched over the trained centroids instead of the
@@ -86,7 +80,6 @@ impl Default for IndexConfig {
             pq_subspaces: None,
             pq_bits: 8,
             rerank_factor: 4,
-            intra_query_threads: 1,
             nprobe_escalation: 0,
             coarse_beam_width: 0,
             coarse_balance_factor: 0.0,
@@ -110,10 +103,6 @@ impl IndexConfig {
         );
         assert!(self.nprobe > 0, "nprobe must be positive");
         assert!(self.train_sample > 0, "train_sample must be positive");
-        assert!(
-            self.intra_query_threads > 0,
-            "intra_query_threads must be positive"
-        );
         assert!(
             self.pq_bits == 4 || self.pq_bits == 8,
             "pq_bits must be 4 or 8"
@@ -179,16 +168,6 @@ mod tests {
         IndexConfig {
             dim: 10,
             pq_subspaces: Some(3),
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "intra_query_threads must be positive")]
-    fn zero_intra_query_threads_rejected() {
-        IndexConfig {
-            intra_query_threads: 0,
             ..Default::default()
         }
         .validate();

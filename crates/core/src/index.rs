@@ -30,7 +30,7 @@ use crate::forward::ForwardIndex;
 use crate::ids::{ImageId, ListId};
 use crate::inverted::InvertedIndex;
 use crate::pq_store::PqStore;
-use crate::search;
+use crate::search::{self, SearchPlan};
 use crate::stats::IndexStats;
 use crate::vectors::VectorStore;
 
@@ -387,6 +387,24 @@ impl VisualIndex {
         self.inverted.flush();
     }
 
+    /// Runs a batch of query plans in one pass over the union of their
+    /// probed lists — the one engine entry point; see [`search::execute`].
+    /// Results are positionally aligned with `plans`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any plan has a zero count or the wrong dimension, or is
+    /// compressed while PQ mode is disabled.
+    pub fn execute(&self, plans: &[SearchPlan<'_>]) -> Vec<Vec<Neighbor>> {
+        self.stats.searches.add(plans.len() as u64);
+        search::execute(self, plans)
+    }
+
+    /// [`VisualIndex::execute`] for a batch of one.
+    fn execute_one(&self, plan: SearchPlan<'_>) -> Vec<Neighbor> {
+        self.execute(&[plan]).pop().expect("one result per plan")
+    }
+
     /// ANN search: probes the `nprobe` nearest inverted lists and returns
     /// the `k` nearest *valid* images (Section 2.4).
     ///
@@ -394,24 +412,13 @@ impl VisualIndex {
     ///
     /// Panics if `k == 0`, `nprobe == 0`, or the query dimension is wrong.
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<Neighbor> {
-        self.stats.searches.incr();
-        search::ann_search(self, query, k, nprobe)
+        self.execute_one(SearchPlan::new(query, k, nprobe))
     }
 
-    /// Search with the configured default `nprobe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or the query dimension is wrong.
-    pub fn search_default(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search(query, k, self.config.nprobe)
-    }
-
-    /// Two-stage compressed search (PQ mode): probes the `nprobe` nearest
-    /// inverted lists scanning **PQ codes** via an ADC table, shortlists
-    /// `k * rerank_factor` candidates, then reranks the shortlist with raw
-    /// vectors. Scan memory traffic drops by `4·dim / m` at a small recall
-    /// cost (the `ablate-pq` experiment quantifies it).
+    /// Two-stage compressed search (PQ mode): scans **PQ codes**,
+    /// shortlists `k * rerank_factor` candidates, then re-ranks the
+    /// shortlist with raw vectors (see [`search::Stage::Compressed`]; the
+    /// `ablate-pq` experiment quantifies the recall cost).
     ///
     /// # Panics
     ///
@@ -424,14 +431,12 @@ impl VisualIndex {
         nprobe: usize,
         rerank_factor: usize,
     ) -> Vec<Neighbor> {
-        self.stats.searches.incr();
-        search::compressed_search(self, query, k, nprobe, rerank_factor)
+        self.execute_one(SearchPlan::new(query, k, nprobe).compressed(rerank_factor))
     }
 
     /// Attribute-filtered ANN search: like [`VisualIndex::search`], but only
     /// images admitted by `filter` are returned. The constraints are pushed
-    /// down into the block scan (bitmap lane masks resolve *before* the
-    /// distance kernels run), and when the filtered scan cannot fill `k`
+    /// down into the block scan, and when the filtered scan cannot fill `k`
     /// results, probing widens up to
     /// [`crate::config::IndexConfig::nprobe_escalation`] lists. Results are
     /// bit-identical to scoring every valid candidate and post-filtering.
@@ -446,33 +451,12 @@ impl VisualIndex {
         nprobe: usize,
         filter: &FilterSpec,
     ) -> Vec<Neighbor> {
-        self.stats.searches.incr();
-        search::filtered_ann_search(self, query, k, nprobe, filter)
+        self.execute_one(SearchPlan::new(query, k, nprobe).filtered(filter))
     }
 
-    /// [`VisualIndex::search_filtered`] with a deadline budget: probe
-    /// escalation stops when the remaining time cannot pay for another
-    /// doubling round, returning the current (possibly underfull) top-k on
-    /// time instead (see [`search::filtered_ann_search_with_budget`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `nprobe == 0`, or the query dimension is wrong.
-    pub fn search_filtered_with_budget(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        filter: &FilterSpec,
-        deadline: Option<std::time::Instant>,
-    ) -> Vec<Neighbor> {
-        self.stats.searches.incr();
-        search::filtered_ann_search_with_budget(self, query, k, nprobe, filter, deadline)
-    }
-
-    /// Attribute-filtered two-stage compressed search; the filtered twin of
-    /// [`VisualIndex::search_compressed`] with the same pushdown and
-    /// escalation behaviour as [`VisualIndex::search_filtered`].
+    /// Attribute-filtered two-stage compressed search:
+    /// [`VisualIndex::search_compressed`] with the pushdown and escalation
+    /// of [`VisualIndex::search_filtered`].
     ///
     /// # Panics
     ///
@@ -486,68 +470,8 @@ impl VisualIndex {
         rerank_factor: usize,
         filter: &FilterSpec,
     ) -> Vec<Neighbor> {
-        self.stats.searches.incr();
-        search::filtered_compressed_search(self, query, k, nprobe, rerank_factor, filter)
-    }
-
-    /// [`VisualIndex::search_compressed_filtered`] with a deadline budget;
-    /// the compressed twin of [`VisualIndex::search_filtered_with_budget`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if PQ mode is disabled, `k == 0`, `nprobe == 0`,
-    /// `rerank_factor == 0`, or the query dimension is wrong.
-    pub fn search_compressed_filtered_with_budget(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        rerank_factor: usize,
-        filter: &FilterSpec,
-        deadline: Option<std::time::Instant>,
-    ) -> Vec<Neighbor> {
-        self.stats.searches.incr();
-        search::filtered_compressed_search_with_budget(
-            self,
-            query,
-            k,
-            nprobe,
-            rerank_factor,
-            filter,
-            deadline,
-        )
-    }
-
-    /// Batched ANN search: executes co-arriving queries in one pass over
-    /// the union of their probed lists (see
-    /// [`search::multi_ann_search`]). Per-member results are bit-identical
-    /// to [`VisualIndex::search`] with a single-threaded scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member has `k == 0`, `nprobe == 0`, or the wrong
-    /// dimension.
-    pub fn search_multi(&self, queries: &[search::MultiQuery<'_>]) -> Vec<Vec<Neighbor>> {
-        self.stats.searches.add(queries.len() as u64);
-        search::multi_ann_search(self, queries)
-    }
-
-    /// Batched two-stage compressed search (see
-    /// [`search::multi_compressed_search`]): one fast-scan pass per probed
-    /// list scores every subscribed member. Per-member results are
-    /// bit-identical to [`VisualIndex::search_compressed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if PQ mode is disabled, `rerank_factor == 0`, or any member
-    /// has `k == 0`, `nprobe == 0`, or the wrong dimension.
-    pub fn search_compressed_multi(
-        &self,
-        queries: &[search::MultiQuery<'_>],
-        rerank_factor: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        self.stats.searches.add(queries.len() as u64);
-        search::multi_compressed_search(self, queries, rerank_factor)
+        let plan = SearchPlan::new(query, k, nprobe).compressed(rerank_factor);
+        self.execute_one(plan.filtered(filter))
     }
 
     /// Exhaustive exact search over all valid images (ground truth for
@@ -569,7 +493,9 @@ impl VisualIndex {
         &self.bitmap
     }
 
-    pub(crate) fn vectors(&self) -> &VectorStore {
+    /// The raw feature-vector store (borrowing reads, for evaluation code
+    /// that must not pay [`VisualIndex::features`]' clone per candidate).
+    pub fn vectors(&self) -> &VectorStore {
         &self.vectors
     }
 

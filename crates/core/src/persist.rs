@@ -15,23 +15,27 @@
 //! magic "JDVS" | u32 version | config (incl. pq_subspaces, 0 = none) |
 //! quantizer (k × dim f32) | u64 n_images |
 //! n × { attrs, valid u8, features dim × f32 } |
-//! n × { category u32, in_stock u8 } (v4) | u32 crc32c (v2)
+//! n × { category u32, in_stock u8 } | u32 crc32c
 //! ```
 //!
-//! **Version 2** appends a CRC32C trailer computed over every preceding
-//! byte. [`load`] verifies the trailer *before* decoding, so a corrupt
-//! snapshot (bit rot, short write, bad shipping) fails with
-//! [`PersistError::ChecksumMismatch`] instead of decoding garbage.
-//! **Version 3** adds the `pq_bits` and `rerank_factor` config fields
-//! (fast-scan PQ). **Version 4** appends a listing-attribute section
-//! (category + in-stock per record) after the record array; loading it
-//! rebuilds the filter bitmaps through the ordinary insert path.
-//! **Version 5** adds the hierarchical coarse-quantizer config fields
+//! The trailer is a CRC32C over every preceding byte. [`load`] verifies it
+//! *before* decoding, so a corrupt snapshot (bit rot, short write, bad
+//! shipping) fails with [`PersistError::ChecksumMismatch`] instead of
+//! decoding garbage. The listing-attribute section (category + in-stock
+//! per record) follows the record array; loading it rebuilds the filter
+//! bitmaps through the ordinary insert path.
+//!
+//! [`load`] accepts the current version and the one before it. **Version
+//! 5** (current) adds the hierarchical coarse-quantizer config fields
 //! (`coarse_beam_width` + `coarse_balance_factor`) — beam width is index
-//! structure, not a serving knob: assignment shaped the inverted lists, so a
-//! reloaded partition must probe identically. Older snapshots still load —
-//! v1/v2 with the pre-fast-scan defaults, pre-v4 with every record
-//! uncategorized and in stock, pre-v5 with the flat centroid scan.
+//! structure, not a serving knob: assignment shaped the inverted lists, so
+//! a reloaded partition must probe identically. A **version 4** snapshot
+//! loads with the flat centroid scan its build used.
+//!
+//! What a snapshot does *not* carry is the serving-time knob
+//! ([`IndexConfig::nprobe_escalation`]): snapshots stay portable across
+//! probing policies, and [`load`] adopts the knob from the config the
+//! snapshot is being loaded *for*.
 //!
 //! PQ codebooks and the centroid graph are *derived* data (rebuilt
 //! deterministically from the stored vectors/centroids and the config), so
@@ -50,13 +54,11 @@ use crate::index::VisualIndex;
 
 /// Format magic.
 const MAGIC: &[u8; 4] = b"JDVS";
-/// Current format version (v2 = v1 payload + CRC32C trailer; v3 adds the
-/// `pq_bits` / `rerank_factor` config fields for the fast-scan PQ mode;
-/// v4 appends the per-record listing-attribute section; v5 adds the
-/// hierarchical coarse-quantizer config fields).
+/// Current format version (v5 adds the hierarchical coarse-quantizer
+/// config fields to v4).
 const VERSION: u32 = 5;
-/// Oldest version [`load`] still accepts.
-const MIN_VERSION: u32 = 1;
+/// Oldest version [`load`] still accepts: the one before the current.
+const MIN_VERSION: u32 = 4;
 
 /// Errors from snapshot encode/decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +82,7 @@ pub enum PersistError {
         /// Human-readable description.
         reason: &'static str,
     },
-    /// The CRC32C trailer does not match the snapshot payload (v2+).
+    /// The CRC32C trailer does not match the snapshot payload.
     ChecksumMismatch {
         /// Checksum the trailer recorded.
         expected: u32,
@@ -210,8 +212,6 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
     w.u64(c.train_sample as u64);
     w.u32(c.pq_subspaces.unwrap_or(0) as u32);
     w.u64(c.seed);
-    // v3 fields; v1/v2 readers never see them, older snapshots load with
-    // the pre-fast-scan defaults (8-bit codes, 4x over-fetch).
     w.u8(c.pq_bits);
     w.u32(c.rerank_factor as u32);
     // v5 fields: hierarchical coarse-quantizer knobs. The graph itself is
@@ -239,8 +239,7 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
         w.u8(u8::from(index.is_valid(id)));
         w.f32s(features.as_slice());
     }
-    // v4 section: per-record listing attributes, appended after the legacy
-    // record array so the record grammar itself never changed shape.
+    // Per-record listing attributes, after the record array.
     for raw in 0..n {
         let attrs = index
             .attributes(ImageId(raw as u32))
@@ -248,7 +247,7 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
         w.u32(attrs.category);
         w.u8(u8::from(attrs.in_stock));
     }
-    // v2 trailer: CRC32C over everything written so far. The checksum is
+    // Trailer: CRC32C over everything written so far. The checksum is
     // verified before any field is decoded, so shipping corruption is an
     // explicit error, never silently-decoded garbage.
     let crc = crc32c(&w.buf);
@@ -256,16 +255,22 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
     w.buf
 }
 
-/// Reconstructs an index from a snapshot produced by [`save`].
+/// Reconstructs an index from a snapshot produced by [`save`], to serve
+/// under `serving`.
 ///
 /// The rebuilt index assigns the same sequential ids, attributes, features
 /// and validity; inverted lists are re-derived from the (identical)
 /// quantizer, so search results match the snapshotted index exactly.
+/// Index structure comes from the snapshot; the serving-time knob it does
+/// not carry ([`IndexConfig::nprobe_escalation`]) is adopted from
+/// `serving` — the config of the partition the snapshot is loaded for —
+/// so a rebuilt, bootstrapped, split or recovered replica keeps escalating
+/// filtered queries exactly as its predecessor did.
 ///
 /// # Errors
 ///
 /// Returns a [`PersistError`] on malformed input.
-pub fn load(bytes: &[u8]) -> Result<VisualIndex, PersistError> {
+pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistError> {
     let mut r = Reader::new(bytes);
     if r.take(4, "magic")? != MAGIC {
         return Err(PersistError::BadMagic);
@@ -274,20 +279,18 @@ pub fn load(bytes: &[u8]) -> Result<VisualIndex, PersistError> {
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    if version >= 2 {
-        // Verify the trailer before decoding anything else; the payload
-        // the reader may consume ends where the trailer begins.
-        if bytes.len() < 12 {
-            return Err(PersistError::Truncated { field: "checksum" });
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-        let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let actual = crc32c(payload);
-        if expected != actual {
-            return Err(PersistError::ChecksumMismatch { expected, actual });
-        }
-        r.buf = payload;
+    // Verify the trailer before decoding anything else; the payload the
+    // reader may consume ends where the trailer begins.
+    if bytes.len() < 12 {
+        return Err(PersistError::Truncated { field: "checksum" });
     }
+    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
+    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let actual = crc32c(payload);
+    if expected != actual {
+        return Err(PersistError::ChecksumMismatch { expected, actual });
+    }
+    r.buf = payload;
 
     let dim = r.u32("config.dim")? as usize;
     if dim == 0 {
@@ -307,25 +310,15 @@ pub fn load(bytes: &[u8]) -> Result<VisualIndex, PersistError> {
             0 => None,
             m => Some(m as usize),
         },
-        // Serving-time knobs, not index structure: snapshots stay portable
-        // across hosts with different core counts / probing policies.
-        intra_query_threads: 1,
-        nprobe_escalation: 0,
+        // The serving-time knob, not index structure: never in the bytes,
+        // always the loading partition's.
+        nprobe_escalation: serving.nprobe_escalation,
+        // Struct-literal fields evaluate in textual order, so the reads
+        // below consume the bytes directly after `seed`.
         seed: r.u64("config.seed")?,
-        // Struct-literal fields evaluate in textual order, so these v3
-        // reads consume the bytes directly after `seed`; pre-v3 snapshots
-        // get the defaults their builds used.
-        pq_bits: if version >= 3 {
-            r.u8("config.pq_bits")?
-        } else {
-            8
-        },
-        rerank_factor: if version >= 3 {
-            r.u32("config.rerank_factor")? as usize
-        } else {
-            4
-        },
-        // v5 fields; pre-v5 snapshots were written by flat-scan builds.
+        pq_bits: r.u8("config.pq_bits")?,
+        rerank_factor: r.u32("config.rerank_factor")? as usize,
+        // v5 fields; v4 snapshots were written by flat-scan builds.
         coarse_beam_width: if version >= 5 {
             r.u32("config.coarse_beam_width")? as usize
         } else {
@@ -374,13 +367,9 @@ pub fn load(bytes: &[u8]) -> Result<VisualIndex, PersistError> {
             features,
         ));
     }
-    // v4 listing-attribute section; pre-v4 records default to
-    // uncategorized + in stock (what those builds assumed).
-    if version >= 4 {
-        for rec in records.iter_mut() {
-            rec.0.category = r.u32("listing.category")?;
-            rec.0.in_stock = r.u8("listing.in_stock")? != 0;
-        }
+    for rec in records.iter_mut() {
+        rec.0.category = r.u32("listing.category")?;
+        rec.0.in_stock = r.u8("listing.in_stock")? != 0;
     }
     let pq = match config.pq_subspaces {
         Some(m) if !records.is_empty() => {
@@ -452,6 +441,11 @@ mod tests {
 
     const DIM: usize = 8;
 
+    /// [`load`] for a partition with the default serving knob.
+    fn reload(bytes: &[u8]) -> Result<VisualIndex, PersistError> {
+        load(bytes, &IndexConfig::default())
+    }
+
     fn build_index(n: u64) -> VisualIndex {
         let mut rng = Xoshiro256::seed_from(21);
         let train: Vec<Vector> = (0..32)
@@ -491,7 +485,7 @@ mod tests {
     fn round_trip_preserves_everything() {
         let index = build_index(100);
         let bytes = save(&index);
-        let loaded = load(&bytes).expect("load");
+        let loaded = reload(&bytes).expect("load");
         assert_eq!(loaded.num_images(), index.num_images());
         assert_eq!(loaded.valid_images(), index.valid_images());
         assert_eq!(loaded.config(), index.config());
@@ -507,9 +501,24 @@ mod tests {
     }
 
     #[test]
+    fn load_adopts_the_serving_knob_of_its_target() {
+        let index = build_index(10);
+        assert_eq!(index.config().nprobe_escalation, 0);
+        let serving = IndexConfig {
+            nprobe_escalation: 8,
+            // Structure always comes from the snapshot, never from `serving`.
+            num_lists: 99,
+            ..IndexConfig::default()
+        };
+        let loaded = load(&save(&index), &serving).expect("load");
+        assert_eq!(loaded.config().nprobe_escalation, 8);
+        assert_eq!(loaded.config().num_lists, index.config().num_lists);
+    }
+
+    #[test]
     fn round_trip_preserves_search_results() {
         let index = build_index(200);
-        let loaded = load(&save(&index)).expect("load");
+        let loaded = reload(&save(&index)).expect("load");
         for probe in 0..10u32 {
             let q = index.features(ImageId(probe * 13)).unwrap();
             let a = index.search(q.as_slice(), 10, 4);
@@ -542,7 +551,7 @@ mod tests {
                 .unwrap();
         }
         index.flush();
-        let restored = load(&save(&index)).expect("round trip");
+        let restored = reload(&save(&index)).expect("round trip");
         assert!(restored.has_pq(), "PQ mode must survive the snapshot");
         // Raw searches match exactly; compressed searches work on the
         // retrained (derived) codebook and surface exact matches.
@@ -559,7 +568,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = load(b"NOPE....").unwrap_err();
+        let err = reload(b"NOPE....").unwrap_err();
         assert_eq!(err, PersistError::BadMagic);
     }
 
@@ -567,11 +576,14 @@ mod tests {
     fn unsupported_version_is_rejected() {
         let index = build_index(3);
         let mut bytes = save(&index);
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            load(&bytes).unwrap_err(),
-            PersistError::UnsupportedVersion(99)
-        );
+        // Newer than this build, and older than "current + one previous".
+        for version in [99u32, 3] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                reload(&bytes).unwrap_err(),
+                PersistError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -580,7 +592,7 @@ mod tests {
         let bytes = save(&index);
         // Every strict prefix must fail cleanly, never panic.
         for cut in 0..bytes.len() {
-            let result = load(&bytes[..cut]);
+            let result = reload(&bytes[..cut]);
             assert!(result.is_err(), "prefix of {cut} bytes must not decode");
         }
     }
@@ -602,87 +614,34 @@ mod tests {
         assert!(mismatch.to_string().contains("0x0badf00d"));
     }
 
-    /// Byte offset of the v3-only config fields (`pq_bits` +
-    /// `rerank_factor`, 5 bytes) inside a saved snapshot: magic + version
-    /// + the fixed-width config fields up to and including `seed`.
-    const V3_FIELDS_AT: usize = 4 + 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4 + 8;
-
     /// Byte offset of the v5-only config fields (`coarse_beam_width` +
-    /// `coarse_balance_factor`, 12 bytes): directly after the v3 fields.
-    const V5_FIELDS_AT: usize = V3_FIELDS_AT + 5;
+    /// `coarse_balance_factor`, 12 bytes) inside a saved snapshot: magic +
+    /// version + the fixed-width config fields up to and including
+    /// `rerank_factor`.
+    const V5_FIELDS_AT: usize = 4 + 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4 + 8 + 1 + 4;
 
-    /// Rewrites a freshly-saved (v5) snapshot of `n` records into the
-    /// older `version` layout: drops the v4 listing section (5 bytes per
-    /// record, directly before the trailer) for pre-v4 targets, splices out
-    /// the v5/v3 config fields when needed (v5 first — it sits after the v3
-    /// fields, so draining it never shifts their offset), and drops or
-    /// recomputes the trailer.
-    fn downgrade(mut bytes: Vec<u8>, version: u32, n: usize) -> Vec<u8> {
-        if version < 4 {
-            let trailer_at = bytes.len() - 4;
-            bytes.drain(trailer_at - 5 * n..trailer_at);
-        }
-        if version < 5 {
-            bytes.drain(V5_FIELDS_AT..V5_FIELDS_AT + 12);
-        }
-        if version < 3 {
-            bytes.drain(V3_FIELDS_AT..V3_FIELDS_AT + 5);
-        }
-        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    /// Rewrites a freshly-saved (v5) snapshot into the v4 layout: splices
+    /// out the v5 config fields and recomputes the trailer.
+    fn downgrade_to_v4(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.drain(V5_FIELDS_AT..V5_FIELDS_AT + 12);
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
         let len = bytes.len();
-        if version >= 2 {
-            let crc = crc32c(&bytes[..len - 4]);
-            bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        } else {
-            bytes.truncate(len - 4);
-        }
+        let crc = crc32c(&bytes[..len - 4]);
+        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
         bytes
-    }
-
-    #[test]
-    fn v1_snapshots_without_trailer_still_load() {
-        let index = build_index(20);
-        let loaded = load(&downgrade(save(&index), 1, 20)).expect("v1 must stay loadable");
-        assert_eq!(loaded.num_images(), index.num_images());
-        assert_eq!(loaded.valid_images(), index.valid_images());
-    }
-
-    #[test]
-    fn v2_snapshots_load_with_fastscan_defaults() {
-        let index = build_index(20);
-        let loaded = load(&downgrade(save(&index), 2, 20)).expect("v2 must stay loadable");
-        assert_eq!(loaded.num_images(), index.num_images());
-        assert_eq!(loaded.valid_images(), index.valid_images());
-        // Pre-fast-scan snapshots behave as the builds that wrote them did.
-        assert_eq!(loaded.config().pq_bits, 8);
-        assert_eq!(loaded.config().rerank_factor, 4);
-    }
-
-    #[test]
-    fn v3_snapshots_load_with_default_listing() {
-        let index = build_index(20);
-        let loaded = load(&downgrade(save(&index), 3, 20)).expect("v3 must stay loadable");
-        assert_eq!(loaded.num_images(), index.num_images());
-        // Pre-v4 snapshots carry no listing attributes: every record loads
-        // uncategorized and in stock.
-        for raw in 0..20u32 {
-            let a = loaded.attributes(ImageId(raw)).unwrap();
-            assert_eq!(a.category, 0);
-            assert!(a.in_stock);
-        }
     }
 
     #[test]
     fn v4_snapshots_load_with_flat_coarse_defaults() {
         let index = build_index(20);
-        let loaded = load(&downgrade(save(&index), 4, 20)).expect("v4 must stay loadable");
+        let loaded = reload(&downgrade_to_v4(save(&index))).expect("v4 must stay loadable");
         assert_eq!(loaded.num_images(), index.num_images());
         assert_eq!(loaded.valid_images(), index.valid_images());
-        // Pre-v5 snapshots were written by flat-scan builds: no graph.
+        // v4 snapshots were written by flat-scan builds: no graph.
         assert_eq!(loaded.config().coarse_beam_width, 0);
         assert_eq!(loaded.config().coarse_balance_factor, 0.0);
         assert!(loaded.quantizer().coarse_graph().is_none());
-        // Listing attributes (a v4 feature) survive the v4 downgrade.
+        // Listing attributes survive the v4 downgrade.
         for raw in 0..20u32 {
             let a = loaded.attributes(ImageId(raw)).unwrap();
             let b = index.attributes(ImageId(raw)).unwrap();
@@ -717,7 +676,7 @@ mod tests {
                 .unwrap();
         }
         index.flush();
-        let loaded = load(&save(&index)).expect("round trip");
+        let loaded = reload(&save(&index)).expect("round trip");
         // The knobs persist and the graph (derived data, absent from the
         // snapshot bytes) is rebuilt deterministically on load.
         assert_eq!(loaded.config().coarse_beam_width, 8);
@@ -740,7 +699,7 @@ mod tests {
     #[test]
     fn listing_attributes_round_trip_and_serve_filtered_search() {
         let index = build_index(60);
-        let loaded = load(&save(&index)).expect("load");
+        let loaded = reload(&save(&index)).expect("load");
         for raw in 0..60u32 {
             let id = ImageId(raw);
             let a = loaded.attributes(id).unwrap();
@@ -785,7 +744,7 @@ mod tests {
                 .unwrap();
         }
         index.flush();
-        let restored = load(&save(&index)).expect("round trip");
+        let restored = reload(&save(&index)).expect("round trip");
         assert_eq!(restored.config().pq_bits, 4);
         assert_eq!(restored.config().rerank_factor, 6);
         // The retrained 4-bit codebook serves fast-scan searches.
@@ -806,7 +765,7 @@ mod tests {
         for pos in [8usize, 9, 40, bytes.len() / 2, bytes.len() - 5] {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 0x10;
-            match load(&corrupted) {
+            match reload(&corrupted) {
                 Err(PersistError::ChecksumMismatch { .. }) => {}
                 other => panic!("flip at {pos}: expected checksum mismatch, got {other:?}"),
             }
@@ -848,7 +807,7 @@ mod tests {
             // index). The specific error kind depends on where the damage
             // landed; what matters is that nothing corrupt decodes.
             assert!(
-                load(&mutated).is_err(),
+                reload(&mutated).is_err(),
                 "round {round}: mutated snapshot must not decode"
             );
         }

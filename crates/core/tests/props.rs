@@ -11,7 +11,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use jdvs_core::ids::ImageId;
-use jdvs_core::search;
+use jdvs_core::search::{self, SearchPlan, Stage};
 use jdvs_core::swap::IndexHandle;
 use jdvs_core::{persist, FilterSpec, IndexConfig, VisualIndex};
 use jdvs_storage::model::{ImageKey, ProductAttributes, ProductId};
@@ -143,7 +143,7 @@ proptest! {
             }
         }
         index.flush();
-        let restored = persist::load(&persist::save(&index)).expect("round trip");
+        let restored = persist::load(&persist::save(&index), index.config()).expect("round trip");
         prop_assert_eq!(restored.num_images(), index.num_images());
         prop_assert_eq!(restored.valid_images(), index.valid_images());
         for raw in 0..index.num_images() {
@@ -189,11 +189,11 @@ proptest! {
         prop_assert_eq!(handle.generation(), n_swaps as u64);
     }
 
-    /// The block/parallel execution engine returns *exactly* the reference
-    /// scan's results — same ids, same distances, same order — on random
-    /// indexes with random deletions, for every nprobe and thread budget.
-    /// Both paths use the same dispatched kernel, so equality is bit-exact
-    /// rather than within-tolerance.
+    /// The block execution engine returns *exactly* the reference scan's
+    /// results — same ids, same distances, same order — on random indexes
+    /// with random deletions, for every nprobe. Both paths use the same
+    /// dispatched kernel, so equality is bit-exact rather than
+    /// within-tolerance.
     #[test]
     fn engine_matches_reference_on_random_indexes(
         seed in any::<u64>(),
@@ -201,7 +201,6 @@ proptest! {
         num_lists in 2usize..9,
         nprobe in 1usize..9,
         delete_every in 2usize..10,
-        threads in 1usize..5,
     ) {
         let mut rng = Xoshiro256::seed_from(seed);
         let data: Vec<Vector> = (0..n)
@@ -230,80 +229,17 @@ proptest! {
             index.invalidate(ImageKey::from_url(&url), &url).unwrap();
         }
         for q in data.iter().take(5) {
-            let engine =
-                search::ann_search_with_threads(&index, q.as_slice(), 10, nprobe, threads);
+            let engine = index.search(q.as_slice(), 10, nprobe);
             let reference = search::ann_search_reference(&index, q.as_slice(), 10, nprobe);
-            prop_assert_eq!(&engine, &reference, "ann nprobe={} threads={}", nprobe, threads);
+            prop_assert_eq!(&engine, &reference, "ann nprobe={}", nprobe);
             let exhaustive = search::brute_force(&index, q.as_slice(), 10);
-            let exhaustive_ref = search::brute_force_reference(&index, q.as_slice(), 10);
+            let exhaustive_ref =
+                search::reference::brute_force_reference(&index, q.as_slice(), 10);
             prop_assert_eq!(&exhaustive, &exhaustive_ref);
             // Deleted ids never appear in either path.
             for hit in engine.iter().chain(exhaustive.iter()) {
                 prop_assert!(index.is_valid(ImageId(hit.id as u32)));
             }
-        }
-    }
-
-    /// The batched `MultiQuery` engine returns, for every member of a
-    /// random batch (random sizes, mixed per-member k/nprobe, random
-    /// deletions), the *exact* result of the sequential per-id reference —
-    /// on both the 4-bit fast-scan and the raw path. Runs on the native
-    /// and (in CI) the forced-scalar kernel set.
-    #[test]
-    fn multi_query_batch_matches_reference_per_member(
-        seed in any::<u64>(),
-        n in 80usize..400,
-        num_lists in 2usize..9,
-        batch in 1usize..13,
-        delete_every in 2usize..10,
-    ) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let data: Vec<Vector> = (0..n)
-            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
-            .collect();
-        let index = VisualIndex::bootstrap(
-            IndexConfig {
-                dim: DIM,
-                num_lists,
-                initial_list_capacity: 4,
-                pq_subspaces: Some(DIM),
-                pq_bits: 4,
-                ..Default::default()
-            },
-            &data,
-        );
-        for (i, v) in data.iter().enumerate() {
-            index
-                .insert(
-                    v.clone(),
-                    ProductAttributes::new(ProductId(i as u64), 0, 0, 0, format!("mq/u{i}")),
-                )
-                .unwrap();
-        }
-        index.flush();
-        for i in (0..n).step_by(delete_every) {
-            let url = format!("mq/u{i}");
-            index.invalidate(ImageKey::from_url(&url), &url).unwrap();
-        }
-        let queries: Vec<search::MultiQuery<'_>> = data
-            .iter()
-            .take(batch)
-            .enumerate()
-            .map(|(i, q)| search::MultiQuery {
-                features: q.as_slice(),
-                k: 1 + i % 10,
-                nprobe: 1 + (seed as usize + i) % num_lists,
-                filter: None,
-            })
-            .collect();
-        let compressed = search::multi_compressed_search(&index, &queries, 3);
-        let raw = search::multi_ann_search(&index, &queries);
-        for (q, (got_c, got_r)) in queries.iter().zip(compressed.iter().zip(raw.iter())) {
-            let want_c =
-                search::compressed_search_reference(&index, q.features, q.k, q.nprobe, 3);
-            prop_assert_eq!(got_c, &want_c, "compressed k={} nprobe={}", q.k, q.nprobe);
-            let want_r = search::ann_search_reference(&index, q.features, q.k, q.nprobe);
-            prop_assert_eq!(got_r, &want_r, "raw k={} nprobe={}", q.k, q.nprobe);
         }
     }
 }
@@ -394,8 +330,8 @@ fn coarse_default_beam_recall_parity() {
     let queries = 50;
     let mut overlap = 0usize;
     for q in data.iter().take(queries) {
-        let want = search::ann_search(&flat, q.as_slice(), K, 16);
-        let got = search::ann_search(&graphed, q.as_slice(), K, 16);
+        let want = flat.search(q.as_slice(), K, 16);
+        let got = graphed.search(q.as_slice(), K, 16);
         let want_ids: std::collections::HashSet<u64> = want.iter().map(|h| h.id).collect();
         overlap += got.iter().filter(|h| want_ids.contains(&h.id)).count();
     }
@@ -489,135 +425,74 @@ fn attr_index(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Filter pushdown returns *exactly* the post-filter reference's
-    /// results — same ids, distances, order — for random filters across
-    /// the whole selectivity range, random deletions, every thread
-    /// budget, with and without probe escalation. Runs on the native and
+    /// The one engine entry point against the four sequential references:
+    /// a random batch (random size, per-member k / nprobe / stage, distinct
+    /// per-member filters across the whole selectivity range next to
+    /// unfiltered members) over a random index (raw-only, 4-bit or 8-bit
+    /// PQ; random deletions; with and without probe escalation) returns,
+    /// for every member, *exactly* its reference's result — and exactly
+    /// what the member returns as a batch of one. Runs on the native and
     /// (in CI) the forced-scalar kernel set.
     #[test]
-    fn filtered_search_matches_post_filter_reference(
+    fn execute_matches_references_per_member(
         seed in any::<u64>(),
         n in 80usize..400,
         num_lists in 2usize..9,
-        nprobe in 1usize..9,
+        batch in 1usize..13,
         delete_every in 2usize..10,
-        threads in 1usize..5,
+        pq_bits in prop_oneof![Just(None), Just(Some(4u8)), Just(Some(8u8))],
         escalation in prop_oneof![Just(0usize), 4usize..32],
-        spec in filter_spec(),
+        specs in prop::collection::vec(prop_oneof![Just(None), filter_spec().prop_map(Some)], 12),
     ) {
         let mut rng = Xoshiro256::seed_from(seed);
         let data: Vec<Vector> = (0..n)
             .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
             .collect();
-        let index = attr_index(&data, num_lists, delete_every, None, escalation);
-        for q in data.iter().take(4) {
-            let engine = search::filtered_ann_search_with_threads(
-                &index, q.as_slice(), 10, nprobe, &spec, threads,
-            );
-            let reference =
-                search::filtered_ann_search_reference(&index, q.as_slice(), 10, nprobe, &spec);
-            prop_assert_eq!(
-                &engine, &reference,
-                "filtered nprobe={} threads={} esc={} spec={:?}",
-                nprobe, threads, escalation, spec
-            );
-            for hit in &engine {
-                let id = ImageId(hit.id as u32);
-                prop_assert!(index.is_valid(id));
-                prop_assert!(spec.matches(&numeric_of(&index, id)));
-            }
-        }
-    }
-
-    /// The compressed filtered paths (4-bit fast-scan mask pushdown and
-    /// 8-bit per-code admission) match their post-filter reference
-    /// bit-exactly, including the escalation schedule and exact rerank.
-    #[test]
-    fn filtered_compressed_matches_post_filter_reference(
-        seed in any::<u64>(),
-        n in 80usize..400,
-        num_lists in 2usize..9,
-        nprobe in 1usize..9,
-        delete_every in 2usize..10,
-        pq_bits in prop_oneof![Just(4u8), Just(8u8)],
-        escalation in prop_oneof![Just(0usize), 4usize..32],
-        spec in filter_spec(),
-    ) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let data: Vec<Vector> = (0..n)
-            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
-            .collect();
-        let index = attr_index(&data, num_lists, delete_every, Some(pq_bits), escalation);
-        for q in data.iter().take(4) {
-            let engine =
-                search::filtered_compressed_search(&index, q.as_slice(), 10, nprobe, 3, &spec);
-            let reference = search::filtered_compressed_search_reference(
-                &index, q.as_slice(), 10, nprobe, 3, &spec,
-            );
-            prop_assert_eq!(
-                &engine, &reference,
-                "pq_bits={} nprobe={} esc={} spec={:?}",
-                pq_bits, nprobe, escalation, spec
-            );
-            for hit in &engine {
-                let id = ImageId(hit.id as u32);
-                prop_assert!(index.is_valid(id));
-                prop_assert!(spec.matches(&numeric_of(&index, id)));
-            }
-        }
-    }
-
-    /// The batched engine with *distinct per-member filters* (including
-    /// unfiltered members in the same batch) returns each member's exact
-    /// sequential filtered result — on both the 4-bit fast-scan and raw
-    /// legs.
-    #[test]
-    fn multi_filtered_batch_matches_reference_per_member(
-        seed in any::<u64>(),
-        n in 80usize..400,
-        num_lists in 2usize..9,
-        batch in 1usize..10,
-        delete_every in 2usize..10,
-        escalation in prop_oneof![Just(0usize), 4usize..32],
-        specs in prop::collection::vec(prop_oneof![Just(None), filter_spec().prop_map(Some)], 10),
-    ) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let data: Vec<Vector> = (0..n)
-            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
-            .collect();
-        let index = attr_index(&data, num_lists, delete_every, Some(4), escalation);
-        let queries: Vec<search::MultiQuery<'_>> = data
+        let index = attr_index(&data, num_lists, delete_every, pq_bits, escalation);
+        let plans: Vec<SearchPlan<'_>> = data
             .iter()
             .take(batch)
             .enumerate()
-            .map(|(i, q)| search::MultiQuery {
+            .map(|(i, q)| SearchPlan {
                 features: q.as_slice(),
                 k: 1 + i % 10,
                 nprobe: 1 + (seed as usize + i) % num_lists,
                 filter: specs[i].as_ref(),
+                stage: if pq_bits.is_some() && !(seed as usize + i).is_multiple_of(3) {
+                    Stage::Compressed { rerank_factor: 3 }
+                } else {
+                    Stage::Raw
+                },
+                deadline: None,
             })
             .collect();
-        let compressed = search::multi_compressed_search(&index, &queries, 3);
-        let raw = search::multi_ann_search(&index, &queries);
-        for (q, (got_c, got_r)) in queries.iter().zip(compressed.iter().zip(raw.iter())) {
-            let (want_c, want_r) = match q.filter {
-                Some(spec) => (
+        for (plan, got) in plans.iter().zip(index.execute(&plans)) {
+            let (q, k, nprobe) = (plan.features, plan.k, plan.nprobe);
+            let want = match (plan.stage, plan.filter) {
+                (Stage::Raw, None) => search::ann_search_reference(&index, q, k, nprobe),
+                (Stage::Raw, Some(f)) => {
+                    search::filtered_ann_search_reference(&index, q, k, nprobe, f)
+                }
+                (Stage::Compressed { rerank_factor }, None) => {
+                    search::compressed_search_reference(&index, q, k, nprobe, rerank_factor)
+                }
+                (Stage::Compressed { rerank_factor }, Some(f)) => {
                     search::filtered_compressed_search_reference(
-                        &index, q.features, q.k, q.nprobe, 3, spec,
-                    ),
-                    search::filtered_ann_search_reference(
-                        &index, q.features, q.k, q.nprobe, spec,
-                    ),
-                ),
-                None => (
-                    search::compressed_search_reference(&index, q.features, q.k, q.nprobe, 3),
-                    search::ann_search_reference(&index, q.features, q.k, q.nprobe),
-                ),
+                        &index, q, k, nprobe, rerank_factor, f,
+                    )
+                }
             };
-            prop_assert_eq!(got_c, &want_c, "compressed k={} filter={:?}", q.k, q.filter);
-            prop_assert_eq!(got_r, &want_r, "raw k={} filter={:?}", q.k, q.filter);
+            prop_assert_eq!(&got, &want, "pq={:?} esc={} {:?}", pq_bits, escalation, plan);
+            prop_assert_eq!(&got, &index.execute(&[*plan])[0], "batch of one: {:?}", plan);
+            for hit in &got {
+                let id = ImageId(hit.id as u32);
+                prop_assert!(index.is_valid(id));
+                if let Some(spec) = plan.filter {
+                    prop_assert!(spec.matches(&numeric_of(&index, id)));
+                }
+            }
         }
     }
 }

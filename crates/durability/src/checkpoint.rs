@@ -25,6 +25,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use jdvs_core::config::IndexConfig;
 use jdvs_core::index::VisualIndex;
 use jdvs_core::persist;
 use jdvs_metrics::DurabilityMetrics;
@@ -67,18 +68,6 @@ pub struct Manifest {
     pub applied_offset: Offset,
 }
 
-/// Outcome of [`CheckpointStore::recover`].
-#[derive(Debug)]
-pub struct RecoveredCheckpoint {
-    /// The decoded index.
-    pub index: VisualIndex,
-    /// Offset recovery must replay the log from.
-    pub applied_offset: Offset,
-    /// Whether the manifest's snapshot was used (`false` = a fallback
-    /// snapshot; the manifest was missing, corrupt or named a bad file).
-    pub from_manifest: bool,
-}
-
 /// A checkpoint recovered once and fanned out across a partition's
 /// replicas: the snapshot is read from disk and validated a single time,
 /// the raw bytes are kept behind an `Arc`, and every additional replica
@@ -92,8 +81,8 @@ pub struct SharedCheckpoint {
     bytes: Arc<Vec<u8>>,
     /// Offset recovery must replay the log from.
     pub applied_offset: Offset,
-    /// Whether the manifest's snapshot was used (see
-    /// [`RecoveredCheckpoint::from_manifest`]).
+    /// Whether the manifest's snapshot was used (`false` = a fallback
+    /// snapshot; the manifest was missing, corrupt or named a bad file).
     pub from_manifest: bool,
 }
 
@@ -101,7 +90,10 @@ impl SharedCheckpoint {
     /// Decodes a fresh index from the already-validated in-memory snapshot
     /// bytes, for an additional replica of the same partition.
     pub fn fork(&self) -> VisualIndex {
-        persist::load(&self.bytes).expect("snapshot bytes were validated at recovery time")
+        // The first decode already adopted the serving knobs of the
+        // partition this checkpoint was recovered for.
+        persist::load(&self.bytes, self.index.config())
+            .expect("snapshot bytes were validated at recovery time")
     }
 
     /// Size of the shared snapshot, in bytes.
@@ -163,42 +155,35 @@ impl CheckpointStore {
         decode_manifest(&bytes)
     }
 
-    /// Loads the newest usable checkpoint: the manifest's snapshot when it
-    /// validates, else newest-first over the remaining snapshot files.
-    /// `None` means cold recovery (replay the whole log).
-    pub fn recover(&self) -> Option<RecoveredCheckpoint> {
-        self.recover_within(Offset::MAX)
-    }
-
-    /// Like [`CheckpointStore::recover`], but rejects any snapshot whose
-    /// applied offset exceeds `max_applied`. Recovery passes the durable
-    /// log's end here: a checkpoint watermark past the log end means the
-    /// log was truncated (or lost an un-fsynced tail) *after* the snapshot
-    /// was taken — seeding from it would pin the consumer past events the
-    /// log will re-assign those offsets to, silently skipping them forever.
-    /// Such snapshots are skipped in favour of an older in-bounds one (or
-    /// cold replay).
-    pub fn recover_within(&self, max_applied: Offset) -> Option<RecoveredCheckpoint> {
-        let shared = self.recover_shared_within(max_applied)?;
-        Some(RecoveredCheckpoint {
-            index: shared.index,
-            applied_offset: shared.applied_offset,
-            from_manifest: shared.from_manifest,
-        })
-    }
-
-    /// Like [`CheckpointStore::recover_within`], but keeps the validated
-    /// snapshot bytes so one recovered checkpoint can seed **all** of a
-    /// partition's replicas ([`SharedCheckpoint::fork`]) instead of each
-    /// replica re-reading and re-validating the file.
-    pub fn recover_shared_within(&self, max_applied: Offset) -> Option<SharedCheckpoint> {
+    /// Loads the newest usable checkpoint — the manifest's snapshot when it
+    /// validates, else newest-first over the remaining snapshot files — to
+    /// serve under `serving` (see [`persist::load`]). `None` means cold
+    /// recovery (replay the whole log).
+    ///
+    /// Any snapshot whose applied offset exceeds `max_applied` is rejected.
+    /// Recovery passes the durable log's end here: a checkpoint watermark
+    /// past the log end means the log was truncated (or lost an un-fsynced
+    /// tail) *after* the snapshot was taken — seeding from it would pin the
+    /// consumer past events the log will re-assign those offsets to,
+    /// silently skipping them forever. Such snapshots are skipped in favour
+    /// of an older in-bounds one (or cold replay).
+    ///
+    /// The validated snapshot bytes are kept so one recovered checkpoint
+    /// can seed **all** of a partition's replicas
+    /// ([`SharedCheckpoint::fork`]) instead of each replica re-reading and
+    /// re-validating the file.
+    pub fn recover_shared_within(
+        &self,
+        max_applied: Offset,
+        serving: &IndexConfig,
+    ) -> Option<SharedCheckpoint> {
         if let Some(manifest) = self.manifest() {
             if manifest.applied_offset > max_applied {
                 self.metrics.snapshots_rejected.incr();
             } else {
                 let path = self.config.dir.join(&manifest.snapshot);
                 if let Ok(bytes) = fs::read(&path) {
-                    match persist::load(&bytes) {
+                    match persist::load(&bytes, serving) {
                         Ok(index) => {
                             return Some(SharedCheckpoint {
                                 index,
@@ -228,7 +213,7 @@ impl CheckpointStore {
                 self.metrics.snapshots_rejected.incr();
                 continue;
             };
-            match persist::load(&bytes) {
+            match persist::load(&bytes, serving) {
                 Ok(index) => {
                     return Some(SharedCheckpoint {
                         index,
@@ -334,7 +319,6 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jdvs_core::config::IndexConfig;
     use jdvs_storage::model::{ProductAttributes, ProductId};
     use jdvs_vector::Vector;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -391,7 +375,9 @@ mod tests {
         let index = sample_index(5);
         store.save(&index, 17).unwrap();
 
-        let rec = store.recover().unwrap();
+        let rec = store
+            .recover_shared_within(Offset::MAX, &IndexConfig::default())
+            .unwrap();
         assert!(rec.from_manifest);
         assert_eq!(rec.applied_offset, 17);
         assert_eq!(rec.index.valid_images(), 5);
@@ -404,7 +390,9 @@ mod tests {
     fn empty_store_recovers_to_none() {
         let dir = temp_dir("empty");
         let (store, _) = store(&dir, 2);
-        assert!(store.recover().is_none());
+        assert!(store
+            .recover_shared_within(Offset::MAX, &IndexConfig::default())
+            .is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -422,7 +410,9 @@ mod tests {
         bytes[mid] ^= 1;
         fs::write(&newest, &bytes).unwrap();
 
-        let rec = store.recover().unwrap();
+        let rec = store
+            .recover_shared_within(Offset::MAX, &IndexConfig::default())
+            .unwrap();
         assert!(!rec.from_manifest, "manifest snapshot was rejected");
         assert_eq!(rec.applied_offset, 10, "older snapshot wins");
         assert_eq!(rec.index.valid_images(), 3);
@@ -442,7 +432,9 @@ mod tests {
         let bytes = fs::read(&manifest).unwrap();
         fs::write(&manifest, &bytes[..bytes.len() - 2]).unwrap();
 
-        let rec = store.recover().unwrap();
+        let rec = store
+            .recover_shared_within(Offset::MAX, &IndexConfig::default())
+            .unwrap();
         assert!(!rec.from_manifest);
         assert_eq!(rec.applied_offset, 30, "offset parsed from file name");
         assert_eq!(rec.index.valid_images(), 4);
@@ -494,7 +486,9 @@ mod tests {
             "tmp files must be swept: {leftovers:?}"
         );
         // The real snapshot and manifest survive the sweep.
-        let rec = reopened.recover().unwrap();
+        let rec = reopened
+            .recover_shared_within(Offset::MAX, &IndexConfig::default())
+            .unwrap();
         assert!(rec.from_manifest);
         assert_eq!(rec.applied_offset, 5);
         fs::remove_dir_all(&dir).unwrap();
@@ -508,20 +502,26 @@ mod tests {
         store.save(&sample_index(6), 20).unwrap();
 
         // Log end 20: the manifest snapshot is in bounds.
-        let rec = store.recover_within(20).unwrap();
+        let rec = store
+            .recover_shared_within(20, &IndexConfig::default())
+            .unwrap();
         assert!(rec.from_manifest);
         assert_eq!(rec.applied_offset, 20);
 
         // Log end 15: the manifest's watermark (20) outruns the log —
         // the older snapshot must win.
-        let rec = store.recover_within(15).unwrap();
+        let rec = store
+            .recover_shared_within(15, &IndexConfig::default())
+            .unwrap();
         assert!(!rec.from_manifest);
         assert_eq!(rec.applied_offset, 10);
         assert_eq!(rec.index.valid_images(), 3);
         assert!(metrics.snapshots_rejected.get() >= 1);
 
         // Log end 5: nothing usable; cold recovery.
-        assert!(store.recover_within(5).is_none());
+        assert!(store
+            .recover_shared_within(5, &IndexConfig::default())
+            .is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -532,7 +532,9 @@ mod tests {
         let index = sample_index(7);
         store.save(&index, 42).unwrap();
 
-        let shared = store.recover_shared_within(Offset::MAX).unwrap();
+        let shared = store
+            .recover_shared_within(Offset::MAX, &IndexConfig::default())
+            .unwrap();
         assert!(shared.from_manifest);
         assert_eq!(shared.applied_offset, 42);
         assert!(shared.snapshot_len() > 0);

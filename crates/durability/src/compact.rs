@@ -410,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_url_event_survives_until_every_url_is_superseded() {
+    fn event_with_several_urls_survives_until_every_url_is_superseded() {
         let dir = temp_dir("multi");
         {
             let dq = DurableQueue::open(config(&dir), Arc::new(DurabilityMetrics::new())).unwrap();

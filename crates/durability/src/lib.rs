@@ -70,7 +70,7 @@ pub mod log;
 pub mod queue;
 pub mod recovery;
 
-pub use checkpoint::{CheckpointConfig, CheckpointStore, Manifest, RecoveredCheckpoint};
+pub use checkpoint::{CheckpointConfig, CheckpointStore, Manifest, SharedCheckpoint};
 pub use codec::{decode_event, encode_event, CodecError};
 pub use commit::CommitQueue;
 pub use compact::{compact_log, CompactionReport};

@@ -2,9 +2,9 @@
 //!
 //! [`recover_partition`] is the startup path of a durable serving stack:
 //!
-//! 1. [`CheckpointStore::recover`] loads the newest snapshot that passes
-//!    its CRC (manifest first, then fallbacks) and the applied offset it
-//!    covers; the recovered index is swapped into the indexer's
+//! 1. [`CheckpointStore::recover_shared_within`] loads the newest snapshot
+//!    that passes its CRC (manifest first, then fallbacks) and the applied
+//!    offset it covers; the recovered index is swapped into the indexer's
 //!    [`IndexHandle`](jdvs_core::swap::IndexHandle).
 //! 2. The queue suffix `[applied_offset ..)` — rebuilt from the durable
 //!    log by [`DurableQueue::open`](crate::queue::DurableQueue) — is
@@ -62,7 +62,10 @@ pub fn recover_partition(
     // offsets — a consumer pinned past the head would skip them forever.
     // `recover_shared_within` falls back to an older snapshot or cold
     // replay.
-    let shared = checkpoints.recover_shared_within(queue.len());
+    // The index already in the handle is the placeholder built from the
+    // partition's config: the snapshot is loaded to serve under it.
+    let serving = indexer.index();
+    let shared = checkpoints.recover_shared_within(queue.len(), serving.config());
     recover_partition_seeded(indexer, shared.as_ref(), queue, metrics)
 }
 

@@ -369,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn queued_request_expires_with_budget() {
+    fn queued_request_expires_with_its_budget() {
         let c = controller(AdmissionConfig {
             max_concurrency: 1,
             queue_capacity: 4,

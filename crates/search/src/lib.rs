@@ -35,7 +35,6 @@ pub mod client;
 pub mod partition;
 pub mod protocol;
 pub mod ranking;
-pub mod ranking_learned;
 pub mod searcher;
 pub mod serving;
 pub mod topology;
@@ -45,6 +44,5 @@ pub use batch::{BatchConfig, BatchingSearcher};
 pub use client::SearchClient;
 pub use protocol::{QueryInput, RankedHit, SearchQuery};
 pub use ranking::RankingPolicy;
-pub use ranking_learned::AdaptiveRanking;
 pub use serving::{NetServing, NetServingConfig};
 pub use topology::{CheckpointReport, DurabilityOptions, SearchTopology, TopologyConfig};

@@ -7,9 +7,10 @@
 //! indexing thread — the whole point of the paper's lock-free structures.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use jdvs_core::ids::ImageId;
-use jdvs_core::search::MultiQuery;
+use jdvs_core::search::{SearchPlan, Stage};
 use jdvs_core::swap::IndexHandle;
 use jdvs_core::VisualIndex;
 use jdvs_net::rpc::Service;
@@ -55,94 +56,57 @@ impl SearcherService {
         &self.handle
     }
 
-    /// Executes a query locally (also the code path the RPC handler runs).
-    ///
-    /// A query carrying a [`FilterSpec`](jdvs_core::FilterSpec) takes the
-    /// filtered engine paths, which push the attribute mask down into the
-    /// block scan (and may escalate `nprobe` when the index allows it);
-    /// unfiltered queries run the identical pre-existing paths. A query
-    /// `budget` becomes a deadline on the filtered paths: probe escalation
-    /// stops widening once the remaining time cannot pay for another
-    /// round, returning the (possibly underfull) top-k on time.
+    /// Executes a query locally (also the code path the RPC handler runs):
+    /// [`SearcherService::execute_batch`] for a batch of one.
     pub fn execute(&self, query: &FanoutQuery) -> PartialResponse {
-        let index = self.handle.get();
-        let nprobe = query.nprobe.unwrap_or(index.config().nprobe);
-        let k = query.k.max(1);
-        let deadline = query.budget.map(|b| std::time::Instant::now() + b);
-        let neighbors = if query.compressed && index.has_pq() {
-            // Two-stage PQ scan; the over-fetch ratio is the index's
-            // configured rerank_factor knob.
-            let rerank = index.config().rerank_factor;
-            match &query.filter {
-                Some(f) => index.search_compressed_filtered_with_budget(
-                    &query.features,
-                    k,
-                    nprobe,
-                    rerank,
-                    f,
-                    deadline,
-                ),
-                None => index.search_compressed(&query.features, k, nprobe, rerank),
-            }
-        } else {
-            match &query.filter {
-                Some(f) => {
-                    index.search_filtered_with_budget(&query.features, k, nprobe, f, deadline)
-                }
-                None => index.search(&query.features, k, nprobe),
-            }
-        };
-        // The records are guaranteed present (ids come from the same index
-        // snapshot held across the whole query).
-        self.partial_response(&index, neighbors)
+        self.execute_batch(std::slice::from_ref(query))
+            .pop()
+            .expect("one response per query")
     }
 
     /// Executes a batch of co-arriving queries against **one** index
-    /// snapshot, amortizing the fast-scan block passes across the batch
-    /// (see [`jdvs_core::search::multi_compressed_search`]).
+    /// snapshot as one [`VisualIndex::execute`] call, which walks each
+    /// probed list once for every member that subscribes to it.
     ///
-    /// Results are positionally aligned with `queries` and bit-identical
-    /// to calling [`SearcherService::execute`] per member on the same
-    /// snapshot: the batch engine scores every query with its own LUTs and
-    /// its own top-k, so coverage accounting and hit contents are
-    /// unchanged — only the block walks are shared.
+    /// Each query becomes a [`SearchPlan`]: its
+    /// [`FilterSpec`](jdvs_core::FilterSpec) is pushed down into the block
+    /// scan (and may escalate `nprobe` when the index allows it), a
+    /// compressed query on a PQ index takes the two-stage scan with the
+    /// index's configured over-fetch, and its `budget` becomes a deadline —
+    /// probe escalation stops widening once the remaining time cannot pay
+    /// for another round, returning the (possibly underfull) top-k on time.
+    ///
+    /// Results are positionally aligned with `queries`, and each member's
+    /// is what it would get alone on the same snapshot: coverage accounting
+    /// and hit contents do not depend on the batch — only the list walks
+    /// are shared.
     pub fn execute_batch(&self, queries: &[FanoutQuery]) -> Vec<PartialResponse> {
         let index = self.handle.get();
-        let default_nprobe = index.config().nprobe;
-        // Split by engine path, remembering each member's slot so the
-        // responses come back positionally aligned.
-        let mut compressed: Vec<(usize, MultiQuery<'_>)> = Vec::new();
-        let mut raw: Vec<(usize, MultiQuery<'_>)> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            let mq = MultiQuery {
+        let now = Instant::now();
+        let plans: Vec<SearchPlan<'_>> = queries
+            .iter()
+            .map(|q| SearchPlan {
                 features: &q.features,
                 k: q.k.max(1),
-                nprobe: q.nprobe.unwrap_or(default_nprobe),
+                nprobe: q.nprobe.unwrap_or(index.config().nprobe),
                 filter: q.filter.as_ref(),
-            };
-            if q.compressed && index.has_pq() {
-                compressed.push((i, mq));
-            } else {
-                raw.push((i, mq));
-            }
-        }
-        let mut out: Vec<PartialResponse> = vec![PartialResponse::default(); queries.len()];
-        let rerank = index.config().rerank_factor;
-        for (group, neighbors) in [
-            {
-                let members: Vec<MultiQuery<'_>> = compressed.iter().map(|(_, m)| *m).collect();
-                (&compressed, index.search_compressed_multi(&members, rerank))
-            },
-            {
-                let members: Vec<MultiQuery<'_>> = raw.iter().map(|(_, m)| *m).collect();
-                (&raw, index.search_multi(&members))
-            },
-        ] {
-            for ((slot, _), hits) in group.iter().zip(neighbors) {
-                out[*slot] = self.partial_response(&index, hits);
-            }
-        }
-        out
+                stage: if q.compressed && index.has_pq() {
+                    Stage::Compressed {
+                        rerank_factor: index.config().rerank_factor,
+                    }
+                } else {
+                    Stage::Raw
+                },
+                deadline: q.budget.map(|b| now + b),
+            })
+            .collect();
+        // The records are guaranteed present (ids come from the same index
+        // snapshot held across the whole batch).
+        index
+            .execute(&plans)
+            .into_iter()
+            .map(|neighbors| self.partial_response(&index, neighbors))
+            .collect()
     }
 
     fn partial_response(&self, index: &VisualIndex, neighbors: Vec<Neighbor>) -> PartialResponse {
@@ -339,6 +303,18 @@ mod tests {
         let relaxed = escalating.execute(&query(Some(std::time::Duration::from_secs(60))));
         assert_eq!(relaxed, escalating.execute(&query(None)));
         assert_eq!(relaxed.hits.len(), 8, "escalation should fill the top-k");
+        // Batched members keep their own budgets: the micro-batcher must
+        // not turn a near-expired query into an unbounded escalation, nor
+        // let it cap its neighbours.
+        let batch = [
+            query(Some(std::time::Duration::ZERO)),
+            query(Some(std::time::Duration::from_secs(60))),
+            query(None),
+        ];
+        assert_eq!(
+            escalating.execute_batch(&batch),
+            vec![hurried, relaxed.clone(), relaxed]
+        );
     }
 
     #[test]

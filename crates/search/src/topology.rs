@@ -869,9 +869,9 @@ impl SearchTopology {
             // One disk read + one validating decode per partition, shared
             // by every replica below (each forks its copy from the cached
             // bytes instead of re-reading the snapshot).
-            let shared_seed: Option<SharedCheckpoint> = durable
-                .as_ref()
-                .and_then(|d| d.checkpoints.read()[p].recover_shared_within(queue.len()));
+            let shared_seed: Option<SharedCheckpoint> = durable.as_ref().and_then(|d| {
+                d.checkpoints.read()[p].recover_shared_within(queue.len(), &config.index)
+            });
             for r in 0..config.replicas_per_partition {
                 let index = Arc::new(VisualIndex::with_quantizers(
                     config.index.clone(),
@@ -1432,10 +1432,10 @@ impl SearchTopology {
             Arc::clone(&self.feature_db),
         )
         .with_filter(Arc::clone(filter));
-        let seed = self
-            .durable
-            .as_ref()
-            .and_then(|d| d.checkpoints.read()[checkpoint_partition].recover_shared_within(cut));
+        let seed = self.durable.as_ref().and_then(|d| {
+            d.checkpoints.read()[checkpoint_partition]
+                .recover_shared_within(cut, &self.config.index)
+        });
         let (fresh, build) = match &seed {
             Some(s) => {
                 let start = s.applied_offset.max(self.queue.base());
@@ -1547,7 +1547,9 @@ impl SearchTopology {
         };
         let mut max_tail = 0u64;
         for (r, handle) in self.handles[partition].iter().enumerate() {
-            let loaded = Arc::new(persist::load(&bytes).expect("snapshot round-trip cannot fail"));
+            let loaded = Arc::new(
+                persist::load(&bytes, &self.config.index).expect("snapshot round-trip cannot fail"),
+            );
             // The snapshot format does not carry the applied-offset
             // watermark (recovery re-stamps it too); without this a
             // post-rebuild checkpoint would record watermark 0.
@@ -1598,7 +1600,8 @@ impl SearchTopology {
         let seed = {
             let _maintenance = self.maintenance.lock();
             self.durable.as_ref().and_then(|d| {
-                d.checkpoints.read()[partition].recover_shared_within(self.queue.len())
+                d.checkpoints.read()[partition]
+                    .recover_shared_within(self.queue.len(), &self.config.index)
             })
         };
         let from_snapshot = seed.is_some();
@@ -1838,8 +1841,10 @@ impl SearchTopology {
         let mut sib_processed = Vec::with_capacity(replicas);
         let mut sib_parked = Vec::with_capacity(replicas);
         for r in 0..replicas {
-            let loaded =
-                Arc::new(persist::load(&sibling_bytes).expect("snapshot round-trip cannot fail"));
+            let loaded = Arc::new(
+                persist::load(&sibling_bytes, &self.config.index)
+                    .expect("snapshot round-trip cannot fail"),
+            );
             loaded.stats().applied_offset.set_max(cut0);
             report.sibling_records += loaded.num_images();
             let indexer = RealtimeIndexer::for_index(
@@ -1903,8 +1908,10 @@ impl SearchTopology {
         // Swap the parent's replicas down to their narrowed half, catching
         // up any replica whose quiesced cut ran past the build cut.
         for (r, handle) in self.handles[partition].iter().enumerate() {
-            let loaded =
-                Arc::new(persist::load(&parent_bytes).expect("snapshot round-trip cannot fail"));
+            let loaded = Arc::new(
+                persist::load(&parent_bytes, &self.config.index)
+                    .expect("snapshot round-trip cannot fail"),
+            );
             loaded.stats().applied_offset.set_max(cut0);
             let loaded = if cuts[r] > cut0 {
                 self.replay_tail(loaded, &parent_filter, cut0, cuts[r])
@@ -2338,6 +2345,21 @@ mod tests {
         images: &Arc<ImageStore>,
         tweak: impl FnOnce(&mut DurabilityOptions),
     ) -> SearchTopology {
+        let index = IndexConfig {
+            dim: DIM,
+            num_lists: 4,
+            nprobe: 4,
+            ..Default::default()
+        };
+        durable_world_indexed(dir, images, index, tweak)
+    }
+
+    fn durable_world_indexed(
+        dir: &std::path::Path,
+        images: &Arc<ImageStore>,
+        index: IndexConfig,
+        tweak: impl FnOnce(&mut DurabilityOptions),
+    ) -> SearchTopology {
         let feature_db = Arc::new(FeatureDb::new());
         let extractor = Arc::new(CachingExtractor::new(
             FeatureExtractor::new(ExtractorConfig {
@@ -2351,12 +2373,7 @@ mod tests {
             .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
             .collect();
         let config = TopologyConfig {
-            index: IndexConfig {
-                dim: DIM,
-                num_lists: 4,
-                nprobe: 4,
-                ..Default::default()
-            },
+            index,
             num_partitions: 2,
             replicas_per_partition: 1,
             num_broker_groups: 1,
@@ -2746,6 +2763,95 @@ mod tests {
             .search(SearchQuery::by_image_url("u777", 1))
             .unwrap();
         assert_eq!(resp.results[0].hit.url, "u777");
+    }
+
+    /// Regression: every lifecycle op ships its index through
+    /// `persist::load`, and snapshots do not carry the serving knob
+    /// (`nprobe_escalation`) — it used to come back as 0, so filtered
+    /// queries silently stopped escalating after the first rebuild,
+    /// bootstrap, split or recovery.
+    #[test]
+    fn serving_knob_survives_every_snapshot_load() {
+        const ESCALATION: usize = 4;
+        let dir = durable_dir("knob");
+        let images = Arc::new(ImageStore::with_blob_len(64));
+        let build = || {
+            let index = IndexConfig {
+                dim: DIM,
+                num_lists: 4,
+                nprobe: 1,
+                nprobe_escalation: ESCALATION,
+                ..Default::default()
+            };
+            durable_world_indexed(&dir, &images, index, |_| {})
+        };
+        let knob = |t: &SearchTopology, p, r| t.index(p, r).config().nprobe_escalation;
+        let mut t = build();
+        // Category 7 is spread over every synthetic cluster.
+        for i in 0..60u64 {
+            let url = format!("u{i}");
+            images.put_synthetic(&url, i % 5);
+            let attrs = ProductAttributes::new(ProductId(i), 1, 100, 1, url)
+                .with_category(if i % 3 == 0 { 7 } else { 0 });
+            t.publish(ProductEvent::AddProduct {
+                product_id: ProductId(i),
+                images: vec![attrs],
+            });
+        }
+        t.wait_for_freshness(Duration::from_secs(30));
+        assert_eq!(knob(&t, 0, 0), ESCALATION);
+        // A query whose nearest list holds only some of partition 0's rare
+        // images: it needs escalation to fill k.
+        let rare = jdvs_core::FilterSpec::by_category(7);
+        let filtered = |index: &VisualIndex, q: &Vector| {
+            let k = index.filters().category_bitmap(7).unwrap().count_ones();
+            index.search_filtered(q.as_slice(), k, 1, &rare)
+        };
+        let index = t.index(0, 0);
+        let unescalated =
+            persist::load(&persist::save(&index), &IndexConfig::default()).expect("round trip");
+        let features = (0..index.num_images() as u32)
+            .map(|id| index.features(jdvs_core::ImageId(id)).unwrap())
+            .find(|q| filtered(&unescalated, q).len() < filtered(&index, q).len())
+            .expect("some query needs escalation to fill k");
+        let want = filtered(&index, &features);
+
+        // Recovery from a checkpoint.
+        t.checkpoint_partition(0).unwrap();
+        t.checkpoint_partition(1).unwrap();
+        t.shutdown();
+        drop(t);
+        let mut t = build();
+        assert!(t
+            .recovery_reports()
+            .unwrap()
+            .iter()
+            .all(|r| r.from_snapshot));
+        assert_eq!(knob(&t, 0, 0), ESCALATION, "after recover_partition");
+        assert_eq!(knob(&t, 1, 0), ESCALATION, "after recover_partition");
+
+        t.rebuild_partition(0);
+        assert_eq!(knob(&t, 0, 0), ESCALATION, "after rebuild_partition");
+        assert_eq!(
+            filtered(&t.index(0, 0), &features),
+            want,
+            "still escalates after a rebuild"
+        );
+
+        assert!(t.bootstrap_replica(0).from_snapshot);
+        assert_eq!(knob(&t, 0, 1), ESCALATION, "after bootstrap_replica");
+
+        let sibling = t.split_partition(0).unwrap().sibling;
+        for r in 0..2 {
+            assert_eq!(knob(&t, 0, r), ESCALATION, "parent after split_partition");
+            assert_eq!(
+                knob(&t, sibling, r),
+                ESCALATION,
+                "sibling after split_partition"
+            );
+        }
+        t.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -35,7 +35,6 @@
 pub mod coarse;
 pub mod distance;
 pub mod kmeans;
-pub mod lsh;
 pub mod pq;
 pub mod rng;
 pub mod simd;

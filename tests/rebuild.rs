@@ -202,7 +202,7 @@ fn snapshot_of_live_partition_round_trips_through_bytes() {
     let index = w.topology().index(0, 0);
     let bytes = persist::save(&index);
     assert!(!bytes.is_empty());
-    let restored = persist::load(&bytes).expect("round trip");
+    let restored = persist::load(&bytes, index.config()).expect("round trip");
     assert_eq!(restored.num_images(), index.num_images());
     assert_eq!(restored.valid_images(), index.valid_images());
     // Same search behaviour on the restored copy.

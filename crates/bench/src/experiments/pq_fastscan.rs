@@ -158,7 +158,7 @@ pub fn pq_fastscan(ctx: &Ctx) -> ExperimentResult {
         simd::active().name()
     ));
     r.note(format!(
-        "single-thread fast-scan speedup over 8-bit ADC: {:.2}x (acceptance bar: >= 2x at equal recall)",
+        "single-thread fast-scan speedup over 8-bit ADC: {:.2}x (acceptance bar: >= 3x at equal recall)",
         adc8_us / fs4_us
     ));
     r.note("both variants differentially checked against per-id references before timing");

@@ -380,15 +380,22 @@ impl InvertedList {
         }
     }
 
-    /// Calls `f` with every published image id (a lock-free snapshot scan:
-    /// entries appended after the scan starts may or may not be seen).
-    pub fn scan(&self, mut f: impl FnMut(ImageId)) {
+    /// Pins the list's current slab and published length — the one lock
+    /// and refcount a scan of this list pays. Entries appended after the
+    /// snapshot may or may not be covered by a later one; this one never
+    /// changes.
+    pub fn snapshot(&self) -> ListSnapshot {
         let slab = Arc::clone(&self.shared.current.read());
         let len = slab.len();
-        for slot in &slab.slots[..len] {
-            // Relaxed: the slot writes below `len` happened-before the
-            // Acquire load in `slab.len()` above.
-            f(ImageId(slot.load(Ordering::Relaxed) as u32));
+        ListSnapshot { slab, len }
+    }
+
+    /// Calls `f` with every published image id, in append order, over one
+    /// [`Self::snapshot`].
+    pub fn scan(&self, mut f: impl FnMut(ImageId)) {
+        let ids = self.snapshot();
+        for pos in 0..ids.len() {
+            f(ids.id(pos));
         }
     }
 
@@ -399,19 +406,12 @@ impl InvertedList {
     /// block between branch points instead of bouncing through a callback
     /// per id. Same snapshot semantics as `scan`.
     pub fn scan_blocks(&self, mut f: impl FnMut(&[ImageId])) {
-        let slab = Arc::clone(&self.shared.current.read());
-        let len = slab.len();
+        let ids = self.snapshot();
         let mut block = [ImageId(0); SCAN_BLOCK];
-        let mut start = 0;
-        while start < len {
-            let n = SCAN_BLOCK.min(len - start);
-            for (dst, slot) in block[..n].iter_mut().zip(&slab.slots[start..start + n]) {
-                // Relaxed: ordered behind the Acquire `len` load, as in
-                // `scan`.
-                *dst = ImageId(slot.load(Ordering::Relaxed) as u32);
-            }
+        for start in (0..ids.len()).step_by(SCAN_BLOCK) {
+            let n = SCAN_BLOCK.min(ids.len() - start);
+            ids.copy_to(start, &mut block[..n]);
             f(&block[..n]);
-            start += n;
         }
     }
 
@@ -435,6 +435,53 @@ impl InvertedList {
     pub fn expansions(&self) -> u64 {
         // Relaxed: statistics counter.
         self.expansions.load(Ordering::Relaxed)
+    }
+}
+
+/// The ids one list had published when [`InvertedList::snapshot`] pinned
+/// it: positions `0..len()` of one slab, each readable without further
+/// synchronization.
+#[derive(Debug)]
+pub struct ListSnapshot {
+    slab: Arc<Slab>,
+    len: usize,
+}
+
+impl ListSnapshot {
+    /// Ids in the snapshot.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the list had published nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The id at position `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= self.len()`.
+    #[inline]
+    pub fn id(&self, pos: usize) -> ImageId {
+        assert!(pos < self.len, "position past the snapshot");
+        // Relaxed: slot writes below `len` happened-before the Acquire
+        // `len` load in `InvertedList::snapshot`.
+        ImageId(self.slab.slots[pos].load(Ordering::Relaxed) as u32)
+    }
+
+    /// Copies the ids at positions `start..start + out.len()` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past `self.len()`.
+    pub fn copy_to(&self, start: usize, out: &mut [ImageId]) {
+        let slots = &self.slab.slots[..self.len][start..start + out.len()];
+        for (dst, slot) in out.iter_mut().zip(slots) {
+            // Relaxed: as in `id`.
+            *dst = ImageId(slot.load(Ordering::Relaxed) as u32);
+        }
     }
 }
 

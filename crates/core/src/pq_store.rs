@@ -19,65 +19,197 @@
 //! - In 8-bit mode, codes are position-major (`pos · m .. pos · m + m`),
 //!   the classic contiguous ADC layout.
 //!
+//! Segments of [`SEGMENT_CODES`] positions are allocated on first write,
+//! never moved and freed only with the store, so readers *borrow* them
+//! through an append-only directory: no lock, no refcount.
+//!
 //! ## Concurrency
 //!
 //! Blocks are shared by up to 32 concurrently-inserting writers (and, in
 //! 4-bit mode, two *lanes* share each byte), so code bytes live in
 //! `AtomicU64` words written with `fetch_or`: every lane's bits start
 //! zero and are written exactly once, so OR-merging concurrent writers is
-//! exact. Publication follows the repo's standard protocol: the writer
-//! ORs the code bits (Relaxed), then sets the position's flag
-//! (**Release**); readers load the flag (**Acquire**) before copying
-//! words (Relaxed), so an observed flag implies the full code is visible.
-//! Unpublished lanes are masked out of scans — they are also never
-//! bitmap-visible, because [`crate::index::VisualIndex::insert`] sets the
-//! validity bit after `put` returns.
+//! exact. Every 32 positions share two mask words:
+//!
+//! - `claimed`: a writer first sets its lane's bit (Relaxed `fetch_or`) and
+//!   backs off if it was already set, so **at most one writer ever ORs
+//!   bits into a lane**, whatever the callers do.
+//! - `published`: after its code bits (Relaxed `fetch_or`s), the writer
+//!   sets its lane's bit with a **Release** `fetch_or`. A reader loads the
+//!   word once per block with **Acquire**. Every modification of the word
+//!   is an RMW, so each writer's release sequence runs to the end of the
+//!   modification order: the one load synchronizes with *every* writer
+//!   whose bit it sees, and those lanes' codes are complete.
+//!
+//! A `published` word of `u32::MAX` means the block is **sealed**: all 32
+//! lanes were claimed, written and published, so no thread will ever
+//! write the block's bytes again (a later `put` fails its claim before
+//! touching them). A sealed block is therefore plain immutable memory, and
+//! [`PqListReader::load_group`] hands the kernels the tile **in place** —
+//! non-atomic reads straight out of the segment, race-free because the
+//! Acquire load that observed the seal happens-after all 32 writers. Only
+//! an unsealed block (at most the tail of a list, while writers still
+//! fill it) is copied into scratch with atomic loads, and its unpublished
+//! lanes are masked out of scans — they are also never bitmap-visible,
+//! because [`crate::index::VisualIndex::insert`] sets the validity bit
+//! after `put` returns.
 //!
 //! The `ablate-pq` experiment quantifies the trade: memory shrinks by
 //! `4·d·8/(m·bits)`, distances become approximate (recall dips), and the
 //! 4-bit fast-scan path trades a bounded quantization error for the
 //! register-resident kernel — which is why compressed search re-ranks.
 
-use crate::sync::{Arc, AtomicU64, AtomicU8, Ordering, RwLock};
+use std::sync::OnceLock;
+
+use crate::sync::{AtomicU32, AtomicU64, Ordering};
 
 use jdvs_vector::pq::{AdcTable, ProductQuantizer, QuantizedAdcTable};
 use jdvs_vector::Vector;
 
 use crate::ids::{ImageId, ListId};
 
-/// Codes per 4-bit fast-scan block (one kernel call's worth).
+/// Codes per 4-bit fast-scan block (one kernel call's worth), and positions
+/// per publication mask in either mode.
 pub const FASTSCAN_BLOCK: usize = jdvs_vector::pq::FASTSCAN_BLOCK;
 
-/// Positions per code segment (8 fast-scan blocks); segment allocation is
-/// the only locking writers and readers ever do.
+/// Positions per code segment (8 fast-scan blocks).
 pub const SEGMENT_CODES: usize = 256;
+
+/// Publication masks per segment.
+const SEGMENT_BLOCKS: usize = SEGMENT_CODES / FASTSCAN_BLOCK;
 
 /// Ids per id-map chunk.
 const ID_CHUNK: usize = 4096;
 
+/// An append-only, lock-free map from small indexes to lazily created
+/// values that are never moved or dropped before the directory: `get`
+/// hands out plain borrows. Bucket `b` holds the `2^b` slots of indexes
+/// `2^b - 1 .. 2^(b+1) - 1`, so an empty directory is a few words per
+/// bucket and growing it never relocates an existing slot.
+struct Directory<T> {
+    buckets: [OnceLock<Box<[OnceLock<T>]>>; DIRECTORY_BUCKETS],
+}
+
+/// Enough for every `u32` position: `2^32 / SEGMENT_CODES` segments.
+const DIRECTORY_BUCKETS: usize = 25;
+
+impl<T> Directory<T> {
+    fn new() -> Self {
+        Self {
+            buckets: [const { OnceLock::new() }; DIRECTORY_BUCKETS],
+        }
+    }
+
+    /// `(bucket, slot within it)` of `idx`.
+    fn slot_of(idx: usize) -> (usize, usize) {
+        let bucket = (idx + 1).ilog2() as usize;
+        (bucket, idx + 1 - (1 << bucket))
+    }
+
+    fn get(&self, idx: usize) -> Option<&T> {
+        let (bucket, slot) = Self::slot_of(idx);
+        self.buckets.get(bucket)?.get()?[slot].get()
+    }
+
+    /// The value at `idx`, created by `init` if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is beyond the directory's `2^25 - 1` slots.
+    fn get_or_init(&self, idx: usize, init: impl FnOnce() -> T) -> &T {
+        let (bucket, slot) = Self::slot_of(idx);
+        self.buckets[bucket]
+            .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect())[slot]
+            .get_or_init(init)
+    }
+
+    /// Every present value with its index, in index order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(b, bucket)| Some((b, bucket.get()?)))
+            .flat_map(|(b, slots)| {
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, slot)| Some(((1 << b) - 1 + i, slot.get()?)))
+            })
+    }
+}
+
 /// One segment of a list's code area: flat atomic words holding packed
-/// code bytes, plus one publication flag per position.
+/// code bytes, plus the two mask words of each 32-position block (see the
+/// module docs).
 struct CodeSegment {
-    /// Packed code bytes, 8 per word, little-endian byte order (byte `b`
-    /// of the segment lives in word `b / 8` at bit `8 · (b % 8)`).
+    /// Packed code bytes, 8 per word, in **memory order**: byte `b` of the
+    /// segment is byte `b % 8` of word `b / 8`'s native representation, so
+    /// the words of a sealed block read back as the kernel tile in place.
     words: Box<[AtomicU64]>,
-    /// 1 once the position's full code is stored; the Release/Acquire
-    /// publication point for the bits in `words`.
-    flags: Box<[AtomicU8]>,
+    /// Bit `i` of word `k`: some writer owns position `32·k + i`.
+    claimed: [AtomicU32; SEGMENT_BLOCKS],
+    /// Bit `i` of word `k`: position `32·k + i`'s full code is stored —
+    /// the Release/Acquire publication point for the bits in `words`.
+    published: [AtomicU32; SEGMENT_BLOCKS],
 }
 
 impl CodeSegment {
     fn new(num_words: usize) -> Self {
         Self {
             words: (0..num_words).map(|_| AtomicU64::new(0)).collect(),
-            flags: (0..SEGMENT_CODES).map(|_| AtomicU8::new(0)).collect(),
+            claimed: std::array::from_fn(|_| AtomicU32::new(0)),
+            published: std::array::from_fn(|_| AtomicU32::new(0)),
         }
+    }
+
+    /// The published-lane mask of block `block`.
+    #[inline]
+    fn published(&self, block: usize) -> u32 {
+        // Acquire: pairs with the Release `fetch_or` in `PqStore::put` of
+        // every lane the mask admits (all modifications of the word are
+        // RMWs, so each one's release sequence reaches this load) — the
+        // word loads that follow see those lanes' complete codes.
+        self.published[block].load(Ordering::Acquire)
     }
 }
 
-/// One inverted list's code area.
-struct PqList {
-    segments: RwLock<Vec<Arc<CodeSegment>>>,
+/// `value` as byte `byte % 8` of a word in memory order.
+#[inline]
+fn byte_in_word(byte: usize, value: u8) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[byte % 8] = value;
+    u64::from_ne_bytes(bytes)
+}
+
+/// Where positions' code bytes sit inside a segment.
+#[derive(Clone, Copy)]
+struct Layout {
+    /// Subspaces per code (`quantizer.num_subspaces()`).
+    m: usize,
+    /// Whether the 4-bit interleaved layout is active.
+    four_bit: bool,
+}
+
+impl Layout {
+    /// Byte offset (within a segment) of subspace `sub` of position `off`,
+    /// plus the in-byte nibble shift (always 0 in 8-bit mode).
+    #[inline]
+    fn byte_of(self, off: usize, sub: usize) -> (usize, u32) {
+        if self.four_bit {
+            let block = off / FASTSCAN_BLOCK;
+            let lane = off % FASTSCAN_BLOCK;
+            let byte = block * self.m * 16 + sub * 16 + lane % 16;
+            (byte, if lane < 16 { 0 } else { 4 })
+        } else {
+            (off * self.m + sub, 0)
+        }
+    }
+
+    /// Atomic words per segment: `SEGMENT_CODES` positions of `m·bits`
+    /// bits each, 64 bits per word.
+    fn words_per_segment(self) -> usize {
+        SEGMENT_CODES * self.m * if self.four_bit { 4 } else { 8 } / 64
+    }
 }
 
 /// A chunk of the id → (list, position) map.
@@ -97,22 +229,29 @@ impl IdChunk {
 
 const ID_PRESENT: u64 = 1 << 63;
 
+/// Unpacks an id-map entry; `None` while the id was never put.
+fn unpack_entry(entry: u64) -> Option<(ListId, usize)> {
+    (entry & ID_PRESENT != 0).then_some((
+        ListId(((entry >> 32) & 0x7fff_ffff) as u32),
+        (entry & 0xffff_ffff) as usize,
+    ))
+}
+
 /// Append-only store of PQ codes in the interleaved fast-scan layout; see
 /// the module docs.
 pub struct PqStore {
     quantizer: std::sync::Arc<ProductQuantizer>,
-    /// Cached `quantizer.num_subspaces()`.
-    m: usize,
-    /// Cached `quantizer.bits() == 4`.
-    four_bit: bool,
-    lists: Box<[PqList]>,
-    id_chunks: RwLock<Vec<Arc<IdChunk>>>,
+    layout: Layout,
+    /// Per list: its segment directory, boxed on the list's first `put` so
+    /// an index of many (mostly short) lists pays two words per list.
+    lists: Box<[OnceLock<Box<Directory<CodeSegment>>>]>,
+    id_chunks: Directory<IdChunk>,
 }
 
 impl std::fmt::Debug for PqStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PqStore")
-            .field("subspaces", &self.m)
+            .field("subspaces", &self.layout.m)
             .field("bits", &self.quantizer.bits())
             .field("lists", &self.lists.len())
             .finish()
@@ -128,18 +267,15 @@ impl PqStore {
     /// Panics if `num_lists == 0`.
     pub fn new(quantizer: std::sync::Arc<ProductQuantizer>, num_lists: usize) -> Self {
         assert!(num_lists > 0, "num_lists must be positive");
-        let m = quantizer.num_subspaces();
-        let four_bit = quantizer.bits() == 4;
+        let layout = Layout {
+            m: quantizer.num_subspaces(),
+            four_bit: quantizer.bits() == 4,
+        };
         Self {
             quantizer,
-            m,
-            four_bit,
-            lists: (0..num_lists)
-                .map(|_| PqList {
-                    segments: RwLock::new(Vec::new()),
-                })
-                .collect(),
-            id_chunks: RwLock::new(Vec::new()),
+            layout,
+            lists: (0..num_lists).map(|_| OnceLock::new()).collect(),
+            id_chunks: Directory::new(),
         }
     }
 
@@ -156,60 +292,23 @@ impl PqStore {
 
     /// Unpacked bytes per code (`m`).
     pub fn code_len(&self) -> usize {
-        self.m
+        self.layout.m
     }
 
     /// Whether the 4-bit fast-scan layout is active.
     pub fn is_four_bit(&self) -> bool {
-        self.four_bit
+        self.layout.four_bit
     }
 
     /// Packed storage bytes per vector (`m·bits/8`, rounded up).
     pub fn bytes_per_vector(&self) -> usize {
-        (self.m * usize::from(self.quantizer.bits())).div_ceil(8)
-    }
-
-    /// Atomic words per segment: `SEGMENT_CODES` positions of
-    /// `m·bits` bits each, 64 bits per word.
-    fn words_per_segment(&self) -> usize {
-        SEGMENT_CODES * self.m * usize::from(self.quantizer.bits()) / 64
-    }
-
-    /// Byte offset (within a segment) of subspace `sub` of position `off`,
-    /// plus the in-byte nibble shift (always 0 in 8-bit mode).
-    #[inline]
-    fn byte_of(&self, off: usize, sub: usize) -> (usize, u32) {
-        if self.four_bit {
-            let block = off / FASTSCAN_BLOCK;
-            let lane = off % FASTSCAN_BLOCK;
-            let byte = block * self.m * 16 + sub * 16 + lane % 16;
-            (byte, if lane < 16 { 0 } else { 4 })
-        } else {
-            (off * self.m + sub, 0)
-        }
-    }
-
-    /// The segment holding `seg_idx`, allocating it (and any gap) if
-    /// needed.
-    fn segment(&self, list: ListId, seg_idx: usize) -> Arc<CodeSegment> {
-        let list = &self.lists[list.as_usize()];
-        {
-            let segs = list.segments.read();
-            if let Some(s) = segs.get(seg_idx) {
-                return Arc::clone(s);
-            }
-        }
-        let mut segs = list.segments.write();
-        while segs.len() <= seg_idx {
-            segs.push(Arc::new(CodeSegment::new(self.words_per_segment())));
-        }
-        Arc::clone(&segs[seg_idx])
+        (self.layout.m * usize::from(self.quantizer.bits())).div_ceil(8)
     }
 
     /// Encodes and stores `vector` as the code of position `pos` of `list`
     /// (the position [`crate::inverted::InvertedIndex::append`] returned
-    /// for `id`), then registers `id → (list, pos)`. Write-once: a
-    /// position whose flag is already set is left untouched.
+    /// for `id`), then registers `id → (list, pos)`. Write-once: only the
+    /// first `put` of a position writes it, later ones change nothing.
     ///
     /// # Panics
     ///
@@ -217,80 +316,62 @@ impl PqStore {
     /// `list` is out of range.
     pub fn put(&self, id: ImageId, list: ListId, pos: usize, vector: &Vector) {
         let code = self.quantizer.encode(vector.as_slice());
-        let seg = self.segment(list, pos / SEGMENT_CODES);
+        let seg = self.lists[list.as_usize()]
+            .get_or_init(|| Box::new(Directory::new()))
+            .get_or_init(pos / SEGMENT_CODES, || {
+                CodeSegment::new(self.layout.words_per_segment())
+            });
         let off = pos % SEGMENT_CODES;
-        // Relaxed: a set flag only tells us some complete code already
-        // occupies the position (write-once guard against API misuse);
-        // nothing is read from the words on this path.
-        if seg.flags[off].load(Ordering::Relaxed) != 0 {
+        let (block, lane_bit) = (off / FASTSCAN_BLOCK, 1u32 << (off % FASTSCAN_BLOCK));
+        // Relaxed: the claim orders nothing, it only elects the position's
+        // one writer — RMWs on one word are totally ordered, so exactly
+        // one `put` sees the bit clear. That election is what lets readers
+        // treat a sealed block as immutable (see the module docs).
+        if seg.claimed[block].fetch_or(lane_bit, Ordering::Relaxed) & lane_bit != 0 {
             return;
         }
         for (sub, &c) in code.iter().enumerate() {
-            let (byte, nibble_shift) = self.byte_of(off, sub);
-            debug_assert!(!self.four_bit || c < 16, "4-bit code out of range");
-            let bits = u64::from(c) << nibble_shift << ((byte % 8) * 8);
+            let (byte, nibble_shift) = self.layout.byte_of(off, sub);
+            debug_assert!(!self.layout.four_bit || c < 16, "4-bit code out of range");
             // Relaxed RMW: each lane's bits are zero until its single
             // writer ORs them in, so concurrent writers to the shared
             // word (other lanes of the block) merge exactly. The bits
-            // are published by the flag store below.
-            seg.words[byte / 8].fetch_or(bits, Ordering::Relaxed);
+            // are published by the mask RMW below.
+            seg.words[byte / 8].fetch_or(byte_in_word(byte, c << nibble_shift), Ordering::Relaxed);
         }
-        // Release: pairs with the Acquire flag loads in
-        // `PqListReader::{load_group, read_code}` and `PqStore::locate`
-        // readers — a reader that observes the flag observes every
-        // `fetch_or` above.
-        seg.flags[off].store(1, Ordering::Release);
+        // Release: pairs with the Acquire load in `CodeSegment::published`
+        // — a reader that observes the bit observes every `fetch_or`
+        // above.
+        seg.published[block].fetch_or(lane_bit, Ordering::Release);
 
-        let chunk_idx = id.as_usize() / ID_CHUNK;
-        {
-            let chunks = self.id_chunks.read();
-            if chunks.len() <= chunk_idx {
-                drop(chunks);
-                let mut chunks = self.id_chunks.write();
-                while chunks.len() <= chunk_idx {
-                    chunks.push(Arc::new(IdChunk::new()));
-                }
-            }
-        }
         let entry = ID_PRESENT | (list.as_usize() as u64) << 32 | pos as u64;
         // Release: pairs with the Acquire load in `locate`, so an id-keyed
-        // reader that finds the entry also finds the flag (stored above in
-        // program order) and therefore the code bits.
-        self.id_chunks.read()[chunk_idx].slots[id.as_usize() % ID_CHUNK]
+        // reader that finds the entry also finds the published bit (set
+        // above in program order) and therefore the code bits.
+        self.id_chunks
+            .get_or_init(id.as_usize() / ID_CHUNK, IdChunk::new)
+            .slots[id.as_usize() % ID_CHUNK]
             .store(entry, Ordering::Release);
     }
 
     /// The (list, position) a code was stored under, if `id` was put.
     pub fn locate(&self, id: ImageId) -> Option<(ListId, usize)> {
-        let chunks = self.id_chunks.read();
-        let chunk = chunks.get(id.as_usize() / ID_CHUNK)?;
+        let chunk = self.id_chunks.get(id.as_usize() / ID_CHUNK)?;
         // Acquire: pairs with the Release store in `put`; see there.
-        let entry = chunk.slots[id.as_usize() % ID_CHUNK].load(Ordering::Acquire);
-        if entry & ID_PRESENT == 0 {
-            return None;
-        }
-        Some((
-            ListId(((entry >> 32) & 0x7fff_ffff) as u32),
-            (entry & 0xffff_ffff) as usize,
-        ))
+        unpack_entry(chunk.slots[id.as_usize() % ID_CHUNK].load(Ordering::Acquire))
     }
 
-    /// A pinned, lock-free reader over one list's codes — the scan path's
-    /// view: pins the list's segments once per query.
+    /// A reader over one list's codes — the scan path's view. Borrows the
+    /// list's segments; costs nothing to create.
     ///
     /// # Panics
     ///
     /// Panics if `list` is out of range.
-    pub fn list_reader(&self, list: ListId) -> PqListReader {
+    pub fn list_reader(&self, list: ListId) -> PqListReader<'_> {
         PqListReader {
-            segments: self.lists[list.as_usize()]
-                .segments
-                .read()
-                .iter()
-                .map(Arc::clone)
-                .collect(),
-            m: self.m,
-            four_bit: self.four_bit,
+            segments: self.lists[list.as_usize()].get().map(|dir| &**dir),
+            layout: self.layout,
+            cursor: None,
         }
     }
 
@@ -325,11 +406,26 @@ impl PqStore {
         self.list_reader(list).read_code(pos, code)
     }
 
+    /// `f` over `id`'s unpacked code, read into stack scratch (heap only
+    /// for more subspaces than any shipped configuration uses); `None` if
+    /// the id was never written.
+    fn with_code<R>(&self, id: ImageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let mut stack = [0u8; 64];
+        let mut heap = Vec::new();
+        let code = match stack.get_mut(..self.layout.m) {
+            Some(code) => code,
+            None => {
+                heap.resize(self.layout.m, 0);
+                &mut heap[..]
+            }
+        };
+        self.code_into(id, code).then(|| f(code))
+    }
+
     /// Approximate squared distance from the tabled query to `id` (`None`
     /// if the id was never written).
     pub fn distance(&self, table: &AdcTable, id: ImageId) -> Option<f32> {
-        let mut code = vec![0u8; self.m];
-        self.code_into(id, &mut code).then(|| table.distance(&code))
+        self.with_code(id, |code| table.distance(code))
     }
 
     /// Quantized fast-scan distance of `id` — the per-id twin of the block
@@ -337,28 +433,20 @@ impl PqStore {
     /// [`jdvs_vector::simd::KernelSet::fastscan16`] lane (`None` if the id
     /// was never written).
     pub fn quantized_distance(&self, table: &QuantizedAdcTable, id: ImageId) -> Option<f32> {
-        let mut code = vec![0u8; self.m];
-        self.code_into(id, &mut code).then(|| table.distance(&code))
+        self.with_code(id, |code| table.distance(code))
     }
 
     /// Scans every written code in **id order**, calling `f(id, distance)`
-    /// — the ablation-bench bulk path. Pins every list's segments once.
+    /// — the ablation-bench bulk path.
     pub fn scan(&self, table: &AdcTable, mut f: impl FnMut(ImageId, f32)) {
-        let readers: Vec<PqListReader> = (0..self.lists.len())
-            .map(|l| self.list_reader(ListId(l as u32)))
-            .collect();
-        let chunks: Vec<Arc<IdChunk>> = self.id_chunks.read().iter().map(Arc::clone).collect();
-        let mut code = vec![0u8; self.m];
-        for (ci, chunk) in chunks.iter().enumerate() {
+        let mut code = vec![0u8; self.layout.m];
+        for (ci, chunk) in self.id_chunks.iter() {
             for (si, slot) in chunk.slots.iter().enumerate() {
                 // Acquire: pairs with the Release store in `put`.
-                let entry = slot.load(Ordering::Acquire);
-                if entry & ID_PRESENT == 0 {
+                let Some((list, pos)) = unpack_entry(slot.load(Ordering::Acquire)) else {
                     continue;
-                }
-                let list = ((entry >> 32) & 0x7fff_ffff) as usize;
-                let pos = (entry & 0xffff_ffff) as usize;
-                if readers[list].read_code(pos, &mut code) {
+                };
+                if self.list_reader(list).read_code(pos, &mut code) {
                     f(ImageId((ci * ID_CHUNK + si) as u32), table.distance(&code));
                 }
             }
@@ -367,77 +455,109 @@ impl PqStore {
 
     /// Reconstructs the approximate vector stored for `id`.
     pub fn decode(&self, id: ImageId) -> Option<Vector> {
-        let mut code = vec![0u8; self.m];
-        self.code_into(id, &mut code)
-            .then(|| self.quantizer.decode(&code))
+        self.with_code(id, |code| self.quantizer.decode(code))
     }
 }
 
-/// A pinned, lock-free view of one list's codes; see
-/// [`PqStore::list_reader`].
-pub struct PqListReader {
-    segments: Vec<Arc<CodeSegment>>,
-    m: usize,
-    four_bit: bool,
+/// A reader over one list's codes; see [`PqStore::list_reader`]. It
+/// remembers the segment it last touched, so a scan walking positions in
+/// order resolves the directory once per [`SEGMENT_CODES`] positions.
+pub struct PqListReader<'a> {
+    /// `None` until the list's first `put`.
+    segments: Option<&'a Directory<CodeSegment>>,
+    layout: Layout,
+    /// The segment index last resolved, and what it resolved to.
+    cursor: Option<(usize, Option<&'a CodeSegment>)>,
 }
 
-impl std::fmt::Debug for PqListReader {
+impl std::fmt::Debug for PqListReader<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PqListReader")
-            .field("segments", &self.segments.len())
+            .field("subspaces", &self.layout.m)
+            .field("four_bit", &self.layout.four_bit)
             .finish()
     }
 }
 
-impl PqListReader {
-    /// Bytes of one fast-scan tile (`m × 16`, the `load_group` buffer).
+impl<'a> PqListReader<'a> {
+    /// Bytes of one fast-scan tile (`m × 16`, the `load_group` scratch).
     pub fn tile_len(&self) -> usize {
-        self.m * 16
+        self.layout.m * 16
     }
 
-    /// Copies the interleaved block starting at position `base` into
-    /// `tile` (kernel operand order) and returns the mask of **published**
-    /// lanes: bit `i` set means position `base + i`'s code is complete.
-    /// Unpublished lanes' bytes are unspecified — kernel sums for them
-    /// must be discarded via the mask.
+    /// The segment holding position `pos`, if it was ever allocated.
+    #[inline]
+    fn segment(&mut self, pos: usize) -> Option<&'a CodeSegment> {
+        let idx = pos / SEGMENT_CODES;
+        match self.cursor {
+            Some((at, seg)) if at == idx => seg,
+            _ => {
+                let seg = self.segments.and_then(|dir| dir.get(idx));
+                self.cursor = Some((idx, seg));
+                seg
+            }
+        }
+    }
+
+    /// The interleaved block starting at position `base`: the mask of its
+    /// **published** lanes (bit `i` set means position `base + i`'s code is
+    /// complete) and its tile in kernel operand order. A sealed block (mask
+    /// `u32::MAX`) is borrowed in place from the segment; any other
+    /// non-empty block is copied into `scratch`, and its unpublished lanes'
+    /// bytes are unspecified — kernel sums for them must be discarded via
+    /// the mask. A mask of 0 comes with an empty tile.
     ///
     /// # Panics
     ///
     /// Panics unless the store is 4-bit, `base` is block-aligned, and
-    /// `tile.len() == self.tile_len()`.
-    pub fn load_group(&self, base: usize, tile: &mut [u8]) -> u32 {
-        assert!(self.four_bit, "fast-scan groups require the 4-bit layout");
+    /// `scratch.len() == self.tile_len()`.
+    #[inline]
+    pub fn load_group<'t>(&mut self, base: usize, scratch: &'t mut [u8]) -> (u32, &'t [u8])
+    where
+        'a: 't,
+    {
+        assert!(
+            self.layout.four_bit,
+            "fast-scan groups require the 4-bit layout"
+        );
         assert_eq!(base % FASTSCAN_BLOCK, 0, "group base must be block-aligned");
-        assert_eq!(tile.len(), self.tile_len(), "tile length mismatch");
-        let Some(seg) = self.segments.get(base / SEGMENT_CODES) else {
-            return 0;
+        assert_eq!(scratch.len(), self.tile_len(), "tile length mismatch");
+        let Some(seg) = self.segment(base) else {
+            return (0, &[]);
         };
-        let off = base % SEGMENT_CODES;
-        let mut mask = 0u32;
-        for i in 0..FASTSCAN_BLOCK {
-            // Acquire: pairs with the Release flag store in
-            // `PqStore::put` — once observed, the word loads below see
-            // every code bit of lane `i`.
-            if seg.flags[off + i].load(Ordering::Acquire) != 0 {
-                mask |= 1 << i;
-            }
-        }
+        let block = base % SEGMENT_CODES / FASTSCAN_BLOCK;
+        let mask = seg.published(block);
         if mask == 0 {
-            return 0;
+            return (0, &[]);
         }
-        let words_per_block = self.m * 16 / 8;
-        let word_base = (off / FASTSCAN_BLOCK) * words_per_block;
-        for (w, chunk) in tile.chunks_exact_mut(8).enumerate() {
-            // Relaxed: ordered by the Acquire flag loads above for every
-            // lane the mask admits; bits of unpublished lanes may be
-            // mid-write but are never interpreted.
-            chunk.copy_from_slice(
-                &seg.words[word_base + w]
-                    .load(Ordering::Relaxed)
-                    .to_le_bytes(),
-            );
+        let words_per_block = self.tile_len() / 8;
+        let words = &seg.words[block * words_per_block..][..words_per_block];
+        // Loom's instrumented atomics have no stable layout to read
+        // through; model builds copy every block.
+        #[cfg(not(loom))]
+        if mask == u32::MAX {
+            // SAFETY: `words` is `tile_len()` bytes of initialized,
+            // 8-aligned memory (`AtomicU64` has the layout of `u64`) that
+            // lives as long as the store (`'a`). The block is sealed, so
+            // nothing writes it any more: a position's bytes are written
+            // only by the one `put` that won its `claimed` bit, strictly
+            // before that `put` sets its `published` bit, and all 32
+            // published bits are set. Those writes happened-before the
+            // Acquire load of `mask` above (release sequences, see
+            // `CodeSegment::published`), so plain reads cannot race them.
+            // Bytes are stored in memory order (`byte_in_word`), so the
+            // words *are* the tile.
+            let tile =
+                unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) };
+            return (mask, tile);
         }
-        mask
+        for (word, chunk) in words.iter().zip(scratch.chunks_exact_mut(8)) {
+            // Relaxed: ordered by the Acquire mask load for every lane the
+            // mask admits; bits of unpublished lanes may be mid-write but
+            // are never interpreted.
+            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_ne_bytes());
+        }
+        (mask, scratch)
     }
 
     /// Reads the unpacked code at `pos` into `code`; `false` if the
@@ -446,22 +566,20 @@ impl PqListReader {
     /// # Panics
     ///
     /// Panics if `code.len()` differs from the number of subspaces.
-    pub fn read_code(&self, pos: usize, code: &mut [u8]) -> bool {
-        assert_eq!(code.len(), self.m, "code length mismatch");
-        let Some(seg) = self.segments.get(pos / SEGMENT_CODES) else {
+    pub fn read_code(&mut self, pos: usize, code: &mut [u8]) -> bool {
+        assert_eq!(code.len(), self.layout.m, "code length mismatch");
+        let Some(seg) = self.segment(pos) else {
             return false;
         };
         let off = pos % SEGMENT_CODES;
-        // Acquire: pairs with the Release flag store in `PqStore::put`.
-        if seg.flags[off].load(Ordering::Acquire) == 0 {
+        if seg.published(off / FASTSCAN_BLOCK) & (1 << (off % FASTSCAN_BLOCK)) == 0 {
             return false;
         }
         for (sub, out) in code.iter_mut().enumerate() {
-            let (byte, nibble_shift) = byte_of(self.four_bit, self.m, off, sub);
-            // Relaxed: ordered by the Acquire flag load above.
-            let word = seg.words[byte / 8].load(Ordering::Relaxed);
-            let b = (word >> ((byte % 8) * 8)) as u8;
-            *out = if self.four_bit {
+            let (byte, nibble_shift) = self.layout.byte_of(off, sub);
+            // Relaxed: ordered by the Acquire mask load above.
+            let b = seg.words[byte / 8].load(Ordering::Relaxed).to_ne_bytes()[byte % 8];
+            *out = if self.layout.four_bit {
                 (b >> nibble_shift) & 0x0f
             } else {
                 b
@@ -471,21 +589,7 @@ impl PqListReader {
     }
 }
 
-/// Free-function twin of [`PqStore::byte_of`] for the reader (which does
-/// not hold the store).
-#[inline]
-fn byte_of(four_bit: bool, m: usize, off: usize, sub: usize) -> (usize, u32) {
-    if four_bit {
-        let block = off / FASTSCAN_BLOCK;
-        let lane = off % FASTSCAN_BLOCK;
-        let byte = block * m * 16 + sub * 16 + lane % 16;
-        (byte, if lane < 16 { 0 } else { 4 })
-    } else {
-        (off * m + sub, 0)
-    }
-}
-
-#[cfg(test)]
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use jdvs_vector::pq::PqConfig;
@@ -542,21 +646,32 @@ mod tests {
         }
     }
 
+    /// Whether `tile` is `scratch`'s memory (the copy path) or the
+    /// segment's own (in place).
+    fn in_place(tile: &[u8], scratch: *const u8) -> bool {
+        !std::ptr::eq(tile.as_ptr(), scratch)
+    }
+
     #[test]
     fn load_group_matches_per_id_distances_bit_exactly() {
         let (pq, data) = trained(16, 8, 4);
         let store = PqStore::new(std::sync::Arc::clone(&pq), 1);
-        // 77 codes: two full blocks plus a partial tail block.
+        // 77 codes: two sealed blocks plus a partial tail block.
         for (i, v) in data.iter().take(77).enumerate() {
             store.put(ImageId(i as u32), ListId(0), i, v);
         }
         let table = store.quantized_adc_table(data[5].as_slice());
-        let reader = store.list_reader(ListId(0));
-        let mut tile = vec![0u8; reader.tile_len()];
+        let mut reader = store.list_reader(ListId(0));
+        let mut scratch = vec![0u8; reader.tile_len()];
+        let scratch_ptr = scratch.as_ptr();
         let mut acc = [0u16; FASTSCAN_BLOCK];
         for base in (0..96).step_by(FASTSCAN_BLOCK) {
-            let mask = reader.load_group(base, &mut tile);
-            jdvs_vector::simd::active().fastscan16(&tile, table.luts(), &mut acc);
+            let (mask, tile) = reader.load_group(base, &mut scratch);
+            // A block observed sealed is scored where it lies; the tail
+            // goes through the copy.
+            assert_eq!(in_place(tile, scratch_ptr), mask == u32::MAX);
+            assert_eq!(mask == u32::MAX, base + FASTSCAN_BLOCK <= 77);
+            jdvs_vector::simd::active().fastscan16(tile, table.luts(), &mut acc);
             for (lane, &lane_acc) in acc.iter().enumerate() {
                 let pos = base + lane;
                 let published = mask & (1 << lane) != 0;
@@ -573,7 +688,43 @@ mod tests {
                 }
             }
         }
-        assert_eq!(reader.load_group(SEGMENT_CODES * 4, &mut tile), 0);
+        let (mask, tile) = reader.load_group(SEGMENT_CODES * 4, &mut scratch);
+        assert!(mask == 0 && tile.is_empty());
+    }
+
+    #[test]
+    fn block_turns_in_place_when_its_last_lane_publishes() {
+        let (pq, data) = trained(16, 8, 4);
+        let store = PqStore::new(pq, 1);
+        for (i, v) in data.iter().take(FASTSCAN_BLOCK - 1).enumerate() {
+            store.put(ImageId(i as u32), ListId(0), i, v);
+        }
+        let mut scratch = vec![0u8; 8 * 16];
+        let scratch_ptr = scratch.as_ptr();
+        let (mask, tile) = store.list_reader(ListId(0)).load_group(0, &mut scratch);
+        assert_eq!(mask, u32::MAX >> 1);
+        assert!(!in_place(tile, scratch_ptr), "31 lanes: copied");
+        let copied = tile.to_vec();
+
+        store.put(ImageId(31), ListId(0), 31, &data[31]);
+        let (mask, tile) = store.list_reader(ListId(0)).load_group(0, &mut scratch);
+        assert_eq!(mask, u32::MAX);
+        assert!(in_place(tile, scratch_ptr), "32 lanes: sealed, in place");
+        // Lane 31 is the high nibble of byte 15 of every row; nothing else
+        // moved.
+        for (at, (&now, &before)) in tile.iter().zip(&copied).enumerate() {
+            let others = if at % 16 == 15 { 0x0f } else { 0xff };
+            assert_eq!(now & others, before & others, "byte {at}");
+        }
+
+        // The write-once guard: a second put of a sealed block's position
+        // must not touch its bytes (readers hold them as plain memory).
+        let sealed = tile.to_vec();
+        for pos in [0, 15, 16, 31] {
+            store.put(ImageId(900 + pos as u32), ListId(0), pos, &data[100 + pos]);
+        }
+        let (mask, tile) = store.list_reader(ListId(0)).load_group(0, &mut scratch);
+        assert_eq!((mask, tile), (u32::MAX, &sealed[..]));
     }
 
     #[test]
@@ -636,8 +787,8 @@ mod tests {
         store.put(ImageId(7), ListId(0), pos, &data[0]);
         assert_eq!(store.locate(ImageId(7)), Some((ListId(0), pos)));
         assert!(store.decode(ImageId(7)).is_some());
-        // Gap segments exist but hold nothing.
-        let reader = store.list_reader(ListId(0));
+        // Gap segments hold nothing.
+        let mut reader = store.list_reader(ListId(0));
         let mut code = vec![0u8; 2];
         assert!(!reader.read_code(3, &mut code));
         assert!(reader.read_code(pos, &mut code));
@@ -675,19 +826,27 @@ mod tests {
                 barrier.wait();
                 // Race reads against the writers: any published lane must
                 // already hold its final, exact code.
-                let mut tile = vec![0u8; 8 * 16];
+                let mut scratch = vec![0u8; 8 * 16];
                 let mut code = vec![0u8; 8];
                 for _ in 0..50 {
-                    let reader = store.list_reader(ListId(0));
+                    let mut reader = store.list_reader(ListId(0));
                     for base in (0..n).step_by(FASTSCAN_BLOCK) {
-                        let mask = reader.load_group(base, &mut tile);
+                        let (mask, tile) = reader.load_group(base, &mut scratch);
                         for lane in 0..FASTSCAN_BLOCK {
                             if mask & (1 << lane) == 0 {
                                 continue;
                             }
                             let pos = base + lane;
-                            assert!(reader.read_code(pos, &mut code));
-                            assert_eq!(code, pq.encode(data[pos].as_slice()), "pos {pos}");
+                            // The tile (in place once the block seals) and
+                            // the per-position read agree with the encoder.
+                            let want = pq.encode(data[pos].as_slice());
+                            for (sub, &c) in want.iter().enumerate() {
+                                let byte = tile[sub * 16 + lane % 16];
+                                let got = if lane < 16 { byte & 0x0f } else { byte >> 4 };
+                                assert_eq!(got, c, "tile pos {pos} sub {sub}");
+                            }
+                            assert!(store.list_reader(ListId(0)).read_code(pos, &mut code));
+                            assert_eq!(code, want, "pos {pos}");
                         }
                     }
                 }

@@ -18,18 +18,26 @@
 //!    that subscribe to it, nearest ranks first (for a batch of one this is
 //!    exactly the sequential probe order).
 //! 3. **Scan.** One of three per-list scanners (raw `f32`, 4-bit PQ
-//!    fast-scan, 8-bit PQ ADC; see `scan.rs`) walks each list's blocks
-//!    ([`crate::inverted::InvertedList::scan_blocks`]) a single time and
-//!    scores every subscriber against the one block load, each into its own
-//!    [`TopK`] with [`TopK::would_accept`] threshold pruning. The validity
-//!    bitmap, the vector / PQ-code stores and every member's filter are
-//!    pinned once per batch, so the per-candidate cost is a pointer chase
-//!    and a SIMD kernel ([`jdvs_vector::simd::active`]). Invalid images —
-//!    cleared validity bits — are skipped, so logically deleted products
-//!    never surface. A member's filter resolves **before** the kernels run:
-//!    a rejected raw candidate costs bitmap word loads, a 32-lane fast-scan
-//!    group no subscriber admits skips the kernel outright. An unfiltered
-//!    member is simply one whose lane mask is the published mask.
+//!    fast-scan, 8-bit PQ ADC; see `scan.rs`) walks each list a single time
+//!    over one [`crate::inverted::InvertedList::snapshot`] and scores every
+//!    subscriber against the one load, each into its own [`TopK`] with
+//!    [`TopK::would_accept`] threshold pruning. The raw and 8-bit scanners
+//!    walk id blocks; the 4-bit scanner walks 32-code blocks of the code
+//!    store itself — sealed blocks are scored **in place**, only a list's
+//!    still-filling tail block is copied
+//!    ([`crate::pq_store::PqListReader::load_group`]) — with a fused
+//!    score-and-prune kernel, and reads an id only for a lane under a
+//!    subscriber's prune bound. The validity bitmap, the vector store and
+//!    every member's filter are pinned once per batch, PQ segments are
+//!    borrowed without a lock, so the per-candidate cost is a SIMD kernel
+//!    ([`jdvs_vector::simd::active`]) over bytes that stream. Invalid
+//!    images — cleared validity bits — are skipped, so logically deleted
+//!    products never surface. A member's filter resolves **before** the
+//!    kernels run: a rejected raw candidate costs bitmap word loads, a
+//!    32-lane fast-scan group no subscriber admits skips the kernel
+//!    outright (only a filter makes the scanner read a group's ids up
+//!    front). An unfiltered member is simply one whose lane mask is the
+//!    published mask.
 //! 4. **Escalate.** A *filtered* member whose top-k is still underfull
 //!    widens its own probing (doubling, scanning only lists not yet probed,
 //!    through the same scanner with a one-subscriber set) up to
@@ -570,6 +578,54 @@ mod tests {
         (index, data)
     }
 
+    /// A 4-bit PQ world whose inverted lists have exactly the given
+    /// lengths: one tight, far-apart cluster per list, populated to its
+    /// length, every seventh image deleted. Returns the queries too — one
+    /// near each cluster, so every list is some query's nearest.
+    fn build_list_lengths(lengths: &[usize], seed: u64) -> (VisualIndex, Vec<Vector>) {
+        let mut rng = Xoshiro256::seed_from(seed);
+        assert!(lengths.len() <= 8, "one axis per cluster");
+        let mut near = |cluster: usize| -> Vector {
+            (0..8)
+                .map(|d| {
+                    let center = if d == cluster { 40.0 } else { 0.0 };
+                    center + rng.next_gaussian() as f32
+                })
+                .collect()
+        };
+        let training: Vec<Vector> = (0..lengths.len() * 40)
+            .map(|i| near(i % lengths.len()))
+            .collect();
+        let config = IndexConfig {
+            dim: 8,
+            num_lists: lengths.len(),
+            initial_list_capacity: 8,
+            pq_subspaces: Some(8),
+            pq_bits: 4,
+            nprobe_escalation: lengths.len(),
+            ..Default::default()
+        };
+        let index = VisualIndex::bootstrap(config, &training);
+        let mut i = 0;
+        for (cluster, &len) in lengths.iter().enumerate() {
+            for _ in 0..len {
+                index.insert(near(cluster), test_attrs(i)).unwrap();
+                i += 1;
+            }
+        }
+        index.flush();
+        for i in (0..i).step_by(7) {
+            let url = format!("u{i}");
+            index.invalidate(ImageKey::from_url(&url), &url).unwrap();
+        }
+        let mut got = index.inverted().aux_positions();
+        let mut want = lengths.to_vec();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "one cluster per list");
+        (index, (0..lengths.len()).map(near).collect())
+    }
+
     fn one(index: &VisualIndex, plan: SearchPlan<'_>) -> Vec<Neighbor> {
         execute(index, &[plan]).pop().unwrap()
     }
@@ -648,6 +704,33 @@ mod tests {
                 let got = execute(&index, &plans[..size]);
                 assert_eq!(got, batched[..size], "pq {pq_bits:?} batch of {size}");
             }
+        }
+
+        // The fast-scan block boundaries: lists that are empty, one code,
+        // one lane short of a sealed block, exactly sealed, one past, and
+        // the same around a segment — so in-place blocks, the copied tail
+        // and their seams all face the oracle, unfiltered and filtered,
+        // alone and in a mixed batch.
+        let lengths = [0, 1, 31, 32, 33, 255, 256, 257];
+        let (index, queries) = build_list_lengths(&lengths, 89);
+        let specs = test_specs();
+        let plans: Vec<SearchPlan<'_>> = (0..4 * lengths.len())
+            .map(|i| SearchPlan {
+                features: queries[i % lengths.len()].as_slice(),
+                k: 4 + i % 5,
+                nprobe: [1, 2, lengths.len()][i % 3],
+                filter: (i % 2 == 1).then_some(&specs[i % specs.len()]),
+                stage: Stage::Compressed {
+                    rerank_factor: 1 + i % 4,
+                },
+                deadline: None,
+            })
+            .collect();
+        let batched = execute(&index, &plans);
+        assert!(batched.iter().filter(|hits| !hits.is_empty()).count() > plans.len() / 2);
+        for (plan, got) in plans.iter().zip(&batched) {
+            assert_eq!(got, &oracle(&index, plan), "list lengths: {plan:?}");
+            assert_eq!(got, &one(&index, *plan), "list lengths: {plan:?}");
         }
     }
 

@@ -7,6 +7,14 @@
 //! set — there is no second, single-query scan loop. What the scanners
 //! share ([`Lanes`]) is pinned once per `execute`; what each needs per
 //! list lives in its own scratch, allocated once per `execute`.
+//!
+//! Per probed list a scanner takes one
+//! [`crate::inverted::InvertedList::snapshot`] (the list's one lock and
+//! refcount) and, on the PQ paths, one borrowed
+//! [`crate::pq_store::PqListReader`] (neither). The raw and 8-bit scanners
+//! walk the snapshot in id blocks; the 4-bit scanner walks the *codes* and
+//! goes back to the snapshot only for lanes that survive: an unfiltered
+//! scan streams 8 code bytes per candidate (m = 16) and nothing else.
 
 use jdvs_vector::pq::{AdcTable, QuantizedAdcTable};
 use jdvs_vector::simd::{self, KernelSet};
@@ -106,7 +114,7 @@ impl RawScanner<'_> {
     }
 }
 
-/// Mask of a group's first `lanes` lanes. The id block a scanner holds is a
+/// Mask of a group's first `lanes` lanes. The ids a scanner holds are a
 /// snapshot; the real-time indexer may since have appended to the list and
 /// published the new position's code, so the published-lane mask read
 /// afterwards can cover lanes the snapshot has no id for. Clipping to the
@@ -130,16 +138,18 @@ struct FastSub {
     mask: u32,
 }
 
-/// 4-bit fast-scan: each 32-code interleaved block is loaded once and
-/// scored for all subscribers by one batched kernel call, every subscriber
-/// against its own register-resident LUTs.
+/// 4-bit fast-scan: each 32-code interleaved block is scored where it lies
+/// in the code store — only a list's unsealed tail block is copied out —
+/// for all subscribers, every subscriber against its own register-resident
+/// LUTs. The scan touches code bytes and nothing else until a lane
+/// survives a subscriber's prune bound: only then is the lane's id read.
 pub(super) struct FastScanner<'a> {
     lanes: &'a Lanes<'a>,
     pq: &'a PqStore,
     /// Per member: its quantized LUTs.
     qts: &'a [QuantizedAdcTable],
     /// Per-list scratch, one entry per subscriber: state, accumulator row,
-    /// LUT pointer; and the code tile of the block in flight.
+    /// LUT pointer; and the copy of an unsealed block.
     state: Vec<FastSub>,
     accs: Vec<[u16; FASTSCAN_BLOCK]>,
     luts: Vec<&'a [u8]>,
@@ -163,7 +173,9 @@ impl<'a> FastScanner<'a> {
 impl ListScanner for FastScanner<'_> {
     fn scan_list(&mut self, list: usize, subs: &[usize], topks: &mut [TopK]) {
         let (lanes, qts) = (self.lanes, self.qts);
-        let reader = self.pq.list_reader(ListId(list as u32));
+        let list = ListId(list as u32);
+        let ids = lanes.inverted.list(list).snapshot();
+        let mut reader = self.pq.list_reader(list);
         self.tile.resize(reader.tile_len(), 0);
         self.luts.clear();
         self.luts.extend(subs.iter().map(|&qi| qts[qi].luts()));
@@ -176,26 +188,27 @@ impl ListScanner for FastScanner<'_> {
                 mask: 0,
             },
         );
-        let (tile, luts) = (&mut self.tile[..], &self.luts[..]);
+        let (scratch, luts) = (&mut self.tile[..], &self.luts[..]);
         let (state, accs) = (&mut self.state[..], &mut self.accs[..subs.len()]);
-        // scan_blocks emits full SCAN_BLOCK-sized blocks (a multiple of
-        // FASTSCAN_BLOCK) with one ragged tail, so every group base below
-        // is block-aligned.
-        let mut base = 0usize;
-        lanes.inverted.scan_blocks(ListId(list as u32), |ids| {
-            for (g, group) in ids.chunks(FASTSCAN_BLOCK).enumerate() {
-                let at = base + g * FASTSCAN_BLOCK;
-                let published = reader.load_group(at, tile) & low_lanes(group.len());
-                if published == 0 {
-                    continue;
-                }
-                // Pushdown: every subscriber's lane mask resolves before
-                // the kernel; a group no subscriber admits skips the
-                // kernel, LUT accumulation and bound pruning entirely.
+        // Only a filter needs a group's ids before the kernel runs.
+        let filtered = subs.iter().any(|&qi| lanes.views[qi].is_some());
+        let mut group = [ImageId(0); FASTSCAN_BLOCK];
+        for base in (0..ids.len()).step_by(FASTSCAN_BLOCK) {
+            let n = FASTSCAN_BLOCK.min(ids.len() - base);
+            let (mask, tile) = reader.load_group(base, scratch);
+            let published = mask & low_lanes(n);
+            if published == 0 {
+                continue;
+            }
+            // Pushdown: every subscriber's lane mask resolves before the
+            // kernel; a group no subscriber admits skips the kernel, LUT
+            // accumulation and bound pruning entirely.
+            if filtered {
+                ids.copy_to(base, &mut group[..n]);
                 let mut wanted = 0u32;
                 for (s, &qi) in state.iter_mut().zip(subs) {
                     s.mask = match &lanes.views[qi] {
-                        Some(view) => view.lane_mask(group, published),
+                        Some(view) => view.lane_mask(&group[..n], published),
                         None => published,
                     };
                     wanted |= s.mask;
@@ -203,48 +216,64 @@ impl ListScanner for FastScanner<'_> {
                 if wanted == 0 {
                     continue;
                 }
+            } else {
+                state.iter_mut().for_each(|s| s.mask = published);
+            }
+            for (s, &qi) in state.iter_mut().zip(subs) {
+                let thr = topks[qi].threshold();
+                if thr.to_bits() != s.bound_thr.to_bits() {
+                    s.bound = qts[qi].prune_bound(thr);
+                    s.bound_thr = thr;
+                }
+            }
+            // Score, then prune each subscriber to its admitted lanes under
+            // its bound. An unpublished lane's code is still mid-insert
+            // (its validity bit is not set yet either).
+            let mut hits = 0u32;
+            if let ([s], [acc]) = (&mut *state, &mut *accs) {
+                // One subscriber — every unbatched query: the fused kernel
+                // keeps the sums in registers unless a lane survives.
+                s.mask &= s
+                    .bound
+                    .map_or(0, |b| lanes.kernels.fastscan16_le(tile, luts[0], b, acc));
+                hits = s.mask;
+            } else {
                 lanes.kernels.fastscan16_multi(tile, luts, accs);
-                // Prune each subscriber to its admitted lanes under its
-                // bound. An unpublished lane's code is still mid-insert
-                // (its validity bit is not set yet either).
-                let mut hits = 0u32;
-                for ((s, acc), &qi) in state.iter_mut().zip(accs.iter()).zip(subs) {
-                    let thr = topks[qi].threshold();
-                    if thr.to_bits() != s.bound_thr.to_bits() {
-                        s.bound = qts[qi].prune_bound(thr);
-                        s.bound_thr = thr;
-                    }
+                for (s, acc) in state.iter_mut().zip(accs.iter()) {
                     s.mask &= s.bound.map_or(0, |b| lanes.kernels.lanes_le16(acc, b));
                     hits |= s.mask;
                 }
-                // Validity is a property of the candidate, not the query:
-                // resolve it once, only for lanes some subscriber still
-                // wants — after the bounds warm up that is almost none.
-                let mut valid = 0u32;
-                while hits != 0 {
-                    let lane = hits.trailing_zeros() as usize;
-                    hits &= hits - 1;
-                    if lanes.bitmap.test(group[lane].as_usize()) {
-                        valid |= 1 << lane;
-                    }
+            }
+            // Validity is a property of the candidate, not the query:
+            // resolve it (and the lane's id) once, only for lanes some
+            // subscriber still wants — after the bounds warm up that is
+            // almost none.
+            let mut valid = 0u32;
+            while hits != 0 {
+                let lane = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                if !filtered {
+                    group[lane] = ids.id(base + lane);
                 }
-                if valid == 0 {
-                    continue;
+                if lanes.bitmap.test(group[lane].as_usize()) {
+                    valid |= 1 << lane;
                 }
-                for ((s, acc), &qi) in state.iter().zip(accs.iter()).zip(subs) {
-                    let mut mine = s.mask & valid;
-                    while mine != 0 {
-                        let lane = mine.trailing_zeros() as usize;
-                        mine &= mine - 1;
-                        let d = qts[qi].to_f32(acc[lane]);
-                        if topks[qi].would_accept(d) {
-                            topks[qi].push(group[lane].as_u64(), d);
-                        }
+            }
+            if valid == 0 {
+                continue;
+            }
+            for ((s, acc), &qi) in state.iter().zip(accs.iter()).zip(subs) {
+                let mut mine = s.mask & valid;
+                while mine != 0 {
+                    let lane = mine.trailing_zeros() as usize;
+                    mine &= mine - 1;
+                    let d = qts[qi].to_f32(acc[lane]);
+                    if topks[qi].would_accept(d) {
+                        topks[qi].push(group[lane].as_u64(), d);
                     }
                 }
             }
-            base += ids.len();
-        });
+        }
     }
 }
 
@@ -273,7 +302,7 @@ impl<'a> AdcScanner<'a> {
 impl ListScanner for AdcScanner<'_> {
     fn scan_list(&mut self, list: usize, subs: &[usize], topks: &mut [TopK]) {
         let lanes = self.lanes;
-        let reader = self.pq.list_reader(ListId(list as u32));
+        let mut reader = self.pq.list_reader(ListId(list as u32));
         let mut base = 0usize;
         lanes.inverted.scan_blocks(ListId(list as u32), |ids| {
             for (i, &id) in ids.iter().enumerate() {

@@ -21,7 +21,7 @@
 #[cfg(loom)]
 pub(crate) use loom::{
     sync::{
-        atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering},
+        atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering},
         Arc, Mutex, RwLock, RwLockReadGuard,
     },
     thread,
@@ -33,7 +33,9 @@ pub(crate) use self::std_impl::*;
 #[cfg(not(loom))]
 mod std_impl {
     pub(crate) use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-    pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    pub(crate) use std::sync::atomic::{
+        AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+    };
     pub(crate) use std::sync::Arc;
     pub(crate) use std::thread;
 }

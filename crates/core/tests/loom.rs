@@ -1,4 +1,4 @@
-//! Concurrency models of the five publication protocols on the real-time
+//! Concurrency models of the six publication protocols on the real-time
 //! mutation path, executed under the `loom` shim's controlled scheduler
 //! (`RUSTFLAGS="--cfg loom" cargo test -p jdvs-core --test loom`).
 //!
@@ -20,10 +20,14 @@ use loom::thread;
 
 use jdvs_core::bitmap::AtomicBitmap;
 use jdvs_core::forward::ForwardIndex;
-use jdvs_core::ids::ImageId;
+use jdvs_core::ids::{ImageId, ListId};
 use jdvs_core::inverted::InvertedList;
+use jdvs_core::pq_store::{PqStore, FASTSCAN_BLOCK};
 use jdvs_core::swap::IndexHandle;
 use jdvs_storage::model::{ProductAttributes, ProductId};
+use jdvs_vector::pq::{PqConfig, ProductQuantizer};
+use jdvs_vector::rng::Xoshiro256;
+use jdvs_vector::Vector;
 
 fn collect(list: &InvertedList) -> Vec<u32> {
     let mut out = Vec::new();
@@ -180,5 +184,71 @@ fn handle_swap_vs_inflight_query() {
         assert_eq!(*handle.get(), 2);
         assert_eq!(handle.generation(), 1);
         assert!(*snap == 1 || *snap == 2, "old snapshot stays valid");
+    });
+}
+
+/// Protocol 6 — PQ block-mask publication: 30 lanes of a 4-bit block are
+/// in place; two writers fill the last two, lanes 15 and 31, which share
+/// every nibble byte of the block, while a reader loads the group. Any
+/// lane the mask admits must read back its exact final code — from the
+/// tile and through `read_code` — whatever the writers' `fetch_or`s are
+/// doing to the other half of the byte, and a sealed mask implies all 32.
+#[test]
+fn pq_block_mask_publishes_complete_codes() {
+    const M: usize = 2;
+    let mut rng = Xoshiro256::seed_from(6);
+    let data: Vec<Vector> = (0..64)
+        .map(|_| (0..4).map(|_| rng.next_gaussian() as f32).collect())
+        .collect();
+    let pq = std::sync::Arc::new(ProductQuantizer::train(
+        &data,
+        &PqConfig {
+            num_subspaces: M,
+            max_iters: 4,
+            seed: 1,
+            bits: 4,
+        },
+    ));
+    let data = std::sync::Arc::new(data);
+    loom::model(move || {
+        let store = Arc::new(PqStore::new(std::sync::Arc::clone(&pq), 1));
+        let put = |store: &PqStore, pos: usize| {
+            store.put(ImageId(pos as u32), ListId(0), pos, &data[pos]);
+        };
+        for pos in (0..FASTSCAN_BLOCK).filter(|pos| pos % 16 != 15) {
+            put(&store, pos);
+        }
+        let writers: Vec<_> = [15usize, 31]
+            .into_iter()
+            .map(|pos| {
+                let (store, data) = (Arc::clone(&store), std::sync::Arc::clone(&data));
+                thread::spawn(move || store.put(ImageId(pos as u32), ListId(0), pos, &data[pos]))
+            })
+            .collect();
+
+        let check = |expect_sealed: bool| {
+            let mut reader = store.list_reader(ListId(0));
+            let mut scratch = [0u8; M * 16];
+            let (mask, tile) = reader.load_group(0, &mut scratch);
+            let tile = tile.to_vec();
+            assert_eq!(mask & 0x7fff_7fff, 0x7fff_7fff, "pre-filled lanes");
+            assert!(!expect_sealed || mask == u32::MAX, "all 32 lanes are in");
+            let mut code = [0u8; M];
+            for lane in (0..FASTSCAN_BLOCK).filter(|lane| mask & (1 << lane) != 0) {
+                let want = pq.encode(data[lane].as_slice());
+                for (sub, &c) in want.iter().enumerate() {
+                    let byte = tile[sub * 16 + lane % 16];
+                    let got = if lane < 16 { byte & 0x0f } else { byte >> 4 };
+                    assert_eq!(got, c, "tile lane {lane} sub {sub} under mask {mask:#x}");
+                }
+                assert!(reader.read_code(lane, &mut code), "admitted lane {lane}");
+                assert_eq!(code[..], want[..], "read_code lane {lane}");
+            }
+        };
+        check(false);
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        check(true);
     });
 }

@@ -13,7 +13,7 @@
 #![cfg(not(loom))]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use jdvs_core::bitmap::AtomicBitmap;
 use jdvs_core::config::IndexConfig;
@@ -21,7 +21,9 @@ use jdvs_core::forward::ForwardIndex;
 use jdvs_core::ids::{ImageId, ListId};
 use jdvs_core::index::VisualIndex;
 use jdvs_core::inverted::InvertedIndex;
+use jdvs_core::search::{self, SearchPlan};
 use jdvs_core::swap::IndexHandle;
+use jdvs_core::FilterSpec;
 use jdvs_storage::model::{ProductAttributes, ProductId};
 use jdvs_vector::Vector;
 use rand::{Rng, SmallRng};
@@ -148,6 +150,113 @@ fn random_event_mix_against_live_readers() {
     assert_eq!(index.num_images(), inserted.len());
     // Every insert is findable post-flush: total list entries match.
     assert_eq!(index.inverted().total_entries(), inserted.len());
+}
+
+/// Writers taking turns at the 4-bit PQ index (the forward index admits
+/// one appender at a time, so they hand a lock around — every 32-code tail
+/// block still collects lanes from all of them) while readers execute
+/// compressed plans over every list. A reader scores a block in place, with
+/// plain loads, the moment its mask reads sealed; the thread sanitizer
+/// checks that the one Acquire load really orders those reads after all 32
+/// writers' `fetch_or`s. Readers assert what must hold mid-write; once the
+/// writers are done every plan must equal its sequential oracle.
+#[test]
+fn pq_tail_blocks_race_compressed_execute() {
+    const WRITERS: u64 = 3;
+    const DIM: usize = 8;
+    let ops = stress_ops(3_000);
+    let point = |rng: &mut SmallRng| -> Vector {
+        (0..DIM)
+            .map(|_| rng.gen_range(0..1000) as f32 / 500.0 - 1.0)
+            .collect()
+    };
+    let mut rng = SmallRng::seed_from_u64(stress_seed() ^ 0x4b17);
+    let training: Vec<Vector> = (0..400).map(|_| point(&mut rng)).collect();
+    let index = Arc::new(VisualIndex::bootstrap(
+        IndexConfig {
+            dim: DIM,
+            num_lists: 4,
+            initial_list_capacity: 2, // migrations under the id snapshots too
+            pq_subspaces: Some(4),
+            pq_bits: 4,
+            ..Default::default()
+        },
+        &training,
+    ));
+    let category = FilterSpec::by_category(1);
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..3u64)
+        .map(|t| {
+            let (index, stop, category) = (Arc::clone(&index), Arc::clone(&stop), category.clone());
+            std::thread::spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(stress_seed() ^ (0x9e4d + t));
+                let mut hits = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let q = point(&mut rng);
+                    let plain = SearchPlan::new(q.as_slice(), 8, 4).compressed(3);
+                    let plans = [plain, plain.filtered(&category), plain];
+                    let results = index.execute(&plans);
+                    assert_eq!(results[0], results[2], "batch members are independent");
+                    for (plan, result) in plans.iter().zip(&results) {
+                        for pair in result.windows(2) {
+                            assert!(pair[0].distance <= pair[1].distance, "sorted");
+                            assert_ne!(pair[0].id, pair[1].id, "one slot per image");
+                        }
+                        for hit in result {
+                            assert!(hit.distance.is_finite());
+                            // A hit was bitmap-visible, hence fully inserted.
+                            let attrs = index.attributes(ImageId(hit.id as u32)).expect("resolves");
+                            assert!(plan.filter.is_none() || attrs.category == 1);
+                            hits += 1;
+                        }
+                    }
+                }
+                hits
+            })
+        })
+        .collect();
+    let turn = Arc::new(Mutex::new(()));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (index, turn) = (Arc::clone(&index), Arc::clone(&turn));
+            std::thread::spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(stress_seed() ^ (w << 40));
+                for op in (w..ops).step_by(WRITERS as usize) {
+                    let attrs = ProductAttributes::new(ProductId(op), 1, 2, 3, format!("pq/{op}"))
+                        .with_category((op % 3) as u32);
+                    let v = point(&mut rng);
+                    let _turn = turn.lock().unwrap();
+                    index.insert(v, attrs).expect("insert");
+                }
+            })
+        })
+        .collect();
+    for h in writers {
+        h.join().unwrap();
+    }
+    index.flush();
+    stop.store(true, Ordering::Relaxed);
+    let hits: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(hits > 0, "readers observed hits while the writers ran");
+    assert_eq!(index.inverted().total_entries() as u64, ops);
+    for _ in 0..20 {
+        let q = point(&mut rng);
+        let plain = SearchPlan::new(q.as_slice(), 8, 4).compressed(3);
+        assert_eq!(
+            index.execute(&[plain, plain.filtered(&category)]),
+            [
+                search::compressed_search_reference(&index, q.as_slice(), 8, 4, 3),
+                search::filtered_compressed_search_reference(
+                    &index,
+                    q.as_slice(),
+                    8,
+                    4,
+                    3,
+                    &category
+                ),
+            ]
+        );
+    }
 }
 
 fn pick<'a>(rng: &mut SmallRng, v: &'a [ProductAttributes]) -> Option<&'a ProductAttributes> {

@@ -72,6 +72,7 @@ pub struct KernelSet {
     adc: fn(&[u8], &[f32]) -> f32,
     fastscan16: fn(&[u8], &[u8], &mut [u16; FASTSCAN_LANES]),
     fastscan16x: Fastscan16x,
+    fastscan16_le: fn(&[u8], &[u8], u16, &mut [u16; FASTSCAN_LANES]) -> u32,
     lanes_le16: fn(&[u16; FASTSCAN_LANES], u16) -> u32,
 }
 
@@ -157,6 +158,41 @@ impl KernelSet {
         (self.fastscan16)(block, luts, out)
     }
 
+    /// Fused score + prune over one interleaved 32-code block: the mask of
+    /// [`Self::lanes_le16`]`(acc, bound)` over the sums
+    /// [`Self::fastscan16`]`(block, luts)` would write, without the round
+    /// trip through memory between the two. `out` receives the 32 sums only
+    /// when the mask is non-zero — the common block, all of whose lanes lie
+    /// above a warmed-up prune bound, never stores its accumulators.
+    /// Accumulation is the same saturating add order as `fastscan16` and
+    /// the compare is integral, so every implementation returns the
+    /// identical mask and row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` and `luts` differ in length or are not a whole
+    /// number of 16-byte rows.
+    #[inline]
+    pub fn fastscan16_le(
+        &self,
+        block: &[u8],
+        luts: &[u8],
+        bound: u16,
+        out: &mut [u16; FASTSCAN_LANES],
+    ) -> u32 {
+        assert_eq!(
+            block.len(),
+            luts.len(),
+            "fast-scan block/LUT shape mismatch"
+        );
+        assert_eq!(
+            block.len() % FASTSCAN_ROW,
+            0,
+            "fast-scan rows must be 16 bytes"
+        );
+        (self.fastscan16_le)(block, luts, bound, out)
+    }
+
     /// Batched 4-bit fast-scan: scores one interleaved 32-code block
     /// against `luts.len()` quantized LUT sets, writing query `j`'s 32
     /// per-lane sums into `outs[j]`. Each query's accumulation is the
@@ -220,6 +256,25 @@ impl KernelSet {
     }
 }
 
+/// [`KernelSet::fastscan16_le`] by its definition — `score`'s sums, then the
+/// reference compare — for kernel sets without a fused implementation.
+#[inline]
+fn score_then_prune(
+    score: fn(&[u8], &[u8], &mut [u16; FASTSCAN_LANES]),
+    block: &[u8],
+    luts: &[u8],
+    bound: u16,
+    out: &mut [u16; FASTSCAN_LANES],
+) -> u32 {
+    let mut row = [0u16; FASTSCAN_LANES];
+    score(block, luts, &mut row);
+    let mask = scalar::lanes_le16(&row, bound);
+    if mask != 0 {
+        *out = row;
+    }
+    mask
+}
+
 static SCALAR: KernelSet = KernelSet {
     name: "scalar",
     squared_l2: scalar::squared_l2,
@@ -227,6 +282,7 @@ static SCALAR: KernelSet = KernelSet {
     adc: scalar::adc,
     fastscan16: scalar::fastscan16,
     fastscan16x: scalar::fastscan16_multi,
+    fastscan16_le: scalar::fastscan16_le,
     lanes_le16: scalar::lanes_le16,
 };
 
@@ -238,6 +294,7 @@ static AVX2: KernelSet = KernelSet {
     adc: x86::adc,
     fastscan16: x86::fastscan16,
     fastscan16x: x86::fastscan16_multi,
+    fastscan16_le: x86::fastscan16_le,
     lanes_le16: x86::lanes_le16,
 };
 
@@ -252,6 +309,7 @@ static NEON: KernelSet = KernelSet {
     // 16-entry LUTs do have a NEON home: `vqtbl1q_u8`.
     fastscan16: neon::fastscan16,
     fastscan16x: neon::fastscan16_multi,
+    fastscan16_le: neon::fastscan16_le,
     // 32 u16 compares are branch-free and already cheap unrolled; keep
     // the shared reference implementation.
     lanes_le16: scalar::lanes_le16,
@@ -401,6 +459,18 @@ pub mod scalar {
         }
     }
 
+    /// Reference fused score + prune (see
+    /// [`super::KernelSet::fastscan16_le`]): literally [`fastscan16`] then
+    /// [`lanes_le16`], the definition the SIMD versions must reproduce.
+    pub fn fastscan16_le(
+        block: &[u8],
+        luts: &[u8],
+        bound: u16,
+        out: &mut [u16; super::FASTSCAN_LANES],
+    ) -> u32 {
+        super::score_then_prune(fastscan16, block, luts, bound, out)
+    }
+
     /// Reference lane-prune mask (see [`super::KernelSet::lanes_le16`]):
     /// bit `t` ⇔ `accs[t] <= bound`. Integer compares only — the SIMD
     /// versions must return this exact mask.
@@ -513,18 +583,21 @@ mod x86 {
         unsafe { fastscan16_avx2(block, luts, out) }
     }
 
-    /// 4-bit fast-scan: per subspace, one `_mm256_shuffle_epi8` performs
-    /// all 32 LUT lookups with the 16-entry LUT broadcast into both
+    /// 4-bit fast-scan sums: per subspace, one `_mm256_shuffle_epi8`
+    /// performs all 32 LUT lookups with the 16-entry LUT broadcast into both
     /// register halves — the table never leaves registers. Accumulation is
     /// `_mm256_adds_epu16` (saturating), one subspace per iteration, which
     /// matches the scalar oracle's per-lane add order exactly.
+    ///
+    /// Returns `(acc_lo, acc_hi)`: `acc_lo` holds the u16 sums of block
+    /// lanes 0..8 (128-bit half 0) and 16..24 (half 1), `acc_hi` those of
+    /// lanes 8..16 and 24..32 — `unpacklo/hi` interleave within each half.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn fastscan16_avx2(block: &[u8], luts: &[u8], out: &mut [u16; super::FASTSCAN_LANES]) {
+    unsafe fn fastscan16_sums(block: &[u8], luts: &[u8]) -> (__m256i, __m256i) {
         let m = block.len() / super::FASTSCAN_ROW;
         let zero = _mm256_setzero_si256();
         let nib = _mm256_set1_epi8(0x0f);
-        // acc_lo: u16 lanes for block lanes 0..8 (128-half 0) and 16..24
-        // (128-half 1); acc_hi: lanes 8..16 and 24..32.
         let mut acc_lo = zero;
         let mut acc_hi = zero;
         for sub in 0..m {
@@ -540,14 +613,60 @@ mod x86 {
             acc_lo = _mm256_adds_epu16(acc_lo, _mm256_unpacklo_epi8(vals, zero));
             acc_hi = _mm256_adds_epu16(acc_hi, _mm256_unpackhi_epi8(vals, zero));
         }
-        // unpacklo/hi interleave within each 128-bit half, so the lane map
-        // is: acc_lo half 0 → out[0..8], acc_hi half 0 → out[8..16],
-        // acc_lo half 1 → out[16..24], acc_hi half 1 → out[24..32].
+        (acc_lo, acc_hi)
+    }
+
+    /// Stores [`fastscan16_sums`]' register pair in lane order: acc_lo half
+    /// 0 → out[0..8], acc_hi half 0 → out[8..16], acc_lo half 1 →
+    /// out[16..24], acc_hi half 1 → out[24..32].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_sums(acc_lo: __m256i, acc_hi: __m256i, out: &mut [u16; super::FASTSCAN_LANES]) {
         let op = out.as_mut_ptr() as *mut __m128i;
         _mm_storeu_si128(op, _mm256_castsi256_si128(acc_lo));
         _mm_storeu_si128(op.add(1), _mm256_castsi256_si128(acc_hi));
         _mm_storeu_si128(op.add(2), _mm256_extracti128_si256::<1>(acc_lo));
         _mm_storeu_si128(op.add(3), _mm256_extracti128_si256::<1>(acc_hi));
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn fastscan16_avx2(block: &[u8], luts: &[u8], out: &mut [u16; super::FASTSCAN_LANES]) {
+        let (acc_lo, acc_hi) = fastscan16_sums(block, luts);
+        store_sums(acc_lo, acc_hi, out);
+    }
+
+    pub(super) fn fastscan16_le(
+        block: &[u8],
+        luts: &[u8],
+        bound: u16,
+        out: &mut [u16; super::FASTSCAN_LANES],
+    ) -> u32 {
+        // SAFETY: as above — only selected on avx2+fma hardware.
+        unsafe { fastscan16_le_avx2(block, luts, bound, out) }
+    }
+
+    /// Fused score + prune: the sums never leave registers unless a lane
+    /// survives. `acc <= bound` is `saturating_sub(acc, bound) == 0` (AVX2
+    /// has no unsigned compare); `packs` of the two compare results puts
+    /// lanes 0..8 | 8..16 in half 0 and 16..24 | 24..32 in half 1 — already
+    /// lane order, so one `movemask` yields the mask with bit `t` = lane `t`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn fastscan16_le_avx2(
+        block: &[u8],
+        luts: &[u8],
+        bound: u16,
+        out: &mut [u16; super::FASTSCAN_LANES],
+    ) -> u32 {
+        let (acc_lo, acc_hi) = fastscan16_sums(block, luts);
+        let zero = _mm256_setzero_si256();
+        let b = _mm256_set1_epi16(bound as i16);
+        let le_lo = _mm256_cmpeq_epi16(_mm256_subs_epu16(acc_lo, b), zero);
+        let le_hi = _mm256_cmpeq_epi16(_mm256_subs_epu16(acc_hi, b), zero);
+        let mask = _mm256_movemask_epi8(_mm256_packs_epi16(le_lo, le_hi)) as u32;
+        if mask != 0 {
+            store_sums(acc_lo, acc_hi, out);
+        }
+        mask
     }
 
     pub(super) fn fastscan16_multi(
@@ -757,6 +876,17 @@ mod neon {
             vst1q_u16(op.add(16), acc2);
             vst1q_u16(op.add(24), acc3);
         }
+    }
+
+    /// Fused score + prune: the NEON sums, then the shared compare (see
+    /// `lanes_le16` in the NEON kernel set).
+    pub(super) fn fastscan16_le(
+        block: &[u8],
+        luts: &[u8],
+        bound: u16,
+        out: &mut [u16; super::FASTSCAN_LANES],
+    ) -> u32 {
+        super::score_then_prune(fastscan16, block, luts, bound, out)
     }
 
     /// Batched fast-scan: code bytes and both nibble index sets are
@@ -1019,6 +1149,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fused kernel's contract on the scalar and the best set: mask and
+    /// row are exactly `fastscan16` then `lanes_le16`, the row is written
+    /// only when a lane survives, at `bound` 0 and `u16::MAX` and under
+    /// saturation (m ≥ 258 clamps every sum to `u16::MAX`).
+    #[test]
+    fn fastscan_le_equals_fastscan_then_lanes_le() {
+        const UNTOUCHED: [u16; FASTSCAN_LANES] = [0xBEEF; FASTSCAN_LANES];
+        for kernels in [scalar(), detect_best()] {
+            for (m, lut_max) in [
+                (1usize, 255u8),
+                (8, 40),
+                (16, 255),
+                (17, 3),
+                (64, 255),
+                (300, 255),
+            ] {
+                let (block, mut luts) = random_fastscan(m, m as u64 * 13 + 1, lut_max);
+                if m == 300 {
+                    luts.fill(255);
+                }
+                let mut sums = [0u16; FASTSCAN_LANES];
+                scalar().fastscan16(&block, &luts, &mut sums);
+                let lo = *sums.iter().min().unwrap();
+                let hi = *sums.iter().max().unwrap();
+                for bound in [0, lo.saturating_sub(1), lo, lo / 2 + hi / 2, hi, u16::MAX] {
+                    let want = scalar().lanes_le16(&sums, bound);
+                    let mut row = UNTOUCHED;
+                    let got = kernels.fastscan16_le(&block, &luts, bound, &mut row);
+                    let name = kernels.name();
+                    assert_eq!(got, want, "{name} m {m} bound {bound}");
+                    let expect_row = if want == 0 { UNTOUCHED } else { sums };
+                    assert_eq!(row, expect_row, "{name} m {m} bound {bound}");
+                }
+                assert!(m != 300 || lo == u16::MAX, "m = 300 must saturate");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block/LUT shape mismatch")]
+    fn fastscan_le_shape_mismatch_panics() {
+        let mut out = [0u16; FASTSCAN_LANES];
+        active().fastscan16_le(&[0u8; 32], &[0u8; 16], 0, &mut out);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use jdvs_durability::log::FRAME_HEADER;
 use jdvs_durability::{DurableQueue, FsyncPolicy, LogConfig};
 use jdvs_metrics::DurabilityMetrics;
 use jdvs_storage::model::{ProductAttributes, ProductEvent, ProductId};
@@ -41,16 +42,10 @@ fn synthetic_event(i: u64) -> ProductEvent {
     }
 }
 
-fn dir_bytes(dir: &std::path::Path) -> u64 {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
-                .sum()
-        })
-        .unwrap_or(0)
+/// Bytes of frames (headers + payloads) the log behind `metrics` wrote.
+/// Not the directory's file sizes: the active segment is preallocated.
+fn logged_bytes(metrics: &DurabilityMetrics) -> u64 {
+    metrics.log_bytes.get() + metrics.log_appends.get() * FRAME_HEADER as u64
 }
 
 /// `recovery`: append throughput per fsync policy + restart wall time.
@@ -78,14 +73,15 @@ pub fn recovery(ctx: &Ctx) -> ExperimentResult {
         let dir = scratch(name);
         let mut config = LogConfig::new(dir.join("wal"));
         config.fsync = policy;
-        let dq = DurableQueue::open(config, Arc::new(DurabilityMetrics::new())).expect("open log");
+        let metrics = Arc::new(DurabilityMetrics::new());
+        let dq = DurableQueue::open(config, Arc::clone(&metrics)).expect("open log");
         let t0 = Instant::now();
         for i in 0..n {
             dq.queue().publish(synthetic_event(i as u64));
         }
         dq.sync().expect("final sync");
         let secs = t0.elapsed().as_secs_f64();
-        let mb = dir_bytes(&dir.join("wal")) as f64 / (1024.0 * 1024.0);
+        let mb = logged_bytes(&metrics) as f64 / (1024.0 * 1024.0);
         result.push_row(row![
             "phase" => "append",
             "detail" => format!("fsync-{name}"),
@@ -125,7 +121,7 @@ pub fn recovery(ctx: &Ctx) -> ExperimentResult {
         dq.sync().expect("final sync");
         let secs = t0.elapsed().as_secs_f64();
         let events = writers * per_writer;
-        let mb = dir_bytes(&dir.join("wal")) as f64 / (1024.0 * 1024.0);
+        let mb = logged_bytes(&metrics) as f64 / (1024.0 * 1024.0);
         result.push_row(row![
             "phase" => "append",
             "detail" => format!("fsync-{name}"),

@@ -5,9 +5,13 @@
 //! every earlier add/update/remove of that URL unobservable on replay, and
 //! a full attribute update (all of sales/price/praise set) shadows earlier
 //! partial updates of the same URL. [`compact_log`] is an offline pass
-//! over the *cold* segments (every segment but the last, which the next
-//! open will append to) that blanks such superseded events, shrinking the
-//! bytes a cold recovery must read and decode.
+//! over the *cold* segments (every segment but the last, which the log
+//! writes in place) that blanks such superseded events, shrinking the
+//! bytes a cold recovery must read and decode. Cold segments are sealed
+//! to exactly their frames when the log rotates off them, so a rewrite's
+//! saving is the difference in frame bytes; one found still carrying its
+//! preallocated zeros (a crash inside a rotation, before the next open
+//! seals it) is read the same way and comes out exact-size.
 //!
 //! **Offset preservation.** Replay identifies records purely by position:
 //! each segment's frames map 1:1 onto contiguous offsets from its
@@ -40,11 +44,12 @@
 //! to [`SegmentedLog::open`] (its listing only matches `wal-*.seg`) and
 //! are swept by the next compaction.
 //!
-//! Evidence is only taken from records an open would keep: scanning stops
-//! at the first torn segment or offset gap, because the frames past that
-//! point are exactly what [`SegmentedLog::open`] truncates away — an
-//! event must never be dropped on the word of a superseder that will not
-//! survive recovery.
+//! Evidence is only taken from records an open would keep: segments are
+//! scanned with the log's own scan and frame walker (`log::scan_segment`,
+//! `log::frames`) and scanning stops at the first torn or corrupt end or offset gap, because
+//! the frames past that point are exactly what [`SegmentedLog::open`]
+//! clears away — an event must never be dropped on the word of a
+//! superseder that will not survive recovery.
 
 use std::collections::HashSet;
 use std::fs::{self, File};
@@ -52,12 +57,13 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use jdvs_metrics::DurabilityMetrics;
-use jdvs_storage::checksum::crc32c;
 use jdvs_storage::model::ProductEvent;
 use jdvs_storage::queue::Offset;
 
 use crate::codec::{decode_event, encode_event};
-use crate::log::{list_segments, read_frame, segment_path, sync_dir, SegmentedLog};
+use crate::log::{
+    frames, list_segments, put_frame, scan_segment, segment_path, sync_dir, End, SegmentedLog,
+};
 
 /// What a [`compact_log`] pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,7 +83,10 @@ struct LoadedSegment {
     path: PathBuf,
     /// Raw payloads of the valid frame prefix, in offset order.
     payloads: Vec<Vec<u8>>,
-    /// Whether the file is exactly its valid frames (no torn tail).
+    /// Bytes those frames occupy in the file.
+    valid_bytes: u64,
+    /// Whether nothing but preallocation follows the valid frames (no
+    /// torn or corrupt tail).
     clean: bool,
 }
 
@@ -141,12 +150,9 @@ pub fn compact_log(dir: &Path, metrics: &DurabilityMetrics) -> io::Result<Compac
             } else {
                 payload
             };
-            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32c(body).to_le_bytes());
-            out.extend_from_slice(body);
+            put_frame(&mut out, body);
         }
 
-        let old_len = fs::metadata(&seg.path)?.len();
         let tmp = seg.path.with_extension("tmp");
         let mut f = File::create(&tmp)?;
         f.write_all(&out)?;
@@ -156,7 +162,7 @@ pub fn compact_log(dir: &Path, metrics: &DurabilityMetrics) -> io::Result<Compac
 
         report.segments_rewritten += 1;
         report.events_dropped += dropped;
-        report.bytes_reclaimed += old_len.saturating_sub(out.len() as u64);
+        report.bytes_reclaimed += seg.valid_bytes.saturating_sub(out.len() as u64);
     }
 
     metrics.log_compactions.incr();
@@ -183,19 +189,17 @@ fn load_segments(dir: &Path) -> io::Result<Vec<LoadedSegment>> {
             break; // offset gap: everything from here is unreachable.
         }
         let path = segment_path(dir, first);
-        let bytes = fs::read(&path)?;
-        let mut payloads = Vec::new();
-        let mut pos = 0usize;
-        while let Some((payload, next)) = read_frame(&bytes, pos) {
-            payloads.push(payload.to_vec());
-            pos = next;
-        }
-        let clean = pos == bytes.len();
-        expected = Some(first + payloads.len() as Offset);
+        let scan = scan_segment(&path)?;
+        let payloads: Vec<Vec<u8>> = frames(&scan.bytes[..scan.valid_bytes as usize])
+            .map(<[u8]>::to_vec)
+            .collect();
+        let clean = matches!(scan.end, End::Clean | End::ZeroTail);
+        expected = Some(first + scan.records);
         out.push(LoadedSegment {
             first_offset: first,
             path,
             payloads,
+            valid_bytes: scan.valid_bytes,
             clean,
         });
         if !clean {
@@ -275,7 +279,8 @@ impl SegmentedLog {
     /// self` so no append or rotation races the segment swap; the active
     /// segment is untouched, and replay keys records by frame position —
     /// which compaction preserves — so the in-memory segment table stays
-    /// valid.
+    /// valid (a cold segment's byte count becomes an upper bound, which
+    /// is all replay asks of it).
     pub fn compact(&mut self) -> io::Result<CompactionReport> {
         compact_log(self.dir(), self.metrics())
     }
@@ -354,11 +359,23 @@ mod tests {
             dq.queue().publish(add(1, "u1", 12)); // 3: live (the superseder)
             dq.queue().publish(add(3, "u3", 30)); // 4: active segment
         }
+        let dir_bytes = || -> u64 {
+            fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().metadata().unwrap().len())
+                .sum()
+        };
+        let before = dir_bytes();
         let metrics = DurabilityMetrics::new();
         let report = compact_log(&dir, &metrics).unwrap();
         assert_eq!(report.events_dropped, 2);
         assert!(report.segments_rewritten >= 1);
         assert!(report.bytes_reclaimed > 0);
+        assert_eq!(
+            before - dir_bytes(),
+            report.bytes_reclaimed,
+            "cold segments are exact-size, so what was reclaimed left the disk"
+        );
         assert_eq!(metrics.compaction_events_dropped.get(), 2);
 
         let events = replayed(&dir);
@@ -464,6 +481,34 @@ mod tests {
             }),
             "tmp leftovers swept"
         );
+        assert_eq!(replayed(&dir).len(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Offline compaction after a crash inside a rotation: the cold
+    /// segment still carries its preallocated tail. It is evidence and
+    /// candidate like any other, the tail is not "reclaimed", and the
+    /// rewrite leaves it exact-size.
+    #[test]
+    fn unsealed_cold_segment_compacts_to_exactly_its_frames() {
+        let dir = temp_dir("unsealed");
+        {
+            let dq = DurableQueue::open(config(&dir), Arc::new(DurabilityMetrics::new())).unwrap();
+            dq.queue().publish(add(1, "u1", 1)); // 0: superseded by 1
+            dq.queue().publish(add(1, "u1", 2)); // 1: live
+            dq.queue().publish(add(2, "u2", 1)); // 2: active segment
+        }
+        let cold = segment_path(&dir, 0);
+        let frames_len = fs::metadata(&cold).unwrap().len();
+        let f = fs::OpenOptions::new().write(true).open(&cold).unwrap();
+        f.set_len(frames_len + 4096).unwrap();
+        drop(f);
+
+        let report = compact_log(&dir, &DurabilityMetrics::new()).unwrap();
+        assert_eq!(report.events_dropped, 1);
+        let compacted = fs::metadata(&cold).unwrap().len();
+        assert_eq!(report.bytes_reclaimed, frames_len - compacted);
+        assert_eq!(crate::log::valid_len(&cold).unwrap(), compacted);
         assert_eq!(replayed(&dir).len(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }

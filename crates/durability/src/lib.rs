@@ -8,11 +8,13 @@
 //!
 //! Three pieces, layered:
 //!
-//! - [`log`] — a segmented append-only event log. Every record is framed
-//!   with a length and a CRC32C; a configurable [`FsyncPolicy`] trades
-//!   append throughput for loss bound; opening the log truncates torn or
-//!   corrupt tails back to the last valid frame, so the log is always a
-//!   verified prefix of what was acknowledged. Under
+//! - [`log`] — a segmented event log. Every record is framed with a
+//!   length and a CRC32C and written in place into a preallocated active
+//!   segment, so a sync flushes data and never a file-size change; a
+//!   configurable [`FsyncPolicy`] trades append throughput for loss
+//!   bound; opening the log clears torn or corrupt tails back to the last
+//!   valid frame, so the log is always a verified prefix of what was
+//!   acknowledged. Under
 //!   [`FsyncPolicy::Always`], [`commit`] can batch concurrent publishers
 //!   into shared group-commit syncs without weakening the loss bound.
 //! - [`checkpoint`] — atomic index snapshots (temp file + `fsync` +

@@ -401,7 +401,7 @@ mod tests {
             .collect();
         segs.sort();
         let last = segs.last().unwrap();
-        let len = fs::metadata(last).unwrap().len();
+        let len = crate::log::valid_len(last).unwrap();
         let f = fs::OpenOptions::new().write(true).open(last).unwrap();
         f.set_len(len - 2).unwrap();
         drop(f);

@@ -170,7 +170,8 @@ pub struct DurabilityOptions {
     /// `fsync` is [`FsyncPolicy::Always`] (same loss bound, far fewer
     /// `fdatasync`s under concurrent ingestion). Ignored otherwise.
     pub group_commit: bool,
-    /// Log segment roll size in bytes.
+    /// Log segment roll size in bytes (the active segment file is
+    /// preallocated, sparse, at this size).
     pub segment_max_bytes: u64,
     /// Checkpoint snapshots retained per partition.
     pub snapshots_keep: usize,

@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use jdvs_core::IndexConfig;
+use jdvs_durability::log::valid_len;
 use jdvs_durability::FsyncPolicy;
 use jdvs_features::cost::CostModel;
 use jdvs_features::{CachingExtractor, ExtractorConfig, FeatureExtractor};
@@ -260,15 +261,16 @@ impl RecoveryHarness {
         topology.shutdown();
     }
 
-    /// Truncates up to `bytes` off the end of the newest log segment
-    /// (a torn tail). Returns how many bytes were actually removed.
+    /// Cuts the newest log segment up to `bytes` short of the end of its
+    /// valid frames (a torn tail; the preallocated zeros behind them go
+    /// too). Returns how many bytes of frames were removed.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn tear_tail(&self, bytes: u64) -> io::Result<u64> {
         let path = self.last_segment()?;
-        let len = fs::metadata(&path)?.len();
+        let len = valid_len(&path)?;
         let cut = bytes.min(len);
         let file = fs::OpenOptions::new().write(true).open(&path)?;
         file.set_len(len - cut)?;
@@ -277,30 +279,32 @@ impl RecoveryHarness {
     }
 
     /// Flips one byte `offset_from_end` bytes before the end of the newest
-    /// log segment (tail corruption). No-op on an empty segment.
+    /// log segment's valid frames (tail corruption). No-op on a segment
+    /// without frames.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn corrupt_tail_byte(&self, offset_from_end: u64) -> io::Result<()> {
         let path = self.last_segment()?;
-        let mut bytes = fs::read(&path)?;
-        if bytes.is_empty() {
+        let len = valid_len(&path)? as usize;
+        if len == 0 {
             return Ok(());
         }
-        let i = bytes.len() - 1 - (offset_from_end as usize).min(bytes.len() - 1);
+        let mut bytes = fs::read(&path)?;
+        let i = len - 1 - (offset_from_end as usize).min(len - 1);
         bytes[i] ^= 0x5A;
         fs::write(&path, &bytes)?;
         Ok(())
     }
 
-    /// Total bytes currently in the newest log segment.
+    /// Bytes of valid frames currently in the newest log segment.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn tail_len(&self) -> io::Result<u64> {
-        Ok(fs::metadata(self.last_segment()?)?.len())
+        valid_len(&self.last_segment()?)
     }
 
     fn last_segment(&self) -> io::Result<std::path::PathBuf> {

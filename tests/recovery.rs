@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use jdvs::durability::log::valid_len;
 use jdvs::durability::{DurableQueue, FsyncPolicy, LogConfig};
 use jdvs::metrics::DurabilityMetrics;
 use jdvs::storage::model::{ProductEvent, ProductId};
@@ -197,7 +198,7 @@ fn truncation_at_every_byte_offset_never_panics_and_recovers_a_valid_prefix() {
 
     let mut last_recovered = published;
     loop {
-        let len = std::fs::metadata(&segment).expect("segment meta").len();
+        let len = valid_len(&segment).expect("segment scan");
         if len == 0 {
             break;
         }
@@ -232,10 +233,11 @@ fn truncation_at_every_byte_offset_never_panics_and_recovers_a_valid_prefix() {
         last_recovered = recovered;
         // Remove the probe record again so the next iteration tears into
         // the original stream, not our probe frame.
-        let len = std::fs::metadata(&segment).expect("segment meta").len();
+        let len = valid_len(&segment).expect("segment scan");
         drop(dq);
         let tail = {
-            let bytes = std::fs::read(&segment).expect("read segment");
+            let mut bytes = std::fs::read(&segment).expect("read segment");
+            bytes.truncate(len as usize);
             bytes.len() as u64 - frame_len_at_end(&bytes)
         };
         let file = std::fs::OpenOptions::new()

@@ -54,6 +54,7 @@
 pub mod bitmap;
 pub mod buffer;
 pub mod config;
+pub mod directory;
 pub mod error;
 pub mod filter;
 pub mod forward;

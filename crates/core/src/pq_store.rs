@@ -66,6 +66,7 @@ use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use jdvs_vector::pq::{AdcTable, ProductQuantizer, QuantizedAdcTable};
 use jdvs_vector::Vector;
 
+use crate::directory::Directory;
 use crate::ids::{ImageId, ListId};
 
 /// Codes per 4-bit fast-scan block (one kernel call's worth), and positions
@@ -80,63 +81,6 @@ const SEGMENT_BLOCKS: usize = SEGMENT_CODES / FASTSCAN_BLOCK;
 
 /// Ids per id-map chunk.
 const ID_CHUNK: usize = 4096;
-
-/// An append-only, lock-free map from small indexes to lazily created
-/// values that are never moved or dropped before the directory: `get`
-/// hands out plain borrows. Bucket `b` holds the `2^b` slots of indexes
-/// `2^b - 1 .. 2^(b+1) - 1`, so an empty directory is a few words per
-/// bucket and growing it never relocates an existing slot.
-struct Directory<T> {
-    buckets: [OnceLock<Box<[OnceLock<T>]>>; DIRECTORY_BUCKETS],
-}
-
-/// Enough for every `u32` position: `2^32 / SEGMENT_CODES` segments.
-const DIRECTORY_BUCKETS: usize = 25;
-
-impl<T> Directory<T> {
-    fn new() -> Self {
-        Self {
-            buckets: [const { OnceLock::new() }; DIRECTORY_BUCKETS],
-        }
-    }
-
-    /// `(bucket, slot within it)` of `idx`.
-    fn slot_of(idx: usize) -> (usize, usize) {
-        let bucket = (idx + 1).ilog2() as usize;
-        (bucket, idx + 1 - (1 << bucket))
-    }
-
-    fn get(&self, idx: usize) -> Option<&T> {
-        let (bucket, slot) = Self::slot_of(idx);
-        self.buckets.get(bucket)?.get()?[slot].get()
-    }
-
-    /// The value at `idx`, created by `init` if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is beyond the directory's `2^25 - 1` slots.
-    fn get_or_init(&self, idx: usize, init: impl FnOnce() -> T) -> &T {
-        let (bucket, slot) = Self::slot_of(idx);
-        self.buckets[bucket]
-            .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect())[slot]
-            .get_or_init(init)
-    }
-
-    /// Every present value with its index, in index order.
-    fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, bucket)| Some((b, bucket.get()?)))
-            .flat_map(|(b, slots)| {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(i, slot)| Some(((1 << b) - 1 + i, slot.get()?)))
-            })
-    }
-}
 
 /// One segment of a list's code area: flat atomic words holding packed
 /// code bytes, plus the two mask words of each 32-position block (see the

@@ -304,7 +304,12 @@ fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
 
 /// Temp-file + fsync + rename + directory-fsync write of `name` in `dir`
 /// — the rename itself is made durable here, not left to a later caller.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+///
+/// # Errors
+///
+/// Propagates I/O errors from any step; `name` is then either absent or
+/// still holds its previous contents.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     let tmp = dir.join(format!("{name}.tmp"));
     let target = dir.join(name);
     let mut f = File::create(&tmp)?;

@@ -18,8 +18,9 @@
 //! and each broker-group call gets `min(broker_deadline, 0.9 × remaining)`,
 //! running from that group's own start — the budget the user stamped
 //! bounds the whole hierarchy. Broker groups
-//! that fail are accounted (via [`BlenderService::with_group_partitions`])
-//! into the response's partition coverage, so a degraded result is never
+//! that fail, and brokers that answer for fewer partitions than their group
+//! owns, are accounted (via [`BlenderService::with_group_partitions`]) into
+//! the response's partition coverage, so a degraded result is never
 //! silently incomplete.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,7 +67,8 @@ where
     category_detector: Option<Arc<CategoryDetector>>,
     /// Partitions owned by each broker group, aligned with
     /// `broker_groups`. Lets the blender account partitions lost when a
-    /// whole group call fails (the group can't report its own loss).
+    /// whole group call fails (the group can't report its own loss) or a
+    /// broker's fan-out predates a split (it can't know what it misses).
     /// `None` = unknown; failed groups then only show in `groups_failed`.
     /// Shared and atomically updatable: an online partition split bumps
     /// the owning group's count so coverage accounting stays exact.
@@ -121,8 +123,9 @@ where
 
     /// Declares how many partitions each broker group owns (aligned with
     /// the constructor's `broker_groups`), so partitions behind a
-    /// completely-failed group call still land in the response's coverage
-    /// accounting instead of vanishing.
+    /// completely-failed group call, or missing from a broker's answer,
+    /// still land in the response's coverage accounting instead of
+    /// vanishing.
     ///
     /// # Panics
     ///
@@ -257,31 +260,38 @@ where
             filter: query.filter.clone(),
         };
         // Scatter: every group's request is sent before any reply is
-        // awaited. Gather: in group order.
+        // awaited. Gather: in group order. Declared counts are read before
+        // the call: a split grows brokers' fan-outs before it bumps them.
         let in_flight: Vec<_> = self
             .broker_groups
             .iter()
-            .map(|group| group.start(fanout.clone(), per_group))
+            .enumerate()
+            .map(|(g, group)| {
+                let declared = self.partitions_of_group(g);
+                (declared, group.start(fanout.clone(), per_group))
+            })
             .collect();
-        let responses = self
-            .broker_groups
-            .iter()
-            .zip(in_flight)
-            .map(|(group, call)| group.finish(call));
 
         let mut out = SearchResponse {
             detected_category,
             ..SearchResponse::default()
         };
         let mut all_hits = Vec::new();
-        for (g, resp) in responses.enumerate() {
-            match resp {
+        for (group, (declared, call)) in self.broker_groups.iter().zip(in_flight) {
+            match group.finish(call) {
                 Ok(partial) => {
+                    // A broker whose fan-out predates a split covers fewer
+                    // partitions than its group owns: the rest are lost.
+                    let missing =
+                        declared.map_or(0, |d| d.saturating_sub(partial.partitions_total));
+                    if let Some(m) = self.metrics.as_ref().filter(|_| missing > 0) {
+                        m.partitions_failed.add(missing as u64);
+                    }
                     out.groups_answered += 1;
                     out.partitions_ok += partial.partitions_ok;
-                    out.partitions_total += partial.partitions_total;
+                    out.partitions_total += partial.partitions_total + missing;
                     out.partitions_timed_out += partial.partitions_timed_out;
-                    out.partitions_failed += partial.partitions_failed;
+                    out.partitions_failed += partial.partitions_failed + missing;
                     out.partitions_shed += partial.partitions_shed;
                     all_hits.extend(partial.hits);
                 }
@@ -289,7 +299,7 @@ where
                     out.groups_failed += 1;
                     // The group couldn't account for its own partitions;
                     // do it here from the declared layout.
-                    let lost = self.partitions_of_group(g).unwrap_or(0);
+                    let lost = declared.unwrap_or(0);
                     out.partitions_total += lost;
                     match err {
                         RpcError::Timeout { .. } => {

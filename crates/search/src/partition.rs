@@ -60,26 +60,26 @@ impl PartitionMap {
     /// [`PartitionMap::groups`] + [`PartitionMap::table`]; used by the
     /// durable topology's partition-map file so splits survive restarts).
     ///
-    /// # Panics
-    ///
-    /// Panics on structurally invalid parts: empty vectors or entries out
-    /// of range.
-    pub fn from_parts(num_broker_groups: usize, groups: Vec<usize>, table: Vec<usize>) -> Self {
-        assert!(num_broker_groups > 0, "num_broker_groups must be positive");
-        assert!(!groups.is_empty(), "a layout needs at least one partition");
-        assert!(
-            groups.iter().all(|&g| g < num_broker_groups),
-            "group assignment out of range"
-        );
-        assert!(
-            !table.is_empty() && table.iter().all(|&p| p < groups.len()),
-            "routing table entry out of range"
-        );
-        Self {
+    /// `None` for structurally invalid parts: an empty vector, an entry out
+    /// of range, or a broker group that owns no partition.
+    pub fn from_parts(
+        num_broker_groups: usize,
+        groups: Vec<usize>,
+        table: Vec<usize>,
+    ) -> Option<Self> {
+        if table.is_empty() || num_broker_groups > groups.len() {
+            return None;
+        }
+        let mut owns = vec![false; num_broker_groups];
+        for &g in &groups {
+            *owns.get_mut(g)? = true;
+        }
+        let valid = owns.iter().all(|&o| o) && table.iter().all(|&p| p < groups.len());
+        valid.then_some(Self {
             num_broker_groups,
             groups,
             table,
-        }
+        })
     }
 
     /// Total partitions.
@@ -256,6 +256,16 @@ mod tests {
         }
         // All splits joined group 0 (the only group).
         assert_eq!(map.partitions_of_group(0), vec![0, 1, 2, a, b, c]);
+    }
+
+    #[test]
+    fn from_parts_round_trips_and_rejects_an_idle_group() {
+        let mut map = PartitionMap::new(4, 2);
+        map.split(1);
+        let rebuilt = PartitionMap::from_parts(2, map.groups().to_vec(), map.table().to_vec());
+        assert_eq!(rebuilt, Some(map));
+        // Group 1 would own nothing: its broker could not be assembled.
+        assert_eq!(PartitionMap::from_parts(2, vec![0, 0], vec![0, 1]), None);
     }
 
     #[test]

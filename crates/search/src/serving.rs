@@ -3,8 +3,11 @@
 //! [`NetServing::over`] stands the Blender → Broker → Searcher hierarchy
 //! up as real socket listeners ([`jdvs_net::tcp::TcpTier`]) sharing an
 //! existing [`SearchTopology`]'s hot-swappable partition indexes, image
-//! store and extractor — so real-time indexing, checkpointing and rebuild
-//! keep operating on the same data the network tiers serve.
+//! store and extractor — one searcher listener per replica of its live
+//! replica table, blenders from its own blender constructor — so real-time
+//! indexing, checkpointing and rebuild keep operating on the same data the
+//! network tiers serve, and a split made after `over` shows up as missing
+//! coverage rather than as a silently smaller answer.
 //!
 //! Every tier sits behind its own admission controller (token-bucket rate
 //! limit, bounded queue with deadline-aware shedding, concurrency cap):
@@ -28,6 +31,7 @@ use std::time::Duration;
 use jdvs_metrics::{ResilienceMetrics, ServingMetrics, ServingSnapshot};
 use jdvs_net::admission::AdmissionConfig;
 use jdvs_net::balancer::Balancer;
+use jdvs_net::rpc::Service;
 use jdvs_net::tcp::{TcpChannel, TcpTier};
 
 use crate::batch::{BatchConfig, BatchingSearcher};
@@ -130,14 +134,25 @@ fn encode_search_resp(s: &SearchResponse) -> Vec<u8> {
     wire::encode_search_response(s)
 }
 
+/// A channel dialing `tier` with the fan-out codec (broker → searcher and
+/// blender → broker).
+fn fanout_channel<S: Service>(tier: &TcpTier<S>) -> TcpChannel<FanoutQuery, PartialResponse> {
+    let name = format!("{}-ch", tier.name());
+    TcpChannel::new(name, tier.local_addr(), encode_fanout, decode_partial)
+}
+
+/// One searcher replica's listener and the micro-batcher behind it (kept
+/// so a drain can flush forming batches immediately).
+struct NetSearcher {
+    tier: TcpTier<Arc<BatchingSearcher>>,
+    batcher: Arc<BatchingSearcher>,
+}
+
 /// The three tiers running as TCP services over a topology's indexes.
 pub struct NetServing {
-    /// `[partition][replica]` searcher listeners (micro-batching front
-    /// included — a no-op pass-through when batching is disabled).
-    searchers: Vec<Vec<TcpTier<Arc<BatchingSearcher>>>>,
-    /// `[partition][replica]` handles to the batchers behind the searcher
-    /// listeners, kept so a drain can flush forming batches immediately.
-    batchers: Vec<Vec<Arc<BatchingSearcher>>>,
+    /// `[partition][replica]` searcher rows, laid out like the topology's
+    /// replica table when the tiers were stood up.
+    searchers: Vec<Vec<NetSearcher>>,
     /// `[group][instance]` broker listeners.
     brokers: Vec<Vec<TcpTier<NetBroker>>>,
     /// Blender listeners.
@@ -159,7 +174,9 @@ impl std::fmt::Debug for NetServing {
 }
 
 impl NetServing {
-    /// Stands the three TCP tiers up over `topology`'s partition indexes.
+    /// Stands the three TCP tiers up over `topology`'s partition indexes,
+    /// one searcher listener per replica of its live replica table (splits
+    /// and bootstraps included).
     ///
     /// The topology keeps running as built (its own in-process nodes,
     /// real-time indexers, durability); the network tiers serve the *same*
@@ -177,54 +194,41 @@ impl NetServing {
         // --- Searcher tier: one listener per (partition, replica), each
         // fronted by a micro-batcher sharing the tier's metrics so batch
         // depth/wait histograms land in the serving snapshot. ------------
-        let mut searchers: Vec<Vec<TcpTier<Arc<BatchingSearcher>>>> = Vec::new();
-        let mut batchers: Vec<Vec<Arc<BatchingSearcher>>> = Vec::new();
-        for p in 0..tc.num_partitions {
+        let mut searchers = Vec::new();
+        for p in 0..pmap.num_partitions() {
             let mut row = Vec::new();
-            let mut batcher_row = Vec::new();
-            for r in 0..tc.replicas_per_partition {
+            for r in 0..topology.num_replicas(p) {
                 let metrics = Arc::new(ServingMetrics::new());
                 let batcher = Arc::new(BatchingSearcher::new(
                     SearcherService::new(p, Arc::clone(topology.handle(p, r))),
                     config.searcher_batch,
                     Arc::clone(&metrics),
                 ));
-                row.push(TcpTier::spawn_with_metrics(
+                let tier = TcpTier::spawn_with_metrics(
                     &format!("net-searcher-{p}-{r}"),
                     Arc::clone(&batcher),
                     decode_fanout,
                     encode_partial,
                     config.searcher_admission.clone(),
                     metrics,
-                )?);
-                batcher_row.push(batcher);
+                )?;
+                row.push(NetSearcher { tier, batcher });
             }
             searchers.push(row);
-            batchers.push(batcher_row);
         }
 
         // --- Broker tier: instances fan out to searchers over TCP. ------
         let mut brokers: Vec<Vec<TcpTier<NetBroker>>> = Vec::new();
-        for g in 0..tc.num_broker_groups {
+        for g in 0..pmap.num_broker_groups() {
             let mut instances = Vec::new();
             for b in 0..tc.broker_replicas {
                 let balancers: Vec<Balancer<TcpChannel<FanoutQuery, PartialResponse>>> = pmap
                     .partitions_of_group(g)
                     .into_iter()
                     .map(|p| {
-                        let channels = searchers[p]
-                            .iter()
-                            .map(|tier| {
-                                TcpChannel::new(
-                                    format!("{}-ch", tier.name()),
-                                    tier.local_addr(),
-                                    encode_fanout,
-                                    decode_partial,
-                                )
-                            })
-                            .collect();
+                        let channels = searchers[p].iter().map(|s| fanout_channel(&s.tier));
                         Balancer::with_policies(
-                            channels,
+                            channels.collect(),
                             tc.health,
                             tc.retry,
                             tc.seed ^ 0x7C9 ^ ((g as u64) << 24) ^ ((b as u64) << 12) ^ p as u64,
@@ -252,28 +256,14 @@ impl NetServing {
         }
 
         // --- Blender tier. ----------------------------------------------
-        let group_partitions: Vec<usize> = (0..tc.num_broker_groups)
-            .map(|g| pmap.partitions_of_group(g).len())
-            .collect();
         let mut blenders = Vec::new();
         for i in 0..tc.num_blenders {
-            let groups: Vec<Balancer<TcpChannel<FanoutQuery, PartialResponse>>> = brokers
+            let groups = brokers
                 .iter()
                 .enumerate()
                 .map(|(g, instances)| {
-                    let channels = instances
-                        .iter()
-                        .map(|tier| {
-                            TcpChannel::new(
-                                format!("{}-ch", tier.name()),
-                                tier.local_addr(),
-                                encode_fanout,
-                                decode_partial,
-                            )
-                        })
-                        .collect();
                     Balancer::with_policies(
-                        channels,
+                        instances.iter().map(fanout_channel).collect(),
                         tc.health,
                         tc.retry,
                         tc.seed ^ 0x7CA ^ ((i as u64) << 24) ^ g as u64,
@@ -281,18 +271,9 @@ impl NetServing {
                     .with_metrics(Arc::clone(&resilience))
                 })
                 .collect();
-            let service = BlenderService::new(
-                groups,
-                Arc::clone(topology.extractor()),
-                Arc::clone(topology.images()),
-                tc.ranking,
-                tc.broker_deadline,
-            )
-            .with_group_partitions(group_partitions.clone())
-            .with_metrics(Arc::clone(&resilience));
             blenders.push(TcpTier::spawn(
                 &format!("net-blender-{i}"),
-                service,
+                topology.blender(groups, &resilience),
                 decode_query,
                 encode_search_resp,
                 config.blender_admission.clone(),
@@ -301,7 +282,6 @@ impl NetServing {
 
         Ok(Self {
             searchers,
-            batchers,
             brokers,
             blenders,
             resilience,
@@ -347,7 +327,10 @@ impl NetServing {
 
     /// Addresses of partition `p`'s searcher replicas.
     pub fn searcher_addrs(&self, p: usize) -> Vec<SocketAddr> {
-        self.searchers[p].iter().map(TcpTier::local_addr).collect()
+        self.searchers[p]
+            .iter()
+            .map(|s| s.tier.local_addr())
+            .collect()
     }
 
     /// Aggregated serving snapshot of the blender tier (admissions, sheds,
@@ -372,7 +355,7 @@ impl NetServing {
             self.searchers
                 .iter()
                 .flatten()
-                .map(|t| t.metrics().snapshot()),
+                .map(|s| s.tier.metrics().snapshot()),
         )
     }
 
@@ -384,7 +367,7 @@ impl NetServing {
     ///
     /// Panics if out of range.
     pub fn crash_searcher(&mut self, partition: usize, replica: usize) {
-        self.searchers[partition][replica].crash();
+        self.searchers[partition][replica].tier.crash();
     }
 
     /// Crashes one broker instance's listener.
@@ -421,11 +404,11 @@ impl NetServing {
         }
         // Flush forming batches before draining the listeners, so a drain
         // never waits out a batch window.
-        for batcher in self.batchers.iter().flatten() {
-            batcher.drain();
+        for searcher in self.searchers.iter().flatten() {
+            searcher.batcher.drain();
         }
-        for tier in self.searchers.iter_mut().flatten() {
-            idle &= tier.drain(timeout);
+        for searcher in self.searchers.iter_mut().flatten() {
+            idle &= searcher.tier.drain(timeout);
         }
         idle
     }

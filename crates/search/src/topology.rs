@@ -8,6 +8,13 @@
 //! every node and thread and tears the system down in
 //! [`SearchTopology::shutdown`] (also on drop).
 //!
+//! The serving layout is one **live replica table**: a row per partition
+//! holding its checkpoint store and one record per searcher replica (index
+//! handle, searcher node, indexer progress). Rows only grow — a split
+//! appends a partition, a bootstrap a replica — so the table sits on the
+//! append-only [`Directory`], and the topology, the background checkpoint
+//! scheduler and [`crate::serving::NetServing::over`] all read it lock-free.
+//!
 //! [`SearchTopology::rebuild_partition`] performs the paper's **weekly
 //! full indexing** (Figure 2) online: it replays the message log into a
 //! fresh index (physically dropping logically-deleted images), serializes
@@ -24,11 +31,14 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
+use jdvs_core::directory::Directory;
 use jdvs_core::full::{FullIndexBuilder, KeyFilter};
 use jdvs_core::realtime::RealtimeIndexer;
 use jdvs_core::swap::IndexHandle;
 use jdvs_core::{persist, IndexConfig, VisualIndex};
-use jdvs_durability::checkpoint::{CheckpointConfig, CheckpointStore, SharedCheckpoint};
+use jdvs_durability::checkpoint::{
+    write_atomic, CheckpointConfig, CheckpointStore, SharedCheckpoint,
+};
 use jdvs_durability::log::{FsyncPolicy, LogConfig};
 use jdvs_durability::queue::DurableQueue;
 use jdvs_durability::recovery::{recover_partition_seeded, RecoveryReport};
@@ -37,9 +47,10 @@ use jdvs_metrics::{DurabilityMetrics, DurabilitySnapshot, ResilienceMetrics, Res
 use jdvs_net::balancer::Balancer;
 use jdvs_net::latency::LatencyModel;
 use jdvs_net::node::{Node, NodeHandle};
-use jdvs_net::rpc::RpcError;
+use jdvs_net::rpc::{CallTarget, RpcError};
 use jdvs_net::{HealthPolicy, RetryPolicy};
-use jdvs_storage::model::ProductEvent;
+use jdvs_storage::lru::LruCache;
+use jdvs_storage::model::{ImageKey, ProductEvent};
 use jdvs_storage::queue::Consumer;
 use jdvs_storage::{FeatureDb, ImageStore, MessageQueue};
 use jdvs_vector::kmeans::{Kmeans, KmeansConfig};
@@ -49,7 +60,7 @@ use crate::blender::BlenderService;
 use crate::broker::BrokerService;
 use crate::client::SearchClient;
 use crate::partition::PartitionMap;
-use crate::protocol::{SearchQuery, SearchResponse};
+use crate::protocol::{FanoutQuery, PartialResponse, SearchQuery, SearchResponse};
 use crate::ranking::RankingPolicy;
 use crate::searcher::SearcherService;
 
@@ -236,32 +247,38 @@ impl DurabilityOptions {
 }
 
 /// The durable machinery of a topology built with
-/// [`SearchTopology::build_durable`].
+/// [`SearchTopology::build_durable`]. Each partition's checkpoint store
+/// lives in its row of the replica table.
 #[derive(Debug)]
 struct DurableParts {
     /// Owns the log and the publish tee on the shared queue.
     queue: DurableQueue,
-    /// One checkpoint store per partition. Behind a lock because an online
-    /// split appends the sibling's store while checkpoints may be reading.
-    checkpoints: RwLock<Vec<CheckpointStore>>,
     metrics: Arc<DurabilityMetrics>,
-    /// What startup recovery did, one entry per (partition, replica) in
-    /// partition-major order.
-    recovery: Vec<RecoveryReport>,
-    /// Root data directory: sibling checkpoint stores open under it on
-    /// split, and the partition-map file lives beside the WAL.
-    dir: PathBuf,
-    /// Snapshots retained per partition (applies to sibling stores too).
-    snapshots_keep: usize,
+    /// Root directory, snapshot retention and the scheduler's bounds.
+    options: DurabilityOptions,
+}
+
+impl DurableParts {
+    /// Opens partition `p`'s checkpoint store, `<dir>/ckpt-p{p}`.
+    fn open_store(&self, partition: usize) -> io::Result<CheckpointStore> {
+        CheckpointStore::open(
+            CheckpointConfig {
+                dir: self.options.dir.join(format!("ckpt-p{partition}")),
+                keep: self.options.snapshots_keep.max(1),
+            },
+            Arc::clone(&self.metrics),
+        )
+    }
 }
 
 /// The durable partition-map file (`<dir>/partition-map`): a split changes
 /// the routing table at runtime, and any checkpoint taken afterwards covers
 /// only the split partition's *narrowed* key set — so a restart must
 /// reconstruct the split layout or moved keys checkpointed by the sibling
-/// would silently vanish. The file is written atomically (tmp + rename)
-/// before a split resumes ingestion, which is also before any post-split
-/// checkpoint can exist (both serialize on the maintenance mutex).
+/// would silently vanish. The file is written with [`write_atomic`] (temp
+/// file, fsync, rename, directory fsync) before a split resumes ingestion,
+/// which is also before any post-split checkpoint can exist (both
+/// serialize on the maintenance mutex).
 const PARTITION_MAP_FILE: &str = "partition-map";
 const PARTITION_MAP_MAGIC: &str = "jdvs-partition-map v1";
 
@@ -278,15 +295,14 @@ fn save_partition_map(dir: &Path, map: &PartitionMap) -> io::Result<()> {
         join(map.groups()),
         join(map.table()),
     );
-    let tmp = dir.join(format!("{PARTITION_MAP_FILE}.tmp"));
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, dir.join(PARTITION_MAP_FILE))
+    write_atomic(dir, PARTITION_MAP_FILE, body.as_bytes())
 }
 
-/// Loads the persisted layout, if one exists. A corrupt file is an error,
-/// not a fallback: silently reverting to the config-derived layout after a
-/// split could drop every key the sibling's checkpoints own.
-fn load_partition_map(dir: &Path) -> io::Result<Option<PartitionMap>> {
+/// Loads the persisted layout, if one exists. A file that does not decode
+/// to a valid layout over `num_broker_groups` groups is an `InvalidData`
+/// error, not a fallback: silently reverting to the config-derived layout
+/// after a split could drop every key the sibling's checkpoints own.
+fn load_partition_map(dir: &Path, num_broker_groups: usize) -> io::Result<Option<PartitionMap>> {
     let path = dir.join(PARTITION_MAP_FILE);
     let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
@@ -308,7 +324,10 @@ fn load_partition_map(dir: &Path) -> io::Result<Option<PartitionMap>> {
     let groups_count = *field("groups ")?.first().ok_or_else(corrupt)?;
     let assign = field("assign ")?;
     let table = field("table ")?;
-    Ok(Some(PartitionMap::from_parts(groups_count, assign, table)))
+    PartitionMap::from_parts(groups_count, assign, table)
+        .filter(|map| map.num_broker_groups() == num_broker_groups)
+        .map(Some)
+        .ok_or_else(corrupt)
 }
 
 /// Outcome of [`SearchTopology::checkpoint_partition`].
@@ -437,6 +456,181 @@ impl OpsReport {
 /// [`BrokerService`] so lifecycle operations can grow it in place.
 type BrokerFanout = Arc<RwLock<Vec<Balancer<NodeHandle<SearcherService>>>>>;
 
+/// One searcher replica: its hot-swappable index, the in-process searcher
+/// node serving it, and its real-time indexer's progress.
+struct Replica {
+    handle: Arc<IndexHandle>,
+    node: Node<SearcherService>,
+    /// Absolute queue position the indexer has consumed through (== the
+    /// replica's applied-offset watermark).
+    processed: Arc<AtomicU64>,
+    /// Newest pause epoch the indexer has positively acknowledged (it is
+    /// parked, no apply in flight).
+    parked: Arc<AtomicU64>,
+}
+
+/// One partition's row of the replica table. A row is filled before it is
+/// appended, so it always holds at least one replica.
+struct Partition {
+    replicas: Directory<Replica>,
+    /// The partition's checkpoint store, when built durable.
+    checkpoints: Option<CheckpointStore>,
+}
+
+impl Partition {
+    fn replicas(&self) -> impl Iterator<Item = &Replica> {
+        self.replicas.iter().map(|(_, r)| r)
+    }
+
+    fn replica(&self, replica: usize) -> &Replica {
+        self.replicas.get(replica).expect("replica out of range")
+    }
+
+    /// The applied-offset watermark of the newest checkpoint manifest.
+    fn watermark(&self) -> Option<u64> {
+        Some(self.checkpoints.as_ref()?.manifest()?.applied_offset)
+    }
+}
+
+/// Appends `value` to a densely filled directory. One writer at a time:
+/// assembly, or a lifecycle operation holding `&mut SearchTopology`.
+fn append<T>(dir: &Directory<T>, value: T) {
+    let next = dir.iter().count();
+    dir.get_or_init(next, || value);
+}
+
+/// The live replica table and the quiesce machinery around it, shared
+/// (`Arc`) by the [`SearchTopology`], every indexer thread and the
+/// background scheduler: operator-initiated and scheduled checkpoints are
+/// one code path over one table, serialized by one maintenance mutex, and
+/// a row that a split or bootstrap appends is seen by all of them.
+struct Core {
+    partitions: Directory<Partition>,
+    /// Serializes checkpoint/rebuild/bootstrap/split/compaction: they share
+    /// the global pause flag, so one finishing must not resume indexing
+    /// under another's snapshot.
+    maintenance: Mutex<()>,
+    stop: AtomicBool,
+    pause: AtomicBool,
+    /// Bumped (under `maintenance`) each time a quiesce begins; indexer
+    /// threads echo it into their `parked` counter once at rest.
+    pause_epoch: AtomicU64,
+    durable: Option<DurableParts>,
+}
+
+impl Core {
+    fn partition(&self, p: usize) -> &Partition {
+        self.partitions.get(p).expect("partition out of range")
+    }
+
+    fn replica(&self, partition: usize, replica: usize) -> &Replica {
+        self.partition(partition).replica(replica)
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &Partition> {
+        self.partitions.iter().map(|(_, row)| row)
+    }
+
+    /// Pauses real-time consumption and blocks until every indexer thread
+    /// of `partition` has positively acknowledged the pause (echoed the new
+    /// pause epoch after finishing its in-flight apply). Bails early on
+    /// stop so a maintenance call racing teardown cannot hang. Callers must
+    /// hold the maintenance mutex and [`Core::resume`] afterwards.
+    fn quiesce(&self, partition: usize) {
+        let epoch = self.pause_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.pause.store(true, Ordering::Release);
+        for replica in self.partition(partition).replicas() {
+            while replica.parked.load(Ordering::Acquire) < epoch
+                && !self.stop.load(Ordering::Relaxed)
+            {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+    }
+
+    fn resume(&self) {
+        self.pause.store(false, Ordering::Release);
+    }
+
+    /// The full online-checkpoint sequence; see
+    /// [`SearchTopology::checkpoint_partition`] for the contract.
+    fn checkpoint_partition(&self, partition: usize) -> io::Result<CheckpointReport> {
+        let row = self.partition(partition);
+        let (Some(durable), Some(store)) = (&self.durable, &row.checkpoints) else {
+            panic!("checkpoint_partition requires build_durable");
+        };
+        let _maintenance = self.maintenance.lock();
+        self.quiesce(partition);
+        let result: io::Result<(u64, u64)> = (|| {
+            let index = row.replica(0).handle.get();
+            index.flush();
+            let applied_offset = index.stats().applied_offset.get();
+            // Sync the log through the watermark first: under EveryN/Os a
+            // crash right after this checkpoint could otherwise truncate
+            // the log below the watermark, and recovery seeded at it would
+            // skip the events re-published at those offsets forever.
+            durable.queue.sync()?;
+            let bytes_before = durable.metrics.checkpoint_bytes.get();
+            store.save(&index, applied_offset)?;
+            Ok((applied_offset, bytes_before))
+        })();
+        self.resume();
+        let (applied_offset, bytes_before) = result?;
+
+        // Retention: the log is shared by every partition, so only the
+        // prefix below the laggiest partition's checkpoint is garbage.
+        let min_watermark = self
+            .rows()
+            .map(|row| row.watermark().unwrap_or(0))
+            .min()
+            .unwrap_or(0);
+        let segments_pruned = durable.queue.prune_to(min_watermark)?;
+
+        Ok(CheckpointReport {
+            partition,
+            applied_offset,
+            snapshot_bytes: durable.metrics.checkpoint_bytes.get() - bytes_before,
+            segments_pruned,
+        })
+    }
+
+    /// One scheduler pass: checkpoint every partition whose replay
+    /// exposure (applied watermark minus newest checkpoint watermark)
+    /// exceeds `bound`. Errors are left for the next pass to retry — the
+    /// log itself is unaffected by a failed snapshot.
+    fn run_exposure_pass(&self, bound: u64) {
+        for (p, row) in self.partitions.iter() {
+            if self.stop.load(Ordering::Relaxed) {
+                return;
+            }
+            let applied = row.replica(0).handle.get().stats().applied_offset.get();
+            if applied.saturating_sub(row.watermark().unwrap_or(0)) > bound {
+                let _ = self.checkpoint_partition(p);
+            }
+        }
+    }
+
+    /// One scheduler pass of the log-compaction side: when the estimated
+    /// blanked-frame ratio crosses `threshold` and the log has cold
+    /// segments to rewrite, run per-key compaction. Serialized on the same
+    /// maintenance mutex as checkpoints, rebuilds and splits, so no
+    /// snapshot save or segment retention races the segment swap. Errors
+    /// are left for the next pass to retry, like a failed checkpoint.
+    fn run_compaction_pass(&self, threshold: f64) {
+        let Some(queue) = self.durable.as_ref().map(|d| &d.queue) else {
+            return;
+        };
+        if self.stop.load(Ordering::Relaxed)
+            || queue.stale_frame_ratio() < threshold
+            || queue.num_segments() < 2
+        {
+            return;
+        }
+        let _maintenance = self.maintenance.lock();
+        let _ = queue.compact();
+    }
+}
+
 /// The assembled serving system.
 pub struct SearchTopology {
     frontend: Arc<Balancer<NodeHandle<BlenderService>>>,
@@ -445,9 +639,9 @@ pub struct SearchTopology {
     /// indexers immediately stop owning the moved keys.
     partition_map: Arc<RwLock<PartitionMap>>,
     config: TopologyConfig,
-    /// `handles[p][r]` = hot-swappable index of partition `p`, replica `r`.
-    handles: Vec<Vec<Arc<IndexHandle>>>,
-    searcher_nodes: Vec<Vec<Node<SearcherService>>>,
+    /// The live replica table, shared with the indexer threads and the
+    /// background scheduler.
+    core: Arc<Core>,
     broker_nodes: Vec<Vec<Node<BrokerService>>>,
     /// `broker_partitions[g][b]` = the balancer list broker instance `b`
     /// of group `g` fans out over, shared with the running
@@ -455,75 +649,24 @@ pub struct SearchTopology {
     /// balancers, splits push whole new balancers.
     broker_partitions: Vec<Vec<BrokerFanout>>,
     /// Live per-group partition counts, shared with every blender's
-    /// coverage accounting; a split bumps the parent's group.
+    /// coverage accounting (in process and over TCP); a split bumps the
+    /// parent's group.
     group_partition_counts: Arc<Vec<AtomicUsize>>,
     blender_nodes: Vec<Node<BlenderService>>,
     queue: MessageQueue<ProductEvent>,
     extractor: Arc<CachingExtractor>,
     images: Arc<ImageStore>,
     feature_db: Arc<FeatureDb>,
-    indexer_stop: Arc<AtomicBool>,
-    indexer_pause: Arc<AtomicBool>,
-    /// Bumped (under `maintenance`) each time a quiesce begins; indexer
-    /// threads echo it into their parked slot once at rest.
-    pause_epoch: Arc<AtomicU64>,
-    /// `parked[p][r]` = newest pause epoch that replica's indexer has
-    /// positively acknowledged (it is parked, no apply in flight).
-    indexer_parked: Vec<Vec<Arc<AtomicU64>>>,
-    /// Serializes checkpoint/rebuild: both share the global pause flag, so
-    /// one finishing must not resume indexing under the other's snapshot.
-    /// Shared (`Arc`) with the background checkpoint scheduler, which runs
-    /// the same maintenance path from its own thread.
-    maintenance: Arc<Mutex<()>>,
     indexer_threads: Vec<JoinHandle<()>>,
-    /// Background checkpoint scheduler
-    /// ([`DurabilityOptions::checkpoint_exposure`]), joined in shutdown.
+    /// Background maintenance scheduler
+    /// ([`DurabilityOptions::checkpoint_exposure`],
+    /// [`DurabilityOptions::log_compaction_ratio`]), joined in shutdown.
     checkpoint_scheduler: Option<JoinHandle<()>>,
-    /// `processed[p][r]` = events consumed by that replica's indexer.
-    indexer_processed: Vec<Vec<Arc<AtomicU64>>>,
-    query_cache: Option<Arc<jdvs_storage::lru::LruCache<jdvs_storage::model::ImageKey, Vec<f32>>>>,
+    query_cache: Option<Arc<LruCache<ImageKey, Vec<f32>>>>,
     metrics: Arc<ResilienceMetrics>,
-    realtime_indexing: bool,
-    /// Durable log + checkpoints, when built with `build_durable`. Shared
-    /// (`Arc`) with the background checkpoint scheduler.
-    durable: Option<Arc<DurableParts>>,
-}
-
-/// The subset of topology state the checkpoint path touches, cloneable
-/// (`Arc`s all the way down) so the background scheduler thread can run
-/// [`CheckpointCore::checkpoint_partition`] without borrowing the
-/// [`SearchTopology`] that owns it. [`SearchTopology::checkpoint_partition`]
-/// delegates here too — operator-initiated and scheduled checkpoints are
-/// the same code path, serialized by the same maintenance mutex.
-struct CheckpointCore {
-    /// `handles[p][0]` is the replica whose index gets snapshotted.
-    handles: Vec<Vec<Arc<IndexHandle>>>,
-    maintenance: Arc<Mutex<()>>,
-    indexer_pause: Arc<AtomicBool>,
-    pause_epoch: Arc<AtomicU64>,
-    indexer_parked: Vec<Vec<Arc<AtomicU64>>>,
-    indexer_stop: Arc<AtomicBool>,
-    durable: Arc<DurableParts>,
-}
-
-/// Pauses real-time consumption and blocks until every indexer thread in
-/// `parked_row` has positively acknowledged the pause (echoed the new pause
-/// epoch after finishing its in-flight apply). Bails early on `stop` so a
-/// maintenance call racing teardown cannot hang. Callers must hold the
-/// maintenance mutex and resume by clearing `pause`.
-fn quiesce_row(
-    pause_epoch: &AtomicU64,
-    pause: &AtomicBool,
-    parked_row: &[Arc<AtomicU64>],
-    stop: &AtomicBool,
-) {
-    let epoch = pause_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-    pause.store(true, Ordering::Release);
-    for parked in parked_row {
-        while parked.load(Ordering::Acquire) < epoch && !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
+    /// What startup recovery did, one entry per (partition, replica) in
+    /// partition-major order; empty unless built durable.
+    recovery: Vec<RecoveryReport>,
 }
 
 /// An ownership predicate over the **live** partition layout: when a split
@@ -534,31 +677,50 @@ fn partition_filter(map: &Arc<RwLock<PartitionMap>>, partition: usize) -> KeyFil
     Arc::new(move |key| map.read().partition_of(key) == partition)
 }
 
-/// Spawns one replica's real-time indexing thread: poll → `apply_at` →
-/// advance `processed`, with the positive pause handshake and a
-/// drain-on-stop exit. Shared by assembly, replica bootstrap, and split.
-#[allow(clippy::too_many_arguments)] // private; every arg is one shared knob
-fn spawn_indexer_thread(
-    name: String,
-    mut consumer: Consumer<ProductEvent>,
+/// Stands up replica `r` of partition `p` over `indexer`'s index: its
+/// searcher node and, with real-time indexing on, the indexer thread that
+/// keeps it fresh from `consumer`'s position on (pushed onto `threads`):
+/// poll → `apply_at` → advance `processed`, with the positive pause
+/// handshake and a drain-on-stop exit.
+fn stand_up(
+    core: &Arc<Core>,
+    config: &TopologyConfig,
+    (p, r): (usize, usize),
     indexer: RealtimeIndexer,
-    stop: Arc<AtomicBool>,
-    pause: Arc<AtomicBool>,
-    epoch: Arc<AtomicU64>,
-    processed: Arc<AtomicU64>,
-    parked: Arc<AtomicU64>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
+    mut consumer: Consumer<ProductEvent>,
+    threads: &mut Vec<JoinHandle<()>>,
+) -> Replica {
+    let handle = Arc::clone(indexer.handle());
+    let node = Node::spawn_with(
+        format!("searcher-{p}-{r}"),
+        SearcherService::new(p, Arc::clone(&handle)),
+        config.searcher_workers,
+        config.latency,
+        config.seed ^ ((p as u64) << 16) ^ r as u64,
+    );
+    let processed = Arc::new(AtomicU64::new(consumer.position()));
+    let parked = Arc::new(AtomicU64::new(0));
+    let replica = Replica {
+        handle,
+        node,
+        processed: Arc::clone(&processed),
+        parked: Arc::clone(&parked),
+    };
+    if !config.realtime_indexing {
+        return replica;
+    }
+    let core = Arc::clone(core);
+    let thread = std::thread::Builder::new()
+        .name(format!("rtidx-{p}-{r}"))
         .spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if pause.load(Ordering::Acquire) {
+            while !core.stop.load(Ordering::Relaxed) {
+                if core.pause.load(Ordering::Acquire) {
                     // Positive quiesce handshake: echo the pause epoch only
                     // here, after any in-flight apply completed — the
                     // coordinator waits for *its* epoch, so a stale park
                     // from an earlier pause can't satisfy it.
-                    while pause.load(Ordering::Acquire) && !stop.load(Ordering::Relaxed) {
-                        parked.store(epoch.load(Ordering::Acquire), Ordering::Release);
+                    while core.pause.load(Ordering::Acquire) && !core.stop.load(Ordering::Relaxed) {
+                        parked.store(core.pause_epoch.load(Ordering::Acquire), Ordering::Release);
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     continue;
@@ -586,101 +748,67 @@ fn spawn_indexer_thread(
             }
             indexer.index().flush();
         })
-        .expect("spawning real-time indexer thread")
+        .expect("spawning real-time indexer thread");
+    threads.push(thread);
+    replica
 }
 
-impl CheckpointCore {
-    /// The full online-checkpoint sequence; see
-    /// [`SearchTopology::checkpoint_partition`] for the contract.
-    fn checkpoint_partition(&self, partition: usize) -> io::Result<CheckpointReport> {
-        let durable = &self.durable;
-        let _maintenance = self.maintenance.lock();
-        quiesce_row(
-            &self.pause_epoch,
-            &self.indexer_pause,
-            &self.indexer_parked[partition],
-            &self.indexer_stop,
-        );
-        let result: io::Result<(u64, u64)> = (|| {
-            let index = self.handles[partition][0].get();
-            index.flush();
-            let applied_offset = index.stats().applied_offset.get();
-            // Sync the log through the watermark first: under EveryN/Os a
-            // crash right after this checkpoint could otherwise truncate
-            // the log below the watermark, and recovery seeded at it would
-            // skip the events re-published at those offsets forever.
-            durable.queue.sync()?;
-            let bytes_before = durable.metrics.checkpoint_bytes.get();
-            durable.checkpoints.read()[partition].save(&index, applied_offset)?;
-            Ok((applied_offset, bytes_before))
-        })();
-        self.indexer_pause.store(false, Ordering::Release);
-        let (applied_offset, bytes_before) = result?;
+/// The balancer broker instance `b` of group `g` fans out over for
+/// partition `p`'s replicas.
+fn searcher_balancer(
+    config: &TopologyConfig,
+    metrics: &Arc<ResilienceMetrics>,
+    row: &Partition,
+    (g, b, p): (usize, usize, usize),
+) -> Balancer<NodeHandle<SearcherService>> {
+    Balancer::with_policies(
+        row.replicas().map(|r| r.node.handle()).collect(),
+        config.health,
+        config.retry,
+        config.seed ^ 0xBA1 ^ ((g as u64) << 24) ^ ((b as u64) << 12) ^ p as u64,
+    )
+    .with_metrics(Arc::clone(metrics))
+}
 
-        // Retention: the log is shared by every partition, so only the
-        // prefix below the laggiest partition's checkpoint is garbage.
-        // A freshly-split sibling has no manifest yet and contributes 0 —
-        // retention conservatively stops until its first checkpoint.
-        let min_watermark = durable
-            .checkpoints
-            .read()
-            .iter()
-            .map(|c| c.manifest().map_or(0, |m| m.applied_offset))
-            .min()
-            .unwrap_or(0);
-        let segments_pruned = durable.queue.prune_to(min_watermark)?;
-
-        Ok(CheckpointReport {
-            partition,
-            applied_offset,
-            snapshot_bytes: durable.metrics.checkpoint_bytes.get() - bytes_before,
-            segments_pruned,
-        })
+/// The one blender constructor of the in-process and TCP hosts: every
+/// blender of a topology shares its query-feature cache, category
+/// detector, ranking and live per-group partition counts.
+fn blender<B>(
+    config: &TopologyConfig,
+    groups: Vec<Balancer<B>>,
+    extractor: &Arc<CachingExtractor>,
+    images: &Arc<ImageStore>,
+    query_cache: Option<&Arc<LruCache<ImageKey, Vec<f32>>>>,
+    group_partitions: &Arc<Vec<AtomicUsize>>,
+    metrics: &Arc<ResilienceMetrics>,
+) -> BlenderService<B>
+where
+    B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
+{
+    let mut service = BlenderService::new(
+        groups,
+        Arc::clone(extractor),
+        Arc::clone(images),
+        config.ranking,
+        config.broker_deadline,
+    )
+    .with_shared_group_partitions(Arc::clone(group_partitions))
+    .with_metrics(Arc::clone(metrics));
+    if let Some(cache) = query_cache {
+        service = service.with_query_cache(Arc::clone(cache));
     }
-
-    /// One scheduler pass: checkpoint every partition whose replay
-    /// exposure (applied watermark minus newest checkpoint watermark)
-    /// exceeds `bound`. Errors are left for the next pass to retry — the
-    /// log itself is unaffected by a failed snapshot.
-    fn run_exposure_pass(&self, bound: u64) {
-        for p in 0..self.handles.len() {
-            if self.indexer_stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let watermark = self.durable.checkpoints.read()[p]
-                .manifest()
-                .map_or(0, |m| m.applied_offset);
-            let applied = self.handles[p][0].get().stats().applied_offset.get();
-            if applied.saturating_sub(watermark) > bound {
-                let _ = self.checkpoint_partition(p);
-            }
-        }
+    if let Some(detector) = &config.category_detector {
+        service = service.with_category_detector(Arc::clone(detector));
     }
-
-    /// One scheduler pass of the log-compaction side: when the estimated
-    /// blanked-frame ratio crosses `threshold` and the log has cold
-    /// segments to rewrite, run per-key compaction. Serialized on the same
-    /// maintenance mutex as checkpoints, rebuilds and splits, so no
-    /// snapshot save or segment retention races the segment swap. Errors
-    /// are left for the next pass to retry, like a failed checkpoint.
-    fn run_compaction_pass(&self, threshold: f64) {
-        if self.indexer_stop.load(Ordering::Relaxed)
-            || self.durable.queue.stale_frame_ratio() < threshold
-            || self.durable.queue.num_segments() < 2
-        {
-            return;
-        }
-        let _maintenance = self.maintenance.lock();
-        let _ = self.durable.queue.compact();
-    }
+    service
 }
 
 impl std::fmt::Debug for SearchTopology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchTopology")
-            .field("partitions", &self.handles.len())
+            .field("partitions", &self.core.rows().count())
             .field("blenders", &self.blender_nodes.len())
-            .field("realtime_indexing", &self.realtime_indexing)
+            .field("realtime_indexing", &self.config.realtime_indexing)
             .finish()
     }
 }
@@ -707,7 +835,7 @@ impl SearchTopology {
         config.validate();
         let layout = PartitionMap::new(config.num_partitions, config.num_broker_groups);
         Self::assemble(
-            config, extractor, images, feature_db, training, queue, layout, None, None, None,
+            config, extractor, images, feature_db, training, queue, layout, None,
         )
     }
 
@@ -728,7 +856,9 @@ impl SearchTopology {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from opening the log or checkpoint stores.
+    /// Propagates I/O errors from opening the log or checkpoint stores,
+    /// and returns `InvalidData` for a partition-map file that does not
+    /// decode to a layout over `config.num_broker_groups` groups.
     ///
     /// # Panics
     ///
@@ -756,29 +886,17 @@ impl SearchTopology {
         // taken after a split cover the narrowed key sets, so the restart
         // must reconstruct the persisted layout (not the config-derived
         // one) or the moved keys would vanish.
-        let layout = match load_partition_map(&options.dir)? {
-            Some(persisted) => {
-                assert_eq!(
-                    persisted.num_broker_groups(),
-                    config.num_broker_groups,
-                    "persisted partition map was laid out for a different broker-group count"
-                );
-                persisted
-            }
-            None => PartitionMap::new(config.num_partitions, config.num_broker_groups),
-        };
-        let snapshots_keep = options.snapshots_keep.max(1);
-        let mut checkpoints = Vec::with_capacity(layout.num_partitions());
-        for p in 0..layout.num_partitions() {
-            checkpoints.push(CheckpointStore::open(
-                CheckpointConfig {
-                    dir: options.dir.join(format!("ckpt-p{p}")),
-                    keep: snapshots_keep,
-                },
-                Arc::clone(&metrics),
-            )?);
-        }
+        let layout = load_partition_map(&options.dir, config.num_broker_groups)?
+            .unwrap_or_else(|| PartitionMap::new(config.num_partitions, config.num_broker_groups));
         let queue = (**durable_queue.queue()).clone();
+        let durable = DurableParts {
+            queue: durable_queue,
+            metrics,
+            options,
+        };
+        let stores = (0..layout.num_partitions())
+            .map(|p| durable.open_store(p))
+            .collect::<io::Result<_>>()?;
         Ok(Self::assemble(
             config,
             extractor,
@@ -787,20 +905,13 @@ impl SearchTopology {
             training,
             queue,
             layout,
-            Some(DurableParts {
-                queue: durable_queue,
-                checkpoints: RwLock::new(checkpoints),
-                metrics,
-                recovery: Vec::new(),
-                dir: options.dir.clone(),
-                snapshots_keep,
-            }),
-            options.checkpoint_exposure,
-            options.log_compaction_ratio,
+            Some((durable, stores)),
         ))
     }
 
-    #[allow(clippy::too_many_arguments)] // private assembly step shared by build/build_durable
+    /// Shared by build/build_durable; a durable topology brings one
+    /// checkpoint store per partition of `layout`.
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
         config: TopologyConfig,
         extractor: Arc<CachingExtractor>,
@@ -809,9 +920,7 @@ impl SearchTopology {
         training: &[Vector],
         queue: MessageQueue<ProductEvent>,
         layout: PartitionMap,
-        mut durable: Option<DurableParts>,
-        checkpoint_exposure: Option<u64>,
-        log_compaction_ratio: Option<f64>,
+        durable: Option<(DurableParts, Vec<CheckpointStore>)>,
     ) -> Self {
         config.validate();
         // The layout may have more partitions than the config when a
@@ -853,44 +962,39 @@ impl SearchTopology {
             ))
         });
 
-        // --- Searchers: one node per (partition, replica). --------------
-        let indexer_stop = Arc::new(AtomicBool::new(false));
-        let indexer_pause = Arc::new(AtomicBool::new(false));
-        let pause_epoch = Arc::new(AtomicU64::new(0));
-        let mut handles: Vec<Vec<Arc<IndexHandle>>> = Vec::with_capacity(num_partitions);
-        let mut searcher_nodes = Vec::with_capacity(num_partitions);
+        // --- Searchers: the replica table, one row per partition. --------
+        let (durable, stores) = durable.map_or((None, Vec::new()), |(d, s)| (Some(d), s));
+        let core = Arc::new(Core {
+            partitions: Directory::new(),
+            maintenance: Mutex::new(()),
+            stop: AtomicBool::new(false),
+            pause: AtomicBool::new(false),
+            pause_epoch: AtomicU64::new(0),
+            durable,
+        });
         let mut indexer_threads = Vec::new();
-        let mut indexer_processed: Vec<Vec<Arc<AtomicU64>>> = Vec::new();
-        let mut indexer_parked: Vec<Vec<Arc<AtomicU64>>> = Vec::new();
+        let mut recovery = Vec::new();
+        let mut stores = stores.into_iter();
         for p in 0..num_partitions {
-            let mut replica_handles = Vec::new();
-            let mut nodes = Vec::new();
-            let mut processed_row = Vec::new();
-            let mut parked_row = Vec::new();
+            let row = Partition {
+                replicas: Directory::new(),
+                checkpoints: stores.next(),
+            };
             // One disk read + one validating decode per partition, shared
             // by every replica below (each forks its copy from the cached
             // bytes instead of re-reading the snapshot).
-            let shared_seed: Option<SharedCheckpoint> = durable.as_ref().and_then(|d| {
-                d.checkpoints.read()[p].recover_shared_within(queue.len(), &config.index)
-            });
+            let shared_seed: Option<SharedCheckpoint> = row
+                .checkpoints
+                .as_ref()
+                .and_then(|c| c.recover_shared_within(queue.len(), &config.index));
             for r in 0..config.replicas_per_partition {
                 let index = Arc::new(VisualIndex::with_quantizers(
                     config.index.clone(),
                     quantizer.clone(),
                     pq_quantizer.clone(),
                 ));
-                let handle = Arc::new(IndexHandle::new(index));
-                replica_handles.push(Arc::clone(&handle));
-                let node = Node::spawn_with(
-                    format!("searcher-{p}-{r}"),
-                    SearcherService::new(p, Arc::clone(&handle)),
-                    config.searcher_workers,
-                    config.latency,
-                    config.seed ^ ((p as u64) << 16) ^ r as u64,
-                );
-                nodes.push(node);
                 let indexer = RealtimeIndexer::new(
-                    handle,
+                    Arc::new(IndexHandle::new(index)),
                     Arc::clone(&extractor),
                     Arc::clone(&images),
                     Arc::clone(&feature_db),
@@ -900,7 +1004,7 @@ impl SearchTopology {
                 // is served — newest valid checkpoint swapped in, then the
                 // log suffix replayed through the live indexing path.
                 let mut start = queue.base();
-                if let Some(d) = durable.as_mut() {
+                if let Some(d) = &core.durable {
                     let report = recover_partition_seeded(
                         &indexer,
                         shared_seed.as_ref(),
@@ -908,32 +1012,20 @@ impl SearchTopology {
                         &d.metrics,
                     );
                     start = report.start_offset + report.replayed;
-                    d.recovery.push(report);
+                    recovery.push(report);
                 }
-                if config.realtime_indexing {
-                    let consumer = queue.consumer_at(start);
-                    // Absolute queue position this replica has consumed
-                    // through (== its applied-offset watermark).
-                    let processed = Arc::new(AtomicU64::new(start));
-                    processed_row.push(Arc::clone(&processed));
-                    let parked = Arc::new(AtomicU64::new(0));
-                    parked_row.push(Arc::clone(&parked));
-                    indexer_threads.push(spawn_indexer_thread(
-                        format!("rtidx-{p}-{r}"),
-                        consumer,
-                        indexer,
-                        Arc::clone(&indexer_stop),
-                        Arc::clone(&indexer_pause),
-                        Arc::clone(&pause_epoch),
-                        processed,
-                        parked,
-                    ));
-                }
+                let consumer = queue.consumer_at(start);
+                let replica = stand_up(
+                    &core,
+                    &config,
+                    (p, r),
+                    indexer,
+                    consumer,
+                    &mut indexer_threads,
+                );
+                append(&row.replicas, replica);
             }
-            handles.push(replica_handles);
-            searcher_nodes.push(nodes);
-            indexer_processed.push(processed_row);
-            indexer_parked.push(parked_row);
+            append(&core.partitions, row);
         }
 
         // --- Brokers: G groups × broker_replicas instances. --------------
@@ -944,23 +1036,11 @@ impl SearchTopology {
             let mut instances = Vec::new();
             let mut instance_partitions = Vec::new();
             for b in 0..config.broker_replicas {
-                let balancers: Vec<Balancer<NodeHandle<SearcherService>>> = partition_map
+                let balancers: Vec<_> = partition_map
                     .read()
                     .partitions_of_group(g)
                     .into_iter()
-                    .map(|p| {
-                        Balancer::with_policies(
-                            searcher_nodes[p].iter().map(Node::handle).collect(),
-                            config.health,
-                            config.retry,
-                            config.seed
-                                ^ 0xBA1
-                                ^ ((g as u64) << 24)
-                                ^ ((b as u64) << 12)
-                                ^ p as u64,
-                        )
-                        .with_metrics(Arc::clone(&metrics))
-                    })
+                    .map(|p| searcher_balancer(&config, &metrics, core.partition(p), (g, b, p)))
                     .collect();
                 // The balancer list stays shared with the topology so
                 // replica bootstrap and splits can grow it while this
@@ -987,7 +1067,7 @@ impl SearchTopology {
         // --- Blenders. ----------------------------------------------------
         let query_cache = config
             .query_cache_capacity
-            .map(|cap| Arc::new(jdvs_storage::lru::LruCache::new(cap)));
+            .map(|cap| Arc::new(LruCache::new(cap)));
         let group_partition_counts: Arc<Vec<AtomicUsize>> = Arc::new(
             (0..config.num_broker_groups)
                 .map(|g| AtomicUsize::new(partition_map.read().partitions_of_group(g).len()))
@@ -995,7 +1075,7 @@ impl SearchTopology {
         );
         let blender_nodes: Vec<Node<BlenderService>> = (0..config.num_blenders)
             .map(|i| {
-                let groups: Vec<Balancer<NodeHandle<BrokerService>>> = broker_nodes
+                let groups = broker_nodes
                     .iter()
                     .enumerate()
                     .map(|(g, instances)| {
@@ -1008,21 +1088,15 @@ impl SearchTopology {
                         .with_metrics(Arc::clone(&metrics))
                     })
                     .collect();
-                let mut service = BlenderService::new(
+                let service = blender(
+                    &config,
                     groups,
-                    Arc::clone(&extractor),
-                    Arc::clone(&images),
-                    config.ranking,
-                    config.broker_deadline,
-                )
-                .with_shared_group_partitions(Arc::clone(&group_partition_counts))
-                .with_metrics(Arc::clone(&metrics));
-                if let Some(cache) = &query_cache {
-                    service = service.with_query_cache(Arc::clone(cache));
-                }
-                if let Some(detector) = &config.category_detector {
-                    service = service.with_category_detector(Arc::clone(detector));
-                }
+                    &extractor,
+                    &images,
+                    query_cache.as_ref(),
+                    &group_partition_counts,
+                    &metrics,
+                );
                 Node::spawn_with(
                     format!("blender-{i}"),
                     service,
@@ -1044,52 +1118,42 @@ impl SearchTopology {
             .with_metrics(Arc::clone(&metrics)),
         );
 
-        let realtime_indexing = config.realtime_indexing;
-        let durable = durable.map(Arc::new);
-        let maintenance = Arc::new(Mutex::new(()));
-
-        // --- Background maintenance scheduler (durable + a knob set). -----
+        // --- Background maintenance scheduler (durable + a bound set). ----
         // One thread drives both scheduled duties: exposure-bounded
         // checkpoints and threshold-triggered log compaction. They share
         // the maintenance mutex anyway, so a second thread would only
-        // queue behind the first.
-        let mut checkpoint_scheduler = None;
-        let scheduled = checkpoint_exposure.is_some() || log_compaction_ratio.is_some();
-        if let (true, Some(d), true) = (scheduled, &durable, realtime_indexing) {
-            let core = CheckpointCore {
-                handles: handles.clone(),
-                maintenance: Arc::clone(&maintenance),
-                indexer_pause: Arc::clone(&indexer_pause),
-                pause_epoch: Arc::clone(&pause_epoch),
-                indexer_parked: indexer_parked.clone(),
-                indexer_stop: Arc::clone(&indexer_stop),
-                durable: Arc::clone(d),
-            };
-            let stop = Arc::clone(&indexer_stop);
-            checkpoint_scheduler = Some(
-                std::thread::Builder::new()
-                    .name("ckpt-sched".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            if let Some(bound) = checkpoint_exposure {
-                                core.run_exposure_pass(bound);
-                            }
-                            if let Some(threshold) = log_compaction_ratio {
-                                core.run_compaction_pass(threshold);
-                            }
-                            std::thread::sleep(Duration::from_millis(5));
+        // queue behind the first. It walks the live table, so partitions
+        // a split appends later are covered too.
+        let (exposure, compaction) = match (&core.durable, config.realtime_indexing) {
+            (Some(d), true) => (
+                d.options.checkpoint_exposure,
+                d.options.log_compaction_ratio,
+            ),
+            _ => (None, None),
+        };
+        let checkpoint_scheduler = (exposure.is_some() || compaction.is_some()).then(|| {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("ckpt-sched".into())
+                .spawn(move || {
+                    while !core.stop.load(Ordering::Relaxed) {
+                        if let Some(bound) = exposure {
+                            core.run_exposure_pass(bound);
                         }
-                    })
-                    .expect("spawning checkpoint scheduler thread"),
-            );
-        }
+                        if let Some(threshold) = compaction {
+                            core.run_compaction_pass(threshold);
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                })
+                .expect("spawning checkpoint scheduler thread")
+        });
 
         Self {
             frontend,
             partition_map,
             config,
-            handles,
-            searcher_nodes,
+            core,
             broker_nodes,
             broker_partitions,
             group_partition_counts,
@@ -1098,19 +1162,33 @@ impl SearchTopology {
             extractor,
             images,
             feature_db,
-            indexer_stop,
-            indexer_pause,
-            pause_epoch,
-            indexer_parked,
-            maintenance,
             indexer_threads,
             checkpoint_scheduler,
-            indexer_processed,
             query_cache,
             metrics,
-            realtime_indexing,
-            durable,
+            recovery,
         }
+    }
+
+    /// Builds a blender over `groups` the way every blender of this
+    /// topology is built — the TCP host's entry to the shared constructor.
+    pub(crate) fn blender<B>(
+        &self,
+        groups: Vec<Balancer<B>>,
+        metrics: &Arc<ResilienceMetrics>,
+    ) -> BlenderService<B>
+    where
+        B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
+    {
+        blender(
+            &self.config,
+            groups,
+            &self.extractor,
+            &self.images,
+            self.query_cache.as_ref(),
+            &self.group_partition_counts,
+            metrics,
+        )
     }
 
     /// The shared resilience counters of the serving path (every balancer,
@@ -1132,14 +1210,14 @@ impl SearchTopology {
     /// A point-in-time operational report across the whole stack — what a
     /// production dashboard would scrape.
     pub fn ops_report(&self) -> OpsReport {
-        let mut partitions = Vec::with_capacity(self.handles.len());
-        for (p, row) in self.handles.iter().enumerate() {
-            for (r, handle) in row.iter().enumerate() {
-                let index = handle.get();
+        let mut partitions = Vec::new();
+        for (p, row) in self.core.rows().enumerate() {
+            for (r, replica) in row.replicas().enumerate() {
+                let index = replica.handle.get();
                 partitions.push(PartitionOps {
                     partition: p,
                     replica: r,
-                    generation: handle.generation(),
+                    generation: replica.handle.generation(),
                     records: index.num_images(),
                     valid: index.valid_images(),
                     inserts: index.stats().inserts.get(),
@@ -1164,44 +1242,24 @@ impl SearchTopology {
     /// The durability counters, when built with
     /// [`SearchTopology::build_durable`].
     pub fn durability_metrics(&self) -> Option<&Arc<DurabilityMetrics>> {
-        self.durable.as_ref().map(|d| &d.metrics)
+        self.core.durable.as_ref().map(|d| &d.metrics)
     }
 
     /// Point-in-time durability snapshot, when built durable.
     pub fn durability_snapshot(&self) -> Option<DurabilitySnapshot> {
-        self.durable.as_ref().map(|d| d.metrics.snapshot())
+        self.durability_metrics().map(|m| m.snapshot())
     }
 
     /// What startup recovery did, one report per (partition, replica) in
     /// partition-major order; `None` when not built durable.
     pub fn recovery_reports(&self) -> Option<&[RecoveryReport]> {
-        self.durable.as_ref().map(|d| d.recovery.as_slice())
+        self.core.durable.as_ref().map(|_| self.recovery.as_slice())
     }
 
     /// The durable queue (log handle), when built durable. Useful for
     /// forcing a [`DurableQueue::sync`] in tests and operational tooling.
     pub fn durable_queue(&self) -> Option<&DurableQueue> {
-        self.durable.as_ref().map(|d| &d.queue)
-    }
-
-    /// Pauses real-time consumption and blocks until every indexer thread
-    /// of `partition` has positively acknowledged the pause (echoed the
-    /// current pause epoch after finishing its in-flight apply). Callers
-    /// must hold `self.maintenance` and resume via
-    /// [`SearchTopology::resume_indexers`]. Bails early on shutdown so a
-    /// maintenance call racing teardown cannot hang.
-    fn quiesce_partition(&self, partition: usize) {
-        quiesce_row(
-            &self.pause_epoch,
-            &self.indexer_pause,
-            &self.indexer_parked[partition],
-            &self.indexer_stop,
-        );
-    }
-
-    /// Resumes real-time consumption after [`SearchTopology::quiesce_partition`].
-    fn resume_indexers(&self) {
-        self.indexer_pause.store(false, Ordering::Release);
+        self.core.durable.as_ref().map(|d| &d.queue)
     }
 
     /// Checkpoints one partition **online**: real-time consumption is
@@ -1227,25 +1285,11 @@ impl SearchTopology {
     /// Panics if not built durable, real-time indexing is disabled, or
     /// `partition` is out of range.
     pub fn checkpoint_partition(&self, partition: usize) -> io::Result<CheckpointReport> {
-        assert!(partition < self.handles.len(), "partition out of range");
         assert!(
-            self.realtime_indexing,
+            self.config.realtime_indexing,
             "checkpointing needs the real-time indexers' watermarks"
         );
-        let durable = self
-            .durable
-            .as_ref()
-            .expect("checkpoint_partition requires build_durable");
-        let core = CheckpointCore {
-            handles: self.handles.clone(),
-            maintenance: Arc::clone(&self.maintenance),
-            indexer_pause: Arc::clone(&self.indexer_pause),
-            pause_epoch: Arc::clone(&self.pause_epoch),
-            indexer_parked: self.indexer_parked.clone(),
-            indexer_stop: Arc::clone(&self.indexer_stop),
-            durable: Arc::clone(durable),
-        };
-        core.checkpoint_partition(partition)
+        self.core.checkpoint_partition(partition)
     }
 
     /// The applied-offset watermark of `partition`'s newest checkpoint
@@ -1254,13 +1298,9 @@ impl SearchTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `partition` is out of range on a durable topology.
+    /// Panics if `partition` is out of range.
     pub fn checkpoint_watermark(&self, partition: usize) -> Option<u64> {
-        self.durable.as_ref().and_then(|d| {
-            d.checkpoints.read()[partition]
-                .manifest()
-                .map(|m| m.applied_offset)
-        })
+        self.core.partition(partition).watermark()
     }
 
     /// A snapshot of the partition layout. Splits change the live layout;
@@ -1315,7 +1355,7 @@ impl SearchTopology {
     ///
     /// Panics if out of range.
     pub fn index(&self, partition: usize, replica: usize) -> Arc<VisualIndex> {
-        self.handles[partition][replica].get()
+        self.handle(partition, replica).get()
     }
 
     /// The hot-swap handle of a replica.
@@ -1324,14 +1364,19 @@ impl SearchTopology {
     ///
     /// Panics if out of range.
     pub fn handle(&self, partition: usize, replica: usize) -> &Arc<IndexHandle> {
-        &self.handles[partition][replica]
+        &self.core.replica(partition, replica).handle
+    }
+
+    /// Live replica count of `partition` (panics if out of range).
+    pub(crate) fn num_replicas(&self, partition: usize) -> usize {
+        self.core.partition(partition).replicas().count()
     }
 
     /// Snapshots of all current indexes, `[partition][replica]`.
     pub fn indexes(&self) -> Vec<Vec<Arc<VisualIndex>>> {
-        self.handles
-            .iter()
-            .map(|row| row.iter().map(|h| h.get()).collect())
+        self.core
+            .rows()
+            .map(|row| row.replicas().map(|r| r.handle.get()).collect())
             .collect()
     }
 
@@ -1341,7 +1386,7 @@ impl SearchTopology {
     ///
     /// Panics if out of range.
     pub fn searcher_faults(&self, partition: usize, replica: usize) -> &jdvs_net::FaultInjector {
-        self.searcher_nodes[partition][replica].faults()
+        self.core.replica(partition, replica).node.faults()
     }
 
     /// Fault controls of a broker instance.
@@ -1364,13 +1409,17 @@ impl SearchTopology {
     }
 
     /// Number of unread events the slowest real-time indexer still has to
-    /// process — 0 means every partition is fully caught up.
+    /// process — 0 means every partition is fully caught up (always 0
+    /// without real-time indexing).
     pub fn max_indexer_lag(&self) -> u64 {
+        if !self.config.realtime_indexing {
+            return 0;
+        }
         let published = self.queue.len();
-        self.indexer_processed
-            .iter()
-            .flatten()
-            .map(|p| published.saturating_sub(p.load(Ordering::Acquire)))
+        self.core
+            .rows()
+            .flat_map(Partition::replicas)
+            .map(|r| published.saturating_sub(r.processed.load(Ordering::Acquire)))
             .max()
             .unwrap_or(0)
     }
@@ -1383,7 +1432,7 @@ impl SearchTopology {
     ///
     /// Panics if indexers fail to catch up within `timeout`.
     pub fn wait_for_freshness(&self, timeout: Duration) {
-        if !self.realtime_indexing {
+        if !self.config.realtime_indexing {
             return;
         }
         let deadline = std::time::Instant::now() + timeout;
@@ -1394,18 +1443,18 @@ impl SearchTopology {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        for row in &self.handles {
-            for handle in row {
-                handle.get().flush();
-            }
+        for replica in self.core.rows().flat_map(Partition::replicas) {
+            replica.handle.get().flush();
         }
     }
 
     /// The quiesced consume positions of `partition`'s replicas. Caller
     /// must hold the maintenance mutex with the partition quiesced.
     fn quiesced_cuts(&self, partition: usize) -> Vec<u64> {
-        (0..self.handles[partition].len())
-            .map(|r| self.indexer_processed[partition][r].load(Ordering::Acquire))
+        self.core
+            .partition(partition)
+            .replicas()
+            .map(|r| r.processed.load(Ordering::Acquire))
             .collect()
     }
 
@@ -1433,10 +1482,12 @@ impl SearchTopology {
             Arc::clone(&self.feature_db),
         )
         .with_filter(Arc::clone(filter));
-        let seed = self.durable.as_ref().and_then(|d| {
-            d.checkpoints.read()[checkpoint_partition]
-                .recover_shared_within(cut, &self.config.index)
-        });
+        let seed = self
+            .core
+            .partition(checkpoint_partition)
+            .checkpoints
+            .as_ref()
+            .and_then(|c| c.recover_shared_within(cut, &self.config.index));
         let (fresh, build) = match &seed {
             Some(s) => {
                 let start = s.applied_offset.max(self.queue.base());
@@ -1516,16 +1567,16 @@ impl SearchTopology {
     /// disabled, or (non-durable topologies only) the log prefix was
     /// externally pruned.
     pub fn rebuild_partition(&self, partition: usize) -> RebuildReport {
-        assert!(partition < self.handles.len(), "partition out of range");
         assert!(
-            self.realtime_indexing,
+            self.config.realtime_indexing,
             "online rebuild requires real-time indexing (otherwise just build a world)"
         );
+        let row = self.core.partition(partition);
         // 1. One maintenance op at a time (the pause flag is global), then
         //    pause consumption and wait for every indexer thread of this
         //    partition to positively acknowledge the pause.
-        let _maintenance = self.maintenance.lock();
-        self.quiesce_partition(partition);
+        let _maintenance = self.core.maintenance.lock();
+        self.core.quiesce(partition);
 
         // 2. Build once at the minimum quiesced cut (replica cuts may
         //    differ — each indexer thread parked at its own position).
@@ -1547,7 +1598,7 @@ impl SearchTopology {
             snapshot_bytes: bytes.len(),
         };
         let mut max_tail = 0u64;
-        for (r, handle) in self.handles[partition].iter().enumerate() {
+        for (r, replica) in row.replicas().enumerate() {
             let loaded = Arc::new(
                 persist::load(&bytes, &self.config.index).expect("snapshot round-trip cannot fail"),
             );
@@ -1562,14 +1613,14 @@ impl SearchTopology {
                 loaded
             };
             report.records_after += loaded.num_images();
-            let old = handle.swap(loaded);
+            let old = replica.handle.swap(loaded);
             report.records_before += old.num_images();
         }
         report.messages_replayed += max_tail;
 
         // 4. Resume real-time indexing; events after each cut apply to the
         //    fresh index through the handle.
-        self.resume_indexers();
+        self.core.resume();
         report
     }
 
@@ -1588,22 +1639,21 @@ impl SearchTopology {
     /// Panics if `partition` is out of range or real-time indexing is
     /// disabled.
     pub fn bootstrap_replica(&mut self, partition: usize) -> BootstrapReport {
-        assert!(partition < self.handles.len(), "partition out of range");
         assert!(
-            self.realtime_indexing,
+            self.config.realtime_indexing,
             "replica bootstrap tails the live log"
         );
+        let row = self.core.partition(partition);
         // --- Phase A: build the replica off to the side. Ingestion and
         // serving continue untouched; only the checkpoint read takes the
         // maintenance mutex (lifecycle ops serialize on it, so a snapshot
         // mid-save is never observed).
         let filter = partition_filter(&self.partition_map, partition);
         let seed = {
-            let _maintenance = self.maintenance.lock();
-            self.durable.as_ref().and_then(|d| {
-                d.checkpoints.read()[partition]
-                    .recover_shared_within(self.queue.len(), &self.config.index)
-            })
+            let _maintenance = self.core.maintenance.lock();
+            row.checkpoints
+                .as_ref()
+                .and_then(|c| c.recover_shared_within(self.queue.len(), &self.config.index))
         };
         let from_snapshot = seed.is_some();
         let (index, start) = match seed {
@@ -1617,7 +1667,7 @@ impl SearchTopology {
                 // Cold path: an empty index sharing the siblings' trained
                 // quantizers, fed from the queue base (still unpruned by
                 // the same retention argument as `build_to_cut`).
-                let sibling = self.handles[partition][0].get();
+                let sibling = row.replica(0).handle.get();
                 assert_eq!(
                     self.queue.base(),
                     0,
@@ -1633,7 +1683,7 @@ impl SearchTopology {
                 (index, 0)
             }
         };
-        let replica = self.handles[partition].len();
+        let replica = row.replicas().count();
         let indexer = RealtimeIndexer::for_index(
             Arc::new(index),
             Arc::clone(&self.extractor),
@@ -1656,8 +1706,8 @@ impl SearchTopology {
 
         // --- Phase B: quiesce the partition, drain the remaining gap, and
         // atomically join the serving set.
-        let _maintenance = self.maintenance.lock();
-        self.quiesce_partition(partition);
+        let _maintenance = self.core.maintenance.lock();
+        self.core.quiesce(partition);
         loop {
             let offset = consumer.position();
             match consumer.poll_now() {
@@ -1670,13 +1720,14 @@ impl SearchTopology {
         }
         indexer.index().flush();
 
-        let handle = Arc::clone(indexer.handle());
-        let node = Node::spawn_with(
-            format!("searcher-{partition}-{replica}"),
-            SearcherService::new(partition, Arc::clone(&handle)),
-            self.config.searcher_workers,
-            self.config.latency,
-            self.config.seed ^ ((partition as u64) << 16) ^ replica as u64,
+        // Its indexer thread starts parked (the pause is still up).
+        let joined = stand_up(
+            &self.core,
+            &self.config,
+            (partition, replica),
+            indexer,
+            consumer,
+            &mut self.indexer_threads,
         );
         // Join the fan-out: every broker instance of the owning group gets
         // this searcher as a new balancer target (fan-outs already in
@@ -1692,25 +1743,10 @@ impl SearchTopology {
             (group, slot)
         };
         for instance in &self.broker_partitions[group] {
-            instance.read()[slot].push_target(node.handle());
+            instance.read()[slot].push_target(joined.node.handle());
         }
-        let processed = Arc::new(AtomicU64::new(consumer.position()));
-        let parked = Arc::new(AtomicU64::new(0));
-        self.handles[partition].push(Arc::clone(&handle));
-        self.searcher_nodes[partition].push(node);
-        self.indexer_processed[partition].push(Arc::clone(&processed));
-        self.indexer_parked[partition].push(Arc::clone(&parked));
-        self.indexer_threads.push(spawn_indexer_thread(
-            format!("rtidx-{partition}-{replica}"),
-            consumer,
-            indexer,
-            Arc::clone(&self.indexer_stop),
-            Arc::clone(&self.indexer_pause),
-            Arc::clone(&self.pause_epoch),
-            processed,
-            parked,
-        ));
-        self.resume_indexers();
+        append(&row.replicas, joined);
+        self.core.resume();
         BootstrapReport {
             partition,
             replica,
@@ -1750,17 +1786,17 @@ impl SearchTopology {
     /// Panics if `partition` is out of range or real-time indexing is
     /// disabled.
     pub fn split_partition(&mut self, partition: usize) -> io::Result<SplitReport> {
-        assert!(partition < self.handles.len(), "partition out of range");
         assert!(
-            self.realtime_indexing,
+            self.config.realtime_indexing,
             "online split requires real-time indexing"
         );
-        let _maintenance = self.maintenance.lock();
-        self.quiesce_partition(partition);
+        let parent = self.core.partition(partition);
+        let _maintenance = self.core.maintenance.lock();
+        self.core.quiesce(partition);
         let cuts = self.quiesced_cuts(partition);
         let cut0 = cuts.iter().copied().min().unwrap_or(0);
 
-        let sibling = self.handles.len();
+        let sibling = self.core.rows().count();
         let candidate = {
             let mut map = self.partition_map.read().clone();
             let s = map.split(partition);
@@ -1793,28 +1829,25 @@ impl SearchTopology {
         //      a narrowed parent checkpoint under the old two-way layout
         //      would drop the moved keys on restart. Until it lands, the
         //      pre-split full checkpoint is a safe superset.
-        if let Some(d) = self.durable.as_ref() {
-            let committed: io::Result<()> = (|| {
-                let store = CheckpointStore::open(
-                    CheckpointConfig {
-                        dir: d.dir.join(format!("ckpt-p{sibling}")),
-                        keep: d.snapshots_keep,
-                    },
-                    Arc::clone(&d.metrics),
-                )?;
+        let mut checkpoints = None;
+        if let (Some(d), Some(parent_store)) = (&self.core.durable, &parent.checkpoints) {
+            let committed = (|| {
+                let store = d.open_store(sibling)?;
                 // Sync the log through the cut first: a crash after these
                 // checkpoints could otherwise truncate the log below their
                 // watermark (same hazard as checkpoint_partition).
                 d.queue.sync()?;
                 store.save(&sibling_half, cut0)?;
-                save_partition_map(&d.dir, &candidate)?;
-                d.checkpoints.read()[partition].save(&parent_half, cut0)?;
-                d.checkpoints.write().push(store);
-                Ok(())
+                save_partition_map(&d.options.dir, &candidate)?;
+                parent_store.save(&parent_half, cut0)?;
+                Ok(store)
             })();
-            if let Err(e) = committed {
-                self.resume_indexers();
-                return Err(e);
+            match committed {
+                Ok(store) => checkpoints = Some(store),
+                Err(e) => {
+                    self.core.resume();
+                    return Err(e);
+                }
             }
         }
         // Commit the routing change. The parent's indexers are parked, so
@@ -1824,11 +1857,10 @@ impl SearchTopology {
         let parent_filter = partition_filter(&self.partition_map, partition);
         let sibling_filter = partition_filter(&self.partition_map, sibling);
 
-        // Stand the sibling's replica row up (same replica count as the
-        // parent). Its indexer threads start at the build cut and park
-        // until the resume below, then consume [cut0, …) through the
-        // sibling filter — nothing published during the split is lost.
-        let replicas = self.handles[partition].len();
+        // Stand the sibling's row up (same replica count as the parent).
+        // Its indexer threads start at the build cut and park until the
+        // resume below, then consume [cut0, …) through the sibling filter
+        // — nothing published during the split is lost.
         let mut report = SplitReport {
             partition,
             sibling,
@@ -1837,11 +1869,11 @@ impl SearchTopology {
             sibling_records: 0,
             from_snapshot,
         };
-        let mut sib_handles = Vec::with_capacity(replicas);
-        let mut sib_nodes = Vec::with_capacity(replicas);
-        let mut sib_processed = Vec::with_capacity(replicas);
-        let mut sib_parked = Vec::with_capacity(replicas);
-        for r in 0..replicas {
+        let row = Partition {
+            replicas: Directory::new(),
+            checkpoints,
+        };
+        for r in 0..parent.replicas().count() {
             let loaded = Arc::new(
                 persist::load(&sibling_bytes, &self.config.index)
                     .expect("snapshot round-trip cannot fail"),
@@ -1855,60 +1887,33 @@ impl SearchTopology {
                 Arc::clone(&self.feature_db),
             )
             .with_filter(Arc::clone(&sibling_filter));
-            let handle = Arc::clone(indexer.handle());
-            let node = Node::spawn_with(
-                format!("searcher-{sibling}-{r}"),
-                SearcherService::new(sibling, Arc::clone(&handle)),
-                self.config.searcher_workers,
-                self.config.latency,
-                self.config.seed ^ ((sibling as u64) << 16) ^ r as u64,
-            );
-            let processed = Arc::new(AtomicU64::new(cut0));
-            let parked = Arc::new(AtomicU64::new(0));
-            self.indexer_threads.push(spawn_indexer_thread(
-                format!("rtidx-{sibling}-{r}"),
-                self.queue.consumer_at(cut0),
+            let replica = stand_up(
+                &self.core,
+                &self.config,
+                (sibling, r),
                 indexer,
-                Arc::clone(&self.indexer_stop),
-                Arc::clone(&self.indexer_pause),
-                Arc::clone(&self.pause_epoch),
-                Arc::clone(&processed),
-                Arc::clone(&parked),
-            ));
-            sib_handles.push(handle);
-            sib_nodes.push(node);
-            sib_processed.push(processed);
-            sib_parked.push(parked);
+                self.queue.consumer_at(cut0),
+                &mut self.indexer_threads,
+            );
+            append(&row.replicas, replica);
         }
 
         // Make the sibling serving-visible *before* narrowing the parent,
         // so no fan-out ever misses the moved keys: one balancer over the
         // sibling's replicas per broker instance of the owning group, then
-        // the blenders' coverage count.
+        // the table row and the blenders' coverage count.
         let group = self.partition_map.read().broker_group_of(sibling);
         for (b, instance) in self.broker_partitions[group].iter().enumerate() {
-            let balancer = Balancer::with_policies(
-                sib_nodes.iter().map(Node::handle).collect(),
-                self.config.health,
-                self.config.retry,
-                self.config.seed
-                    ^ 0xBA1
-                    ^ ((group as u64) << 24)
-                    ^ ((b as u64) << 12)
-                    ^ sibling as u64,
-            )
-            .with_metrics(Arc::clone(&self.metrics));
+            let balancer =
+                searcher_balancer(&self.config, &self.metrics, &row, (group, b, sibling));
             instance.write().push(balancer);
         }
-        self.handles.push(sib_handles);
-        self.searcher_nodes.push(sib_nodes);
-        self.indexer_processed.push(sib_processed);
-        self.indexer_parked.push(sib_parked);
+        append(&self.core.partitions, row);
         self.group_partition_counts[group].fetch_add(1, Ordering::Release);
 
         // Swap the parent's replicas down to their narrowed half, catching
         // up any replica whose quiesced cut ran past the build cut.
-        for (r, handle) in self.handles[partition].iter().enumerate() {
+        for (r, replica) in parent.replicas().enumerate() {
             let loaded = Arc::new(
                 persist::load(&parent_bytes, &self.config.index)
                     .expect("snapshot round-trip cannot fail"),
@@ -1920,16 +1925,16 @@ impl SearchTopology {
                 loaded
             };
             report.parent_records += loaded.num_images();
-            handle.swap(loaded);
+            replica.handle.swap(loaded);
         }
-        self.resume_indexers();
+        self.core.resume();
         Ok(report)
     }
 
     /// Stops real-time indexers (draining the queue), then shuts every node
     /// down, top of the stack first. Idempotent.
     pub fn shutdown(&mut self) {
-        self.indexer_stop.store(true, Ordering::SeqCst);
+        self.core.stop.store(true, Ordering::SeqCst);
         // Stop the checkpoint scheduler before the indexers: a checkpoint
         // cut mid-teardown would race the drain below (quiesce bails on
         // the stop flag, so this join is prompt).
@@ -1937,14 +1942,14 @@ impl SearchTopology {
             let _ = t.join();
         }
         // A paused indexer would never reach the drain loop.
-        self.indexer_pause.store(false, Ordering::SeqCst);
+        self.core.pause.store(false, Ordering::SeqCst);
         for t in self.indexer_threads.drain(..) {
             let _ = t.join();
         }
         // Push any unsynced log tail to stable storage before the nodes
         // go away (clean shutdowns lose nothing even under FsyncPolicy::Os).
-        if let Some(d) = &self.durable {
-            let _ = d.queue.sync();
+        if let Some(queue) = self.durable_queue() {
+            let _ = queue.sync();
         }
         for b in &self.blender_nodes {
             b.shutdown();
@@ -1954,10 +1959,8 @@ impl SearchTopology {
                 b.shutdown();
             }
         }
-        for p in &self.searcher_nodes {
-            for s in p {
-                s.shutdown();
-            }
+        for replica in self.core.rows().flat_map(Partition::replicas) {
+            replica.node.shutdown();
         }
     }
 }
@@ -2361,6 +2364,15 @@ mod tests {
         index: IndexConfig,
         tweak: impl FnOnce(&mut DurabilityOptions),
     ) -> SearchTopology {
+        try_durable_world(dir, images, index, tweak).unwrap()
+    }
+
+    fn try_durable_world(
+        dir: &std::path::Path,
+        images: &Arc<ImageStore>,
+        index: IndexConfig,
+        tweak: impl FnOnce(&mut DurabilityOptions),
+    ) -> io::Result<SearchTopology> {
         let feature_db = Arc::new(FeatureDb::new());
         let extractor = Arc::new(CachingExtractor::new(
             FeatureExtractor::new(ExtractorConfig {
@@ -2392,7 +2404,6 @@ mod tests {
             &training,
             options,
         )
-        .unwrap()
     }
 
     fn durable_dir(tag: &str) -> PathBuf {
@@ -2515,6 +2526,67 @@ mod tests {
         assert_eq!(t.ops_report().logical_valid_images(), 30);
         t.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scheduler_checkpoints_split_sibling() {
+        let dir = durable_dir("sched-split");
+        let images = Arc::new(ImageStore::with_blob_len(64));
+        let mut t = durable_world_with(&dir, &images, |o| {
+            *o = o.clone().with_checkpoint_exposure(5);
+        });
+        for i in 0..30u64 {
+            t.publish(add_event_for(&images, i));
+        }
+        t.wait_for_freshness(Duration::from_secs(30));
+        let sibling = t.split_partition(0).unwrap().sibling;
+        for i in 30..60u64 {
+            t.publish(add_event_for(&images, i));
+        }
+        t.wait_for_freshness(Duration::from_secs(30));
+        // The sibling joined after the scheduler started; its replay
+        // exposure must be bounded like every other partition's.
+        let watermarks = |t: &SearchTopology| -> Vec<Option<u64>> {
+            (0..=sibling).map(|p| t.checkpoint_watermark(p)).collect()
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !watermarks(&t).iter().all(|w| w.is_some_and(|w| w >= 55)) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "scheduler left a partition behind: {:?}",
+                watermarks(&t)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        t.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_partition_map_file_is_invalid_data() {
+        let images = Arc::new(ImageStore::with_blob_len(64));
+        let v1 = PARTITION_MAP_MAGIC;
+        let bodies = [
+            "jdvs-partition-map v0\ngroups 1\nassign 0 0\ntable 0 1\n".to_string(),
+            // The config has one broker group.
+            format!("{v1}\ngroups 2\nassign 0 1\ntable 0 1\n"),
+            format!("{v1}\ngroups 1\nassign 0 1\ntable 0 1\n"),
+            format!("{v1}\ngroups 1\nassign 0 0\ntable 0 2\n"),
+            format!("{v1}\ngroups 1\nassign \ntable 0\n"),
+        ];
+        for body in bodies {
+            let dir = durable_dir("bad-map");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(PARTITION_MAP_FILE), &body).unwrap();
+            let index = IndexConfig {
+                dim: DIM,
+                num_lists: 4,
+                ..Default::default()
+            };
+            let err = try_durable_world(&dir, &images, index, |_| {}).expect_err(&body);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

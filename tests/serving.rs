@@ -734,3 +734,86 @@ fn low_selectivity_filtered_query_over_tcp() {
         }
     }
 }
+
+/// Every image URL of the world's catalog.
+fn catalog_urls(world: &World) -> Vec<String> {
+    world
+        .catalog()
+        .products()
+        .iter()
+        .flat_map(|p| p.image_attributes())
+        .map(|a| a.url)
+        .collect()
+}
+
+/// The TCP tiers stand up over the topology's live layout: a bootstrapped
+/// replica gets its own listener, a split's sibling gets a row, and every
+/// key is served with full coverage of the three partitions.
+#[test]
+fn net_serving_over_a_split_topology_covers_every_partition() {
+    let mut world = World::build(WorldConfig::fast_test());
+    world.topology_mut().bootstrap_replica(0);
+    let sibling = world
+        .topology_mut()
+        .split_partition(0)
+        .expect("online split")
+        .sibling;
+    let serving = NetServing::over(world.topology(), NetServingConfig::default()).unwrap();
+    assert_eq!(
+        serving.searcher_addrs(0).len(),
+        2,
+        "the bootstrapped replica gets a listener"
+    );
+    assert_eq!(serving.searcher_addrs(sibling).len(), 2);
+    let client = serving.client();
+    for url in catalog_urls(&world) {
+        let resp = client.search(SearchQuery::by_image_url(&url, 1)).unwrap();
+        assert_eq!((resp.partitions_ok, resp.partitions_total), (3, 3), "{url}");
+        assert_eq!(resp.results[0].hit.url, url);
+    }
+}
+
+/// TCP tiers stood up *before* a split do not serve the sibling, and say
+/// so: a key they cannot return comes with missing coverage, never with a
+/// full-coverage answer.
+#[test]
+fn stale_net_serving_reports_the_split_gap() {
+    let mut world = World::build(WorldConfig::fast_test());
+    let serving = NetServing::over(world.topology(), NetServingConfig::default()).unwrap();
+    world
+        .topology_mut()
+        .split_partition(0)
+        .expect("online split");
+    let client = serving.client();
+    let mut lost = 0;
+    for url in catalog_urls(&world) {
+        let resp = client.search(SearchQuery::by_image_url(&url, 1)).unwrap();
+        assert_identity(&resp);
+        if resp.results.first().map(|r| r.hit.url.as_str()) != Some(url.as_str()) {
+            lost += 1;
+            assert!(
+                resp.partitions_ok < resp.partitions_total,
+                "{url} missing under full coverage: {resp:?}"
+            );
+        }
+    }
+    assert!(lost > 0, "the split must move keys out of the stale tiers");
+}
+
+/// TCP blenders are built like the topology's own: they share its query
+/// cache and its category detector.
+#[test]
+fn tcp_blenders_share_the_query_cache_and_category_detector() {
+    let mut config = WorldConfig::fast_test();
+    config.topology.query_cache_capacity = Some(16);
+    let world = World::build(config);
+    let serving = NetServing::over(world.topology(), NetServingConfig::default()).unwrap();
+    let client = serving.client();
+    let url = catalog_urls(&world).remove(0);
+    for _ in 0..2 {
+        let resp = client.search(SearchQuery::by_image_url(&url, 1)).unwrap();
+        assert!(resp.detected_category.is_some(), "{resp:?}");
+    }
+    let stats = world.topology().query_cache_stats().expect("cache on");
+    assert!(stats.hits >= 1, "repeated URL query missed: {stats:?}");
+}

@@ -397,6 +397,30 @@ impl RealtimeIndexer {
         report
     }
 
+    /// The one apply loop every follower of the log runs — live indexer
+    /// threads, recovery replay, replica bootstrap, a rebuilt replica's
+    /// private tail: polls `consumer` and applies each event at its offset
+    /// through [`RealtimeIndexer::apply_at`] until the consumer reaches
+    /// `end` or no event arrives within `wait` (`Duration::ZERO`: none is
+    /// ready). Returns the cumulative report; its watermark is `None` when
+    /// nothing was applied.
+    pub fn consume(
+        &self,
+        consumer: &mut Consumer<ProductEvent>,
+        end: Offset,
+        wait: Duration,
+    ) -> ApplyReport {
+        let mut total = ApplyReport::default();
+        while consumer.position() < end {
+            let offset = consumer.position();
+            let Some(event) = consumer.poll(wait) else {
+                break;
+            };
+            total.merge(self.apply_at(offset, &event));
+        }
+        total
+    }
+
     /// Consumes events from `consumer` until `stop` is set, applying each
     /// instantly. When the queue idles for `idle` the in-flight inverted-
     /// list expansions are flushed (migration-window inserts become
@@ -413,20 +437,14 @@ impl RealtimeIndexer {
     ) -> ApplyReport {
         let mut total = ApplyReport::default();
         while !stop.load(Ordering::Relaxed) {
-            let offset = consumer.position();
-            match consumer.poll(idle) {
-                Some(event) => total.merge(self.apply_at(offset, &event)),
-                None => self.index.get().flush(),
+            let report = self.consume(consumer, consumer.position() + 1, idle);
+            if report.watermark.is_none() {
+                self.index.get().flush();
             }
+            total.merge(report);
         }
         // Drain whatever is left so shutdown is deterministic.
-        loop {
-            let offset = consumer.position();
-            match consumer.poll_now() {
-                Some(event) => total.merge(self.apply_at(offset, &event)),
-                None => break,
-            }
-        }
+        total.merge(self.consume(consumer, Offset::MAX, Duration::ZERO));
         self.index.get().flush();
         total
     }

@@ -177,55 +177,39 @@ impl CheckpointStore {
         max_applied: Offset,
         serving: &IndexConfig,
     ) -> Option<SharedCheckpoint> {
-        if let Some(manifest) = self.manifest() {
-            if manifest.applied_offset > max_applied {
-                self.metrics.snapshots_rejected.incr();
-            } else {
-                let path = self.config.dir.join(&manifest.snapshot);
-                if let Ok(bytes) = fs::read(&path) {
-                    match persist::load(&bytes, serving) {
-                        Ok(index) => {
-                            return Some(SharedCheckpoint {
-                                index,
-                                bytes: Arc::new(bytes),
-                                applied_offset: manifest.applied_offset,
-                                from_manifest: true,
-                            });
-                        }
-                        Err(_) => {
-                            self.metrics.snapshots_rejected.incr();
-                        }
-                    }
-                } else {
+        // The manifest's snapshot first, then every snapshot file newest
+        // first (offset parsed from its name).
+        let mut fallbacks = self.snapshot_files().unwrap_or_default();
+        fallbacks.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
+        let manifest = self
+            .manifest()
+            .map(|m| (m.applied_offset, m.snapshot, true));
+        let candidates = manifest.into_iter().chain(
+            fallbacks
+                .into_iter()
+                .map(|(offset, name)| (offset, name, false)),
+        );
+        for (applied_offset, name, from_manifest) in candidates {
+            if applied_offset > max_applied {
+                if from_manifest {
                     self.metrics.snapshots_rejected.incr();
                 }
-            }
-        }
-        // Fallback: newest snapshot file that decodes, offset from name.
-        let mut candidates = self.snapshot_files().ok()?;
-        candidates.sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
-        for (offset, name) in candidates {
-            if offset > max_applied {
                 continue;
             }
-            let path = self.config.dir.join(&name);
-            let Some(bytes) = fs::read(&path).ok() else {
+            let Ok(bytes) = fs::read(self.config.dir.join(&name)) else {
                 self.metrics.snapshots_rejected.incr();
                 continue;
             };
-            match persist::load(&bytes, serving) {
-                Ok(index) => {
-                    return Some(SharedCheckpoint {
-                        index,
-                        bytes: Arc::new(bytes),
-                        applied_offset: offset,
-                        from_manifest: false,
-                    });
-                }
-                Err(_) => {
-                    self.metrics.snapshots_rejected.incr();
-                }
-            }
+            let Ok(index) = persist::load(&bytes, serving) else {
+                self.metrics.snapshots_rejected.incr();
+                continue;
+            };
+            return Some(SharedCheckpoint {
+                index,
+                bytes: Arc::new(bytes),
+                applied_offset,
+                from_manifest,
+            });
         }
         None
     }

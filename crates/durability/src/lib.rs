@@ -23,10 +23,10 @@
 //!   and knows exactly which log suffix is still unapplied.
 //! - [`queue`] / [`recovery`] — [`DurableQueue`] rebuilds the in-memory
 //!   queue from the log on open and tees every publish into it;
-//!   [`recover_partition`] seeds an indexer from the newest checkpoint and
-//!   replays the suffix through the *same*
-//!   [`RealtimeIndexer`](jdvs_core::realtime::RealtimeIndexer) code path
-//!   live ingestion uses.
+//!   [`recover_partition_seeded`] replays the suffix a checkpoint-seeded
+//!   (or empty) index has not applied through the *same*
+//!   [`RealtimeIndexer`](jdvs_core::realtime::RealtimeIndexer) apply loop
+//!   live ingestion runs.
 //!
 //! Retention ties the pieces together: once a checkpoint covers offset
 //! *W*, log segments wholly below *W* are deleted
@@ -78,4 +78,4 @@ pub use commit::CommitQueue;
 pub use compact::{compact_log, CompactionReport};
 pub use log::{FsyncPolicy, LogConfig, OpenReport, SegmentedLog};
 pub use queue::DurableQueue;
-pub use recovery::{recover_partition, RecoveryReport};
+pub use recovery::{recover_partition_seeded, RecoveryReport};

@@ -1,35 +1,29 @@
-//! Partition recovery: newest valid snapshot + log-suffix replay.
+//! Partition recovery: replay of the log suffix a seeded index has not
+//! applied.
 //!
-//! [`recover_partition`] is the startup path of a durable serving stack:
+//! [`recover_partition_seeded`] is the replay half of a durable serving
+//! stack's startup. The caller seeds the replica first — with the index
+//! [`CheckpointStore::recover_shared_within`](crate::checkpoint::CheckpointStore::recover_shared_within)
+//! decoded from the newest valid snapshot (or a fork of it), or with an
+//! empty index for a cold start — and the queue suffix past the seed's
+//! watermark, rebuilt from the durable log by
+//! [`DurableQueue::open`](crate::queue::DurableQueue), is then replayed
+//! through [`RealtimeIndexer::consume`], the same apply loop live
+//! ingestion runs, so recovery and steady state cannot diverge.
 //!
-//! 1. [`CheckpointStore::recover_shared_within`] loads the newest snapshot
-//!    that passes its CRC (manifest first, then fallbacks) and the applied
-//!    offset it covers; the recovered index is swapped into the indexer's
-//!    [`IndexHandle`](jdvs_core::swap::IndexHandle).
-//! 2. The queue suffix `[applied_offset ..)` — rebuilt from the durable
-//!    log by [`DurableQueue::open`](crate::queue::DurableQueue) — is
-//!    replayed through [`RealtimeIndexer::apply_at`], the same code path
-//!    live ingestion uses, so recovery and steady state cannot diverge.
-//!
-//! With no usable snapshot the replay starts at the queue base (a cold
-//! replay of the whole retained log). Snapshots whose watermark exceeds
-//! the queue head are rejected outright — they cover events the durable
-//! log no longer holds, so seeding from one would skip whatever events
-//! are published at those offsets next. Either way the recovered index's
-//! applied-offset watermark ends exactly at the queue head.
+//! Snapshots whose watermark exceeds the queue head are never offered as
+//! seeds — they cover events the durable log no longer holds, so seeding
+//! from one would skip whatever events are published at those offsets
+//! next. Either way the recovered index's applied-offset watermark ends
+//! exactly at the queue head.
 
-use std::sync::Arc;
+use std::time::Duration;
 
 use jdvs_core::realtime::{ApplyReport, RealtimeIndexer};
 use jdvs_metrics::DurabilityMetrics;
 use jdvs_storage::model::ProductEvent;
 use jdvs_storage::queue::Offset;
 use jdvs_storage::MessageQueue;
-
-use crate::checkpoint::{CheckpointStore, SharedCheckpoint};
-
-/// Replay batch size (bounds peak memory of a recovery).
-const REPLAY_BATCH: usize = 1024;
 
 /// What a partition recovery did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,82 +39,45 @@ pub struct RecoveryReport {
     pub apply: ApplyReport,
 }
 
-/// Recovers one partition replica: loads the newest valid checkpoint into
-/// `indexer`'s handle, then replays `queue`'s suffix through it. Returns
-/// what happened; after this the index serves queries at the same state a
-/// clean shutdown would have left (modulo any un-fsynced log tail, which
-/// the log already truncated away).
-pub fn recover_partition(
-    indexer: &RealtimeIndexer,
-    checkpoints: &CheckpointStore,
-    queue: &MessageQueue<ProductEvent>,
-    metrics: &DurabilityMetrics,
-) -> RecoveryReport {
-    // Never seed from a snapshot whose watermark outruns the rebuilt
-    // queue's head: the log lost (or was truncated below) events the
-    // snapshot claims to cover, and new publishes will re-assign those
-    // offsets — a consumer pinned past the head would skip them forever.
-    // `recover_shared_within` falls back to an older snapshot or cold
-    // replay.
-    // The index already in the handle is the placeholder built from the
-    // partition's config: the snapshot is loaded to serve under it.
-    let serving = indexer.index();
-    let shared = checkpoints.recover_shared_within(queue.len(), serving.config());
-    recover_partition_seeded(indexer, shared.as_ref(), queue, metrics)
-}
-
-/// [`recover_partition`] with the snapshot decode hoisted out: `seed` is
-/// a checkpoint the caller already recovered (and bounded by the queue
-/// head), so a partition's replicas share one disk read and one
-/// validating decode — each replica forks its own copy from the cached
-/// bytes. `None` means cold replay from the queue base.
+/// Recovers one partition replica whose `indexer` already serves its seed:
+/// an index decoded from a checkpoint covering `[0, seed)`, or — `seed` is
+/// `None` — an empty one. Replays `queue` from the seed's watermark (a cold
+/// start: from the queue base) to its head and makes the replayed inserts
+/// searchable; after this the index serves queries at the state a clean
+/// shutdown would have left (modulo any un-fsynced log tail, which the log
+/// already truncated away).
 pub fn recover_partition_seeded(
     indexer: &RealtimeIndexer,
-    seed: Option<&SharedCheckpoint>,
+    seed: Option<Offset>,
     queue: &MessageQueue<ProductEvent>,
     metrics: &DurabilityMetrics,
 ) -> RecoveryReport {
     metrics.recoveries.incr();
-
-    let mut report = RecoveryReport {
-        start_offset: queue.base(),
-        ..Default::default()
-    };
-    if let Some(shared) = seed {
-        // Retention never prunes the log past the checkpoint watermark, so
-        // the max() is defensive: a manually-truncated log still recovers,
-        // replaying from whatever survives.
-        let index = shared.fork();
-        report.from_snapshot = true;
-        report.start_offset = shared.applied_offset.max(queue.base());
-        index.stats().applied_offset.set_max(shared.applied_offset);
+    if let Some(watermark) = seed {
         metrics.recoveries_from_snapshot.incr();
-        metrics.checkpoint_offset.set_max(shared.applied_offset);
-        indexer.handle().swap(Arc::new(index));
+        metrics.checkpoint_offset.set_max(watermark);
     }
-
-    let mut offset = report.start_offset;
-    loop {
-        let batch = queue.read_range(offset, REPLAY_BATCH);
-        if batch.is_empty() {
-            break;
-        }
-        for event in &batch {
-            report.apply.merge(indexer.apply_at(offset, event));
-            offset += 1;
-        }
-        metrics.events_replayed.add(batch.len() as u64);
-    }
-    report.replayed = offset - report.start_offset;
-    // Make replayed inserts searchable before the partition serves.
+    // Retention never prunes the log past the checkpoint watermark, so the
+    // max() is defensive: a manually-truncated log still recovers,
+    // replaying from whatever survives.
+    let start_offset = seed.unwrap_or(0).max(queue.base());
+    let mut consumer = queue.consumer_at(start_offset);
+    let apply = indexer.consume(&mut consumer, queue.len(), Duration::ZERO);
+    let replayed = consumer.position() - start_offset;
+    metrics.events_replayed.add(replayed);
     indexer.index().flush();
-    report
+    RecoveryReport {
+        from_snapshot: seed.is_some(),
+        start_offset,
+        replayed,
+        apply,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointConfig;
+    use crate::checkpoint::{CheckpointConfig, CheckpointStore};
     use jdvs_core::config::IndexConfig;
     use jdvs_core::index::VisualIndex;
     use jdvs_features::cost::CostModel;
@@ -131,6 +88,7 @@ mod tests {
     use std::fs;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     const DIM: usize = 8;
 
@@ -147,16 +105,19 @@ mod tests {
         images: Arc<ImageStore>,
     }
 
-    fn fixture() -> Fixture {
-        let images = Arc::new(ImageStore::with_blob_len(64));
-        let feature_db = Arc::new(FeatureDb::new());
-        let extractor = Arc::new(CachingExtractor::new(
+    fn extractor() -> Arc<CachingExtractor> {
+        Arc::new(CachingExtractor::new(
             FeatureExtractor::new(ExtractorConfig {
                 dim: DIM,
                 ..Default::default()
             }),
             CostModel::free(),
-        ));
+        ))
+    }
+
+    fn fixture() -> Fixture {
+        let images = Arc::new(ImageStore::with_blob_len(64));
+        let feature_db = Arc::new(FeatureDb::new());
         let mut rng = jdvs_vector::rng::Xoshiro256::seed_from(5);
         let train: Vec<Vector> = (0..64)
             .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
@@ -169,8 +130,25 @@ mod tests {
             },
             &train,
         ));
-        let indexer = RealtimeIndexer::for_index(index, extractor, Arc::clone(&images), feature_db);
+        let indexer =
+            RealtimeIndexer::for_index(index, extractor(), Arc::clone(&images), feature_db);
         Fixture { indexer, images }
+    }
+
+    /// A second life over the same durable storage: a fresh indexer seeded
+    /// with the index the newest checkpoint within `head` decoded to.
+    fn second_life(f: &Fixture, checkpoints: &CheckpointStore, head: Offset) -> (Fixture, Offset) {
+        let seed = checkpoints
+            .recover_shared_within(head, f.indexer.index().config())
+            .expect("a checkpoint within the log head");
+        let indexer = RealtimeIndexer::for_index(
+            Arc::new(seed.index),
+            extractor(),
+            Arc::clone(&f.images),
+            Arc::new(FeatureDb::new()),
+        );
+        let images = Arc::clone(&f.images);
+        (Fixture { indexer, images }, seed.applied_offset)
     }
 
     fn add(f: &Fixture, i: u64) -> ProductEvent {
@@ -184,16 +162,13 @@ mod tests {
 
     #[test]
     fn cold_recovery_replays_whole_queue() {
-        let dir = temp_dir("cold");
         let metrics = Arc::new(DurabilityMetrics::new());
-        let checkpoints =
-            CheckpointStore::open(CheckpointConfig::new(&dir), Arc::clone(&metrics)).unwrap();
         let f = fixture();
         let queue: MessageQueue<ProductEvent> = MessageQueue::new();
         for i in 0..20 {
             queue.publish(add(&f, i));
         }
-        let report = recover_partition(&f.indexer, &checkpoints, &queue, &metrics);
+        let report = recover_partition_seeded(&f.indexer, None, &queue, &metrics);
         assert!(!report.from_snapshot);
         assert_eq!(report.replayed, 20);
         assert_eq!(report.apply.inserted, 20);
@@ -202,7 +177,6 @@ mod tests {
         assert_eq!(metrics.events_replayed.get(), 20);
         assert_eq!(metrics.recoveries.get(), 1);
         assert_eq!(metrics.recoveries_from_snapshot.get(), 0);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -227,22 +201,8 @@ mod tests {
         }
 
         // Second life: fresh indexer over the same (durable) storage.
-        let f2 = Fixture {
-            indexer: RealtimeIndexer::for_index(
-                f.indexer.index(), // placeholder; swap() replaces it
-                Arc::new(CachingExtractor::new(
-                    FeatureExtractor::new(ExtractorConfig {
-                        dim: DIM,
-                        ..Default::default()
-                    }),
-                    CostModel::free(),
-                )),
-                Arc::clone(&f.images),
-                Arc::new(FeatureDb::new()),
-            ),
-            images: Arc::clone(&f.images),
-        };
-        let report = recover_partition(&f2.indexer, &checkpoints, &queue, &metrics);
+        let (f2, watermark) = second_life(&f, &checkpoints, queue.len());
+        let report = recover_partition_seeded(&f2.indexer, Some(watermark), &queue, &metrics);
         assert!(report.from_snapshot);
         assert_eq!(report.start_offset, 10);
         assert_eq!(report.replayed, 5);
@@ -287,22 +247,8 @@ mod tests {
         for i in 0..7 {
             survived.publish(add(&f, i));
         }
-        let f2 = Fixture {
-            indexer: RealtimeIndexer::for_index(
-                f.indexer.index(), // placeholder; swap() replaces it
-                Arc::new(CachingExtractor::new(
-                    FeatureExtractor::new(ExtractorConfig {
-                        dim: DIM,
-                        ..Default::default()
-                    }),
-                    CostModel::free(),
-                )),
-                Arc::clone(&f.images),
-                Arc::new(FeatureDb::new()),
-            ),
-            images: Arc::clone(&f.images),
-        };
-        let report = recover_partition(&f2.indexer, &checkpoints, &survived, &metrics);
+        let (f2, watermark) = second_life(&f, &checkpoints, survived.len());
+        let report = recover_partition_seeded(&f2.indexer, Some(watermark), &survived, &metrics);
         assert!(report.from_snapshot, "the offset-5 snapshot is usable");
         assert_eq!(report.start_offset, 5, "watermark-10 snapshot rejected");
         assert_eq!(report.replayed, 2, "replays 5..7");

@@ -9,21 +9,12 @@
 //! [`SearchTopology::shutdown`] (also on drop).
 //!
 //! The serving layout is one **live replica table**: a row per partition
-//! holding its checkpoint store and one record per searcher replica (index
-//! handle, searcher node, indexer progress). Rows only grow — a split
-//! appends a partition, a bootstrap a replica — so the table sits on the
-//! append-only [`Directory`], and the topology, the background checkpoint
-//! scheduler and [`crate::serving::NetServing::over`] all read it lock-free.
-//!
-//! [`SearchTopology::rebuild_partition`] performs the paper's **weekly
-//! full indexing** (Figure 2) online: it replays the message log into a
-//! fresh index (physically dropping logically-deleted images), serializes
-//! it through the snapshot format (the "index file" production ships to
-//! searcher nodes), and hot-swaps each replica while searches keep
-//! flowing.
+//! (checkpoint store, pause flag, one record per searcher replica) on the
+//! append-only [`Directory`] — rows only grow — read lock-free by the
+//! topology, the scheduler and [`crate::serving::NetServing::over`].
+//! `durable` holds the durable half; `lifecycle` startup recovery and the
+//! maintenance operations, the paper's weekly full indexing among them.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,26 +23,18 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use jdvs_core::directory::Directory;
-use jdvs_core::full::{FullIndexBuilder, KeyFilter};
-use jdvs_core::realtime::RealtimeIndexer;
 use jdvs_core::swap::IndexHandle;
-use jdvs_core::{persist, IndexConfig, VisualIndex};
-use jdvs_durability::checkpoint::{
-    write_atomic, CheckpointConfig, CheckpointStore, SharedCheckpoint,
-};
-use jdvs_durability::log::{FsyncPolicy, LogConfig};
+use jdvs_core::VisualIndex;
+use jdvs_durability::checkpoint::CheckpointStore;
 use jdvs_durability::queue::DurableQueue;
-use jdvs_durability::recovery::{recover_partition_seeded, RecoveryReport};
+use jdvs_durability::recovery::RecoveryReport;
 use jdvs_features::CachingExtractor;
 use jdvs_metrics::{DurabilityMetrics, DurabilitySnapshot, ResilienceMetrics, ResilienceSnapshot};
 use jdvs_net::balancer::Balancer;
-use jdvs_net::latency::LatencyModel;
 use jdvs_net::node::{Node, NodeHandle};
 use jdvs_net::rpc::{CallTarget, RpcError};
-use jdvs_net::{HealthPolicy, RetryPolicy};
 use jdvs_storage::lru::LruCache;
 use jdvs_storage::model::{ImageKey, ProductEvent};
-use jdvs_storage::queue::Consumer;
 use jdvs_storage::{FeatureDb, ImageStore, MessageQueue};
 use jdvs_vector::kmeans::{Kmeans, KmeansConfig};
 use jdvs_vector::Vector;
@@ -61,338 +44,17 @@ use crate::broker::BrokerService;
 use crate::client::SearchClient;
 use crate::partition::PartitionMap;
 use crate::protocol::{FanoutQuery, PartialResponse, SearchQuery, SearchResponse};
-use crate::ranking::RankingPolicy;
 use crate::searcher::SearcherService;
 
-/// Shape and behaviour of the serving stack.
-#[derive(Debug, Clone)]
-pub struct TopologyConfig {
-    /// Per-partition index configuration.
-    pub index: IndexConfig,
-    /// Number of index partitions (paper testbed: 20).
-    pub num_partitions: usize,
-    /// Searcher replicas per partition ("each partition can have multiple
-    /// copies for availability").
-    pub replicas_per_partition: usize,
-    /// Broker groups (each owns a partition subset).
-    pub num_broker_groups: usize,
-    /// Identical instances per broker group.
-    pub broker_replicas: usize,
-    /// Blender instances.
-    pub num_blenders: usize,
-    /// Worker threads per searcher node (its "cores").
-    pub searcher_workers: usize,
-    /// Worker threads per broker instance.
-    pub broker_workers: usize,
-    /// Worker threads per blender instance.
-    pub blender_workers: usize,
-    /// Per-hop latency model for every node.
-    pub latency: LatencyModel,
-    /// Deadline for broker→searcher calls.
-    pub searcher_deadline: Duration,
-    /// Deadline for blender→broker calls.
-    pub broker_deadline: Duration,
-    /// Run a real-time indexing thread per searcher.
-    pub realtime_indexing: bool,
-    /// Result ranking policy.
-    pub ranking: RankingPolicy,
-    /// Capacity of the shared blender query-feature cache (`None`
-    /// disables caching; repeated query images then re-extract).
-    pub query_cache_capacity: Option<usize>,
-    /// Query-category detector attached to every blender (`None` disables
-    /// category detection on responses).
-    pub category_detector: Option<Arc<jdvs_features::category::CategoryDetector>>,
-    /// Circuit-breaker policy applied by every balancer in the stack.
-    pub health: HealthPolicy,
-    /// Failover/backoff policy applied by every balancer in the stack.
-    pub retry: RetryPolicy,
-    /// When set, brokers hedge straggling searcher calls after this long.
-    pub hedge_after: Option<Duration>,
-    /// [`SearchTopology::bootstrap_replica`] tails the live log without
-    /// pausing ingestion until the new replica is within this many events
-    /// of the queue head; only the final gap is drained under the quiesce.
-    /// Bounds the stop-the-partition window of a bootstrap.
-    pub bootstrap_lag_bound: u64,
-    /// Master seed (latency streams, fault streams).
-    pub seed: u64,
-}
+mod config;
+mod durable;
+mod lifecycle;
 
-impl Default for TopologyConfig {
-    fn default() -> Self {
-        Self {
-            index: IndexConfig::default(),
-            num_partitions: 4,
-            replicas_per_partition: 1,
-            num_broker_groups: 2,
-            broker_replicas: 1,
-            num_blenders: 2,
-            searcher_workers: 2,
-            broker_workers: 2,
-            blender_workers: 2,
-            latency: LatencyModel::Zero,
-            searcher_deadline: Duration::from_secs(5),
-            broker_deadline: Duration::from_secs(10),
-            realtime_indexing: true,
-            ranking: RankingPolicy::default(),
-            query_cache_capacity: None,
-            category_detector: None,
-            health: HealthPolicy::default(),
-            retry: RetryPolicy::default(),
-            hedge_after: None,
-            bootstrap_lag_bound: 64,
-            seed: 0x70B0,
-        }
-    }
-}
-
-impl TopologyConfig {
-    /// Validates invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero counts or group/partition mismatch.
-    pub fn validate(&self) {
-        self.index.validate();
-        assert!(self.num_partitions > 0, "num_partitions must be positive");
-        assert!(
-            self.replicas_per_partition > 0,
-            "replicas_per_partition must be positive"
-        );
-        assert!(self.broker_replicas > 0, "broker_replicas must be positive");
-        assert!(self.num_blenders > 0, "num_blenders must be positive");
-        assert!(
-            self.searcher_workers > 0,
-            "searcher_workers must be positive"
-        );
-        // PartitionMap::new enforces the group/partition relationship.
-        let _ = PartitionMap::new(self.num_partitions, self.num_broker_groups);
-    }
-}
-
-/// Where and how a durable topology persists its ingestion stream.
-#[derive(Debug, Clone)]
-pub struct DurabilityOptions {
-    /// Root data directory: the event log lives in `<dir>/wal`, partition
-    /// `p`'s checkpoints in `<dir>/ckpt-p{p}`.
-    pub dir: PathBuf,
-    /// Fsync policy of the ingestion log.
-    pub fsync: FsyncPolicy,
-    /// Batch concurrent publishers into shared group-commit syncs when
-    /// `fsync` is [`FsyncPolicy::Always`] (same loss bound, far fewer
-    /// `fdatasync`s under concurrent ingestion). Ignored otherwise.
-    pub group_commit: bool,
-    /// Log segment roll size in bytes (the active segment file is
-    /// preallocated, sparse, at this size).
-    pub segment_max_bytes: u64,
-    /// Checkpoint snapshots retained per partition.
-    pub snapshots_keep: usize,
-    /// When set (and real-time indexing is on), a background scheduler
-    /// thread watches every partition's **replay exposure** — events its
-    /// live index has applied beyond its newest checkpoint watermark, i.e.
-    /// the replay a crash would have to redo — and checkpoints any
-    /// partition whose exposure exceeds this bound, without an operator
-    /// calling [`SearchTopology::checkpoint_partition`]. `None` (the
-    /// default) disables the scheduler; checkpoints are manual-only.
-    pub checkpoint_exposure: Option<u64>,
-    /// When set (and real-time indexing is on), the background scheduler
-    /// also watches the log's **blanked-frame estimate** — the fraction of
-    /// frames a per-key compaction could rewrite into no-op tombstones
-    /// (see [`DurableQueue::stale_frame_ratio`]) — and runs
-    /// [`DurableQueue::compact`] under the maintenance mutex whenever the
-    /// estimate crosses this threshold. Hot-key churn (the same URLs
-    /// re-added over and over) then stops growing cold-recovery replay
-    /// cost without an operator in the loop. `None` (the default) leaves
-    /// compaction manual-only.
-    pub log_compaction_ratio: Option<f64>,
-}
-
-impl DurabilityOptions {
-    /// Defaults: `FsyncPolicy::Always`, no group commit, 8 MiB segments,
-    /// 2 snapshots kept, no background checkpoint scheduler, no background
-    /// log compaction.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            fsync: FsyncPolicy::Always,
-            group_commit: false,
-            segment_max_bytes: 8 * 1024 * 1024,
-            snapshots_keep: 2,
-            checkpoint_exposure: None,
-            log_compaction_ratio: None,
-        }
-    }
-
-    /// Enables the background checkpoint scheduler with the given replay
-    /// exposure bound (see [`DurabilityOptions::checkpoint_exposure`]).
-    pub fn with_checkpoint_exposure(mut self, events: u64) -> Self {
-        self.checkpoint_exposure = Some(events);
-        self
-    }
-
-    /// Enables scheduler-driven per-key log compaction at the given
-    /// blanked-frame ratio threshold (see
-    /// [`DurabilityOptions::log_compaction_ratio`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < ratio <= 1.0`.
-    pub fn with_log_compaction(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio > 0.0 && ratio <= 1.0,
-            "log_compaction_ratio must be in (0, 1]"
-        );
-        self.log_compaction_ratio = Some(ratio);
-        self
-    }
-}
-
-/// The durable machinery of a topology built with
-/// [`SearchTopology::build_durable`]. Each partition's checkpoint store
-/// lives in its row of the replica table.
-#[derive(Debug)]
-struct DurableParts {
-    /// Owns the log and the publish tee on the shared queue.
-    queue: DurableQueue,
-    metrics: Arc<DurabilityMetrics>,
-    /// Root directory, snapshot retention and the scheduler's bounds.
-    options: DurabilityOptions,
-}
-
-impl DurableParts {
-    /// Opens partition `p`'s checkpoint store, `<dir>/ckpt-p{p}`.
-    fn open_store(&self, partition: usize) -> io::Result<CheckpointStore> {
-        CheckpointStore::open(
-            CheckpointConfig {
-                dir: self.options.dir.join(format!("ckpt-p{partition}")),
-                keep: self.options.snapshots_keep.max(1),
-            },
-            Arc::clone(&self.metrics),
-        )
-    }
-}
-
-/// The durable partition-map file (`<dir>/partition-map`): a split changes
-/// the routing table at runtime, and any checkpoint taken afterwards covers
-/// only the split partition's *narrowed* key set — so a restart must
-/// reconstruct the split layout or moved keys checkpointed by the sibling
-/// would silently vanish. The file is written with [`write_atomic`] (temp
-/// file, fsync, rename, directory fsync) before a split resumes ingestion,
-/// which is also before any post-split checkpoint can exist (both
-/// serialize on the maintenance mutex).
-const PARTITION_MAP_FILE: &str = "partition-map";
-const PARTITION_MAP_MAGIC: &str = "jdvs-partition-map v1";
-
-fn save_partition_map(dir: &Path, map: &PartitionMap) -> io::Result<()> {
-    let join = |row: &[usize]| {
-        row.iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let body = format!(
-        "{PARTITION_MAP_MAGIC}\ngroups {}\nassign {}\ntable {}\n",
-        map.num_broker_groups(),
-        join(map.groups()),
-        join(map.table()),
-    );
-    write_atomic(dir, PARTITION_MAP_FILE, body.as_bytes())
-}
-
-/// Loads the persisted layout, if one exists. A file that does not decode
-/// to a valid layout over `num_broker_groups` groups is an `InvalidData`
-/// error, not a fallback: silently reverting to the config-derived layout
-/// after a split could drop every key the sibling's checkpoints own.
-fn load_partition_map(dir: &Path, num_broker_groups: usize) -> io::Result<Option<PartitionMap>> {
-    let path = dir.join(PARTITION_MAP_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let corrupt = || io::Error::new(io::ErrorKind::InvalidData, "corrupt partition-map file");
-    let mut lines = text.lines();
-    if lines.next() != Some(PARTITION_MAP_MAGIC) {
-        return Err(corrupt());
-    }
-    let mut field = |name: &str| -> io::Result<Vec<usize>> {
-        let line = lines.next().ok_or_else(corrupt)?;
-        let rest = line.strip_prefix(name).ok_or_else(corrupt)?;
-        rest.split_whitespace()
-            .map(|v| v.parse::<usize>().map_err(|_| corrupt()))
-            .collect()
-    };
-    let groups_count = *field("groups ")?.first().ok_or_else(corrupt)?;
-    let assign = field("assign ")?;
-    let table = field("table ")?;
-    PartitionMap::from_parts(groups_count, assign, table)
-        .filter(|map| map.num_broker_groups() == num_broker_groups)
-        .map(Some)
-        .ok_or_else(corrupt)
-}
-
-/// Outcome of [`SearchTopology::checkpoint_partition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointReport {
-    /// Partition checkpointed.
-    pub partition: usize,
-    /// Applied-offset watermark the snapshot covers.
-    pub applied_offset: u64,
-    /// Snapshot bytes written.
-    pub snapshot_bytes: u64,
-    /// Log segments reclaimed by retention after this checkpoint.
-    pub segments_pruned: u64,
-}
-
-/// Outcome of one partition's online full rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebuildReport {
-    /// Partition rebuilt.
-    pub partition: usize,
-    /// Messages replayed from the log (max across replicas).
-    pub messages_replayed: u64,
-    /// Records in the old index (including logically deleted) at swap time,
-    /// summed over replicas.
-    pub records_before: usize,
-    /// Records in the fresh index (valid images only), summed.
-    pub records_after: usize,
-    /// Snapshot bytes shipped per replica (last replica's size).
-    pub snapshot_bytes: usize,
-}
-
-/// Outcome of [`SearchTopology::bootstrap_replica`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BootstrapReport {
-    /// Partition the replica joined.
-    pub partition: usize,
-    /// Index of the new replica within the partition's row.
-    pub replica: usize,
-    /// Whether a checkpoint snapshot seeded the replica (`false` = cold
-    /// replay of the whole retained log through the live indexing path).
-    pub from_snapshot: bool,
-    /// First log offset tailed (the seed watermark, or the queue base).
-    pub seed_offset: u64,
-    /// Events applied before joining the serving set (both the unpaused
-    /// tail and the final quiesced drain).
-    pub tailed: u64,
-}
-
-/// Outcome of [`SearchTopology::split_partition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitReport {
-    /// Partition that was split (keeps the lower half of its key space).
-    pub partition: usize,
-    /// New partition id owning the upper half.
-    pub sibling: usize,
-    /// Messages replayed building the halves (checkpoint seeding makes
-    /// this the surviving suffix, not the whole log).
-    pub messages_replayed: u64,
-    /// Records in the parent's fresh half, summed over replicas.
-    pub parent_records: usize,
-    /// Records in the sibling's fresh half, summed over replicas.
-    pub sibling_records: usize,
-    /// Whether a checkpoint snapshot seeded both halves.
-    pub from_snapshot: bool,
-}
+pub use config::TopologyConfig;
+pub use durable::DurabilityOptions;
+use durable::DurableParts;
+use lifecycle::Pause;
+pub use lifecycle::{BootstrapReport, CheckpointReport, RebuildReport, SplitReport};
 
 /// Per-replica slice of an [`OpsReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -475,9 +137,20 @@ struct Partition {
     replicas: Directory<Replica>,
     /// The partition's checkpoint store, when built durable.
     checkpoints: Option<CheckpointStore>,
+    /// Raised while a lifecycle plan holds this partition still; only this
+    /// row's indexer threads watch it.
+    pause: Arc<Pause>,
 }
 
 impl Partition {
+    fn new(checkpoints: Option<CheckpointStore>) -> Self {
+        Self {
+            replicas: Directory::new(),
+            checkpoints,
+            pause: Arc::default(),
+        }
+    }
+
     fn replicas(&self) -> impl Iterator<Item = &Replica> {
         self.replicas.iter().map(|(_, r)| r)
     }
@@ -499,22 +172,27 @@ fn append<T>(dir: &Directory<T>, value: T) {
     dir.get_or_init(next, || value);
 }
 
-/// The live replica table and the quiesce machinery around it, shared
+/// The live replica table and what every lifecycle plan runs on, shared
 /// (`Arc`) by the [`SearchTopology`], every indexer thread and the
-/// background scheduler: operator-initiated and scheduled checkpoints are
-/// one code path over one table, serialized by one maintenance mutex, and
-/// a row that a split or bootstrap appends is seen by all of them.
+/// background scheduler, so a row a split or bootstrap appends is seen by
+/// all of them.
 struct Core {
     partitions: Directory<Partition>,
-    /// Serializes checkpoint/rebuild/bootstrap/split/compaction: they share
-    /// the global pause flag, so one finishing must not resume indexing
-    /// under another's snapshot.
+    /// The live partition layout, shared with every partition filter
+    /// closure: an online split rewrites it in place and the parent's
+    /// indexers immediately stop owning the moved keys.
+    layout: Arc<RwLock<PartitionMap>>,
+    /// Serializes checkpoint/rebuild/bootstrap/split/compaction. Pauses are
+    /// per row, but these operations share more than a row: checkpoint
+    /// store writes and reads, retention and compaction of the one log,
+    /// and changes to the layout.
     maintenance: Mutex<()>,
     stop: AtomicBool,
-    pause: AtomicBool,
-    /// Bumped (under `maintenance`) each time a quiesce begins; indexer
-    /// threads echo it into their `parked` counter once at rest.
-    pause_epoch: AtomicU64,
+    config: TopologyConfig,
+    queue: MessageQueue<ProductEvent>,
+    extractor: Arc<CachingExtractor>,
+    images: Arc<ImageStore>,
+    feature_db: Arc<FeatureDb>,
     durable: Option<DurableParts>,
 }
 
@@ -523,124 +201,16 @@ impl Core {
         self.partitions.get(p).expect("partition out of range")
     }
 
-    fn replica(&self, partition: usize, replica: usize) -> &Replica {
-        self.partition(partition).replica(replica)
-    }
-
     fn rows(&self) -> impl Iterator<Item = &Partition> {
         self.partitions.iter().map(|(_, row)| row)
-    }
-
-    /// Pauses real-time consumption and blocks until every indexer thread
-    /// of `partition` has positively acknowledged the pause (echoed the new
-    /// pause epoch after finishing its in-flight apply). Bails early on
-    /// stop so a maintenance call racing teardown cannot hang. Callers must
-    /// hold the maintenance mutex and [`Core::resume`] afterwards.
-    fn quiesce(&self, partition: usize) {
-        let epoch = self.pause_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.pause.store(true, Ordering::Release);
-        for replica in self.partition(partition).replicas() {
-            while replica.parked.load(Ordering::Acquire) < epoch
-                && !self.stop.load(Ordering::Relaxed)
-            {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    }
-
-    fn resume(&self) {
-        self.pause.store(false, Ordering::Release);
-    }
-
-    /// The full online-checkpoint sequence; see
-    /// [`SearchTopology::checkpoint_partition`] for the contract.
-    fn checkpoint_partition(&self, partition: usize) -> io::Result<CheckpointReport> {
-        let row = self.partition(partition);
-        let (Some(durable), Some(store)) = (&self.durable, &row.checkpoints) else {
-            panic!("checkpoint_partition requires build_durable");
-        };
-        let _maintenance = self.maintenance.lock();
-        self.quiesce(partition);
-        let result: io::Result<(u64, u64)> = (|| {
-            let index = row.replica(0).handle.get();
-            index.flush();
-            let applied_offset = index.stats().applied_offset.get();
-            // Sync the log through the watermark first: under EveryN/Os a
-            // crash right after this checkpoint could otherwise truncate
-            // the log below the watermark, and recovery seeded at it would
-            // skip the events re-published at those offsets forever.
-            durable.queue.sync()?;
-            let bytes_before = durable.metrics.checkpoint_bytes.get();
-            store.save(&index, applied_offset)?;
-            Ok((applied_offset, bytes_before))
-        })();
-        self.resume();
-        let (applied_offset, bytes_before) = result?;
-
-        // Retention: the log is shared by every partition, so only the
-        // prefix below the laggiest partition's checkpoint is garbage.
-        let min_watermark = self
-            .rows()
-            .map(|row| row.watermark().unwrap_or(0))
-            .min()
-            .unwrap_or(0);
-        let segments_pruned = durable.queue.prune_to(min_watermark)?;
-
-        Ok(CheckpointReport {
-            partition,
-            applied_offset,
-            snapshot_bytes: durable.metrics.checkpoint_bytes.get() - bytes_before,
-            segments_pruned,
-        })
-    }
-
-    /// One scheduler pass: checkpoint every partition whose replay
-    /// exposure (applied watermark minus newest checkpoint watermark)
-    /// exceeds `bound`. Errors are left for the next pass to retry — the
-    /// log itself is unaffected by a failed snapshot.
-    fn run_exposure_pass(&self, bound: u64) {
-        for (p, row) in self.partitions.iter() {
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let applied = row.replica(0).handle.get().stats().applied_offset.get();
-            if applied.saturating_sub(row.watermark().unwrap_or(0)) > bound {
-                let _ = self.checkpoint_partition(p);
-            }
-        }
-    }
-
-    /// One scheduler pass of the log-compaction side: when the estimated
-    /// blanked-frame ratio crosses `threshold` and the log has cold
-    /// segments to rewrite, run per-key compaction. Serialized on the same
-    /// maintenance mutex as checkpoints, rebuilds and splits, so no
-    /// snapshot save or segment retention races the segment swap. Errors
-    /// are left for the next pass to retry, like a failed checkpoint.
-    fn run_compaction_pass(&self, threshold: f64) {
-        let Some(queue) = self.durable.as_ref().map(|d| &d.queue) else {
-            return;
-        };
-        if self.stop.load(Ordering::Relaxed)
-            || queue.stale_frame_ratio() < threshold
-            || queue.num_segments() < 2
-        {
-            return;
-        }
-        let _maintenance = self.maintenance.lock();
-        let _ = queue.compact();
     }
 }
 
 /// The assembled serving system.
 pub struct SearchTopology {
     frontend: Arc<Balancer<NodeHandle<BlenderService>>>,
-    /// The live partition layout, shared with every partition filter
-    /// closure: an online split rewrites it in place and the parent's
-    /// indexers immediately stop owning the moved keys.
-    partition_map: Arc<RwLock<PartitionMap>>,
-    config: TopologyConfig,
-    /// The live replica table, shared with the indexer threads and the
-    /// background scheduler.
+    /// The live replica table, layout and log, shared with the indexer
+    /// threads and the background scheduler.
     core: Arc<Core>,
     broker_nodes: Vec<Vec<Node<BrokerService>>>,
     /// `broker_partitions[g][b]` = the balancer list broker instance `b`
@@ -653,10 +223,6 @@ pub struct SearchTopology {
     /// parent's group.
     group_partition_counts: Arc<Vec<AtomicUsize>>,
     blender_nodes: Vec<Node<BlenderService>>,
-    queue: MessageQueue<ProductEvent>,
-    extractor: Arc<CachingExtractor>,
-    images: Arc<ImageStore>,
-    feature_db: Arc<FeatureDb>,
     indexer_threads: Vec<JoinHandle<()>>,
     /// Background maintenance scheduler
     /// ([`DurabilityOptions::checkpoint_exposure`],
@@ -667,90 +233,6 @@ pub struct SearchTopology {
     /// What startup recovery did, one entry per (partition, replica) in
     /// partition-major order; empty unless built durable.
     recovery: Vec<RecoveryReport>,
-}
-
-/// An ownership predicate over the **live** partition layout: when a split
-/// rewrites the shared map, every existing filter narrows (or widens)
-/// automatically — no indexer or builder holds a stale layout.
-fn partition_filter(map: &Arc<RwLock<PartitionMap>>, partition: usize) -> KeyFilter {
-    let map = Arc::clone(map);
-    Arc::new(move |key| map.read().partition_of(key) == partition)
-}
-
-/// Stands up replica `r` of partition `p` over `indexer`'s index: its
-/// searcher node and, with real-time indexing on, the indexer thread that
-/// keeps it fresh from `consumer`'s position on (pushed onto `threads`):
-/// poll → `apply_at` → advance `processed`, with the positive pause
-/// handshake and a drain-on-stop exit.
-fn stand_up(
-    core: &Arc<Core>,
-    config: &TopologyConfig,
-    (p, r): (usize, usize),
-    indexer: RealtimeIndexer,
-    mut consumer: Consumer<ProductEvent>,
-    threads: &mut Vec<JoinHandle<()>>,
-) -> Replica {
-    let handle = Arc::clone(indexer.handle());
-    let node = Node::spawn_with(
-        format!("searcher-{p}-{r}"),
-        SearcherService::new(p, Arc::clone(&handle)),
-        config.searcher_workers,
-        config.latency,
-        config.seed ^ ((p as u64) << 16) ^ r as u64,
-    );
-    let processed = Arc::new(AtomicU64::new(consumer.position()));
-    let parked = Arc::new(AtomicU64::new(0));
-    let replica = Replica {
-        handle,
-        node,
-        processed: Arc::clone(&processed),
-        parked: Arc::clone(&parked),
-    };
-    if !config.realtime_indexing {
-        return replica;
-    }
-    let core = Arc::clone(core);
-    let thread = std::thread::Builder::new()
-        .name(format!("rtidx-{p}-{r}"))
-        .spawn(move || {
-            while !core.stop.load(Ordering::Relaxed) {
-                if core.pause.load(Ordering::Acquire) {
-                    // Positive quiesce handshake: echo the pause epoch only
-                    // here, after any in-flight apply completed — the
-                    // coordinator waits for *its* epoch, so a stale park
-                    // from an earlier pause can't satisfy it.
-                    while core.pause.load(Ordering::Acquire) && !core.stop.load(Ordering::Relaxed) {
-                        parked.store(core.pause_epoch.load(Ordering::Acquire), Ordering::Release);
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    continue;
-                }
-                let offset = consumer.position();
-                match consumer.poll(Duration::from_millis(10)) {
-                    Some(event) => {
-                        indexer.apply_at(offset, &event);
-                        processed.store(consumer.position(), Ordering::Release);
-                    }
-                    None => indexer.index().flush(),
-                }
-            }
-            // Drain the backlog for deterministic shutdown (ignoring
-            // pause: we are exiting).
-            loop {
-                let offset = consumer.position();
-                match consumer.poll_now() {
-                    Some(event) => {
-                        indexer.apply_at(offset, &event);
-                        processed.store(consumer.position(), Ordering::Release);
-                    }
-                    None => break,
-                }
-            }
-            indexer.index().flush();
-        })
-        .expect("spawning real-time indexer thread");
-    threads.push(thread);
-    replica
 }
 
 /// The balancer broker instance `b` of group `g` fans out over for
@@ -774,10 +256,8 @@ fn searcher_balancer(
 /// blender of a topology shares its query-feature cache, category
 /// detector, ranking and live per-group partition counts.
 fn blender<B>(
-    config: &TopologyConfig,
+    core: &Core,
     groups: Vec<Balancer<B>>,
-    extractor: &Arc<CachingExtractor>,
-    images: &Arc<ImageStore>,
     query_cache: Option<&Arc<LruCache<ImageKey, Vec<f32>>>>,
     group_partitions: &Arc<Vec<AtomicUsize>>,
     metrics: &Arc<ResilienceMetrics>,
@@ -785,10 +265,11 @@ fn blender<B>(
 where
     B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
 {
+    let config = &core.config;
     let mut service = BlenderService::new(
         groups,
-        Arc::clone(extractor),
-        Arc::clone(images),
+        Arc::clone(&core.extractor),
+        Arc::clone(&core.images),
         config.ranking,
         config.broker_deadline,
     )
@@ -808,7 +289,7 @@ impl std::fmt::Debug for SearchTopology {
         f.debug_struct("SearchTopology")
             .field("partitions", &self.core.rows().count())
             .field("blenders", &self.blender_nodes.len())
-            .field("realtime_indexing", &self.config.realtime_indexing)
+            .field("realtime_indexing", &self.core.config.realtime_indexing)
             .finish()
     }
 }
@@ -839,76 +320,6 @@ impl SearchTopology {
         )
     }
 
-    /// Builds the full stack on top of a durable ingestion log with
-    /// checkpoint recovery (the crash-safe variant of
-    /// [`SearchTopology::build`]).
-    ///
-    /// The update queue is rebuilt from the event log in
-    /// `options.dir/wal` (torn or corrupt tails are truncated, CRC-checked
-    /// records replayed), every publish is teed back into the log under
-    /// the configured [`FsyncPolicy`], and **before any searcher serves**,
-    /// each partition replica is recovered: the newest valid checkpoint
-    /// snapshot is hot-swapped in and the log suffix past its applied
-    /// offset is replayed through the real-time indexing path. See
-    /// [`SearchTopology::recovery_reports`] for what startup recovery did
-    /// and [`SearchTopology::checkpoint_partition`] for producing new
-    /// checkpoints while serving.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from opening the log or checkpoint stores,
-    /// and returns `InvalidData` for a partition-map file that does not
-    /// decode to a layout over `config.num_broker_groups` groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid or `training` is empty.
-    pub fn build_durable(
-        config: TopologyConfig,
-        extractor: Arc<CachingExtractor>,
-        images: Arc<ImageStore>,
-        feature_db: Arc<FeatureDb>,
-        training: &[Vector],
-        options: DurabilityOptions,
-    ) -> io::Result<Self> {
-        config.validate();
-        let metrics = Arc::new(DurabilityMetrics::new());
-        let durable_queue = DurableQueue::open(
-            LogConfig {
-                dir: options.dir.join("wal"),
-                segment_max_bytes: options.segment_max_bytes,
-                fsync: options.fsync,
-                group_commit: options.group_commit,
-            },
-            Arc::clone(&metrics),
-        )?;
-        // A previous life's online splits changed the layout; checkpoints
-        // taken after a split cover the narrowed key sets, so the restart
-        // must reconstruct the persisted layout (not the config-derived
-        // one) or the moved keys would vanish.
-        let layout = load_partition_map(&options.dir, config.num_broker_groups)?
-            .unwrap_or_else(|| PartitionMap::new(config.num_partitions, config.num_broker_groups));
-        let queue = (**durable_queue.queue()).clone();
-        let durable = DurableParts {
-            queue: durable_queue,
-            metrics,
-            options,
-        };
-        let stores = (0..layout.num_partitions())
-            .map(|p| durable.open_store(p))
-            .collect::<io::Result<_>>()?;
-        Ok(Self::assemble(
-            config,
-            extractor,
-            images,
-            feature_db,
-            training,
-            queue,
-            layout,
-            Some((durable, stores)),
-        ))
-    }
-
     /// Shared by build/build_durable; a durable topology brings one
     /// checkpoint store per partition of `layout`.
     #[allow(clippy::too_many_arguments)]
@@ -923,10 +334,6 @@ impl SearchTopology {
         durable: Option<(DurableParts, Vec<CheckpointStore>)>,
     ) -> Self {
         config.validate();
-        // The layout may have more partitions than the config when a
-        // persisted map (recording previous splits) was restored.
-        let num_partitions = layout.num_partitions();
-        let partition_map = Arc::new(RwLock::new(layout));
         // One metrics instance shared by every balancer/broker/blender, so
         // a single snapshot covers the whole serving path.
         let metrics = Arc::new(ResilienceMetrics::new());
@@ -950,7 +357,7 @@ impl SearchTopology {
         };
         // PQ codebook (when compressed mode is configured) is trained once
         // and shared by all replicas, like the coarse quantizer.
-        let pq_quantizer = config.index.pq_subspaces.map(|m| {
+        let pq = config.index.pq_subspaces.map(|m| {
             Arc::new(jdvs_vector::pq::ProductQuantizer::train(
                 training,
                 &jdvs_vector::pq::PqConfig {
@@ -962,70 +369,31 @@ impl SearchTopology {
             ))
         });
 
-        // --- Searchers: the replica table, one row per partition. --------
+        // --- Searchers: the replica table, one row per partition (the
+        // layout may have more than the config when a persisted map
+        // recorded previous splits). --------------------------------------
+        let num_partitions = layout.num_partitions();
         let (durable, stores) = durable.map_or((None, Vec::new()), |(d, s)| (Some(d), s));
         let core = Arc::new(Core {
             partitions: Directory::new(),
+            layout: Arc::new(RwLock::new(layout)),
             maintenance: Mutex::new(()),
             stop: AtomicBool::new(false),
-            pause: AtomicBool::new(false),
-            pause_epoch: AtomicU64::new(0),
+            config,
+            queue,
+            extractor,
+            images,
+            feature_db,
             durable,
         });
-        let mut indexer_threads = Vec::new();
-        let mut recovery = Vec::new();
+        let config = &core.config;
+        let cold =
+            || VisualIndex::with_quantizers(config.index.clone(), quantizer.clone(), pq.clone());
+        let (mut indexer_threads, mut recovery) = (Vec::new(), Vec::new());
         let mut stores = stores.into_iter();
         for p in 0..num_partitions {
-            let row = Partition {
-                replicas: Directory::new(),
-                checkpoints: stores.next(),
-            };
-            // One disk read + one validating decode per partition, shared
-            // by every replica below (each forks its copy from the cached
-            // bytes instead of re-reading the snapshot).
-            let shared_seed: Option<SharedCheckpoint> = row
-                .checkpoints
-                .as_ref()
-                .and_then(|c| c.recover_shared_within(queue.len(), &config.index));
-            for r in 0..config.replicas_per_partition {
-                let index = Arc::new(VisualIndex::with_quantizers(
-                    config.index.clone(),
-                    quantizer.clone(),
-                    pq_quantizer.clone(),
-                ));
-                let indexer = RealtimeIndexer::new(
-                    Arc::new(IndexHandle::new(index)),
-                    Arc::clone(&extractor),
-                    Arc::clone(&images),
-                    Arc::clone(&feature_db),
-                )
-                .with_filter(partition_filter(&partition_map, p));
-                // Durable startup: recover this replica *before* any query
-                // is served — newest valid checkpoint swapped in, then the
-                // log suffix replayed through the live indexing path.
-                let mut start = queue.base();
-                if let Some(d) = &core.durable {
-                    let report = recover_partition_seeded(
-                        &indexer,
-                        shared_seed.as_ref(),
-                        &queue,
-                        &d.metrics,
-                    );
-                    start = report.start_offset + report.replayed;
-                    recovery.push(report);
-                }
-                let consumer = queue.consumer_at(start);
-                let replica = stand_up(
-                    &core,
-                    &config,
-                    (p, r),
-                    indexer,
-                    consumer,
-                    &mut indexer_threads,
-                );
-                append(&row.replicas, replica);
-            }
-            append(&core.partitions, row);
+            let reports = lifecycle::start_row(&core, p, stores.next(), cold, &mut indexer_threads);
+            recovery.extend(reports);
         }
 
         // --- Brokers: G groups × broker_replicas instances. --------------
@@ -1036,11 +404,12 @@ impl SearchTopology {
             let mut instances = Vec::new();
             let mut instance_partitions = Vec::new();
             for b in 0..config.broker_replicas {
-                let balancers: Vec<_> = partition_map
+                let balancers: Vec<_> = core
+                    .layout
                     .read()
                     .partitions_of_group(g)
                     .into_iter()
-                    .map(|p| searcher_balancer(&config, &metrics, core.partition(p), (g, b, p)))
+                    .map(|p| searcher_balancer(config, &metrics, core.partition(p), (g, b, p)))
                     .collect();
                 // The balancer list stays shared with the topology so
                 // replica bootstrap and splits can grow it while this
@@ -1070,7 +439,7 @@ impl SearchTopology {
             .map(|cap| Arc::new(LruCache::new(cap)));
         let group_partition_counts: Arc<Vec<AtomicUsize>> = Arc::new(
             (0..config.num_broker_groups)
-                .map(|g| AtomicUsize::new(partition_map.read().partitions_of_group(g).len()))
+                .map(|g| AtomicUsize::new(core.layout.read().partitions_of_group(g).len()))
                 .collect(),
         );
         let blender_nodes: Vec<Node<BlenderService>> = (0..config.num_blenders)
@@ -1089,10 +458,8 @@ impl SearchTopology {
                     })
                     .collect();
                 let service = blender(
-                    &config,
+                    &core,
                     groups,
-                    &extractor,
-                    &images,
                     query_cache.as_ref(),
                     &group_partition_counts,
                     &metrics,
@@ -1118,50 +485,14 @@ impl SearchTopology {
             .with_metrics(Arc::clone(&metrics)),
         );
 
-        // --- Background maintenance scheduler (durable + a bound set). ----
-        // One thread drives both scheduled duties: exposure-bounded
-        // checkpoints and threshold-triggered log compaction. They share
-        // the maintenance mutex anyway, so a second thread would only
-        // queue behind the first. It walks the live table, so partitions
-        // a split appends later are covered too.
-        let (exposure, compaction) = match (&core.durable, config.realtime_indexing) {
-            (Some(d), true) => (
-                d.options.checkpoint_exposure,
-                d.options.log_compaction_ratio,
-            ),
-            _ => (None, None),
-        };
-        let checkpoint_scheduler = (exposure.is_some() || compaction.is_some()).then(|| {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("ckpt-sched".into())
-                .spawn(move || {
-                    while !core.stop.load(Ordering::Relaxed) {
-                        if let Some(bound) = exposure {
-                            core.run_exposure_pass(bound);
-                        }
-                        if let Some(threshold) = compaction {
-                            core.run_compaction_pass(threshold);
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                })
-                .expect("spawning checkpoint scheduler thread")
-        });
-
+        let checkpoint_scheduler = durable::spawn_scheduler(&core);
         Self {
             frontend,
-            partition_map,
-            config,
             core,
             broker_nodes,
             broker_partitions,
             group_partition_counts,
             blender_nodes,
-            queue,
-            extractor,
-            images,
-            feature_db,
             indexer_threads,
             checkpoint_scheduler,
             query_cache,
@@ -1181,10 +512,8 @@ impl SearchTopology {
         B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
     {
         blender(
-            &self.config,
+            &self.core,
             groups,
-            &self.extractor,
-            &self.images,
             self.query_cache.as_ref(),
             &self.group_partition_counts,
             metrics,
@@ -1231,7 +560,7 @@ impl SearchTopology {
             }
         }
         OpsReport {
-            queue_length: self.queue.len(),
+            queue_length: self.core.queue.len(),
             max_indexer_lag: self.max_indexer_lag(),
             query_cache: self.query_cache_stats(),
             durability: self.durability_snapshot(),
@@ -1262,36 +591,6 @@ impl SearchTopology {
         self.core.durable.as_ref().map(|d| &d.queue)
     }
 
-    /// Checkpoints one partition **online**: real-time consumption is
-    /// briefly paused at a quiesced cut (each indexer thread positively
-    /// acknowledges the pause before the snapshot is cut), the log is
-    /// synced so the watermark never exceeds the durable log end, replica
-    /// 0's index is snapshotted atomically (temp file + rename + manifest)
-    /// at its applied-offset watermark, indexing resumes, and log segments
-    /// wholly below the *minimum* checkpoint watermark across all
-    /// partitions are reclaimed (every partition replays from the shared
-    /// log, so retention must respect the laggiest checkpoint).
-    ///
-    /// Concurrent maintenance calls (checkpoint or rebuild) serialize on
-    /// an internal mutex — the pause flag is global, so one caller's
-    /// resume must not unpause indexing under another's snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the log sync, snapshot or retention path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not built durable, real-time indexing is disabled, or
-    /// `partition` is out of range.
-    pub fn checkpoint_partition(&self, partition: usize) -> io::Result<CheckpointReport> {
-        assert!(
-            self.config.realtime_indexing,
-            "checkpointing needs the real-time indexers' watermarks"
-        );
-        self.core.checkpoint_partition(partition)
-    }
-
     /// The applied-offset watermark of `partition`'s newest checkpoint
     /// manifest — `None` when not built durable or never checkpointed.
     /// What the background scheduler measures replay exposure against.
@@ -1307,32 +606,32 @@ impl SearchTopology {
     /// take a fresh snapshot rather than caching this across maintenance
     /// operations.
     pub fn partition_map(&self) -> PartitionMap {
-        self.partition_map.read().clone()
+        self.core.layout.read().clone()
     }
 
     /// The stack's configuration (shape, deadlines, policies).
     pub fn config(&self) -> &TopologyConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The shared feature extractor.
     pub fn extractor(&self) -> &Arc<CachingExtractor> {
-        &self.extractor
+        &self.core.extractor
     }
 
     /// The shared image store.
     pub fn images(&self) -> &Arc<ImageStore> {
-        &self.images
+        &self.core.images
     }
 
     /// The catalog update queue (publish events here).
     pub fn queue(&self) -> &MessageQueue<ProductEvent> {
-        &self.queue
+        &self.core.queue
     }
 
     /// Publishes one catalog event.
     pub fn publish(&self, event: ProductEvent) {
-        self.queue.publish(event);
+        self.core.queue.publish(event);
     }
 
     /// A user-facing client through the front-end balancer.
@@ -1364,7 +663,7 @@ impl SearchTopology {
     ///
     /// Panics if out of range.
     pub fn handle(&self, partition: usize, replica: usize) -> &Arc<IndexHandle> {
-        &self.core.replica(partition, replica).handle
+        &self.core.partition(partition).replica(replica).handle
     }
 
     /// Live replica count of `partition` (panics if out of range).
@@ -1386,7 +685,11 @@ impl SearchTopology {
     ///
     /// Panics if out of range.
     pub fn searcher_faults(&self, partition: usize, replica: usize) -> &jdvs_net::FaultInjector {
-        self.core.replica(partition, replica).node.faults()
+        self.core
+            .partition(partition)
+            .replica(replica)
+            .node
+            .faults()
     }
 
     /// Fault controls of a broker instance.
@@ -1412,10 +715,10 @@ impl SearchTopology {
     /// process — 0 means every partition is fully caught up (always 0
     /// without real-time indexing).
     pub fn max_indexer_lag(&self) -> u64 {
-        if !self.config.realtime_indexing {
+        if !self.core.config.realtime_indexing {
             return 0;
         }
-        let published = self.queue.len();
+        let published = self.core.queue.len();
         self.core
             .rows()
             .flat_map(Partition::replicas)
@@ -1432,7 +735,7 @@ impl SearchTopology {
     ///
     /// Panics if indexers fail to catch up within `timeout`.
     pub fn wait_for_freshness(&self, timeout: Duration) {
-        if !self.config.realtime_indexing {
+        if !self.core.config.realtime_indexing {
             return;
         }
         let deadline = std::time::Instant::now() + timeout;
@@ -1448,489 +751,6 @@ impl SearchTopology {
         }
     }
 
-    /// The quiesced consume positions of `partition`'s replicas. Caller
-    /// must hold the maintenance mutex with the partition quiesced.
-    fn quiesced_cuts(&self, partition: usize) -> Vec<u64> {
-        self.core
-            .partition(partition)
-            .replicas()
-            .map(|r| r.processed.load(Ordering::Acquire))
-            .collect()
-    }
-
-    /// Builds a fresh filter-scoped index covering `[0, cut)` of the
-    /// logical log: seeded from the newest checkpoint at or below `cut`
-    /// (replaying only the surviving suffix) when one exists, or by cold
-    /// replay of the complete log otherwise. Shared by rebuild and split.
-    ///
-    /// The cold path asserts the log prefix is still present. That cannot
-    /// fire spuriously: retention only prunes below the *minimum*
-    /// checkpoint watermark across partitions, so a pruned prefix implies
-    /// this partition has a checkpoint at or above the queue base — and
-    /// `cut` (an applied position) is necessarily at or above that
-    /// watermark, so the seeded path is taken.
-    fn build_to_cut(
-        &self,
-        checkpoint_partition: usize,
-        filter: &KeyFilter,
-        cut: u64,
-    ) -> (VisualIndex, u64, bool) {
-        let builder = FullIndexBuilder::new(
-            self.config.index.clone(),
-            Arc::clone(&self.extractor),
-            Arc::clone(&self.images),
-            Arc::clone(&self.feature_db),
-        )
-        .with_filter(Arc::clone(filter));
-        let seed = self
-            .core
-            .partition(checkpoint_partition)
-            .checkpoints
-            .as_ref()
-            .and_then(|c| c.recover_shared_within(cut, &self.config.index));
-        let (fresh, build) = match &seed {
-            Some(s) => {
-                let start = s.applied_offset.max(self.queue.base());
-                let suffix = self.queue.read_range(start, (cut - start) as usize);
-                builder.build_seeded(&s.index, &suffix)
-            }
-            None => {
-                assert_eq!(
-                    self.queue.base(),
-                    0,
-                    "cold rebuild needs the complete log, but checkpoint \
-                     retention already reclaimed its prefix and no usable \
-                     checkpoint at or below the cut survived"
-                );
-                builder.build(&self.queue.read_range(0, cut as usize))
-            }
-        };
-        // Stamp the watermark the build reached: the fresh index applied
-        // everything below the cut, and post-swap checkpoints measure
-        // replay exposure against this.
-        fresh.stats().applied_offset.set_max(cut);
-        (fresh, build.messages_replayed, seed.is_some())
-    }
-
-    /// Replays `[from, to)` of the log into `index` through the live
-    /// indexing path (a replica whose quiesced cut ran past the common
-    /// build cut catches its private tail up before the swap).
-    fn replay_tail(
-        &self,
-        index: Arc<VisualIndex>,
-        filter: &KeyFilter,
-        from: u64,
-        to: u64,
-    ) -> Arc<VisualIndex> {
-        let indexer = RealtimeIndexer::for_index(
-            index,
-            Arc::clone(&self.extractor),
-            Arc::clone(&self.images),
-            Arc::clone(&self.feature_db),
-        )
-        .with_filter(Arc::clone(filter));
-        for (i, event) in self
-            .queue
-            .read_range(from, (to - from) as usize)
-            .iter()
-            .enumerate()
-        {
-            indexer.apply_at(from + i as u64, event);
-        }
-        indexer.index().flush();
-        indexer.index()
-    }
-
-    /// Performs the weekly full rebuild of one partition **online**
-    /// (Figure 2): real-time indexing is briefly paused at a quiesced
-    /// cut point, the partition's state up to the cut is reconstructed
-    /// into a fresh index (logically-deleted images are physically
-    /// dropped), the index is shipped through the snapshot format and
-    /// hot-swapped, and indexing resumes — all while searches keep being
-    /// served (by the old index until the instant of the swap).
-    ///
-    /// On a durable topology the rebuild is **checkpoint-seeded**: the
-    /// newest valid snapshot at or below the cut seeds the catalog state
-    /// and only the surviving log suffix `[watermark, cut)` is replayed —
-    /// so rebuilds keep working after checkpoint retention pruned the log
-    /// prefix. One index is built at the minimum cut and decoded once per
-    /// replica from the same snapshot bytes; a replica whose own cut ran
-    /// further catches up through the live indexing path before its swap.
-    ///
-    /// A partition whose replayed state contains no valid image (empty or
-    /// fully deleted) swaps in an empty index and reports
-    /// `records_after: 0` — not a panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range, real-time indexing is
-    /// disabled, or (non-durable topologies only) the log prefix was
-    /// externally pruned.
-    pub fn rebuild_partition(&self, partition: usize) -> RebuildReport {
-        assert!(
-            self.config.realtime_indexing,
-            "online rebuild requires real-time indexing (otherwise just build a world)"
-        );
-        let row = self.core.partition(partition);
-        // 1. One maintenance op at a time (the pause flag is global), then
-        //    pause consumption and wait for every indexer thread of this
-        //    partition to positively acknowledge the pause.
-        let _maintenance = self.core.maintenance.lock();
-        self.core.quiesce(partition);
-
-        // 2. Build once at the minimum quiesced cut (replica cuts may
-        //    differ — each indexer thread parked at its own position).
-        let cuts = self.quiesced_cuts(partition);
-        let cut0 = cuts.iter().copied().min().unwrap_or(0);
-        let filter = partition_filter(&self.partition_map, partition);
-        let (fresh, messages_replayed, _) = self.build_to_cut(partition, &filter, cut0);
-        // Ship through the on-disk format, as production distributes
-        // index files to searcher nodes.
-        let bytes = persist::save(&fresh);
-
-        // 3. Per replica: decode the shared snapshot, replay the replica's
-        //    private tail [cut0, cut_r), swap it in.
-        let mut report = RebuildReport {
-            partition,
-            messages_replayed,
-            records_before: 0,
-            records_after: 0,
-            snapshot_bytes: bytes.len(),
-        };
-        let mut max_tail = 0u64;
-        for (r, replica) in row.replicas().enumerate() {
-            let loaded = Arc::new(
-                persist::load(&bytes, &self.config.index).expect("snapshot round-trip cannot fail"),
-            );
-            // The snapshot format does not carry the applied-offset
-            // watermark (recovery re-stamps it too); without this a
-            // post-rebuild checkpoint would record watermark 0.
-            loaded.stats().applied_offset.set_max(cut0);
-            let loaded = if cuts[r] > cut0 {
-                max_tail = max_tail.max(cuts[r] - cut0);
-                self.replay_tail(loaded, &filter, cut0, cuts[r])
-            } else {
-                loaded
-            };
-            report.records_after += loaded.num_images();
-            let old = replica.handle.swap(loaded);
-            report.records_before += old.num_images();
-        }
-        report.messages_replayed += max_tail;
-
-        // 4. Resume real-time indexing; events after each cut apply to the
-        //    fresh index through the handle.
-        self.core.resume();
-        report
-    }
-
-    /// Adds one replica to a partition **online**: the replica is seeded
-    /// from the newest checkpoint (or built cold from the retained log
-    /// sharing the siblings' quantizers), tails the live log *without
-    /// pausing ingestion* until within
-    /// [`TopologyConfig::bootstrap_lag_bound`] events of the head, then —
-    /// under the maintenance mutex and a brief quiesce — drains the final
-    /// gap and atomically joins the serving set: its searcher node is
-    /// pushed into every broker balancer that fans out to this partition,
-    /// and its own indexing thread keeps it fresh from there on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range or real-time indexing is
-    /// disabled.
-    pub fn bootstrap_replica(&mut self, partition: usize) -> BootstrapReport {
-        assert!(
-            self.config.realtime_indexing,
-            "replica bootstrap tails the live log"
-        );
-        let row = self.core.partition(partition);
-        // --- Phase A: build the replica off to the side. Ingestion and
-        // serving continue untouched; only the checkpoint read takes the
-        // maintenance mutex (lifecycle ops serialize on it, so a snapshot
-        // mid-save is never observed).
-        let filter = partition_filter(&self.partition_map, partition);
-        let seed = {
-            let _maintenance = self.core.maintenance.lock();
-            row.checkpoints
-                .as_ref()
-                .and_then(|c| c.recover_shared_within(self.queue.len(), &self.config.index))
-        };
-        let from_snapshot = seed.is_some();
-        let (index, start) = match seed {
-            Some(seed) => {
-                let start = seed.applied_offset.max(self.queue.base());
-                let index = seed.fork();
-                index.stats().applied_offset.set_max(seed.applied_offset);
-                (index, start)
-            }
-            None => {
-                // Cold path: an empty index sharing the siblings' trained
-                // quantizers, fed from the queue base (still unpruned by
-                // the same retention argument as `build_to_cut`).
-                let sibling = row.replica(0).handle.get();
-                assert_eq!(
-                    self.queue.base(),
-                    0,
-                    "cold bootstrap needs the complete log, but checkpoint \
-                     retention already reclaimed its prefix and no usable \
-                     checkpoint survived"
-                );
-                let index = VisualIndex::with_quantizers(
-                    self.config.index.clone(),
-                    sibling.quantizer().clone(),
-                    sibling.pq_quantizer(),
-                );
-                (index, 0)
-            }
-        };
-        let replica = row.replicas().count();
-        let indexer = RealtimeIndexer::for_index(
-            Arc::new(index),
-            Arc::clone(&self.extractor),
-            Arc::clone(&self.images),
-            Arc::clone(&self.feature_db),
-        )
-        .with_filter(filter);
-        let mut consumer = self.queue.consumer_at(start);
-        let mut tailed = 0u64;
-        // Tail the live log (publishers keep running) until the replica is
-        // within the configured lag bound of the head.
-        while self.queue.len().saturating_sub(consumer.position()) > self.config.bootstrap_lag_bound
-        {
-            let offset = consumer.position();
-            if let Some(event) = consumer.poll_now() {
-                indexer.apply_at(offset, &event);
-                tailed += 1;
-            }
-        }
-
-        // --- Phase B: quiesce the partition, drain the remaining gap, and
-        // atomically join the serving set.
-        let _maintenance = self.core.maintenance.lock();
-        self.core.quiesce(partition);
-        loop {
-            let offset = consumer.position();
-            match consumer.poll_now() {
-                Some(event) => {
-                    indexer.apply_at(offset, &event);
-                    tailed += 1;
-                }
-                None => break,
-            }
-        }
-        indexer.index().flush();
-
-        // Its indexer thread starts parked (the pause is still up).
-        let joined = stand_up(
-            &self.core,
-            &self.config,
-            (partition, replica),
-            indexer,
-            consumer,
-            &mut self.indexer_threads,
-        );
-        // Join the fan-out: every broker instance of the owning group gets
-        // this searcher as a new balancer target (fan-outs already in
-        // flight took their snapshot; the next one covers the replica).
-        let (group, slot) = {
-            let map = self.partition_map.read();
-            let group = map.broker_group_of(partition);
-            let slot = map
-                .partitions_of_group(group)
-                .iter()
-                .position(|&q| q == partition)
-                .expect("a partition appears in its own group");
-            (group, slot)
-        };
-        for instance in &self.broker_partitions[group] {
-            instance.read()[slot].push_target(joined.node.handle());
-        }
-        append(&row.replicas, joined);
-        self.core.resume();
-        BootstrapReport {
-            partition,
-            replica,
-            from_snapshot,
-            seed_offset: start,
-            tailed,
-        }
-    }
-
-    /// Splits one partition in two **online** with zero lost updates: under
-    /// the maintenance mutex and a quiesce of the parent's indexers, the
-    /// routing table doubles (the upper-half aliases of the parent's key
-    /// space move to a new sibling id), both halves are rebuilt from the
-    /// parent's newest checkpoint plus the surviving log suffix — each
-    /// through its own partition filter — and then the sibling's replica
-    /// row joins the serving set before the parent's replicas swap down to
-    /// their narrowed half. Sibling indexer threads start consuming at the
-    /// build cut, so events published during the split land exactly once.
-    ///
-    /// On a durable topology the sibling gets its own checkpoint store and
-    /// the new layout is persisted (atomically, before ingestion resumes),
-    /// so a restart reconstructs the split topology instead of losing the
-    /// moved keys to the parent's post-split checkpoints.
-    ///
-    /// A fan-out racing the final swaps may briefly see a moved key in
-    /// both halves (the parent still serves its pre-split index while the
-    /// sibling is already live); searches never miss a key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from opening the sibling's checkpoint store
-    /// or persisting the partition map (the split is aborted, layout
-    /// unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range or real-time indexing is
-    /// disabled.
-    pub fn split_partition(&mut self, partition: usize) -> io::Result<SplitReport> {
-        assert!(
-            self.config.realtime_indexing,
-            "online split requires real-time indexing"
-        );
-        let parent = self.core.partition(partition);
-        let _maintenance = self.core.maintenance.lock();
-        self.core.quiesce(partition);
-        let cuts = self.quiesced_cuts(partition);
-        let cut0 = cuts.iter().copied().min().unwrap_or(0);
-
-        let sibling = self.core.rows().count();
-        let candidate = {
-            let mut map = self.partition_map.read().clone();
-            let s = map.split(partition);
-            debug_assert_eq!(s, sibling, "sibling id is the next partition id");
-            map
-        };
-
-        // Build both halves from the same seed + suffix, each through its
-        // own filter over the *candidate* layout — the live map stays
-        // untouched until the durable artifacts below are safely on disk,
-        // so the abort path leaves the running layout unchanged.
-        let cand_map = Arc::new(RwLock::new(candidate.clone()));
-        let (parent_half, messages_replayed, from_snapshot) =
-            self.build_to_cut(partition, &partition_filter(&cand_map, partition), cut0);
-        let (sibling_half, _, _) =
-            self.build_to_cut(partition, &partition_filter(&cand_map, sibling), cut0);
-        let parent_bytes = persist::save(&parent_half);
-        let sibling_bytes = persist::save(&sibling_half);
-
-        // Durable commit (fallible). Ordering is load-bearing:
-        //
-        //   1. the sibling's store gets its half checkpointed at the cut —
-        //      without a manifest, a restart after earlier retention
-        //      pruning would cold-replay the sibling from a log whose
-        //      prefix is gone, losing every moved key below the base;
-        //   2. the layout file commits the split on disk (if step 1's
-        //      orphan store is all that survives a crash here, the old
-        //      layout simply ignores it);
-        //   3. the parent's *narrowed* half lands only after the layout —
-        //      a narrowed parent checkpoint under the old two-way layout
-        //      would drop the moved keys on restart. Until it lands, the
-        //      pre-split full checkpoint is a safe superset.
-        let mut checkpoints = None;
-        if let (Some(d), Some(parent_store)) = (&self.core.durable, &parent.checkpoints) {
-            let committed = (|| {
-                let store = d.open_store(sibling)?;
-                // Sync the log through the cut first: a crash after these
-                // checkpoints could otherwise truncate the log below their
-                // watermark (same hazard as checkpoint_partition).
-                d.queue.sync()?;
-                store.save(&sibling_half, cut0)?;
-                save_partition_map(&d.options.dir, &candidate)?;
-                parent_store.save(&parent_half, cut0)?;
-                Ok(store)
-            })();
-            match committed {
-                Ok(store) => checkpoints = Some(store),
-                Err(e) => {
-                    self.core.resume();
-                    return Err(e);
-                }
-            }
-        }
-        // Commit the routing change. The parent's indexers are parked, so
-        // no event is applied under a half-updated view; other partitions'
-        // ownership is untouched by construction of the table doubling.
-        *self.partition_map.write() = candidate;
-        let parent_filter = partition_filter(&self.partition_map, partition);
-        let sibling_filter = partition_filter(&self.partition_map, sibling);
-
-        // Stand the sibling's row up (same replica count as the parent).
-        // Its indexer threads start at the build cut and park until the
-        // resume below, then consume [cut0, …) through the sibling filter
-        // — nothing published during the split is lost.
-        let mut report = SplitReport {
-            partition,
-            sibling,
-            messages_replayed,
-            parent_records: 0,
-            sibling_records: 0,
-            from_snapshot,
-        };
-        let row = Partition {
-            replicas: Directory::new(),
-            checkpoints,
-        };
-        for r in 0..parent.replicas().count() {
-            let loaded = Arc::new(
-                persist::load(&sibling_bytes, &self.config.index)
-                    .expect("snapshot round-trip cannot fail"),
-            );
-            loaded.stats().applied_offset.set_max(cut0);
-            report.sibling_records += loaded.num_images();
-            let indexer = RealtimeIndexer::for_index(
-                loaded,
-                Arc::clone(&self.extractor),
-                Arc::clone(&self.images),
-                Arc::clone(&self.feature_db),
-            )
-            .with_filter(Arc::clone(&sibling_filter));
-            let replica = stand_up(
-                &self.core,
-                &self.config,
-                (sibling, r),
-                indexer,
-                self.queue.consumer_at(cut0),
-                &mut self.indexer_threads,
-            );
-            append(&row.replicas, replica);
-        }
-
-        // Make the sibling serving-visible *before* narrowing the parent,
-        // so no fan-out ever misses the moved keys: one balancer over the
-        // sibling's replicas per broker instance of the owning group, then
-        // the table row and the blenders' coverage count.
-        let group = self.partition_map.read().broker_group_of(sibling);
-        for (b, instance) in self.broker_partitions[group].iter().enumerate() {
-            let balancer =
-                searcher_balancer(&self.config, &self.metrics, &row, (group, b, sibling));
-            instance.write().push(balancer);
-        }
-        append(&self.core.partitions, row);
-        self.group_partition_counts[group].fetch_add(1, Ordering::Release);
-
-        // Swap the parent's replicas down to their narrowed half, catching
-        // up any replica whose quiesced cut ran past the build cut.
-        for (r, replica) in parent.replicas().enumerate() {
-            let loaded = Arc::new(
-                persist::load(&parent_bytes, &self.config.index)
-                    .expect("snapshot round-trip cannot fail"),
-            );
-            loaded.stats().applied_offset.set_max(cut0);
-            let loaded = if cuts[r] > cut0 {
-                self.replay_tail(loaded, &parent_filter, cut0, cuts[r])
-            } else {
-                loaded
-            };
-            report.parent_records += loaded.num_images();
-            replica.handle.swap(loaded);
-        }
-        self.core.resume();
-        Ok(report)
-    }
-
     /// Stops real-time indexers (draining the queue), then shuts every node
     /// down, top of the stack first. Idempotent.
     pub fn shutdown(&mut self) {
@@ -1941,8 +761,6 @@ impl SearchTopology {
         if let Some(t) = self.checkpoint_scheduler.take() {
             let _ = t.join();
         }
-        // A paused indexer would never reach the drain loop.
-        self.core.pause.store(false, Ordering::SeqCst);
         for t in self.indexer_threads.drain(..) {
             let _ = t.join();
         }
@@ -1973,11 +791,16 @@ impl Drop for SearchTopology {
 
 #[cfg(test)]
 mod tests {
+    use super::durable::{PARTITION_MAP_FILE, PARTITION_MAP_MAGIC};
     use super::*;
+    use crate::ranking::RankingPolicy;
+    use jdvs_core::{persist, IndexConfig};
     use jdvs_features::cost::CostModel;
     use jdvs_features::{ExtractorConfig, FeatureExtractor};
     use jdvs_storage::model::{ImageKey, ProductAttributes, ProductId};
     use jdvs_vector::rng::Xoshiro256;
+    use std::io;
+    use std::path::PathBuf;
 
     const DIM: usize = 8;
 
@@ -2232,6 +1055,27 @@ mod tests {
             .sum();
         assert_eq!(total_inserts, 12);
         assert!(report.partitions.iter().all(|p| p.generation == 0));
+    }
+
+    #[test]
+    fn quiesce_of_one_partition_leaves_the_others_fresh() {
+        let w = world(true);
+        let map = w.topology.partition_map();
+        let owned_by_p1: Vec<u64> = (1000..)
+            .filter(|i| map.partition_of_url(&format!("u{i}")) == 1)
+            .take(2)
+            .collect();
+        let _quiesced = w.topology.core.quiesce(0);
+        for i in owned_by_p1 {
+            w.topology.publish(add_event(&w, i));
+            let key = ImageKey::from_url(&format!("u{i}"));
+            let visible = || (0..2).all(|r| w.topology.index(1, r).lookup(key).is_some());
+            let deadline = std::time::Instant::now() + Duration::from_secs(2);
+            while !visible() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(visible(), "u{i} visible on p1: {}", visible());
+        }
     }
 
     #[test]

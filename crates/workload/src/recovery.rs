@@ -405,6 +405,17 @@ impl RecoveryHarness {
     /// Panics if `events` exceeds the planned stream or indexing stalls.
     pub fn cold_reference_probe(&self, events: usize) -> Vec<Probe> {
         assert!(events <= self.events.len(), "beyond the planned stream");
+        self.cold_probe_of(&self.events[..events])
+    }
+
+    /// [`cold_reference_probe`](RecoveryHarness::cold_reference_probe) of
+    /// an arbitrary stream — the planned one followed by events a test
+    /// publishes itself, say.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indexing stalls.
+    pub fn cold_probe_of(&self, events: &[ProductEvent]) -> Vec<Probe> {
         let mut reference = SearchTopology::build(
             self.topology_config.clone(),
             Arc::clone(&self.extractor),
@@ -413,7 +424,7 @@ impl RecoveryHarness {
             &self.training,
             MessageQueue::new(),
         );
-        for event in &self.events[..events] {
+        for event in events {
             reference.publish(event.clone());
         }
         reference.wait_for_freshness(Duration::from_secs(60));

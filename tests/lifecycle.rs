@@ -14,18 +14,26 @@
 //!
 //! - a kill during a replica bootstrap's log-tail leaves only the
 //!   pre-bootstrap checkpoints and the log (the bootstrap is memory-only);
-//! - a kill between an online split's half-swaps leaves the fully
-//!   committed durable artifacts (sibling checkpoint, layout file,
-//!   narrowed parent checkpoint) with the in-memory swaps lost;
+//! - a kill between an online split's half-swaps leaves the committed
+//!   durable artifacts (sibling checkpoint, layout file) with the
+//!   in-memory swaps lost;
 //! - a crash *before* the split's layout commit leaves an orphan sibling
 //!   store the old layout must ignore;
+//! - a crash right *after* it leaves the parent's pre-split checkpoint,
+//!   which a restart must narrow to the committed layout;
+//! - a write that fails after the commit point fails nothing: the split
+//!   completes, and the running layout is the one a restart reads;
 //! - a torn checkpoint write leaves a corrupt newest snapshot the
 //!   manifest still names — recovery must walk the fallback chain;
 //! - a crash between a checkpoint temp write and its rename strands
 //!   `*.tmp` files the next boot must sweep.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
+use jdvs::search::SearchQuery;
+use jdvs::storage::ProductEvent;
 use jdvs::workload::recovery::{RecoveryConfig, RecoveryHarness};
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -79,10 +87,10 @@ fn kill_during_bootstrap_tail_recovers_bit_identical() {
 }
 
 /// A kill right between an online split's half-swaps: the durable
-/// artifacts (sibling checkpoint at the cut, layout file, narrowed parent
-/// checkpoint) are committed but the in-memory swaps die with the
-/// process. The reboot must reconstruct the three-way layout and lose
-/// nothing — including the events published after the split.
+/// artifacts (sibling checkpoint at the cut, layout file) are committed
+/// but the in-memory swaps die with the process. The reboot must
+/// reconstruct the three-way layout and lose nothing — including the
+/// events published after the split.
 #[test]
 fn kill_between_split_half_swaps_recovers_bit_identical() {
     let dir = scratch_dir("split-swap");
@@ -252,6 +260,180 @@ fn stranded_tmp_sweep_then_immediate_bootstrap() {
         assert!(report.from_snapshot, "bootstrap seeds from the snapshot");
     }
     assert_eq!(harness.probe(&topology), before);
+    harness.halt(topology);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(product id, url)` of every image the planned stream adds.
+fn added_images(harness: &RecoveryHarness) -> Vec<(jdvs::storage::ProductId, String)> {
+    harness
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            ProductEvent::AddProduct { product_id, images } => Some(
+                images
+                    .iter()
+                    .map(|a| (*product_id, a.url.clone()))
+                    .collect::<Vec<_>>(),
+            ),
+            _ => None,
+        })
+        .flatten()
+        .collect()
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("read store") {
+        let path = entry.expect("store entry").path();
+        std::fs::copy(&path, to.join(path.file_name().expect("file name"))).expect("copy file");
+    }
+}
+
+/// The commit rule: the rename of the partition-map file is the split's
+/// one commit point, so a failure planted after it — a directory at the
+/// temp path a narrowed parent checkpoint at the cut would be written
+/// through, which makes `File::create` fail even for root — cannot fail
+/// the split. The running layout then equals the one a restart reads, and
+/// the restarted world serves every image exactly once.
+#[test]
+fn split_failing_after_the_layout_commit_completes() {
+    let dir = scratch_dir("commit-rule");
+    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let adds: Vec<ProductEvent> = harness
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ProductEvent::AddProduct { .. }))
+        .cloned()
+        .collect();
+    let urls: Vec<String> = added_images(&harness)
+        .into_iter()
+        .map(|(_, url)| url)
+        .collect();
+
+    let mut topology = harness.boot().expect("first boot");
+    let publish = |topology: &jdvs::search::SearchTopology, events: &[ProductEvent]| {
+        for event in events {
+            topology.publish(event.clone());
+        }
+        topology.wait_for_freshness(Duration::from_secs(60));
+    };
+    publish(&topology, &adds[..adds.len() / 2]);
+    topology.checkpoint_partition(0).expect("checkpoint p0");
+    topology.checkpoint_partition(1).expect("checkpoint p1");
+    publish(&topology, &adds[adds.len() / 2..]);
+
+    let cut = topology.queue().len();
+    let trap = harness
+        .checkpoint_dir(0)
+        .join(format!("snap-{cut:020}.ckpt.tmp"));
+    std::fs::create_dir_all(&trap).expect("plant the trap");
+    topology
+        .split_partition(0)
+        .expect("a failure after the commit point completes the split");
+    assert_eq!(
+        topology.partition_map().num_partitions(),
+        3,
+        "the running layout is the committed one"
+    );
+    harness.halt(topology);
+    // Opening a store sweeps `*.tmp` files, which a directory is not.
+    std::fs::remove_dir_all(&trap).expect("remove the trap");
+
+    let topology = harness.boot().expect("reboot");
+    assert_eq!(topology.partition_map().num_partitions(), 3);
+    assert_eq!(topology.ops_report().logical_valid_images(), urls.len());
+    for url in &urls {
+        let response = topology
+            .search(SearchQuery::by_image_url(url.clone(), 3))
+            .expect("search");
+        let found = response
+            .results
+            .iter()
+            .filter(|r| &r.hit.url == url)
+            .count();
+        assert_eq!(found, 1, "{url} served {found} times after the restart");
+    }
+    harness.halt(topology);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash right after a split's layout commit leaves the parent's store
+/// as it was before the split: its newest checkpoint still holds the
+/// moved keys. The restart must narrow that seed to the committed layout,
+/// or the parent keeps serving moved keys the sibling later deletes.
+#[test]
+fn crash_after_layout_commit_narrows_the_parent_seed() {
+    let dir = scratch_dir("narrow-seed");
+    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let n = harness.events().len();
+
+    let mut topology = harness.boot().expect("first boot");
+    harness.publish(&topology, 0..n / 2);
+    topology.checkpoint_partition(0).expect("checkpoint p0");
+    topology.checkpoint_partition(1).expect("checkpoint p1");
+    let parent_store = harness.checkpoint_dir(0);
+    let pre_split = dir.join("pre-split-ckpt-p0");
+    copy_dir(&parent_store, &pre_split);
+    harness.publish(&topology, n / 2..n);
+    let sibling = topology.split_partition(0).expect("online split").sibling;
+    let layout = topology.partition_map();
+    harness.halt(topology);
+    std::fs::remove_dir_all(&parent_store).expect("drop the parent store");
+    copy_dir(&pre_split, &parent_store);
+
+    let topology = harness.boot().expect("reboot");
+    assert_eq!(topology.partition_map().num_partitions(), 3);
+    // Update some moved keys, then remove every one of them.
+    let moved: Vec<_> = added_images(&harness)
+        .into_iter()
+        .filter(|(_, url)| layout.partition_of_url(url) == sibling)
+        .collect();
+    assert!(!moved.is_empty(), "the split must move some keys");
+    let mut extra = Vec::new();
+    for (i, (product_id, url)) in moved.iter().enumerate().step_by(2) {
+        extra.push(ProductEvent::UpdateAttributes {
+            product_id: *product_id,
+            urls: vec![url.clone()],
+            sales: Some(5_000 + i as u64),
+            price: Some(7),
+            praise: None,
+        });
+    }
+    for (product_id, url) in &moved {
+        extra.push(ProductEvent::RemoveProduct {
+            product_id: *product_id,
+            urls: vec![url.clone()],
+        });
+    }
+    for event in &extra {
+        topology.publish(event.clone());
+    }
+    topology.wait_for_freshness(Duration::from_secs(60));
+
+    let served: Vec<String> = moved
+        .iter()
+        .filter(|(_, url)| {
+            topology
+                .search(SearchQuery::by_image_url(url.clone(), 3))
+                .expect("search")
+                .results
+                .iter()
+                .any(|r| &r.hit.url == url)
+        })
+        .map(|(_, url)| url.clone())
+        .collect();
+    assert!(
+        served.is_empty(),
+        "removed moved keys still served: {served:?}"
+    );
+    let mut stream = harness.events().to_vec();
+    stream.extend(extra);
+    assert_eq!(
+        harness.probe(&topology),
+        harness.cold_probe_of(&stream),
+        "the restarted world diverged from a cold rebuild of the same log"
+    );
     harness.halt(topology);
     let _ = std::fs::remove_dir_all(&dir);
 }

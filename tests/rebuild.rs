@@ -286,3 +286,70 @@ fn events_between_rebuilds_are_never_lost() {
         );
     }
 }
+
+/// A panic inside a lifecycle operation must not leave ingestion paused:
+/// the rebuild below hits the cold-path assert (the queue starts at offset
+/// 5, nothing checkpointed its prefix), and a new event must still become
+/// searchable — the quiesce guard resumes the partition while unwinding.
+#[test]
+fn panicking_rebuild_resumes_ingestion() {
+    use jdvs::core::IndexConfig;
+    use jdvs::features::cost::CostModel;
+    use jdvs::features::{CachingExtractor, ExtractorConfig, FeatureExtractor};
+    use jdvs::search::topology::{SearchTopology, TopologyConfig};
+    use jdvs::search::RankingPolicy;
+    use jdvs::storage::{FeatureDb, ImageStore, MessageQueue};
+    use jdvs::vector::rng::Xoshiro256;
+    use jdvs::vector::Vector;
+
+    const DIM: usize = 8;
+    let images = Arc::new(ImageStore::with_blob_len(64));
+    let extractor = Arc::new(CachingExtractor::new(
+        FeatureExtractor::new(ExtractorConfig {
+            dim: DIM,
+            ..Default::default()
+        }),
+        CostModel::free(),
+    ));
+    let mut rng = Xoshiro256::seed_from(3);
+    let training: Vec<Vector> = (0..32)
+        .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
+        .collect();
+    let topology = SearchTopology::build(
+        TopologyConfig {
+            index: IndexConfig {
+                dim: DIM,
+                num_lists: 2,
+                ..Default::default()
+            },
+            num_partitions: 2,
+            num_broker_groups: 1,
+            ranking: RankingPolicy::similarity_only(),
+            ..Default::default()
+        },
+        extractor,
+        Arc::clone(&images),
+        Arc::new(FeatureDb::new()),
+        &training,
+        MessageQueue::with_base(5),
+    );
+
+    let rebuild = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        topology.rebuild_partition(0)
+    }));
+    assert!(rebuild.is_err(), "a cold rebuild over a pruned log asserts");
+
+    let url = "after/panic.jpg".to_string();
+    images.put_synthetic(&url, 1);
+    topology.publish(ProductEvent::AddProduct {
+        product_id: ProductId(800_001),
+        images: vec![jdvs::storage::ProductAttributes::new(
+            ProductId(800_001),
+            1,
+            1,
+            1,
+            url,
+        )],
+    });
+    topology.wait_for_freshness(Duration::from_secs(3));
+}

@@ -130,10 +130,6 @@ pub fn serving_overload(ctx: &Ctx) -> ExperimentResult {
                 queue_capacity: 64,
                 ..AdmissionConfig::default()
             },
-            // Hedging on (the documented default): under overload, hedged
-            // broker calls must not double-count partitions — the verdict
-            // row asserts the coverage identity held on every response.
-            hedge_after: Some(Duration::from_millis(150)),
             ..NetServingConfig::default()
         },
     )
@@ -214,7 +210,7 @@ pub fn serving_overload(ctx: &Ctx) -> ExperimentResult {
     );
     push_phase(&mut result, "overload-3x", &overload);
 
-    // With hedging enabled, a late primary racing its hedge must still
+    // With hedging on (the topology's default), a late primary racing its hedge must still
     // account each partition exactly once. This is a correctness property,
     // not a measurement — fail loudly rather than record a bad row.
     assert_eq!(

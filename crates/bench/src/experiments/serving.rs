@@ -3,7 +3,9 @@
 //! World: the paper's testbed scaled onto one machine — 100 k images (at
 //! `--scale 1`), 8 searcher partitions, 2 broker groups, 2 blenders, a
 //! log-normal per-hop latency and a real (slept) query-feature-extraction
-//! cost at the blender. Clients are closed-loop threads (Section 3.2).
+//! cost at the blender — served over TCP with 4 / 8 / 12 requests in
+//! service at once per searcher / broker / blender. Clients are
+//! closed-loop threads (Section 3.2).
 //!
 //! - **Figure 12**: with vs without real-time indexing. The "with" arm
 //!   runs the paper's update mix as a concurrent background stream through
@@ -17,9 +19,9 @@ use std::time::Duration;
 
 use jdvs_core::IndexConfig;
 use jdvs_features::cost::CostDistribution;
-use jdvs_net::LatencyModel;
+use jdvs_net::{AdmissionConfig, LatencyModel};
 use jdvs_search::topology::TopologyConfig;
-use jdvs_search::RankingPolicy;
+use jdvs_search::{NetServing, NetServingConfig, RankingPolicy};
 use jdvs_workload::catalog::CatalogConfig;
 use jdvs_workload::client::{ClosedLoopConfig, ClosedLoopDriver};
 use jdvs_workload::events::{DailyPlan, DailyPlanConfig};
@@ -32,6 +34,39 @@ use crate::row;
 use super::Ctx;
 
 const DIM: usize = 32;
+
+/// A serving world and the TCP tiers the clients query.
+struct Testbed {
+    world: World,
+    net: NetServing,
+}
+
+/// A tier front door that only caps how many requests are in service at
+/// once; its queue holds every closed-loop client, as a server's run queue
+/// would.
+fn concurrency(max_concurrency: usize) -> AdmissionConfig {
+    AdmissionConfig {
+        max_concurrency,
+        queue_capacity: 1024,
+        ..AdmissionConfig::default()
+    }
+}
+
+fn testbed(ctx: &Ctx, realtime: bool) -> Testbed {
+    let world = serving_world(ctx, realtime);
+    let net = NetServing::over(
+        world.topology(),
+        NetServingConfig {
+            searcher_admission: concurrency(4),
+            broker_admission: concurrency(8),
+            blender_admission: concurrency(12),
+            client_deadline: Duration::from_secs(30),
+            ..NetServingConfig::default()
+        },
+    )
+    .expect("binding the serving tiers");
+    Testbed { world, net }
+}
 
 fn serving_world(ctx: &Ctx, realtime: bool) -> World {
     // ~100k images at scale 1 (paper: "a total of 100,000 images").
@@ -55,9 +90,6 @@ fn serving_world(ctx: &Ctx, realtime: bool) -> World {
             num_broker_groups: 2,
             broker_replicas: 1,
             num_blenders: 2,
-            searcher_workers: 4,
-            broker_workers: 8,
-            blender_workers: 12,
             latency: LatencyModel::LogNormal {
                 median: Duration::from_micros(200),
                 sigma: 0.4,
@@ -76,12 +108,12 @@ fn serving_world(ctx: &Ctx, realtime: bool) -> World {
     })
 }
 
-fn measure(world: &World, threads: usize, window: Duration) -> jdvs_workload::client::LoadReport {
-    measure_reps(world, threads, window, 3)
+fn measure(bed: &Testbed, threads: usize, window: Duration) -> jdvs_workload::client::LoadReport {
+    measure_reps(bed, threads, window, 3)
 }
 
 fn measure_reps(
-    world: &World,
+    bed: &Testbed,
     threads: usize,
     window: Duration,
     reps: u64,
@@ -92,12 +124,12 @@ fn measure_reps(
     let mut reports: Vec<jdvs_workload::client::LoadReport> = (0..reps)
         .map(|rep| {
             let generator =
-                QueryGenerator::new(world.catalog(), 0x9E + threads as u64 + rep * 7_919);
-            let client = world.client(Duration::from_secs(30));
+                QueryGenerator::new(bed.world.catalog(), 0x9E + threads as u64 + rep * 7_919);
+            let client = bed.net.client();
             ClosedLoopDriver::run(
                 &client,
                 &generator,
-                world.images(),
+                bed.world.images(),
                 ClosedLoopConfig {
                     threads,
                     duration: window,
@@ -143,11 +175,11 @@ pub fn fig12(ctx: &Ctx, metric: Fig12Metric) -> ExperimentResult {
     const STREAM_RATE: u64 = 250;
     const REPS: usize = 5;
 
-    let world_off = serving_world(ctx, false);
-    let mut world_on = serving_world(ctx, true);
-    let store = Arc::clone(world_on.images());
+    let off_bed = testbed(ctx, false);
+    let mut on_bed = testbed(ctx, true);
+    let store = Arc::clone(on_bed.world.images());
     let plan = DailyPlan::generate(
-        world_on.catalog_mut(),
+        on_bed.world.catalog_mut(),
         &store,
         &DailyPlanConfig {
             total_events: 200_000,
@@ -168,12 +200,12 @@ pub fn fig12(ctx: &Ctx, metric: Fig12Metric) -> ExperimentResult {
             jdvs_workload::client::LoadReport,
         )> = Vec::with_capacity(REPS);
         for _ in 0..REPS {
-            let off_r = measure_reps(&world_off, t, window, 1);
+            let off_r = measure_reps(&off_bed, t, window, 1);
             let chunk_len = events.len().saturating_sub(cursor).min(10_000);
             let chunk = events[cursor..cursor + chunk_len].to_vec();
             cursor += chunk_len;
-            let stream = world_on.start_update_stream(chunk, STREAM_RATE);
-            let on_r = measure_reps(&world_on, t, window, 1);
+            let stream = on_bed.world.start_update_stream(chunk, STREAM_RATE);
+            let on_r = measure_reps(&on_bed, t, window, 1);
             published += stream.stop();
             pairs.push((off_r, on_r));
         }
@@ -247,7 +279,7 @@ pub fn fig12(ctx: &Ctx, metric: Fig12Metric) -> ExperimentResult {
 
 /// Figure 13(a): QPS vs client threads.
 pub fn fig13a(ctx: &Ctx) -> ExperimentResult {
-    let world = serving_world(ctx, true);
+    let bed = testbed(ctx, true);
     let window = ctx.window(Duration::from_millis(800));
     let mut r = ExperimentResult::new(
         "fig13a",
@@ -261,7 +293,7 @@ pub fn fig13a(ctx: &Ctx) -> ExperimentResult {
     };
     let mut best = 0.0f64;
     for threads in sweep {
-        let report = measure(&world, threads, window);
+        let report = measure(&bed, threads, window);
         best = best.max(report.qps());
         r.push_row(row![
             "threads" => threads,
@@ -279,9 +311,9 @@ pub fn fig13a(ctx: &Ctx) -> ExperimentResult {
 
 /// Figure 13(b): response-time CDF at max throughput.
 pub fn fig13b(ctx: &Ctx) -> ExperimentResult {
-    let world = serving_world(ctx, true);
+    let bed = testbed(ctx, true);
     let window = ctx.window(Duration::from_secs(3));
-    let report = measure(&world, 35, window);
+    let report = measure(&bed, 35, window);
     let mut r = ExperimentResult::new(
         "fig13b",
         "Response-time CDF at maximum throughput (35 threads)",

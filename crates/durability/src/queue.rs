@@ -332,9 +332,12 @@ mod tests {
         });
         let total = writers * per_writer;
         assert_eq!(dq.queue().len(), total);
+        // Every rotation seals the finished segment with a sync of its own,
+        // and these tiny segments rotate often: when the scheduler happens
+        // to serialize the writers, each append pays its own sync too.
         assert!(
-            metrics.log_syncs.get() <= metrics.log_appends.get(),
-            "group commit never syncs more than once per append"
+            metrics.log_syncs.get() <= metrics.log_appends.get() + metrics.segments_created.get(),
+            "group commit never syncs more than once per append, plus once per seal"
         );
         drop(dq); // crash: group commit already made everything durable
         let dq = DurableQueue::open(cfg, Arc::new(DurabilityMetrics::new())).unwrap();

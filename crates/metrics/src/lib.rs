@@ -2,8 +2,7 @@
 //!
 //! Measurement infrastructure for the jdvs visual search system: log-linear
 //! latency histograms (percentiles and CDFs for Figures 11(b), 12(b) and
-//! 13(b)), monotonic counters, hourly time series (Figure 11(a)) and
-//! lightweight stopwatches.
+//! 13(b)), monotonic counters and hourly time series (Figure 11(a)).
 //!
 //! All shared collectors are thread-safe: the workload drivers run dozens of
 //! closed-loop client threads that record into shared recorders.
@@ -31,7 +30,6 @@ pub mod gauge;
 pub mod histogram;
 pub mod resilience;
 pub mod serving;
-pub mod stopwatch;
 pub mod timeseries;
 
 pub use counter::Counter;
@@ -40,5 +38,4 @@ pub use gauge::Gauge;
 pub use histogram::{Histogram, SharedHistogram};
 pub use resilience::{ResilienceMetrics, ResilienceSnapshot};
 pub use serving::{ServingMetrics, ServingSnapshot};
-pub use stopwatch::Stopwatch;
 pub use timeseries::{HourlySeries, HOURS_PER_DAY};

@@ -2,7 +2,7 @@
 //!
 //! Figure 1's entry point: *"a front end (i.e., load balancer) forwards the
 //! query to one of the blenders."* [`Balancer`] round-robins over a set of
-//! equivalent [`NodeHandle`]s and fails over — which is what makes
+//! equivalent [`CallTarget`]s and fails over — which is what makes
 //! "multiple identical instances for load balancing and fault tolerance"
 //! actually tolerate faults. Beyond the plain rotation, the balancer is the
 //! serving path's resilience primitive:
@@ -36,7 +36,7 @@
 //! primary against its hedge, and only once a hedge timer has fired.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use jdvs_metrics::ResilienceMetrics;
@@ -289,7 +289,7 @@ where
 /// not waited for.
 fn report_from_thread<R: Send + 'static>(
     name: String,
-    tx: crossbeam::channel::Sender<R>,
+    tx: mpsc::SyncSender<R>,
     run: impl FnOnce() -> R + Send + 'static,
 ) {
     std::thread::Builder::new()
@@ -302,7 +302,7 @@ fn report_from_thread<R: Send + 'static>(
 }
 
 /// Round-robin balancer with budgeted, health-aware failover over any
-/// [`CallTarget`] — in-process node handles or TCP channels.
+/// [`CallTarget`].
 pub struct Balancer<T: CallTarget> {
     inner: Arc<Inner<T>>,
 }
@@ -386,7 +386,7 @@ impl<T: CallTarget> Balancer<T> {
         self
     }
 
-    /// Number of backend nodes.
+    /// Number of backend targets.
     pub fn num_targets(&self) -> usize {
         self.inner.targets.read().len()
     }
@@ -492,7 +492,7 @@ impl<T: CallTarget> Balancer<T> {
         if let Some(m) = &inner.metrics {
             m.hedges_launched.incr();
         }
-        let (tx, rx) = crossbeam::channel::bounded(2);
+        let (tx, rx) = mpsc::sync_channel(2);
         let straggler = primary.target.target_name();
         {
             let inner = Arc::clone(inner);
@@ -521,10 +521,10 @@ impl<T: CallTarget> Balancer<T> {
                     return Ok(resp);
                 }
                 Ok(Err(e)) => last_err = e,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Err(mpsc::RecvTimeoutError::Timeout) => {
                     return Err(RpcError::Timeout { deadline });
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(last_err);
                 }
             }
@@ -552,9 +552,39 @@ impl<T: CallTarget> Balancer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Node, NodeHandle};
+    use crate::admission::AdmissionConfig;
     use crate::rpc::Service;
+    use crate::tcp::{TcpChannel, TcpTier};
     use std::sync::atomic::AtomicU64;
+
+    type Target = TcpChannel<(), u64>;
+
+    fn no_body(_: &()) -> Vec<u8> {
+        Vec::new()
+    }
+    fn unit(_: &[u8]) -> Option<()> {
+        Some(())
+    }
+    fn encode_tag(tag: &u64) -> Vec<u8> {
+        tag.to_le_bytes().to_vec()
+    }
+    fn decode_tag(b: &[u8]) -> Option<u64> {
+        Some(u64::from_le_bytes(b.try_into().ok()?))
+    }
+
+    /// A loopback tier serving `service`.
+    fn tier<S: Service<Request = (), Response = u64>>(name: &str, service: S) -> TcpTier<S> {
+        TcpTier::spawn(name, service, unit, encode_tag, AdmissionConfig::default()).unwrap()
+    }
+
+    /// A channel through `tier`'s link, so the tier's faults apply.
+    fn target<S: Service>(tier: &TcpTier<S>) -> Target {
+        tier.channel(no_body, decode_tag)
+    }
+
+    fn targets<S: Service>(tiers: &[TcpTier<S>]) -> Vec<Target> {
+        tiers.iter().map(target).collect()
+    }
 
     struct Tagged(u64);
     impl Service for Tagged {
@@ -598,10 +628,8 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_over_targets() {
-        let nodes: Vec<_> = (0..3)
-            .map(|i| Node::spawn(format!("n{i}"), Tagged(i), 1))
-            .collect();
-        let lb = Balancer::new(nodes.iter().map(Node::handle).collect());
+        let nodes: Vec<_> = (0..3).map(|i| tier(&format!("n{i}"), Tagged(i))).collect();
+        let lb = Balancer::new(targets(&nodes));
         let got: Vec<u64> = (0..6).map(|_| lb.call((), DL).unwrap()).collect();
         assert_eq!(got, vec![0, 1, 2, 0, 1, 2]);
         assert_eq!(lb.num_targets(), 3);
@@ -609,10 +637,8 @@ mod tests {
 
     #[test]
     fn failover_skips_downed_node() {
-        let nodes: Vec<_> = (0..3)
-            .map(|i| Node::spawn(format!("n{i}"), Tagged(i), 1))
-            .collect();
-        let lb = Balancer::new(nodes.iter().map(Node::handle).collect());
+        let nodes: Vec<_> = (0..3).map(|i| tier(&format!("n{i}"), Tagged(i))).collect();
+        let lb = Balancer::new(targets(&nodes));
         nodes[1].faults().set_down(true);
         let got: Vec<u64> = (0..4).map(|_| lb.call((), DL).unwrap()).collect();
         assert!(!got.contains(&1), "downed node must be skipped: {got:?}");
@@ -620,10 +646,8 @@ mod tests {
 
     #[test]
     fn all_down_returns_error() {
-        let nodes: Vec<_> = (0..2)
-            .map(|i| Node::spawn(format!("n{i}"), Tagged(i), 1))
-            .collect();
-        let lb = Balancer::new(nodes.iter().map(Node::handle).collect());
+        let nodes: Vec<_> = (0..2).map(|i| tier(&format!("n{i}"), Tagged(i))).collect();
+        let lb = Balancer::new(targets(&nodes));
         for n in &nodes {
             n.faults().set_down(true);
         }
@@ -632,10 +656,8 @@ mod tests {
 
     #[test]
     fn recovery_restores_rotation() {
-        let nodes: Vec<_> = (0..2)
-            .map(|i| Node::spawn(format!("n{i}"), Tagged(i), 1))
-            .collect();
-        let lb = Balancer::new(nodes.iter().map(Node::handle).collect());
+        let nodes: Vec<_> = (0..2).map(|i| tier(&format!("n{i}"), Tagged(i))).collect();
+        let lb = Balancer::new(targets(&nodes));
         nodes[0].faults().set_down(true);
         assert_eq!(lb.call((), DL).unwrap(), 1);
         nodes[0].faults().set_down(false);
@@ -645,10 +667,10 @@ mod tests {
 
     #[test]
     fn dropped_requests_fail_over() {
-        let flaky = Node::spawn("flaky", Counting(AtomicU64::new(0)), 1);
-        let solid = Node::spawn("solid", Counting(AtomicU64::new(1000)), 1);
+        let flaky = tier("flaky", Counting(AtomicU64::new(0)));
+        let solid = tier("solid", Counting(AtomicU64::new(1000)));
         flaky.faults().set_drop_probability(1.0);
-        let lb = Balancer::new(vec![flaky.handle(), solid.handle()]);
+        let lb = Balancer::new(vec![target(&flaky), target(&solid)]);
         for _ in 0..5 {
             let v = lb.call((), DL).unwrap();
             assert!(v >= 1000, "only the solid node can answer: {v}");
@@ -658,7 +680,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one target")]
     fn empty_targets_panics() {
-        Balancer::<NodeHandle<Tagged>>::new(vec![]);
+        Balancer::<Target>::new(vec![]);
     }
 
     #[test]
@@ -666,10 +688,10 @@ mod tests {
         // Two stragglers: the first attempt eats the whole 60 ms budget, so
         // the balancer must NOT grant the second attempt another 60 ms
         // (which is what the old per-attempt deadline did).
-        let a = Node::spawn("a", Sleeper(Duration::from_millis(300)), 1);
-        let b = Node::spawn("b", Sleeper(Duration::from_millis(300)), 1);
+        let a = tier("a", Sleeper(Duration::from_millis(300)));
+        let b = tier("b", Sleeper(Duration::from_millis(300)));
         let lb = Balancer::with_policies(
-            vec![a.handle(), b.handle()],
+            vec![target(&a), target(&b)],
             HealthPolicy::default(),
             RetryPolicy::no_retry(),
             1,
@@ -689,21 +711,21 @@ mod tests {
 
     #[test]
     fn fast_failures_leave_budget_for_failover() {
-        let flaky = Node::spawn("flaky", SlowTagged(1, Duration::ZERO), 1);
-        let solid = Node::spawn("solid", SlowTagged(7, Duration::from_millis(20)), 1);
+        let flaky = tier("flaky", SlowTagged(1, Duration::ZERO));
+        let solid = tier("solid", SlowTagged(7, Duration::from_millis(20)));
         flaky.faults().set_drop_probability(1.0);
-        let lb = Balancer::new(vec![flaky.handle(), solid.handle()]);
+        let lb = Balancer::new(vec![target(&flaky), target(&solid)]);
         // Drops cost ~no budget; the slow-but-healthy replica still fits.
         assert_eq!(lb.call((), Duration::from_millis(500)), Ok(7));
     }
 
     #[test]
     fn consecutive_failures_open_the_breaker() {
-        let flaky = Node::spawn("flaky", Tagged(0), 1);
-        let solid = Node::spawn("solid", Tagged(1), 1);
+        let flaky = tier("flaky", Tagged(0));
+        let solid = tier("solid", Tagged(1));
         flaky.faults().set_drop_probability(1.0);
         let lb = Balancer::with_policies(
-            vec![flaky.handle(), solid.handle()],
+            vec![target(&flaky), target(&solid)],
             HealthPolicy {
                 failure_threshold: 3,
                 cooldown: Duration::from_secs(60),
@@ -724,11 +746,11 @@ mod tests {
 
     #[test]
     fn half_open_probe_recovers_a_healed_replica() {
-        let flaky = Node::spawn("flaky", Tagged(0), 1);
-        let solid = Node::spawn("solid", Tagged(1), 1);
+        let flaky = tier("flaky", Tagged(0));
+        let solid = tier("solid", Tagged(1));
         flaky.faults().set_drop_probability(1.0);
         let lb = Balancer::with_policies(
-            vec![flaky.handle(), solid.handle()],
+            vec![target(&flaky), target(&solid)],
             HealthPolicy {
                 failure_threshold: 2,
                 cooldown: Duration::from_millis(30),
@@ -752,9 +774,9 @@ mod tests {
 
     #[test]
     fn all_breakers_open_still_forces_a_probe() {
-        let node = Node::spawn("only-flaky", Tagged(0), 1);
+        let node = tier("only-flaky", Tagged(0));
         let lb = Balancer::with_policies(
-            vec![node.handle()],
+            vec![target(&node)],
             HealthPolicy {
                 failure_threshold: 1,
                 cooldown: Duration::from_secs(60),
@@ -775,12 +797,12 @@ mod tests {
     fn backoff_pause_respects_the_remaining_budget() {
         // Both replicas drop everything; with generous rotations the call
         // must still end when the budget does — never sleeping past it.
-        let a = Node::spawn("a", Tagged(0), 1);
-        let b = Node::spawn("b", Tagged(1), 1);
+        let a = tier("a", Tagged(0));
+        let b = tier("b", Tagged(1));
         a.faults().set_drop_probability(1.0);
         b.faults().set_drop_probability(1.0);
         let lb = Balancer::with_policies(
-            vec![a.handle(), b.handle()],
+            vec![target(&a), target(&b)],
             HealthPolicy::disabled(),
             RetryPolicy {
                 max_rotations: 1_000,
@@ -808,9 +830,9 @@ mod tests {
 
     #[test]
     fn hedged_call_beats_a_straggler() {
-        let slow = Node::spawn("slow", SlowTagged(7, Duration::from_millis(300)), 1);
-        let fast = Node::spawn("fast", SlowTagged(42, Duration::ZERO), 1);
-        let lb = Balancer::new(vec![slow.handle(), fast.handle()]);
+        let slow = tier("slow", SlowTagged(7, Duration::from_millis(300)));
+        let fast = tier("fast", SlowTagged(42, Duration::ZERO));
+        let lb = Balancer::new(vec![target(&slow), target(&fast)]);
         // Rotation starts at the slow node; the hedge fires after 20 ms and
         // lands on the fast one.
         let start = Instant::now();
@@ -840,9 +862,9 @@ mod tests {
         let m = Arc::new(ResilienceMetrics::new());
         // Names unique to this test: helper threads are named after the
         // straggling target (the kernel keeps 15 bytes of a thread name).
-        let a = Node::spawn("intime-a", SlowTagged(1, Duration::from_millis(5)), 1);
-        let b = Node::spawn("intime-b", SlowTagged(2, Duration::from_millis(5)), 1);
-        let lb = Balancer::new(vec![a.handle(), b.handle()]).with_metrics(Arc::clone(&m));
+        let a = tier("intime-a", SlowTagged(1, Duration::from_millis(5)));
+        let b = tier("intime-b", SlowTagged(2, Duration::from_millis(5)));
+        let lb = Balancer::new(vec![target(&a), target(&b)]).with_metrics(Arc::clone(&m));
         for _ in 0..20 {
             lb.call_hedged((), Duration::from_secs(2), Duration::from_millis(500))
                 .unwrap();
@@ -861,9 +883,9 @@ mod tests {
     #[test]
     fn fired_hedge_is_counted_and_raced_on_helper_threads() {
         let m = Arc::new(ResilienceMetrics::new());
-        let slow = Node::spawn("fired-s", SlowTagged(7, Duration::from_millis(300)), 1);
-        let fast = Node::spawn("fired-f", SlowTagged(42, Duration::ZERO), 1);
-        let lb = Balancer::new(vec![slow.handle(), fast.handle()]).with_metrics(Arc::clone(&m));
+        let slow = tier("fired-s", SlowTagged(7, Duration::from_millis(300)));
+        let fast = tier("fired-f", SlowTagged(42, Duration::ZERO));
+        let lb = Balancer::new(vec![target(&slow), target(&fast)]).with_metrics(Arc::clone(&m));
         let got = lb.call_hedged((), Duration::from_secs(2), Duration::from_millis(20));
         assert_eq!(got, Ok(42));
         // The straggler is still being waited on, by a helper thread.
@@ -880,10 +902,10 @@ mod tests {
     #[test]
     fn primary_failing_before_the_hedge_timer_fails_over_without_a_hedge() {
         let m = Arc::new(ResilienceMetrics::new());
-        let flaky = Node::spawn("flaky", Tagged(0), 1);
-        let solid = Node::spawn("solid", Tagged(1), 1);
+        let flaky = tier("flaky", Tagged(0));
+        let solid = tier("solid", Tagged(1));
         flaky.faults().set_drop_probability(1.0);
-        let lb = Balancer::new(vec![flaky.handle(), solid.handle()]).with_metrics(Arc::clone(&m));
+        let lb = Balancer::new(vec![target(&flaky), target(&solid)]).with_metrics(Arc::clone(&m));
         for _ in 0..4 {
             assert_eq!(lb.call_hedged((), DL, Duration::from_millis(200)), Ok(1));
         }
@@ -894,10 +916,10 @@ mod tests {
     /// `start`, failover happens in `finish`.
     #[test]
     fn start_sends_the_first_attempt_and_finish_fails_over() {
-        let flaky = Node::spawn("flaky", Counting(AtomicU64::new(0)), 1);
-        let solid = Node::spawn("solid", Counting(AtomicU64::new(1000)), 1);
+        let flaky = tier("flaky", Counting(AtomicU64::new(0)));
+        let solid = tier("solid", Counting(AtomicU64::new(1000)));
         let lb = Balancer::with_policies(
-            vec![flaky.handle(), solid.handle()],
+            vec![target(&flaky), target(&solid)],
             HealthPolicy::disabled(),
             RetryPolicy::no_retry(),
             7,
@@ -927,17 +949,15 @@ mod tests {
 
     #[test]
     fn hedged_call_with_single_target_falls_back() {
-        let only = Node::spawn("only", Tagged(9), 1);
-        let lb = Balancer::new(vec![only.handle()]);
+        let only = tier("only", Tagged(9));
+        let lb = Balancer::new(vec![target(&only)]);
         assert_eq!(lb.call_hedged((), DL, Duration::from_millis(1)), Ok(9));
     }
 
     #[test]
     fn hedged_call_reports_failure_when_everything_is_down() {
-        let nodes: Vec<_> = (0..2)
-            .map(|i| Node::spawn(format!("n{i}"), Tagged(i), 1))
-            .collect();
-        let lb = Balancer::new(nodes.iter().map(Node::handle).collect());
+        let nodes: Vec<_> = (0..2).map(|i| tier(&format!("n{i}"), Tagged(i))).collect();
+        let lb = Balancer::new(targets(&nodes));
         for n in &nodes {
             n.faults().set_down(true);
         }
@@ -947,11 +967,11 @@ mod tests {
 
     #[test]
     fn pushed_target_joins_the_rotation_with_a_fresh_breaker() {
-        let a = Node::spawn("a", Tagged(0), 1);
-        let lb = Balancer::new(vec![a.handle()]);
+        let a = tier("a", Tagged(0));
+        let lb = Balancer::new(vec![target(&a)]);
         assert_eq!(lb.num_targets(), 1);
-        let b = Node::spawn("b", Tagged(1), 1);
-        lb.push_target(b.handle());
+        let b = tier("b", Tagged(1));
+        lb.push_target(target(&b));
         assert_eq!(lb.num_targets(), 2);
         assert_eq!(lb.health_state(1), CircuitState::Closed);
         let got: Vec<u64> = (0..6).map(|_| lb.call((), DL).unwrap()).collect();
@@ -967,11 +987,11 @@ mod tests {
     #[test]
     fn metrics_count_retries_and_breaker_opens() {
         let m = Arc::new(ResilienceMetrics::new());
-        let flaky = Node::spawn("flaky", Tagged(0), 1);
-        let solid = Node::spawn("solid", Tagged(1), 1);
+        let flaky = tier("flaky", Tagged(0));
+        let solid = tier("solid", Tagged(1));
         flaky.faults().set_drop_probability(1.0);
         let lb = Balancer::with_policies(
-            vec![flaky.handle(), solid.handle()],
+            vec![target(&flaky), target(&solid)],
             HealthPolicy {
                 failure_threshold: 2,
                 cooldown: Duration::from_secs(60),

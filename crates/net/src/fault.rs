@@ -3,9 +3,11 @@
 //! The paper's availability story — *"each partition can have multiple
 //! copies"*, *"each broker has multiple identical instances for load
 //! balancing and fault tolerance"* — is only demonstrable if nodes can
-//! fail. [`FaultInjector`] is consulted by [`crate::node::NodeHandle`] on
-//! every call and can, at runtime: drop a fraction of requests, report the
-//! node as down, or slow calls by an extra delay (straggler simulation).
+//! fail. One [`FaultInjector`] sits in front of each TCP listener
+//! ([`crate::tcp::TcpTier::faults`]) and is consulted by every
+//! [`crate::tcp::TcpChannel`] dialing it, on every call. At runtime it can
+//! drop a fraction of requests, report the target as down, or slow calls by
+//! an extra delay (straggler simulation).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -62,6 +64,11 @@ impl FaultInjector {
         );
     }
 
+    /// The extra per-call delay currently injected.
+    pub fn slowdown(&self) -> Duration {
+        Duration::from_micros(self.slow_us.load(Ordering::Relaxed))
+    }
+
     /// Consulted per call: returns the fault to apply, or the extra delay
     /// to charge (possibly zero).
     pub fn check(&self) -> Result<Duration, RpcError> {
@@ -75,7 +82,7 @@ impl FaultInjector {
                 return Err(RpcError::Dropped);
             }
         }
-        Ok(Duration::from_micros(self.slow_us.load(Ordering::Relaxed)))
+        Ok(self.slowdown())
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's replicated serving tier only tolerates faults gracefully if
 //! dead replicas stop being *re-tried on every rotation*. A
-//! [`HealthTracker`] sits next to each [`crate::node::NodeHandle`] inside a
+//! [`HealthTracker`] sits next to each [`crate::rpc::CallTarget`] inside a
 //! [`crate::balancer::Balancer`] and implements the classic three-state
 //! breaker:
 //!

@@ -1,9 +1,9 @@
 //! Seeded per-hop network latency models.
 //!
-//! Every [`crate::node::NodeHandle`] charges one sampled latency per call
+//! Every [`crate::tcp::TcpChannel`] charges one sampled latency per call
 //! (covering request + response flight time), on the **caller's** thread —
-//! wire time must not occupy server workers. Distributions are seeded so a
-//! whole-cluster experiment is reproducible.
+//! wire time must not occupy the serving tier. Distributions are seeded so
+//! a whole-cluster experiment is reproducible.
 
 use std::time::Duration;
 
@@ -49,7 +49,7 @@ impl NetRng {
 /// A per-call latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LatencyModel {
-    /// No simulated latency (pure in-process speed).
+    /// No simulated latency (loopback speed).
     #[default]
     Zero,
     /// Fixed latency per call.
@@ -117,9 +117,13 @@ impl LatencySampler {
         }
     }
 
-    /// Samples one call's latency.
+    /// Samples one call's latency. The zero model answers without touching
+    /// the RNG, so a stack that simulates no latency takes no lock here.
     pub fn sample(&self) -> Duration {
-        self.model.sample(&mut self.rng.lock())
+        match self.model {
+            LatencyModel::Zero => Duration::ZERO,
+            model => model.sample(&mut self.rng.lock()),
+        }
     }
 
     /// The underlying model.

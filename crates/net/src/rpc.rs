@@ -2,10 +2,10 @@
 
 use std::time::{Duration, Instant};
 
-/// A request handler living inside a [`crate::node::Node`].
+/// A request handler served by a [`crate::tcp::TcpTier`].
 ///
-/// One service instance is shared by all of a node's worker threads, so
-/// handlers must be `Sync`; jdvs services (searchers, brokers, blenders)
+/// One service instance is shared by all of a tier's connection threads,
+/// so handlers must be `Sync`; jdvs services (searchers, brokers, blenders)
 /// hold their state in the concurrent structures of `jdvs-core`.
 pub trait Service: Send + Sync + 'static {
     /// Request message type.
@@ -13,7 +13,7 @@ pub trait Service: Send + Sync + 'static {
     /// Response message type.
     type Response: Send + 'static;
 
-    /// Handles one request. Runs on a node worker thread.
+    /// Handles one request. Runs on the tier's connection thread.
     fn handle(&self, req: Self::Request) -> Self::Response;
 }
 
@@ -28,11 +28,10 @@ impl<S: Service> Service for std::sync::Arc<S> {
     }
 }
 
-/// Something a [`crate::balancer::Balancer`] can route requests to: an
-/// in-process [`crate::node::NodeHandle`] or a [`crate::tcp::TcpChannel`]
-/// to a remote tier. The balancer's resilience machinery (budgeted
-/// failover, circuit breakers, hedging) is written against this trait, so
-/// the same policies run unchanged over channels and over real sockets.
+/// Something a [`crate::balancer::Balancer`] can route requests to: a
+/// [`crate::tcp::TcpChannel`] to a remote tier, or a test's fake. The
+/// balancer's resilience machinery (budgeted failover, circuit breakers,
+/// hedging) is written against this trait.
 ///
 /// A call is **split-phase**: [`CallTarget::start`] sends the request and
 /// returns at once with a [`CallTarget::Pending`]; the reply is collected
@@ -103,7 +102,8 @@ pub enum RpcError {
         /// The deadline that elapsed.
         deadline: Duration,
     },
-    /// The target node has been shut down (or crashed via fault injection).
+    /// The target is down: its listener is closed or crashed, the
+    /// connection broke, or fault injection marked it down.
     NodeDown,
     /// The fault injector dropped the request.
     Dropped,

@@ -2,12 +2,27 @@
 //! behind an [`AdmissionController`], and the matching pooled client
 //! channel implementing [`CallTarget`].
 //!
-//! This is the network-native counterpart of [`crate::node::Node`]: the
-//! same `Service` implementations (searchers, brokers, blenders) serve
-//! unmodified, but requests arrive as CRC-checked frames over real
-//! loopback sockets, pass through the tier's admission front door
-//! *before* body decode, and tiers can be drained or crashed
-//! independently.
+//! This is the serving stack's one transport: searchers, brokers and
+//! blenders serve unmodified behind a [`TcpTier`], requests arrive as
+//! CRC-checked frames over real loopback sockets and pass through the
+//! tier's admission front door *before* body decode, and tiers can be
+//! drained or crashed independently.
+//!
+//! ## The simulated hop
+//!
+//! Each listener has one [`Link`] — a [`FaultInjector`] and a seeded
+//! [`LatencySampler`] — shared by every channel that dials it through
+//! [`TcpTier::channel`], which applies it on the caller's side.
+//! [`TcpChannel::start`](CallTarget::start) consults the injector (down is
+//! [`RpcError::NodeDown`] and a drop is [`RpcError::Dropped`], neither
+//! touching the socket) and samples the call's wire delay, to which an
+//! injected slowdown is added; `wait` delivers the reply one wire delay
+//! after it arrived. While a link delays calls, its listener stamps into
+//! the link the instant it sent each `Ok` reply (one stamp per open
+//! connection), so "arrived" is that instant and not whenever the caller
+//! got round to reading: the delays of a fan-out's branches overlap. A
+//! stamp older than the call reading it is ignored. A link that delays
+//! nothing costs a few relaxed loads per call and takes no lock.
 //!
 //! ## Transport
 //!
@@ -27,6 +42,7 @@
 //! wake-up on each side. The wire format, the admission state machine and
 //! the drain/crash semantics are transport agnostic.
 
+use std::collections::HashMap;
 use std::io;
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -40,10 +56,12 @@ use parking_lot::Mutex;
 use jdvs_metrics::ServingMetrics;
 
 use crate::admission::{AdmissionConfig, AdmissionController};
+use crate::fault::FaultInjector;
 use crate::frame::{
     decode_request, decode_response, encode_request, encode_response, io_timed_out, write_frame,
     FrameError, FrameReader, ResponseEnvelope,
 };
+use crate::latency::{LatencyModel, LatencySampler};
 use crate::rpc::{CallTarget, RpcError, Service};
 
 /// How often a connection thread wakes from a blocked read to check the
@@ -56,6 +74,47 @@ const POOL_CAP: usize = 8;
 /// Floor for socket timeouts (`set_read_timeout(Some(0))` is an error).
 const MIN_SOCKET_TIMEOUT: Duration = Duration::from_millis(1);
 
+/// The simulated network in front of one listener: its fault injector and
+/// wire-latency sampler, shared by every channel that dials it through
+/// [`TcpTier::channel`]. See the module docs.
+#[derive(Debug)]
+pub struct Link {
+    faults: FaultInjector,
+    latency: LatencySampler,
+    /// When the listener sent each open connection's latest `Ok` reply, by
+    /// the client's address; stamped only while the link delays calls.
+    sent: Mutex<HashMap<SocketAddr, Instant>>,
+}
+
+impl Link {
+    /// A link charging `latency` per call, with no fault injected; `seed`
+    /// derives its latency and drop streams.
+    pub fn new(latency: LatencyModel, seed: u64) -> Self {
+        Self {
+            faults: FaultInjector::new(seed ^ 0xFA017),
+            latency: LatencySampler::new(latency, seed ^ 0x1A7E),
+            sent: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The fault controls every channel over this link obeys.
+    pub fn faults(&self) -> &FaultInjector {
+        &self.faults
+    }
+
+    /// Whether calls over this link are delayed at all.
+    fn delays(&self) -> bool {
+        self.latency.model() != LatencyModel::Zero || !self.faults.slowdown().is_zero()
+    }
+}
+
+impl Default for Link {
+    /// No latency, no fault.
+    fn default() -> Self {
+        Self::new(LatencyModel::Zero, 0)
+    }
+}
+
 /// One tier of the serving stack listening on a real TCP socket.
 ///
 /// Accepts framed requests, runs them through admission control, and
@@ -67,6 +126,7 @@ pub struct TcpTier<S: Service> {
     name: String,
     local_addr: SocketAddr,
     admission: Arc<AdmissionController>,
+    link: Arc<Link>,
     stop: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -87,7 +147,8 @@ impl<S: Service> std::fmt::Debug for TcpTier<S> {
 
 impl<S: Service> TcpTier<S> {
     /// Binds a listener on an OS-assigned loopback port and starts serving
-    /// `service` behind admission control.
+    /// `service` behind admission control, over a [`Link`] that delays
+    /// nothing.
     ///
     /// `decode_request_body` / `encode_response_body` bridge the wire to
     /// the service's message types; a body that fails to decode is
@@ -103,36 +164,40 @@ impl<S: Service> TcpTier<S> {
         encode_response_body: fn(&S::Response) -> Vec<u8>,
         config: AdmissionConfig,
     ) -> io::Result<Self> {
-        Self::spawn_with_metrics(
+        Self::spawn_with(
             name,
             service,
             decode_request_body,
             encode_response_body,
             config,
             Arc::new(ServingMetrics::new()),
+            Link::default(),
         )
     }
 
-    /// Like [`TcpTier::spawn`], but shares a caller-provided
-    /// [`ServingMetrics`] instance instead of creating a private one — so
-    /// a service that records its own metrics (e.g. a micro-batcher) and
-    /// the tier's admission front door report into one snapshot.
+    /// Like [`TcpTier::spawn`], but recording into a caller-provided
+    /// [`ServingMetrics`] — so a service that records its own metrics (e.g.
+    /// a micro-batcher) and the tier's admission front door report into one
+    /// snapshot — and behind `link`, the latency and faults every
+    /// [`TcpTier::channel`] to the tier charges.
     ///
     /// # Errors
     ///
     /// Propagates listener bind errors.
-    pub fn spawn_with_metrics(
+    pub fn spawn_with(
         name: &str,
         service: S,
         decode_request_body: fn(&[u8]) -> Option<S::Request>,
         encode_response_body: fn(&S::Response) -> Vec<u8>,
         config: AdmissionConfig,
         metrics: Arc<ServingMetrics>,
+        link: Link,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let local_addr = listener.local_addr()?;
 
         let admission = Arc::new(AdmissionController::new(config, metrics));
+        let link = Arc::new(link);
         let service = Arc::new(service);
         let stop = Arc::new(AtomicBool::new(false));
         let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -140,6 +205,7 @@ impl<S: Service> TcpTier<S> {
 
         let accept_handle = {
             let admission = Arc::clone(&admission);
+            let link = Arc::clone(&link);
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
             let workers = Arc::clone(&workers);
@@ -160,6 +226,7 @@ impl<S: Service> TcpTier<S> {
                             streams.lock().push(clone);
                         }
                         let admission = Arc::clone(&admission);
+                        let link = Arc::clone(&link);
                         let service = Arc::clone(&service);
                         let stop = Arc::clone(&stop);
                         let handle = thread::Builder::new()
@@ -169,6 +236,7 @@ impl<S: Service> TcpTier<S> {
                                     stream,
                                     &service,
                                     &admission,
+                                    &link,
                                     decode_request_body,
                                     encode_response_body,
                                     &stop,
@@ -186,6 +254,7 @@ impl<S: Service> TcpTier<S> {
             name: name.to_string(),
             local_addr,
             admission,
+            link,
             stop,
             accept_handle: Some(accept_handle),
             workers,
@@ -214,6 +283,29 @@ impl<S: Service> TcpTier<S> {
     /// The tier's admission controller (for drain checks in tests).
     pub fn admission(&self) -> &Arc<AdmissionController> {
         &self.admission
+    }
+
+    /// The fault controls of the tier's [`Link`]: every
+    /// [`TcpTier::channel`] dialing the tier obeys them.
+    pub fn faults(&self) -> &FaultInjector {
+        self.link.faults()
+    }
+
+    /// A pooled channel, named after the tier, that dials it through its
+    /// [`Link`]: it charges the tier's latency and obeys its faults.
+    pub fn channel<Req, Resp>(
+        &self,
+        encode_request_body: fn(&Req) -> Vec<u8>,
+        decode_response_body: fn(&[u8]) -> Option<Resp>,
+    ) -> TcpChannel<Req, Resp> {
+        TcpChannel {
+            name: format!("{}-ch", self.name),
+            addr: self.local_addr,
+            link: Arc::clone(&self.link),
+            encode_request_body,
+            decode_response_body,
+            pool: Mutex::new(Vec::new()),
+        }
     }
 
     /// Gracefully drains the tier: new requests are shed with a fast
@@ -289,26 +381,29 @@ impl<S: Service> Drop for TcpTier<S> {
 ///
 /// A read timeout just re-polls the stop flag: bytes of a frame that has
 /// only partly arrived stay in the connection's [`FrameReader`] and the
-/// next read resumes it.
+/// next read resumes it. Only a reply a caller can deliver (`Ok`) is
+/// stamped into the link, and the connection's stamp goes with it.
 fn serve_connection<S: Service>(
     stream: TcpStream,
     service: &Arc<S>,
     admission: &Arc<AdmissionController>,
+    link: &Link,
     decode_request_body: fn(&[u8]) -> Option<S::Request>,
     encode_response_body: fn(&S::Response) -> Vec<u8>,
     stop: &AtomicBool,
 ) {
+    let peer = stream.peer_addr().ok();
     let mut conn = FrameReader::new(stream);
     loop {
         let envelope = match conn.read_frame() {
             Ok(payload) => decode_request(payload),
             Err(e) if e.is_timeout() => {
                 if stop.load(Ordering::SeqCst) {
-                    return;
+                    break;
                 }
                 continue;
             }
-            Err(_) => return, // closed, torn or corrupt: drop the connection
+            Err(_) => break, // closed, torn or corrupt: drop the connection
         };
         let metrics = admission.metrics();
         let reply = match envelope {
@@ -334,9 +429,16 @@ fn serve_connection<S: Service>(
                 }
             },
         };
-        if respond(conn.get_mut(), &reply).is_err() {
-            return;
+        let delivered = matches!(reply, ResponseEnvelope::Ok(_));
+        if let Some(peer) = peer.filter(|_| delivered && link.delays()) {
+            link.sent.lock().insert(peer, Instant::now());
         }
+        if respond(conn.get_mut(), &reply).is_err() {
+            break;
+        }
+    }
+    if let Some(peer) = peer {
+        link.sent.lock().remove(&peer);
     }
 }
 
@@ -349,11 +451,11 @@ type Conn = FrameReader<TcpStream>;
 
 /// A pooled client channel to one remote tier, implementing
 /// [`CallTarget`] so a [`crate::balancer::Balancer`] can spread calls,
-/// trip breakers and hedge across network replicas exactly as it does
-/// across in-process nodes.
+/// trip breakers and hedge across network replicas.
 pub struct TcpChannel<Req, Resp> {
     name: String,
     addr: SocketAddr,
+    link: Arc<Link>,
     encode_request_body: fn(&Req) -> Vec<u8>,
     decode_response_body: fn(&[u8]) -> Option<Resp>,
     pool: Mutex<Vec<Conn>>,
@@ -369,9 +471,9 @@ impl<Req, Resp> std::fmt::Debug for TcpChannel<Req, Resp> {
 }
 
 /// A call on a [`TcpChannel`] whose request has been written: it holds the
-/// connection the reply will arrive on.
+/// connection the reply will arrive on, then the reply until its delivery.
 #[derive(Debug)]
-pub struct TcpPending {
+pub struct TcpPending<Resp> {
     /// The connection the request went out on, or why it could not be sent.
     conn: Result<Conn, RpcError>,
     /// The encoded request, kept for the retry.
@@ -382,6 +484,11 @@ pub struct TcpPending {
     retried: bool,
     deadline_at: Instant,
     deadline: Duration,
+    /// The link's sampled latency plus its injected slowdown.
+    wire: Duration,
+    /// A delayed reply that has been read, and when it is delivered: its
+    /// arrival plus the wire delay.
+    reply: Option<(Resp, Instant)>,
 }
 
 enum SendFail {
@@ -401,7 +508,8 @@ impl SendFail {
 }
 
 impl<Req, Resp> TcpChannel<Req, Resp> {
-    /// Creates a channel to `addr`. Connections are opened lazily on first
+    /// Creates a channel to `addr` over a [`Link`] of its own that delays
+    /// nothing and injects no fault. Connections are opened lazily on first
     /// call and reused afterwards.
     pub fn new(
         name: impl Into<String>,
@@ -412,6 +520,7 @@ impl<Req, Resp> TcpChannel<Req, Resp> {
         Self {
             name: name.into(),
             addr,
+            link: Arc::new(Link::default()),
             encode_request_body,
             decode_response_body,
             pool: Mutex::new(Vec::new()),
@@ -470,48 +579,28 @@ impl<Req, Resp> TcpChannel<Req, Resp> {
         })?;
         Ok(conn)
     }
-}
 
-impl<Req, Resp> CallTarget for TcpChannel<Req, Resp>
-where
-    Req: Send + Sync + 'static,
-    Resp: Send + Sync + 'static,
-{
-    type Request = Req;
-    type Response = Resp;
-    type Pending = TcpPending;
-
-    fn start(&self, request: Req, deadline: Duration) -> TcpPending {
-        let deadline_at = Instant::now() + deadline;
-        let body = (self.encode_request_body)(&request);
-        let mut retried = false;
-        let conn = match self.send(&body, deadline_at, deadline, false) {
-            Err(SendFail::Stale) => {
-                retried = true;
-                self.send(&body, deadline_at, deadline, true)
-            }
-            sent => sent,
-        }
-        .map_err(SendFail::into_rpc);
-        TcpPending {
-            conn,
-            body,
-            retried,
-            deadline_at,
-            deadline,
-        }
+    /// When the reply just read on `conn` to a call started at `started`
+    /// arrived: the listener's stamp in the link, or now if it left none
+    /// for this call (a stamp older than the call answered an earlier one).
+    fn arrival(&self, conn: &Conn, started: Instant) -> Instant {
+        let addr = conn.get_ref().local_addr().ok();
+        let stamp = addr.and_then(|addr| self.link.sent.lock().remove(&addr));
+        stamp
+            .filter(|&sent| sent >= started)
+            .unwrap_or_else(Instant::now)
     }
 
-    /// A read timing out at the call's deadline is [`RpcError::Timeout`];
-    /// a clean close before the reply spends the call's one retry on a
-    /// fresh socket; a shed reply is [`RpcError::Overloaded`]; anything
-    /// else (reset, torn or corrupt frame, error envelope, undecodable
-    /// body, refused connect) is [`RpcError::NodeDown`].
-    fn wait(
+    /// Reads the reply of a started call (`None` while it is still in
+    /// flight at `until`; see [`CallTarget::wait`] on [`TcpChannel`] for
+    /// the error mapping). A delayed call also gets the instant its reply
+    /// arrived.
+    #[allow(clippy::type_complexity)]
+    fn read_reply(
         &self,
-        pending: &mut TcpPending,
+        pending: &mut TcpPending<Resp>,
         until: Option<Instant>,
-    ) -> Option<Result<Resp, RpcError>> {
+    ) -> Option<Result<(Resp, Option<Instant>), RpcError>> {
         let deadline = pending.deadline;
         let give_up_at = until.filter(|u| *u < pending.deadline_at);
         loop {
@@ -545,12 +634,15 @@ where
             return Some(match reply {
                 Ok(ResponseEnvelope::Ok(body)) => match (self.decode_response_body)(&body) {
                     Some(response) => {
+                        let started = pending.deadline_at - deadline;
+                        let arrived =
+                            (!pending.wire.is_zero()).then(|| self.arrival(conn, started));
                         let done = std::mem::replace(&mut pending.conn, Err(RpcError::NodeDown));
                         let mut pool = self.pool.lock();
                         if pool.len() < POOL_CAP {
                             pool.extend(done);
                         }
-                        Ok(response)
+                        Ok((response, arrived))
                     }
                     None => Err(RpcError::NodeDown),
                 },
@@ -559,9 +651,83 @@ where
             });
         }
     }
+}
+
+impl<Req, Resp> CallTarget for TcpChannel<Req, Resp>
+where
+    Req: Send + Sync + 'static,
+    Resp: Send + Sync + 'static,
+{
+    type Request = Req;
+    type Response = Resp;
+    type Pending = TcpPending<Resp>;
+
+    /// Consults the link's fault injector — a down target or a dropped
+    /// request fails here, without touching the socket — then samples the
+    /// wire delay and writes the request.
+    fn start(&self, request: Req, deadline: Duration) -> TcpPending<Resp> {
+        let deadline_at = Instant::now() + deadline;
+        let mut pending = TcpPending {
+            conn: Err(RpcError::NodeDown),
+            body: Vec::new(),
+            retried: false,
+            deadline_at,
+            deadline,
+            wire: Duration::ZERO,
+            reply: None,
+        };
+        let slowdown = match self.link.faults.check() {
+            Ok(slowdown) => slowdown,
+            Err(e) => {
+                pending.conn = Err(e);
+                return pending;
+            }
+        };
+        pending.wire = self.link.latency.sample() + slowdown;
+        pending.body = (self.encode_request_body)(&request);
+        pending.conn = match self.send(&pending.body, deadline_at, deadline, false) {
+            Err(SendFail::Stale) => {
+                pending.retried = true;
+                self.send(&pending.body, deadline_at, deadline, true)
+            }
+            sent => sent,
+        }
+        .map_err(SendFail::into_rpc);
+        pending
+    }
+
+    /// The call's deadline bounds the wait for the reply; a delayed reply
+    /// is then delivered one wire delay after it arrived, on top.
+    ///
+    /// A read timing out at the call's deadline is [`RpcError::Timeout`];
+    /// a clean close before the reply spends the call's one retry on a
+    /// fresh socket; a shed reply is [`RpcError::Overloaded`]; anything
+    /// else (reset, torn or corrupt frame, error envelope, undecodable
+    /// body, refused connect) is [`RpcError::NodeDown`].
+    fn wait(
+        &self,
+        pending: &mut TcpPending<Resp>,
+        until: Option<Instant>,
+    ) -> Option<Result<Resp, RpcError>> {
+        let (response, deliver_at) = match pending.reply.take() {
+            Some(reply) => reply,
+            None => match self.read_reply(pending, until)? {
+                Err(e) => return Some(Err(e)),
+                Ok((response, None)) => return Some(Ok(response)),
+                Ok((response, Some(arrived))) => (response, arrived + pending.wire),
+            },
+        };
+        if let Some(until) = until.filter(|u| *u < deliver_at) {
+            pending.reply = Some((response, deliver_at));
+            thread::sleep(until.saturating_duration_since(Instant::now()));
+            return None;
+        }
+        thread::sleep(deliver_at.saturating_duration_since(Instant::now()));
+        Some(Ok(response))
+    }
 
     fn is_down(&self) -> bool {
-        false // a network target only learns from failed calls
+        self.link.faults.is_down()
     }
 
     fn target_name(&self) -> &str {
@@ -893,5 +1059,250 @@ mod tests {
             RpcError::Overloaded
         );
         assert_eq!(tier.metrics().shed_deadline.get(), 1);
+    }
+
+    const DL: Duration = Duration::from_secs(5);
+
+    /// An echo tier behind a link of its own making.
+    fn linked_tier(name: &str, latency: LatencyModel) -> TcpTier<Echo> {
+        TcpTier::spawn_with(
+            name,
+            Echo,
+            bytes_decode,
+            bytes_encode,
+            AdmissionConfig::default(),
+            Arc::new(ServingMetrics::new()),
+            Link::new(latency, 9),
+        )
+        .unwrap()
+    }
+
+    fn linked<S: Service>(tier: &TcpTier<S>) -> TcpChannel<Vec<u8>, Vec<u8>> {
+        tier.channel(bytes_encode, bytes_decode)
+    }
+
+    #[test]
+    fn injected_down_is_node_down_until_recovery() {
+        let tier = linked_tier("flapper", LatencyModel::Zero);
+        let chan = linked(&tier);
+        assert_eq!(chan.call(vec![1], DL), Ok(vec![1]), "healthy first");
+        assert!(!chan.is_down());
+        tier.faults().set_down(true);
+        assert!(chan.is_down());
+        assert_eq!(chan.call(vec![2], DL), Err(RpcError::NodeDown));
+        let pending = chan.start(vec![2], DL);
+        assert_eq!(chan.finish(pending), Err(RpcError::NodeDown));
+        tier.faults().set_down(false);
+        assert!(!chan.is_down());
+        assert_eq!(chan.call(vec![3], DL), Ok(vec![3]), "recovery is immediate");
+        assert_eq!(
+            tier.metrics().admitted.get(),
+            2,
+            "a call to a downed target never reaches the socket"
+        );
+    }
+
+    #[test]
+    fn injected_drops_surface_as_dropped() {
+        let tier = linked_tier("dropper", LatencyModel::Zero);
+        let chan = linked(&tier);
+        tier.faults().set_drop_probability(2.0); // clamps to 1
+        for i in 0..20 {
+            assert_eq!(chan.call(vec![i], DL), Err(RpcError::Dropped));
+        }
+        let pending = chan.start(vec![0], DL);
+        assert_eq!(chan.finish(pending), Err(RpcError::Dropped));
+        tier.faults().set_drop_probability(-1.0); // clamps to 0
+        assert_eq!(chan.call(vec![7], DL), Ok(vec![7]));
+        assert_eq!(tier.metrics().admitted.get(), 1);
+    }
+
+    #[test]
+    fn one_link_is_shared_by_independent_channels() {
+        let tier = linked_tier("shared", LatencyModel::Zero);
+        let (a, b) = (linked(&tier), linked(&tier));
+        tier.faults().set_drop_probability(1.0);
+        assert_eq!(a.call(vec![1], DL), Err(RpcError::Dropped));
+        assert_eq!(b.call(vec![2], DL), Err(RpcError::Dropped));
+        tier.faults().set_drop_probability(0.0);
+        assert_eq!(a.call(vec![3], DL), Ok(vec![3]));
+        assert_eq!(b.call(vec![4], DL), Ok(vec![4]));
+        // A channel over a link of its own does not see the tier's faults.
+        let own = channel_to(&tier);
+        tier.faults().set_down(true);
+        assert!(b.is_down() && !own.is_down());
+        assert_eq!(own.call(vec![5], DL), Ok(vec![5]));
+    }
+
+    #[test]
+    fn slowdown_delays_every_call_until_cleared() {
+        let tier = linked_tier("straggler", LatencyModel::Zero);
+        let chan = linked(&tier);
+        let penalty = Duration::from_millis(40);
+        tier.faults().set_slowdown(penalty);
+        for i in 0..3 {
+            let start = Instant::now();
+            assert_eq!(chan.call(vec![i], DL), Ok(vec![i]));
+            assert!(start.elapsed() >= penalty, "{:?}", start.elapsed());
+        }
+        tier.faults().set_slowdown(Duration::ZERO);
+        let start = Instant::now();
+        assert_eq!(chan.call(vec![9], DL), Ok(vec![9]));
+        assert!(
+            start.elapsed() < penalty,
+            "penalty cleared: {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn latency_model_delays_calls() {
+        let tier = linked_tier(
+            "slow-link",
+            LatencyModel::Constant(Duration::from_millis(5)),
+        );
+        let chan = linked(&tier);
+        let start = Instant::now();
+        assert_eq!(chan.call(vec![1], DL), Ok(vec![1]));
+        assert!(start.elapsed() >= Duration::from_millis(5));
+    }
+
+    /// Wire delays of calls started together overlap, whatever the order
+    /// and time at which they are finished.
+    #[test]
+    fn wire_delays_of_started_calls_overlap() {
+        let wire = Duration::from_millis(100);
+        let tiers: Vec<_> = (0..3)
+            .map(|i| linked_tier(&format!("wire-{i}"), LatencyModel::Constant(wire)))
+            .collect();
+        let chans: Vec<_> = tiers.iter().map(linked).collect();
+        let begun = Instant::now();
+        let pending: Vec<_> = chans.iter().map(|c| c.start(vec![1], DL)).collect();
+        assert!(
+            begun.elapsed() < wire / 2,
+            "start must not sleep the wire delay: {:?}",
+            begun.elapsed()
+        );
+        for (c, p) in chans.iter().zip(pending) {
+            assert_eq!(c.finish(p), Ok(vec![1]));
+        }
+        let elapsed = begun.elapsed();
+        assert!(elapsed >= wire, "the delay is still charged: {elapsed:?}");
+        assert!(
+            elapsed < wire * 2 - Duration::from_millis(20),
+            "three delays overlapped: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn bounded_wait_gives_up_and_can_be_resumed() {
+        let tier = linked_tier("bounded", LatencyModel::Zero);
+        tier.faults().set_slowdown(Duration::from_millis(120));
+        let chan = linked(&tier);
+        let begun = Instant::now();
+        let mut pending = chan.start(vec![21], DL);
+        let early = begun + Duration::from_millis(30);
+        assert_eq!(
+            chan.wait(&mut pending, Some(early)),
+            None,
+            "still on the wire"
+        );
+        assert!(Instant::now() >= early, "gave up before the bound");
+        assert!(begun.elapsed() < Duration::from_millis(100));
+        assert_eq!(chan.wait(&mut pending, None), Some(Ok(vec![21])));
+        assert!(begun.elapsed() >= Duration::from_millis(120));
+    }
+
+    /// Polls until the listener's link holds no reply stamp.
+    fn await_no_stamps<S: Service>(tier: &TcpTier<S>) {
+        let t0 = Instant::now();
+        while !tier.link.sent.lock().is_empty() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(2),
+                "stamps left: {}",
+                tier.link.sent.lock().len()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn no_reply_stamp_outlives_a_timed_out_or_shed_call() {
+        let tier = TcpTier::spawn_with(
+            "stamps",
+            Sleeper(Duration::from_millis(150)),
+            bytes_decode,
+            bytes_encode,
+            AdmissionConfig {
+                max_concurrency: 1,
+                queue_capacity: 0,
+                ..AdmissionConfig::default()
+            },
+            Arc::new(ServingMetrics::new()),
+            Link::new(LatencyModel::Constant(Duration::from_millis(5)), 9),
+        )
+        .unwrap();
+        let chan = Arc::new(linked(&tier));
+
+        // The caller gives up and drops the connection; the reply the
+        // listener sends afterwards is stamped and never read.
+        let deadline = Duration::from_millis(40);
+        assert_eq!(
+            chan.call(vec![1], deadline),
+            Err(RpcError::Timeout { deadline })
+        );
+        let t0 = Instant::now();
+        while tier.metrics().completed.get() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "call never served");
+            thread::sleep(Duration::from_millis(2));
+        }
+        thread::sleep(Duration::from_millis(50)); // the reply is out
+        await_no_stamps(&tier);
+
+        // A shed reply is not stamped; the answered call's stamp is read.
+        let c2 = Arc::clone(&chan);
+        let busy = thread::spawn(move || c2.call(vec![2], DL));
+        let t0 = Instant::now();
+        while tier.admission().in_flight() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "call never admitted");
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(chan.call(vec![3], DL), Err(RpcError::Overloaded));
+        assert_eq!(busy.join().unwrap(), Ok(vec![2]));
+        await_no_stamps(&tier);
+    }
+
+    /// A stamp left by an earlier reply on a pooled connection does not
+    /// stand in for the arrival of a later one.
+    #[test]
+    fn a_stale_stamp_does_not_cut_a_later_delay() {
+        let tier = TcpTier::spawn_with(
+            "stale-stamp",
+            Sleeper(Duration::from_millis(60)),
+            bytes_decode,
+            bytes_encode,
+            AdmissionConfig::default(),
+            Arc::new(ServingMetrics::new()),
+            Link::default(),
+        )
+        .unwrap();
+        let chan = linked(&tier);
+        let penalty = Duration::from_millis(80);
+
+        // Sampled undelayed, answered while delayed: stamped, never read.
+        let pending = chan.start(vec![1], DL);
+        tier.faults().set_slowdown(penalty);
+        assert_eq!(chan.finish(pending), Ok(vec![1]));
+
+        // Sampled delayed, answered undelayed: no stamp of its own.
+        let begun = Instant::now();
+        let pending = chan.start(vec![2], DL);
+        tier.faults().set_slowdown(Duration::ZERO);
+        assert_eq!(chan.finish(pending), Ok(vec![2]));
+        assert!(
+            begun.elapsed() >= Duration::from_millis(60) + penalty,
+            "the penalty was skipped: {:?}",
+            begun.elapsed()
+        );
     }
 }

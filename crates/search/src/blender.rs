@@ -31,13 +31,11 @@ use jdvs_features::category::CategoryDetector;
 use jdvs_features::CachingExtractor;
 use jdvs_metrics::ResilienceMetrics;
 use jdvs_net::balancer::Balancer;
-use jdvs_net::node::NodeHandle;
 use jdvs_net::rpc::{CallTarget, RpcError, Service};
 use jdvs_storage::lru::LruCache;
 use jdvs_storage::model::ImageKey;
 use jdvs_storage::ImageStore;
 
-use crate::broker::BrokerService;
 use crate::protocol::{FanoutQuery, PartialResponse, QueryInput, SearchQuery, SearchResponse};
 use crate::ranking::RankingPolicy;
 
@@ -45,10 +43,10 @@ use crate::ranking::RankingPolicy;
 /// margin pays for the merge, ranking, and the reply trip.
 const BUDGET_MARGIN: f64 = 0.9;
 
-/// One blender instance, generic over the transport to its broker groups:
-/// in-process [`NodeHandle`]s (the default) or
-/// [`jdvs_net::tcp::TcpChannel`]s when the tiers run over real sockets.
-pub struct BlenderService<B = NodeHandle<BrokerService>>
+/// One blender instance, generic over its calls to the broker groups:
+/// [`jdvs_net::tcp::TcpChannel`]s when serving (see
+/// [`crate::serving::NetBlender`]), or a test's fake.
+pub struct BlenderService<B>
 where
     B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
 {
@@ -349,11 +347,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::BrokerService;
     use crate::searcher::SearcherService;
+    use crate::serving::testing::fanout_tier;
+    use crate::serving::{fanout_channel, FanoutChannel, NetBlender, NetBroker};
     use jdvs_core::{IndexConfig, VisualIndex};
     use jdvs_features::cost::CostModel;
     use jdvs_features::{ExtractorConfig, FeatureExtractor};
-    use jdvs_net::node::Node;
+    use jdvs_net::tcp::TcpTier;
     use jdvs_storage::model::{ProductAttributes, ProductId};
     use jdvs_storage::FeatureDb;
     use jdvs_vector::Vector;
@@ -362,11 +363,11 @@ mod tests {
     const DL: Duration = Duration::from_secs(5);
 
     struct World {
-        blender: BlenderService,
+        blender: NetBlender,
         images: Arc<ImageStore>,
         index: Arc<VisualIndex>,
-        _nodes: Vec<Node<SearcherService>>,
-        _broker_nodes: Vec<Node<BrokerService>>,
+        searchers: Vec<TcpTier<SearcherService>>,
+        brokers: Vec<TcpTier<NetBroker>>,
     }
 
     /// One partition, one broker group, populated through the real
@@ -406,18 +407,13 @@ mod tests {
         }
         index.flush();
 
-        let searcher = Node::spawn(
-            "s-0-0",
-            SearcherService::for_index(0, Arc::clone(&index)),
-            2,
-        );
-        let broker = Node::spawn(
+        let searcher = fanout_tier("s-0-0", SearcherService::for_index(0, Arc::clone(&index)));
+        let broker = fanout_tier(
             "b-0-0",
-            BrokerService::new(0, vec![Balancer::new(vec![searcher.handle()])], DL),
-            2,
+            BrokerService::new(0, vec![Balancer::new(vec![fanout_channel(&searcher)])], DL),
         );
         let blender = BlenderService::new(
-            vec![Balancer::new(vec![broker.handle()])],
+            vec![Balancer::new(vec![fanout_channel(&broker)])],
             extractor,
             Arc::clone(&images),
             RankingPolicy::similarity_only(),
@@ -427,8 +423,8 @@ mod tests {
             blender,
             images,
             index,
-            _nodes: vec![searcher],
-            _broker_nodes: vec![broker],
+            searchers: vec![searcher],
+            brokers: vec![broker],
         }
     }
 
@@ -494,14 +490,17 @@ mod tests {
 
     #[test]
     fn query_cache_skips_repeat_extraction() {
-        let w = world();
-        w.images.put_synthetic("viral", 1);
+        let World {
+            blender,
+            images,
+            searchers: _searchers,
+            brokers: _brokers,
+            ..
+        } = world();
+        images.put_synthetic("viral", 1);
         let cache = Arc::new(LruCache::new(16));
         // Rebuild a blender around the same backends but with a cache.
-        let blender = {
-            let World { blender, .. } = w;
-            blender.with_query_cache(Arc::clone(&cache))
-        };
+        let blender = blender.with_query_cache(Arc::clone(&cache));
         let q = SearchQuery::by_image_url("viral", 3);
         let r1 = blender.execute(&q);
         let r2 = blender.execute(&q);
@@ -516,15 +515,15 @@ mod tests {
 
     #[test]
     fn failed_broker_group_is_accounted_not_silent() {
-        // Destructure at function scope so the nodes stay alive.
+        // Destructure at function scope so the listeners stay alive.
         let World {
             blender,
-            _nodes,
-            _broker_nodes,
+            searchers: _searchers,
+            brokers,
             ..
         } = world();
         let metrics = Arc::new(jdvs_metrics::ResilienceMetrics::new());
-        _broker_nodes[0].faults().set_down(true);
+        brokers[0].faults().set_down(true);
         let blender = blender
             .with_group_partitions(vec![1])
             .with_metrics(Arc::clone(&metrics));
@@ -544,8 +543,8 @@ mod tests {
     fn exhausted_budget_returns_fully_accounted_degraded_response() {
         let World {
             blender,
-            _nodes,
-            _broker_nodes,
+            searchers: _searchers,
+            brokers: _brokers,
             ..
         } = world();
         let metrics = Arc::new(jdvs_metrics::ResilienceMetrics::new());
@@ -570,7 +569,7 @@ mod tests {
         w.images.put_synthetic("q", 0);
         let feats = w.index.features(jdvs_core::ids::ImageId(1)).unwrap();
         // Slow the searcher so the broker call would run long.
-        w._nodes[0]
+        w.searchers[0]
             .faults()
             .set_slowdown(Duration::from_millis(500));
         let q =
@@ -594,8 +593,8 @@ mod tests {
     fn mismatched_group_partition_counts_panic() {
         let World {
             blender,
-            _nodes,
-            _broker_nodes,
+            searchers: _searchers,
+            brokers: _brokers,
             ..
         } = world();
         let _ = blender.with_group_partitions(vec![1, 2]);
@@ -612,7 +611,7 @@ mod tests {
             }),
             CostModel::free(),
         ));
-        BlenderService::<NodeHandle<BrokerService>>::new(
+        BlenderService::<FanoutChannel>::new(
             vec![],
             extractor,
             images,

@@ -31,21 +31,19 @@ use parking_lot::RwLock;
 
 use jdvs_metrics::ResilienceMetrics;
 use jdvs_net::balancer::Balancer;
-use jdvs_net::node::NodeHandle;
 use jdvs_net::rpc::{CallTarget, RpcError, Service};
 use jdvs_vector::topk::TopK;
 
 use crate::protocol::{FanoutQuery, PartialHit, PartialResponse};
-use crate::searcher::SearcherService;
 
 /// Fraction of the remaining budget granted to the next hop; the held-back
 /// margin pays for the merge and the reply trip.
 const BUDGET_MARGIN: f64 = 0.9;
 
-/// One broker instance of a broker group, generic over the transport to
-/// its searchers: in-process [`NodeHandle`]s (the default) or
-/// [`jdvs_net::tcp::TcpChannel`]s when the tiers run over real sockets.
-pub struct BrokerService<T = NodeHandle<SearcherService>>
+/// One broker instance of a broker group, generic over its calls to the
+/// searchers: [`jdvs_net::tcp::TcpChannel`]s when serving (see
+/// [`crate::serving::NetBroker`]), or a test's fake.
+pub struct BrokerService<T>
 where
     T: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
 {
@@ -236,8 +234,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::searcher::SearcherService;
+    use crate::serving::testing::fanout_tier;
+    use crate::serving::{fanout_channel, FanoutChannel};
     use jdvs_core::{IndexConfig, VisualIndex};
-    use jdvs_net::node::Node;
+    use jdvs_net::tcp::TcpTier;
     use jdvs_storage::model::{ProductAttributes, ProductId};
     use jdvs_vector::rng::Xoshiro256;
     use jdvs_vector::Vector;
@@ -283,33 +284,36 @@ mod tests {
         index
     }
 
+    type Searcher = TcpTier<SearcherService>;
+
+    /// A searcher listener serving `index` as partition `p`.
+    fn searcher(name: &str, p: usize, index: &Arc<VisualIndex>) -> Searcher {
+        fanout_tier(name, SearcherService::for_index(p, Arc::clone(index)))
+    }
+
     /// Builds a 2-partition broker; returns (broker, partition indexes,
-    /// searcher nodes kept alive).
+    /// searcher listeners kept alive).
     fn make_broker() -> (
-        BrokerService,
+        BrokerService<FanoutChannel>,
         Vec<Arc<VisualIndex>>,
-        Vec<Node<SearcherService>>,
+        Vec<Searcher>,
     ) {
-        let mut nodes = Vec::new();
+        let mut tiers = Vec::new();
         let mut balancers = Vec::new();
         let mut indexes = Vec::new();
         for p in 0..2usize {
             let index = make_index(p as u64 + 1, (p as u64 * 100)..(p as u64 * 100 + 50));
-            indexes.push(Arc::clone(&index));
-            let node = Node::spawn(
-                format!("searcher-{p}-0"),
-                SearcherService::for_index(p, index),
-                2,
-            );
-            balancers.push(Balancer::new(vec![node.handle()]));
-            nodes.push(node);
+            let tier = searcher(&format!("searcher-{p}-0"), p, &index);
+            balancers.push(Balancer::new(vec![fanout_channel(&tier)]));
+            indexes.push(index);
+            tiers.push(tier);
         }
-        (BrokerService::new(0, balancers, DL), indexes, nodes)
+        (BrokerService::new(0, balancers, DL), indexes, tiers)
     }
 
     #[test]
     fn merges_partial_results_across_partitions() {
-        let (broker, indexes, _nodes) = make_broker();
+        let (broker, indexes, _tiers) = make_broker();
         // Query with partition-1's image 10 → global best must come from p1.
         let feats = indexes[1].features(jdvs_core::ids::ImageId(10)).unwrap();
         let resp = broker.execute(&fanout(feats.into_inner(), 8));
@@ -330,8 +334,8 @@ mod tests {
 
     #[test]
     fn tolerates_a_dead_partition_and_accounts_for_it() {
-        let (broker, indexes, nodes) = make_broker();
-        nodes[0].faults().set_down(true);
+        let (broker, indexes, tiers) = make_broker();
+        tiers[0].faults().set_down(true);
         let feats = indexes[1].features(jdvs_core::ids::ImageId(0)).unwrap();
         let resp = broker.execute(&fanout(feats.into_inner(), 5));
         assert!(!resp.hits.is_empty(), "partition 1 still answers");
@@ -347,10 +351,10 @@ mod tests {
 
     #[test]
     fn budget_bounds_the_searcher_deadline() {
-        let (broker, indexes, nodes) = make_broker();
+        let (broker, indexes, tiers) = make_broker();
         // A straggling replica plus a tiny budget: the broker must cut the
         // searcher call at ~0.9 × budget, not wait the full 5 s deadline.
-        nodes[0].faults().set_slowdown(Duration::from_millis(500));
+        tiers[0].faults().set_slowdown(Duration::from_millis(500));
         let feats = indexes[1].features(jdvs_core::ids::ImageId(0)).unwrap();
         let mut q = fanout(feats.into_inner(), 5);
         q.budget = Some(Duration::from_millis(80));
@@ -372,10 +376,10 @@ mod tests {
 
     #[test]
     fn metrics_count_lost_partitions() {
-        let (broker, indexes, nodes) = make_broker();
+        let (broker, indexes, tiers) = make_broker();
         let m = Arc::new(ResilienceMetrics::new());
         let broker = broker.with_metrics(Arc::clone(&m));
-        nodes[1].faults().set_down(true);
+        tiers[1].faults().set_down(true);
         let feats = indexes[0].features(jdvs_core::ids::ImageId(0)).unwrap();
         let _ = broker.execute(&fanout(feats.into_inner(), 3));
         assert_eq!(m.snapshot().partitions_failed, 1);
@@ -385,17 +389,16 @@ mod tests {
     fn replica_failover_inside_a_partition() {
         // Partition with two replicas; kill one; broker still answers.
         let index = make_index(9, 0..30);
-        let n0 = Node::spawn(
-            "s-0-a",
-            SearcherService::for_index(0, Arc::clone(&index)),
-            1,
+        let n0 = searcher("s-0-a", 0, &index);
+        let n1 = searcher("s-0-b", 0, &index);
+        let broker = BrokerService::new(
+            0,
+            vec![Balancer::new(vec![
+                fanout_channel(&n0),
+                fanout_channel(&n1),
+            ])],
+            DL,
         );
-        let n1 = Node::spawn(
-            "s-0-b",
-            SearcherService::for_index(0, Arc::clone(&index)),
-            1,
-        );
-        let broker = BrokerService::new(0, vec![Balancer::new(vec![n0.handle(), n1.handle()])], DL);
         n0.faults().set_down(true);
         let feats = index.features(jdvs_core::ids::ImageId(3)).unwrap();
         let resp = broker.execute(&fanout(feats.into_inner(), 1));
@@ -406,12 +409,8 @@ mod tests {
     #[test]
     fn pushed_partition_joins_the_next_fanout() {
         let index0 = make_index(21, 0..20);
-        let n0 = Node::spawn(
-            "grow-0",
-            SearcherService::for_index(0, Arc::clone(&index0)),
-            1,
-        );
-        let shared = Arc::new(RwLock::new(vec![Balancer::new(vec![n0.handle()])]));
+        let n0 = searcher("grow-0", 0, &index0);
+        let shared = Arc::new(RwLock::new(vec![Balancer::new(vec![fanout_channel(&n0)])]));
         let broker = BrokerService::over(0, Arc::clone(&shared), DL);
         let feats = index0.features(jdvs_core::ids::ImageId(1)).unwrap();
         let resp = broker.execute(&fanout(feats.clone().into_inner(), 4));
@@ -419,12 +418,10 @@ mod tests {
 
         // A split lands: the new half's balancer is pushed in from outside.
         let index1 = make_index(22, 100..120);
-        let n1 = Node::spawn(
-            "grow-1",
-            SearcherService::for_index(1, Arc::clone(&index1)),
-            1,
-        );
-        shared.write().push(Balancer::new(vec![n1.handle()]));
+        let n1 = searcher("grow-1", 1, &index1);
+        shared
+            .write()
+            .push(Balancer::new(vec![fanout_channel(&n1)]));
         let resp = broker.execute(&fanout(feats.into_inner(), 4));
         assert_eq!(resp.partitions_total, 2, "new partition covered");
         assert_eq!(resp.partitions_ok, 2);
@@ -433,20 +430,12 @@ mod tests {
     #[test]
     fn hedging_recovers_a_straggling_replica() {
         let index = make_index(11, 0..30);
-        let slow = Node::spawn(
-            "s-slow",
-            SearcherService::for_index(0, Arc::clone(&index)),
-            1,
-        );
-        let fast = Node::spawn(
-            "s-fast",
-            SearcherService::for_index(0, Arc::clone(&index)),
-            1,
-        );
+        let slow = searcher("s-slow", 0, &index);
+        let fast = searcher("s-fast", 0, &index);
         slow.faults().set_slowdown(Duration::from_millis(400));
         let m = Arc::new(ResilienceMetrics::new());
-        let balancer =
-            Balancer::new(vec![slow.handle(), fast.handle()]).with_metrics(Arc::clone(&m));
+        let balancer = Balancer::new(vec![fanout_channel(&slow), fanout_channel(&fast)])
+            .with_metrics(Arc::clone(&m));
         let broker =
             BrokerService::new(0, vec![balancer], DL).with_hedging(Duration::from_millis(25));
         let feats = index.features(jdvs_core::ids::ImageId(3)).unwrap();
@@ -464,9 +453,9 @@ mod tests {
 
     #[test]
     fn slowed_branches_of_one_fanout_overlap() {
-        let (broker, indexes, nodes) = make_broker();
-        for node in &nodes {
-            node.faults().set_slowdown(Duration::from_millis(100));
+        let (broker, indexes, tiers) = make_broker();
+        for tier in &tiers {
+            tier.faults().set_slowdown(Duration::from_millis(100));
         }
         let feats = indexes[0].features(jdvs_core::ids::ImageId(2)).unwrap();
         let start = std::time::Instant::now();
@@ -487,17 +476,11 @@ mod tests {
     fn no_hedge_is_launched_when_every_primary_answers_in_time() {
         let index = make_index(12, 0..30);
         let replicas: Vec<_> = (0..2)
-            .map(|r| {
-                Node::spawn(
-                    format!("calm-{r}"),
-                    SearcherService::for_index(0, Arc::clone(&index)),
-                    1,
-                )
-            })
+            .map(|r| searcher(&format!("calm-{r}"), 0, &index))
             .collect();
         let m = Arc::new(ResilienceMetrics::new());
-        let balancer =
-            Balancer::new(replicas.iter().map(Node::handle).collect()).with_metrics(Arc::clone(&m));
+        let balancer = Balancer::new(replicas.iter().map(fanout_channel).collect())
+            .with_metrics(Arc::clone(&m));
         let broker = BrokerService::new(0, vec![balancer], DL)
             .with_hedging(Duration::from_millis(500))
             .with_metrics(Arc::clone(&m));
@@ -512,6 +495,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn empty_partitions_panics() {
-        BrokerService::<NodeHandle<SearcherService>>::new(0, vec![], DL);
+        BrokerService::<FanoutChannel>::new(0, vec![], DL);
     }
 }

@@ -8,17 +8,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use jdvs_net::balancer::Balancer;
-use jdvs_net::node::NodeHandle;
 use jdvs_net::rpc::{CallTarget, RpcError};
 
-use crate::blender::BlenderService;
 use crate::protocol::{SearchQuery, SearchResponse};
 
-/// A cloneable user handle through the front end, generic over the
-/// transport to the blender tier: in-process [`NodeHandle`]s (the default)
-/// or [`jdvs_net::tcp::TcpChannel`]s when the front end listens on a
-/// socket.
-pub struct SearchClient<T = NodeHandle<BlenderService>>
+/// A cloneable user handle through the front end, generic over its calls
+/// to the blender tier: [`jdvs_net::tcp::TcpChannel`]s when serving (see
+/// [`crate::serving::NetClient`]), or a test's fake.
+pub struct SearchClient<T>
 where
     T: CallTarget<Request = SearchQuery, Response = SearchResponse>,
 {
@@ -82,84 +79,75 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranking::RankingPolicy;
-    use jdvs_features::cost::CostModel;
-    use jdvs_features::{CachingExtractor, ExtractorConfig, FeatureExtractor};
-    use jdvs_net::node::Node;
-    use jdvs_storage::ImageStore;
+    use parking_lot::Mutex;
+    use std::time::Instant;
 
-    // A minimal single-blender stack that always answers empty (blender
-    // with an unknown-image query path); enough to exercise the client.
-    fn tiny_frontend() -> (
-        Arc<Balancer<NodeHandle<BlenderService>>>,
-        Vec<Node<BlenderService>>,
-    ) {
-        use crate::broker::BrokerService;
-        use crate::searcher::SearcherService;
-        use jdvs_core::{IndexConfig, VisualIndex};
-        use jdvs_vector::Vector;
-        let images = Arc::new(ImageStore::with_blob_len(32));
-        let extractor = Arc::new(CachingExtractor::new(
-            FeatureExtractor::new(ExtractorConfig {
-                dim: 4,
-                ..Default::default()
-            }),
-            CostModel::free(),
-        ));
-        let index = Arc::new(VisualIndex::bootstrap(
-            IndexConfig {
-                dim: 4,
-                num_lists: 1,
-                ..Default::default()
-            },
-            &[Vector::from(vec![0.0; 4])],
-        ));
-        let searcher = Node::spawn("s", SearcherService::for_index(0, index), 1);
-        let broker = Node::spawn(
-            "b",
-            BrokerService::new(
-                0,
-                vec![Balancer::new(vec![searcher.handle()])],
-                Duration::from_secs(1),
-            ),
-            1,
-        );
-        let blender = Node::spawn(
-            "bl",
-            BlenderService::new(
-                vec![Balancer::new(vec![broker.handle()])],
-                extractor,
-                images,
-                RankingPolicy::default(),
-                Duration::from_secs(1),
-            ),
-            1,
-        );
-        let frontend = Arc::new(Balancer::new(vec![blender.handle()]));
-        (frontend, vec![blender])
-        // searcher/broker nodes intentionally leak into the test scope via
-        // closure capture in handles; they stay alive because handles hold
-        // Arcs to their shared state.
+    type Budgets = Arc<Mutex<Vec<Option<Duration>>>>;
+
+    /// A blender stand-in that answers at once with an empty response and
+    /// records the budget each query arrived with.
+    struct Recorder {
+        budgets: Budgets,
+    }
+
+    impl CallTarget for Recorder {
+        type Request = SearchQuery;
+        type Response = SearchResponse;
+        type Pending = ();
+
+        fn start(&self, query: SearchQuery, _deadline: Duration) {
+            self.budgets.lock().push(query.budget);
+        }
+
+        fn wait(&self, _: &mut (), _: Option<Instant>) -> Option<Result<SearchResponse, RpcError>> {
+            Some(Ok(SearchResponse::default()))
+        }
+
+        fn is_down(&self) -> bool {
+            false
+        }
+
+        fn target_name(&self) -> &str {
+            "recorder"
+        }
+    }
+
+    fn client(deadline: Duration) -> (SearchClient<Recorder>, Budgets) {
+        let budgets = Budgets::default();
+        let recorder = Recorder {
+            budgets: Arc::clone(&budgets),
+        };
+        let frontend = Arc::new(Balancer::new(vec![recorder]));
+        (SearchClient::new(frontend, deadline), budgets)
     }
 
     #[test]
-    fn client_round_trip() {
-        let (frontend, _nodes) = tiny_frontend();
-        let client = SearchClient::new(frontend, Duration::from_secs(2));
+    fn client_stamps_its_deadline_unless_the_query_carries_a_budget() {
+        let (client, budgets) = client(Duration::from_secs(2));
         assert_eq!(client.deadline(), Duration::from_secs(2));
         let resp = client
             .search(SearchQuery::by_image_url("missing", 3))
             .unwrap();
         assert!(resp.results.is_empty());
+        let own = SearchQuery::by_image_url("missing", 3).with_budget(Duration::from_millis(7));
+        client.search(own).unwrap();
+        assert_eq!(
+            *budgets.lock(),
+            vec![Some(Duration::from_secs(2)), Some(Duration::from_millis(7))]
+        );
     }
 
     #[test]
     fn clients_clone_cheaply() {
-        let (frontend, _nodes) = tiny_frontend();
-        let client = SearchClient::new(frontend, Duration::from_secs(2));
-        let clones: Vec<SearchClient> = (0..8).map(|_| client.clone()).collect();
+        let (client, budgets) = client(Duration::from_secs(2));
+        let clones: Vec<_> = (0..8).map(|_| client.clone()).collect();
         for c in clones {
             let _ = c.search(SearchQuery::by_image_url("missing", 1)).unwrap();
         }
+        assert_eq!(
+            budgets.lock().len(),
+            8,
+            "every clone reached the one front end"
+        );
     }
 }

@@ -14,16 +14,18 @@
 //!    a [`jdvs_core::VisualIndex`] over its partition and also consumes the
 //!    message queue to keep it fresh (real-time indexing).
 //!
-//! [`topology::SearchTopology`] assembles the whole system — front-end load
-//! balancer, B blender instances, G broker groups × R broker replicas,
-//! P partitions × R searcher replicas, plus one real-time indexing thread
-//! per searcher — on the [`jdvs_net`] cluster runtime.
-//! [`client::SearchClient`] is the user-facing handle.
+//! [`topology::SearchTopology`] assembles the whole system — P partitions ×
+//! R searcher replicas with one real-time indexing thread each, and the
+//! stack serving them: B blender instances, G broker groups × R broker
+//! replicas and a front-end load balancer. [`client::SearchClient`] is the
+//! user-facing handle.
 //!
-//! [`serving::NetServing`] re-exposes the same three tiers as independent
-//! TCP services ([`wire`] defines the message encoding), each behind its
-//! own admission controller — the network-native deployment shape with
-//! overload shedding and graceful drain.
+//! [`serving::NetServing`] is that stack: the three tiers as independent
+//! TCP services on loopback ([`wire`] defines the message encoding), each
+//! behind its own admission controller and its own simulated link —
+//! overload shedding, graceful drain, per-hop latency and fault
+//! injection. A topology serves through one of its own;
+//! [`serving::NetServing::over`] stands up another.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

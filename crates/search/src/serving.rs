@@ -1,22 +1,28 @@
-//! Network-native serving: the three tiers as independent TCP services.
+//! The serving stack: the three tiers as independent TCP services.
 //!
-//! [`NetServing::over`] stands the Blender → Broker → Searcher hierarchy
-//! up as real socket listeners ([`jdvs_net::tcp::TcpTier`]) sharing an
-//! existing [`SearchTopology`]'s hot-swappable partition indexes, image
-//! store and extractor — one searcher listener per replica of its live
-//! replica table, blenders from its own blender constructor — so real-time
-//! indexing, checkpointing and rebuild keep operating on the same data the
-//! network tiers serve, and a split made after `over` shows up as missing
-//! coverage rather than as a silently smaller answer.
+//! [`NetServing`] is the one host of the Blender → Broker → Searcher
+//! hierarchy (Figure 10): real socket listeners ([`TcpTier`]) — one per
+//! searcher replica of a [`SearchTopology`]'s live replica table, one per
+//! broker instance, one per blender — wired by one function. Every
+//! topology serves through a stack of its own, stood up at assembly and
+//! grown online when a replica is bootstrapped or a partition split.
+//! [`NetServing::over`] stands another one up over the same table with its
+//! own admission tuning; that one stays as built, so a split made after it
+//! shows up as missing coverage rather than as a silently smaller answer.
+//! Either way the tiers serve the topology's hot-swappable index handles,
+//! so real-time indexing, checkpointing and rebuild operate on the data
+//! the network serves.
 //!
 //! Every tier sits behind its own admission controller (token-bucket rate
 //! limit, bounded queue with deadline-aware shedding, concurrency cap):
 //! under overload the tier answers a fast `Overloaded` rejection instead
-//! of queueing into collapse, and the PR 1 resilience machinery — retries
-//! with jittered backoff, per-target circuit breakers, hedged broker
-//! calls, degraded-result accounting — runs unchanged over the sockets
-//! because [`jdvs_net::tcp::TcpChannel`] implements the same
-//! [`jdvs_net::rpc::CallTarget`] contract as in-process node handles.
+//! of queueing into collapse, and the resilience machinery — retries with
+//! jittered backoff, per-target circuit breakers, hedged broker calls,
+//! degraded-result accounting — runs in the balancers over the
+//! [`TcpChannel`]s. Every listener also has its own [`Link`]: the
+//! topology's per-hop latency model and a fault injector, charged by every
+//! channel that dials it, so one [`TopologyConfig`] behaves the same on
+//! every stack.
 //!
 //! Tiers are independent: each can be drained (graceful: in-flight work
 //! answered, new work shed, then the listener closes) or crashed
@@ -28,27 +34,40 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::RwLock;
+
+use jdvs_core::swap::IndexHandle;
 use jdvs_metrics::{ResilienceMetrics, ServingMetrics, ServingSnapshot};
 use jdvs_net::admission::AdmissionConfig;
 use jdvs_net::balancer::Balancer;
 use jdvs_net::rpc::Service;
-use jdvs_net::tcp::{TcpChannel, TcpTier};
+use jdvs_net::tcp::{Link, TcpChannel, TcpTier};
+use jdvs_net::FaultInjector;
 
 use crate::batch::{BatchConfig, BatchingSearcher};
 use crate::blender::BlenderService;
 use crate::broker::BrokerService;
 use crate::client::SearchClient;
+use crate::partition::PartitionMap;
 use crate::protocol::{FanoutQuery, PartialResponse, SearchQuery, SearchResponse};
 use crate::searcher::SearcherService;
-use crate::topology::SearchTopology;
+use crate::topology::{SearchTopology, TopologyConfig};
 use crate::wire;
 
+/// A channel over which one tier fans out to the next (broker → searcher,
+/// blender → broker).
+pub(crate) type FanoutChannel = TcpChannel<FanoutQuery, PartialResponse>;
 /// A broker whose searcher calls travel over TCP.
-pub type NetBroker = BrokerService<TcpChannel<FanoutQuery, PartialResponse>>;
+pub type NetBroker = BrokerService<FanoutChannel>;
 /// A blender whose broker calls travel over TCP.
-pub type NetBlender = BlenderService<TcpChannel<FanoutQuery, PartialResponse>>;
+pub type NetBlender = BlenderService<FanoutChannel>;
 /// A user client whose blender calls travel over TCP.
 pub type NetClient = SearchClient<TcpChannel<SearchQuery, SearchResponse>>;
+
+/// The balancer list one broker instance fans out over — one balancer per
+/// partition its group owns — shared with the running [`BrokerService`]
+/// so a growing stack can extend it in place.
+type BrokerFanout = Arc<RwLock<Vec<Balancer<FanoutChannel>>>>;
 
 /// Admission tuning for the three tiers plus the client deadline.
 #[derive(Debug, Clone)]
@@ -66,18 +85,6 @@ pub struct NetServingConfig {
     pub searcher_batch: BatchConfig,
     /// End-to-end deadline stamped by [`NetServing::client`].
     pub client_deadline: Duration,
-    /// Hedge brokers' slow searcher calls: when a partition's first call
-    /// has not answered after this long, a second call races it on
-    /// another replica and the first answer wins. `None` disables
-    /// hedging. Falls back to the wrapped topology's
-    /// [`TopologyConfig::hedge_after`](crate::topology::TopologyConfig)
-    /// when unset there too.
-    ///
-    /// Defaults to 150ms — comfortably above the healthy searcher tail in
-    /// the simulated latency model, so hedges fire only on genuine
-    /// stragglers and the duplicate-call rate stays near zero in the
-    /// steady state.
-    pub hedge_after: Option<Duration>,
 }
 
 impl Default for NetServingConfig {
@@ -100,7 +107,27 @@ impl Default for NetServingConfig {
             },
             searcher_batch: BatchConfig::disabled(),
             client_deadline: Duration::from_secs(5),
-            hedge_after: Some(Duration::from_millis(150)),
+        }
+    }
+}
+
+impl NetServingConfig {
+    /// The admission of a topology's own stack: two requests in service
+    /// per listener at every tier and every other one queued, with no
+    /// queue bound and no minimum budget — a server with a pool of two
+    /// workers, the concurrency the facade's experiments are calibrated on.
+    pub(crate) fn pooled() -> Self {
+        let pool = AdmissionConfig {
+            max_concurrency: 2,
+            queue_capacity: usize::MAX,
+            min_budget: Duration::ZERO,
+            ..AdmissionConfig::default()
+        };
+        Self {
+            blender_admission: pool.clone(),
+            broker_admission: pool.clone(),
+            searcher_admission: pool,
+            ..Self::default()
         }
     }
 }
@@ -134,11 +161,9 @@ fn encode_search_resp(s: &SearchResponse) -> Vec<u8> {
     wire::encode_search_response(s)
 }
 
-/// A channel dialing `tier` with the fan-out codec (broker → searcher and
-/// blender → broker).
-fn fanout_channel<S: Service>(tier: &TcpTier<S>) -> TcpChannel<FanoutQuery, PartialResponse> {
-    let name = format!("{}-ch", tier.name());
-    TcpChannel::new(name, tier.local_addr(), encode_fanout, decode_partial)
+/// A channel dialing `tier` through its link with the fan-out codec.
+pub(crate) fn fanout_channel<S: Service>(tier: &TcpTier<S>) -> FanoutChannel {
+    tier.channel(encode_fanout, decode_partial)
 }
 
 /// One searcher replica's listener and the micro-batcher behind it (kept
@@ -148,19 +173,27 @@ struct NetSearcher {
     batcher: Arc<BatchingSearcher>,
 }
 
+/// One broker instance's listener and the balancer list it fans out over.
+struct NetBrokerInstance {
+    tier: TcpTier<NetBroker>,
+    fanout: BrokerFanout,
+}
+
 /// The three tiers running as TCP services over a topology's indexes.
 pub struct NetServing {
     /// `[partition][replica]` searcher rows, laid out like the topology's
-    /// replica table when the tiers were stood up.
+    /// replica table when the tiers were stood up (or last grown).
     searchers: Vec<Vec<NetSearcher>>,
     /// `[group][instance]` broker listeners.
-    brokers: Vec<Vec<TcpTier<NetBroker>>>,
+    brokers: Vec<Vec<NetBrokerInstance>>,
     /// Blender listeners.
     blenders: Vec<TcpTier<NetBlender>>,
-    /// Resilience counters shared by every balancer in the network stack
-    /// (separate from the wrapped topology's in-process counters).
+    /// Resilience counters shared by every balancer of this stack.
     resilience: Arc<ResilienceMetrics>,
-    client_deadline: Duration,
+    config: NetServingConfig,
+    /// The topology's shape, deadlines, latency model, balancer policies
+    /// and seed.
+    topology: TopologyConfig,
 }
 
 impl std::fmt::Debug for NetServing {
@@ -174,143 +207,216 @@ impl std::fmt::Debug for NetServing {
 }
 
 impl NetServing {
-    /// Stands the three TCP tiers up over `topology`'s partition indexes,
-    /// one searcher listener per replica of its live replica table (splits
-    /// and bootstraps included).
+    /// Stands a second stack of the three tiers up over `topology`'s live
+    /// replica table (splits and bootstraps included), with its own
+    /// admission tuning and resilience counters.
     ///
-    /// The topology keeps running as built (its own in-process nodes,
-    /// real-time indexers, durability); the network tiers serve the *same*
-    /// hot-swappable index handles, so events published to the topology's
-    /// queue become visible to network queries at indexing speed.
+    /// The topology keeps running as built (its own stack, real-time
+    /// indexers, durability); both stacks serve the *same* hot-swappable
+    /// index handles, so events published to the topology's queue become
+    /// visible to either at indexing speed.
     ///
     /// # Errors
     ///
     /// Propagates listener bind errors.
     pub fn over(topology: &SearchTopology, config: NetServingConfig) -> io::Result<Self> {
-        let tc = topology.config();
-        let pmap = topology.partition_map();
-        let resilience = Arc::new(ResilienceMetrics::new());
+        topology.serve(config, Arc::new(ResilienceMetrics::new()))
+    }
 
-        // --- Searcher tier: one listener per (partition, replica), each
-        // fronted by a micro-batcher sharing the tier's metrics so batch
-        // depth/wait histograms land in the serving snapshot. ------------
-        let mut searchers = Vec::new();
-        for p in 0..pmap.num_partitions() {
-            let mut row = Vec::new();
-            for r in 0..topology.num_replicas(p) {
-                let metrics = Arc::new(ServingMetrics::new());
-                let batcher = Arc::new(BatchingSearcher::new(
-                    SearcherService::new(p, Arc::clone(topology.handle(p, r))),
-                    config.searcher_batch,
-                    Arc::clone(&metrics),
-                ));
-                let tier = TcpTier::spawn_with_metrics(
-                    &format!("net-searcher-{p}-{r}"),
-                    Arc::clone(&batcher),
-                    decode_fanout,
-                    encode_partial,
-                    config.searcher_admission.clone(),
-                    metrics,
-                )?;
-                row.push(NetSearcher { tier, batcher });
-            }
-            searchers.push(row);
+    /// The one wiring of a stack: one searcher listener per handle of
+    /// `rows` (`[partition][replica]`), `broker_replicas` broker instances
+    /// per group of `layout`, each fanning out over one balancer per owned
+    /// partition, and `num_blenders` blenders from `blender` over one
+    /// balancer per group.
+    pub(crate) fn wire(
+        config: NetServingConfig,
+        topology: &TopologyConfig,
+        layout: &PartitionMap,
+        rows: &[Vec<Arc<IndexHandle>>],
+        blender: impl Fn(Vec<Balancer<FanoutChannel>>, &Arc<ResilienceMetrics>) -> NetBlender,
+        resilience: Arc<ResilienceMetrics>,
+    ) -> io::Result<Self> {
+        let mut net = NetServing {
+            searchers: Vec::new(),
+            brokers: Vec::new(),
+            blenders: Vec::new(),
+            resilience,
+            config,
+            topology: topology.clone(),
+        };
+        for (p, row) in rows.iter().enumerate() {
+            let searchers = row
+                .iter()
+                .enumerate()
+                .map(|(r, handle)| net.searcher((p, r), handle))
+                .collect::<io::Result<_>>()?;
+            net.searchers.push(searchers);
         }
-
-        // --- Broker tier: instances fan out to searchers over TCP. ------
-        let mut brokers: Vec<Vec<TcpTier<NetBroker>>> = Vec::new();
-        for g in 0..pmap.num_broker_groups() {
-            let mut instances = Vec::new();
-            for b in 0..tc.broker_replicas {
-                let balancers: Vec<Balancer<TcpChannel<FanoutQuery, PartialResponse>>> = pmap
-                    .partitions_of_group(g)
-                    .into_iter()
-                    .map(|p| {
-                        let channels = searchers[p].iter().map(|s| fanout_channel(&s.tier));
-                        Balancer::with_policies(
-                            channels.collect(),
-                            tc.health,
-                            tc.retry,
-                            tc.seed ^ 0x7C9 ^ ((g as u64) << 24) ^ ((b as u64) << 12) ^ p as u64,
-                        )
-                        .with_metrics(Arc::clone(&resilience))
-                    })
-                    .collect();
-                let mut service = BrokerService::new(g, balancers, tc.searcher_deadline)
-                    .with_metrics(Arc::clone(&resilience));
-                // The serving config's knob wins; the topology's is the
-                // fallback (it defaults to `None`, which used to leave
-                // hedging silently off for every NetServing user).
-                if let Some(hedge_after) = config.hedge_after.or(tc.hedge_after) {
-                    service = service.with_hedging(hedge_after);
-                }
-                instances.push(TcpTier::spawn(
-                    &format!("net-broker-{g}-{b}"),
-                    service,
-                    decode_fanout,
-                    encode_partial,
-                    config.broker_admission.clone(),
-                )?);
-            }
-            brokers.push(instances);
+        for g in 0..layout.num_broker_groups() {
+            let instances = (0..topology.broker_replicas)
+                .map(|b| {
+                    let partitions = layout.partitions_of_group(g).into_iter();
+                    net.broker((g, b), partitions.map(|p| net.searcher_balancer((g, b, p))))
+                })
+                .collect::<io::Result<_>>()?;
+            net.brokers.push(instances);
         }
-
-        // --- Blender tier. ----------------------------------------------
-        let mut blenders = Vec::new();
-        for i in 0..tc.num_blenders {
-            let groups = brokers
+        for i in 0..topology.num_blenders {
+            let groups = net
+                .brokers
                 .iter()
                 .enumerate()
                 .map(|(g, instances)| {
-                    Balancer::with_policies(
-                        instances.iter().map(fanout_channel).collect(),
-                        tc.health,
-                        tc.retry,
-                        tc.seed ^ 0x7CA ^ ((i as u64) << 24) ^ g as u64,
-                    )
-                    .with_metrics(Arc::clone(&resilience))
+                    let channels = instances.iter().map(|b| fanout_channel(&b.tier));
+                    net.balancer(channels.collect(), 0xB2A ^ ((i as u64) << 24) ^ g as u64)
                 })
                 .collect();
-            blenders.push(TcpTier::spawn(
-                &format!("net-blender-{i}"),
-                topology.blender(groups, &resilience),
+            let tier = TcpTier::spawn_with(
+                &format!("blender-{i}"),
+                blender(groups, &net.resilience),
                 decode_query,
                 encode_search_resp,
-                config.blender_admission.clone(),
-            )?);
+                net.config.blender_admission.clone(),
+                Arc::new(ServingMetrics::new()),
+                net.link(0xB1E ^ i as u64),
+            )?;
+            net.blenders.push(tier);
         }
-
-        Ok(Self {
-            searchers,
-            brokers,
-            blenders,
-            resilience,
-            client_deadline: config.client_deadline,
-        })
+        Ok(net)
     }
 
-    /// A user client dialing the blender tier over TCP, with the same
-    /// balancer policies (failover, breakers) the in-process front end
-    /// uses.
-    pub fn client(&self) -> NetClient {
+    /// The link in front of one listener: the topology's latency model,
+    /// streams seeded per listener.
+    fn link(&self, seed: u64) -> Link {
+        Link::new(self.topology.latency, self.topology.seed ^ seed)
+    }
+
+    /// A balancer with the topology's policies over `targets`.
+    fn balancer<T: jdvs_net::CallTarget>(&self, targets: Vec<T>, seed: u64) -> Balancer<T> {
+        let tc = &self.topology;
+        Balancer::with_policies(targets, tc.health, tc.retry, tc.seed ^ seed)
+            .with_metrics(Arc::clone(&self.resilience))
+    }
+
+    /// Replica `r` of partition `p`'s listener over `handle`, fronted by a
+    /// micro-batcher sharing the tier's metrics so batch depth/wait
+    /// histograms land in the serving snapshot.
+    fn searcher(
+        &self,
+        (p, r): (usize, usize),
+        handle: &Arc<IndexHandle>,
+    ) -> io::Result<NetSearcher> {
+        let metrics = Arc::new(ServingMetrics::new());
+        let batcher = Arc::new(BatchingSearcher::new(
+            SearcherService::new(p, Arc::clone(handle)),
+            self.config.searcher_batch,
+            Arc::clone(&metrics),
+        ));
+        let tier = TcpTier::spawn_with(
+            &format!("searcher-{p}-{r}"),
+            Arc::clone(&batcher),
+            decode_fanout,
+            encode_partial,
+            self.config.searcher_admission.clone(),
+            metrics,
+            self.link(((p as u64) << 16) ^ r as u64),
+        )?;
+        Ok(NetSearcher { tier, batcher })
+    }
+
+    /// The balancer broker instance `b` of group `g` fans out over for
+    /// partition `p`'s replicas.
+    fn searcher_balancer(&self, (g, b, p): (usize, usize, usize)) -> Balancer<FanoutChannel> {
+        let replicas = self.searchers[p].iter().map(|s| fanout_channel(&s.tier));
+        let seed = 0xBA1 ^ ((g as u64) << 24) ^ ((b as u64) << 12) ^ p as u64;
+        self.balancer(replicas.collect(), seed)
+    }
+
+    /// Broker instance `b` of group `g`, fanning out over `partitions`.
+    fn broker(
+        &self,
+        (g, b): (usize, usize),
+        partitions: impl Iterator<Item = Balancer<FanoutChannel>>,
+    ) -> io::Result<NetBrokerInstance> {
+        let tc = &self.topology;
+        let fanout = Arc::new(RwLock::new(partitions.collect()));
+        let mut service = BrokerService::over(g, Arc::clone(&fanout), tc.searcher_deadline)
+            .with_metrics(Arc::clone(&self.resilience));
+        if let Some(hedge_after) = tc.hedge_after {
+            service = service.with_hedging(hedge_after);
+        }
+        let tier = TcpTier::spawn_with(
+            &format!("broker-{g}-{b}"),
+            service,
+            decode_fanout,
+            encode_partial,
+            self.config.broker_admission.clone(),
+            Arc::new(ServingMetrics::new()),
+            self.link(0xB0 ^ ((g as u64) << 16) ^ b as u64),
+        )?;
+        Ok(NetBrokerInstance { tier, fanout })
+    }
+
+    /// Serves the replicas of partition `p`'s `row` that this stack does
+    /// not serve yet — a bootstrapped replica, or a split sibling's whole
+    /// row: one listener each, joined to every broker instance of the
+    /// owning group as new targets of the partition's balancer, or as a new
+    /// balancer. Fan-outs already in flight finish on their snapshot; the
+    /// next one covers the new replicas.
+    pub(crate) fn grow(
+        &mut self,
+        layout: &PartitionMap,
+        p: usize,
+        row: &[Arc<IndexHandle>],
+    ) -> io::Result<()> {
+        let new_partition = p == self.searchers.len();
+        if new_partition {
+            self.searchers.push(Vec::new());
+        }
+        let first = self.searchers[p].len();
+        for (r, handle) in row.iter().enumerate().skip(first) {
+            let searcher = self.searcher((p, r), handle)?;
+            self.searchers[p].push(searcher);
+        }
+        let group = layout.broker_group_of(p);
+        let slot = layout
+            .partitions_of_group(group)
+            .iter()
+            .position(|&q| q == p)
+            .expect("a partition is in its own group");
+        for (b, broker) in self.brokers[group].iter().enumerate() {
+            if new_partition {
+                let mut fanout = broker.fanout.write();
+                debug_assert_eq!(fanout.len(), slot, "a split's sibling is its group's last");
+                fanout.push(self.searcher_balancer((group, b, p)));
+            } else {
+                let fanout = broker.fanout.read();
+                for searcher in &self.searchers[p][first..] {
+                    fanout[slot].push_target(fanout_channel(&searcher.tier));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A fresh front-end balancer over the blender tier, with the
+    /// topology's policies.
+    pub(crate) fn frontend(&self) -> Balancer<TcpChannel<SearchQuery, SearchResponse>> {
         let channels = self
             .blenders
             .iter()
-            .map(|tier| {
-                TcpChannel::new(
-                    format!("{}-ch", tier.name()),
-                    tier.local_addr(),
-                    encode_query,
-                    decode_search_resp,
-                )
-            })
-            .collect();
-        let frontend = Arc::new(Balancer::new(channels).with_metrics(Arc::clone(&self.resilience)));
-        SearchClient::new(frontend, self.client_deadline)
+            .map(|tier| tier.channel(encode_query, decode_search_resp));
+        self.balancer(channels.collect(), 0xF0E)
     }
 
-    /// Resilience counters of the network serving path (balancer retries,
-    /// breaker opens, shed/failed partition accounting).
+    /// A user client dialing the blender tier over TCP through a front end
+    /// of its own.
+    pub fn client(&self) -> NetClient {
+        SearchClient::new(Arc::new(self.frontend()), self.config.client_deadline)
+    }
+
+    /// Resilience counters of this stack (balancer retries, breaker
+    /// opens, shed/failed partition accounting).
     pub fn resilience_metrics(&self) -> &Arc<ResilienceMetrics> {
         &self.resilience
     }
@@ -322,7 +428,10 @@ impl NetServing {
 
     /// Addresses of broker group `g`'s instances.
     pub fn broker_addrs(&self, g: usize) -> Vec<SocketAddr> {
-        self.brokers[g].iter().map(TcpTier::local_addr).collect()
+        self.brokers[g]
+            .iter()
+            .map(|b| b.tier.local_addr())
+            .collect()
     }
 
     /// Addresses of partition `p`'s searcher replicas.
@@ -331,6 +440,26 @@ impl NetServing {
             .iter()
             .map(|s| s.tier.local_addr())
             .collect()
+    }
+
+    /// Fault controls of a searcher replica's listener, obeyed by every
+    /// broker of this stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of range.
+    pub(crate) fn searcher_faults(&self, partition: usize, replica: usize) -> &FaultInjector {
+        self.searchers[partition][replica].tier.faults()
+    }
+
+    /// Fault controls of a broker instance's listener, obeyed by every
+    /// blender of this stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of range.
+    pub(crate) fn broker_faults(&self, group: usize, instance: usize) -> &FaultInjector {
+        self.brokers[group][instance].tier.faults()
     }
 
     /// Aggregated serving snapshot of the blender tier (admissions, sheds,
@@ -345,7 +474,7 @@ impl NetServing {
             self.brokers
                 .iter()
                 .flatten()
-                .map(|t| t.metrics().snapshot()),
+                .map(|b| b.tier.metrics().snapshot()),
         )
     }
 
@@ -376,7 +505,7 @@ impl NetServing {
     ///
     /// Panics if out of range.
     pub fn crash_broker(&mut self, group: usize, instance: usize) {
-        self.brokers[group][instance].crash();
+        self.brokers[group][instance].tier.crash();
     }
 
     /// Gracefully drains one blender listener (in-flight answered, new
@@ -399,8 +528,8 @@ impl NetServing {
         for tier in &mut self.blenders {
             idle &= tier.drain(timeout);
         }
-        for tier in self.brokers.iter_mut().flatten() {
-            idle &= tier.drain(timeout);
+        for broker in self.brokers.iter_mut().flatten() {
+            idle &= broker.tier.drain(timeout);
         }
         // Flush forming batches before draining the listeners, so a drain
         // never waits out a batch window.
@@ -430,4 +559,25 @@ fn sum_snapshots(parts: impl Iterator<Item = ServingSnapshot>) -> ServingSnapsho
         out.batch_wait.merge(&s.batch_wait);
     }
     out
+}
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// `service` on a loopback listener speaking the fan-out protocol, with
+    /// default admission and a link that delays nothing.
+    pub(crate) fn fanout_tier<S>(name: &str, service: S) -> TcpTier<S>
+    where
+        S: Service<Request = FanoutQuery, Response = PartialResponse>,
+    {
+        TcpTier::spawn(
+            name,
+            service,
+            decode_fanout,
+            encode_partial,
+            AdmissionConfig::default(),
+        )
+        .expect("binding a loopback listener")
+    }
 }

@@ -26,13 +26,8 @@ pub struct TopologyConfig {
     pub broker_replicas: usize,
     /// Blender instances.
     pub num_blenders: usize,
-    /// Worker threads per searcher node (its "cores").
-    pub searcher_workers: usize,
-    /// Worker threads per broker instance.
-    pub broker_workers: usize,
-    /// Worker threads per blender instance.
-    pub blender_workers: usize,
-    /// Per-hop latency model for every node.
+    /// Per-hop latency model: every channel to a listener of every stack
+    /// over this topology charges one sample per call.
     pub latency: LatencyModel,
     /// Deadline for broker→searcher calls.
     pub searcher_deadline: Duration,
@@ -52,7 +47,14 @@ pub struct TopologyConfig {
     pub health: HealthPolicy,
     /// Failover/backoff policy applied by every balancer in the stack.
     pub retry: RetryPolicy,
-    /// When set, brokers hedge straggling searcher calls after this long.
+    /// Brokers hedge a partition's searcher call that has not answered
+    /// after this long: a second call races it on another replica and the
+    /// first answer wins. `None` disables hedging.
+    ///
+    /// Defaults to 150ms — comfortably above the healthy searcher tail in
+    /// the simulated latency model, so hedges fire only on genuine
+    /// stragglers and the duplicate-call rate stays near zero in the
+    /// steady state.
     pub hedge_after: Option<Duration>,
     /// [`SearchTopology::bootstrap_replica`](super::SearchTopology::bootstrap_replica)
     /// tails the live log without pausing ingestion until the new replica
@@ -73,9 +75,6 @@ impl Default for TopologyConfig {
             num_broker_groups: 2,
             broker_replicas: 1,
             num_blenders: 2,
-            searcher_workers: 2,
-            broker_workers: 2,
-            blender_workers: 2,
             latency: LatencyModel::Zero,
             searcher_deadline: Duration::from_secs(5),
             broker_deadline: Duration::from_secs(10),
@@ -85,7 +84,7 @@ impl Default for TopologyConfig {
             category_detector: None,
             health: HealthPolicy::default(),
             retry: RetryPolicy::default(),
-            hedge_after: None,
+            hedge_after: Some(Duration::from_millis(150)),
             bootstrap_lag_bound: 64,
             seed: 0x70B0,
         }
@@ -107,10 +106,6 @@ impl TopologyConfig {
         );
         assert!(self.broker_replicas > 0, "broker_replicas must be positive");
         assert!(self.num_blenders > 0, "num_blenders must be positive");
-        assert!(
-            self.searcher_workers > 0,
-            "searcher_workers must be positive"
-        );
         // PartitionMap::new enforces the group/partition relationship.
         let _ = PartitionMap::new(self.num_partitions, self.num_broker_groups);
     }

@@ -204,9 +204,10 @@ impl SearchTopology {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from opening the log or checkpoint stores,
-    /// and returns `InvalidData` for a partition-map file that does not
-    /// decode to a layout over `config.num_broker_groups` groups.
+    /// Propagates I/O errors from opening the log or checkpoint stores or
+    /// binding the stack's listeners, and returns `InvalidData` for a
+    /// partition-map file that does not decode to a layout over
+    /// `config.num_broker_groups` groups.
     ///
     /// # Panics
     ///
@@ -245,7 +246,7 @@ impl SearchTopology {
         let stores = (0..layout.num_partitions())
             .map(|p| durable.open_store(p))
             .collect::<io::Result<_>>()?;
-        Ok(Self::assemble(
+        Self::assemble(
             config,
             extractor,
             images,
@@ -254,7 +255,7 @@ impl SearchTopology {
             queue,
             layout,
             Some((durable, stores)),
-        ))
+        )
     }
 }
 

@@ -20,14 +20,12 @@ use jdvs_core::realtime::RealtimeIndexer;
 use jdvs_core::{persist, ImageId, VisualIndex};
 use jdvs_durability::checkpoint::{CheckpointStore, SharedCheckpoint};
 use jdvs_durability::recovery::{recover_partition_seeded, RecoveryReport};
-use jdvs_net::node::Node;
 use jdvs_storage::model::ProductEvent;
 use jdvs_storage::queue::{Consumer, Offset};
 
 use super::durable::save_partition_map;
-use super::{append, searcher_balancer, Core, Partition, Replica, SearchTopology};
+use super::{append, Core, Partition, Replica, SearchTopology};
 use crate::partition::PartitionMap;
-use crate::searcher::SearcherService;
 
 /// Outcome of [`SearchTopology::checkpoint_partition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,12 +420,12 @@ pub(super) fn start_row(
     reports
 }
 
-/// Stands up replica `r` of row `p` over `indexer`'s index: its searcher
-/// node and, with real-time indexing on, the indexer thread (pushed onto
+/// Stands up replica `r` of row `p` over `indexer`'s index: its record
+/// and, with real-time indexing on, the indexer thread (pushed onto
 /// `threads`) that applies one event at a time from `consumer`'s position
 /// on, watches only its own row's pause — handed over like `parked`, since
 /// a split's sibling threads start before their row is appended — and
-/// drains the backlog on stop.
+/// drains the backlog on stop. Serving it is the stack's business.
 pub(super) fn stand_up(
     core: &Arc<Core>,
     row: &Partition,
@@ -436,24 +434,14 @@ pub(super) fn stand_up(
     mut consumer: Consumer<ProductEvent>,
     threads: &mut Vec<JoinHandle<()>>,
 ) -> Replica {
-    let config = &core.config;
-    let handle = Arc::clone(indexer.handle());
-    let node = Node::spawn_with(
-        format!("searcher-{p}-{r}"),
-        SearcherService::new(p, Arc::clone(&handle)),
-        config.searcher_workers,
-        config.latency,
-        config.seed ^ ((p as u64) << 16) ^ r as u64,
-    );
     let processed = Arc::new(AtomicU64::new(consumer.position()));
     let parked = Arc::new(AtomicU64::new(0));
     let replica = Replica {
-        handle,
-        node,
+        handle: Arc::clone(indexer.handle()),
         processed: Arc::clone(&processed),
         parked: Arc::clone(&parked),
     };
-    if !config.realtime_indexing {
+    if !core.config.realtime_indexing {
         return replica;
     }
     let core = Arc::clone(core);
@@ -580,15 +568,15 @@ impl SearchTopology {
     /// pausing ingestion* until within
     /// [`TopologyConfig::bootstrap_lag_bound`](super::TopologyConfig::bootstrap_lag_bound)
     /// events of the head, then — under a brief quiesce of the partition —
-    /// drains the final gap and atomically joins the serving set: its
-    /// searcher node is pushed into every broker balancer that fans out to
-    /// this partition, and its own indexing thread keeps it fresh from
-    /// there on.
+    /// drains the final gap and atomically joins the serving set: the
+    /// topology's stack gets a searcher listener for it, pushed into every
+    /// broker balancer that fans out to this partition, and its own
+    /// indexing thread keeps it fresh from there on.
     ///
     /// # Panics
     ///
-    /// Panics if `partition` is out of range or real-time indexing is
-    /// disabled.
+    /// Panics if `partition` is out of range, real-time indexing is
+    /// disabled, or the new listener cannot be bound.
     pub fn bootstrap_replica(&mut self, partition: usize) -> BootstrapReport {
         let core = &self.core;
         assert!(
@@ -640,21 +628,14 @@ impl SearchTopology {
             consumer,
             &mut self.indexer_threads,
         );
-        // Every broker instance of the owning group gets this searcher as
-        // a new balancer target (fan-outs already in flight took their
+        // Every broker instance of the owning group gets the new listener
+        // as a balancer target (fan-outs already in flight took their
         // snapshot; the next one covers the replica).
-        let map = core.layout.read();
-        let group = map.broker_group_of(partition);
-        let slot = map
-            .partitions_of_group(group)
-            .iter()
-            .position(|&q| q == partition);
-        drop(map);
-        for instance in &self.broker_partitions[group] {
-            instance.read()[slot.expect("a partition is in its own group")]
-                .push_target(joined.node.handle());
-        }
         append(&row.replicas, joined);
+        let layout = core.layout.read().clone();
+        self.net
+            .grow(&layout, partition, &row.handles())
+            .expect("binding a loopback listener");
         BootstrapReport {
             partition,
             replica,
@@ -690,8 +671,8 @@ impl SearchTopology {
     ///
     /// # Panics
     ///
-    /// Panics if `partition` is out of range or real-time indexing is
-    /// disabled.
+    /// Panics if `partition` is out of range, real-time indexing is
+    /// disabled, or the sibling's listeners cannot be bound.
     pub fn split_partition(&mut self, partition: usize) -> io::Result<SplitReport> {
         let core = &self.core;
         assert!(
@@ -760,17 +741,16 @@ impl SearchTopology {
         }
 
         // Make the sibling serving-visible *before* narrowing the parent,
-        // so no fan-out ever misses the moved keys: one balancer over the
-        // sibling's replicas per broker instance of the owning group, then
+        // so no fan-out ever misses the moved keys: its listeners, one
+        // balancer over them per broker instance of the owning group, then
         // the table row and the blenders' coverage count.
-        let group = core.layout.read().broker_group_of(sibling);
-        for (b, instance) in self.broker_partitions[group].iter().enumerate() {
-            let balancer =
-                searcher_balancer(&core.config, &self.metrics, &row, (group, b, sibling));
-            instance.write().push(balancer);
-        }
+        let layout = core.layout.read().clone();
+        self.net
+            .grow(&layout, sibling, &row.handles())
+            .expect("binding a loopback listener");
         append(&core.partitions, row);
-        self.group_partition_counts[group].fetch_add(1, Ordering::Release);
+        let group = layout.broker_group_of(sibling);
+        core.group_partition_counts[group].fetch_add(1, Ordering::Release);
 
         // Swap the parent's replicas down to their narrowed half.
         let parent_bytes = persist::save(&parent_half);

@@ -1,20 +1,22 @@
 //! Whole-system assembly (Figure 1 / Figure 10).
 //!
 //! [`SearchTopology::build`] stands up the paper's serving stack in one
-//! call: P×R searcher nodes (each with its partition index behind a
+//! call: P×R searcher replicas (each with its partition index behind a
 //! hot-swappable [`IndexHandle`] and, when enabled, a real-time indexing
-//! thread following the shared message queue), G×R broker instances, B
-//! blenders, and the front-end load balancer. The returned handle owns
-//! every node and thread and tears the system down in
-//! [`SearchTopology::shutdown`] (also on drop).
+//! thread following the shared message queue), then the topology's own
+//! [`NetServing`] stack over them — a TCP listener per searcher replica,
+//! G×R broker instances and B blenders — and the front-end load balancer.
+//! The returned handle owns every listener and thread and tears the system
+//! down in [`SearchTopology::shutdown`] (also on drop).
 //!
 //! The serving layout is one **live replica table**: a row per partition
 //! (checkpoint store, pause flag, one record per searcher replica) on the
 //! append-only [`Directory`] — rows only grow — read lock-free by the
-//! topology, the scheduler and [`crate::serving::NetServing::over`].
-//! `durable` holds the durable half; `lifecycle` startup recovery and the
-//! maintenance operations, the paper's weekly full indexing among them.
+//! topology, the scheduler and [`NetServing::over`]. `durable` holds the
+//! durable half; `lifecycle` startup recovery and the maintenance
+//! operations, the paper's weekly full indexing among them.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,8 +33,9 @@ use jdvs_durability::recovery::RecoveryReport;
 use jdvs_features::CachingExtractor;
 use jdvs_metrics::{DurabilityMetrics, DurabilitySnapshot, ResilienceMetrics, ResilienceSnapshot};
 use jdvs_net::balancer::Balancer;
-use jdvs_net::node::{Node, NodeHandle};
-use jdvs_net::rpc::{CallTarget, RpcError};
+use jdvs_net::rpc::RpcError;
+use jdvs_net::tcp::TcpChannel;
+use jdvs_net::FaultInjector;
 use jdvs_storage::lru::LruCache;
 use jdvs_storage::model::{ImageKey, ProductEvent};
 use jdvs_storage::{FeatureDb, ImageStore, MessageQueue};
@@ -40,11 +43,10 @@ use jdvs_vector::kmeans::{Kmeans, KmeansConfig};
 use jdvs_vector::Vector;
 
 use crate::blender::BlenderService;
-use crate::broker::BrokerService;
 use crate::client::SearchClient;
 use crate::partition::PartitionMap;
-use crate::protocol::{FanoutQuery, PartialResponse, SearchQuery, SearchResponse};
-use crate::searcher::SearcherService;
+use crate::protocol::{SearchQuery, SearchResponse};
+use crate::serving::{FanoutChannel, NetBlender, NetClient, NetServing, NetServingConfig};
 
 mod config;
 mod durable;
@@ -113,16 +115,14 @@ impl OpsReport {
     }
 }
 
-/// The balancer list a single broker instance fans out over — one
-/// balancer per partition its group owns, shared with the running
-/// [`BrokerService`] so lifecycle operations can grow it in place.
-type BrokerFanout = Arc<RwLock<Vec<Balancer<NodeHandle<SearcherService>>>>>;
+/// How long [`SearchTopology::shutdown`] waits for each tier of its stack
+/// to finish in-flight work.
+const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
-/// One searcher replica: its hot-swappable index, the in-process searcher
-/// node serving it, and its real-time indexer's progress.
+/// One searcher replica: its hot-swappable index (served by a listener of
+/// the topology's stack) and its real-time indexer's progress.
 struct Replica {
     handle: Arc<IndexHandle>,
-    node: Node<SearcherService>,
     /// Absolute queue position the indexer has consumed through (== the
     /// replica's applied-offset watermark).
     processed: Arc<AtomicU64>,
@@ -157,6 +157,11 @@ impl Partition {
 
     fn replica(&self, replica: usize) -> &Replica {
         self.replicas.get(replica).expect("replica out of range")
+    }
+
+    /// The replicas' index handles, in replica order.
+    fn handles(&self) -> Vec<Arc<IndexHandle>> {
+        self.replicas().map(|r| Arc::clone(&r.handle)).collect()
     }
 
     /// The applied-offset watermark of the newest checkpoint manifest.
@@ -194,6 +199,12 @@ struct Core {
     images: Arc<ImageStore>,
     feature_db: Arc<FeatureDb>,
     durable: Option<DurableParts>,
+    /// The query-feature cache every blender shares, when configured.
+    query_cache: Option<Arc<LruCache<ImageKey, Vec<f32>>>>,
+    /// Live per-group partition counts, shared with the coverage
+    /// accounting of every blender over this table; a split bumps the
+    /// parent's group.
+    group_partition_counts: Arc<Vec<AtomicUsize>>,
 }
 
 impl Core {
@@ -204,91 +215,75 @@ impl Core {
     fn rows(&self) -> impl Iterator<Item = &Partition> {
         self.partitions.iter().map(|(_, row)| row)
     }
+
+    /// A blender over `groups` the way every blender over this table is
+    /// built: sharing its query-feature cache, category detector, ranking
+    /// and live per-group partition counts.
+    fn blender(
+        &self,
+        groups: Vec<Balancer<FanoutChannel>>,
+        metrics: &Arc<ResilienceMetrics>,
+    ) -> NetBlender {
+        let config = &self.config;
+        let mut service = BlenderService::new(
+            groups,
+            Arc::clone(&self.extractor),
+            Arc::clone(&self.images),
+            config.ranking,
+            config.broker_deadline,
+        )
+        .with_shared_group_partitions(Arc::clone(&self.group_partition_counts))
+        .with_metrics(Arc::clone(metrics));
+        if let Some(cache) = &self.query_cache {
+            service = service.with_query_cache(Arc::clone(cache));
+        }
+        if let Some(detector) = &config.category_detector {
+            service = service.with_category_detector(Arc::clone(detector));
+        }
+        service
+    }
+
+    /// A stack of the three tiers over the live replica table.
+    fn serve(
+        &self,
+        config: NetServingConfig,
+        resilience: Arc<ResilienceMetrics>,
+    ) -> io::Result<NetServing> {
+        let rows: Vec<_> = self.rows().map(Partition::handles).collect();
+        let layout = self.layout.read().clone();
+        let blender = |groups, metrics: &Arc<ResilienceMetrics>| self.blender(groups, metrics);
+        NetServing::wire(config, &self.config, &layout, &rows, blender, resilience)
+    }
 }
 
 /// The assembled serving system.
 pub struct SearchTopology {
-    frontend: Arc<Balancer<NodeHandle<BlenderService>>>,
     /// The live replica table, layout and log, shared with the indexer
     /// threads and the background scheduler.
     core: Arc<Core>,
-    broker_nodes: Vec<Vec<Node<BrokerService>>>,
-    /// `broker_partitions[g][b]` = the balancer list broker instance `b`
-    /// of group `g` fans out over, shared with the running
-    /// [`BrokerService`]; replica bootstrap pushes targets into existing
-    /// balancers, splits push whole new balancers.
-    broker_partitions: Vec<Vec<BrokerFanout>>,
-    /// Live per-group partition counts, shared with every blender's
-    /// coverage accounting (in process and over TCP); a split bumps the
-    /// parent's group.
-    group_partition_counts: Arc<Vec<AtomicUsize>>,
-    blender_nodes: Vec<Node<BlenderService>>,
+    /// The topology's own stack of TCP tiers over the replica table;
+    /// replica bootstrap and partition split grow it.
+    net: NetServing,
+    /// The front-end balancer over `net`'s blenders, shared by every
+    /// client.
+    frontend: Arc<Balancer<TcpChannel<SearchQuery, SearchResponse>>>,
     indexer_threads: Vec<JoinHandle<()>>,
     /// Background maintenance scheduler
     /// ([`DurabilityOptions::checkpoint_exposure`],
     /// [`DurabilityOptions::log_compaction_ratio`]), joined in shutdown.
     checkpoint_scheduler: Option<JoinHandle<()>>,
-    query_cache: Option<Arc<LruCache<ImageKey, Vec<f32>>>>,
+    /// Resilience counters of `net` (every balancer, broker and blender).
     metrics: Arc<ResilienceMetrics>,
     /// What startup recovery did, one entry per (partition, replica) in
     /// partition-major order; empty unless built durable.
     recovery: Vec<RecoveryReport>,
 }
 
-/// The balancer broker instance `b` of group `g` fans out over for
-/// partition `p`'s replicas.
-fn searcher_balancer(
-    config: &TopologyConfig,
-    metrics: &Arc<ResilienceMetrics>,
-    row: &Partition,
-    (g, b, p): (usize, usize, usize),
-) -> Balancer<NodeHandle<SearcherService>> {
-    Balancer::with_policies(
-        row.replicas().map(|r| r.node.handle()).collect(),
-        config.health,
-        config.retry,
-        config.seed ^ 0xBA1 ^ ((g as u64) << 24) ^ ((b as u64) << 12) ^ p as u64,
-    )
-    .with_metrics(Arc::clone(metrics))
-}
-
-/// The one blender constructor of the in-process and TCP hosts: every
-/// blender of a topology shares its query-feature cache, category
-/// detector, ranking and live per-group partition counts.
-fn blender<B>(
-    core: &Core,
-    groups: Vec<Balancer<B>>,
-    query_cache: Option<&Arc<LruCache<ImageKey, Vec<f32>>>>,
-    group_partitions: &Arc<Vec<AtomicUsize>>,
-    metrics: &Arc<ResilienceMetrics>,
-) -> BlenderService<B>
-where
-    B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
-{
-    let config = &core.config;
-    let mut service = BlenderService::new(
-        groups,
-        Arc::clone(&core.extractor),
-        Arc::clone(&core.images),
-        config.ranking,
-        config.broker_deadline,
-    )
-    .with_shared_group_partitions(Arc::clone(group_partitions))
-    .with_metrics(Arc::clone(metrics));
-    if let Some(cache) = query_cache {
-        service = service.with_query_cache(Arc::clone(cache));
-    }
-    if let Some(detector) = &config.category_detector {
-        service = service.with_category_detector(Arc::clone(detector));
-    }
-    service
-}
-
 impl std::fmt::Debug for SearchTopology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchTopology")
             .field("partitions", &self.core.rows().count())
-            .field("blenders", &self.blender_nodes.len())
+            .field("blenders", &self.core.config.num_blenders)
             .field("realtime_indexing", &self.core.config.realtime_indexing)
             .finish()
     }
@@ -305,6 +300,8 @@ impl SearchTopology {
     /// # Panics
     ///
     /// Panics if `config` is invalid or `training` is empty.
+    ///
+    /// Panics if a loopback listener cannot be bound.
     pub fn build(
         config: TopologyConfig,
         extractor: Arc<CachingExtractor>,
@@ -318,10 +315,12 @@ impl SearchTopology {
         Self::assemble(
             config, extractor, images, feature_db, training, queue, layout, None,
         )
+        .expect("binding the topology's loopback listeners")
     }
 
     /// Shared by build/build_durable; a durable topology brings one
-    /// checkpoint store per partition of `layout`.
+    /// checkpoint store per partition of `layout`. Fails only to bind a
+    /// listener.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         config: TopologyConfig,
@@ -332,7 +331,7 @@ impl SearchTopology {
         queue: MessageQueue<ProductEvent>,
         layout: PartitionMap,
         durable: Option<(DurableParts, Vec<CheckpointStore>)>,
-    ) -> Self {
+    ) -> io::Result<Self> {
         config.validate();
         // One metrics instance shared by every balancer/broker/blender, so
         // a single snapshot covers the whole serving path.
@@ -374,11 +373,18 @@ impl SearchTopology {
         // recorded previous splits). --------------------------------------
         let num_partitions = layout.num_partitions();
         let (durable, stores) = durable.map_or((None, Vec::new()), |(d, s)| (Some(d), s));
+        let group_partition_counts = (0..config.num_broker_groups)
+            .map(|g| AtomicUsize::new(layout.partitions_of_group(g).len()))
+            .collect();
         let core = Arc::new(Core {
             partitions: Directory::new(),
             layout: Arc::new(RwLock::new(layout)),
             maintenance: Mutex::new(()),
             stop: AtomicBool::new(false),
+            query_cache: config
+                .query_cache_capacity
+                .map(|cap| Arc::new(LruCache::new(cap))),
+            group_partition_counts: Arc::new(group_partition_counts),
             config,
             queue,
             extractor,
@@ -396,132 +402,34 @@ impl SearchTopology {
             recovery.extend(reports);
         }
 
-        // --- Brokers: G groups × broker_replicas instances. --------------
-        let mut broker_nodes = Vec::with_capacity(config.num_broker_groups);
-        let mut broker_partitions: Vec<Vec<BrokerFanout>> =
-            Vec::with_capacity(config.num_broker_groups);
-        for g in 0..config.num_broker_groups {
-            let mut instances = Vec::new();
-            let mut instance_partitions = Vec::new();
-            for b in 0..config.broker_replicas {
-                let balancers: Vec<_> = core
-                    .layout
-                    .read()
-                    .partitions_of_group(g)
-                    .into_iter()
-                    .map(|p| searcher_balancer(config, &metrics, core.partition(p), (g, b, p)))
-                    .collect();
-                // The balancer list stays shared with the topology so
-                // replica bootstrap and splits can grow it while this
-                // broker keeps serving.
-                let shared = Arc::new(RwLock::new(balancers));
-                instance_partitions.push(Arc::clone(&shared));
-                let mut service = BrokerService::over(g, shared, config.searcher_deadline)
-                    .with_metrics(Arc::clone(&metrics));
-                if let Some(hedge_after) = config.hedge_after {
-                    service = service.with_hedging(hedge_after);
-                }
-                instances.push(Node::spawn_with(
-                    format!("broker-{g}-{b}"),
-                    service,
-                    config.broker_workers,
-                    config.latency,
-                    config.seed ^ 0xB0 ^ ((g as u64) << 16) ^ b as u64,
-                ));
-            }
-            broker_nodes.push(instances);
-            broker_partitions.push(instance_partitions);
-        }
-
-        // --- Blenders. ----------------------------------------------------
-        let query_cache = config
-            .query_cache_capacity
-            .map(|cap| Arc::new(LruCache::new(cap)));
-        let group_partition_counts: Arc<Vec<AtomicUsize>> = Arc::new(
-            (0..config.num_broker_groups)
-                .map(|g| AtomicUsize::new(core.layout.read().partitions_of_group(g).len()))
-                .collect(),
-        );
-        let blender_nodes: Vec<Node<BlenderService>> = (0..config.num_blenders)
-            .map(|i| {
-                let groups = broker_nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(g, instances)| {
-                        Balancer::with_policies(
-                            instances.iter().map(Node::handle).collect(),
-                            config.health,
-                            config.retry,
-                            config.seed ^ 0xB2A ^ ((i as u64) << 24) ^ g as u64,
-                        )
-                        .with_metrics(Arc::clone(&metrics))
-                    })
-                    .collect();
-                let service = blender(
-                    &core,
-                    groups,
-                    query_cache.as_ref(),
-                    &group_partition_counts,
-                    &metrics,
-                );
-                Node::spawn_with(
-                    format!("blender-{i}"),
-                    service,
-                    config.blender_workers,
-                    config.latency,
-                    config.seed ^ 0xB1E ^ i as u64,
-                )
-            })
-            .collect();
-
-        // --- Front end. ----------------------------------------------------
-        let frontend = Arc::new(
-            Balancer::with_policies(
-                blender_nodes.iter().map(Node::handle).collect(),
-                config.health,
-                config.retry,
-                config.seed ^ 0xF0E,
-            )
-            .with_metrics(Arc::clone(&metrics)),
-        );
+        // --- The serving stack over the table, and its front end. ---------
+        let net = core.serve(NetServingConfig::pooled(), Arc::clone(&metrics))?;
+        let frontend = Arc::new(net.frontend());
 
         let checkpoint_scheduler = durable::spawn_scheduler(&core);
-        Self {
-            frontend,
+        Ok(Self {
             core,
-            broker_nodes,
-            broker_partitions,
-            group_partition_counts,
-            blender_nodes,
+            net,
+            frontend,
             indexer_threads,
             checkpoint_scheduler,
-            query_cache,
             metrics,
             recovery,
-        }
+        })
     }
 
-    /// Builds a blender over `groups` the way every blender of this
-    /// topology is built — the TCP host's entry to the shared constructor.
-    pub(crate) fn blender<B>(
+    /// Another stack of the three tiers over this topology's live replica
+    /// table — the entry of [`NetServing::over`] to the one wiring.
+    pub(crate) fn serve(
         &self,
-        groups: Vec<Balancer<B>>,
-        metrics: &Arc<ResilienceMetrics>,
-    ) -> BlenderService<B>
-    where
-        B: CallTarget<Request = FanoutQuery, Response = PartialResponse>,
-    {
-        blender(
-            &self.core,
-            groups,
-            self.query_cache.as_ref(),
-            &self.group_partition_counts,
-            metrics,
-        )
+        config: NetServingConfig,
+        resilience: Arc<ResilienceMetrics>,
+    ) -> io::Result<NetServing> {
+        self.core.serve(config, resilience)
     }
 
-    /// The shared resilience counters of the serving path (every balancer,
-    /// broker, and blender reports into this instance).
+    /// The shared resilience counters of the topology's own stack (every
+    /// balancer, broker, and blender reports into this instance).
     pub fn resilience_metrics(&self) -> &Arc<ResilienceMetrics> {
         &self.metrics
     }
@@ -533,7 +441,7 @@ impl SearchTopology {
 
     /// Statistics of the shared blender query-feature cache, if enabled.
     pub fn query_cache_stats(&self) -> Option<jdvs_storage::lru::LruStats> {
-        self.query_cache.as_ref().map(|c| c.stats())
+        self.core.query_cache.as_ref().map(|c| c.stats())
     }
 
     /// A point-in-time operational report across the whole stack — what a
@@ -635,7 +543,7 @@ impl SearchTopology {
     }
 
     /// A user-facing client through the front-end balancer.
-    pub fn client(&self, deadline: Duration) -> SearchClient {
+    pub fn client(&self, deadline: Duration) -> NetClient {
         SearchClient::new(Arc::clone(&self.frontend), deadline)
     }
 
@@ -666,11 +574,6 @@ impl SearchTopology {
         &self.core.partition(partition).replica(replica).handle
     }
 
-    /// Live replica count of `partition` (panics if out of range).
-    pub(crate) fn num_replicas(&self, partition: usize) -> usize {
-        self.core.partition(partition).replicas().count()
-    }
-
     /// Snapshots of all current indexes, `[partition][replica]`.
     pub fn indexes(&self) -> Vec<Vec<Arc<VisualIndex>>> {
         self.core
@@ -679,26 +582,24 @@ impl SearchTopology {
             .collect()
     }
 
-    /// Fault controls of a searcher node.
+    /// Fault controls of a searcher replica's listener in the topology's
+    /// own stack.
     ///
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn searcher_faults(&self, partition: usize, replica: usize) -> &jdvs_net::FaultInjector {
-        self.core
-            .partition(partition)
-            .replica(replica)
-            .node
-            .faults()
+    pub fn searcher_faults(&self, partition: usize, replica: usize) -> &FaultInjector {
+        self.net.searcher_faults(partition, replica)
     }
 
-    /// Fault controls of a broker instance.
+    /// Fault controls of a broker instance's listener in the topology's
+    /// own stack.
     ///
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn broker_faults(&self, group: usize, instance: usize) -> &jdvs_net::FaultInjector {
-        self.broker_nodes[group][instance].faults()
+    pub fn broker_faults(&self, group: usize, instance: usize) -> &FaultInjector {
+        self.net.broker_faults(group, instance)
     }
 
     /// Total images across partition replicas (each image counted once per
@@ -751,8 +652,9 @@ impl SearchTopology {
         }
     }
 
-    /// Stops real-time indexers (draining the queue), then shuts every node
-    /// down, top of the stack first. Idempotent.
+    /// Stops real-time indexers (draining the queue), then drains the
+    /// topology's stack, top tier first, and closes its listeners.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
         self.core.stop.store(true, Ordering::SeqCst);
         // Stop the checkpoint scheduler before the indexers: a checkpoint
@@ -764,22 +666,12 @@ impl SearchTopology {
         for t in self.indexer_threads.drain(..) {
             let _ = t.join();
         }
-        // Push any unsynced log tail to stable storage before the nodes
+        // Push any unsynced log tail to stable storage before the tiers
         // go away (clean shutdowns lose nothing even under FsyncPolicy::Os).
         if let Some(queue) = self.durable_queue() {
             let _ = queue.sync();
         }
-        for b in &self.blender_nodes {
-            b.shutdown();
-        }
-        for g in &self.broker_nodes {
-            for b in g {
-                b.shutdown();
-            }
-        }
-        for replica in self.core.rows().flat_map(Partition::replicas) {
-            replica.node.shutdown();
-        }
+        self.net.drain(SHUTDOWN_DRAIN);
     }
 }
 

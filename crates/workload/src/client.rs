@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jdvs_metrics::histogram::{Histogram, SharedHistogram};
-use jdvs_search::SearchClient;
+use jdvs_search::serving::NetClient;
 use jdvs_storage::ImageStore;
 use serde::{Deserialize, Serialize};
 
@@ -96,7 +96,7 @@ impl ClosedLoopDriver {
     ///
     /// Panics if `config.threads == 0` or `config.k == 0`.
     pub fn run(
-        client: &SearchClient,
+        client: &NetClient,
         generator: &QueryGenerator,
         store: &ImageStore,
         config: ClosedLoopConfig,
@@ -109,7 +109,7 @@ impl ClosedLoopDriver {
         let measuring = Arc::new(AtomicBool::new(false));
         let stop = Arc::new(AtomicBool::new(false));
 
-        let measured_elapsed = crossbeam::thread::scope(|scope| {
+        let measured_elapsed = std::thread::scope(|scope| {
             for _ in 0..config.threads {
                 let client = client.clone();
                 let histogram = Arc::clone(&histogram);
@@ -117,7 +117,7 @@ impl ClosedLoopDriver {
                 let errors = Arc::clone(&errors);
                 let measuring = Arc::clone(&measuring);
                 let stop = Arc::clone(&stop);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         let (query, _) = generator.next_query(store, config.k);
                         let start = Instant::now();
@@ -146,8 +146,7 @@ impl ClosedLoopDriver {
             let elapsed = measured_start.elapsed();
             stop.store(true, Ordering::SeqCst);
             elapsed
-        })
-        .expect("closed-loop scope");
+        });
 
         LoadReport {
             threads: config.threads,

@@ -1,7 +1,7 @@
 //! Socket-level fault injection for the network serving tier.
 //!
 //! [`FaultProxy`] is a TCP proxy that sits between a client and one
-//! upstream tier and injects the failures the in-process
+//! upstream tier and injects the failures a listener's
 //! [`jdvs_net::FaultInjector`] cannot: connection refusal, stalls that
 //! hold bytes without closing the socket, and mid-frame cuts that sever
 //! the connection after a byte budget — the torn-read case the framed

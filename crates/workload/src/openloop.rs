@@ -13,9 +13,9 @@
 //! `Overloaded` replies) and keeps goodput near capacity with bounded
 //! latency for the requests it accepts.
 //!
-//! The driver is closure-driven so it can front anything callable — the
-//! in-process [`jdvs_search::SearchClient`], a
-//! [`jdvs_net::TcpChannel`]-backed network client, or a stub in tests.
+//! The driver is closure-driven so it can front anything callable — a
+//! [`jdvs_search::SearchClient`], a bare [`jdvs_net::TcpChannel`], or a
+//! stub in tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -168,7 +168,7 @@ impl OpenLoopDriver {
         let shed_latency = Arc::new(SharedHistogram::new());
         let start = Instant::now();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..config.workers {
                 let op = &op;
                 let next = &next;
@@ -178,7 +178,7 @@ impl OpenLoopDriver {
                 let late = &late;
                 let accepted_latency = Arc::clone(&accepted_latency);
                 let shed_latency = Arc::clone(&shed_latency);
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     // Claim the next slot of the global arrival schedule.
                     let n = next.fetch_add(1, Ordering::Relaxed);
                     if n >= total {
@@ -209,8 +209,7 @@ impl OpenLoopDriver {
                     }
                 });
             }
-        })
-        .expect("open-loop scope");
+        });
 
         OpenLoopReport {
             offered: total,

@@ -15,8 +15,8 @@ use std::time::Duration;
 use jdvs_core::IndexConfig;
 use jdvs_features::cost::{CostDistribution, CostModel};
 use jdvs_features::{CachingExtractor, ExtractorConfig, FeatureExtractor};
+use jdvs_search::serving::NetClient;
 use jdvs_search::topology::{SearchTopology, TopologyConfig};
-use jdvs_search::SearchClient;
 use jdvs_storage::model::ProductId;
 use jdvs_storage::{FeatureDb, ImageStore, MessageQueue};
 use jdvs_vector::Vector;
@@ -266,7 +266,7 @@ impl World {
     }
 
     /// A user client.
-    pub fn client(&self, deadline: Duration) -> SearchClient {
+    pub fn client(&self, deadline: Duration) -> NetClient {
         self.topology.client(deadline)
     }
 

@@ -40,7 +40,7 @@
 //! | [`search`] | blender / broker / searcher topology, partitioning, ranking |
 //! | [`storage`] | KV store, message queue, image store, feature database |
 //! | [`features`] | deterministic synthetic feature extraction + cost model |
-//! | [`net`] | in-process cluster: nodes, RPC, latency model, fault injection |
+//! | [`net`] | loopback TCP tiers and channels, RPC, latency model, fault injection, balancer |
 //! | [`vector`] | vectors, distances, top-k, k-means, product quantization |
 //! | [`metrics`] | histograms, percentiles, CDFs, hourly series |
 //! | [`workload`] | catalogs, daily event streams, query generators, drivers |

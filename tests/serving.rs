@@ -21,6 +21,7 @@ use jdvs::net::admission::AdmissionConfig;
 use jdvs::net::balancer::Balancer;
 use jdvs::net::rpc::RpcError;
 use jdvs::net::tcp::{TcpChannel, TcpTier};
+use jdvs::net::LatencyModel;
 use jdvs::search::broker::BrokerService;
 use jdvs::search::protocol::{FanoutQuery, PartialResponse, SearchQuery, SearchResponse};
 use jdvs::search::searcher::SearcherService;
@@ -102,11 +103,12 @@ fn network_tiers_answer_like_the_in_process_stack() {
             "healthy stack must cover all partitions"
         );
         assert!(!resp.results.is_empty());
-        // Same query through the in-process stack ranks the same top hit.
+        // Same query through the topology's own stack ranks the same top
+        // hit.
         let local = world.topology().search(query).unwrap();
         assert_eq!(
             resp.results[0].hit.product_id, local.results[0].hit.product_id,
-            "network and in-process tiers serve the same index"
+            "both stacks serve the same index"
         );
     }
 }
@@ -383,7 +385,7 @@ fn batched_searcher_tier_is_transparent_and_observable() {
             assert!(resp.is_complete(), "batching must not cost coverage");
             assert!(!resp.results.is_empty());
             // Demux check: each connection got *its own* query's answer,
-            // identical to the unbatched in-process stack.
+            // identical to the topology's own, unbatched stack.
             let local = world.topology().search(q).unwrap();
             assert_eq!(
                 resp.results[0].hit.product_id, local.results[0].hit.product_id,
@@ -816,4 +818,35 @@ fn tcp_blenders_share_the_query_cache_and_category_detector() {
     }
     let stats = world.topology().query_cache_stats().expect("cache on");
     assert!(stats.hits >= 1, "repeated URL query missed: {stats:?}");
+}
+
+/// One config behaves the same on every stack: the topology's latency
+/// model is charged on each of the three hops — client → blender, blender
+/// → broker, broker → searcher — by a stack stood up with
+/// `NetServing::over` as by the topology's own.
+#[test]
+fn every_stack_charges_the_topology_latency_on_each_hop() {
+    let hop = Duration::from_millis(40);
+    let mut config = WorldConfig::fast_test();
+    config.topology.latency = LatencyModel::Constant(hop);
+    let world = World::build(config);
+    let serving = NetServing::over(world.topology(), NetServingConfig::default()).unwrap();
+    let client = serving.client();
+    let url = catalog_urls(&world).remove(0);
+    let query = SearchQuery::by_image_url(&url, 1);
+
+    let begun = Instant::now();
+    let resp = client.search(query.clone()).unwrap();
+    let elapsed = begun.elapsed();
+    assert_eq!(resp.results[0].hit.url, url);
+    assert!(
+        elapsed >= hop * 3,
+        "three charged hops, answered in {elapsed:?}"
+    );
+
+    let begun = Instant::now();
+    let resp = world.topology().search(query).unwrap();
+    let elapsed = begun.elapsed();
+    assert_eq!(resp.results[0].hit.url, url);
+    assert!(elapsed >= hop * 3, "the topology's own stack: {elapsed:?}");
 }

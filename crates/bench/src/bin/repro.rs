@@ -7,7 +7,7 @@
 //! EXPERIMENTS:
 //!   table1 fig11a fig11b fig12a fig12b fig13a fig13b fig14
 //!   ablate-reuse ablate-bitmap ablate-expansion ablate-nprobe
-//!   searcher-scan pq-fastscan batch filtered recovery serving lifecycle
+//!   searcher-scan pq-fastscan filtered recovery serving lifecycle
 //!   all            run everything in order
 //!
 //! OPTIONS:

@@ -19,7 +19,6 @@
 //! | `ablate-cache` | blender query-feature cache on/off | [`ablations`] |
 //! | `searcher-scan` | block execution engine vs per-id scalar scan | [`scan`] |
 //! | `pq-fastscan` | 4-bit fast-scan blocks vs 8-bit ADC scan | [`pq_fastscan`] |
-//! | `batch` | batched multi-query QPS/p99 frontier vs batch size | [`batch`] |
 //! | `filtered` | attribute-filter pushdown vs post-filter + escalation fill | [`filtered`] |
 //! | `recovery` | durable-log append throughput + crash-recovery time | [`recovery`] |
 //! | `serving` | goodput under ~3x overload through the TCP tiers | [`overload`] |
@@ -27,7 +26,6 @@
 //! | `coarse` | hierarchical coarse quantizer vs flat centroid scan | [`coarse`] |
 
 pub mod ablations;
-pub mod batch;
 pub mod coarse;
 pub mod day;
 pub mod examples_fig;
@@ -99,7 +97,6 @@ pub const ALL: &[&str] = &[
     "ablate-cache",
     "searcher-scan",
     "pq-fastscan",
-    "batch",
     "filtered",
     "recovery",
     "serving",
@@ -131,7 +128,6 @@ pub fn run(id: &str, ctx: &Ctx) -> Vec<ExperimentResult> {
         "ablate-cache" => vec![ablations::cache(ctx)],
         "searcher-scan" => vec![scan::searcher_scan(ctx)],
         "pq-fastscan" => vec![pq_fastscan::pq_fastscan(ctx)],
-        "batch" => vec![batch::batch_sizes(ctx)],
         "filtered" => vec![filtered::filtered(ctx)],
         "recovery" => vec![recovery::recovery(ctx)],
         "serving" => vec![overload::serving_overload(ctx)],

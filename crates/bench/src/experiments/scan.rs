@@ -9,7 +9,7 @@
 //! - `dispatched-per-id` — same scan shape, SIMD-dispatched kernel
 //!   (isolates the kernel win from the memory-path win).
 //! - `engine` — block scan + pinned snapshots + threshold-pruned top-k
-//!   (`VisualIndex::execute`, a batch of one).
+//!   (`VisualIndex::execute`).
 //!
 //! Every variant's results are differentially checked against the
 //! reference scan before timing starts; a mismatch fails the experiment.

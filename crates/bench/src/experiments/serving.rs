@@ -61,7 +61,6 @@ fn testbed(ctx: &Ctx, realtime: bool) -> Testbed {
             broker_admission: concurrency(8),
             blender_admission: concurrency(12),
             client_deadline: Duration::from_secs(30),
-            ..NetServingConfig::default()
         },
     )
     .expect("binding the serving tiers");

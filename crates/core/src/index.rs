@@ -387,22 +387,16 @@ impl VisualIndex {
         self.inverted.flush();
     }
 
-    /// Runs a batch of query plans in one pass over the union of their
-    /// probed lists — the one engine entry point; see [`search::execute`].
-    /// Results are positionally aligned with `plans`.
+    /// Runs one query plan — the one engine entry point; see
+    /// [`search::execute`].
     ///
     /// # Panics
     ///
-    /// Panics if any plan has a zero count or the wrong dimension, or is
+    /// Panics if the plan has a zero count or the wrong dimension, or is
     /// compressed while PQ mode is disabled.
-    pub fn execute(&self, plans: &[SearchPlan<'_>]) -> Vec<Vec<Neighbor>> {
-        self.stats.searches.add(plans.len() as u64);
-        search::execute(self, plans)
-    }
-
-    /// [`VisualIndex::execute`] for a batch of one.
-    fn execute_one(&self, plan: SearchPlan<'_>) -> Vec<Neighbor> {
-        self.execute(&[plan]).pop().expect("one result per plan")
+    pub fn execute(&self, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
+        self.stats.searches.incr();
+        search::execute(self, plan)
     }
 
     /// ANN search: probes the `nprobe` nearest inverted lists and returns
@@ -412,7 +406,7 @@ impl VisualIndex {
     ///
     /// Panics if `k == 0`, `nprobe == 0`, or the query dimension is wrong.
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<Neighbor> {
-        self.execute_one(SearchPlan::new(query, k, nprobe))
+        self.execute(&SearchPlan::new(query, k, nprobe))
     }
 
     /// Two-stage compressed search (PQ mode): scans **PQ codes**,
@@ -431,7 +425,7 @@ impl VisualIndex {
         nprobe: usize,
         rerank_factor: usize,
     ) -> Vec<Neighbor> {
-        self.execute_one(SearchPlan::new(query, k, nprobe).compressed(rerank_factor))
+        self.execute(&SearchPlan::new(query, k, nprobe).compressed(rerank_factor))
     }
 
     /// Attribute-filtered ANN search: like [`VisualIndex::search`], but only
@@ -451,7 +445,7 @@ impl VisualIndex {
         nprobe: usize,
         filter: &FilterSpec,
     ) -> Vec<Neighbor> {
-        self.execute_one(SearchPlan::new(query, k, nprobe).filtered(filter))
+        self.execute(&SearchPlan::new(query, k, nprobe).filtered(filter))
     }
 
     /// Attribute-filtered two-stage compressed search:
@@ -471,7 +465,7 @@ impl VisualIndex {
         filter: &FilterSpec,
     ) -> Vec<Neighbor> {
         let plan = SearchPlan::new(query, k, nprobe).compressed(rerank_factor);
-        self.execute_one(plan.filtered(filter))
+        self.execute(&plan.filtered(filter))
     }
 
     /// Exhaustive exact search over all valid images (ground truth for

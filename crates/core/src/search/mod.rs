@@ -11,48 +11,40 @@
 //! an optional attribute filter, a [`Stage`] and an optional deadline —
 //! and every plan runs through one entry point, [`execute`]:
 //!
-//! 1. **Plan.** Members are grouped by stage; a single query is a batch
-//!    of one.
-//! 2. **Union probe.** Each member is assigned its `nprobe` nearest lists;
-//!    the batch visits the *union* once, each list paired with the members
-//!    that subscribe to it, nearest ranks first (for a batch of one this is
-//!    exactly the sequential probe order).
-//! 3. **Scan.** One of three per-list scanners (raw `f32`, 4-bit PQ
-//!    fast-scan, 8-bit PQ ADC; see `scan.rs`) walks each list a single time
-//!    over one [`crate::inverted::InvertedList::snapshot`] and scores every
-//!    subscriber against the one load, each into its own [`TopK`] with
-//!    [`TopK::would_accept`] threshold pruning. The raw and 8-bit scanners
-//!    walk id blocks; the 4-bit scanner walks 32-code blocks of the code
-//!    store itself — sealed blocks are scored **in place**, only a list's
-//!    still-filling tail block is copied
+//! 1. **Probe.** The plan is assigned its `nprobe` nearest lists, nearest
+//!    first, so the scan's prune bound tightens fastest.
+//! 2. **Scan.** One of three per-list scanners (raw `f32`, 4-bit PQ
+//!    fast-scan, 8-bit PQ ADC; see `scan.rs`) walks each list once over
+//!    one [`crate::inverted::InvertedList::snapshot`] into the plan's
+//!    [`TopK`], with [`TopK::would_accept`] threshold pruning. The raw and
+//!    8-bit scanners walk id blocks; the 4-bit scanner walks 32-code
+//!    blocks of the code store itself — sealed blocks are scored **in
+//!    place**, only a list's still-filling tail block is copied
 //!    ([`crate::pq_store::PqListReader::load_group`]) — with a fused
-//!    score-and-prune kernel, and reads an id only for a lane under a
-//!    subscriber's prune bound. The validity bitmap, the vector store and
-//!    every member's filter are pinned once per batch, PQ segments are
-//!    borrowed without a lock, so the per-candidate cost is a SIMD kernel
+//!    score-and-prune kernel, and reads an id only for a lane under the
+//!    prune bound. The validity bitmap, the vector store and the plan's
+//!    filter are pinned once per plan, PQ segments are borrowed without a
+//!    lock, so the per-candidate cost is a SIMD kernel
 //!    ([`jdvs_vector::simd::active`]) over bytes that stream. Invalid
 //!    images — cleared validity bits — are skipped, so logically deleted
-//!    products never surface. A member's filter resolves **before** the
-//!    kernels run: a rejected raw candidate costs bitmap word loads, a
-//!    32-lane fast-scan group no subscriber admits skips the kernel
-//!    outright (only a filter makes the scanner read a group's ids up
-//!    front). An unfiltered member is simply one whose lane mask is the
-//!    published mask.
-//! 4. **Escalate.** A *filtered* member whose top-k is still underfull
-//!    widens its own probing (doubling, scanning only lists not yet probed,
-//!    through the same scanner with a one-subscriber set) up to
+//!    products never surface. The filter resolves **before** the kernels
+//!    run: a rejected raw candidate costs bitmap word loads, a 32-lane
+//!    fast-scan group the filter rejects skips the kernel outright (only a
+//!    filter makes the scanner read a group's ids up front). An unfiltered
+//!    plan is simply one whose lane mask is the published mask.
+//! 3. **Escalate.** A *filtered* plan whose top-k is still underfull
+//!    widens its probing (doubling, scanning only lists not yet probed,
+//!    through the same scanner) up to
 //!    [`crate::config::IndexConfig::nprobe_escalation`] lists — and stops
 //!    early when its deadline cannot pay for another round.
-//! 5. **Re-rank once.** Compressed members re-rank their quantized
+//! 4. **Re-rank once.** A compressed plan re-ranks its quantized
 //!    shortlist (`k · rerank_factor`) with exact `f32` distances, so the
 //!    over-fetch — not the u8 rounding — decides final quality.
 //!
-//! Per-member results do not depend on who else is in the batch: same
-//! candidate sets, same kernel lanes, and [`TopK`]'s total (distance, id)
-//! order makes the outcome independent of list visit order. The sequential
-//! per-id oracles in [`reference`] share no scan code with the engine;
-//! differential tests assert bit-identical results against them on both
-//! kernel legs.
+//! [`TopK`]'s total (distance, id) order makes the outcome independent of
+//! list visit order. The sequential per-id oracles in [`reference`] share
+//! no scan code with the engine; differential tests assert bit-identical
+//! results against them on both kernel legs.
 
 pub mod reference;
 mod scan;
@@ -91,9 +83,7 @@ pub enum Stage {
     },
 }
 
-/// One query, as data. A batch passed to [`execute`] may mix `k`,
-/// `nprobe`, filters, stages and deadlines freely (as a serving-tier
-/// micro-batcher delivers them).
+/// One query, as data: what [`execute`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchPlan<'a> {
     /// Feature vector; must match the index dimension.
@@ -169,190 +159,69 @@ impl<'a> SearchPlan<'a> {
     }
 }
 
-/// Runs every plan against `index` in one pass over the union of their
-/// probed lists; see the module docs. Results are positionally aligned
-/// with `plans`, and each is bit-identical to running that plan alone.
-///
-/// The batch itself is the parallelism — members run within the calling
-/// thread, so a serving micro-batcher can invoke this from one connection
-/// thread.
+/// Runs `plan` against `index`; see the module docs.
 ///
 /// # Panics
 ///
-/// Panics if any plan has `k == 0`, `nprobe == 0`, `rerank_factor == 0` or
+/// Panics if the plan has `k == 0`, `nprobe == 0`, `rerank_factor == 0` or
 /// the wrong dimension, or is compressed on an index without PQ codes.
-pub fn execute(index: &VisualIndex, plans: &[SearchPlan<'_>]) -> Vec<Vec<Neighbor>> {
-    for plan in plans {
-        plan.check(index);
-    }
-    let mut results = vec![Vec::new(); plans.len()];
-    for stage_is_raw in [false, true] {
-        let slots: Vec<usize> = (0..plans.len())
-            .filter(|&i| (plans[i].stage == Stage::Raw) == stage_is_raw)
-            .collect();
-        if slots.is_empty() {
-            continue;
-        }
-        let members: Vec<SearchPlan<'_>> = slots.iter().map(|&i| plans[i]).collect();
-        for (slot, hits) in slots.into_iter().zip(execute_stage(index, &members)) {
-            results[slot] = hits;
-        }
-    }
-    results
-}
-
-/// [`execute`] for members that share a stage kind (all raw, or all
-/// compressed), hence a scanner.
-fn execute_stage(index: &VisualIndex, members: &[SearchPlan<'_>]) -> Vec<Vec<Neighbor>> {
-    let filters: Vec<Option<QueryFilter<'_>>> = members
-        .iter()
-        .map(|m| {
-            m.filter
-                .filter(|f| !f.is_unconstrained())
-                .map(|f| QueryFilter::new(f, index.filters(), index.forward()))
-        })
-        .collect();
-    let views = filters
-        .iter()
-        .map(|qf| qf.as_ref().map(QueryFilter::view))
-        .collect();
-    let lanes = Lanes::pin(index, views);
+pub fn execute(index: &VisualIndex, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
+    plan.check(index);
+    let filter = plan
+        .filter
+        .filter(|f| !f.is_unconstrained())
+        .map(|f| QueryFilter::new(f, index.filters(), index.forward()));
+    let lanes = Lanes::pin(index, filter.as_ref().map(QueryFilter::view));
     let vectors = index.vectors().snapshot();
-    if members[0].stage == Stage::Raw {
-        let queries = members.iter().map(|m| m.features).collect();
+    if plan.stage == Stage::Raw {
         let scanner = RawScanner {
             lanes: &lanes,
             vectors: &vectors,
-            queries,
+            query: plan.features,
         };
-        return scan_members(index, members, &lanes, scanner)
-            .into_iter()
-            .map(TopK::into_sorted_vec)
-            .collect();
+        return scan(index, plan, &lanes, scanner).into_sorted_vec();
     }
     let pq = index
         .pq_store()
         .expect("compressed search requires config.pq_subspaces (see IndexConfig)");
-    let shortlists = if pq.is_four_bit() {
-        let qts: Vec<_> = members
-            .iter()
-            .map(|m| pq.quantized_adc_table(m.features))
-            .collect();
-        scan_members(index, members, &lanes, FastScanner::new(&lanes, pq, &qts))
+    let shortlist = if pq.is_four_bit() {
+        let qt = pq.quantized_adc_table(plan.features);
+        scan(index, plan, &lanes, FastScanner::new(&lanes, pq, &qt))
     } else {
-        let tables: Vec<_> = members.iter().map(|m| pq.adc_table(m.features)).collect();
-        scan_members(index, members, &lanes, AdcScanner::new(&lanes, pq, &tables))
+        let table = pq.adc_table(plan.features);
+        scan(index, plan, &lanes, AdcScanner::new(&lanes, pq, &table))
     };
-    members
-        .iter()
-        .zip(shortlists)
-        .map(|(m, shortlist)| {
-            exact_rerank(
-                &lanes.bitmap,
-                &vectors,
-                lanes.kernels,
-                m.features,
-                shortlist,
-                m.k,
-            )
-        })
-        .collect()
+    exact_rerank(
+        &lanes.bitmap,
+        &vectors,
+        lanes.kernels,
+        plan.features,
+        shortlist,
+        plan.k,
+    )
 }
 
-/// Steps 2–4 of the module docs for one scanner: union probe, shared pass,
-/// per-member escalation. Returns each member's scan collector.
-fn scan_members(
+/// Steps 1–3 of the module docs for one scanner: probe, scan, escalate.
+/// Returns the scan collector.
+fn scan(
     index: &VisualIndex,
-    members: &[SearchPlan<'_>],
+    plan: &SearchPlan<'_>,
     lanes: &Lanes<'_>,
     mut scanner: impl ListScanner,
-) -> Vec<TopK> {
-    let probes: Vec<Vec<usize>> = members
-        .iter()
-        .map(|m| index.quantizer().assign_multi(m.features, m.nprobe))
-        .collect();
-    let union = ProbeUnion::of(index.config().num_lists, &probes);
-    let mut topks: Vec<TopK> = members
-        .iter()
-        .map(|m| TopK::new(m.scan_capacity()))
-        .collect();
+) -> TopK {
+    let probe = index.quantizer().assign_multi(plan.features, plan.nprobe);
+    let mut topk = TopK::new(plan.scan_capacity());
     let start = Instant::now();
-    for (list, subs) in union.iter() {
-        scanner.scan_list(list, subs, &mut topks);
+    for &list in &probe {
+        scanner.scan_list(list, &mut topk);
     }
-    // Seeds every member's escalation budget: what one list cost the pass
-    // this member just shared.
-    let per_list = (!union.lists.is_empty()).then(|| start.elapsed() / union.lists.len() as u32);
-    for (qi, (plan, base)) in members.iter().zip(&probes).enumerate() {
-        // Unfiltered members never escalate.
-        if lanes.views[qi].is_some() {
-            escalate(index, plan, qi, base, per_list, &mut topks, &mut scanner);
-        }
+    // Unfiltered plans never escalate.
+    if lanes.view.is_some() {
+        // Seeds the escalation budget: what one list of the first pass cost.
+        let per_list = start.elapsed() / probe.len() as u32;
+        escalate(index, plan, &probe, per_list, &mut topk, &mut scanner);
     }
-    topks
-}
-
-/// Each distinct inverted list of a batch's probe sets, once, with the
-/// members that probe it. Each member still scores exactly the candidates
-/// of its own probed lists.
-struct ProbeUnion {
-    /// Distinct lists in visit order: rank-interleaved nearest-first —
-    /// every member's rank-0 (nearest-centroid) list comes before any
-    /// rank-1 list, and so on, a list standing at the first rank any member
-    /// probes it. Results are order-independent, but the scan's prune bound
-    /// tightens fastest when the closest lists are seen first.
-    lists: Vec<usize>,
-    /// `members[starts[i]..starts[i + 1]]` subscribe to `lists[i]`.
-    starts: Vec<usize>,
-    members: Vec<usize>,
-}
-
-impl ProbeUnion {
-    fn of(num_lists: usize, probes: &[Vec<usize>]) -> Self {
-        const UNSEEN: usize = usize::MAX;
-        let total: usize = probes.iter().map(Vec::len).sum();
-        let mut slot = vec![UNSEEN; num_lists];
-        let mut lists = Vec::with_capacity(total.min(num_lists));
-        // Subscriber counts per distinct list, turned into start offsets.
-        let mut starts = Vec::with_capacity(total.min(num_lists) + 1);
-        let max_rank = probes.iter().map(Vec::len).max().unwrap_or(0);
-        for rank in 0..max_rank {
-            for &list in probes.iter().filter_map(|probe| probe.get(rank)) {
-                if slot[list] == UNSEEN {
-                    slot[list] = lists.len();
-                    lists.push(list);
-                    starts.push(0);
-                }
-                starts[slot[list]] += 1;
-            }
-        }
-        let mut end = 0;
-        for start in &mut starts {
-            end += std::mem::replace(start, end);
-        }
-        starts.push(end);
-        let mut next = starts.clone();
-        let mut members = vec![0; total];
-        for (qi, probe) in probes.iter().enumerate() {
-            for &list in probe {
-                let at = &mut next[slot[list]];
-                members[*at] = qi;
-                *at += 1;
-            }
-        }
-        Self {
-            lists,
-            starts,
-            members,
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.lists
-            .iter()
-            .zip(self.starts.windows(2))
-            .map(|(&list, span)| (list, &self.members[span[0]..span[1]]))
-    }
+    topk
 }
 
 /// The probe width of the escalation round after `width`: doubled, capped
@@ -364,7 +233,7 @@ pub(crate) fn escalation_step(config: &IndexConfig, width: usize) -> Option<usiz
     (width < cap).then(|| (width * 2).min(cap))
 }
 
-/// Widens one **filtered** member's probing while its top-k is underfull,
+/// Widens a **filtered** plan's probing while its top-k is underfull,
 /// scanning only the lists not yet probed. With the flat (exact) coarse
 /// quantizer those are precisely the suffix of the wider assignment — its
 /// nearest-first prefix is stable — and with the hierarchical quantizer,
@@ -374,15 +243,14 @@ pub(crate) fn escalation_step(config: &IndexConfig, width: usize) -> Option<usiz
 /// to one flat scan over the union of probed lists.
 ///
 /// `per_list` is the scan-cost estimate the deadline rule uses (see
-/// [`SearchPlan::deadline`]): seeded from the shared pass, refreshed from
+/// [`SearchPlan::deadline`]): seeded from the first pass, refreshed from
 /// every completed round.
 fn escalate(
     index: &VisualIndex,
     plan: &SearchPlan<'_>,
-    qi: usize,
     base: &[usize],
-    mut per_list: Option<Duration>,
-    topks: &mut [TopK],
+    mut per_list: Duration,
+    topk: &mut TopK,
     scanner: &mut impl ListScanner,
 ) {
     let mut seen = vec![false; index.config().num_lists];
@@ -393,15 +261,13 @@ fn escalate(
     // The fill target is k — the final result budget — not the over-fetch
     // capacity: stage 2 only drops ids deleted between stages, so k
     // shortlisted candidates fill the top-k.
-    while topks[qi].len() < plan.k {
+    while topk.len() < plan.k {
         let Some(wider) = escalation_step(index.config(), width) else {
             break;
         };
         if let Some(deadline) = plan.deadline {
             let now = Instant::now();
-            let estimate = per_list.map_or(Duration::ZERO, |cost| {
-                cost.saturating_mul((wider - width) as u32)
-            });
+            let estimate = per_list.saturating_mul((wider - width) as u32);
             if now >= deadline || deadline.duration_since(now) < estimate {
                 break;
             }
@@ -410,12 +276,12 @@ fn escalate(
         let mut scanned = 0u32;
         for list in index.quantizer().assign_multi(plan.features, wider) {
             if !std::mem::replace(&mut seen[list], true) {
-                scanner.scan_list(list, &[qi], topks);
+                scanner.scan_list(list, topk);
                 scanned += 1;
             }
         }
         if scanned > 0 {
-            per_list = Some(round.elapsed() / scanned);
+            per_list = round.elapsed() / scanned;
         }
         width = wider;
     }
@@ -460,18 +326,17 @@ pub fn ann_search_with_probes(
     k: usize,
     lists: &[usize],
 ) -> Vec<Neighbor> {
-    let lanes = Lanes::pin(index, vec![None]);
+    let lanes = Lanes::pin(index, None);
     let vectors = index.vectors().snapshot();
     let mut scanner = RawScanner {
         lanes: &lanes,
         vectors: &vectors,
-        queries: vec![query],
+        query,
     };
-    let mut topks = [TopK::new(k)];
+    let mut topk = TopK::new(k);
     for &list in lists {
-        scanner.scan_list(list, &[0], &mut topks);
+        scanner.scan_list(list, &mut topk);
     }
-    let [topk] = topks;
     topk.into_sorted_vec()
 }
 
@@ -626,10 +491,6 @@ mod tests {
         (index, (0..lengths.len()).map(near).collect())
     }
 
-    fn one(index: &VisualIndex, plan: SearchPlan<'_>) -> Vec<Neighbor> {
-        execute(index, &[plan]).pop().unwrap()
-    }
-
     fn test_specs() -> Vec<FilterSpec> {
         vec![
             FilterSpec::none(),
@@ -659,24 +520,23 @@ mod tests {
     }
 
     /// The differential suite: every scanner × {unfiltered, filtered} ×
-    /// {batch of one, batch of N mixing k / nprobe / filters / stages /
-    /// rerank factors in one call} must be bit-identical to the sequential
-    /// references, deletions and escalation included — and a member's
-    /// result must not depend on who else is in the batch.
+    /// plans mixing k / nprobe / filters / stages / rerank factors must be
+    /// bit-identical to the sequential references, deletions and
+    /// escalation included.
     #[test]
     fn execute_matches_the_references() {
         for (pq_bits, seed) in [(None, 61), (Some(4), 67), (Some(8), 71)] {
             let (index, data) = build(600, 8, seed, pq_bits, 8, 11);
             let specs = test_specs();
             let stage_of = |i: usize| match pq_bits {
-                // PQ worlds serve raw plans too: one call mixes stages.
+                // PQ worlds serve raw plans too.
                 Some(_) if !i.is_multiple_of(3) => Stage::Compressed {
                     rerank_factor: 2 + i % 3,
                 },
                 _ => Stage::Raw,
             };
             // Moduli are coprime to the spec count, so every spec meets
-            // every probe width, filtered and (every sixth member) not.
+            // every probe width, filtered and (every sixth plan) not.
             let plans: Vec<SearchPlan<'_>> = (0..5 * specs.len())
                 .map(|i| SearchPlan {
                     features: data[i].as_slice(),
@@ -687,30 +547,22 @@ mod tests {
                     deadline: None,
                 })
                 .collect();
-            let batched = execute(&index, &plans);
-            assert_eq!(batched.len(), plans.len());
-            for (plan, got) in plans.iter().zip(&batched) {
-                assert_eq!(got, &oracle(&index, plan), "pq {pq_bits:?}: {plan:?}");
-                assert_eq!(got, &one(&index, *plan), "pq {pq_bits:?}: {plan:?}");
+            for plan in &plans {
+                let got = execute(&index, plan);
+                assert_eq!(got, oracle(&index, plan), "pq {pq_bits:?}: {plan:?}");
                 if let Some(spec) = plan.filter {
-                    for hit in got {
+                    for hit in &got {
                         let n = index.forward().numeric(ImageId(hit.id as u32)).unwrap();
                         assert!(spec.matches(&n), "{spec:?} admitted id {}", hit.id);
                     }
                 }
-            }
-            // Small batches too (the fast-scan kernel chunks at 8 LUT sets).
-            for size in [2usize, 5, 9] {
-                let got = execute(&index, &plans[..size]);
-                assert_eq!(got, batched[..size], "pq {pq_bits:?} batch of {size}");
             }
         }
 
         // The fast-scan block boundaries: lists that are empty, one code,
         // one lane short of a sealed block, exactly sealed, one past, and
         // the same around a segment — so in-place blocks, the copied tail
-        // and their seams all face the oracle, unfiltered and filtered,
-        // alone and in a mixed batch.
+        // and their seams all face the oracle, unfiltered and filtered.
         let lengths = [0, 1, 31, 32, 33, 255, 256, 257];
         let (index, queries) = build_list_lengths(&lengths, 89);
         let specs = test_specs();
@@ -726,25 +578,20 @@ mod tests {
                 deadline: None,
             })
             .collect();
-        let batched = execute(&index, &plans);
-        assert!(batched.iter().filter(|hits| !hits.is_empty()).count() > plans.len() / 2);
-        for (plan, got) in plans.iter().zip(&batched) {
-            assert_eq!(got, &oracle(&index, plan), "list lengths: {plan:?}");
-            assert_eq!(got, &one(&index, *plan), "list lengths: {plan:?}");
+        let mut nonempty = 0;
+        for plan in &plans {
+            let got = execute(&index, plan);
+            assert_eq!(got, oracle(&index, plan), "list lengths: {plan:?}");
+            nonempty += usize::from(!got.is_empty());
         }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let (index, _) = build(50, 2, 59, Some(4), 0, 0);
-        assert!(execute(&index, &[]).is_empty());
+        assert!(nonempty > plans.len() / 2);
     }
 
     #[test]
     fn full_probe_equals_brute_force() {
         let (index, data) = build(300, 8, 3, None, 0, 7);
         for q in data.iter().take(20) {
-            let ann = one(&index, SearchPlan::new(q.as_slice(), 5, 8));
+            let ann = execute(&index, &SearchPlan::new(q.as_slice(), 5, 8));
             let exact = brute_force(&index, q.as_slice(), 5);
             assert_eq!(recall(&ann, &exact), 1.0);
             assert_eq!(exact, brute_force_reference(&index, q.as_slice(), 5));
@@ -758,7 +605,7 @@ mod tests {
         for nprobe in [1usize, 4, 16] {
             let mut total = 0.0;
             for q in data.iter().take(30) {
-                let ann = one(&index, SearchPlan::new(q.as_slice(), 10, nprobe));
+                let ann = execute(&index, &SearchPlan::new(q.as_slice(), 10, nprobe));
                 let exact = brute_force(&index, q.as_slice(), 10);
                 total += recall(&ann, &exact);
             }
@@ -772,7 +619,7 @@ mod tests {
     #[test]
     fn results_are_sorted_by_distance() {
         let (index, data) = build(200, 4, 7, None, 0, 0);
-        let hits = one(&index, SearchPlan::new(data[0].as_slice(), 10, 4));
+        let hits = execute(&index, &SearchPlan::new(data[0].as_slice(), 10, 4));
         for w in hits.windows(2) {
             assert!(w[0].distance <= w[1].distance);
         }
@@ -782,7 +629,7 @@ mod tests {
     fn deleted_images_are_skipped_by_both_paths() {
         let (index, data) = build(50, 4, 9, None, 0, 0);
         index.invalidate(ImageKey::from_url("u0"), "u0").unwrap();
-        let ann = one(&index, SearchPlan::new(data[0].as_slice(), 50, 4));
+        let ann = execute(&index, &SearchPlan::new(data[0].as_slice(), 50, 4));
         let exact = brute_force(&index, data[0].as_slice(), 50);
         assert!(ann.iter().all(|n| n.id != 0));
         assert!(exact.iter().all(|n| n.id != 0));
@@ -800,7 +647,7 @@ mod tests {
         index.bitmap().set(phantom.as_usize());
         index.inverted_internal().flush();
         for result in [
-            one(&index, SearchPlan::new(data[0].as_slice(), 50, 1)),
+            execute(&index, &SearchPlan::new(data[0].as_slice(), 50, 1)),
             ann_search_reference(&index, data[0].as_slice(), 50, 1),
         ] {
             assert_eq!(result.len(), 5, "only real images are returned");
@@ -835,7 +682,7 @@ mod tests {
         for q in data.iter().take(10) {
             let plan = SearchPlan::new(q.as_slice(), 5, 2).compressed(200);
             let exact = brute_force(&index, q.as_slice(), 5);
-            assert_eq!(recall(&one(&index, plan), &exact), 1.0);
+            assert_eq!(recall(&execute(&index, &plan), &exact), 1.0);
         }
     }
 
@@ -843,8 +690,7 @@ mod tests {
     /// reads, staged deterministically: a code is published at position
     /// `len` of a list whose id block (as the scanner snapshots it) still
     /// ends at `len`. The fast-scan scanner must ignore that lane rather
-    /// than index one past the id block — unfiltered, filtered, and with
-    /// several subscribers on the list.
+    /// than index one past the id block — unfiltered and filtered.
     #[test]
     fn code_published_past_the_id_snapshot_is_ignored() {
         let (index, data) = build(300, 4, 47, Some(4), 0, 9);
@@ -852,11 +698,7 @@ mod tests {
         let search_all = |q: &[f32]| {
             let plain = SearchPlan::new(q, 10, 4).compressed(3);
             let filtered = plain.filtered(&category);
-            (
-                one(&index, plain),
-                one(&index, filtered),
-                execute(&index, &[plain, filtered, plain]),
-            )
+            (execute(&index, &plain), execute(&index, &filtered))
         };
         let before: Vec<_> = data
             .iter()
@@ -882,29 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_union_visits_each_list_once_nearest_ranks_first() {
-        let probes = vec![vec![4, 1, 7], vec![1, 2], vec![], vec![7, 4, 1, 0]];
-        let union = ProbeUnion::of(8, &probes);
-        let visited: Vec<(usize, Vec<usize>)> =
-            union.iter().map(|(l, subs)| (l, subs.to_vec())).collect();
-        assert_eq!(
-            visited,
-            vec![
-                (4, vec![0, 3]),
-                (1, vec![0, 1, 3]),
-                (7, vec![0, 3]),
-                (2, vec![1]),
-                (0, vec![3]),
-            ]
-        );
-        // A batch of one is the sequential probe order.
-        let solo = ProbeUnion::of(8, &probes[..1]);
-        let order: Vec<usize> = solo.iter().map(|(l, _)| l).collect();
-        assert_eq!(order, probes[0]);
-        assert!(solo.iter().all(|(_, subs)| subs == [0]));
-    }
-
-    #[test]
     fn recall_of_identical_sets_is_one() {
         let a = vec![Neighbor::new(1, 0.0), Neighbor::new(2, 1.0)];
         assert_eq!(recall(&a, &a), 1.0);
@@ -917,14 +736,14 @@ mod tests {
     #[should_panic(expected = "query dimension mismatch")]
     fn wrong_query_dim_panics() {
         let (index, _) = build(10, 2, 1, None, 0, 0);
-        execute(&index, &[SearchPlan::new(&[0.0; 4], 1, 1)]);
+        execute(&index, &SearchPlan::new(&[0.0; 4], 1, 1));
     }
 
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         let (index, data) = build(10, 2, 1, None, 0, 0);
-        execute(&index, &[SearchPlan::new(data[0].as_slice(), 0, 1)]);
+        execute(&index, &SearchPlan::new(data[0].as_slice(), 0, 1));
     }
 
     /// An unconstrained spec is the unfiltered plan exactly.
@@ -937,7 +756,10 @@ mod tests {
                 SearchPlan::new(q.as_slice(), 10, 2),
                 SearchPlan::new(q.as_slice(), 10, 2).compressed(3),
             ] {
-                assert_eq!(one(&index, plan.filtered(&spec)), one(&index, plan));
+                assert_eq!(
+                    execute(&index, &plan.filtered(&spec)),
+                    execute(&index, &plan)
+                );
             }
         }
     }
@@ -949,7 +771,7 @@ mod tests {
         let (index, data) = build(400, 8, 79, None, 0, 11);
         for spec in [FilterSpec::by_category(2), FilterSpec::none().in_stock()] {
             for q in data.iter().take(8) {
-                let ann = one(&index, SearchPlan::new(q.as_slice(), 5, 8).filtered(&spec));
+                let ann = execute(&index, &SearchPlan::new(q.as_slice(), 5, 8).filtered(&spec));
                 let exact = filtered_brute_force(&index, q.as_slice(), 5, &spec);
                 assert_eq!(ann, exact, "spec {spec:?}");
             }
@@ -974,10 +796,10 @@ mod tests {
         let mut ever_underfull = false;
         for q in data.iter().take(10) {
             let plan = SearchPlan::new(q.as_slice(), k, 1).filtered(&spec);
-            let wide = one(&escalating, plan);
+            let wide = execute(&escalating, &plan);
             assert_eq!(wide.len(), k, "escalation must fill top-k");
             assert_eq!(wide, oracle(&escalating, &plan));
-            ever_underfull |= one(&capped, plan).len() < k;
+            ever_underfull |= execute(&capped, &plan).len() < k;
         }
         assert!(
             ever_underfull,
@@ -985,12 +807,11 @@ mod tests {
         );
     }
 
-    /// Budget-aware escalation, on the raw and the fast-scan scanner, alone
-    /// and inside a batch: a deadline already in the past stops the widening
-    /// before its first round, so the (possibly underfull) base top-k comes
-    /// back on time — exactly the escalation-disabled result — while a
-    /// generous deadline escalates like no deadline at all. Deadlines are
-    /// per member: an expired one does not cap its batch neighbour.
+    /// Budget-aware escalation, on the raw and the fast-scan scanner: a
+    /// deadline already in the past stops the widening before its first
+    /// round, so the (possibly underfull) base top-k comes back on time —
+    /// exactly the escalation-disabled result — while a generous deadline
+    /// escalates like no deadline at all.
     #[test]
     fn near_expired_deadline_skips_escalation() {
         let spec = FilterSpec::by_category(9); // ~1% of images
@@ -1006,22 +827,17 @@ mod tests {
                 }
                 let expired = plan.with_deadline(Some(Instant::now() - Duration::from_millis(5)));
                 let relaxed = plan.with_deadline(Some(Instant::now() + Duration::from_secs(60)));
-                let base_only = one(&capped, plan);
-                let escalated = one(&index, plan);
+                let base_only = execute(&capped, &plan);
+                let escalated = execute(&index, &plan);
                 assert_eq!(
-                    one(&index, expired),
+                    execute(&index, &expired),
                     base_only,
                     "an expired deadline must return the base-probe result unchanged"
                 );
                 assert_eq!(
-                    one(&index, relaxed),
+                    execute(&index, &relaxed),
                     escalated,
                     "a generous deadline must not change the escalated result"
-                );
-                assert_eq!(
-                    execute(&index, &[expired, relaxed, plan]),
-                    vec![base_only.clone(), escalated.clone(), escalated],
-                    "deadlines are per member"
                 );
                 ever_underfull |= base_only.len() < k;
             }
@@ -1039,7 +855,7 @@ mod tests {
             let probes = index.quantizer().assign_multi(q.as_slice(), 3);
             assert_eq!(
                 ann_search_with_probes(&index, q.as_slice(), 7, &probes),
-                one(&index, SearchPlan::new(q.as_slice(), 7, 3)),
+                execute(&index, &SearchPlan::new(q.as_slice(), 7, 3)),
             );
         }
     }

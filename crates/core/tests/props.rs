@@ -428,70 +428,58 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The one engine entry point against the four sequential references:
-    /// a random batch (random size, per-member k / nprobe / stage, distinct
-    /// per-member filters across the whole selectivity range next to
-    /// unfiltered members) over a random index (raw-only, 4-bit or 8-bit
-    /// PQ; random deletions; with and without probe escalation) returns,
-    /// for every member, *exactly* its reference's result — and exactly
-    /// what the member returns as a batch of one. Runs on the native and
-    /// (in CI) the forced-scalar kernel set.
+    /// a random plan (random k / nprobe / stage, a filter from across the
+    /// whole selectivity range or none) over a random index (raw-only,
+    /// 4-bit or 8-bit PQ; random deletions; with and without probe
+    /// escalation) returns *exactly* its reference's result. Runs on the
+    /// native and (in CI) the forced-scalar kernel set.
     #[test]
     fn execute_matches_references_per_member(
         seed in any::<u64>(),
         n in 80usize..400,
         num_lists in 2usize..9,
-        batch in 1usize..13,
+        query in 0usize..80,
+        k in 1usize..11,
         delete_every in 2usize..10,
         pq_bits in prop_oneof![Just(None), Just(Some(4u8)), Just(Some(8u8))],
         escalation in prop_oneof![Just(0usize), 4usize..32],
-        specs in prop::collection::vec(prop_oneof![Just(None), filter_spec().prop_map(Some)], 12),
+        spec in prop_oneof![Just(None), filter_spec().prop_map(Some)],
     ) {
         let mut rng = Xoshiro256::seed_from(seed);
         let data: Vec<Vector> = (0..n)
             .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
             .collect();
         let index = attr_index(&data, num_lists, delete_every, pq_bits, escalation);
-        let plans: Vec<SearchPlan<'_>> = data
-            .iter()
-            .take(batch)
-            .enumerate()
-            .map(|(i, q)| SearchPlan {
-                features: q.as_slice(),
-                k: 1 + i % 10,
-                nprobe: 1 + (seed as usize + i) % num_lists,
-                filter: specs[i].as_ref(),
-                stage: if pq_bits.is_some() && !(seed as usize + i).is_multiple_of(3) {
-                    Stage::Compressed { rerank_factor: 3 }
-                } else {
-                    Stage::Raw
-                },
-                deadline: None,
-            })
-            .collect();
-        for (plan, got) in plans.iter().zip(index.execute(&plans)) {
-            let (q, k, nprobe) = (plan.features, plan.k, plan.nprobe);
-            let want = match (plan.stage, plan.filter) {
-                (Stage::Raw, None) => search::ann_search_reference(&index, q, k, nprobe),
-                (Stage::Raw, Some(f)) => {
-                    search::filtered_ann_search_reference(&index, q, k, nprobe, f)
-                }
-                (Stage::Compressed { rerank_factor }, None) => {
-                    search::compressed_search_reference(&index, q, k, nprobe, rerank_factor)
-                }
-                (Stage::Compressed { rerank_factor }, Some(f)) => {
-                    search::filtered_compressed_search_reference(
-                        &index, q, k, nprobe, rerank_factor, f,
-                    )
-                }
-            };
-            prop_assert_eq!(&got, &want, "pq={:?} esc={} {:?}", pq_bits, escalation, plan);
-            prop_assert_eq!(&got, &index.execute(&[*plan])[0], "batch of one: {:?}", plan);
-            for hit in &got {
-                let id = ImageId(hit.id as u32);
-                prop_assert!(index.is_valid(id));
-                if let Some(spec) = plan.filter {
-                    prop_assert!(spec.matches(&numeric_of(&index, id)));
-                }
+        let plan = SearchPlan {
+            features: data[query].as_slice(),
+            k,
+            nprobe: 1 + seed as usize % num_lists,
+            filter: spec.as_ref(),
+            stage: if pq_bits.is_some() && !(seed as usize).is_multiple_of(3) {
+                Stage::Compressed { rerank_factor: 3 }
+            } else {
+                Stage::Raw
+            },
+            deadline: None,
+        };
+        let got = index.execute(&plan);
+        let (q, nprobe) = (plan.features, plan.nprobe);
+        let want = match (plan.stage, plan.filter) {
+            (Stage::Raw, None) => search::ann_search_reference(&index, q, k, nprobe),
+            (Stage::Raw, Some(f)) => search::filtered_ann_search_reference(&index, q, k, nprobe, f),
+            (Stage::Compressed { rerank_factor }, None) => {
+                search::compressed_search_reference(&index, q, k, nprobe, rerank_factor)
+            }
+            (Stage::Compressed { rerank_factor }, Some(f)) => {
+                search::filtered_compressed_search_reference(&index, q, k, nprobe, rerank_factor, f)
+            }
+        };
+        prop_assert_eq!(&got, &want, "pq={:?} esc={} {:?}", pq_bits, escalation, plan);
+        for hit in &got {
+            let id = ImageId(hit.id as u32);
+            prop_assert!(index.is_valid(id));
+            if let Some(spec) = plan.filter {
+                prop_assert!(spec.matches(&numeric_of(&index, id)));
             }
         }
     }

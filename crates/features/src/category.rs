@@ -64,6 +64,12 @@ impl CategoryDetector {
         self.prototypes.len()
     }
 
+    /// Dimension of the prototypes — the only feature length
+    /// [`CategoryDetector::detect`] accepts.
+    pub fn dim(&self) -> usize {
+        self.prototypes[0].1.dim()
+    }
+
     /// Classifies `features` to the nearest prototype's category.
     ///
     /// # Panics
@@ -112,6 +118,7 @@ mod tests {
         assert_eq!(d.detect(&[4.0, 0.5]), CategoryId(20));
         assert_eq!(d.detect(&[0.5, 4.9]), CategoryId(30));
         assert_eq!(d.num_categories(), 3);
+        assert_eq!(d.dim(), 2);
     }
 
     #[test]

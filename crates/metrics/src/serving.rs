@@ -8,7 +8,6 @@
 
 use crate::counter::Counter;
 use crate::gauge::Gauge;
-use crate::histogram::{Histogram, SharedHistogram};
 
 /// Shared admission/overload counters of one serving tier; all fields are
 /// thread-safe.
@@ -33,14 +32,6 @@ pub struct ServingMetrics {
     pub max_in_flight: Gauge,
     /// High-water mark of requests waiting for a concurrency slot.
     pub max_queue_depth: Gauge,
-    /// Distribution of executed batch sizes at this tier's micro-batcher
-    /// (recorded as a raw count, not a duration; one sample per engine
-    /// call, including bypassed singletons). Empty when batching is off.
-    pub batch_depth: SharedHistogram,
-    /// Time each batched request spent held by the micro-batcher between
-    /// arrival and engine execution — the latency cost the batch window
-    /// buys throughput with.
-    pub batch_wait: SharedHistogram,
 }
 
 impl ServingMetrics {
@@ -69,8 +60,6 @@ impl ServingMetrics {
             decode_errors: self.decode_errors.get(),
             max_in_flight: self.max_in_flight.get(),
             max_queue_depth: self.max_queue_depth.get(),
-            batch_depth: self.batch_depth.snapshot(),
-            batch_wait: self.batch_wait.snapshot(),
         }
     }
 }
@@ -96,10 +85,6 @@ pub struct ServingSnapshot {
     pub max_in_flight: u64,
     /// See [`ServingMetrics::max_queue_depth`].
     pub max_queue_depth: u64,
-    /// See [`ServingMetrics::batch_depth`].
-    pub batch_depth: Histogram,
-    /// See [`ServingMetrics::batch_wait`].
-    pub batch_wait: Histogram,
 }
 
 impl ServingSnapshot {
@@ -138,20 +123,6 @@ mod tests {
         assert_eq!(m.total_shed(), 3);
         assert_eq!(s.max_in_flight, 3);
         assert!((s.shed_ratio() - 3.0 / 11.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshot_carries_batch_histograms() {
-        let m = ServingMetrics::new();
-        m.batch_depth.record_us(1);
-        m.batch_depth.record_us(8);
-        m.batch_wait.record_us(250);
-        let s = m.snapshot();
-        assert_eq!(s.batch_depth.count(), 2);
-        assert_eq!(s.batch_depth.max_us(), 8);
-        assert_eq!(s.batch_wait.count(), 1);
-        assert_eq!(s.batch_wait.max_us(), 250);
-        assert_eq!(ServingSnapshot::default().batch_depth.count(), 0);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 //! use jdvs_net::rpc::{CallTarget, RpcError, Service};
 //! use jdvs_net::tcp::{Link, TcpTier};
 //! use jdvs_net::AdmissionConfig;
-//! use std::sync::Arc;
 //! use std::time::Duration;
 //!
 //! struct Echo;
@@ -53,7 +52,6 @@
 //!     |b| Some(b.to_vec()),
 //!     |r| r.clone(),
 //!     AdmissionConfig::default(),
-//!     Arc::default(),
 //!     Link::new(LatencyModel::Constant(Duration::from_millis(1)), 7),
 //! )
 //! .unwrap();

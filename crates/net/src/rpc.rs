@@ -17,17 +17,6 @@ pub trait Service: Send + Sync + 'static {
     fn handle(&self, req: Self::Request) -> Self::Response;
 }
 
-/// A shared service serves too — lets a caller keep a handle to the same
-/// instance a tier runs (e.g. to drain a stateful wrapper at shutdown).
-impl<S: Service> Service for std::sync::Arc<S> {
-    type Request = S::Request;
-    type Response = S::Response;
-
-    fn handle(&self, req: Self::Request) -> Self::Response {
-        (**self).handle(req)
-    }
-}
-
 /// Something a [`crate::balancer::Balancer`] can route requests to: a
 /// [`crate::tcp::TcpChannel`] to a remote tier, or a test's fake. The
 /// balancer's resilience machinery (budgeted failover, circuit breakers,

@@ -170,16 +170,12 @@ impl<S: Service> TcpTier<S> {
             decode_request_body,
             encode_response_body,
             config,
-            Arc::new(ServingMetrics::new()),
             Link::default(),
         )
     }
 
-    /// Like [`TcpTier::spawn`], but recording into a caller-provided
-    /// [`ServingMetrics`] — so a service that records its own metrics (e.g.
-    /// a micro-batcher) and the tier's admission front door report into one
-    /// snapshot — and behind `link`, the latency and faults every
-    /// [`TcpTier::channel`] to the tier charges.
+    /// Like [`TcpTier::spawn`], but behind `link`, the latency and faults
+    /// every [`TcpTier::channel`] to the tier charges.
     ///
     /// # Errors
     ///
@@ -190,13 +186,15 @@ impl<S: Service> TcpTier<S> {
         decode_request_body: fn(&[u8]) -> Option<S::Request>,
         encode_response_body: fn(&S::Response) -> Vec<u8>,
         config: AdmissionConfig,
-        metrics: Arc<ServingMetrics>,
         link: Link,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let local_addr = listener.local_addr()?;
 
-        let admission = Arc::new(AdmissionController::new(config, metrics));
+        let admission = Arc::new(AdmissionController::new(
+            config,
+            Arc::new(ServingMetrics::new()),
+        ));
         let link = Arc::new(link);
         let service = Arc::new(service);
         let stop = Arc::new(AtomicBool::new(false));
@@ -1071,7 +1069,6 @@ mod tests {
             bytes_decode,
             bytes_encode,
             AdmissionConfig::default(),
-            Arc::new(ServingMetrics::new()),
             Link::new(latency, 9),
         )
         .unwrap()
@@ -1238,7 +1235,6 @@ mod tests {
                 queue_capacity: 0,
                 ..AdmissionConfig::default()
             },
-            Arc::new(ServingMetrics::new()),
             Link::new(LatencyModel::Constant(Duration::from_millis(5)), 9),
         )
         .unwrap();
@@ -1282,7 +1278,6 @@ mod tests {
             bytes_decode,
             bytes_encode,
             AdmissionConfig::default(),
-            Arc::new(ServingMetrics::new()),
             Link::default(),
         )
         .unwrap();

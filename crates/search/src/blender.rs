@@ -220,9 +220,12 @@ where
         let Some(features) = self.resolve_features(&query.input) else {
             return SearchResponse::default();
         };
+        // A vector of the wrong length goes on to the searchers, which
+        // answer it as failed partitions; the detector would panic on it.
         let detected_category = self
             .category_detector
             .as_ref()
+            .filter(|d| d.dim() == features.len())
             .map(|d| d.detect(&features).0);
 
         // Deduct the time feature extraction just spent from the budget.

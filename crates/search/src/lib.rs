@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod blender;
 pub mod broker;
 pub mod client;
@@ -42,7 +41,6 @@ pub mod serving;
 pub mod topology;
 pub mod wire;
 
-pub use batch::{BatchConfig, BatchingSearcher};
 pub use client::SearchClient;
 pub use protocol::{QueryInput, RankedHit, SearchQuery};
 pub use ranking::RankingPolicy;

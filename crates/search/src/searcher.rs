@@ -5,6 +5,10 @@
 //! (it owns the forward index, so no second lookup round-trip is needed).
 //! The same index is concurrently maintained by the partition's real-time
 //! indexing thread — the whole point of the paper's lock-free structures.
+//!
+//! Each request is one query and one engine plan, run to completion on the
+//! thread that received it: the searcher finds the nearest cells, scans
+//! those lists and returns the top-k (Section 2.4).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,59 +60,50 @@ impl SearcherService {
         &self.handle
     }
 
-    /// Executes a query locally (also the code path the RPC handler runs):
-    /// [`SearcherService::execute_batch`] for a batch of one.
+    /// Executes a query locally (also the code path the RPC handler runs)
+    /// as one [`VisualIndex::execute`] plan against the current index
+    /// snapshot.
+    ///
+    /// The query's [`FilterSpec`](jdvs_core::FilterSpec) is pushed down
+    /// into the block scan (and may escalate `nprobe` when the index allows
+    /// it), a compressed query on a PQ index takes the two-stage scan with
+    /// the index's configured over-fetch, and its `budget` becomes a
+    /// deadline — probe escalation stops widening once the remaining time
+    /// cannot pay for another round, returning the (possibly underfull)
+    /// top-k on time.
+    ///
+    /// A malformed query is answered, not panicked on: `k` and `nprobe`
+    /// count as at least 1, and a feature vector whose length is not the
+    /// index dimension is answered as a failed partition with no hits.
     pub fn execute(&self, query: &FanoutQuery) -> PartialResponse {
-        self.execute_batch(std::slice::from_ref(query))
-            .pop()
-            .expect("one response per query")
-    }
-
-    /// Executes a batch of co-arriving queries against **one** index
-    /// snapshot as one [`VisualIndex::execute`] call, which walks each
-    /// probed list once for every member that subscribes to it.
-    ///
-    /// Each query becomes a [`SearchPlan`]: its
-    /// [`FilterSpec`](jdvs_core::FilterSpec) is pushed down into the block
-    /// scan (and may escalate `nprobe` when the index allows it), a
-    /// compressed query on a PQ index takes the two-stage scan with the
-    /// index's configured over-fetch, and its `budget` becomes a deadline —
-    /// probe escalation stops widening once the remaining time cannot pay
-    /// for another round, returning the (possibly underfull) top-k on time.
-    ///
-    /// Results are positionally aligned with `queries`, and each member's
-    /// is what it would get alone on the same snapshot: coverage accounting
-    /// and hit contents do not depend on the batch — only the list walks
-    /// are shared.
-    pub fn execute_batch(&self, queries: &[FanoutQuery]) -> Vec<PartialResponse> {
         let index = self.handle.get();
-        let now = Instant::now();
-        let plans: Vec<SearchPlan<'_>> = queries
-            .iter()
-            .map(|q| SearchPlan {
-                features: &q.features,
-                k: q.k.max(1),
-                nprobe: q.nprobe.unwrap_or(index.config().nprobe),
-                filter: q.filter.as_ref(),
-                stage: if q.compressed && index.has_pq() {
-                    Stage::Compressed {
-                        rerank_factor: index.config().rerank_factor,
-                    }
-                } else {
-                    Stage::Raw
-                },
-                deadline: q.budget.map(|b| now + b),
-            })
-            .collect();
-        // The records are guaranteed present (ids come from the same index
-        // snapshot held across the whole batch).
-        index
-            .execute(&plans)
-            .into_iter()
-            .map(|neighbors| self.partial_response(&index, neighbors))
-            .collect()
+        if query.features.len() != index.config().dim {
+            return PartialResponse {
+                partitions_total: 1,
+                partitions_failed: 1,
+                ..PartialResponse::default()
+            };
+        }
+        let plan = SearchPlan {
+            features: &query.features,
+            k: query.k.max(1),
+            nprobe: query.nprobe.unwrap_or(index.config().nprobe).max(1),
+            filter: query.filter.as_ref(),
+            stage: if query.compressed && index.has_pq() {
+                Stage::Compressed {
+                    rerank_factor: index.config().rerank_factor,
+                }
+            } else {
+                Stage::Raw
+            },
+            deadline: query.budget.map(|b| Instant::now() + b),
+        };
+        let neighbors = index.execute(&plan);
+        self.partial_response(&index, neighbors)
     }
 
+    /// The records are guaranteed present: the ids come from the same
+    /// index snapshot.
     fn partial_response(&self, index: &VisualIndex, neighbors: Vec<Neighbor>) -> PartialResponse {
         let hits = neighbors
             .into_iter()
@@ -303,18 +298,6 @@ mod tests {
         let relaxed = escalating.execute(&query(Some(std::time::Duration::from_secs(60))));
         assert_eq!(relaxed, escalating.execute(&query(None)));
         assert_eq!(relaxed.hits.len(), 8, "escalation should fill the top-k");
-        // Batched members keep their own budgets: the micro-batcher must
-        // not turn a near-expired query into an unbounded escalation, nor
-        // let it cap its neighbours.
-        let batch = [
-            query(Some(std::time::Duration::ZERO)),
-            query(Some(std::time::Duration::from_secs(60))),
-            query(None),
-        ];
-        assert_eq!(
-            escalating.execute_batch(&batch),
-            vec![hurried, relaxed.clone(), relaxed]
-        );
     }
 
     #[test]
@@ -335,70 +318,28 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_matches_execute_per_member() {
-        let mut rng = Xoshiro256::seed_from(17);
-        let data: Vec<Vector> = (0..120)
-            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
-            .collect();
-        let index = Arc::new(VisualIndex::bootstrap(
-            IndexConfig {
-                dim: DIM,
-                num_lists: 4,
-                nprobe: 4,
-                pq_subspaces: Some(DIM / 2),
-                pq_bits: 4,
-                ..Default::default()
-            },
-            &data,
-        ));
-        for (i, v) in data.iter().enumerate() {
-            index
-                .insert(
-                    v.clone(),
-                    ProductAttributes::new(ProductId(i as u64), i as u64, 9, 1, format!("eb/u{i}"))
-                        .with_category((i % 3) as u32)
-                        .with_stock(i % 4 != 0),
-                )
-                .unwrap();
-        }
-        index.flush();
-        let searcher = SearcherService::for_index(2, Arc::clone(&index));
-        // A mixed batch: compressed and raw members, varying k, nprobe and
-        // filters, must come back positionally aligned and bit-identical to
-        // solo execution.
-        let queries: Vec<FanoutQuery> = (0..7u32)
-            .map(|i| FanoutQuery {
-                features: index
-                    .features(jdvs_core::ids::ImageId(i * 3))
-                    .unwrap()
-                    .into_inner(),
-                k: 1 + i as usize % 5,
-                nprobe: if i % 2 == 0 {
-                    Some(1 + i as usize % 4)
-                } else {
-                    None
-                },
-                compressed: i % 3 != 0,
-                budget: None,
-                filter: match i % 3 {
-                    0 => None,
-                    1 => Some(jdvs_core::FilterSpec::by_category(i % 3).in_stock()),
-                    _ => Some(jdvs_core::FilterSpec::none().with_min_sales(30)),
-                },
-            })
-            .collect();
-        let batched = searcher.execute_batch(&queries);
-        assert_eq!(batched.len(), queries.len());
-        for (q, got) in queries.iter().zip(&batched) {
-            assert_eq!(
-                got,
-                &searcher.execute(q),
-                "k={} compressed={}",
-                q.k,
-                q.compressed
-            );
-        }
-        assert!(searcher.execute_batch(&[]).is_empty());
+    fn malformed_queries_are_answered() {
+        let index = index_with(40);
+        let searcher = SearcherService::for_index(0, Arc::clone(&index));
+        let query = |features: Vec<f32>, k, nprobe| FanoutQuery {
+            features,
+            k,
+            nprobe: Some(nprobe),
+            compressed: false,
+            budget: None,
+            filter: None,
+        };
+        let feats = index.features(ImageId(5)).unwrap().into_inner();
+        let zeroes = searcher.execute(&query(feats.clone(), 0, 0));
+        assert!(zeroes.is_complete());
+        assert_eq!(zeroes, searcher.execute(&query(feats, 1, 1)));
+        let short = searcher.execute(&query(vec![0.0; DIM - 1], 5, 4));
+        assert!(short.hits.is_empty());
+        assert_eq!(
+            (short.partitions_failed, short.partitions_total),
+            (1, 1),
+            "a wrong-dimension query is a failed partition"
+        );
     }
 
     #[test]

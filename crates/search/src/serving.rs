@@ -16,10 +16,12 @@
 //! Every tier sits behind its own admission controller (token-bucket rate
 //! limit, bounded queue with deadline-aware shedding, concurrency cap):
 //! under overload the tier answers a fast `Overloaded` rejection instead
-//! of queueing into collapse, and the resilience machinery — retries with
-//! jittered backoff, per-target circuit breakers, hedged broker calls,
-//! degraded-result accounting — runs in the balancers over the
-//! [`TcpChannel`]s. Every listener also has its own [`Link`]: the
+//! of queueing into collapse. Past admission a searcher listener hands each
+//! request straight to its [`SearcherService`]: one query, one engine
+//! plan, on the connection thread that decoded it. The resilience
+//! machinery — retries with jittered backoff, per-target circuit breakers,
+//! hedged broker calls, degraded-result accounting — runs in the balancers
+//! over the [`TcpChannel`]s. Every listener also has its own [`Link`]: the
 //! topology's per-hop latency model and a fault injector, charged by every
 //! channel that dials it, so one [`TopologyConfig`] behaves the same on
 //! every stack.
@@ -37,14 +39,13 @@ use std::time::Duration;
 use parking_lot::RwLock;
 
 use jdvs_core::swap::IndexHandle;
-use jdvs_metrics::{ResilienceMetrics, ServingMetrics, ServingSnapshot};
+use jdvs_metrics::{ResilienceMetrics, ServingSnapshot};
 use jdvs_net::admission::AdmissionConfig;
 use jdvs_net::balancer::Balancer;
 use jdvs_net::rpc::Service;
 use jdvs_net::tcp::{Link, TcpChannel, TcpTier};
 use jdvs_net::FaultInjector;
 
-use crate::batch::{BatchConfig, BatchingSearcher};
 use crate::blender::BlenderService;
 use crate::broker::BrokerService;
 use crate::client::SearchClient;
@@ -79,10 +80,6 @@ pub struct NetServingConfig {
     pub broker_admission: AdmissionConfig,
     /// Front door of every searcher listener.
     pub searcher_admission: AdmissionConfig,
-    /// Micro-batching policy at the searcher input (behind admission, in
-    /// front of the engine). Disabled by default — see
-    /// [`BatchConfig::disabled`].
-    pub searcher_batch: BatchConfig,
     /// End-to-end deadline stamped by [`NetServing::client`].
     pub client_deadline: Duration,
 }
@@ -105,7 +102,6 @@ impl Default for NetServingConfig {
                 queue_capacity: 128,
                 ..AdmissionConfig::default()
             },
-            searcher_batch: BatchConfig::disabled(),
             client_deadline: Duration::from_secs(5),
         }
     }
@@ -166,13 +162,6 @@ pub(crate) fn fanout_channel<S: Service>(tier: &TcpTier<S>) -> FanoutChannel {
     tier.channel(encode_fanout, decode_partial)
 }
 
-/// One searcher replica's listener and the micro-batcher behind it (kept
-/// so a drain can flush forming batches immediately).
-struct NetSearcher {
-    tier: TcpTier<Arc<BatchingSearcher>>,
-    batcher: Arc<BatchingSearcher>,
-}
-
 /// One broker instance's listener and the balancer list it fans out over.
 struct NetBrokerInstance {
     tier: TcpTier<NetBroker>,
@@ -183,7 +172,7 @@ struct NetBrokerInstance {
 pub struct NetServing {
     /// `[partition][replica]` searcher rows, laid out like the topology's
     /// replica table when the tiers were stood up (or last grown).
-    searchers: Vec<Vec<NetSearcher>>,
+    searchers: Vec<Vec<TcpTier<SearcherService>>>,
     /// `[group][instance]` broker listeners.
     brokers: Vec<Vec<NetBrokerInstance>>,
     /// Blender listeners.
@@ -277,7 +266,6 @@ impl NetServing {
                 decode_query,
                 encode_search_resp,
                 net.config.blender_admission.clone(),
-                Arc::new(ServingMetrics::new()),
                 net.link(0xB1E ^ i as u64),
             )?;
             net.blenders.push(tier);
@@ -298,36 +286,26 @@ impl NetServing {
             .with_metrics(Arc::clone(&self.resilience))
     }
 
-    /// Replica `r` of partition `p`'s listener over `handle`, fronted by a
-    /// micro-batcher sharing the tier's metrics so batch depth/wait
-    /// histograms land in the serving snapshot.
+    /// Replica `r` of partition `p`'s listener over `handle`.
     fn searcher(
         &self,
         (p, r): (usize, usize),
         handle: &Arc<IndexHandle>,
-    ) -> io::Result<NetSearcher> {
-        let metrics = Arc::new(ServingMetrics::new());
-        let batcher = Arc::new(BatchingSearcher::new(
-            SearcherService::new(p, Arc::clone(handle)),
-            self.config.searcher_batch,
-            Arc::clone(&metrics),
-        ));
-        let tier = TcpTier::spawn_with(
+    ) -> io::Result<TcpTier<SearcherService>> {
+        TcpTier::spawn_with(
             &format!("searcher-{p}-{r}"),
-            Arc::clone(&batcher),
+            SearcherService::new(p, Arc::clone(handle)),
             decode_fanout,
             encode_partial,
             self.config.searcher_admission.clone(),
-            metrics,
             self.link(((p as u64) << 16) ^ r as u64),
-        )?;
-        Ok(NetSearcher { tier, batcher })
+        )
     }
 
     /// The balancer broker instance `b` of group `g` fans out over for
     /// partition `p`'s replicas.
     fn searcher_balancer(&self, (g, b, p): (usize, usize, usize)) -> Balancer<FanoutChannel> {
-        let replicas = self.searchers[p].iter().map(|s| fanout_channel(&s.tier));
+        let replicas = self.searchers[p].iter().map(fanout_channel);
         let seed = 0xBA1 ^ ((g as u64) << 24) ^ ((b as u64) << 12) ^ p as u64;
         self.balancer(replicas.collect(), seed)
     }
@@ -351,7 +329,6 @@ impl NetServing {
             decode_fanout,
             encode_partial,
             self.config.broker_admission.clone(),
-            Arc::new(ServingMetrics::new()),
             self.link(0xB0 ^ ((g as u64) << 16) ^ b as u64),
         )?;
         Ok(NetBrokerInstance { tier, fanout })
@@ -392,7 +369,7 @@ impl NetServing {
             } else {
                 let fanout = broker.fanout.read();
                 for searcher in &self.searchers[p][first..] {
-                    fanout[slot].push_target(fanout_channel(&searcher.tier));
+                    fanout[slot].push_target(fanout_channel(searcher));
                 }
             }
         }
@@ -436,10 +413,7 @@ impl NetServing {
 
     /// Addresses of partition `p`'s searcher replicas.
     pub fn searcher_addrs(&self, p: usize) -> Vec<SocketAddr> {
-        self.searchers[p]
-            .iter()
-            .map(|s| s.tier.local_addr())
-            .collect()
+        self.searchers[p].iter().map(TcpTier::local_addr).collect()
     }
 
     /// Fault controls of a searcher replica's listener, obeyed by every
@@ -449,7 +423,7 @@ impl NetServing {
     ///
     /// Panics if out of range.
     pub(crate) fn searcher_faults(&self, partition: usize, replica: usize) -> &FaultInjector {
-        self.searchers[partition][replica].tier.faults()
+        self.searchers[partition][replica].faults()
     }
 
     /// Fault controls of a broker instance's listener, obeyed by every
@@ -484,7 +458,7 @@ impl NetServing {
             self.searchers
                 .iter()
                 .flatten()
-                .map(|s| s.tier.metrics().snapshot()),
+                .map(|s| s.metrics().snapshot()),
         )
     }
 
@@ -496,7 +470,7 @@ impl NetServing {
     ///
     /// Panics if out of range.
     pub fn crash_searcher(&mut self, partition: usize, replica: usize) {
-        self.searchers[partition][replica].tier.crash();
+        self.searchers[partition][replica].crash();
     }
 
     /// Crashes one broker instance's listener.
@@ -531,13 +505,8 @@ impl NetServing {
         for broker in self.brokers.iter_mut().flatten() {
             idle &= broker.tier.drain(timeout);
         }
-        // Flush forming batches before draining the listeners, so a drain
-        // never waits out a batch window.
-        for searcher in self.searchers.iter().flatten() {
-            searcher.batcher.drain();
-        }
         for searcher in self.searchers.iter_mut().flatten() {
-            idle &= searcher.tier.drain(timeout);
+            idle &= searcher.drain(timeout);
         }
         idle
     }
@@ -555,8 +524,6 @@ fn sum_snapshots(parts: impl Iterator<Item = ServingSnapshot>) -> ServingSnapsho
         out.decode_errors += s.decode_errors;
         out.max_in_flight = out.max_in_flight.max(s.max_in_flight);
         out.max_queue_depth = out.max_queue_depth.max(s.max_queue_depth);
-        out.batch_depth.merge(&s.batch_depth);
-        out.batch_wait.merge(&s.batch_wait);
     }
     out
 }

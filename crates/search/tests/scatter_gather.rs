@@ -102,7 +102,7 @@ fn world(seed: u64) -> World {
                 Duration::ZERO
             },
         };
-        let mut tier = TcpTier::spawn(
+        let tier = TcpTier::spawn(
             &format!("sg-{seed}-{p}"),
             service,
             |b| wire::decode_fanout_query(b).ok(),
@@ -110,9 +110,6 @@ fn world(seed: u64) -> World {
             AdmissionConfig::default(),
         )
         .unwrap();
-        if p == down {
-            tier.crash();
-        }
         if p == shedding {
             tier.admission().start_draining();
         }
@@ -130,6 +127,9 @@ fn world(seed: u64) -> World {
         ));
         tiers.push(tier);
     }
+    // Crashed only once every tier is bound: a port freed earlier could be
+    // handed to a later tier, and the down branch would answer as that one.
+    tiers[down].crash();
     World {
         _tiers: tiers,
         balancers,

@@ -40,12 +40,6 @@ pub const ADC_ROW: usize = 256;
 /// many candidates at once (mirrors `jdvs_core`'s interleaved block size).
 pub const FASTSCAN_LANES: usize = 32;
 
-/// LUT sets one batched fast-scan kernel call scores against a single
-/// loaded block. Eight queries keep the accumulators (2 × 256-bit per
-/// query on AVX2, 4 × 128-bit on NEON) within the architectural register
-/// file; [`KernelSet::fastscan16_multi`] chunks larger batches.
-pub const FASTSCAN_MAX_BATCH: usize = 8;
-
 /// Bytes per subspace row in a fast-scan block / quantized LUT: 16 packed
 /// byte slots (two 4-bit codes each) and 16 u8 LUT entries respectively.
 const FASTSCAN_ROW: usize = 16;
@@ -59,10 +53,6 @@ fn assert_same_len(a: &[f32], b: &[f32]) {
     );
 }
 
-/// Signature of the batched fast-scan kernel: one loaded block, one LUT
-/// set per subscribed query, one accumulator array per query.
-type Fastscan16x = fn(&[u8], &[&[u8]], &mut [[u16; FASTSCAN_LANES]]);
-
 /// One complete set of distance kernels (see the module docs).
 #[derive(Clone, Copy)]
 pub struct KernelSet {
@@ -71,9 +61,7 @@ pub struct KernelSet {
     dot: fn(&[f32], &[f32]) -> f32,
     adc: fn(&[u8], &[f32]) -> f32,
     fastscan16: fn(&[u8], &[u8], &mut [u16; FASTSCAN_LANES]),
-    fastscan16x: Fastscan16x,
     fastscan16_le: fn(&[u8], &[u8], u16, &mut [u16; FASTSCAN_LANES]) -> u32,
-    lanes_le16: fn(&[u16; FASTSCAN_LANES], u16) -> u32,
 }
 
 impl std::fmt::Debug for KernelSet {
@@ -159,9 +147,12 @@ impl KernelSet {
     }
 
     /// Fused score + prune over one interleaved 32-code block: the mask of
-    /// [`Self::lanes_le16`]`(acc, bound)` over the sums
-    /// [`Self::fastscan16`]`(block, luts)` would write, without the round
-    /// trip through memory between the two. `out` receives the 32 sums only
+    /// [`scalar::lanes_le16`]`(acc, bound)` (bit `t` ⇔ `acc[t] <= bound`)
+    /// over the sums [`Self::fastscan16`]`(block, luts)` would write,
+    /// without the round trip through memory between the two. The scan
+    /// uses it as a block-level top-k prune: with the current k-th distance
+    /// mapped back to a quantized bound, a zero mask skips the block's
+    /// candidate processing entirely. `out` receives the 32 sums only
     /// when the mask is non-zero — the common block, all of whose lanes lie
     /// above a warmed-up prune bound, never stores its accumulators.
     /// Accumulation is the same saturating add order as `fastscan16` and
@@ -192,68 +183,6 @@ impl KernelSet {
         );
         (self.fastscan16_le)(block, luts, bound, out)
     }
-
-    /// Batched 4-bit fast-scan: scores one interleaved 32-code block
-    /// against `luts.len()` quantized LUT sets, writing query `j`'s 32
-    /// per-lane sums into `outs[j]`. Each query's accumulation is the
-    /// exact per-lane saturating-add sequence of
-    /// [`KernelSet::fastscan16`], so `outs[j]` is bit-identical to a
-    /// single-query call with `luts[j]` — what the batch amortizes is the
-    /// block load and nibble expansion, done once instead of per query.
-    /// Batches larger than [`FASTSCAN_MAX_BATCH`] are chunked internally
-    /// (the per-chunk accumulators must stay register-resident).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outs` is shorter than `luts`, any LUT set differs from
-    /// `block` in length, or `block` is not a whole number of 16-byte
-    /// rows.
-    #[inline]
-    pub fn fastscan16_multi(
-        &self,
-        block: &[u8],
-        luts: &[&[u8]],
-        outs: &mut [[u16; FASTSCAN_LANES]],
-    ) {
-        assert!(
-            outs.len() >= luts.len(),
-            "fast-scan batch needs one output row per LUT set"
-        );
-        assert_eq!(
-            block.len() % FASTSCAN_ROW,
-            0,
-            "fast-scan rows must be 16 bytes"
-        );
-        for l in luts {
-            assert_eq!(block.len(), l.len(), "fast-scan block/LUT shape mismatch");
-        }
-        for (lc, oc) in luts
-            .chunks(FASTSCAN_MAX_BATCH)
-            .zip(outs.chunks_mut(FASTSCAN_MAX_BATCH))
-        {
-            // A lone LUT set takes the single-query kernel: same result by
-            // the bit-exactness contract, but its accumulator pair stays in
-            // two registers where the batched kernel's accumulator *arrays*
-            // may spill — a batch of one must not run slower than unbatched.
-            if lc.len() == 1 {
-                (self.fastscan16)(block, lc[0], &mut oc[0]);
-            } else {
-                (self.fastscan16x)(block, lc, oc);
-            }
-        }
-    }
-
-    /// Bitmask of fast-scan lanes whose u16 accumulator is `<= bound`
-    /// (bit `t` set ⇔ `accs[t] <= bound`). The scan loops use this as a
-    /// block-level top-k prune: with the current k-th distance mapped back
-    /// to a quantized bound, one call replaces 32 per-lane compares, and a
-    /// zero result skips a block's candidate processing entirely. Pure
-    /// integer compares, so every implementation returns the identical
-    /// mask.
-    #[inline]
-    pub fn lanes_le16(&self, accs: &[u16; FASTSCAN_LANES], bound: u16) -> u32 {
-        (self.lanes_le16)(accs, bound)
-    }
 }
 
 /// [`KernelSet::fastscan16_le`] by its definition — `score`'s sums, then the
@@ -281,9 +210,7 @@ static SCALAR: KernelSet = KernelSet {
     dot: scalar::dot,
     adc: scalar::adc,
     fastscan16: scalar::fastscan16,
-    fastscan16x: scalar::fastscan16_multi,
     fastscan16_le: scalar::fastscan16_le,
-    lanes_le16: scalar::lanes_le16,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -293,9 +220,7 @@ static AVX2: KernelSet = KernelSet {
     dot: x86::dot,
     adc: x86::adc,
     fastscan16: x86::fastscan16,
-    fastscan16x: x86::fastscan16_multi,
     fastscan16_le: x86::fastscan16_le,
-    lanes_le16: x86::lanes_le16,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -308,11 +233,7 @@ static NEON: KernelSet = KernelSet {
     adc: scalar::adc,
     // 16-entry LUTs do have a NEON home: `vqtbl1q_u8`.
     fastscan16: neon::fastscan16,
-    fastscan16x: neon::fastscan16_multi,
     fastscan16_le: neon::fastscan16_le,
-    // 32 u16 compares are branch-free and already cheap unrolled; keep
-    // the shared reference implementation.
-    lanes_le16: scalar::lanes_le16,
 };
 
 /// The scalar reference kernels (always correct, never dispatched away).
@@ -445,20 +366,6 @@ pub mod scalar {
         }
     }
 
-    /// Reference batched fast-scan: one single-query pass per LUT set,
-    /// which *is* the bit-exactness contract of
-    /// [`super::KernelSet::fastscan16_multi`] — each output row equals a
-    /// standalone [`fastscan16`] call.
-    pub fn fastscan16_multi(
-        block: &[u8],
-        luts: &[&[u8]],
-        outs: &mut [[u16; super::FASTSCAN_LANES]],
-    ) {
-        for (l, out) in luts.iter().zip(outs.iter_mut()) {
-            fastscan16(block, l, out);
-        }
-    }
-
     /// Reference fused score + prune (see
     /// [`super::KernelSet::fastscan16_le`]): literally [`fastscan16`] then
     /// [`lanes_le16`], the definition the SIMD versions must reproduce.
@@ -471,9 +378,10 @@ pub mod scalar {
         super::score_then_prune(fastscan16, block, luts, bound, out)
     }
 
-    /// Reference lane-prune mask (see [`super::KernelSet::lanes_le16`]):
-    /// bit `t` ⇔ `accs[t] <= bound`. Integer compares only — the SIMD
-    /// versions must return this exact mask.
+    /// Reference lane-prune mask (the compare half of
+    /// [`super::KernelSet::fastscan16_le`]): bit `t` ⇔ `accs[t] <= bound`.
+    /// Integer compares only — the fused SIMD kernels must return this
+    /// exact mask.
     pub fn lanes_le16(accs: &[u16; super::FASTSCAN_LANES], bound: u16) -> u32 {
         let mut mask = 0u32;
         for (lane, &acc) in accs.iter().enumerate() {
@@ -669,80 +577,6 @@ mod x86 {
         mask
     }
 
-    pub(super) fn fastscan16_multi(
-        block: &[u8],
-        luts: &[&[u8]],
-        outs: &mut [[u16; super::FASTSCAN_LANES]],
-    ) {
-        // SAFETY: as above — only selected on avx2+fma hardware.
-        unsafe { fastscan16_multi_avx2(block, luts, outs) }
-    }
-
-    /// Batched fast-scan: the 16 code bytes and their nibble expansion are
-    /// computed **once per subspace** and shuffled against every query's
-    /// broadcast LUT, with per-query accumulator pairs held in registers
-    /// (2 × `__m256i` × up to [`super::FASTSCAN_MAX_BATCH`] queries). Each
-    /// query's adds run in the same subspace order as the single-query
-    /// kernel, so every output row is bit-identical to it.
-    #[target_feature(enable = "avx2")]
-    unsafe fn fastscan16_multi_avx2(
-        block: &[u8],
-        luts: &[&[u8]],
-        outs: &mut [[u16; super::FASTSCAN_LANES]],
-    ) {
-        let m = block.len() / super::FASTSCAN_ROW;
-        let q = luts.len().min(super::FASTSCAN_MAX_BATCH);
-        let zero = _mm256_setzero_si256();
-        let nib = _mm256_set1_epi8(0x0f);
-        let mut acc_lo = [zero; super::FASTSCAN_MAX_BATCH];
-        let mut acc_hi = [zero; super::FASTSCAN_MAX_BATCH];
-        for sub in 0..m {
-            let row = sub * super::FASTSCAN_ROW;
-            let codes = _mm_loadu_si128(block.as_ptr().add(row) as *const __m128i);
-            let idx = _mm256_and_si256(_mm256_set_m128i(_mm_srli_epi16::<4>(codes), codes), nib);
-            for (j, l) in luts.iter().take(q).enumerate() {
-                let lut = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                    l.as_ptr().add(row) as *const __m128i
-                ));
-                let vals = _mm256_shuffle_epi8(lut, idx);
-                acc_lo[j] = _mm256_adds_epu16(acc_lo[j], _mm256_unpacklo_epi8(vals, zero));
-                acc_hi[j] = _mm256_adds_epu16(acc_hi[j], _mm256_unpackhi_epi8(vals, zero));
-            }
-        }
-        for j in 0..q {
-            let op = outs[j].as_mut_ptr() as *mut __m128i;
-            _mm_storeu_si128(op, _mm256_castsi256_si128(acc_lo[j]));
-            _mm_storeu_si128(op.add(1), _mm256_castsi256_si128(acc_hi[j]));
-            _mm_storeu_si128(op.add(2), _mm256_extracti128_si256::<1>(acc_lo[j]));
-            _mm_storeu_si128(op.add(3), _mm256_extracti128_si256::<1>(acc_hi[j]));
-        }
-    }
-
-    pub(super) fn lanes_le16(accs: &[u16; super::FASTSCAN_LANES], bound: u16) -> u32 {
-        // SAFETY: as above — only selected on avx2+fma hardware.
-        unsafe { lanes_le16_avx2(accs, bound) }
-    }
-
-    /// Lane-prune mask: `acc <= bound` per u16 lane has no unsigned
-    /// compare on AVX2, so test `saturating_sub(acc, bound) == 0` instead.
-    /// `movemask_epi8` yields 2 identical bits per u16 lane; `pack` the
-    /// two compare results to i8 first (with `permute4x64` undoing the
-    /// in-lane interleave) so one movemask covers all 32 lanes.
-    #[target_feature(enable = "avx2")]
-    unsafe fn lanes_le16_avx2(accs: &[u16; super::FASTSCAN_LANES], bound: u16) -> u32 {
-        let zero = _mm256_setzero_si256();
-        let b = _mm256_set1_epi16(bound as i16);
-        let a0 = _mm256_loadu_si256(accs.as_ptr() as *const __m256i);
-        let a1 = _mm256_loadu_si256(accs.as_ptr().add(16) as *const __m256i);
-        let le0 = _mm256_cmpeq_epi16(_mm256_subs_epu16(a0, b), zero);
-        let le1 = _mm256_cmpeq_epi16(_mm256_subs_epu16(a1, b), zero);
-        // packs interleaves 128-bit halves: [le0.lo, le1.lo, le0.hi,
-        // le1.hi]; permute to [le0.lo, le0.hi, le1.lo, le1.hi] so bit t of
-        // the movemask is lane t.
-        let packed = _mm256_permute4x64_epi64::<0b11011000>(_mm256_packs_epi16(le0, le1));
-        _mm256_movemask_epi8(packed) as u32
-    }
-
     #[target_feature(enable = "avx2")]
     unsafe fn adc_avx2(code: &[u8], table: &[f32]) -> f32 {
         let m = code.len();
@@ -878,8 +712,8 @@ mod neon {
         }
     }
 
-    /// Fused score + prune: the NEON sums, then the shared compare (see
-    /// `lanes_le16` in the NEON kernel set).
+    /// Fused score + prune: the NEON sums, then the reference compare
+    /// (32 u16 compares are branch-free and already cheap unrolled).
     pub(super) fn fastscan16_le(
         block: &[u8],
         luts: &[u8],
@@ -887,47 +721,6 @@ mod neon {
         out: &mut [u16; super::FASTSCAN_LANES],
     ) -> u32 {
         super::score_then_prune(fastscan16, block, luts, bound, out)
-    }
-
-    /// Batched fast-scan: code bytes and both nibble index sets are
-    /// computed once per subspace and table-looked-up against every
-    /// query's LUT, with per-query accumulator quads held in registers.
-    /// Per-query add order matches the single-query kernel exactly.
-    pub(super) fn fastscan16_multi(
-        block: &[u8],
-        luts: &[&[u8]],
-        outs: &mut [[u16; super::FASTSCAN_LANES]],
-    ) {
-        // SAFETY: NEON is baseline AArch64; loads/stores stay inside the
-        // slices (lengths validated by the `KernelSet` wrapper).
-        unsafe {
-            let m = block.len() / super::FASTSCAN_ROW;
-            let q = luts.len().min(super::FASTSCAN_MAX_BATCH);
-            let nib = vdupq_n_u8(0x0f);
-            let mut acc = [[vdupq_n_u16(0); 4]; super::FASTSCAN_MAX_BATCH];
-            for sub in 0..m {
-                let row = sub * super::FASTSCAN_ROW;
-                let codes = vld1q_u8(block.as_ptr().add(row));
-                let idx_lo = vandq_u8(codes, nib);
-                let idx_hi = vshrq_n_u8::<4>(codes);
-                for (j, l) in luts.iter().take(q).enumerate() {
-                    let lut = vld1q_u8(l.as_ptr().add(row));
-                    let vals_lo = vqtbl1q_u8(lut, idx_lo);
-                    let vals_hi = vqtbl1q_u8(lut, idx_hi);
-                    acc[j][0] = vqaddq_u16(acc[j][0], vmovl_u8(vget_low_u8(vals_lo)));
-                    acc[j][1] = vqaddq_u16(acc[j][1], vmovl_u8(vget_high_u8(vals_lo)));
-                    acc[j][2] = vqaddq_u16(acc[j][2], vmovl_u8(vget_low_u8(vals_hi)));
-                    acc[j][3] = vqaddq_u16(acc[j][3], vmovl_u8(vget_high_u8(vals_hi)));
-                }
-            }
-            for (j, out) in outs.iter_mut().take(q).enumerate() {
-                let op = out.as_mut_ptr();
-                vst1q_u16(op, acc[j][0]);
-                vst1q_u16(op.add(8), acc[j][1]);
-                vst1q_u16(op.add(16), acc[j][2]);
-                vst1q_u16(op.add(24), acc[j][3]);
-            }
-        }
     }
 }
 
@@ -1053,104 +846,6 @@ mod tests {
         active().fastscan16(&[0u8; 16], &[0u8; 32], &mut out);
     }
 
-    /// The batched kernel's contract: row `j` of a multi-LUT call is
-    /// bit-identical to a single-query `fastscan16` call with `luts[j]`,
-    /// for every batch size including ones that chunk internally.
-    #[test]
-    fn fastscan_multi_rows_match_single_query_calls() {
-        let best = detect_best();
-        for m in [1usize, 3, 8, 16, 17, 32] {
-            for q in [1usize, 2, 3, 5, 8, 9, 13, 16, 17] {
-                let (block, _) = random_fastscan(m, m as u64 * 7 + q as u64, 255);
-                let lut_sets: Vec<Vec<u8>> = (0..q)
-                    .map(|j| random_fastscan(m, j as u64 * 131 + m as u64, 255).1)
-                    .collect();
-                let luts: Vec<&[u8]> = lut_sets.iter().map(|l| l.as_slice()).collect();
-                let mut outs = vec![[1u16; FASTSCAN_LANES]; q];
-                best.fastscan16_multi(&block, &luts, &mut outs);
-                for (j, l) in luts.iter().enumerate() {
-                    let mut want = [0u16; FASTSCAN_LANES];
-                    best.fastscan16(&block, l, &mut want);
-                    assert_eq!(outs[j], want, "m {m} q {q} row {j}");
-                }
-            }
-        }
-    }
-
-    /// Differential: batched SIMD vs batched scalar, bit-exact (the same
-    /// guarantee `fastscan_best_is_bit_exact_with_scalar` pins for the
-    /// single-query kernel).
-    #[test]
-    fn fastscan_multi_best_is_bit_exact_with_scalar() {
-        let best = detect_best();
-        for m in [2usize, 16, 32] {
-            for q in [1usize, 4, 8, 11] {
-                let (block, _) = random_fastscan(m, 555 + m as u64 + q as u64, 255);
-                let lut_sets: Vec<Vec<u8>> = (0..q)
-                    .map(|j| random_fastscan(m, j as u64 * 977 + 3, 255).1)
-                    .collect();
-                let luts: Vec<&[u8]> = lut_sets.iter().map(|l| l.as_slice()).collect();
-                let mut want = vec![[0u16; FASTSCAN_LANES]; q];
-                let mut got = vec![[1u16; FASTSCAN_LANES]; q];
-                scalar().fastscan16_multi(&block, &luts, &mut want);
-                best.fastscan16_multi(&block, &luts, &mut got);
-                assert_eq!(want, got, "m {m} q {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn fastscan_multi_saturates_identically() {
-        let best = detect_best();
-        let m = 300usize;
-        let (block, _) = random_fastscan(m, 77, 255);
-        let lut_sets: Vec<Vec<u8>> = (0..3).map(|_| vec![255u8; m * 16]).collect();
-        let luts: Vec<&[u8]> = lut_sets.iter().map(|l| l.as_slice()).collect();
-        let mut want = vec![[0u16; FASTSCAN_LANES]; 3];
-        let mut got = vec![[0u16; FASTSCAN_LANES]; 3];
-        scalar().fastscan16_multi(&block, &luts, &mut want);
-        best.fastscan16_multi(&block, &luts, &mut got);
-        assert_eq!(want, got);
-        assert!(want.iter().flatten().all(|&v| v == u16::MAX));
-    }
-
-    #[test]
-    #[should_panic(expected = "one output row per LUT set")]
-    fn fastscan_multi_short_outs_panics() {
-        let block = [0u8; 16];
-        let luts: Vec<&[u8]> = vec![&block, &block];
-        let mut outs = vec![[0u16; FASTSCAN_LANES]; 1];
-        active().fastscan16_multi(&block, &luts, &mut outs);
-    }
-
-    /// Differential: the lane-prune mask must be identical on every
-    /// kernel set — it decides which lanes the scan loops even look at.
-    #[test]
-    fn lanes_le16_best_matches_scalar() {
-        let best = detect_best();
-        let mut state = 0x9E37u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u16
-        };
-        for _ in 0..200 {
-            let mut accs = [0u16; FASTSCAN_LANES];
-            for a in accs.iter_mut() {
-                *a = next();
-            }
-            for bound in [0u16, 1, next(), next() / 2, u16::MAX - 1, u16::MAX] {
-                let want = scalar().lanes_le16(&accs, bound);
-                let got = best.lanes_le16(&accs, bound);
-                assert_eq!(want, got, "accs {accs:?} bound {bound}");
-                for (lane, &acc) in accs.iter().enumerate() {
-                    assert_eq!(want >> lane & 1 == 1, acc <= bound, "lane {lane}");
-                }
-            }
-        }
-    }
-
     /// The fused kernel's contract on the scalar and the best set: mask and
     /// row are exactly `fastscan16` then `lanes_le16`, the row is written
     /// only when a lane survives, at `bound` 0 and `u16::MAX` and under
@@ -1176,7 +871,7 @@ mod tests {
                 let lo = *sums.iter().min().unwrap();
                 let hi = *sums.iter().max().unwrap();
                 for bound in [0, lo.saturating_sub(1), lo, lo / 2 + hi / 2, hi, u16::MAX] {
-                    let want = scalar().lanes_le16(&sums, bound);
+                    let want = scalar::lanes_le16(&sums, bound);
                     let mut row = UNTOUCHED;
                     let got = kernels.fastscan16_le(&block, &luts, bound, &mut row);
                     let name = kernels.name();
@@ -1196,15 +891,16 @@ mod tests {
         active().fastscan16_le(&[0u8; 32], &[0u8; 16], 0, &mut out);
     }
 
+    /// The reference mask the fused kernels are held to.
     #[test]
     fn lanes_le16_boundaries() {
         let mut accs = [7u16; FASTSCAN_LANES];
         accs[0] = 0;
         accs[31] = u16::MAX;
-        assert_eq!(active().lanes_le16(&accs, u16::MAX), u32::MAX);
-        assert_eq!(active().lanes_le16(&accs, 0), 1);
-        assert_eq!(active().lanes_le16(&accs, 7), u32::MAX >> 1);
-        assert_eq!(active().lanes_le16(&accs, 6), 1);
+        assert_eq!(scalar::lanes_le16(&accs, u16::MAX), u32::MAX);
+        assert_eq!(scalar::lanes_le16(&accs, 0), 1);
+        assert_eq!(scalar::lanes_le16(&accs, 7), u32::MAX >> 1);
+        assert_eq!(scalar::lanes_le16(&accs, 6), 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use jdvs::search::broker::BrokerService;
 use jdvs::search::protocol::{FanoutQuery, PartialResponse, SearchQuery, SearchResponse};
 use jdvs::search::searcher::SearcherService;
 use jdvs::search::topology::TopologyConfig;
-use jdvs::search::{wire, BatchConfig, NetServing, NetServingConfig, SearchClient};
+use jdvs::search::{wire, NetServing, NetServingConfig, SearchClient};
 use jdvs::storage::{ProductAttributes, ProductEvent, ProductId};
 use jdvs::vector::rng::Xoshiro256;
 use jdvs::vector::Vector;
@@ -348,70 +348,63 @@ fn socket_faults_never_violate_accounting() {
     assert!(recovers(), "recovery after refusal");
 }
 
+/// Panics in any tier's connection thread (named `<listener>-conn`) since
+/// the process started counting, through a hook chained to the default.
+fn connection_thread_panics() -> u64 {
+    static PANICS: AtomicU64 = AtomicU64::new(0);
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if std::thread::current()
+                .name()
+                .is_some_and(|name| name.ends_with("-conn"))
+            {
+                PANICS.fetch_add(1, Ordering::SeqCst);
+            }
+            default(info);
+        }));
+    });
+    PANICS.load(Ordering::SeqCst)
+}
+
+/// A malformed query is answered, not panicked on in a connection thread:
+/// `nprobe` 0 counts as 1, and a feature vector of the wrong dimension
+/// comes back as failed partitions with no results — accounted, on time,
+/// and the client's next query is served in full.
 #[test]
-fn batched_searcher_tier_is_transparent_and_observable() {
-    let _serial = timing_sensitive();
+fn malformed_queries_are_answered_not_panicked() {
+    let panics_before = connection_thread_panics();
     let world = serving_world();
-    // Batching on: co-arriving fan-outs at each searcher coalesce into one
-    // engine call. Responses must be indistinguishable from the unbatched
-    // stack; only the tier's histograms show the coalescing.
-    let serving = NetServing::over(
-        world.topology(),
-        NetServingConfig {
-            searcher_batch: BatchConfig {
-                window: Duration::from_millis(40),
-                max_batch: 8,
-                min_hold_budget: Duration::ZERO,
-            },
-            ..NetServingConfig::default()
-        },
-    )
-    .unwrap();
+    let serving = NetServing::over(world.topology(), NetServingConfig::default()).unwrap();
     let client = serving.client();
-    let generator = QueryGenerator::new(world.catalog(), 29);
+    let url = catalog_urls(&world).remove(0);
 
-    for _round in 0..3 {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let client = client.clone();
-                let (q, _) = generator.next_query(world.images(), 5);
-                std::thread::spawn(move || (q.clone(), client.search(q)))
-            })
-            .collect();
-        for h in handles {
-            let (q, resp) = h.join().unwrap();
-            let resp = resp.expect("healthy batched stack must answer");
-            assert_identity(&resp);
-            assert!(resp.is_complete(), "batching must not cost coverage");
-            assert!(!resp.results.is_empty());
-            // Demux check: each connection got *its own* query's answer,
-            // identical to the topology's own, unbatched stack.
-            let local = world.topology().search(q).unwrap();
-            assert_eq!(
-                resp.results[0].hit.product_id, local.results[0].hit.product_id,
-                "batched tier must rank the same top hit"
-            );
-        }
-    }
+    let zero = client
+        .search(SearchQuery::by_image_url(&url, 5).with_nprobe(0))
+        .expect("nprobe 0 is answered");
+    assert_identity(&zero);
+    assert_eq!(zero.partitions_ok, zero.partitions_total, "{zero:?}");
+    let one = client
+        .search(SearchQuery::by_image_url(&url, 5).with_nprobe(1))
+        .unwrap();
+    assert_eq!(zero.results, one.results, "nprobe 0 probes like nprobe 1");
 
-    let snap = serving.searcher_serving();
-    assert!(
-        snap.batch_depth.count() > 0,
-        "engine calls must be recorded"
-    );
-    // 24 client queries fan out to all 4 partitions = 96 searcher requests;
-    // each must be accounted in exactly one engine call (retries on
-    // transient timeouts can only add).
-    let members = (snap.batch_depth.mean_us() * snap.batch_depth.count() as f64).round() as u64;
-    assert!(members >= 96, "only {members} batch members recorded");
-    assert!(
-        snap.batch_depth.max_us() >= 2,
-        "8 co-arriving queries inside a 40ms window must coalesce"
-    );
-    assert!(snap.batch_wait.count() > 0, "held members must record wait");
-    assert!(
-        snap.batch_wait.max_us() < 200_000,
-        "no member may be held far past the window"
+    let short = client
+        .search(SearchQuery::by_features(vec![0.5; 3], 5))
+        .expect("a wrong-dimension query is answered");
+    assert_identity(&short);
+    assert!(short.partitions_total > 0);
+    assert_eq!(short.partitions_failed, short.partitions_total, "{short:?}");
+    assert!(short.results.is_empty());
+
+    let after = client.search(SearchQuery::by_image_url(&url, 5)).unwrap();
+    assert!(after.is_complete(), "{after:?}");
+    assert_eq!(after.results[0].hit.url, url);
+    assert_eq!(
+        connection_thread_panics(),
+        panics_before,
+        "no connection thread may panic"
     );
 }
 

@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jdvs_vector::distance::{cosine_similarity, dot, squared_l2};
 use jdvs_vector::rng::Xoshiro256;
-use jdvs_vector::simd::{self, ADC_ROW};
+use jdvs_vector::simd;
 
 fn random_vec(dim: usize, seed: u64) -> Vec<f32> {
     let mut rng = Xoshiro256::seed_from(seed);
@@ -53,19 +53,6 @@ fn bench_distance(c: &mut Criterion) {
             BenchmarkId::new(format!("dot_{}", fast.name()), dim),
             &dim,
             |bench, _| bench.iter(|| fast.dot(black_box(&a), black_box(&b))),
-        );
-    }
-    for m in [8usize, 16] {
-        let table = random_vec(m * ADC_ROW, 9);
-        let mut rng = Xoshiro256::seed_from(10);
-        let code: Vec<u8> = (0..m).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-        group.bench_with_input(BenchmarkId::new("adc_scalar", m), &m, |bench, _| {
-            bench.iter(|| scalar.adc(black_box(&code), black_box(&table)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new(format!("adc_{}", fast.name()), m),
-            &m,
-            |bench, _| bench.iter(|| fast.adc(black_box(&code), black_box(&table))),
         );
     }
     group.finish();

@@ -85,7 +85,6 @@ fn bench_pq4_fastscan(_c: &mut Criterion) {
             initial_list_capacity: 4096,
             kmeans_iters: 4,
             pq_subspaces: Some(16),
-            pq_bits: 4,
             ..Default::default()
         },
         &data[..20_000],

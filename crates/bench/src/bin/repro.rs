@@ -7,7 +7,8 @@
 //! EXPERIMENTS:
 //!   table1 fig11a fig11b fig12a fig12b fig13a fig13b fig14
 //!   ablate-reuse ablate-bitmap ablate-expansion ablate-nprobe
-//!   searcher-scan pq-fastscan filtered recovery serving lifecycle
+//!   ablate-pq ablate-lsh ablate-cache
+//!   searcher-scan filtered recovery serving lifecycle coarse
 //!   all            run everything in order
 //!
 //! OPTIONS:

@@ -289,13 +289,16 @@ pub fn expansion(ctx: &Ctx) -> ExperimentResult {
     r
 }
 
-/// Raw-vector scan vs PQ-compressed scan (paper ref \[19\]).
+/// Raw-vector scan vs PQ-compressed scan (paper ref \[19\]), both through
+/// the engine with every list probed: exact `f32` distances against 4-bit
+/// fast-scan codes, re-ranked exactly at two over-fetch ratios.
 pub fn pq(ctx: &Ctx) -> ExperimentResult {
-    use jdvs_core::ids::ImageId;
-    use jdvs_core::pq_store::PqStore;
-    use jdvs_vector::pq::{PqConfig, ProductQuantizer};
-    use jdvs_vector::topk::TopK;
+    use jdvs_vector::topk::Neighbor;
 
+    const LISTS: usize = 16;
+    // 16 nibbles: 8 bytes per code against 128 raw.
+    const SUBSPACES: usize = 16;
+    const K: usize = 10;
     let n_images = ctx.scaled(20_000, 2_000);
     let images = Arc::new(ImageStore::with_blob_len(64));
     let feature_db = Arc::new(FeatureDb::new());
@@ -313,85 +316,72 @@ pub fn pq(ctx: &Ctx) -> ExperimentResult {
         ..Default::default()
     });
     catalog.materialize(&images);
-    let mut vectors: Vec<jdvs_vector::Vector> = Vec::new();
+    let mut pairs = Vec::new();
     for product in catalog.products() {
         for attrs in product.image_attributes() {
             let (f, _) = extractor.features_for(&attrs, &images, &feature_db);
-            vectors.push(f.expect("materialized"));
+            pairs.push((f.expect("materialized"), attrs));
         }
     }
-    let quantizer = Arc::new(ProductQuantizer::train(
-        &vectors[..vectors.len().min(3_000)],
-        &PqConfig {
-            num_subspaces: 8,
-            max_iters: 8,
-            seed: 5,
-            bits: 8,
+    let training: Vec<_> = pairs.iter().take(3_000).map(|(v, _)| v.clone()).collect();
+    let index = VisualIndex::bootstrap(
+        IndexConfig {
+            dim: DIM,
+            num_lists: LISTS,
+            kmeans_iters: 8,
+            pq_subspaces: Some(SUBSPACES),
+            ..Default::default()
         },
-    ));
-    let store = PqStore::new(Arc::clone(&quantizer), 1);
-    for (i, v) in vectors.iter().enumerate() {
-        store.put(ImageId(i as u32), jdvs_core::ids::ListId(0), i, v);
+        &training,
+    );
+    for (v, attrs) in &pairs {
+        index.insert(v.clone(), attrs.clone()).expect("insert");
     }
+    index.flush();
 
-    let queries: Vec<&jdvs_vector::Vector> = vectors.iter().step_by(101).take(50).collect();
-    let k = 10;
-    // Ground truth: raw scan.
-    let raw_start = Instant::now();
-    let raw_results: Vec<Vec<u64>> = queries
+    let queries: Vec<&[f32]> = pairs
         .iter()
-        .map(|q| {
-            let mut topk = TopK::new(k);
-            for (i, v) in vectors.iter().enumerate() {
-                topk.push(
-                    i as u64,
-                    jdvs_vector::distance::squared_l2(q.as_slice(), v.as_slice()),
-                );
-            }
-            topk.into_sorted_vec().into_iter().map(|n| n.id).collect()
-        })
+        .step_by(101)
+        .take(50)
+        .map(|(v, _)| v.as_slice())
         .collect();
-    let raw_time = raw_start.elapsed();
-
-    // Compressed scan via ADC.
-    let pq_start = Instant::now();
-    let mut total_recall = 0.0;
-    for (q, truth) in queries.iter().zip(&raw_results) {
-        let table = store.adc_table(q.as_slice());
-        let mut topk = TopK::new(k);
-        store.scan(&table, |id, d| {
-            topk.push(id.as_u64(), d);
-        });
-        let got: std::collections::HashSet<u64> =
-            topk.into_sorted_vec().into_iter().map(|n| n.id).collect();
-        total_recall +=
-            truth.iter().filter(|id| got.contains(id)).count() as f64 / truth.len() as f64;
-    }
-    let pq_time = pq_start.elapsed();
-
-    let raw_bytes = DIM * 4;
-    let pq_bytes = store.bytes_per_vector();
+    let truth: Vec<Vec<Neighbor>> = queries
+        .iter()
+        .map(|q| index.brute_force_search(q, K))
+        .collect();
     let mut r = ExperimentResult::new(
         "ablate-pq",
         "Raw-vector scan vs product-quantized scan",
-        "Related work [19] (Jégou et al.): PQ shrinks scan memory ~4·d/m at bounded recall loss",
+        "Related work [19] (Jégou et al.): PQ shrinks scan memory ~8·d/m at bounded recall loss",
     );
-    r.push_row(row![
-        "mode" => "raw_f32",
-        "bytes_per_vector" => raw_bytes,
-        "recall_at_10" => "1.000",
-        "us_per_query" => format!("{:.1}", raw_time.as_secs_f64() * 1e6 / queries.len() as f64),
-    ]);
-    r.push_row(row![
-        "mode" => "pq_adc",
-        "bytes_per_vector" => pq_bytes,
-        "recall_at_10" => format!("{:.3}", total_recall / queries.len() as f64),
-        "us_per_query" => format!("{:.1}", pq_time.as_secs_f64() * 1e6 / queries.len() as f64),
-    ]);
+    let repeats = if ctx.quick { 2 } else { 10 };
+    let mut arm = |mode: &str, bytes: usize, search: &dyn Fn(&[f32]) -> Vec<Neighbor>| {
+        let start = Instant::now();
+        for _ in 1..repeats {
+            for q in &queries {
+                std::hint::black_box(search(q));
+            }
+        }
+        let results: Vec<Vec<Neighbor>> = queries.iter().map(|q| search(q)).collect();
+        let us = start.elapsed().as_secs_f64() * 1e6 / (repeats * queries.len()) as f64;
+        let hits: f64 = results.iter().zip(&truth).map(|(g, t)| recall(g, t)).sum();
+        r.push_row(row![
+            "mode" => mode,
+            "bytes_per_vector" => bytes,
+            "recall_at_10" => format!("{:.3}", hits / queries.len() as f64),
+            "us_per_query" => format!("{us:.1}"),
+        ]);
+    };
+    arm("raw_f32", DIM * 4, &|q| index.search(q, K, LISTS));
+    for rerank in [1, 4] {
+        arm(&format!("pq4_rerank{rerank}"), SUBSPACES / 2, &|q| {
+            index.search_compressed(q, K, LISTS, rerank)
+        });
+    }
     r.note(format!(
-        "compression {}x over {} vectors of dim {DIM}",
-        raw_bytes / pq_bytes.max(1),
-        vectors.len()
+        "compression {}x over {} vectors of dim {DIM}, all {LISTS} lists probed; rerank 1 ranks the fast-scan shortlist of k exactly",
+        DIM * 4 / (SUBSPACES / 2),
+        pairs.len()
     ));
     r
 }

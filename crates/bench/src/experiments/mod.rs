@@ -18,7 +18,6 @@
 //! | `ablate-lsh` | IVF vs multi-probe LSH baseline | [`ablations`] |
 //! | `ablate-cache` | blender query-feature cache on/off | [`ablations`] |
 //! | `searcher-scan` | block execution engine vs per-id scalar scan | [`scan`] |
-//! | `pq-fastscan` | 4-bit fast-scan blocks vs 8-bit ADC scan | [`pq_fastscan`] |
 //! | `filtered` | attribute-filter pushdown vs post-filter + escalation fill | [`filtered`] |
 //! | `recovery` | durable-log append throughput + crash-recovery time | [`recovery`] |
 //! | `serving` | goodput under ~3x overload through the TCP tiers | [`overload`] |
@@ -32,7 +31,6 @@ pub mod examples_fig;
 pub mod filtered;
 pub mod lifecycle;
 pub mod overload;
-pub mod pq_fastscan;
 pub mod recovery;
 pub mod scan;
 pub mod serving;
@@ -96,7 +94,6 @@ pub const ALL: &[&str] = &[
     "ablate-lsh",
     "ablate-cache",
     "searcher-scan",
-    "pq-fastscan",
     "filtered",
     "recovery",
     "serving",
@@ -127,7 +124,6 @@ pub fn run(id: &str, ctx: &Ctx) -> Vec<ExperimentResult> {
         "ablate-lsh" => vec![ablations::lsh(ctx)],
         "ablate-cache" => vec![ablations::cache(ctx)],
         "searcher-scan" => vec![scan::searcher_scan(ctx)],
-        "pq-fastscan" => vec![pq_fastscan::pq_fastscan(ctx)],
         "filtered" => vec![filtered::filtered(ctx)],
         "recovery" => vec![recovery::recovery(ctx)],
         "serving" => vec![overload::serving_overload(ctx)],

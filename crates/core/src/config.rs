@@ -23,15 +23,16 @@ pub struct IndexConfig {
     /// dominate full-index build time).
     pub train_sample: usize,
     /// Product-quantized scan mode: `Some(m)` additionally stores an
-    /// `m`-byte PQ code per image and enables
-    /// [`crate::index::VisualIndex::search_compressed`] (two-stage ADC
-    /// scan + raw rerank). `m` must divide `dim`. `None` scans raw
-    /// vectors only — the paper's baseline behaviour.
+    /// `m`-nibble PQ code per image (16-centroid sub-codebooks, two codes
+    /// per byte) and enables
+    /// [`crate::index::VisualIndex::search_compressed`] (4-bit fast-scan
+    /// with register-resident SIMD lookup tables + exact rerank). `m` must
+    /// divide `dim`. `None` scans raw vectors only — the paper's baseline
+    /// behaviour.
     pub pq_subspaces: Option<usize>,
-    /// Bits per PQ code: `8` (classic per-byte ADC scan) or `4` (fast-scan:
-    /// 16-centroid sub-codebooks packed two codes per byte, scanned with
-    /// register-resident SIMD lookup tables and re-ranked exactly).
-    /// Ignored when `pq_subspaces` is `None`.
+    /// Bits per PQ sub-code. Only `4` is valid: the field is kept for
+    /// existing struct literals and the snapshot byte, and is checked, not
+    /// chosen.
     pub pq_bits: u8,
     /// Two-stage compressed search over-fetch: stage 1 shortlists
     /// `k · rerank_factor` candidates by (quantized) ADC distance, stage 2
@@ -78,7 +79,7 @@ impl Default for IndexConfig {
             kmeans_iters: 15,
             train_sample: 10_000,
             pq_subspaces: None,
-            pq_bits: 8,
+            pq_bits: 4,
             rerank_factor: 4,
             nprobe_escalation: 0,
             coarse_beam_width: 0,
@@ -89,37 +90,54 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
+    /// The first violated invariant, as a message; `Ok` for a config an
+    /// index can be built from.
+    ///
+    /// # Errors
+    ///
+    /// Returns why the config is invalid: a field that must be positive is
+    /// zero, `pq_subspaces` does not divide `dim`, `pq_bits` is not 4, or
+    /// `coarse_balance_factor` is negative or not finite.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let checks = [
+            (self.dim > 0, "dim must be positive"),
+            (self.num_lists > 0, "num_lists must be positive"),
+            (
+                self.initial_list_capacity > 0,
+                "initial_list_capacity must be positive",
+            ),
+            (self.nprobe > 0, "nprobe must be positive"),
+            (self.train_sample > 0, "train_sample must be positive"),
+            (self.pq_bits == 4, "pq_bits must be 4"),
+            (self.rerank_factor > 0, "rerank_factor must be positive"),
+            (
+                self.pq_subspaces.is_none_or(|m| m > 0),
+                "pq_subspaces must be positive",
+            ),
+            (
+                self.pq_subspaces.is_none_or(|m| self.dim.is_multiple_of(m)),
+                "pq_subspaces must divide dim",
+            ),
+            (
+                self.coarse_balance_factor >= 0.0 && self.coarse_balance_factor.is_finite(),
+                "coarse_balance_factor must be finite and non-negative",
+            ),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, reason)) => Err(reason),
+            None => Ok(()),
+        }
+    }
+
     /// Validates invariants; called by index constructors.
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero where a positive value is required.
+    /// Panics with [`Self::check`]'s message if the config is invalid.
     pub fn validate(&self) {
-        assert!(self.dim > 0, "dim must be positive");
-        assert!(self.num_lists > 0, "num_lists must be positive");
-        assert!(
-            self.initial_list_capacity > 0,
-            "initial_list_capacity must be positive"
-        );
-        assert!(self.nprobe > 0, "nprobe must be positive");
-        assert!(self.train_sample > 0, "train_sample must be positive");
-        assert!(
-            self.pq_bits == 4 || self.pq_bits == 8,
-            "pq_bits must be 4 or 8"
-        );
-        assert!(self.rerank_factor > 0, "rerank_factor must be positive");
-        if let Some(m) = self.pq_subspaces {
-            assert!(m > 0, "pq_subspaces must be positive");
-            assert!(
-                self.dim.is_multiple_of(m),
-                "pq_subspaces ({m}) must divide dim ({})",
-                self.dim
-            );
+        if let Err(reason) = self.check() {
+            panic!("{reason}");
         }
-        assert!(
-            self.coarse_balance_factor >= 0.0 && self.coarse_balance_factor.is_finite(),
-            "coarse_balance_factor must be finite and non-negative"
-        );
     }
 }
 
@@ -174,10 +192,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pq_bits must be 4 or 8")]
+    #[should_panic(expected = "pq_bits must be 4")]
     fn odd_pq_bits_rejected() {
         IndexConfig {
             pq_bits: 6,
+            ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "pq_bits must be 4")]
+    fn eight_bit_pq_rejected() {
+        IndexConfig {
+            pq_bits: 8,
             ..Default::default()
         }
         .validate();

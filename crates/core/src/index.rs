@@ -115,7 +115,6 @@ impl VisualIndex {
                     num_subspaces: m,
                     max_iters: config.kmeans_iters,
                     seed: config.seed ^ 0x90DE,
-                    bits: config.pq_bits,
                 },
             ))
         });
@@ -173,7 +172,6 @@ impl VisualIndex {
             (Some(m), Some(pq)) => {
                 assert_eq!(pq.dim(), config.dim, "pq dimension must match config.dim");
                 assert_eq!(pq.num_subspaces(), m, "pq subspaces must match config");
-                assert_eq!(pq.bits(), config.pq_bits, "pq bits must match config");
             }
             (Some(_), None) => panic!("config.pq_subspaces set but no codebook supplied"),
             (None, Some(_)) => panic!("codebook supplied but config.pq_subspaces unset"),
@@ -705,7 +703,8 @@ mod tests {
             dim: 16,
             num_lists: 8,
             nprobe: 8,
-            pq_subspaces: Some(4),
+            // 4 bytes per code: 8 nibbles.
+            pq_subspaces: Some(8),
             ..Default::default()
         };
         let train = training(512, 16, 5);

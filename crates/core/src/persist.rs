@@ -21,7 +21,11 @@
 //! The trailer is a CRC32C over every preceding byte. [`load`] verifies it
 //! *before* decoding, so a corrupt snapshot (bit rot, short write, bad
 //! shipping) fails with [`PersistError::ChecksumMismatch`] instead of
-//! decoding garbage. The listing-attribute section (category + in-stock
+//! decoding garbage. A matching CRC proves only that the bytes are the ones
+//! written: the config must still pass [`IndexConfig::check`] and the
+//! record count must fit the remaining bytes before anything is trained or
+//! allocated, so a crafted snapshot is [`PersistError::Corrupt`], never a
+//! panic. The listing-attribute section (category + in-stock
 //! per record) follows the record array; loading it rebuilds the filter
 //! bitmaps through the ordinary insert path.
 //!
@@ -293,11 +297,6 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
     r.buf = payload;
 
     let dim = r.u32("config.dim")? as usize;
-    if dim == 0 {
-        return Err(PersistError::Corrupt {
-            reason: "zero dimension",
-        });
-    }
     let config = IndexConfig {
         dim,
         num_lists: r.u32("config.num_lists")? as usize,
@@ -330,18 +329,19 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
             0.0
         },
     };
-    if !config.coarse_balance_factor.is_finite() || config.coarse_balance_factor < 0.0 {
-        // Guard the validate() assertion inside the index constructor:
-        // corrupt input must surface as an error, never a panic.
-        return Err(PersistError::Corrupt {
-            reason: "invalid coarse_balance_factor",
-        });
-    }
+    // A CRC only proves the bytes are the ones written, not that a valid
+    // index wrote them: check the config before anything is trained on it,
+    // so corrupt input surfaces as an error, never a panic.
+    config
+        .check()
+        .map_err(|reason| PersistError::Corrupt { reason })?;
 
+    // Fewer centroids than lists is a small training sample; more would
+    // hand out list ids the config does not size for.
     let k = r.u32("quantizer.k")? as usize;
-    if k == 0 {
+    if k == 0 || k > config.num_lists {
         return Err(PersistError::Corrupt {
-            reason: "zero centroids",
+            reason: "centroid count outside 1..=num_lists",
         });
     }
     let centroids: Vec<Vector> = (0..k)
@@ -350,9 +350,17 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
     let quantizer = Kmeans::from_centroids(centroids);
 
     // Decode all records first: the (derived) PQ codebook is retrained on
-    // the stored vectors before inserts encode against it.
-    let n = r.u64("n_images")? as usize;
-    let mut records = Vec::with_capacity(n);
+    // the stored vectors before inserts encode against it. A record is at
+    // least four u64 attributes, a u32 url length, the validity byte and
+    // the features, so the remaining bytes bound the count before
+    // anything is allocated for it.
+    let n = r.u64("n_images")?;
+    if n > (r.buf.len() - r.pos) as u64 / (37 + 4 * dim as u64) {
+        return Err(PersistError::Corrupt {
+            reason: "n_images exceeds the snapshot",
+        });
+    }
+    let mut records = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let product_id = ProductId(r.u64("record.product_id")?);
         let sales = r.u64("record.sales")?;
@@ -385,7 +393,6 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
                         num_subspaces: m,
                         max_iters: config.kmeans_iters,
                         seed: config.seed ^ 0x90DE,
-                        bits: config.pq_bits,
                     },
                 ),
             ))
@@ -399,7 +406,6 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
                         num_subspaces: m,
                         max_iters: 1,
                         seed: config.seed,
-                        bits: config.pq_bits,
                     },
                 ),
             ))
@@ -625,10 +631,52 @@ mod tests {
     fn downgrade_to_v4(mut bytes: Vec<u8>) -> Vec<u8> {
         bytes.drain(V5_FIELDS_AT..V5_FIELDS_AT + 12);
         bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        reseal(bytes)
+    }
+
+    /// Recomputes the CRC trailer of an edited snapshot.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
         let len = bytes.len();
         let crc = crc32c(&bytes[..len - 4]);
         bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
         bytes
+    }
+
+    /// A checksum proves the bytes are the ones written, not that a valid
+    /// index wrote them: edited fields under a re-sealed trailer must come
+    /// back as `Corrupt`, never as a panic in training or allocation.
+    #[test]
+    fn crafted_snapshots_with_a_valid_crc_are_errors_not_panics() {
+        let index = build_index(10);
+        let bytes = save(&index);
+        // Header offsets: magic, version, dim, then the config fields in
+        // `save` order.
+        const NUM_LISTS: usize = 12;
+        const NPROBE: usize = 20;
+        const PQ_SUBSPACES: usize = 37;
+        const PQ_BITS: usize = 49;
+        const RERANK_FACTOR: usize = 50;
+        let n_images = V5_FIELDS_AT + 12 + 4 + index.quantizer().k() * DIM * 4;
+        assert_eq!(bytes[8..12], (DIM as u32).to_le_bytes());
+        assert_eq!(bytes[PQ_BITS], index.config().pq_bits);
+        assert_eq!(bytes[n_images..n_images + 8], 10u64.to_le_bytes());
+        let cases: [(&str, usize, &[u8]); 7] = [
+            ("num_lists 0", NUM_LISTS, &0u32.to_le_bytes()),
+            ("nprobe 0", NPROBE, &0u32.to_le_bytes()),
+            ("rerank_factor 0", RERANK_FACTOR, &0u32.to_le_bytes()),
+            ("pq_subspaces 3 at dim 8", PQ_SUBSPACES, &3u32.to_le_bytes()),
+            ("pq_bits 3", PQ_BITS, &[3]),
+            ("pq_bits 8", PQ_BITS, &[8]),
+            ("huge n_images", n_images, &(u64::MAX / 2).to_le_bytes()),
+        ];
+        for (case, at, patch) in cases {
+            let mut crafted = bytes.clone();
+            crafted[at..at + patch.len()].copy_from_slice(patch);
+            match reload(&reseal(crafted)) {
+                Err(PersistError::Corrupt { .. }) => {}
+                other => panic!("{case}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -729,7 +777,6 @@ mod tests {
                 dim: DIM,
                 num_lists: 4,
                 pq_subspaces: Some(8),
-                pq_bits: 4,
                 rerank_factor: 6,
                 ..Default::default()
             },

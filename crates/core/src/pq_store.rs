@@ -10,14 +10,12 @@
 //!   [`crate::inverted::InvertedList::append`] assigned, so a probed list's
 //!   codes are one contiguous streak of cache lines instead of a pointer
 //!   chase through per-id boxes.
-//! - In 4-bit mode, positions are grouped into blocks of
-//!   [`FASTSCAN_BLOCK`] codes, **subspace-major within the block**: byte
-//!   `t` of subspace `s`'s 16-byte row packs the sub-`s` code of block
-//!   lane `t` (low nibble) and lane `t + 16` (high nibble) — exactly the
-//!   operand shape of [`jdvs_vector::simd::KernelSet::fastscan16`], so one
-//!   `pshufb`/`tbl` scores 32 candidates per subspace.
-//! - In 8-bit mode, codes are position-major (`pos · m .. pos · m + m`),
-//!   the classic contiguous ADC layout.
+//! - Positions are grouped into blocks of [`FASTSCAN_BLOCK`] codes,
+//!   **subspace-major within the block**: byte `t` of subspace `s`'s
+//!   16-byte row packs the sub-`s` code of block lane `t` (low nibble) and
+//!   lane `t + 16` (high nibble) — exactly the operand shape of
+//!   [`jdvs_vector::simd::KernelSet::fastscan16`], so one `pshufb`/`tbl`
+//!   scores 32 candidates per subspace.
 //!
 //! Segments of [`SEGMENT_CODES`] positions are allocated on first write,
 //! never moved and freed only with the store, so readers *borrow* them
@@ -25,8 +23,8 @@
 //!
 //! ## Concurrency
 //!
-//! Blocks are shared by up to 32 concurrently-inserting writers (and, in
-//! 4-bit mode, two *lanes* share each byte), so code bytes live in
+//! Blocks are shared by up to 32 concurrently-inserting writers (and two
+//! *lanes* share each byte), so code bytes live in
 //! `AtomicU64` words written with `fetch_or`: every lane's bits start
 //! zero and are written exactly once, so OR-merging concurrent writers is
 //! exact. Every 32 positions share two mask words:
@@ -55,22 +53,21 @@
 //! after `put` returns.
 //!
 //! The `ablate-pq` experiment quantifies the trade: memory shrinks by
-//! `4·d·8/(m·bits)`, distances become approximate (recall dips), and the
-//! 4-bit fast-scan path trades a bounded quantization error for the
-//! register-resident kernel — which is why compressed search re-ranks.
+//! `8·d/m`, and the fast-scan path trades a bounded quantization error for
+//! the register-resident kernel — which is why compressed search re-ranks.
 
 use std::sync::OnceLock;
 
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 
-use jdvs_vector::pq::{AdcTable, ProductQuantizer, QuantizedAdcTable};
+use jdvs_vector::pq::{ProductQuantizer, QuantizedAdcTable};
 use jdvs_vector::Vector;
 
 use crate::directory::Directory;
 use crate::ids::{ImageId, ListId};
 
-/// Codes per 4-bit fast-scan block (one kernel call's worth), and positions
-/// per publication mask in either mode.
+/// Codes per fast-scan block (one kernel call's worth), and positions per
+/// publication mask.
 pub const FASTSCAN_BLOCK: usize = jdvs_vector::pq::FASTSCAN_BLOCK;
 
 /// Positions per code segment (8 fast-scan blocks).
@@ -125,35 +122,14 @@ fn byte_in_word(byte: usize, value: u8) -> u64 {
     u64::from_ne_bytes(bytes)
 }
 
-/// Where positions' code bytes sit inside a segment.
-#[derive(Clone, Copy)]
-struct Layout {
-    /// Subspaces per code (`quantizer.num_subspaces()`).
-    m: usize,
-    /// Whether the 4-bit interleaved layout is active.
-    four_bit: bool,
-}
-
-impl Layout {
-    /// Byte offset (within a segment) of subspace `sub` of position `off`,
-    /// plus the in-byte nibble shift (always 0 in 8-bit mode).
-    #[inline]
-    fn byte_of(self, off: usize, sub: usize) -> (usize, u32) {
-        if self.four_bit {
-            let block = off / FASTSCAN_BLOCK;
-            let lane = off % FASTSCAN_BLOCK;
-            let byte = block * self.m * 16 + sub * 16 + lane % 16;
-            (byte, if lane < 16 { 0 } else { 4 })
-        } else {
-            (off * self.m + sub, 0)
-        }
-    }
-
-    /// Atomic words per segment: `SEGMENT_CODES` positions of `m·bits`
-    /// bits each, 64 bits per word.
-    fn words_per_segment(self) -> usize {
-        SEGMENT_CODES * self.m * if self.four_bit { 4 } else { 8 } / 64
-    }
+/// Byte offset (within a segment of `m`-subspace codes) of subspace `sub`
+/// of position `off`, plus the in-byte nibble shift.
+#[inline]
+fn byte_of(m: usize, off: usize, sub: usize) -> (usize, u32) {
+    let block = off / FASTSCAN_BLOCK;
+    let lane = off % FASTSCAN_BLOCK;
+    let byte = block * m * 16 + sub * 16 + lane % 16;
+    (byte, if lane < 16 { 0 } else { 4 })
 }
 
 /// A chunk of the id → (list, position) map.
@@ -185,7 +161,8 @@ fn unpack_entry(entry: u64) -> Option<(ListId, usize)> {
 /// the module docs.
 pub struct PqStore {
     quantizer: std::sync::Arc<ProductQuantizer>,
-    layout: Layout,
+    /// Subspaces per code (`quantizer.num_subspaces()`).
+    m: usize,
     /// Per list: its segment directory, boxed on the list's first `put` so
     /// an index of many (mostly short) lists pays two words per list.
     lists: Box<[OnceLock<Box<Directory<CodeSegment>>>]>,
@@ -195,8 +172,7 @@ pub struct PqStore {
 impl std::fmt::Debug for PqStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PqStore")
-            .field("subspaces", &self.layout.m)
-            .field("bits", &self.quantizer.bits())
+            .field("subspaces", &self.m)
             .field("lists", &self.lists.len())
             .finish()
     }
@@ -211,13 +187,9 @@ impl PqStore {
     /// Panics if `num_lists == 0`.
     pub fn new(quantizer: std::sync::Arc<ProductQuantizer>, num_lists: usize) -> Self {
         assert!(num_lists > 0, "num_lists must be positive");
-        let layout = Layout {
-            m: quantizer.num_subspaces(),
-            four_bit: quantizer.bits() == 4,
-        };
         Self {
+            m: quantizer.num_subspaces(),
             quantizer,
-            layout,
             lists: (0..num_lists).map(|_| OnceLock::new()).collect(),
             id_chunks: Directory::new(),
         }
@@ -234,19 +206,9 @@ impl PqStore {
         std::sync::Arc::clone(&self.quantizer)
     }
 
-    /// Unpacked bytes per code (`m`).
-    pub fn code_len(&self) -> usize {
-        self.layout.m
-    }
-
-    /// Whether the 4-bit fast-scan layout is active.
-    pub fn is_four_bit(&self) -> bool {
-        self.layout.four_bit
-    }
-
-    /// Packed storage bytes per vector (`m·bits/8`, rounded up).
+    /// Packed storage bytes per vector (`m` nibbles, rounded up).
     pub fn bytes_per_vector(&self) -> usize {
-        (self.layout.m * usize::from(self.quantizer.bits())).div_ceil(8)
+        self.m.div_ceil(2)
     }
 
     /// Encodes and stores `vector` as the code of position `pos` of `list`
@@ -262,8 +224,9 @@ impl PqStore {
         let code = self.quantizer.encode(vector.as_slice());
         let seg = self.lists[list.as_usize()]
             .get_or_init(|| Box::new(Directory::new()))
+            // `SEGMENT_CODES` positions of `m` nibbles, 16 nibbles per word.
             .get_or_init(pos / SEGMENT_CODES, || {
-                CodeSegment::new(self.layout.words_per_segment())
+                CodeSegment::new(SEGMENT_CODES * self.m / 16)
             });
         let off = pos % SEGMENT_CODES;
         let (block, lane_bit) = (off / FASTSCAN_BLOCK, 1u32 << (off % FASTSCAN_BLOCK));
@@ -275,8 +238,8 @@ impl PqStore {
             return;
         }
         for (sub, &c) in code.iter().enumerate() {
-            let (byte, nibble_shift) = self.layout.byte_of(off, sub);
-            debug_assert!(!self.layout.four_bit || c < 16, "4-bit code out of range");
+            let (byte, nibble_shift) = byte_of(self.m, off, sub);
+            debug_assert!(c < 16, "4-bit code out of range");
             // Relaxed RMW: each lane's bits are zero until its single
             // writer ORs them in, so concurrent writers to the shared
             // word (other lanes of the block) merge exactly. The bits
@@ -314,26 +277,16 @@ impl PqStore {
     pub fn list_reader(&self, list: ListId) -> PqListReader<'_> {
         PqListReader {
             segments: self.lists[list.as_usize()].get().map(|dir| &**dir),
-            layout: self.layout,
+            m: self.m,
             cursor: None,
         }
-    }
-
-    /// Builds the per-query f32 ADC table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query`'s dimension differs from the quantizer's.
-    pub fn adc_table(&self, query: &[f32]) -> AdcTable {
-        self.quantizer.adc_table(query)
     }
 
     /// Builds the per-query quantized u8 LUTs for the fast-scan kernels.
     ///
     /// # Panics
     ///
-    /// Panics if the store is not in 4-bit mode or `query`'s dimension
-    /// differs from the quantizer's.
+    /// Panics if `query`'s dimension differs from the quantizer's.
     pub fn quantized_adc_table(&self, query: &[f32]) -> QuantizedAdcTable {
         self.quantizer.quantized_adc_table(query)
     }
@@ -342,7 +295,7 @@ impl PqStore {
     ///
     /// # Panics
     ///
-    /// Panics if `code.len() != self.code_len()`.
+    /// Panics if `code.len()` differs from the number of subspaces.
     pub fn code_into(&self, id: ImageId, code: &mut [u8]) -> bool {
         let Some((list, pos)) = self.locate(id) else {
             return false;
@@ -356,20 +309,14 @@ impl PqStore {
     fn with_code<R>(&self, id: ImageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let mut stack = [0u8; 64];
         let mut heap = Vec::new();
-        let code = match stack.get_mut(..self.layout.m) {
+        let code = match stack.get_mut(..self.m) {
             Some(code) => code,
             None => {
-                heap.resize(self.layout.m, 0);
+                heap.resize(self.m, 0);
                 &mut heap[..]
             }
         };
         self.code_into(id, code).then(|| f(code))
-    }
-
-    /// Approximate squared distance from the tabled query to `id` (`None`
-    /// if the id was never written).
-    pub fn distance(&self, table: &AdcTable, id: ImageId) -> Option<f32> {
-        self.with_code(id, |code| table.distance(code))
     }
 
     /// Quantized fast-scan distance of `id` — the per-id twin of the block
@@ -378,23 +325,6 @@ impl PqStore {
     /// was never written).
     pub fn quantized_distance(&self, table: &QuantizedAdcTable, id: ImageId) -> Option<f32> {
         self.with_code(id, |code| table.distance(code))
-    }
-
-    /// Scans every written code in **id order**, calling `f(id, distance)`
-    /// — the ablation-bench bulk path.
-    pub fn scan(&self, table: &AdcTable, mut f: impl FnMut(ImageId, f32)) {
-        let mut code = vec![0u8; self.layout.m];
-        for (ci, chunk) in self.id_chunks.iter() {
-            for (si, slot) in chunk.slots.iter().enumerate() {
-                // Acquire: pairs with the Release store in `put`.
-                let Some((list, pos)) = unpack_entry(slot.load(Ordering::Acquire)) else {
-                    continue;
-                };
-                if self.list_reader(list).read_code(pos, &mut code) {
-                    f(ImageId((ci * ID_CHUNK + si) as u32), table.distance(&code));
-                }
-            }
-        }
     }
 
     /// Reconstructs the approximate vector stored for `id`.
@@ -409,7 +339,8 @@ impl PqStore {
 pub struct PqListReader<'a> {
     /// `None` until the list's first `put`.
     segments: Option<&'a Directory<CodeSegment>>,
-    layout: Layout,
+    /// Subspaces per code.
+    m: usize,
     /// The segment index last resolved, and what it resolved to.
     cursor: Option<(usize, Option<&'a CodeSegment>)>,
 }
@@ -417,8 +348,7 @@ pub struct PqListReader<'a> {
 impl std::fmt::Debug for PqListReader<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PqListReader")
-            .field("subspaces", &self.layout.m)
-            .field("four_bit", &self.layout.four_bit)
+            .field("subspaces", &self.m)
             .finish()
     }
 }
@@ -426,7 +356,7 @@ impl std::fmt::Debug for PqListReader<'_> {
 impl<'a> PqListReader<'a> {
     /// Bytes of one fast-scan tile (`m × 16`, the `load_group` scratch).
     pub fn tile_len(&self) -> usize {
-        self.layout.m * 16
+        self.m * 16
     }
 
     /// The segment holding position `pos`, if it was ever allocated.
@@ -453,17 +383,13 @@ impl<'a> PqListReader<'a> {
     ///
     /// # Panics
     ///
-    /// Panics unless the store is 4-bit, `base` is block-aligned, and
+    /// Panics unless `base` is block-aligned and
     /// `scratch.len() == self.tile_len()`.
     #[inline]
     pub fn load_group<'t>(&mut self, base: usize, scratch: &'t mut [u8]) -> (u32, &'t [u8])
     where
         'a: 't,
     {
-        assert!(
-            self.layout.four_bit,
-            "fast-scan groups require the 4-bit layout"
-        );
         assert_eq!(base % FASTSCAN_BLOCK, 0, "group base must be block-aligned");
         assert_eq!(scratch.len(), self.tile_len(), "tile length mismatch");
         let Some(seg) = self.segment(base) else {
@@ -511,7 +437,7 @@ impl<'a> PqListReader<'a> {
     ///
     /// Panics if `code.len()` differs from the number of subspaces.
     pub fn read_code(&mut self, pos: usize, code: &mut [u8]) -> bool {
-        assert_eq!(code.len(), self.layout.m, "code length mismatch");
+        assert_eq!(code.len(), self.m, "code length mismatch");
         let Some(seg) = self.segment(pos) else {
             return false;
         };
@@ -520,14 +446,10 @@ impl<'a> PqListReader<'a> {
             return false;
         }
         for (sub, out) in code.iter_mut().enumerate() {
-            let (byte, nibble_shift) = self.layout.byte_of(off, sub);
+            let (byte, nibble_shift) = byte_of(self.m, off, sub);
             // Relaxed: ordered by the Acquire mask load above.
             let b = seg.words[byte / 8].load(Ordering::Relaxed).to_ne_bytes()[byte % 8];
-            *out = if self.layout.four_bit {
-                (b >> nibble_shift) & 0x0f
-            } else {
-                b
-            };
+            *out = (b >> nibble_shift) & 0x0f;
         }
         true
     }
@@ -539,7 +461,7 @@ mod tests {
     use jdvs_vector::pq::PqConfig;
     use jdvs_vector::rng::Xoshiro256;
 
-    fn trained(dim: usize, m: usize, bits: u8) -> (std::sync::Arc<ProductQuantizer>, Vec<Vector>) {
+    fn trained(dim: usize, m: usize) -> (std::sync::Arc<ProductQuantizer>, Vec<Vector>) {
         let mut rng = Xoshiro256::seed_from(4);
         let data: Vec<Vector> = (0..400)
             .map(|_| (0..dim).map(|_| rng.next_gaussian() as f32).collect())
@@ -550,7 +472,6 @@ mod tests {
                 num_subspaces: m,
                 max_iters: 6,
                 seed: 1,
-                bits,
             },
         );
         (std::sync::Arc::new(pq), data)
@@ -558,24 +479,24 @@ mod tests {
 
     #[test]
     fn put_then_distance_round_trip() {
-        let (pq, data) = trained(16, 4, 8);
+        let (pq, data) = trained(16, 4);
         let store = PqStore::new(pq, 2);
         for (i, v) in data.iter().take(50).enumerate() {
             store.put(ImageId(i as u32), ListId(0), i, v);
         }
-        let table = store.adc_table(data[0].as_slice());
-        let d_self = store.distance(&table, ImageId(0)).unwrap();
-        let d_other = store.distance(&table, ImageId(25)).unwrap();
+        let table = store.quantized_adc_table(data[0].as_slice());
+        let d_self = store.quantized_distance(&table, ImageId(0)).unwrap();
+        let d_other = store.quantized_distance(&table, ImageId(25)).unwrap();
         assert!(
             d_self < d_other,
             "self-distance {d_self} must beat {d_other}"
         );
-        assert!(store.distance(&table, ImageId(9_999)).is_none());
+        assert!(store.quantized_distance(&table, ImageId(9_999)).is_none());
     }
 
     #[test]
     fn four_bit_codes_round_trip_through_nibble_packing() {
-        let (pq, data) = trained(16, 8, 4);
+        let (pq, data) = trained(16, 8);
         let store = PqStore::new(std::sync::Arc::clone(&pq), 2);
         // Spread across both lists and past one segment so hi/lo nibbles,
         // partial tail blocks and the segment boundary are all exercised.
@@ -598,7 +519,7 @@ mod tests {
 
     #[test]
     fn load_group_matches_per_id_distances_bit_exactly() {
-        let (pq, data) = trained(16, 8, 4);
+        let (pq, data) = trained(16, 8);
         let store = PqStore::new(std::sync::Arc::clone(&pq), 1);
         // 77 codes: two sealed blocks plus a partial tail block.
         for (i, v) in data.iter().take(77).enumerate() {
@@ -638,7 +559,7 @@ mod tests {
 
     #[test]
     fn block_turns_in_place_when_its_last_lane_publishes() {
-        let (pq, data) = trained(16, 8, 4);
+        let (pq, data) = trained(16, 8);
         let store = PqStore::new(pq, 1);
         for (i, v) in data.iter().take(FASTSCAN_BLOCK - 1).enumerate() {
             store.put(ImageId(i as u32), ListId(0), i, v);
@@ -673,7 +594,7 @@ mod tests {
 
     #[test]
     fn decode_approximates_original() {
-        let (pq, data) = trained(16, 8, 8);
+        let (pq, data) = trained(16, 8);
         let store = PqStore::new(pq, 1);
         store.put(ImageId(0), ListId(0), 0, &data[0]);
         let approx = store.decode(ImageId(0)).unwrap();
@@ -685,7 +606,7 @@ mod tests {
 
     #[test]
     fn positions_are_write_once() {
-        let (pq, data) = trained(8, 2, 8);
+        let (pq, data) = trained(8, 2);
         let store = PqStore::new(pq, 1);
         store.put(ImageId(0), ListId(0), 0, &data[0]);
         store.put(ImageId(0), ListId(0), 0, &data[1]);
@@ -697,35 +618,17 @@ mod tests {
 
     #[test]
     fn compression_ratio_is_as_advertised() {
-        let (pq, _) = trained(32, 8, 8);
+        let (pq, _) = trained(32, 8);
         let store = PqStore::new(pq, 1);
-        assert_eq!(store.bytes_per_vector(), 8);
-        assert_eq!(store.code_len(), 8);
-        // Raw storage would be 32 * 4 = 128 bytes: 16x compression.
-        let (pq4, _) = trained(32, 8, 4);
-        assert_eq!(PqStore::new(pq4, 1).bytes_per_vector(), 4); // 32x
-    }
-
-    #[test]
-    fn scan_visits_every_written_id_in_id_order() {
-        let (pq, data) = trained(8, 2, 8);
-        let store = PqStore::new(pq, 3);
-        for (i, v) in data.iter().take(40).enumerate() {
-            // Sparse ids, positions independent of ids.
-            store.put(ImageId(i as u32 * 3), ListId((i % 3) as u32), i / 3, v);
-        }
-        let table = store.adc_table(data[0].as_slice());
-        let mut seen = Vec::new();
-        store.scan(&table, |id, d| {
-            assert_eq!(Some(d), store.distance(&table, id));
-            seen.push(id.0);
-        });
-        assert_eq!(seen, (0..40u32).map(|i| i * 3).collect::<Vec<_>>());
+        // Raw storage would be 32 * 4 = 128 bytes: 32x compression.
+        assert_eq!(store.bytes_per_vector(), 4);
+        let (odd, _) = trained(24, 3);
+        assert_eq!(PqStore::new(odd, 1).bytes_per_vector(), 2);
     }
 
     #[test]
     fn spans_segments() {
-        let (pq, data) = trained(8, 2, 8);
+        let (pq, data) = trained(8, 2);
         let store = PqStore::new(pq, 1);
         let pos = SEGMENT_CODES * 2 + 3;
         store.put(ImageId(7), ListId(0), pos, &data[0]);
@@ -738,12 +641,12 @@ mod tests {
         assert!(reader.read_code(pos, &mut code));
     }
 
-    /// Satellite coverage: concurrent inserters share tail blocks (and, in
-    /// 4-bit mode, nibble bytes) while readers scan mid-write; every
+    /// Concurrent inserters share tail blocks (and nibble bytes) while
+    /// readers scan mid-write; every
     /// published lane must already read back its exact final code.
     #[test]
     fn concurrent_inserts_into_shared_tail_blocks_are_exact() {
-        let (pq, data) = trained(16, 8, 4);
+        let (pq, data) = trained(16, 8);
         let store = std::sync::Arc::new(PqStore::new(std::sync::Arc::clone(&pq), 1));
         let n = 320usize; // 10 blocks
         let writers = 8usize;

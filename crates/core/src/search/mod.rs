@@ -13,12 +13,12 @@
 //!
 //! 1. **Probe.** The plan is assigned its `nprobe` nearest lists, nearest
 //!    first, so the scan's prune bound tightens fastest.
-//! 2. **Scan.** One of three per-list scanners (raw `f32`, 4-bit PQ
-//!    fast-scan, 8-bit PQ ADC; see `scan.rs`) walks each list once over
-//!    one [`crate::inverted::InvertedList::snapshot`] into the plan's
-//!    [`TopK`], with [`TopK::would_accept`] threshold pruning. The raw and
-//!    8-bit scanners walk id blocks; the 4-bit scanner walks 32-code
-//!    blocks of the code store itself — sealed blocks are scored **in
+//! 2. **Scan.** One of two per-list scanners (raw `f32` or 4-bit PQ
+//!    fast-scan; see `scan.rs`) walks each list once over one
+//!    [`crate::inverted::InvertedList::snapshot`] into the plan's
+//!    [`TopK`], with [`TopK::would_accept`] threshold pruning. The raw
+//!    scanner walks id blocks; the fast-scan scanner walks 32-code blocks
+//!    of the code store itself — sealed blocks are scored **in
 //!    place**, only a list's still-filling tail block is copied
 //!    ([`crate::pq_store::PqListReader::load_group`]) — with a fused
 //!    score-and-prune kernel, and reads an id only for a lane under the
@@ -65,17 +65,16 @@ pub use reference::{
     ann_search_reference, compressed_search_reference, filtered_ann_search_reference,
     filtered_compressed_search_reference,
 };
-use scan::{AdcScanner, FastScanner, Lanes, ListScanner, RawScanner};
+use scan::{FastScanner, Lanes, ListScanner, RawScanner};
 
 /// What a plan scans and whether it re-ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Exact distances over the stored raw vectors — the paper's scan.
     Raw,
-    /// Two-stage PQ search: scan the codes (4-bit fast-scan or 8-bit ADC,
-    /// whichever the index stores), shortlist `k · rerank_factor`
-    /// candidates, re-rank them exactly. Scan memory traffic drops by
-    /// `4·dim / m` at a small recall cost. Needs
+    /// Two-stage PQ search: fast-scan the 4-bit codes, shortlist
+    /// `k · rerank_factor` candidates, re-rank them exactly. Scan memory
+    /// traffic drops by `8·dim / m` at a small recall cost. Needs
     /// [`crate::config::IndexConfig::pq_subspaces`].
     Compressed {
         /// Stage-1 over-fetch ratio; must be positive.
@@ -184,13 +183,8 @@ pub fn execute(index: &VisualIndex, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
     let pq = index
         .pq_store()
         .expect("compressed search requires config.pq_subspaces (see IndexConfig)");
-    let shortlist = if pq.is_four_bit() {
-        let qt = pq.quantized_adc_table(plan.features);
-        scan(index, plan, &lanes, FastScanner::new(&lanes, pq, &qt))
-    } else {
-        let table = pq.adc_table(plan.features);
-        scan(index, plan, &lanes, AdcScanner::new(&lanes, pq, &table))
-    };
+    let qt = pq.quantized_adc_table(plan.features);
+    let shortlist = scan(index, plan, &lanes, FastScanner::new(&lanes, pq, &qt));
     exact_rerank(
         &lanes.bitmap,
         &vectors,
@@ -407,12 +401,12 @@ mod tests {
     }
 
     /// `n` gaussian 8-d images over `num_lists` lists, every `delete_step`-th
-    /// deleted (0: none); `pq_bits` selects raw-only / 4-bit / 8-bit PQ.
+    /// deleted (0: none); `pq` selects raw-only or 4-bit PQ.
     fn build(
         n: usize,
         num_lists: usize,
         seed: u64,
-        pq_bits: Option<u8>,
+        pq: bool,
         escalation: usize,
         delete_step: usize,
     ) -> (VisualIndex, Vec<Vector>) {
@@ -424,8 +418,7 @@ mod tests {
             dim: 8,
             num_lists,
             initial_list_capacity: 8,
-            pq_subspaces: pq_bits.map(|_| 8),
-            pq_bits: pq_bits.unwrap_or(8),
+            pq_subspaces: pq.then_some(8),
             nprobe_escalation: escalation,
             ..Default::default()
         };
@@ -466,7 +459,6 @@ mod tests {
             num_lists: lengths.len(),
             initial_list_capacity: 8,
             pq_subspaces: Some(8),
-            pq_bits: 4,
             nprobe_escalation: lengths.len(),
             ..Default::default()
         };
@@ -525,15 +517,18 @@ mod tests {
     /// escalation included.
     #[test]
     fn execute_matches_the_references() {
-        for (pq_bits, seed) in [(None, 61), (Some(4), 67), (Some(8), 71)] {
-            let (index, data) = build(600, 8, seed, pq_bits, 8, 11);
+        for (pq, seed) in [(false, 61), (true, 67)] {
+            let (index, data) = build(600, 8, seed, pq, 8, 11);
             let specs = test_specs();
-            let stage_of = |i: usize| match pq_bits {
-                // PQ worlds serve raw plans too.
-                Some(_) if !i.is_multiple_of(3) => Stage::Compressed {
-                    rerank_factor: 2 + i % 3,
-                },
-                _ => Stage::Raw,
+            // PQ worlds serve raw plans too.
+            let stage_of = |i: usize| {
+                if pq && !i.is_multiple_of(3) {
+                    Stage::Compressed {
+                        rerank_factor: 2 + i % 3,
+                    }
+                } else {
+                    Stage::Raw
+                }
             };
             // Moduli are coprime to the spec count, so every spec meets
             // every probe width, filtered and (every sixth plan) not.
@@ -549,7 +544,7 @@ mod tests {
                 .collect();
             for plan in &plans {
                 let got = execute(&index, plan);
-                assert_eq!(got, oracle(&index, plan), "pq {pq_bits:?}: {plan:?}");
+                assert_eq!(got, oracle(&index, plan), "pq {pq}: {plan:?}");
                 if let Some(spec) = plan.filter {
                     for hit in &got {
                         let n = index.forward().numeric(ImageId(hit.id as u32)).unwrap();
@@ -589,7 +584,7 @@ mod tests {
 
     #[test]
     fn full_probe_equals_brute_force() {
-        let (index, data) = build(300, 8, 3, None, 0, 7);
+        let (index, data) = build(300, 8, 3, false, 0, 7);
         for q in data.iter().take(20) {
             let ann = execute(&index, &SearchPlan::new(q.as_slice(), 5, 8));
             let exact = brute_force(&index, q.as_slice(), 5);
@@ -600,7 +595,7 @@ mod tests {
 
     #[test]
     fn recall_grows_with_nprobe() {
-        let (index, data) = build(500, 16, 5, None, 0, 0);
+        let (index, data) = build(500, 16, 5, false, 0, 0);
         let mut totals = Vec::new();
         for nprobe in [1usize, 4, 16] {
             let mut total = 0.0;
@@ -618,7 +613,7 @@ mod tests {
 
     #[test]
     fn results_are_sorted_by_distance() {
-        let (index, data) = build(200, 4, 7, None, 0, 0);
+        let (index, data) = build(200, 4, 7, false, 0, 0);
         let hits = execute(&index, &SearchPlan::new(data[0].as_slice(), 10, 4));
         for w in hits.windows(2) {
             assert!(w[0].distance <= w[1].distance);
@@ -627,7 +622,7 @@ mod tests {
 
     #[test]
     fn deleted_images_are_skipped_by_both_paths() {
-        let (index, data) = build(50, 4, 9, None, 0, 0);
+        let (index, data) = build(50, 4, 9, false, 0, 0);
         index.invalidate(ImageKey::from_url("u0"), "u0").unwrap();
         let ann = execute(&index, &SearchPlan::new(data[0].as_slice(), 50, 4));
         let exact = brute_force(&index, data[0].as_slice(), 50);
@@ -641,7 +636,7 @@ mod tests {
         // Regression: an id published in an inverted list whose feature
         // vector never landed used to enter the heap at f32::INFINITY and
         // could surface whenever fewer than k real candidates existed.
-        let (index, data) = build(5, 1, 17, None, 0, 0);
+        let (index, data) = build(5, 1, 17, false, 0, 0);
         let phantom = ImageId(4000);
         index.inverted_internal().append(ListId(0), phantom);
         index.bitmap().set(phantom.as_usize());
@@ -658,7 +653,7 @@ mod tests {
 
     #[test]
     fn rerank_drops_images_deleted_between_stages() {
-        let (index, data) = build(30, 2, 19, None, 0, 0);
+        let (index, data) = build(30, 2, 19, false, 0, 0);
         let kernels = simd::active();
         let bitmap = index.bitmap().reader();
         let vectors = index.vectors().snapshot();
@@ -678,7 +673,7 @@ mod tests {
     /// error lives only in the shortlist ordering.
     #[test]
     fn four_bit_full_overfetch_is_exact() {
-        let (index, data) = build(200, 2, 37, Some(4), 0, 0);
+        let (index, data) = build(200, 2, 37, true, 0, 0);
         for q in data.iter().take(10) {
             let plan = SearchPlan::new(q.as_slice(), 5, 2).compressed(200);
             let exact = brute_force(&index, q.as_slice(), 5);
@@ -693,7 +688,7 @@ mod tests {
     /// than index one past the id block — unfiltered and filtered.
     #[test]
     fn code_published_past_the_id_snapshot_is_ignored() {
-        let (index, data) = build(300, 4, 47, Some(4), 0, 9);
+        let (index, data) = build(300, 4, 47, true, 0, 9);
         let category = FilterSpec::by_category(0);
         let search_all = |q: &[f32]| {
             let plain = SearchPlan::new(q, 10, 4).compressed(3);
@@ -735,21 +730,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "query dimension mismatch")]
     fn wrong_query_dim_panics() {
-        let (index, _) = build(10, 2, 1, None, 0, 0);
+        let (index, _) = build(10, 2, 1, false, 0, 0);
         execute(&index, &SearchPlan::new(&[0.0; 4], 1, 1));
     }
 
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
-        let (index, data) = build(10, 2, 1, None, 0, 0);
+        let (index, data) = build(10, 2, 1, false, 0, 0);
         execute(&index, &SearchPlan::new(data[0].as_slice(), 0, 1));
     }
 
     /// An unconstrained spec is the unfiltered plan exactly.
     #[test]
     fn unconstrained_filter_equals_unfiltered() {
-        let (index, data) = build(300, 4, 73, Some(4), 8, 11);
+        let (index, data) = build(300, 4, 73, true, 8, 11);
         let spec = FilterSpec::none();
         for q in data.iter().take(5) {
             for plan in [
@@ -768,7 +763,7 @@ mod tests {
     /// filtered brute force.
     #[test]
     fn filtered_full_probe_equals_filtered_brute_force() {
-        let (index, data) = build(400, 8, 79, None, 0, 11);
+        let (index, data) = build(400, 8, 79, false, 0, 11);
         for spec in [FilterSpec::by_category(2), FilterSpec::none().in_stock()] {
             for q in data.iter().take(8) {
                 let ann = execute(&index, &SearchPlan::new(q.as_slice(), 5, 8).filtered(&spec));
@@ -791,8 +786,8 @@ mod tests {
         let k = 10;
         assert!(matching >= k, "test needs at least k matching images");
 
-        let (escalating, data) = build(n, 16, 83, None, 16, 11);
-        let (capped, _) = build(n, 16, 83, None, 0, 11);
+        let (escalating, data) = build(n, 16, 83, false, 16, 11);
+        let (capped, _) = build(n, 16, 83, false, 0, 11);
         let mut ever_underfull = false;
         for q in data.iter().take(10) {
             let plan = SearchPlan::new(q.as_slice(), k, 1).filtered(&spec);
@@ -816,13 +811,13 @@ mod tests {
     fn near_expired_deadline_skips_escalation() {
         let spec = FilterSpec::by_category(9); // ~1% of images
         let k = 10;
-        for pq_bits in [None, Some(4)] {
-            let (index, data) = build(2000, 16, 83, pq_bits, 16, 11);
-            let (capped, _) = build(2000, 16, 83, pq_bits, 0, 11);
+        for pq in [false, true] {
+            let (index, data) = build(2000, 16, 83, pq, 16, 11);
+            let (capped, _) = build(2000, 16, 83, pq, 0, 11);
             let mut ever_underfull = false;
             for q in data.iter().take(10) {
                 let mut plan = SearchPlan::new(q.as_slice(), k, 1).filtered(&spec);
-                if pq_bits.is_some() {
+                if pq {
                     plan = plan.compressed(3);
                 }
                 let expired = plan.with_deadline(Some(Instant::now() - Duration::from_millis(5)));
@@ -850,7 +845,7 @@ mod tests {
 
     #[test]
     fn explicit_probe_set_matches_the_assigned_one() {
-        let (index, data) = build(300, 8, 29, None, 0, 11);
+        let (index, data) = build(300, 8, 29, false, 0, 11);
         for q in data.iter().take(5) {
             let probes = index.quantizer().assign_multi(q.as_slice(), 3);
             assert_eq!(

@@ -72,10 +72,10 @@ pub fn compressed_search_reference(
     filtered_compressed_search_reference(index, query, k, nprobe, rerank_factor, &none)
 }
 
-/// Reference for a filtered compressed plan: stage 1 computes the
-/// (quantized) ADC distance of every valid candidate and post-filters
-/// before shortlist insertion; stage 2 re-ranks per id. In 4-bit mode the
-/// per-id quantized distance is bit-exact with a fast-scan kernel lane.
+/// Reference for a filtered compressed plan: stage 1 computes the quantized
+/// ADC distance of every valid candidate and post-filters before shortlist
+/// insertion; stage 2 re-ranks per id. The per-id quantized distance is
+/// bit-exact with a fast-scan kernel lane.
 ///
 /// # Panics
 ///
@@ -94,15 +94,9 @@ pub fn filtered_compressed_search_reference(
         .pq_store()
         .expect("compressed search requires config.pq_subspaces (see IndexConfig)");
     let capacity = k.saturating_mul(rerank_factor).max(k);
-    let shortlist = if pq.is_four_bit() {
-        let qt = pq.quantized_adc_table(query);
-        let score = |id| pq.quantized_distance(&qt, id);
-        collect(index, query, k, nprobe, capacity, filter, score)
-    } else {
-        let table = pq.adc_table(query);
-        let score = |id| pq.distance(&table, id);
-        collect(index, query, k, nprobe, capacity, filter, score)
-    };
+    let qt = pq.quantized_adc_table(query);
+    let score = |id| pq.quantized_distance(&qt, id);
+    let shortlist = collect(index, query, k, nprobe, capacity, filter, score);
     let mut topk = TopK::new(k);
     for candidate in shortlist.into_sorted_vec() {
         let id = ImageId(candidate.id as u32);

@@ -1,4 +1,4 @@
-//! The three per-list scanners behind [`super::execute`].
+//! The two per-list scanners behind [`super::execute`].
 //!
 //! A scanner walks **one** inverted list for the plan it serves and feeds
 //! the plan's [`TopK`]. The first pass over the probed lists and every
@@ -10,12 +10,12 @@
 //! Per probed list a scanner takes one
 //! [`crate::inverted::InvertedList::snapshot`] (the list's one lock and
 //! refcount) and, on the PQ paths, one borrowed
-//! [`crate::pq_store::PqListReader`] (neither). The raw and 8-bit scanners
-//! walk the snapshot in id blocks; the 4-bit scanner walks the *codes* and
-//! goes back to the snapshot only for lanes that survive: an unfiltered
-//! scan streams 8 code bytes per candidate (m = 16) and nothing else.
+//! [`crate::pq_store::PqListReader`] (neither). The raw scanner walks the
+//! snapshot in id blocks; the fast-scan scanner walks the *codes* and goes
+//! back to the snapshot only for lanes that survive: an unfiltered scan
+//! streams 8 code bytes per candidate (m = 16) and nothing else.
 
-use jdvs_vector::pq::{AdcTable, QuantizedAdcTable};
+use jdvs_vector::pq::QuantizedAdcTable;
 use jdvs_vector::simd::{self, KernelSet, FASTSCAN_LANES};
 use jdvs_vector::topk::TopK;
 
@@ -200,52 +200,5 @@ impl ListScanner for FastScanner<'_> {
                 }
             }
         }
-    }
-}
-
-/// Classic 8-bit ADC: `m` table lookups per candidate, after the validity
-/// bit and the filter admitted it — a rejected candidate skips the code
-/// read too.
-pub(super) struct AdcScanner<'a> {
-    lanes: &'a Lanes<'a>,
-    pq: &'a PqStore,
-    table: &'a AdcTable,
-    code: Vec<u8>,
-}
-
-impl<'a> AdcScanner<'a> {
-    pub fn new(lanes: &'a Lanes<'a>, pq: &'a PqStore, table: &'a AdcTable) -> Self {
-        Self {
-            lanes,
-            pq,
-            table,
-            code: vec![0; pq.code_len()],
-        }
-    }
-}
-
-impl ListScanner for AdcScanner<'_> {
-    fn scan_list(&mut self, list: usize, topk: &mut TopK) {
-        let lanes = self.lanes;
-        let mut reader = self.pq.list_reader(ListId(list as u32));
-        let mut base = 0usize;
-        lanes.inverted.scan_blocks(ListId(list as u32), |ids| {
-            for (i, &id) in ids.iter().enumerate() {
-                if !lanes.bitmap.test(id.as_usize())
-                    || lanes
-                        .view
-                        .as_ref()
-                        .is_some_and(|v| !v.admits(id.as_usize()))
-                    || !reader.read_code(base + i, &mut self.code)
-                {
-                    continue;
-                }
-                let d = self.table.distance(&self.code);
-                if topk.would_accept(d) {
-                    topk.push(id.as_u64(), d);
-                }
-            }
-            base += ids.len();
-        });
     }
 }

@@ -206,7 +206,6 @@ fn pq_block_mask_publishes_complete_codes() {
             num_subspaces: M,
             max_iters: 4,
             seed: 1,
-            bits: 4,
         },
     ));
     let data = std::sync::Arc::new(data);

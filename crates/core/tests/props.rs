@@ -394,7 +394,6 @@ fn attr_index(
             num_lists,
             initial_list_capacity: 4,
             pq_subspaces: pq_bits.map(|_| DIM),
-            pq_bits: pq_bits.unwrap_or(8),
             nprobe_escalation,
             ..Default::default()
         },
@@ -429,8 +428,8 @@ proptest! {
 
     /// The one engine entry point against the four sequential references:
     /// a random plan (random k / nprobe / stage, a filter from across the
-    /// whole selectivity range or none) over a random index (raw-only,
-    /// 4-bit or 8-bit PQ; random deletions; with and without probe
+    /// whole selectivity range or none) over a random index (raw-only or
+    /// 4-bit PQ; random deletions; with and without probe
     /// escalation) returns *exactly* its reference's result. Runs on the
     /// native and (in CI) the forced-scalar kernel set.
     #[test]
@@ -441,7 +440,7 @@ proptest! {
         query in 0usize..80,
         k in 1usize..11,
         delete_every in 2usize..10,
-        pq_bits in prop_oneof![Just(None), Just(Some(4u8)), Just(Some(8u8))],
+        pq_bits in prop_oneof![Just(None), Just(Some(4u8))],
         escalation in prop_oneof![Just(0usize), 4usize..32],
         spec in prop_oneof![Just(None), filter_spec().prop_map(Some)],
     ) {

@@ -178,7 +178,6 @@ fn pq_tail_blocks_race_compressed_execute() {
             num_lists: 4,
             initial_list_capacity: 2, // migrations under the id snapshots too
             pq_subspaces: Some(4),
-            pq_bits: 4,
             ..Default::default()
         },
         &training,

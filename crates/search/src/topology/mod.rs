@@ -363,7 +363,6 @@ impl SearchTopology {
                     num_subspaces: m,
                     max_iters: config.index.kmeans_iters,
                     seed: config.index.seed ^ 0x90DE,
-                    bits: config.index.pq_bits,
                 },
             ))
         });

@@ -5,11 +5,15 @@
 //! the paper cites PQ as the established technique. We provide it as the
 //! searcher's optional compressed-scan mode and as an ablation subject: a
 //! `d`-dimensional vector is split into `m` subspaces, each quantized by its
-//! own 256-entry codebook, so a vector costs `m` bytes instead of `4·d`.
+//! own 16-entry codebook, so a vector costs `m` nibbles instead of `4·d`
+//! bytes.
 //!
 //! Queries use asymmetric distance computation (ADC): a per-query lookup
-//! table of squared distances from each query sub-vector to every codeword,
-//! after which scanning a code is `m` table lookups and adds.
+//! table of squared distances from each query sub-vector to every codeword.
+//! The scan never reads that `f32` table: it is quantized to u8
+//! ([`QuantizedAdcTable`]) so a subspace's whole 16-entry row fits one SIMD
+//! register and one shuffle scores 32 codes (the fast-scan kernels of
+//! [`crate::simd`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -17,13 +21,9 @@ use crate::distance::squared_l2;
 use crate::kmeans::{Kmeans, KmeansConfig};
 use crate::vector::Vector;
 
-/// Number of codewords per 8-bit sub-quantizer (one byte per sub-code).
-pub const CODEBOOK_SIZE: usize = 256;
-
-/// Number of codewords per 4-bit sub-quantizer (one nibble per sub-code —
-/// the fast-scan mode, where a whole 16-entry LUT fits in one SIMD
-/// register).
-pub const CODEBOOK_SIZE_4BIT: usize = 16;
+/// Number of codewords per sub-quantizer: 4 bits per sub-code, so a whole
+/// 16-entry LUT fits in one SIMD register.
+pub const CODEBOOK_SIZE: usize = 16;
 
 /// Codes per fast-scan block (mirrors
 /// [`crate::simd::FASTSCAN_LANES`]): one AVX2/NEON table-lookup pass
@@ -39,10 +39,6 @@ pub struct PqConfig {
     pub max_iters: usize,
     /// Training seed.
     pub seed: u64,
-    /// Bits per sub-code: `8` (256-word codebooks, one byte per sub) or
-    /// `4` (16-word codebooks, one nibble per sub — enables the fast-scan
-    /// kernels).
-    pub bits: u8,
 }
 
 impl Default for PqConfig {
@@ -51,7 +47,6 @@ impl Default for PqConfig {
             num_subspaces: 8,
             max_iters: 15,
             seed: 0xC0DE,
-            bits: 8,
         }
     }
 }
@@ -78,30 +73,22 @@ impl Default for PqConfig {
 pub struct ProductQuantizer {
     dim: usize,
     sub_dim: usize,
-    /// Bits per sub-code (4 or 8); decides the codebook size `2^bits`.
-    bits: u8,
     // One k-means model per subspace, each over `sub_dim`-dimensional data.
     codebooks: Vec<Kmeans>,
 }
 
 impl ProductQuantizer {
-    /// Trains one `2^bits`-word codebook per subspace on `data`.
+    /// Trains one [`CODEBOOK_SIZE`]-word codebook per subspace on `data`.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty, `config.num_subspaces` is zero or does not
-    /// divide the vector dimension, `config.bits` is neither 4 nor 8, or
-    /// vectors have inconsistent dimensions.
+    /// divide the vector dimension, or vectors have inconsistent dimensions.
     pub fn train(data: &[Vector], config: &PqConfig) -> Self {
         assert!(!data.is_empty(), "cannot train PQ on empty data");
         let dim = data[0].dim();
         let m = config.num_subspaces;
         assert!(m > 0, "num_subspaces must be positive");
-        assert!(
-            config.bits == 4 || config.bits == 8,
-            "pq bits must be 4 or 8, got {}",
-            config.bits
-        );
         assert_eq!(
             dim % m,
             0,
@@ -115,7 +102,7 @@ impl ProductQuantizer {
                 .map(|v| Vector::from(&v.as_slice()[sub * sub_dim..(sub + 1) * sub_dim]))
                 .collect();
             let cfg = KmeansConfig {
-                k: 1usize << config.bits,
+                k: CODEBOOK_SIZE,
                 max_iters: config.max_iters,
                 tolerance: 1e-4,
                 seed: config.seed.wrapping_add(sub as u64),
@@ -126,7 +113,6 @@ impl ProductQuantizer {
         Self {
             dim,
             sub_dim,
-            bits: config.bits,
             codebooks,
         }
     }
@@ -141,17 +127,8 @@ impl ProductQuantizer {
         self.codebooks.len()
     }
 
-    /// Bits per sub-code: 8 (classic ADC) or 4 (fast-scan).
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Codewords per sub-quantizer (`2^bits`).
-    pub fn ksub(&self) -> usize {
-        1usize << self.bits
-    }
-
-    /// Encodes `v` into `m` one-byte codes.
+    /// Encodes `v` into `m` sub-codes, one per byte, each below
+    /// [`CODEBOOK_SIZE`].
     ///
     /// # Panics
     ///
@@ -184,10 +161,9 @@ impl ProductQuantizer {
         Vector::from(out)
     }
 
-    /// Builds the per-query ADC table: entry `sub * 256 + word` is the
+    /// Builds the per-query f32 ADC table: entry `sub * 16 + word` is the
     /// squared distance between the query's `sub`-th sub-vector and codeword
-    /// `word`. Rows are stored **flattened and contiguous** so the SIMD
-    /// gather kernel can index the whole table from one base pointer.
+    /// `word`.
     ///
     /// # Panics
     ///
@@ -207,48 +183,42 @@ impl ProductQuantizer {
     }
 
     /// Builds the quantized u8 ADC table for the fast-scan kernels; see
-    /// [`QuantizedAdcTable`]. Only meaningful in 4-bit mode.
+    /// [`QuantizedAdcTable`].
     ///
     /// # Panics
     ///
-    /// Panics if `self.bits() != 4` or `query.len() != self.dim()`.
+    /// Panics if `query.len() != self.dim()`.
     pub fn quantized_adc_table(&self, query: &[f32]) -> QuantizedAdcTable {
-        assert_eq!(self.bits, 4, "fast-scan LUTs require 4-bit codes");
         QuantizedAdcTable::from_table(&self.adc_table(query))
     }
 }
 
-/// Asymmetric-distance lookup table for one query; see
-/// [`ProductQuantizer::adc_table`].
+/// The exact `f32` asymmetric-distance table of one query (see
+/// [`ProductQuantizer::adc_table`]): what [`QuantizedAdcTable`] is built
+/// from, and the reference its error bound is stated against.
 #[derive(Debug, Clone)]
 pub struct AdcTable {
-    /// Row-major `m × 256` distance entries.
+    /// Row-major `m × 16` distance entries.
     flat: Vec<f32>,
     m: usize,
 }
 
 impl AdcTable {
     /// Approximate squared L2 distance between the query and the vector
-    /// encoded as `code` (SIMD-dispatched table lookup).
+    /// encoded as `code`: `m` table lookups and adds.
     ///
     /// # Panics
     ///
     /// Panics if `code.len()` differs from the number of subspaces.
-    #[inline]
     pub fn distance(&self, code: &[u8]) -> f32 {
         assert_eq!(code.len(), self.m, "code length mismatch");
-        crate::simd::active().adc(code, &self.flat)
+        let rows = self.flat.chunks_exact(CODEBOOK_SIZE);
+        rows.zip(code).map(|(row, &c)| row[usize::from(c)]).sum()
     }
 
     /// Number of subspaces `m`.
     pub fn num_subspaces(&self) -> usize {
         self.m
-    }
-
-    /// The flattened `m × 256` row-major table (for custom scan kernels and
-    /// differential tests).
-    pub fn flat(&self) -> &[f32] {
-        &self.flat
     }
 }
 
@@ -278,17 +248,16 @@ pub struct QuantizedAdcTable {
 }
 
 impl QuantizedAdcTable {
-    /// Quantizes the first [`CODEBOOK_SIZE_4BIT`] entries of each f32 row.
+    /// Quantizes every f32 row of `table`.
     ///
     /// Entries that are `INFINITY` (codewords beyond the trained codebook)
     /// clamp to 255; codes never reference them.
     pub fn from_table(table: &AdcTable) -> Self {
         let m = table.num_subspaces();
-        let flat = table.flat();
+        let rows = || table.flat.chunks_exact(CODEBOOK_SIZE);
         let mut mins = Vec::with_capacity(m);
         let mut max_range = 0.0f32;
-        for sub in 0..m {
-            let row = &flat[sub * CODEBOOK_SIZE..sub * CODEBOOK_SIZE + CODEBOOK_SIZE_4BIT];
+        for row in rows() {
             let mut min = f32::INFINITY;
             let mut max = f32::NEG_INFINITY;
             for &t in row {
@@ -314,13 +283,12 @@ impl QuantizedAdcTable {
         } else {
             1.0
         };
-        let mut luts = vec![0u8; m * CODEBOOK_SIZE_4BIT];
-        for sub in 0..m {
-            let row = &flat[sub * CODEBOOK_SIZE..sub * CODEBOOK_SIZE + CODEBOOK_SIZE_4BIT];
-            let out = &mut luts[sub * CODEBOOK_SIZE_4BIT..(sub + 1) * CODEBOOK_SIZE_4BIT];
+        let mut luts = vec![0u8; m * CODEBOOK_SIZE];
+        let outs = luts.chunks_exact_mut(CODEBOOK_SIZE);
+        for ((out, row), &min) in outs.zip(rows()).zip(&mins) {
             for (o, &t) in out.iter_mut().zip(row) {
                 *o = if t.is_finite() {
-                    (((t - mins[sub]) / delta).round()).clamp(0.0, 255.0) as u8
+                    (((t - min) / delta).round()).clamp(0.0, 255.0) as u8
                 } else {
                     255
                 };
@@ -399,7 +367,7 @@ impl QuantizedAdcTable {
         let mut acc = 0u16;
         for (sub, &c) in code.iter().enumerate() {
             acc = acc.saturating_add(u16::from(
-                self.luts[sub * CODEBOOK_SIZE_4BIT + (c & 0x0f) as usize],
+                self.luts[sub * CODEBOOK_SIZE + (c & 0x0f) as usize],
             ));
         }
         self.to_f32(acc)
@@ -545,12 +513,9 @@ mod tests {
             &data,
             &PqConfig {
                 num_subspaces: 4,
-                bits: 4,
                 ..Default::default()
             },
         );
-        assert_eq!(pq.bits(), 4);
-        assert_eq!(pq.ksub(), 16);
         for v in data.iter().take(50) {
             assert!(pq.encode(v.as_slice()).iter().all(|&c| c < 16));
         }
@@ -563,7 +528,6 @@ mod tests {
             &data,
             &PqConfig {
                 num_subspaces: 8,
-                bits: 4,
                 ..Default::default()
             },
         );
@@ -591,7 +555,6 @@ mod tests {
             &data,
             &PqConfig {
                 num_subspaces: 4,
-                bits: 4,
                 ..Default::default()
             },
         );
@@ -602,11 +565,11 @@ mod tests {
             .take(FASTSCAN_BLOCK)
             .map(|v| pq.encode(v.as_slice()))
             .collect();
-        let mut block = vec![0u8; m * CODEBOOK_SIZE_4BIT];
+        let mut block = vec![0u8; m * CODEBOOK_SIZE];
         for (lane, code) in codes.iter().enumerate() {
             for (sub, &c) in code.iter().enumerate() {
-                let byte = &mut block[sub * CODEBOOK_SIZE_4BIT + lane % CODEBOOK_SIZE_4BIT];
-                *byte |= if lane < CODEBOOK_SIZE_4BIT { c } else { c << 4 };
+                let byte = &mut block[sub * CODEBOOK_SIZE + lane % CODEBOOK_SIZE];
+                *byte |= if lane < CODEBOOK_SIZE { c } else { c << 4 };
             }
         }
         let mut acc = [0u16; FASTSCAN_BLOCK];
@@ -629,7 +592,6 @@ mod tests {
             &data,
             &PqConfig {
                 num_subspaces: 8,
-                bits: 4,
                 ..Default::default()
             },
         );
@@ -671,7 +633,6 @@ mod tests {
             &data,
             &PqConfig {
                 num_subspaces: 2,
-                bits: 4,
                 ..Default::default()
             },
         );
@@ -679,20 +640,6 @@ mod tests {
         let code = pq.encode(&[0.5f32; 8]);
         let exact = pq.adc_table(&[1.0f32; 8]).distance(&code);
         assert!((quant.distance(&code) - exact).abs() < 1e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "fast-scan LUTs require 4-bit codes")]
-    fn quantized_table_requires_4bit_mode() {
-        let data = random_data(300, 8, 14);
-        let pq = ProductQuantizer::train(
-            &data,
-            &PqConfig {
-                num_subspaces: 2,
-                ..Default::default()
-            },
-        );
-        pq.quantized_adc_table(data[0].as_slice());
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! Runtime-dispatched SIMD distance kernels.
 //!
 //! The searcher's inner loop evaluates `squared_l2` (raw scans), `dot`
-//! (cosine/MIPS modes) and the PQ ADC lookup (compressed scans) millions of
-//! times per second; Section 2.4's sub-second latency target makes these the
-//! hottest instructions in the system. This module provides three
-//! implementations of each kernel behind one [`KernelSet`] of function
+//! (cosine/MIPS modes) and the 4-bit PQ fast-scan (compressed scans)
+//! millions of times per second; Section 2.4's sub-second latency target
+//! makes these the hottest instructions in the system. This module provides
+//! three implementations of each kernel behind one [`KernelSet`] of function
 //! pointers:
 //!
 //! - **scalar** — the always-correct reference: 4-way manually unrolled,
 //!   identical to the original hand-written loops. Used for differential
 //!   testing and as the fallback on hardware without SIMD.
 //! - **avx2-fma** (`x86_64`) — 8-lane `f32` FMA kernels with two
-//!   independent accumulators; the ADC kernel uses `vgatherdps` to fetch
-//!   8 codebook entries per instruction.
-//! - **neon** (`aarch64`) — 4-lane `f32` FMA kernels (NEON is part of the
-//!   baseline AArch64 ISA, so no runtime detection is needed).
+//!   independent accumulators; the fast-scan kernel does 32 LUT lookups
+//!   per subspace with one `vpshufb`.
+//! - **neon** (`aarch64`) — 4-lane `f32` FMA kernels and `vqtbl1q_u8`
+//!   fast-scan (NEON is part of the baseline AArch64 ISA, so no runtime
+//!   detection is needed).
 //!
 //! Selection happens **once**, on first use, via
 //! `is_x86_feature_detected!`; every later call is an indirect call through
@@ -29,12 +30,6 @@
 //! `1e-4`; orderings of well-separated candidates are unaffected.
 
 use std::sync::OnceLock;
-
-/// Codewords per PQ sub-quantizer; ADC tables are `m` rows of this many
-/// `f32` entries, flattened row-major (mirrors
-/// [`crate::pq::CODEBOOK_SIZE`], duplicated here to keep the kernel layer
-/// free of higher-level imports).
-pub const ADC_ROW: usize = 256;
 
 /// Codes per fast-scan block: one 4-bit fast-scan kernel call scores this
 /// many candidates at once (mirrors `jdvs_core`'s interleaved block size).
@@ -59,7 +54,6 @@ pub struct KernelSet {
     name: &'static str,
     squared_l2: fn(&[f32], &[f32]) -> f32,
     dot: fn(&[f32], &[f32]) -> f32,
-    adc: fn(&[u8], &[f32]) -> f32,
     fastscan16: fn(&[u8], &[u8], &mut [u16; FASTSCAN_LANES]),
     fastscan16_le: fn(&[u8], &[u8], u16, &mut [u16; FASTSCAN_LANES]) -> u32,
 }
@@ -98,22 +92,6 @@ impl KernelSet {
     pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
         assert_same_len(a, b);
         (self.dot)(a, b)
-    }
-
-    /// ADC lookup: `Σ table[sub * ADC_ROW + code[sub]]` over a flattened
-    /// per-query distance table (see [`crate::pq::AdcTable`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table.len() != code.len() * ADC_ROW`.
-    #[inline]
-    pub fn adc(&self, code: &[u8], table: &[f32]) -> f32 {
-        assert_eq!(
-            table.len(),
-            code.len() * ADC_ROW,
-            "ADC table shape mismatch"
-        );
-        (self.adc)(code, table)
     }
 
     /// 4-bit fast-scan over one interleaved 32-code block.
@@ -208,7 +186,6 @@ static SCALAR: KernelSet = KernelSet {
     name: "scalar",
     squared_l2: scalar::squared_l2,
     dot: scalar::dot,
-    adc: scalar::adc,
     fastscan16: scalar::fastscan16,
     fastscan16_le: scalar::fastscan16_le,
 };
@@ -218,7 +195,6 @@ static AVX2: KernelSet = KernelSet {
     name: "avx2-fma",
     squared_l2: x86::squared_l2,
     dot: x86::dot,
-    adc: x86::adc,
     fastscan16: x86::fastscan16,
     fastscan16_le: x86::fastscan16_le,
 };
@@ -228,10 +204,6 @@ static NEON: KernelSet = KernelSet {
     name: "neon",
     squared_l2: neon::squared_l2,
     dot: neon::dot,
-    // Table lookups have no NEON gather; the unrolled scalar loop is
-    // already load-bound, so reuse it.
-    adc: scalar::adc,
-    // 16-entry LUTs do have a NEON home: `vqtbl1q_u8`.
     fastscan16: neon::fastscan16,
     fastscan16_le: neon::fastscan16_le,
 };
@@ -275,8 +247,6 @@ pub fn active() -> &'static KernelSet {
 /// The scalar reference implementations (4-way unrolled; the pre-SIMD hot
 /// loops, kept verbatim as the correctness oracle).
 pub mod scalar {
-    use super::ADC_ROW;
-
     /// Reference `Σ (aᵢ - bᵢ)²`; caller guarantees equal lengths.
     pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
         let mut acc0 = 0.0f32;
@@ -320,28 +290,6 @@ pub mod scalar {
         let mut acc = acc0 + acc1 + acc2 + acc3;
         for j in chunks * 4..a.len() {
             acc += a[j] * b[j];
-        }
-        acc
-    }
-
-    /// Reference ADC lookup; caller guarantees
-    /// `table.len() == code.len() * ADC_ROW`.
-    pub fn adc(code: &[u8], table: &[f32]) -> f32 {
-        let mut acc0 = 0.0f32;
-        let mut acc1 = 0.0f32;
-        let mut acc2 = 0.0f32;
-        let mut acc3 = 0.0f32;
-        let chunks = code.len() / 4;
-        for i in 0..chunks {
-            let j = i * 4;
-            acc0 += table[j * ADC_ROW + code[j] as usize];
-            acc1 += table[(j + 1) * ADC_ROW + code[j + 1] as usize];
-            acc2 += table[(j + 2) * ADC_ROW + code[j + 2] as usize];
-            acc3 += table[(j + 3) * ADC_ROW + code[j + 3] as usize];
-        }
-        let mut acc = acc0 + acc1 + acc2 + acc3;
-        for j in chunks * 4..code.len() {
-            acc += table[j * ADC_ROW + code[j] as usize];
         }
         acc
     }
@@ -393,7 +341,6 @@ pub mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::ADC_ROW;
     use std::arch::x86_64::*;
 
     /// Horizontal sum of the 8 lanes of `v`.
@@ -418,11 +365,6 @@ mod x86 {
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: as above — only selected on avx2+fma hardware.
         unsafe { dot_avx2(a, b) }
-    }
-
-    pub(super) fn adc(code: &[u8], table: &[f32]) -> f32 {
-        // SAFETY: as above — only selected on avx2+fma hardware.
-        unsafe { adc_avx2(code, table) }
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -575,41 +517,6 @@ mod x86 {
             store_sums(acc_lo, acc_hi, out);
         }
         mask
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn adc_avx2(code: &[u8], table: &[f32]) -> f32 {
-        let m = code.len();
-        let tp = table.as_ptr();
-        // Row offsets of 8 consecutive subspaces: 0, 256, 512, ...
-        let rows = _mm256_setr_epi32(
-            0,
-            ADC_ROW as i32,
-            2 * ADC_ROW as i32,
-            3 * ADC_ROW as i32,
-            4 * ADC_ROW as i32,
-            5 * ADC_ROW as i32,
-            6 * ADC_ROW as i32,
-            7 * ADC_ROW as i32,
-        );
-        let mut acc = _mm256_setzero_ps();
-        let mut sub = 0usize;
-        while sub + 8 <= m {
-            // 8 one-byte codes → 8 i32 lanes → absolute table indices.
-            let codes8 = _mm_loadl_epi64(code.as_ptr().add(sub) as *const __m128i);
-            let idx = _mm256_add_epi32(
-                _mm256_add_epi32(_mm256_cvtepu8_epi32(codes8), rows),
-                _mm256_set1_epi32((sub * ADC_ROW) as i32),
-            );
-            acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(tp, idx));
-            sub += 8;
-        }
-        let mut total = hsum(acc);
-        while sub < m {
-            total += *table.get_unchecked(sub * ADC_ROW + *code.get_unchecked(sub) as usize);
-            sub += 1;
-        }
-        total
     }
 }
 
@@ -765,22 +672,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adc_matches_scalar_on_awkward_widths() {
-        let best = detect_best();
-        let mut rng = Xoshiro256::seed_from(7);
-        for m in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 32] {
-            let table: Vec<f32> = (0..m * ADC_ROW)
-                .map(|_| rng.next_gaussian().abs() as f32)
-                .collect();
-            let code: Vec<u8> = (0..m).map(|_| (rng.next_index(ADC_ROW)) as u8).collect();
-            assert!(
-                close(best.adc(&code, &table), scalar().adc(&code, &table)),
-                "adc m {m}"
-            );
-        }
-    }
-
     /// A pseudo-random fast-scan block + LUT pair for `m` subspaces.
     fn random_fastscan(m: usize, seed: u64, lut_max: u8) -> (Vec<u8>, Vec<u8>) {
         let mut rng = Xoshiro256::seed_from(seed);
@@ -907,18 +798,11 @@ mod tests {
     fn empty_inputs_are_zero() {
         assert_eq!(active().squared_l2(&[], &[]), 0.0);
         assert_eq!(active().dot(&[], &[]), 0.0);
-        assert_eq!(active().adc(&[], &[]), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "different dimension")]
     fn kernel_length_mismatch_panics() {
         active().squared_l2(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ADC table shape mismatch")]
-    fn adc_shape_mismatch_panics() {
-        active().adc(&[0, 1], &[0.0; ADC_ROW]);
     }
 }

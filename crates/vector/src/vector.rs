@@ -109,31 +109,6 @@ impl Vector {
             *x *= s;
         }
     }
-
-    /// Serializes the components to little-endian bytes (4 bytes per
-    /// component). Used by the feature database's compact storage format.
-    pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() * 4);
-        for x in &self.data {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes from the little-endian byte format produced by
-    /// [`Vector::to_le_bytes`].
-    ///
-    /// Returns `None` if `bytes.len()` is not a multiple of 4.
-    pub fn from_le_bytes(bytes: &[u8]) -> Option<Self> {
-        if !bytes.len().is_multiple_of(4) {
-            return None;
-        }
-        let data = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Some(Self { data })
-    }
 }
 
 impl From<Vec<f32>> for Vector {
@@ -217,20 +192,6 @@ mod tests {
     fn add_dim_mismatch_panics() {
         let mut a = Vector::from(vec![1.0]);
         a.add_assign(&Vector::from(vec![1.0, 2.0]));
-    }
-
-    #[test]
-    fn byte_round_trip() {
-        let v = Vector::from(vec![0.25, -1.5, 3.25e7, f32::MIN_POSITIVE]);
-        let bytes = v.to_le_bytes();
-        assert_eq!(bytes.len(), 16);
-        let back = Vector::from_le_bytes(&bytes).expect("valid byte length");
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn from_le_bytes_rejects_ragged_input() {
-        assert!(Vector::from_le_bytes(&[0, 1, 2]).is_none());
     }
 
     #[test]

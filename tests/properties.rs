@@ -169,15 +169,4 @@ proptest! {
         prop_assert!(p < parts);
         prop_assert_eq!(p, ImageKey::from_url(&url).partition(parts));
     }
-
-    /// Vector byte serialization round-trips bit-exactly.
-    #[test]
-    fn vector_bytes_round_trip(data in prop::collection::vec(any::<f32>(), 0..64)) {
-        let v = jdvs::vector::Vector::from(data.clone());
-        let back = jdvs::vector::Vector::from_le_bytes(&v.to_le_bytes()).unwrap();
-        // Compare bit patterns (NaN-safe).
-        let a: Vec<u32> = v.as_slice().iter().map(|x| x.to_bits()).collect();
-        let b: Vec<u32> = back.as_slice().iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(a, b);
-    }
 }

@@ -209,9 +209,10 @@ pub fn bitmap(ctx: &Ctx) -> ExperimentResult {
 
     // Physical rebuild: a fresh index containing only surviving images.
     let t0 = Instant::now();
-    let rebuilt = Arc::new(VisualIndex::with_quantizer(
+    let rebuilt = Arc::new(VisualIndex::with_quantizers(
         index.config().clone(),
         index.quantizer().clone(),
+        None,
     ));
     let victim_ids: std::collections::HashSet<_> = victims.iter().map(|v| v.id).collect();
     for product in f.catalog.products() {

@@ -20,12 +20,13 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
+use jdvs_core::index::train_quantizers;
 use jdvs_core::search;
 use jdvs_core::{IndexConfig, VisualIndex};
 use jdvs_storage::model::{ProductAttributes, ProductId};
 use jdvs_vector::rng::Xoshiro256;
 use jdvs_vector::simd;
-use jdvs_vector::{Kmeans, KmeansConfig, Vector};
+use jdvs_vector::Vector;
 
 use crate::report::ExperimentResult;
 use crate::row;
@@ -101,15 +102,16 @@ pub fn coarse(ctx: &Ctx) -> ExperimentResult {
     // linear scan, `graphed` carries the centroid graph.
     let sample_len = (3 * num_lists).min(n_vectors);
     let t0 = Instant::now();
-    let flat = Kmeans::train(
-        &data[..sample_len],
-        &KmeansConfig {
-            k: num_lists,
-            max_iters: 4,
-            tolerance: 1e-4,
+    let (flat, _) = train_quantizers(
+        &IndexConfig {
+            dim: DIM,
+            num_lists,
+            kmeans_iters: 4,
             seed: 0xC0A5,
-            balance_factor: BALANCE,
+            coarse_balance_factor: BALANCE,
+            ..Default::default()
         },
+        &data[..sample_len],
     );
     let train_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
@@ -129,7 +131,7 @@ pub fn coarse(ctx: &Ctx) -> ExperimentResult {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let index = VisualIndex::with_quantizer(config, graphed.clone());
+    let index = VisualIndex::with_quantizers(config, graphed.clone(), None);
     for (i, v) in data.iter().enumerate() {
         index
             .insert(

@@ -54,14 +54,14 @@ pub struct IndexConfig {
     /// `max(coarse_beam_width, nprobe)`, and a beam at or above `num_lists`
     /// degenerates to the flat scan's exact output. Worth enabling from a
     /// few thousand lists up, where centroid assignment dominates pre-kernel
-    /// query cost. Persisted (format v5): assignment results shape the index
+    /// query cost. Persisted in snapshots: assignment results shape the index
     /// contents, so a reloaded partition must probe identically.
     pub coarse_beam_width: usize,
     /// Imbalance-aware k-means training: when `> 0`, each Lloyd iteration
     /// splits clusters whose population exceeds `coarse_balance_factor ×`
     /// the mean count by reseating the smallest clusters' centroids onto
     /// their farthest members (hot inverted lists dominate tail latency at
-    /// 10k+ lists). `0.0` keeps plain Lloyd. Persisted (format v5) for
+    /// 10k+ lists). `0.0` keeps plain Lloyd. Persisted in snapshots for
     /// training provenance.
     pub coarse_balance_factor: f64,
     /// Master seed for quantizer training.

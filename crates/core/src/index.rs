@@ -76,65 +76,70 @@ pub struct VisualIndex {
     filters: FilterIndex,
 }
 
+/// Trains the quantizers an index of `config` serves with on `training`:
+/// the coarse k-means (`num_lists` clamped to the sample size, with its
+/// centroid graph when `coarse_beam_width` is positive) and the PQ codebook
+/// when `pq_subspaces` is set. The one place quantizers are trained; a
+/// snapshot load serves the ones it carries.
+///
+/// # Panics
+///
+/// Panics if `config` is invalid or `training` is empty / of the wrong
+/// dimension.
+pub fn train_quantizers(
+    config: &IndexConfig,
+    training: &[Vector],
+) -> (Kmeans, Option<Arc<ProductQuantizer>>) {
+    config.validate();
+    assert!(
+        !training.is_empty(),
+        "quantizer training sample cannot be empty"
+    );
+    for t in training {
+        assert_eq!(
+            t.dim(),
+            config.dim,
+            "training vectors must match config.dim"
+        );
+    }
+    let quantizer = Kmeans::train(
+        training,
+        &KmeansConfig {
+            k: config.num_lists,
+            max_iters: config.kmeans_iters,
+            tolerance: 1e-4,
+            seed: config.seed,
+            balance_factor: config.coarse_balance_factor,
+        },
+    );
+    let quantizer = match config.coarse_beam_width {
+        0 => quantizer,
+        beam => quantizer.with_coarse_graph(beam),
+    };
+    let pq = config.pq_subspaces.map(|m| {
+        Arc::new(ProductQuantizer::train(
+            training,
+            &PqConfig {
+                num_subspaces: m,
+                max_iters: config.kmeans_iters,
+                seed: config.seed ^ 0x90DE,
+            },
+        ))
+    });
+    (quantizer, pq)
+}
+
 impl VisualIndex {
-    /// Builds an index whose coarse quantizer is trained on `training`
-    /// feature vectors (at least one required; `config.num_lists` is
-    /// clamped to the sample size by k-means).
+    /// Builds an index around quantizers trained on `training` by
+    /// [`train_quantizers`].
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid or `training` is empty / of the wrong
     /// dimension.
     pub fn bootstrap(config: IndexConfig, training: &[Vector]) -> Self {
-        config.validate();
-        assert!(
-            !training.is_empty(),
-            "quantizer training sample cannot be empty"
-        );
-        for t in training {
-            assert_eq!(
-                t.dim(),
-                config.dim,
-                "training vectors must match config.dim"
-            );
-        }
-        let quantizer = Kmeans::train(
-            training,
-            &KmeansConfig {
-                k: config.num_lists,
-                max_iters: config.kmeans_iters,
-                tolerance: 1e-4,
-                seed: config.seed,
-                balance_factor: config.coarse_balance_factor,
-            },
-        );
-        let pq = config.pq_subspaces.map(|m| {
-            Arc::new(ProductQuantizer::train(
-                training,
-                &PqConfig {
-                    num_subspaces: m,
-                    max_iters: config.kmeans_iters,
-                    seed: config.seed ^ 0x90DE,
-                },
-            ))
-        });
+        let (quantizer, pq) = train_quantizers(&config, training);
         Self::with_quantizers(config, quantizer, pq)
-    }
-
-    /// Builds an index around a pre-trained quantizer (the full indexer
-    /// trains once and distributes the centroid table to partitions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid, the quantizer dimension mismatches,
-    /// or `config.pq_subspaces` is set (that mode needs a PQ codebook —
-    /// use [`VisualIndex::with_quantizers`] or [`VisualIndex::bootstrap`]).
-    pub fn with_quantizer(config: IndexConfig, quantizer: Kmeans) -> Self {
-        assert!(
-            config.pq_subspaces.is_none(),
-            "pq mode requires a trained codebook: use with_quantizers or bootstrap"
-        );
-        Self::with_quantizers(config, quantizer, None)
     }
 
     /// Builds an index around pre-trained coarse and (optionally) product
@@ -757,15 +762,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pq mode requires a trained codebook")]
-    fn with_quantizer_rejects_pq_config() {
+    #[should_panic(expected = "config.pq_subspaces set but no codebook supplied")]
+    fn with_quantizers_rejects_pq_config_without_a_codebook() {
         let config = IndexConfig {
             dim: 8,
             pq_subspaces: Some(4),
             ..Default::default()
         };
         let q = Kmeans::from_centroids(vec![Vector::zeros(8)]);
-        VisualIndex::with_quantizer(config, q);
+        VisualIndex::with_quantizers(config, q, None);
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! Index snapshots: serialize a partition's index to bytes and back.
 //!
-//! Production context (Figure 2/3): the weekly full indexer builds fresh
-//! indexes and *distributes* them to searcher nodes. That hand-off needs a
-//! durable, self-describing on-disk format. [`save`] captures everything a
-//! partition needs — config, quantizer centroids, every record's
-//! attributes, features and validity — and [`load`] reconstructs an
-//! equivalent [`VisualIndex`] (same ids, same attributes, same searchable
-//! set; inverted lists are rebuilt deterministically from the quantizer).
+//! Production context (Figure 2/3): the weekly full indexer trains the
+//! quantizers once, builds fresh indexes and *distributes* them to searcher
+//! nodes. That hand-off needs a durable, self-describing on-disk format.
+//! [`save`] captures everything a partition serves with — config, coarse
+//! centroids, PQ codebook, every record's attributes, features and
+//! validity — and [`load`] reconstructs an equivalent [`VisualIndex`]: same
+//! ids, attributes, searchable set and quantizers, so the same answers, raw
+//! and compressed.
 //!
 //! The format is a versioned little-endian binary layout (no external
 //! serialization dependency on the hot path):
 //!
 //! ```text
 //! magic "JDVS" | u32 version | config (incl. pq_subspaces, 0 = none) |
-//! quantizer (k × dim f32) | u64 n_images |
+//! u32 k | centroids (k × dim f32) |
+//! pq codebook (16 × dim f32, pq_subspaces > 0 only) | u64 n_images |
 //! n × { attrs, valid u8, features dim × f32 } |
 //! n × { category u32, in_stock u8 } | u32 crc32c
 //! ```
@@ -22,34 +24,37 @@
 //! *before* decoding, so a corrupt snapshot (bit rot, short write, bad
 //! shipping) fails with [`PersistError::ChecksumMismatch`] instead of
 //! decoding garbage. A matching CRC proves only that the bytes are the ones
-//! written: the config must still pass [`IndexConfig::check`] and the
-//! record count must fit the remaining bytes before anything is trained or
-//! allocated, so a crafted snapshot is [`PersistError::Corrupt`], never a
-//! panic. The listing-attribute section (category + in-stock
-//! per record) follows the record array; loading it rebuilds the filter
-//! bitmaps through the ordinary insert path.
+//! written: the config must still pass [`IndexConfig::check`], the codebook
+//! must be one [`ProductQuantizer::codewords`] could have written, the
+//! record count must fit the remaining bytes before anything is allocated,
+//! and every byte must be read, so a crafted snapshot is
+//! [`PersistError::Corrupt`], never a panic.
 //!
-//! [`load`] accepts the current version and the one before it. **Version
-//! 5** (current) adds the hierarchical coarse-quantizer config fields
-//! (`coarse_beam_width` + `coarse_balance_factor`) — beam width is index
-//! structure, not a serving knob: assignment shaped the inverted lists, so
-//! a reloaded partition must probe identically. A **version 4** snapshot
-//! loads with the flat centroid scan its build used.
+//! Quantizers are index state, not derived data: a codebook retrained from
+//! another sample scores differently, so a snapshot carries the centroids
+//! and codebook its replica serves, and [`load`] trains nothing. What
+//! [`load`] rebuilds is what follows deterministically from those bytes:
+//! the inverted lists and PQ codes (records re-inserted in id order and
+//! encoded against the stored codebook), the filter bitmaps (from the
+//! listing section after the record array), and the centroid graph (from
+//! the centroids and `coarse_beam_width`).
+//!
+//! **Version 6** (current) adds the codebook section. [`load`] also accepts
+//! **version 5**, whose layout is version 6 without that section, for raw
+//! snapshots only: a version 5 snapshot of a PQ index holds no codebook to
+//! serve with and is refused as [`PersistError::UnsupportedVersion`].
 //!
 //! What a snapshot does *not* carry is the serving-time knob
 //! ([`IndexConfig::nprobe_escalation`]): snapshots stay portable across
 //! probing policies, and [`load`] adopts the knob from the config the
 //! snapshot is being loaded *for*.
-//!
-//! PQ codebooks and the centroid graph are *derived* data (rebuilt
-//! deterministically from the stored vectors/centroids and the config), so
-//! snapshots carry raw vectors and centroids only; [`load`] retrains the
-//! codebook when `pq_subspaces` is set and rebuilds the centroid graph when
-//! `coarse_beam_width` is positive.
+
+use std::sync::Arc;
 
 use jdvs_storage::checksum::crc32c;
 use jdvs_storage::model::{ProductAttributes, ProductId};
 use jdvs_vector::kmeans::Kmeans;
+use jdvs_vector::pq::{ProductQuantizer, CODEBOOK_SIZE};
 use jdvs_vector::Vector;
 
 use crate::config::IndexConfig;
@@ -58,11 +63,11 @@ use crate::index::VisualIndex;
 
 /// Format magic.
 const MAGIC: &[u8; 4] = b"JDVS";
-/// Current format version (v5 adds the hierarchical coarse-quantizer
-/// config fields to v4).
-const VERSION: u32 = 5;
-/// Oldest version [`load`] still accepts: the one before the current.
-const MIN_VERSION: u32 = 4;
+/// Current format version (v6 adds the PQ codebook to v5).
+const VERSION: u32 = 6;
+/// Oldest version [`load`] still accepts, for raw indexes: the one before
+/// the current.
+const MIN_VERSION: u32 = 5;
 
 /// Errors from snapshot encode/decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,8 +223,6 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
     w.u64(c.seed);
     w.u8(c.pq_bits);
     w.u32(c.rerank_factor as u32);
-    // v5 fields: hierarchical coarse-quantizer knobs. The graph itself is
-    // derived data, rebuilt from the centroids on load.
     w.u32(c.coarse_beam_width as u32);
     w.u64(c.coarse_balance_factor.to_bits());
 
@@ -227,6 +230,9 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
     w.u32(q.k() as u32);
     for centroid in q.centroids() {
         w.f32s(centroid.as_slice());
+    }
+    if let Some(pq) = index.pq_quantizer() {
+        w.f32s(&pq.codewords());
     }
 
     let n = index.num_images();
@@ -263,8 +269,9 @@ pub fn save(index: &VisualIndex) -> Vec<u8> {
 /// under `serving`.
 ///
 /// The rebuilt index assigns the same sequential ids, attributes, features
-/// and validity; inverted lists are re-derived from the (identical)
-/// quantizer, so search results match the snapshotted index exactly.
+/// and validity, and serves with the snapshot's centroids and codebook;
+/// inverted lists and codes are re-derived from them, so raw and
+/// compressed search results match the snapshotted index exactly.
 /// Index structure comes from the snapshot; the serving-time knob it does
 /// not carry ([`IndexConfig::nprobe_escalation`]) is adopted from
 /// `serving` — the config of the partition the snapshot is loaded for —
@@ -317,24 +324,20 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
         seed: r.u64("config.seed")?,
         pq_bits: r.u8("config.pq_bits")?,
         rerank_factor: r.u32("config.rerank_factor")? as usize,
-        // v5 fields; v4 snapshots were written by flat-scan builds.
-        coarse_beam_width: if version >= 5 {
-            r.u32("config.coarse_beam_width")? as usize
-        } else {
-            0
-        },
-        coarse_balance_factor: if version >= 5 {
-            f64::from_bits(r.u64("config.coarse_balance_factor")?)
-        } else {
-            0.0
-        },
+        coarse_beam_width: r.u32("config.coarse_beam_width")? as usize,
+        coarse_balance_factor: f64::from_bits(r.u64("config.coarse_balance_factor")?),
     };
     // A CRC only proves the bytes are the ones written, not that a valid
-    // index wrote them: check the config before anything is trained on it,
-    // so corrupt input surfaces as an error, never a panic.
+    // index wrote them: check the config before anything is allocated for
+    // it, so corrupt input surfaces as an error, never a panic.
     config
         .check()
         .map_err(|reason| PersistError::Corrupt { reason })?;
+    // Version 5 predates the codebook section: a raw index reads as
+    // version 6, a PQ index has nothing to serve its codes with.
+    if version < 6 && config.pq_subspaces.is_some() {
+        return Err(PersistError::UnsupportedVersion(version));
+    }
 
     // Fewer centroids than lists is a small training sample; more would
     // hand out list ids the config does not size for.
@@ -348,12 +351,20 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
         .map(|_| r.f32s(dim, "quantizer.centroid").map(Vector::from))
         .collect::<Result<_, _>>()?;
     let quantizer = Kmeans::from_centroids(centroids);
+    let pq = match config.pq_subspaces {
+        Some(m) => {
+            let codewords = r.f32s(CODEBOOK_SIZE * dim, "pq.codebook")?;
+            let pq = ProductQuantizer::from_codewords(dim, m, &codewords)
+                .map_err(|reason| PersistError::Corrupt { reason })?;
+            Some(Arc::new(pq))
+        }
+        None => None,
+    };
 
-    // Decode all records first: the (derived) PQ codebook is retrained on
-    // the stored vectors before inserts encode against it. A record is at
-    // least four u64 attributes, a u32 url length, the validity byte and
-    // the features, so the remaining bytes bound the count before
-    // anything is allocated for it.
+    // Decode all records first: their listing attributes follow the record
+    // array. A record is at least four u64 attributes, a u32 url length,
+    // the validity byte and the features, so the remaining bytes bound the
+    // count before anything is allocated for it.
     let n = r.u64("n_images")?;
     if n > (r.buf.len() - r.pos) as u64 / (37 + 4 * dim as u64) {
         return Err(PersistError::Corrupt {
@@ -379,39 +390,11 @@ pub fn load(bytes: &[u8], serving: &IndexConfig) -> Result<VisualIndex, PersistE
         rec.0.category = r.u32("listing.category")?;
         rec.0.in_stock = r.u8("listing.in_stock")? != 0;
     }
-    let pq = match config.pq_subspaces {
-        Some(m) if !records.is_empty() => {
-            let sample: Vec<Vector> = records
-                .iter()
-                .take(config.train_sample.max(1))
-                .map(|(_, _, f)| f.clone())
-                .collect();
-            Some(std::sync::Arc::new(
-                jdvs_vector::pq::ProductQuantizer::train(
-                    &sample,
-                    &jdvs_vector::pq::PqConfig {
-                        num_subspaces: m,
-                        max_iters: config.kmeans_iters,
-                        seed: config.seed ^ 0x90DE,
-                    },
-                ),
-            ))
-        }
-        Some(m) => {
-            // Degenerate: no vectors to train on; a zero codebook suffices.
-            Some(std::sync::Arc::new(
-                jdvs_vector::pq::ProductQuantizer::train(
-                    &[Vector::zeros(dim)],
-                    &jdvs_vector::pq::PqConfig {
-                        num_subspaces: m,
-                        max_iters: 1,
-                        seed: config.seed,
-                    },
-                ),
-            ))
-        }
-        None => None,
-    };
+    if r.pos != r.buf.len() {
+        return Err(PersistError::Corrupt {
+            reason: "bytes left after the listing section",
+        });
+    }
     let index = VisualIndex::with_quantizers(config, quantizer, pq);
 
     let mut invalid: Vec<(jdvs_storage::model::ImageKey, String)> = Vec::new();
@@ -487,6 +470,34 @@ mod tests {
         index
     }
 
+    /// A PQ index (m = 4) trained on 128 vectors and holding `rows` others,
+    /// as a topology partition is: its codebook's sample is disjoint from
+    /// the rows it holds.
+    fn build_pq_index(rows: u64) -> VisualIndex {
+        let mut rng = Xoshiro256::seed_from(77);
+        let mut gaussian = || -> Vector { (0..DIM).map(|_| rng.next_gaussian() as f32).collect() };
+        let train: Vec<Vector> = (0..128).map(|_| gaussian()).collect();
+        let index = VisualIndex::bootstrap(
+            IndexConfig {
+                dim: DIM,
+                num_lists: 4,
+                pq_subspaces: Some(4),
+                ..Default::default()
+            },
+            &train,
+        );
+        for i in 0..rows {
+            index
+                .insert(
+                    gaussian(),
+                    ProductAttributes::new(ProductId(i), 0, 0, 0, format!("u{i}")),
+                )
+                .unwrap();
+        }
+        index.flush();
+        index
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let index = build_index(100);
@@ -533,41 +544,31 @@ mod tests {
         }
     }
 
+    /// A reload serves the codebook the index was saved with, not one
+    /// retrained from the rows it holds: compressed answers are
+    /// bit-identical at every rerank factor.
     #[test]
     fn pq_index_round_trips_and_serves_compressed_search() {
-        let mut rng = Xoshiro256::seed_from(77);
-        let train: Vec<Vector> = (0..128)
-            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
-            .collect();
-        let index = VisualIndex::bootstrap(
-            IndexConfig {
-                dim: DIM,
-                num_lists: 4,
-                pq_subspaces: Some(4),
-                ..Default::default()
-            },
-            &train,
-        );
-        for (i, v) in train.iter().take(60).enumerate() {
-            index
-                .insert(
-                    v.clone(),
-                    ProductAttributes::new(ProductId(i as u64), 0, 0, 0, format!("u{i}")),
-                )
-                .unwrap();
-        }
-        index.flush();
+        let index = build_pq_index(60);
         let restored = reload(&save(&index)).expect("round trip");
         assert!(restored.has_pq(), "PQ mode must survive the snapshot");
-        // Raw searches match exactly; compressed searches work on the
-        // retrained (derived) codebook and surface exact matches.
-        for i in (0..60u32).step_by(13) {
+        assert_eq!(
+            restored.pq_quantizer(),
+            index.pq_quantizer(),
+            "the reloaded codebook must be the saved one"
+        );
+        for i in 0..60u32 {
             let q = index.features(ImageId(i)).unwrap();
-            assert_eq!(
-                index.search(q.as_slice(), 5, 4),
-                restored.search(q.as_slice(), 5, 4)
-            );
-            let hits = restored.search_compressed(q.as_slice(), 1, 4, 8);
+            let q = q.as_slice();
+            assert_eq!(index.search(q, 5, 4), restored.search(q, 5, 4));
+            for rerank_factor in [1, 4] {
+                assert_eq!(
+                    index.search_compressed(q, 5, 4, rerank_factor),
+                    restored.search_compressed(q, 5, 4, rerank_factor),
+                    "query {i} at rerank_factor {rerank_factor}"
+                );
+            }
+            let hits = restored.search_compressed(q, 1, 4, 8);
             assert_eq!(hits[0].id, u64::from(i));
         }
     }
@@ -583,13 +584,24 @@ mod tests {
         let index = build_index(3);
         let mut bytes = save(&index);
         // Newer than this build, and older than "current + one previous".
-        for version in [99u32, 3] {
+        for version in [99u32, 3, 4] {
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 reload(&bytes).unwrap_err(),
                 PersistError::UnsupportedVersion(version)
             );
         }
+        // A version 5 PQ snapshot has no codebook to serve with.
+        let pq = save(&build_pq_index(10));
+        let v5 = as_v5(
+            pq[..CODEBOOK_AT]
+                .iter()
+                .chain(&pq[CODEBOOK_AT + CODEBOOK_LEN..]),
+        );
+        assert_eq!(
+            reload(&v5).unwrap_err(),
+            PersistError::UnsupportedVersion(5)
+        );
     }
 
     #[test]
@@ -620,17 +632,19 @@ mod tests {
         assert!(mismatch.to_string().contains("0x0badf00d"));
     }
 
-    /// Byte offset of the v5-only config fields (`coarse_beam_width` +
-    /// `coarse_balance_factor`, 12 bytes) inside a saved snapshot: magic +
-    /// version + the fixed-width config fields up to and including
-    /// `rerank_factor`.
-    const V5_FIELDS_AT: usize = 4 + 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4 + 8 + 1 + 4;
+    /// Bytes before the centroid table: magic, version and the fixed-width
+    /// config fields.
+    const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 4 + 4 + 1 + 4 + 8 + 4 + 8 + 1 + 4 + 4 + 8;
+    /// Where the codebook of a [`build_pq_index`] snapshot starts (after
+    /// its 4 centroids), and its length.
+    const CODEBOOK_AT: usize = HEADER_LEN + 4 + 4 * DIM * 4;
+    const CODEBOOK_LEN: usize = 16 * DIM * 4;
 
-    /// Rewrites a freshly-saved (v5) snapshot into the v4 layout: splices
-    /// out the v5 config fields and recomputes the trailer.
-    fn downgrade_to_v4(mut bytes: Vec<u8>) -> Vec<u8> {
-        bytes.drain(V5_FIELDS_AT..V5_FIELDS_AT + 12);
-        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    /// `bytes` with the version of a v6 snapshot rewritten to 5: the v5
+    /// layout is v6 without the codebook section.
+    fn as_v5<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> Vec<u8> {
+        let mut bytes: Vec<u8> = bytes.into_iter().copied().collect();
+        bytes[4..8].copy_from_slice(&5u32.to_le_bytes());
         reseal(bytes)
     }
 
@@ -644,7 +658,7 @@ mod tests {
 
     /// A checksum proves the bytes are the ones written, not that a valid
     /// index wrote them: edited fields under a re-sealed trailer must come
-    /// back as `Corrupt`, never as a panic in training or allocation.
+    /// back as errors, never as a panic in decoding or allocation.
     #[test]
     fn crafted_snapshots_with_a_valid_crc_are_errors_not_panics() {
         let index = build_index(10);
@@ -656,7 +670,7 @@ mod tests {
         const PQ_SUBSPACES: usize = 37;
         const PQ_BITS: usize = 49;
         const RERANK_FACTOR: usize = 50;
-        let n_images = V5_FIELDS_AT + 12 + 4 + index.quantizer().k() * DIM * 4;
+        let n_images = HEADER_LEN + 4 + index.quantizer().k() * DIM * 4;
         assert_eq!(bytes[8..12], (DIM as u32).to_le_bytes());
         assert_eq!(bytes[PQ_BITS], index.config().pq_bits);
         assert_eq!(bytes[n_images..n_images + 8], 10u64.to_le_bytes());
@@ -677,24 +691,47 @@ mod tests {
                 other => panic!("{case}: expected Corrupt, got {other:?}"),
             }
         }
+
+        // The codebook section of a PQ snapshot.
+        let pq = save(&build_pq_index(10));
+        assert_eq!(
+            pq[CODEBOOK_AT + CODEBOOK_LEN..CODEBOOK_AT + CODEBOOK_LEN + 8],
+            10u64.to_le_bytes()
+        );
+        let mut nan_word = pq.clone();
+        nan_word[CODEBOOK_AT + 4..CODEBOOK_AT + 8].copy_from_slice(&f32::NAN.to_le_bytes());
+        match reload(&reseal(nan_word)) {
+            Err(PersistError::Corrupt { .. }) => {}
+            other => panic!("NaN codeword: expected Corrupt, got {other:?}"),
+        }
+        for cut in [4, CODEBOOK_LEN / 2, CODEBOOK_LEN] {
+            let mut short = pq.clone();
+            short.drain(CODEBOOK_AT + CODEBOOK_LEN - cut..CODEBOOK_AT + CODEBOOK_LEN);
+            assert!(
+                reload(&reseal(short)).is_err(),
+                "a codebook {cut} bytes short must not decode"
+            );
+        }
     }
 
     #[test]
-    fn v4_snapshots_load_with_flat_coarse_defaults() {
+    fn v5_raw_snapshots_still_load() {
         let index = build_index(20);
-        let loaded = reload(&downgrade_to_v4(save(&index))).expect("v4 must stay loadable");
+        let loaded = reload(&as_v5(&save(&index))).expect("raw v5 must stay loadable");
+        assert_eq!(loaded.config(), index.config());
         assert_eq!(loaded.num_images(), index.num_images());
         assert_eq!(loaded.valid_images(), index.valid_images());
-        // v4 snapshots were written by flat-scan builds: no graph.
-        assert_eq!(loaded.config().coarse_beam_width, 0);
-        assert_eq!(loaded.config().coarse_balance_factor, 0.0);
-        assert!(loaded.quantizer().coarse_graph().is_none());
-        // Listing attributes survive the v4 downgrade.
         for raw in 0..20u32 {
-            let a = loaded.attributes(ImageId(raw)).unwrap();
-            let b = index.attributes(ImageId(raw)).unwrap();
-            assert_eq!(a.category, b.category);
-            assert_eq!(a.in_stock, b.in_stock);
+            let id = ImageId(raw);
+            assert_eq!(
+                loaded.attributes(id).unwrap(),
+                index.attributes(id).unwrap()
+            );
+            let q = index.features(id).unwrap();
+            assert_eq!(
+                loaded.search(q.as_slice(), 5, 4),
+                index.search(q.as_slice(), 5, 4)
+            );
         }
     }
 
@@ -794,7 +831,7 @@ mod tests {
         let restored = reload(&save(&index)).expect("round trip");
         assert_eq!(restored.config().pq_bits, 4);
         assert_eq!(restored.config().rerank_factor, 6);
-        // The retrained 4-bit codebook serves fast-scan searches.
+        // The stored 4-bit codebook serves fast-scan searches.
         for i in (0..60u32).step_by(13) {
             let q = index.features(ImageId(i)).unwrap();
             let hits = restored.search_compressed(q.as_slice(), 1, 4, 8);

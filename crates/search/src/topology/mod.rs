@@ -25,6 +25,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use jdvs_core::directory::Directory;
+use jdvs_core::index::train_quantizers;
 use jdvs_core::swap::IndexHandle;
 use jdvs_core::VisualIndex;
 use jdvs_durability::checkpoint::CheckpointStore;
@@ -39,7 +40,6 @@ use jdvs_net::FaultInjector;
 use jdvs_storage::lru::LruCache;
 use jdvs_storage::model::{ImageKey, ProductEvent};
 use jdvs_storage::{FeatureDb, ImageStore, MessageQueue};
-use jdvs_vector::kmeans::{Kmeans, KmeansConfig};
 use jdvs_vector::Vector;
 
 use crate::blender::BlenderService;
@@ -292,8 +292,9 @@ impl std::fmt::Debug for SearchTopology {
 impl SearchTopology {
     /// Builds the full stack.
     ///
-    /// The coarse quantizer is trained once on `training` and shared by all
-    /// partition replicas (as the weekly full index does in production);
+    /// The coarse quantizer and PQ codebook are trained once on `training`
+    /// and shared by all partition replicas (as the weekly full index does
+    /// in production);
     /// `queue` is the catalog's update stream, followed by every searcher's
     /// real-time indexing thread when `config.realtime_indexing` is set.
     ///
@@ -336,36 +337,11 @@ impl SearchTopology {
         // One metrics instance shared by every balancer/broker/blender, so
         // a single snapshot covers the whole serving path.
         let metrics = Arc::new(ResilienceMetrics::new());
-        let quantizer = Kmeans::train(
-            training,
-            &KmeansConfig {
-                k: config.index.num_lists,
-                max_iters: config.index.kmeans_iters,
-                tolerance: 1e-4,
-                seed: config.index.seed,
-                balance_factor: config.index.coarse_balance_factor,
-            },
-        );
-        // Hierarchical coarse quantizer: build the centroid graph once here
-        // so every replica's `with_quantizers` below inherits it from its
-        // clone instead of rebuilding per replica.
-        let quantizer = if config.index.coarse_beam_width > 0 {
-            quantizer.with_coarse_graph(config.index.coarse_beam_width)
-        } else {
-            quantizer
-        };
-        // PQ codebook (when compressed mode is configured) is trained once
-        // and shared by all replicas, like the coarse quantizer.
-        let pq = config.index.pq_subspaces.map(|m| {
-            Arc::new(jdvs_vector::pq::ProductQuantizer::train(
-                training,
-                &jdvs_vector::pq::PqConfig {
-                    num_subspaces: m,
-                    max_iters: config.index.kmeans_iters,
-                    seed: config.index.seed ^ 0x90DE,
-                },
-            ))
-        });
+        // Trained once per topology and shared by every replica: each
+        // replica's `with_quantizers` below clones the centroid graph built
+        // here and the same PQ codebook, and every snapshot written from
+        // them carries that codebook.
+        let (quantizer, pq) = train_quantizers(&config.index, training);
 
         // --- Searchers: the replica table, one row per partition (the
         // layout may have more than the config when a persisted map

@@ -49,10 +49,12 @@ pub const BUILD_BEAM: usize = 48;
 
 /// A navigable small-world graph over a centroid table, in CSR layout.
 ///
-/// The graph is **derived data**: it is rebuilt deterministically from the
-/// centroid table (insertion order `0..k`, no randomness), so snapshots never
-/// need to carry it — `persist::load` reconstructs it from the persisted
-/// beam-width knob.
+/// The graph is **derived data**: a deterministic function of the centroid
+/// table (insertion order `0..k`, no randomness), so whoever holds the
+/// centroids can rebuild it bit for bit instead of storing it. The trained
+/// quantizers themselves are not derived: an index snapshot stores the
+/// centroid table and the PQ codebook, and the graph is built from the
+/// former.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CentroidGraph {
     /// `neighbors(i) = adjacency[offsets[i]..offsets[i + 1]]`.

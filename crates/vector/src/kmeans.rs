@@ -50,16 +50,6 @@ impl Default for KmeansConfig {
     }
 }
 
-impl KmeansConfig {
-    /// Creates a config with `k` clusters and defaults elsewhere.
-    pub fn with_k(k: usize) -> Self {
-        Self {
-            k,
-            ..Self::default()
-        }
-    }
-}
-
 /// A trained k-means model: the centroid table used as the IVF coarse
 /// quantizer.
 ///
@@ -80,8 +70,6 @@ impl KmeansConfig {
 pub struct Kmeans {
     centroids: Vec<Vector>,
     dim: usize,
-    inertia: f64,
-    iterations: usize,
     /// Optional hierarchical coarse index over the centroids. Derived data:
     /// rebuilt deterministically from the centroid table, never required for
     /// correctness — absent, assignment falls back to the flat scan.
@@ -113,9 +101,7 @@ impl Kmeans {
 
         let mut assignments = vec![0usize; data.len()];
         let mut inertia = f64::INFINITY;
-        let mut iterations = 0;
-        for iter in 0..config.max_iters.max(1) {
-            iterations = iter + 1;
+        for _ in 0..config.max_iters.max(1) {
             // Assignment step.
             let mut new_inertia = 0.0f64;
             for (i, v) in data.iter().enumerate() {
@@ -158,8 +144,6 @@ impl Kmeans {
         Self {
             centroids,
             dim,
-            inertia,
-            iterations,
             coarse: None,
         }
     }
@@ -179,8 +163,6 @@ impl Kmeans {
         Self {
             centroids,
             dim,
-            inertia: f64::NAN,
-            iterations: 0,
             coarse: None,
         }
     }
@@ -224,17 +206,6 @@ impl Kmeans {
     /// Dimensionality of the training data.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Final within-cluster sum of squared distances (NaN for models built
-    /// via [`Kmeans::from_centroids`]).
-    pub fn inertia(&self) -> f64 {
-        self.inertia
-    }
-
-    /// Lloyd iterations actually executed.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Borrows the centroid table.
@@ -624,7 +595,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(large.inertia() < small.inertia());
+        let inertia = |model: &Kmeans| -> f64 {
+            data.iter()
+                .map(|v| f64::from(nearest(model.centroids(), v.as_slice()).1))
+                .sum()
+        };
+        assert!(inertia(&large) < inertia(&small));
     }
 
     #[test]
@@ -633,7 +609,7 @@ mod tests {
         let model = Kmeans::from_centroids(cents.clone());
         assert_eq!(model.k(), 2);
         assert_eq!(model.assign(&[0.9, 0.9]), 1);
-        assert!(model.inertia().is_nan());
+        assert_eq!(model.centroids(), &cents[..]);
     }
 
     #[test]

@@ -117,6 +117,64 @@ impl ProductQuantizer {
         }
     }
 
+    /// Rebuilds the quantizer whose [`Self::codewords`] are `codewords`:
+    /// per subspace, 16 words of `dim / num_subspaces` floats, the trained
+    /// words first and `+∞` in every slot a sample smaller than 16 left
+    /// unused.
+    ///
+    /// # Errors
+    ///
+    /// Returns why `codewords` is not such a table for `dim` and
+    /// `num_subspaces`.
+    pub fn from_codewords(
+        dim: usize,
+        num_subspaces: usize,
+        codewords: &[f32],
+    ) -> Result<Self, &'static str> {
+        let m = num_subspaces;
+        if dim == 0 || m == 0 || !dim.is_multiple_of(m) || codewords.len() != CODEBOOK_SIZE * dim {
+            return Err("codebook shape does not match dim and num_subspaces");
+        }
+        let sub_dim = dim / m;
+        let codebooks = codewords
+            .chunks_exact(CODEBOOK_SIZE * sub_dim)
+            .map(|table| {
+                let words: Vec<&[f32]> = table.chunks_exact(sub_dim).collect();
+                let k = words
+                    .iter()
+                    .take_while(|w| w.iter().all(|x| x.is_finite()))
+                    .count();
+                let mut unused = words[k..].iter().flat_map(|w| w.iter());
+                if k == 0 || unused.any(|&x| x != f32::INFINITY) {
+                    return Err("codewords must be finite, unused slots +inf and last");
+                }
+                let centroids = words[..k].iter().map(|&w| Vector::from(w)).collect();
+                Ok(Kmeans::from_centroids(centroids))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            dim,
+            sub_dim,
+            codebooks,
+        })
+    }
+
+    /// Every codeword, `16 × dim` floats in the layout
+    /// [`Self::from_codewords`] reads.
+    pub fn codewords(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(CODEBOOK_SIZE * self.dim);
+        for cb in &self.codebooks {
+            cb.centroids()
+                .iter()
+                .for_each(|c| out.extend_from_slice(c.as_slice()));
+            out.resize(
+                out.len() + (CODEBOOK_SIZE - cb.k()) * self.sub_dim,
+                f32::INFINITY,
+            );
+        }
+        out
+    }
+
     /// Original vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -652,5 +710,70 @@ mod tests {
         let a = ProductQuantizer::train(&data, &cfg);
         let b = ProductQuantizer::train(&data, &cfg);
         assert_eq!(a.encode(data[5].as_slice()), b.encode(data[5].as_slice()));
+    }
+
+    #[test]
+    fn codewords_round_trip_bit_exact() {
+        // 5 training points: every codebook has 5 trained words and 11
+        // unused slots.
+        for n in [400, 5] {
+            let data = random_data(n, 8, 13);
+            let pq = ProductQuantizer::train(
+                &data,
+                &PqConfig {
+                    num_subspaces: 4,
+                    ..Default::default()
+                },
+            );
+            let words = pq.codewords();
+            assert_eq!(words.len(), CODEBOOK_SIZE * 8);
+            let back = ProductQuantizer::from_codewords(8, 4, &words).expect("valid table");
+            assert_eq!(back, pq);
+            assert_eq!(back.codewords(), words);
+            let q = data[1].as_slice();
+            assert_eq!(back.encode(q), pq.encode(q));
+            assert_eq!(
+                back.quantized_adc_table(q).luts(),
+                pq.quantized_adc_table(q).luts()
+            );
+        }
+    }
+
+    #[test]
+    fn from_codewords_rejects_tables_codewords_cannot_write() {
+        let pq = ProductQuantizer::train(
+            &random_data(5, 8, 17),
+            &PqConfig {
+                num_subspaces: 2,
+                ..Default::default()
+            },
+        );
+        let words = pq.codewords();
+        let edited = |at: usize, v: f32| {
+            let mut w = words.clone();
+            w[at] = v;
+            w
+        };
+        // Subspace 0 holds words 0..16 of 4 floats; 0..5 are trained.
+        let cases: [(&str, usize, usize, Vec<f32>); 7] = [
+            ("zero dim", 0, 2, words.clone()),
+            ("zero subspaces", 8, 0, words.clone()),
+            ("subspaces not dividing dim", 8, 3, words.clone()),
+            ("short table", 8, 2, words[..words.len() - 1].to_vec()),
+            ("NaN in a trained word", 8, 2, edited(1, f32::NAN)),
+            ("untrained first word", 8, 2, edited(0, f32::INFINITY)),
+            (
+                "trained word after an unused slot",
+                8,
+                2,
+                edited(4 * 9, 0.0),
+            ),
+        ];
+        for (case, dim, m, table) in cases {
+            assert!(
+                ProductQuantizer::from_codewords(dim, m, &table).is_err(),
+                "{case} must be refused"
+            );
+        }
     }
 }

@@ -72,6 +72,10 @@ pub struct RecoveryConfig {
     pub probe_k: usize,
     /// Master seed (catalog shape and visual clusters).
     pub seed: u64,
+    /// The PQ shape: 4 subspaces at dim 16, a `rerank_factor` of 1 so the
+    /// codebook alone picks each shortlist, and every probe sent
+    /// compressed. `false` scans raw vectors.
+    pub pq: bool,
 }
 
 impl RecoveryConfig {
@@ -88,6 +92,7 @@ impl RecoveryConfig {
             probes: 18,
             probe_k: 3,
             seed: 0x00C4_A511,
+            pq: false,
         }
     }
 }
@@ -159,6 +164,10 @@ impl RecoveryHarness {
             ..Default::default()
         };
         topology_config.seed = config.seed;
+        if config.pq {
+            topology_config.index.pq_subspaces = Some(4);
+            topology_config.index.rerank_factor = 1;
+        }
 
         let images = Arc::new(ImageStore::with_blob_len(256));
         let feature_db = Arc::new(FeatureDb::new());
@@ -445,9 +454,13 @@ impl RecoveryHarness {
         self.probe_urls
             .iter()
             .map(|url| {
-                let response = client
-                    .search(SearchQuery::by_image_url(url.clone(), self.config.probe_k))
-                    .expect("probe search");
+                let query = SearchQuery::by_image_url(url.clone(), self.config.probe_k);
+                let query = if self.config.pq {
+                    query.with_compressed()
+                } else {
+                    query
+                };
+                let response = client.search(query).expect("probe search");
                 response
                     .results
                     .iter()

@@ -119,9 +119,10 @@ fn realtime_index_converges_to_full_index_state() {
 
     // (b) real-time replay into an index bootstrapped with the same
     // quantizer (as production distributes the weekly centroids).
-    let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizer(
+    let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizers(
         index_config(),
         full_index.quantizer().clone(),
+        None,
     ));
     let indexer = RealtimeIndexer::for_index(
         Arc::clone(&rt_index),
@@ -179,9 +180,10 @@ fn searches_agree_between_full_and_realtime_indexes() {
         Arc::clone(&p.feature_db),
     );
     let (full_index, _) = builder.build(&log);
-    let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizer(
+    let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizers(
         index_config(),
         full_index.quantizer().clone(),
+        None,
     ));
     let indexer = RealtimeIndexer::for_index(
         Arc::clone(&rt_index),
@@ -238,9 +240,10 @@ fn feature_extraction_happens_exactly_once_per_image() {
     // A second build and a full real-time replay extract nothing.
     let (full2, r2) = builder.build(&log);
     assert_eq!(r2.extractions, 0);
-    let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizer(
+    let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizers(
         index_config(),
         full2.quantizer().clone(),
+        None,
     ));
     let indexer = RealtimeIndexer::for_index(
         rt_index,

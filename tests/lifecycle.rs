@@ -32,6 +32,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use jdvs::core::{ImageId, VisualIndex};
 use jdvs::search::SearchQuery;
 use jdvs::storage::ProductEvent;
 use jdvs::workload::recovery::{RecoveryConfig, RecoveryHarness};
@@ -54,8 +55,78 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// checkpoints plus the log — and match a cold rebuild exactly.
 #[test]
 fn kill_during_bootstrap_tail_recovers_bit_identical() {
+    kill_during_bootstrap_tail(false);
+}
+
+/// The bootstrap and restart scenarios on the harness's PQ shape, where
+/// every probe is answered by the compressed scan. Split and rebuild stay
+/// raw-only: they retrain per partition by design, so their compressed
+/// answers need not match a cold rebuild's.
+mod pq {
+    #[test]
+    fn kill_during_bootstrap_tail_recovers_bit_identical() {
+        super::kill_during_bootstrap_tail(true);
+    }
+
+    #[test]
+    fn stranded_tmp_sweep_then_immediate_bootstrap() {
+        super::stranded_tmp_sweep(true);
+    }
+}
+
+/// A replica bootstrapped from a checkpoint serves the codebook its
+/// sibling serves: every compressed self-query of the partition answers
+/// identically on both, compared index to index so the balancer's choice
+/// of replica does not matter.
+#[test]
+fn bootstrapped_pq_replica_answers_like_its_sibling() {
+    let dir = scratch_dir("pq-sibling");
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq: true,
+        ..RecoveryConfig::fast(&dir)
+    });
+    let n = harness.events().len();
+
+    let mut topology = harness.boot().expect("first boot");
+    harness.publish(&topology, 0..n / 2);
+    topology.checkpoint_partition(0).expect("checkpoint p0");
+    topology.checkpoint_partition(1).expect("checkpoint p1");
+    harness.publish(&topology, n / 2..n);
+    for p in 0..2 {
+        assert!(topology.bootstrap_replica(p).from_snapshot);
+        let (sibling, joined) = (topology.index(p, 0), topology.index(p, 1));
+        let (nprobe, rerank_factor) = (sibling.config().nprobe, sibling.config().rerank_factor);
+        let answer =
+            |index: &VisualIndex, q: &[f32]| index.search_compressed(q, 5, nprobe, rerank_factor);
+        let ids: Vec<ImageId> = (0..sibling.num_images() as u32)
+            .map(ImageId)
+            .filter(|&id| sibling.is_valid(id))
+            .collect();
+        let divergent = ids
+            .iter()
+            .filter(|&&id| {
+                let q = sibling.features(id).expect("a stored image");
+                answer(&sibling, q.as_slice()) != answer(&joined, q.as_slice())
+            })
+            .count();
+        assert_eq!(
+            divergent,
+            0,
+            "partition {p}: {divergent} of {} compressed self-queries answered differently",
+            ids.len()
+        );
+        assert_eq!(joined.pq_quantizer(), sibling.pq_quantizer());
+    }
+    harness.halt(topology);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn kill_during_bootstrap_tail(pq: bool) {
     let dir = scratch_dir("boot-tail");
-    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq,
+        ..RecoveryConfig::fast(&dir)
+    });
     let n = harness.events().len();
 
     let mut topology = harness.boot().expect("first boot");
@@ -93,6 +164,7 @@ fn kill_during_bootstrap_tail_recovers_bit_identical() {
 /// events published after the split.
 #[test]
 fn kill_between_split_half_swaps_recovers_bit_identical() {
+    // Raw only: split and rebuild retrain per partition by design.
     let dir = scratch_dir("split-swap");
     let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
     let n = harness.events().len();
@@ -179,6 +251,7 @@ fn orphan_sibling_store_from_aborted_split_is_ignored() {
 /// follow-up rebuild + checkpoint must repair the chain.
 #[test]
 fn torn_checkpoint_during_rebuild_falls_back_and_converges() {
+    // Raw only: split and rebuild retrain per partition by design.
     let dir = scratch_dir("torn-ckpt");
     let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
     let n = harness.events().len();
@@ -227,8 +300,15 @@ fn torn_checkpoint_during_rebuild_falls_back_and_converges() {
 /// run over the swept stores without tripping on the leftovers.
 #[test]
 fn stranded_tmp_sweep_then_immediate_bootstrap() {
+    stranded_tmp_sweep(false);
+}
+
+fn stranded_tmp_sweep(pq: bool) {
     let dir = scratch_dir("tmp-sweep");
-    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq,
+        ..RecoveryConfig::fast(&dir)
+    });
     let n = harness.events().len();
 
     let topology = harness.boot().expect("first boot");
@@ -298,6 +378,7 @@ fn copy_dir(from: &Path, to: &Path) {
 /// the restarted world serves every image exactly once.
 #[test]
 fn split_failing_after_the_layout_commit_completes() {
+    // Raw only: split and rebuild retrain per partition by design.
     let dir = scratch_dir("commit-rule");
     let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
     let adds: Vec<ProductEvent> = harness
@@ -364,6 +445,7 @@ fn split_failing_after_the_layout_commit_completes() {
 /// or the parent keeps serving moved keys the sibling later deletes.
 #[test]
 fn crash_after_layout_commit_narrows_the_parent_seed() {
+    // Raw only: split and rebuild retrain per partition by design.
     let dir = scratch_dir("narrow-seed");
     let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
     let n = harness.events().len();

@@ -40,6 +40,32 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 /// query answers identically down to the distance bits.
 #[test]
 fn kill_at_arbitrary_points_is_lossless_under_fsync_always() {
+    kill_at_arbitrary_points(false);
+}
+
+/// A mid-stream checkpoint makes reboot recover from the snapshot and
+/// replay only the suffix past its watermark — with identical results.
+#[test]
+fn checkpoint_mid_stream_recovers_from_snapshot_and_replays_only_suffix() {
+    checkpoint_mid_stream(false);
+}
+
+/// The same crash cycles on the harness's PQ shape, where every probe is
+/// answered by the compressed scan: a recovered life must serve the
+/// codebook the killed one served.
+mod pq {
+    #[test]
+    fn kill_at_arbitrary_points_is_lossless_under_fsync_always() {
+        super::kill_at_arbitrary_points(true);
+    }
+
+    #[test]
+    fn checkpoint_mid_stream_recovers_from_snapshot_and_replays_only_suffix() {
+        super::checkpoint_mid_stream(true);
+    }
+}
+
+fn kill_at_arbitrary_points(pq: bool) {
     let dir = scratch_dir("kill-points");
     let stream_len = RecoveryHarness::new(RecoveryConfig::fast(&dir))
         .events()
@@ -47,7 +73,10 @@ fn kill_at_arbitrary_points_is_lossless_under_fsync_always() {
     for crash_after in [1, 7, 23, stream_len] {
         let dir = scratch_dir("kill-point");
         let outcome = run_crash_cycle(CrashCycleConfig {
-            recovery: RecoveryConfig::fast(&dir),
+            recovery: RecoveryConfig {
+                pq,
+                ..RecoveryConfig::fast(&dir)
+            },
             crash_after,
             checkpoint_at: None,
             tear_tail_bytes: 0,
@@ -72,12 +101,12 @@ fn kill_at_arbitrary_points_is_lossless_under_fsync_always() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A mid-stream checkpoint makes reboot recover from the snapshot and
-/// replay only the suffix past its watermark — with identical results.
-#[test]
-fn checkpoint_mid_stream_recovers_from_snapshot_and_replays_only_suffix() {
+fn checkpoint_mid_stream(pq: bool) {
     let dir = scratch_dir("ckpt");
-    let recovery = RecoveryConfig::fast(&dir);
+    let recovery = RecoveryConfig {
+        pq,
+        ..RecoveryConfig::fast(&dir)
+    };
     let stream_len = RecoveryHarness::new(recovery.clone()).events().len();
     let checkpoint_at = stream_len / 2;
     let outcome = run_crash_cycle(CrashCycleConfig {

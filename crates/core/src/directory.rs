@@ -3,8 +3,8 @@
 //! A [`Directory`] maps small indexes to values that are created once and
 //! then never moved or dropped before the directory itself, so [`Directory::get`]
 //! hands out plain borrows with no lock and no refcount. The PQ code store
-//! keeps its per-list code segments and its id map in one; the search
-//! topology keeps its live replica table in them.
+//! keeps its id map in one; the search topology keeps its live replica
+//! table in them.
 
 use std::sync::OnceLock;
 
@@ -15,8 +15,8 @@ pub struct Directory<T> {
     buckets: [OnceLock<Box<[OnceLock<T>]>>; DIRECTORY_BUCKETS],
 }
 
-/// `2^25 - 1` slots: enough for every `u32` code position at 256 codes per
-/// segment, the largest directory in use.
+/// `2^25 - 1` slots: more than every `u32` id at 4,096 ids per chunk needs
+/// (the PQ store's id map, the largest directory in use).
 const DIRECTORY_BUCKETS: usize = 25;
 
 impl<T> std::fmt::Debug for Directory<T> {

@@ -39,7 +39,9 @@
 //! The full memory-model write-up for this structure lives in DESIGN.md
 //! ("Memory model of the mutation path").
 
-use crate::sync::{thread, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock};
+use crate::sync::{
+    thread, zeroed_words, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock,
+};
 
 use crate::ids::{ImageId, ListId};
 
@@ -56,37 +58,9 @@ pub struct Slab {
 }
 
 impl Slab {
-    #[cfg(not(loom))]
     fn new(capacity: usize) -> Self {
-        // `vec![0u64; n]` allocates through calloc, which hands back
-        // lazily-zeroed pages in O(1); element-wise `AtomicU64::new(0)`
-        // construction would touch every slot on the writer path and make
-        // "allocate the double-size list" cost O(n) at expansion time —
-        // exactly the stall Figure 9's protocol exists to avoid.
-        let zeroed: Box<[u64]> = vec![0u64; capacity].into_boxed_slice();
-        // SAFETY: `AtomicU64` is `repr(C)` with the same size and alignment
-        // as `u64` (guaranteed by std), and the all-zero bit pattern is a
-        // valid `AtomicU64`. Ownership transfers through the raw pointer
-        // without aliasing. `unsafe_slab_cast_round_trips` in
-        // tests/concurrency.rs exercises this cast under the interpreter
-        // (`cargo miri test -p jdvs-core --test concurrency unsafe_slab`).
-        let slots = unsafe {
-            let raw: *mut [u64] = Box::into_raw(zeroed);
-            Box::from_raw(raw as *mut [AtomicU64])
-        };
         Self {
-            slots,
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    #[cfg(loom)]
-    fn new(capacity: usize) -> Self {
-        // The loom shim's instrumented atomics are not layout-compatible
-        // with `u64`, so model builds construct element-wise. Model slabs
-        // are tiny; the O(n) cost is irrelevant there.
-        Self {
-            slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            slots: zeroed_words(capacity),
             len: AtomicUsize::new(0),
         }
     }

@@ -14,12 +14,19 @@
 //!   **subspace-major within the block**: byte `t` of subspace `s`'s
 //!   16-byte row packs the sub-`s` code of block lane `t` (low nibble) and
 //!   lane `t + 16` (high nibble) — exactly the operand shape of
-//!   [`jdvs_vector::simd::KernelSet::fastscan16`], so one `pshufb`/`tbl`
-//!   scores 32 candidates per subspace.
+//!   [`jdvs_vector::simd::KernelSet::fastscan16_run_le`], so one
+//!   `pshufb`/`tbl` scores 32 candidates per subspace, and consecutive
+//!   blocks are consecutive tiles.
 //!
-//! Segments of [`SEGMENT_CODES`] positions are allocated on first write,
-//! never moved and freed only with the store, so readers *borrow* them
-//! through an append-only directory: no lock, no refcount.
+//! A list's codes live in **segments that double**: segment `i` holds
+//! `FIRST_SEGMENT · 2^i` positions (256, 512, 1024, …), so a list of `n`
+//! codes has `O(log n)` segments, long lists get long contiguous stretches,
+//! and fewer than `n + 256` positions are allocated ahead of its codes.
+//! A segment's code words are allocated zeroed: pages nobody has
+//! written cost address space, not resident memory ([`PqStore::code_bytes`]
+//! reports both figures). Segments are created on first write, never
+//! moved and freed only with the store, so readers *borrow* them: no lock,
+//! no refcount.
 //!
 //! ## Concurrency
 //!
@@ -42,15 +49,18 @@
 //! A `published` word of `u32::MAX` means the block is **sealed**: all 32
 //! lanes were claimed, written and published, so no thread will ever
 //! write the block's bytes again (a later `put` fails its claim before
-//! touching them). A sealed block is therefore plain immutable memory, and
-//! [`PqListReader::load_group`] hands the kernels the tile **in place** —
-//! non-atomic reads straight out of the segment, race-free because the
-//! Acquire load that observed the seal happens-after all 32 writers. Only
-//! an unsealed block (at most the tail of a list, while writers still
-//! fill it) is copied into scratch with atomic loads, and its unpublished
-//! lanes are masked out of scans — they are also never bitmap-visible,
-//! because [`crate::index::VisualIndex::insert`] sets the validity bit
-//! after `put` returns.
+//! touching them). A sealed block is therefore plain immutable memory.
+//! [`PqListReader::load_run`] reads a list in **runs**: up to [`RUN`]
+//! consecutive blocks of one segment, each of which its own Acquire load
+//! observed sealed, are lent to the kernels **in place** as one slice —
+//! non-atomic reads straight out of the segment, race-free because every
+//! block of the slice had its seal observed, so all writes to its bytes
+//! happened-before the read and none can follow. The first block not seen
+//! sealed ends the run; on its own it is copied into scratch with atomic
+//! loads (at most the tail of a list, while writers still fill it), and
+//! its unpublished lanes are masked out of scans — they are also never
+//! bitmap-visible, because [`crate::index::VisualIndex::insert`] sets the
+//! validity bit after `put` returns.
 //!
 //! The `ablate-pq` experiment quantifies the trade: memory shrinks by
 //! `8·d/m`, and the fast-scan path trades a bounded quantization error for
@@ -58,7 +68,7 @@
 
 use std::sync::OnceLock;
 
-use crate::sync::{AtomicU32, AtomicU64, Ordering};
+use crate::sync::{zeroed_words, AtomicU32, AtomicU64, Ordering};
 
 use jdvs_vector::pq::{ProductQuantizer, QuantizedAdcTable};
 use jdvs_vector::Vector;
@@ -66,18 +76,31 @@ use jdvs_vector::Vector;
 use crate::directory::Directory;
 use crate::ids::{ImageId, ListId};
 
-/// Codes per fast-scan block (one kernel call's worth), and positions per
+/// Codes per fast-scan block (one kernel tile), and positions per
 /// publication mask.
 pub const FASTSCAN_BLOCK: usize = jdvs_vector::pq::FASTSCAN_BLOCK;
 
-/// Positions per code segment (8 fast-scan blocks).
-pub const SEGMENT_CODES: usize = 256;
+/// Positions in a list's first code segment; segment `i` holds
+/// `FIRST_SEGMENT << i`.
+pub const FIRST_SEGMENT: usize = 256;
 
-/// Publication masks per segment.
-const SEGMENT_BLOCKS: usize = SEGMENT_CODES / FASTSCAN_BLOCK;
+/// Most sealed blocks one [`PqListReader::load_run`] lends: one fast-scan
+/// kernel call scores up to `RUN · 32` codes against LUTs it loads once.
+pub const RUN: usize = 16;
+
+/// Segments per list: `FIRST_SEGMENT · (2^25 - 1)` positions cover every
+/// `u32` position.
+const SEGMENTS: usize = 25;
 
 /// Ids per id-map chunk.
 const ID_CHUNK: usize = 4096;
+
+/// `(segment, offset within it)` of list position `pos`.
+#[inline]
+fn segment_of(pos: usize) -> (usize, usize) {
+    let seg = (pos / FIRST_SEGMENT + 1).ilog2() as usize;
+    (seg, pos - FIRST_SEGMENT * ((1 << seg) - 1))
+}
 
 /// One segment of a list's code area: flat atomic words holding packed
 /// code bytes, plus the two mask words of each 32-position block (see the
@@ -85,21 +108,29 @@ const ID_CHUNK: usize = 4096;
 struct CodeSegment {
     /// Packed code bytes, 8 per word, in **memory order**: byte `b` of the
     /// segment is byte `b % 8` of word `b / 8`'s native representation, so
-    /// the words of a sealed block read back as the kernel tile in place.
+    /// the words of sealed blocks read back as kernel tiles in place.
     words: Box<[AtomicU64]>,
     /// Bit `i` of word `k`: some writer owns position `32·k + i`.
-    claimed: [AtomicU32; SEGMENT_BLOCKS],
+    claimed: Box<[AtomicU32]>,
     /// Bit `i` of word `k`: position `32·k + i`'s full code is stored —
     /// the Release/Acquire publication point for the bits in `words`.
-    published: [AtomicU32; SEGMENT_BLOCKS],
+    published: Box<[AtomicU32]>,
 }
 
 impl CodeSegment {
-    fn new(num_words: usize) -> Self {
+    /// Segment `seg` of a list of `m`-subspace codes.
+    fn new(seg: usize, m: usize) -> Self {
+        let positions = FIRST_SEGMENT << seg;
+        let masks = || {
+            (0..positions / FASTSCAN_BLOCK)
+                .map(|_| AtomicU32::new(0))
+                .collect()
+        };
         Self {
-            words: (0..num_words).map(|_| AtomicU64::new(0)).collect(),
-            claimed: std::array::from_fn(|_| AtomicU32::new(0)),
-            published: std::array::from_fn(|_| AtomicU32::new(0)),
+            // `m` nibbles per position, 16 nibbles per word.
+            words: zeroed_words(positions * m / 16),
+            claimed: masks(),
+            published: masks(),
         }
     }
 
@@ -157,15 +188,18 @@ fn unpack_entry(entry: u64) -> Option<(ListId, usize)> {
     ))
 }
 
+/// One list's code segments, each created on its first write.
+type Segments = [OnceLock<Box<CodeSegment>>; SEGMENTS];
+
 /// Append-only store of PQ codes in the interleaved fast-scan layout; see
 /// the module docs.
 pub struct PqStore {
     quantizer: std::sync::Arc<ProductQuantizer>,
     /// Subspaces per code (`quantizer.num_subspaces()`).
     m: usize,
-    /// Per list: its segment directory, boxed on the list's first `put` so
-    /// an index of many (mostly short) lists pays two words per list.
-    lists: Box<[OnceLock<Box<Directory<CodeSegment>>>]>,
+    /// Per list: its segments, boxed on the list's first `put` so an index
+    /// of many (mostly short) lists pays two words per list.
+    lists: Box<[OnceLock<Box<Segments>>]>,
     id_chunks: Directory<IdChunk>,
 }
 
@@ -211,6 +245,30 @@ impl PqStore {
         self.m.div_ceil(2)
     }
 
+    /// Code bytes as `(allocated, published)`: the code words of every
+    /// segment created so far, and the nibbles of the codes published so
+    /// far (in bytes, rounded up). Their difference is what doubling
+    /// allocates ahead of the codes; zeroed pages nobody wrote are address
+    /// space, not resident memory. Mask words are not counted.
+    pub fn code_bytes(&self) -> (usize, usize) {
+        let (mut allocated, mut codes) = (0, 0);
+        for seg in self
+            .lists
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|segs| segs.iter().filter_map(OnceLock::get))
+        {
+            allocated += seg.words.len() * 8;
+            codes += seg
+                .published
+                .iter()
+                // Relaxed: a gauge; it orders nothing.
+                .map(|mask| mask.load(Ordering::Relaxed).count_ones() as usize)
+                .sum::<usize>();
+        }
+        (allocated, (codes * self.m).div_ceil(2))
+    }
+
     /// Encodes and stores `vector` as the code of position `pos` of `list`
     /// (the position [`crate::inverted::InvertedIndex::append`] returned
     /// for `id`), then registers `id → (list, pos)`. Write-once: only the
@@ -222,13 +280,10 @@ impl PqStore {
     /// `list` is out of range.
     pub fn put(&self, id: ImageId, list: ListId, pos: usize, vector: &Vector) {
         let code = self.quantizer.encode(vector.as_slice());
+        let (seg_idx, off) = segment_of(pos);
         let seg = self.lists[list.as_usize()]
-            .get_or_init(|| Box::new(Directory::new()))
-            // `SEGMENT_CODES` positions of `m` nibbles, 16 nibbles per word.
-            .get_or_init(pos / SEGMENT_CODES, || {
-                CodeSegment::new(SEGMENT_CODES * self.m / 16)
-            });
-        let off = pos % SEGMENT_CODES;
+            .get_or_init(|| Box::new([const { OnceLock::new() }; SEGMENTS]))[seg_idx]
+            .get_or_init(|| Box::new(CodeSegment::new(seg_idx, self.m)));
         let (block, lane_bit) = (off / FASTSCAN_BLOCK, 1u32 << (off % FASTSCAN_BLOCK));
         // Relaxed: the claim orders nothing, it only elects the position's
         // one writer — RMWs on one word are totally ordered, so exactly
@@ -276,9 +331,8 @@ impl PqStore {
     /// Panics if `list` is out of range.
     pub fn list_reader(&self, list: ListId) -> PqListReader<'_> {
         PqListReader {
-            segments: self.lists[list.as_usize()].get().map(|dir| &**dir),
+            segments: self.lists[list.as_usize()].get().map(|segs| &**segs),
             m: self.m,
-            cursor: None,
         }
     }
 
@@ -333,16 +387,27 @@ impl PqStore {
     }
 }
 
-/// A reader over one list's codes; see [`PqStore::list_reader`]. It
-/// remembers the segment it last touched, so a scan walking positions in
-/// order resolves the directory once per [`SEGMENT_CODES`] positions.
+/// A stretch of a list's blocks, as [`PqListReader::load_run`] returns it.
+#[derive(Debug)]
+pub struct BlockRun<'t> {
+    /// Blocks covered, at least one.
+    pub blocks: usize,
+    /// The **published** lanes of every covered block (bit `i` set means
+    /// the block's position `i` holds a complete code): `u32::MAX` for a
+    /// sealed run, the one block's mask for a copied one, 0 when nothing
+    /// of that block is published.
+    pub mask: u32,
+    /// The covered blocks' tiles back to back (`blocks × tile_len()`
+    /// bytes, kernel operand order); empty when `mask` is 0.
+    pub tiles: &'t [u8],
+}
+
+/// A reader over one list's codes; see [`PqStore::list_reader`].
 pub struct PqListReader<'a> {
     /// `None` until the list's first `put`.
-    segments: Option<&'a Directory<CodeSegment>>,
+    segments: Option<&'a Segments>,
     /// Subspaces per code.
     m: usize,
-    /// The segment index last resolved, and what it resolved to.
-    cursor: Option<(usize, Option<&'a CodeSegment>)>,
 }
 
 impl std::fmt::Debug for PqListReader<'_> {
@@ -354,80 +419,97 @@ impl std::fmt::Debug for PqListReader<'_> {
 }
 
 impl<'a> PqListReader<'a> {
-    /// Bytes of one fast-scan tile (`m × 16`, the `load_group` scratch).
+    /// Bytes of one fast-scan tile (`m × 16`, the `load_run` scratch).
     pub fn tile_len(&self) -> usize {
         self.m * 16
     }
 
-    /// The segment holding position `pos`, if it was ever allocated.
+    /// Segment `idx`, if it was ever allocated.
     #[inline]
-    fn segment(&mut self, pos: usize) -> Option<&'a CodeSegment> {
-        let idx = pos / SEGMENT_CODES;
-        match self.cursor {
-            Some((at, seg)) if at == idx => seg,
-            _ => {
-                let seg = self.segments.and_then(|dir| dir.get(idx));
-                self.cursor = Some((idx, seg));
-                seg
-            }
-        }
+    fn segment(&self, idx: usize) -> Option<&'a CodeSegment> {
+        self.segments?[idx].get().map(|seg| &**seg)
     }
 
-    /// The interleaved block starting at position `base`: the mask of its
-    /// **published** lanes (bit `i` set means position `base + i`'s code is
-    /// complete) and its tile in kernel operand order. A sealed block (mask
-    /// `u32::MAX`) is borrowed in place from the segment; any other
-    /// non-empty block is copied into `scratch`, and its unpublished lanes'
-    /// bytes are unspecified — kernel sums for them must be discarded via
-    /// the mask. A mask of 0 comes with an empty tile.
+    /// The run of blocks starting at position `base`, covering no block
+    /// past the one that holds position `end - 1` (the caller's list
+    /// length). Either up to [`RUN`] blocks of one segment, **each** seen
+    /// sealed by its own Acquire load of its mask, lent in place — the
+    /// run ends at the first block not seen sealed, at the segment's end,
+    /// at `RUN` or at `end` — or, when the block at `base` is not sealed,
+    /// that one block copied into `scratch` with its published mask. A
+    /// copied block's unpublished lanes' bytes are unspecified: kernel
+    /// sums for them must be discarded via the mask.
     ///
     /// # Panics
     ///
-    /// Panics unless `base` is block-aligned and
+    /// Panics unless `base` is block-aligned, `base < end` and
     /// `scratch.len() == self.tile_len()`.
     #[inline]
-    pub fn load_group<'t>(&mut self, base: usize, scratch: &'t mut [u8]) -> (u32, &'t [u8])
+    pub fn load_run<'t>(&self, base: usize, end: usize, scratch: &'t mut [u8]) -> BlockRun<'t>
     where
         'a: 't,
     {
-        assert_eq!(base % FASTSCAN_BLOCK, 0, "group base must be block-aligned");
+        assert_eq!(base % FASTSCAN_BLOCK, 0, "run base must be block-aligned");
+        assert!(base < end, "empty run");
         assert_eq!(scratch.len(), self.tile_len(), "tile length mismatch");
-        let Some(seg) = self.segment(base) else {
-            return (0, &[]);
+        let (seg_idx, off) = segment_of(base);
+        let empty = BlockRun {
+            blocks: 1,
+            mask: 0,
+            tiles: &[],
         };
-        let block = base % SEGMENT_CODES / FASTSCAN_BLOCK;
+        let Some(seg) = self.segment(seg_idx) else {
+            return empty;
+        };
+        let block = off / FASTSCAN_BLOCK;
         let mask = seg.published(block);
-        if mask == 0 {
-            return (0, &[]);
-        }
         let words_per_block = self.tile_len() / 8;
-        let words = &seg.words[block * words_per_block..][..words_per_block];
         // Loom's instrumented atomics have no stable layout to read
         // through; model builds copy every block.
         #[cfg(not(loom))]
         if mask == u32::MAX {
-            // SAFETY: `words` is `tile_len()` bytes of initialized,
+            let limit = RUN
+                .min(seg.published.len() - block)
+                .min((end - base).div_ceil(FASTSCAN_BLOCK));
+            let sealed = 1
+                + (block + 1..block + limit)
+                    .take_while(|&b| seg.published(b) == u32::MAX)
+                    .count();
+            let words = &seg.words[block * words_per_block..(block + sealed) * words_per_block];
+            // SAFETY: `words` is `sealed × tile_len()` bytes of initialized,
             // 8-aligned memory (`AtomicU64` has the layout of `u64`) that
-            // lives as long as the store (`'a`). The block is sealed, so
-            // nothing writes it any more: a position's bytes are written
-            // only by the one `put` that won its `claimed` bit, strictly
-            // before that `put` sets its `published` bit, and all 32
-            // published bits are set. Those writes happened-before the
-            // Acquire load of `mask` above (release sequences, see
-            // `CodeSegment::published`), so plain reads cannot race them.
-            // Bytes are stored in memory order (`byte_in_word`), so the
-            // words *are* the tile.
-            let tile =
+            // lives as long as the store (`'a`). Every one of its blocks was
+            // seen sealed, so nothing writes it any more: a position's bytes
+            // are written only by the one `put` that won its `claimed` bit,
+            // strictly before that `put` sets its `published` bit, and all
+            // 32 published bits of each block are set. Those writes
+            // happened-before the block's Acquire mask load above (release
+            // sequences, see `CodeSegment::published`), so plain reads
+            // cannot race them. Bytes are stored in memory order
+            // (`byte_in_word`), so the words *are* the tiles.
+            let tiles =
                 unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) };
-            return (mask, tile);
+            return BlockRun {
+                blocks: sealed,
+                mask,
+                tiles,
+            };
         }
+        if mask == 0 {
+            return empty;
+        }
+        let words = &seg.words[block * words_per_block..][..words_per_block];
         for (word, chunk) in words.iter().zip(scratch.chunks_exact_mut(8)) {
             // Relaxed: ordered by the Acquire mask load for every lane the
             // mask admits; bits of unpublished lanes may be mid-write but
             // are never interpreted.
             chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_ne_bytes());
         }
-        (mask, scratch)
+        BlockRun {
+            blocks: 1,
+            mask,
+            tiles: scratch,
+        }
     }
 
     /// Reads the unpacked code at `pos` into `code`; `false` if the
@@ -436,12 +518,12 @@ impl<'a> PqListReader<'a> {
     /// # Panics
     ///
     /// Panics if `code.len()` differs from the number of subspaces.
-    pub fn read_code(&mut self, pos: usize, code: &mut [u8]) -> bool {
+    pub fn read_code(&self, pos: usize, code: &mut [u8]) -> bool {
         assert_eq!(code.len(), self.m, "code length mismatch");
-        let Some(seg) = self.segment(pos) else {
+        let (seg_idx, off) = segment_of(pos);
+        let Some(seg) = self.segment(seg_idx) else {
             return false;
         };
-        let off = pos % SEGMENT_CODES;
         if seg.published(off / FASTSCAN_BLOCK) & (1 << (off % FASTSCAN_BLOCK)) == 0 {
             return false;
         }
@@ -511,85 +593,178 @@ mod tests {
         }
     }
 
-    /// Whether `tile` is `scratch`'s memory (the copy path) or the
+    /// Whether `tiles` is `scratch`'s memory (the copy path) or the
     /// segment's own (in place).
-    fn in_place(tile: &[u8], scratch: *const u8) -> bool {
-        !std::ptr::eq(tile.as_ptr(), scratch)
+    fn in_place(tiles: &[u8], scratch: *const u8) -> bool {
+        !std::ptr::eq(tiles.as_ptr(), scratch)
+    }
+
+    /// Puts `data[pos]` at every position of `positions` in list 0.
+    fn fill(store: &PqStore, data: &[Vector], positions: impl Iterator<Item = usize>) {
+        for pos in positions {
+            store.put(ImageId(pos as u32), ListId(0), pos, &data[pos % data.len()]);
+        }
     }
 
     #[test]
-    fn load_group_matches_per_id_distances_bit_exactly() {
-        let (pq, data) = trained(16, 8);
-        let store = PqStore::new(std::sync::Arc::clone(&pq), 1);
-        // 77 codes: two sealed blocks plus a partial tail block.
-        for (i, v) in data.iter().take(77).enumerate() {
-            store.put(ImageId(i as u32), ListId(0), i, v);
+    fn positions_map_across_the_doubling_boundaries() {
+        for (pos, want) in [
+            (0, (0, 0)),
+            (255, (0, 255)),
+            (256, (1, 0)),
+            (767, (1, 511)),
+            (768, (2, 0)),
+            (1791, (2, 1023)),
+            (1792, (3, 0)),
+        ] {
+            assert_eq!(segment_of(pos), want, "position {pos}");
         }
-        let table = store.quantized_adc_table(data[5].as_slice());
-        let mut reader = store.list_reader(ListId(0));
+        let (seg, off) = segment_of(u32::MAX as usize);
+        assert!(
+            seg < SEGMENTS && off < FIRST_SEGMENT << seg,
+            "every u32 position fits"
+        );
+    }
+
+    #[test]
+    fn runs_stop_at_unsealed_blocks_segment_ends_and_run_length() {
+        let (pq, data) = trained(16, 4);
+        let store = PqStore::new(pq, 1);
+        // Positions 0..1500 except 1400: block 43 (1376..1408) is
+        // unsealed, as is the tail block 46 (1472..1500).
+        fill(&store, &data, (0..1500).filter(|&pos| pos != 1400));
+        let reader = store.list_reader(ListId(0));
         let mut scratch = vec![0u8; reader.tile_len()];
         let scratch_ptr = scratch.as_ptr();
+        let mut runs = Vec::new();
+        let mut base = 0;
+        while base < 1500 {
+            let run = reader.load_run(base, 1500, &mut scratch);
+            assert_eq!(run.tiles.len(), run.blocks * reader.tile_len(), "at {base}");
+            assert_eq!(
+                in_place(run.tiles, scratch_ptr),
+                run.mask == u32::MAX,
+                "at {base}"
+            );
+            runs.push((base, run.blocks, run.mask));
+            base += run.blocks * FASTSCAN_BLOCK;
+        }
+        let all = u32::MAX;
+        assert_eq!(
+            runs,
+            [
+                (0, 8, all),    // segment 0 ends after 8 blocks
+                (256, 16, all), // segment 1: 16 blocks, also `RUN`
+                (768, 16, all), // segment 2 goes on: `RUN` ends the run
+                (1280, 3, all), // block 43 is not sealed
+                (1376, 1, !(1 << 24)),
+                (1408, 2, all),
+                (1472, 1, u32::MAX >> 4),
+            ]
+        );
+        // `end` cuts a run at the block holding `end - 1`.
+        let run = reader.load_run(768, 769, &mut scratch);
+        assert_eq!((run.blocks, run.mask), (1, all));
+        let run = reader.load_run(768, 768 + 5 * 32 + 1, &mut scratch);
+        assert_eq!(run.blocks, 6);
+        // Never-written segments are empty one block at a time.
+        let run = reader.load_run(FIRST_SEGMENT * 63, FIRST_SEGMENT * 64, &mut scratch);
+        assert!(run.blocks == 1 && run.mask == 0 && run.tiles.is_empty());
+    }
+
+    #[test]
+    fn load_run_matches_per_id_distances_bit_exactly() {
+        let (pq, data) = trained(16, 8);
+        let store = PqStore::new(std::sync::Arc::clone(&pq), 1);
+        // 800 codes: across segments 0, 1 and 2, sealed runs in place and
+        // a partial tail block copied.
+        let n = 800 - 3;
+        fill(&store, &data, 0..n);
+        let table = store.quantized_adc_table(data[5].as_slice());
+        let reader = store.list_reader(ListId(0));
+        let mut scratch = vec![0u8; reader.tile_len()];
         let mut acc = [0u16; FASTSCAN_BLOCK];
-        for base in (0..96).step_by(FASTSCAN_BLOCK) {
-            let (mask, tile) = reader.load_group(base, &mut scratch);
-            // A block observed sealed is scored where it lies; the tail
-            // goes through the copy.
-            assert_eq!(in_place(tile, scratch_ptr), mask == u32::MAX);
-            assert_eq!(mask == u32::MAX, base + FASTSCAN_BLOCK <= 77);
-            jdvs_vector::simd::active().fastscan16(tile, table.luts(), &mut acc);
-            for (lane, &lane_acc) in acc.iter().enumerate() {
-                let pos = base + lane;
-                let published = mask & (1 << lane) != 0;
-                assert_eq!(published, pos < 77, "lane publication at pos {pos}");
-                if published {
-                    let per_id = store
-                        .quantized_distance(&table, ImageId(pos as u32))
-                        .unwrap();
-                    assert_eq!(
-                        table.to_f32(lane_acc).to_bits(),
-                        per_id.to_bits(),
-                        "pos {pos}"
-                    );
+        let mut base = 0;
+        while base < n {
+            let run = reader.load_run(base, n, &mut scratch);
+            assert_eq!(
+                run.mask == u32::MAX,
+                base + FASTSCAN_BLOCK <= n,
+                "at {base}"
+            );
+            for (i, tile) in run.tiles.chunks_exact(reader.tile_len()).enumerate() {
+                jdvs_vector::simd::scalar().fastscan16(tile, table.luts(), &mut acc);
+                for (lane, &lane_acc) in acc.iter().enumerate() {
+                    let pos = base + i * FASTSCAN_BLOCK + lane;
+                    assert_eq!(run.mask & (1 << lane) != 0, pos < n, "publication at {pos}");
+                    if pos < n {
+                        let per_id = store
+                            .quantized_distance(&table, ImageId(pos as u32))
+                            .unwrap();
+                        assert_eq!(
+                            table.to_f32(lane_acc).to_bits(),
+                            per_id.to_bits(),
+                            "pos {pos}"
+                        );
+                    }
                 }
             }
+            base += run.blocks * FASTSCAN_BLOCK;
         }
-        let (mask, tile) = reader.load_group(SEGMENT_CODES * 4, &mut scratch);
-        assert!(mask == 0 && tile.is_empty());
+        assert_eq!(base, n.next_multiple_of(FASTSCAN_BLOCK));
     }
 
     #[test]
     fn block_turns_in_place_when_its_last_lane_publishes() {
         let (pq, data) = trained(16, 8);
         let store = PqStore::new(pq, 1);
-        for (i, v) in data.iter().take(FASTSCAN_BLOCK - 1).enumerate() {
-            store.put(ImageId(i as u32), ListId(0), i, v);
-        }
+        fill(&store, &data, 0..FASTSCAN_BLOCK - 1);
         let mut scratch = vec![0u8; 8 * 16];
         let scratch_ptr = scratch.as_ptr();
-        let (mask, tile) = store.list_reader(ListId(0)).load_group(0, &mut scratch);
-        assert_eq!(mask, u32::MAX >> 1);
-        assert!(!in_place(tile, scratch_ptr), "31 lanes: copied");
-        let copied = tile.to_vec();
+        let run = store.list_reader(ListId(0)).load_run(0, 64, &mut scratch);
+        assert_eq!((run.blocks, run.mask), (1, u32::MAX >> 1));
+        assert!(!in_place(run.tiles, scratch_ptr), "31 lanes: copied");
+        let copied = run.tiles.to_vec();
 
         store.put(ImageId(31), ListId(0), 31, &data[31]);
-        let (mask, tile) = store.list_reader(ListId(0)).load_group(0, &mut scratch);
-        assert_eq!(mask, u32::MAX);
-        assert!(in_place(tile, scratch_ptr), "32 lanes: sealed, in place");
+        let run = store.list_reader(ListId(0)).load_run(0, 64, &mut scratch);
+        assert_eq!((run.blocks, run.mask), (1, u32::MAX));
+        assert!(
+            in_place(run.tiles, scratch_ptr),
+            "32 lanes: sealed, in place"
+        );
         // Lane 31 is the high nibble of byte 15 of every row; nothing else
         // moved.
-        for (at, (&now, &before)) in tile.iter().zip(&copied).enumerate() {
+        for (at, (&now, &before)) in run.tiles.iter().zip(&copied).enumerate() {
             let others = if at % 16 == 15 { 0x0f } else { 0xff };
             assert_eq!(now & others, before & others, "byte {at}");
         }
 
         // The write-once guard: a second put of a sealed block's position
         // must not touch its bytes (readers hold them as plain memory).
-        let sealed = tile.to_vec();
+        let sealed = run.tiles.to_vec();
         for pos in [0, 15, 16, 31] {
             store.put(ImageId(900 + pos as u32), ListId(0), pos, &data[100 + pos]);
         }
-        let (mask, tile) = store.list_reader(ListId(0)).load_group(0, &mut scratch);
-        assert_eq!((mask, tile), (u32::MAX, &sealed[..]));
+        let run = store.list_reader(ListId(0)).load_run(0, 64, &mut scratch);
+        assert_eq!((run.mask, run.tiles), (u32::MAX, &sealed[..]));
+    }
+
+    #[test]
+    fn code_bytes_count_doubling_segments_exactly() {
+        let (pq, data) = trained(16, 8);
+        let store = PqStore::new(pq, 2);
+        assert_eq!(store.code_bytes(), (0, 0));
+        // m = 8: 4 bytes per code. 800 codes cross the 256 and 768
+        // boundaries: segments of 256 + 512 + 1024 positions.
+        fill(&store, &data, 0..800);
+        assert_eq!(store.code_bytes(), (1792 * 4, 800 * 4));
+        // A second list's first code allocates its first segment.
+        store.put(ImageId(5000), ListId(1), 0, &data[0]);
+        assert_eq!(store.code_bytes(), ((1792 + 256) * 4, 801 * 4));
+        // A rejected second put publishes nothing new.
+        store.put(ImageId(5001), ListId(1), 0, &data[1]);
+        assert_eq!(store.code_bytes(), ((1792 + 256) * 4, 801 * 4));
     }
 
     #[test]
@@ -630,12 +805,12 @@ mod tests {
     fn spans_segments() {
         let (pq, data) = trained(8, 2);
         let store = PqStore::new(pq, 1);
-        let pos = SEGMENT_CODES * 2 + 3;
+        let pos = 1000; // segment 2
         store.put(ImageId(7), ListId(0), pos, &data[0]);
         assert_eq!(store.locate(ImageId(7)), Some((ListId(0), pos)));
         assert!(store.decode(ImageId(7)).is_some());
         // Gap segments hold nothing.
-        let mut reader = store.list_reader(ListId(0));
+        let reader = store.list_reader(ListId(0));
         let mut code = vec![0u8; 2];
         assert!(!reader.read_code(3, &mut code));
         assert!(reader.read_code(pos, &mut code));
@@ -676,14 +851,20 @@ mod tests {
                 let mut scratch = vec![0u8; 8 * 16];
                 let mut code = vec![0u8; 8];
                 for _ in 0..50 {
-                    let mut reader = store.list_reader(ListId(0));
-                    for base in (0..n).step_by(FASTSCAN_BLOCK) {
-                        let (mask, tile) = reader.load_group(base, &mut scratch);
-                        for lane in 0..FASTSCAN_BLOCK {
-                            if mask & (1 << lane) == 0 {
-                                continue;
-                            }
-                            let pos = base + lane;
+                    let reader = store.list_reader(ListId(0));
+                    let mut base = 0;
+                    while base < n {
+                        let run = reader.load_run(base, n, &mut scratch);
+                        let first = base;
+                        base += run.blocks * FASTSCAN_BLOCK;
+                        for at in (0..run.blocks * FASTSCAN_BLOCK)
+                            .filter(|at| run.mask & (1 << (at % FASTSCAN_BLOCK)) != 0)
+                        {
+                            let (tile, lane) = (
+                                &run.tiles[at / FASTSCAN_BLOCK * 8 * 16..],
+                                at % FASTSCAN_BLOCK,
+                            );
+                            let pos = first + at;
                             // The tile (in place once the block seals) and
                             // the per-position read agree with the encoder.
                             let want = pq.encode(data[pos].as_slice());

@@ -17,21 +17,24 @@
 //!    fast-scan; see `scan.rs`) walks each list once over one
 //!    [`crate::inverted::InvertedList::snapshot`] into the plan's
 //!    [`TopK`], with [`TopK::would_accept`] threshold pruning. The raw
-//!    scanner walks id blocks; the fast-scan scanner walks 32-code blocks
-//!    of the code store itself — sealed blocks are scored **in
-//!    place**, only a list's still-filling tail block is copied
-//!    ([`crate::pq_store::PqListReader::load_group`]) — with a fused
-//!    score-and-prune kernel, and reads an id only for a lane under the
-//!    prune bound. The validity bitmap, the vector store and the plan's
+//!    scanner walks id blocks; the fast-scan scanner walks the code store
+//!    itself in **runs** ([`crate::pq_store::PqListReader::load_run`]):
+//!    up to 16 sealed 32-code blocks scored **in place**, or a list's
+//!    still-filling tail block copied out, each run one call of a fused
+//!    score-and-prune kernel that holds the LUTs in registers; the prune
+//!    bound is refreshed between runs, and an id is read only for a lane
+//!    under it. The validity bitmap, the vector store and the plan's
 //!    filter are pinned once per plan, PQ segments are borrowed without a
 //!    lock, so the per-candidate cost is a SIMD kernel
 //!    ([`jdvs_vector::simd::active`]) over bytes that stream. Invalid
 //!    images — cleared validity bits — are skipped, so logically deleted
-//!    products never surface. The filter resolves **before** the kernels
-//!    run: a rejected raw candidate costs bitmap word loads, a 32-lane
-//!    fast-scan group the filter rejects skips the kernel outright (only a
-//!    filter makes the scanner read a group's ids up front). An unfiltered
-//!    plan is simply one whose lane mask is the published mask.
+//!    products never surface. The raw scanner resolves the filter
+//!    **before** a vector is touched (a rejected candidate costs bitmap
+//!    word loads); the fast-scan scanner scores first and filters
+//!    **after** the prune, so the filter reads a block's ids only when
+//!    one of its lanes is under the bound — the two tests commute and
+//!    survivors are pushed in lane order, so the answer is the same. An
+//!    unfiltered plan is simply one whose lane mask is the published mask.
 //! 3. **Escalate.** A *filtered* plan whose top-k is still underfull
 //!    widens its probing (doubling, scanning only lists not yet probed,
 //!    through the same scanner) up to
@@ -556,30 +559,36 @@ mod tests {
 
         // The fast-scan block boundaries: lists that are empty, one code,
         // one lane short of a sealed block, exactly sealed, one past, and
-        // the same around a segment — so in-place blocks, the copied tail
-        // and their seams all face the oracle, unfiltered and filtered.
-        let lengths = [0, 1, 31, 32, 33, 255, 256, 257];
-        let (index, queries) = build_list_lengths(&lengths, 89);
+        // the same around each doubling of the code segments (256, 768,
+        // 1792) — so in-place runs, the copied tail and their seams at
+        // block, segment and run ends all face the oracle, unfiltered and
+        // filtered.
         let specs = test_specs();
-        let plans: Vec<SearchPlan<'_>> = (0..4 * lengths.len())
-            .map(|i| SearchPlan {
-                features: queries[i % lengths.len()].as_slice(),
-                k: 4 + i % 5,
-                nprobe: [1, 2, lengths.len()][i % 3],
-                filter: (i % 2 == 1).then_some(&specs[i % specs.len()]),
-                stage: Stage::Compressed {
-                    rerank_factor: 1 + i % 4,
-                },
-                deadline: None,
-            })
-            .collect();
-        let mut nonempty = 0;
-        for plan in &plans {
-            let got = execute(&index, plan);
-            assert_eq!(got, oracle(&index, plan), "list lengths: {plan:?}");
-            nonempty += usize::from(!got.is_empty());
+        for (lengths, seed) in [
+            (&[0, 1, 31, 32, 33, 255, 256, 257][..], 89),
+            (&[767, 768, 769, 1791, 1792, 1793][..], 97),
+        ] {
+            let (index, queries) = build_list_lengths(lengths, seed);
+            let plans: Vec<SearchPlan<'_>> = (0..4 * lengths.len())
+                .map(|i| SearchPlan {
+                    features: queries[i % lengths.len()].as_slice(),
+                    k: 4 + i % 5,
+                    nprobe: [1, 2, lengths.len()][i % 3],
+                    filter: (i % 2 == 1).then_some(&specs[i % specs.len()]),
+                    stage: Stage::Compressed {
+                        rerank_factor: 1 + i % 4,
+                    },
+                    deadline: None,
+                })
+                .collect();
+            let mut nonempty = 0;
+            for plan in &plans {
+                let got = execute(&index, plan);
+                assert_eq!(got, oracle(&index, plan), "list lengths: {plan:?}");
+                nonempty += usize::from(!got.is_empty());
+            }
+            assert!(nonempty > plans.len() / 2, "{lengths:?}");
         }
-        assert!(nonempty > plans.len() / 2);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! [`crate::inverted::InvertedList::snapshot`] (the list's one lock and
 //! refcount) and, on the PQ paths, one borrowed
 //! [`crate::pq_store::PqListReader`] (neither). The raw scanner walks the
-//! snapshot in id blocks; the fast-scan scanner walks the *codes* and goes
-//! back to the snapshot only for lanes that survive: an unfiltered scan
-//! streams 8 code bytes per candidate (m = 16) and nothing else.
+//! snapshot in id blocks; the fast-scan scanner walks the *codes* in runs
+//! of up to [`RUN`] sealed blocks, one kernel call per run, and goes back
+//! to the snapshot only for lanes under the prune bound: a scan streams 8
+//! code bytes per candidate (m = 16) and nothing else. A filtered plan
+//! scores first and filters after — the filter reads the ids of a block
+//! only when one of its lanes survived the prune.
 
 use jdvs_vector::pq::QuantizedAdcTable;
 use jdvs_vector::simd::{self, KernelSet, FASTSCAN_LANES};
@@ -24,7 +27,7 @@ use crate::filter::FilterView;
 use crate::ids::{ImageId, ListId};
 use crate::index::VisualIndex;
 use crate::inverted::InvertedIndex;
-use crate::pq_store::{PqStore, FASTSCAN_BLOCK};
+use crate::pq_store::{PqStore, FASTSCAN_BLOCK, RUN};
 use crate::vectors::VectorSnapshot;
 
 /// What every scanner reads about the plan it serves.
@@ -100,7 +103,7 @@ impl RawScanner<'_> {
     }
 }
 
-/// Mask of a group's first `lanes` lanes. The ids a scanner holds are a
+/// Mask of a block's first `lanes` lanes. The ids a scanner holds are a
 /// snapshot; the real-time indexer may since have appended to the list and
 /// published the new position's code, so the published-lane mask read
 /// afterwards can cover lanes the snapshot has no id for. Clipping to the
@@ -112,17 +115,31 @@ fn low_lanes(lanes: usize) -> u32 {
     u32::MAX >> (FASTSCAN_BLOCK - lanes)
 }
 
-/// 4-bit fast-scan: each 32-code interleaved block is scored where it lies
-/// in the code store — only a list's unsealed tail block is copied out —
-/// against the plan's register-resident LUTs by the fused score-and-prune
-/// kernel. The scan touches code bytes and nothing else until a lane
-/// survives the prune bound: only then is the lane's id read.
+/// The indexes of `bits`' set bits, lowest first.
+fn set_bits(mut bits: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+        bits &= bits - 1;
+        Some(bit)
+    })
+}
+
+/// 4-bit fast-scan: the list's codes are read in runs
+/// ([`crate::pq_store::PqListReader::load_run`]) — up to [`RUN`] sealed
+/// blocks scored where they lie in the code store, or the one unsealed
+/// tail block copied out — and each run is one call of the fused
+/// score-and-prune kernel, which keeps the plan's LUTs in registers
+/// across the run. The scan touches code bytes and nothing else until a
+/// lane survives the prune bound: only then are the lane's id (and, for a
+/// filtered plan, the group's ids and the filter) read.
 pub(super) struct FastScanner<'a> {
     lanes: &'a Lanes<'a>,
     pq: &'a PqStore,
     qt: &'a QuantizedAdcTable,
-    /// The sums of the block in flight, written only when a lane survives.
-    acc: [u16; FASTSCAN_LANES],
+    /// Per block of the run in flight: the lanes under the prune bound,
+    /// and the sums, written only for a block with such a lane.
+    masks: [u32; RUN],
+    sums: [[u16; FASTSCAN_LANES]; RUN],
     /// The copy of an unsealed block.
     tile: Vec<u8>,
 }
@@ -133,7 +150,8 @@ impl<'a> FastScanner<'a> {
             lanes,
             pq,
             qt,
-            acc: [0; FASTSCAN_LANES],
+            masks: [0; RUN],
+            sums: [[0; FASTSCAN_LANES]; RUN],
             tile: Vec::new(),
         }
     }
@@ -144,33 +162,23 @@ impl ListScanner for FastScanner<'_> {
         let (lanes, qt) = (self.lanes, self.qt);
         let list = ListId(list as u32);
         let ids = lanes.inverted.list(list).snapshot();
-        let mut reader = self.pq.list_reader(list);
+        let reader = self.pq.list_reader(list);
         self.tile.resize(reader.tile_len(), 0);
-        // The quantized top-k prune bound, recomputed only when the k-th
-        // distance moves: [`QuantizedAdcTable::prune_bound`] is the exact
-        // `would_accept` edge, so skipped lanes provably change nothing.
+        // The quantized top-k prune bound, recomputed between runs only
+        // when the k-th distance moved: [`QuantizedAdcTable::prune_bound`]
+        // is the exact `would_accept` edge, so skipped lanes provably
+        // change nothing, and a bound gone stale within a run only sends
+        // more lanes to the exact test.
         let (mut bound, mut bound_thr) = (Some(u16::MAX), f32::INFINITY);
         let mut group = [ImageId(0); FASTSCAN_BLOCK];
-        for base in (0..ids.len()).step_by(FASTSCAN_BLOCK) {
-            let n = FASTSCAN_BLOCK.min(ids.len() - base);
-            let (mask, tile) = reader.load_group(base, &mut self.tile);
+        let mut base = 0;
+        while base < ids.len() {
+            let run = reader.load_run(base, ids.len(), &mut self.tile);
+            let first = base;
+            base += run.blocks * FASTSCAN_BLOCK;
             // An unpublished lane's code is still mid-insert (its validity
             // bit is not set yet either).
-            let published = mask & low_lanes(n);
-            if published == 0 {
-                continue;
-            }
-            // Pushdown: the lane mask resolves before the kernel, and a
-            // group the filter rejects skips the kernel entirely. Only a
-            // filter needs a group's ids up front.
-            let admitted = match &lanes.view {
-                Some(view) => {
-                    ids.copy_to(base, &mut group[..n]);
-                    view.lane_mask(&group[..n], published)
-                }
-                None => published,
-            };
-            if admitted == 0 {
+            if run.mask == 0 {
                 continue;
             }
             let thr = topk.threshold();
@@ -178,25 +186,49 @@ impl ListScanner for FastScanner<'_> {
                 bound = qt.prune_bound(thr);
                 bound_thr = thr;
             }
-            let Some(bound) = bound else { continue };
-            let mut hits = admitted
-                & lanes
-                    .kernels
-                    .fastscan16_le(tile, qt.luts(), bound, &mut self.acc);
-            // After the bound warms up almost no lane gets here.
-            while hits != 0 {
-                let lane = hits.trailing_zeros() as usize;
-                hits &= hits - 1;
-                let id = match lanes.view {
-                    Some(_) => group[lane],
-                    None => ids.id(base + lane),
-                };
-                if !lanes.bitmap.test(id.as_usize()) {
+            // The threshold never rises, so no later lane can enter either.
+            let Some(bound) = bound else { break };
+            let masks = &mut self.masks[..run.blocks];
+            lanes
+                .kernels
+                .fastscan16_run_le(run.tiles, qt.luts(), bound, masks, &mut self.sums);
+            // Blocks with a lane under the bound: after the bound warms up
+            // almost no run has one.
+            let live = masks
+                .iter()
+                .enumerate()
+                .fold(0u32, |live, (i, &m)| live | u32::from(m != 0) << i);
+            for i in set_bits(live) {
+                let at = first + i * FASTSCAN_BLOCK;
+                let n = FASTSCAN_BLOCK.min(ids.len() - at);
+                let sums = &self.sums[i];
+                // The bound is as of the run's start; lanes the threshold
+                // has passed since cannot enter (it never rises), so they
+                // are dropped before their ids are read.
+                let mut hits = set_bits(masks[i] & run.mask & low_lanes(n))
+                    .filter(|&lane| topk.would_accept(qt.to_f32(sums[lane])))
+                    .fold(0u32, |hits, lane| hits | 1 << lane);
+                if hits == 0 {
                     continue;
                 }
-                let d = qt.to_f32(self.acc[lane]);
-                if topk.would_accept(d) {
-                    topk.push(id.as_u64(), d);
+                // Filter after the prune, on the surviving lanes only: the
+                // two tests commute, and survivors go on in lane order.
+                if let Some(view) = &lanes.view {
+                    ids.copy_to(at, &mut group[..n]);
+                    hits = view.lane_mask(&group[..n], hits);
+                }
+                for lane in set_bits(hits) {
+                    let id = match lanes.view {
+                        Some(_) => group[lane],
+                        None => ids.id(at + lane),
+                    };
+                    if !lanes.bitmap.test(id.as_usize()) {
+                        continue;
+                    }
+                    let d = qt.to_f32(sums[lane]);
+                    if topk.would_accept(d) {
+                        topk.push(id.as_u64(), d);
+                    }
                 }
             }
         }

@@ -39,3 +39,30 @@ mod std_impl {
     pub(crate) use std::sync::Arc;
     pub(crate) use std::thread;
 }
+
+/// `n` zeroed atomic words. Normal builds allocate through the zeroing
+/// allocator (`vec![0u64; n]` is `calloc`), which hands back lazily-zeroed
+/// pages in O(1): element-wise `AtomicU64::new(0)` construction would touch
+/// every word on the writer path — an O(n) stall when an inverted list
+/// doubles (Figure 9's protocol exists to avoid it) and resident memory
+/// for a code segment's unwritten tail.
+#[cfg(not(loom))]
+pub(crate) fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>());
+    let zeroed: Box<[u64]> = vec![0u64; n].into_boxed_slice();
+    // SAFETY: `AtomicU64` has the size of `u64` (guaranteed by std) and,
+    // on this target, its alignment (asserted above); the all-zero bit
+    // pattern is a valid `AtomicU64`. Ownership transfers through the raw
+    // pointer without aliasing. `unsafe_slab_cast_round_trips` in
+    // tests/concurrency.rs exercises this cast under the interpreter
+    // (`cargo miri test -p jdvs-core --test concurrency unsafe_slab`).
+    unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [AtomicU64]) }
+}
+
+/// The loom shim's instrumented atomics are not layout-compatible with
+/// `u64`, so model builds construct element-wise. Model allocations are
+/// tiny; the O(n) cost is irrelevant there.
+#[cfg(loom)]
+pub(crate) fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}

@@ -22,7 +22,7 @@ use jdvs_core::bitmap::AtomicBitmap;
 use jdvs_core::forward::ForwardIndex;
 use jdvs_core::ids::{ImageId, ListId};
 use jdvs_core::inverted::InvertedList;
-use jdvs_core::pq_store::{PqStore, FASTSCAN_BLOCK};
+use jdvs_core::pq_store::{PqStore, FASTSCAN_BLOCK, FIRST_SEGMENT};
 use jdvs_core::swap::IndexHandle;
 use jdvs_storage::model::{ProductAttributes, ProductId};
 use jdvs_vector::pq::{PqConfig, ProductQuantizer};
@@ -187,17 +187,23 @@ fn handle_swap_vs_inflight_query() {
     });
 }
 
-/// Protocol 6 — PQ block-mask publication: 30 lanes of a 4-bit block are
-/// in place; two writers fill the last two, lanes 15 and 31, which share
-/// every nibble byte of the block, while a reader loads the group. Any
-/// lane the mask admits must read back its exact final code — from the
-/// tile and through `read_code` — whatever the writers' `fetch_or`s are
-/// doing to the other half of the byte, and a sealed mask implies all 32.
+/// Protocol 6 — PQ block-mask publication, on a list that spans two code
+/// segments: positions 224..288 are the last block of the first segment
+/// and the first block of the second. All but three lanes are in place;
+/// writers fill lanes 15 and 31 of the first block, which share every
+/// nibble byte of it, and lane 15 of the second, while a reader walks the
+/// two blocks in runs. Any lane a mask admits must read back its exact
+/// final code — from the run's tile and through `read_code` — whatever the
+/// writers' `fetch_or`s are doing to the other half of the byte, and once
+/// the writers are joined both blocks are sealed.
 #[test]
 fn pq_block_mask_publishes_complete_codes() {
     const M: usize = 2;
+    const START: usize = FIRST_SEGMENT - FASTSCAN_BLOCK;
+    const END: usize = FIRST_SEGMENT + FASTSCAN_BLOCK;
+    const WRITTEN_LATE: [usize; 3] = [START + 15, START + 31, FIRST_SEGMENT + 15];
     let mut rng = Xoshiro256::seed_from(6);
-    let data: Vec<Vector> = (0..64)
+    let data: Vec<Vector> = (0..END)
         .map(|_| (0..4).map(|_| rng.next_gaussian() as f32).collect())
         .collect();
     let pq = std::sync::Arc::new(ProductQuantizer::train(
@@ -214,10 +220,10 @@ fn pq_block_mask_publishes_complete_codes() {
         let put = |store: &PqStore, pos: usize| {
             store.put(ImageId(pos as u32), ListId(0), pos, &data[pos]);
         };
-        for pos in (0..FASTSCAN_BLOCK).filter(|pos| pos % 16 != 15) {
+        for pos in (START..END).filter(|pos| !WRITTEN_LATE.contains(pos)) {
             put(&store, pos);
         }
-        let writers: Vec<_> = [15usize, 31]
+        let writers: Vec<_> = WRITTEN_LATE
             .into_iter()
             .map(|pos| {
                 let (store, data) = (Arc::clone(&store), std::sync::Arc::clone(&data));
@@ -226,22 +232,35 @@ fn pq_block_mask_publishes_complete_codes() {
             .collect();
 
         let check = |expect_sealed: bool| {
-            let mut reader = store.list_reader(ListId(0));
+            let reader = store.list_reader(ListId(0));
             let mut scratch = [0u8; M * 16];
-            let (mask, tile) = reader.load_group(0, &mut scratch);
-            let tile = tile.to_vec();
-            assert_eq!(mask & 0x7fff_7fff, 0x7fff_7fff, "pre-filled lanes");
-            assert!(!expect_sealed || mask == u32::MAX, "all 32 lanes are in");
             let mut code = [0u8; M];
-            for lane in (0..FASTSCAN_BLOCK).filter(|lane| mask & (1 << lane) != 0) {
-                let want = pq.encode(data[lane].as_slice());
-                for (sub, &c) in want.iter().enumerate() {
-                    let byte = tile[sub * 16 + lane % 16];
-                    let got = if lane < 16 { byte & 0x0f } else { byte >> 4 };
-                    assert_eq!(got, c, "tile lane {lane} sub {sub} under mask {mask:#x}");
+            let mut base = START;
+            while base < END {
+                let run = reader.load_run(base, END, &mut scratch);
+                let (blocks, mask, tiles) = (run.blocks, run.mask, run.tiles.to_vec());
+                let late = WRITTEN_LATE
+                    .iter()
+                    .filter(|&&pos| pos / FASTSCAN_BLOCK == base / FASTSCAN_BLOCK)
+                    .fold(0u32, |late, &pos| late | 1 << (pos % FASTSCAN_BLOCK));
+                assert_eq!(mask | late, u32::MAX, "pre-filled lanes at {base}");
+                assert!(!expect_sealed || mask == u32::MAX, "all 32 lanes are in");
+                for at in 0..blocks * FASTSCAN_BLOCK {
+                    let (block, lane) = (at / FASTSCAN_BLOCK, at % FASTSCAN_BLOCK);
+                    if mask & (1 << lane) == 0 {
+                        continue;
+                    }
+                    let pos = base + at;
+                    let want = pq.encode(data[pos].as_slice());
+                    for (sub, &c) in want.iter().enumerate() {
+                        let byte = tiles[(block * M + sub) * 16 + lane % 16];
+                        let got = if lane < 16 { byte & 0x0f } else { byte >> 4 };
+                        assert_eq!(got, c, "tile pos {pos} sub {sub} under mask {mask:#x}");
+                    }
+                    assert!(reader.read_code(pos, &mut code), "admitted pos {pos}");
+                    assert_eq!(code[..], want[..], "read_code pos {pos}");
                 }
-                assert!(reader.read_code(lane, &mut code), "admitted lane {lane}");
-                assert_eq!(code[..], want[..], "read_code lane {lane}");
+                base += blocks * FASTSCAN_BLOCK;
             }
         };
         check(false);

@@ -21,6 +21,7 @@ use jdvs_core::forward::ForwardIndex;
 use jdvs_core::ids::{ImageId, ListId};
 use jdvs_core::index::VisualIndex;
 use jdvs_core::inverted::InvertedIndex;
+use jdvs_core::pq_store::FIRST_SEGMENT;
 use jdvs_core::search::{self, SearchPlan};
 use jdvs_core::swap::IndexHandle;
 use jdvs_core::FilterSpec;
@@ -157,9 +158,11 @@ fn random_event_mix_against_live_readers() {
 /// block still collects lanes from all of them) while readers execute
 /// compressed plans over every list. A reader scores a block in place, with
 /// plain loads, the moment its mask reads sealed; the thread sanitizer
-/// checks that the one Acquire load really orders those reads after all 32
-/// writers' `fetch_or`s. Readers assert what must hold mid-write; once the
-/// writers are done every plan must equal its sequential oracle.
+/// checks that each block's own Acquire load really orders the reads of a
+/// run after all of its writers' `fetch_or`s. The lists outgrow their first
+/// code segment while readers scan them, so runs and tail copies also meet
+/// a segment boundary mid-race. Readers assert what must hold mid-write;
+/// once the writers are done every plan must equal its sequential oracle.
 #[test]
 fn pq_tail_blocks_race_compressed_execute() {
     const WRITERS: u64 = 3;
@@ -184,13 +187,19 @@ fn pq_tail_blocks_race_compressed_execute() {
     ));
     let category = FilterSpec::by_category(1);
     let stop = Arc::new(AtomicBool::new(false));
+    let writing = Arc::new(AtomicBool::new(true));
     let readers: Vec<_> = (0..3u64)
         .map(|t| {
             let (index, stop, category) = (Arc::clone(&index), Arc::clone(&stop), category.clone());
+            let writing = Arc::clone(&writing);
             std::thread::spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(stress_seed() ^ (0x9e4d + t));
-                let mut hits = 0u64;
+                let (mut hits, mut crossed) = (0u64, false);
                 while !stop.load(Ordering::Relaxed) {
+                    // A list past its first segment, seen while writers
+                    // still append to it.
+                    let longest = (0..4).map(|l| index.inverted().list(ListId(l)).len()).max();
+                    crossed |= longest > Some(FIRST_SEGMENT) && writing.load(Ordering::Relaxed);
                     let q = point(&mut rng);
                     let plain = SearchPlan::new(q.as_slice(), 8, 4).compressed(3);
                     for plan in [plain, plain.filtered(&category)] {
@@ -208,7 +217,7 @@ fn pq_tail_blocks_race_compressed_execute() {
                         }
                     }
                 }
-                hits
+                (hits, crossed)
             })
         })
         .collect();
@@ -231,10 +240,22 @@ fn pq_tail_blocks_race_compressed_execute() {
     for h in writers {
         h.join().unwrap();
     }
+    writing.store(false, Ordering::Relaxed);
     index.flush();
     stop.store(true, Ordering::Relaxed);
-    let hits: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    let (hits, crossed) = readers
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .fold((0, false), |(hits, crossed), (h, c)| {
+            (hits + h, crossed || c)
+        });
     assert!(hits > 0, "readers observed hits while the writers ran");
+    // From 2048 ops on, some list ends with at least 512 codes, so it
+    // passed 256 with hundreds of appends still to come.
+    assert!(
+        crossed || ops < 8 * FIRST_SEGMENT as u64,
+        "readers scanned a list across a segment boundary mid-race"
+    );
     assert_eq!(index.inverted().total_entries() as u64, ops);
     for _ in 0..20 {
         let q = point(&mut rng);

@@ -4,25 +4,36 @@
 //! (cosine/MIPS modes) and the 4-bit PQ fast-scan (compressed scans)
 //! millions of times per second; Section 2.4's sub-second latency target
 //! makes these the hottest instructions in the system. This module provides
-//! three implementations of each kernel behind one [`KernelSet`] of function
-//! pointers:
+//! four sets of kernels behind one [`KernelSet`] of function pointers:
 //!
 //! - **scalar** — the always-correct reference: 4-way manually unrolled,
 //!   identical to the original hand-written loops. Used for differential
 //!   testing and as the fallback on hardware without SIMD.
 //! - **avx2-fma** (`x86_64`) — 8-lane `f32` FMA kernels with two
-//!   independent accumulators; the fast-scan kernel does 32 LUT lookups
-//!   per subspace with one `vpshufb`.
+//!   independent accumulators; the fast-scan run kernel holds the LUTs of
+//!   two subspaces per 256-bit register and scores 32 candidates of both
+//!   with two `vpshufb`.
+//! - **avx512bw** (`x86_64`) — the AVX2 `f32` kernels (raw scans do not
+//!   change), plus a run kernel with four subspaces' LUTs per 512-bit
+//!   register and the lane mask from one `vpcmpuw`.
 //! - **neon** (`aarch64`) — 4-lane `f32` FMA kernels and `vqtbl1q_u8`
 //!   fast-scan (NEON is part of the baseline AArch64 ISA, so no runtime
 //!   detection is needed).
+//!
+//! The fast-scan entry point scores a **run** of consecutive 32-code
+//! blocks in one call ([`KernelSet::fastscan16_run_le`]): the x86 sets
+//! load the LUTs once per run, not once per block. Sums are saturating
+//! `u16` adds of `u8` table entries — order-free, since a saturating sum
+//! of non-negative terms is `min(Σ, u16::MAX)` however it is grouped — so
+//! every set is bit-identical to [`scalar::fastscan16`].
 //!
 //! Selection happens **once**, on first use, via
 //! `is_x86_feature_detected!`; every later call is an indirect call through
 //! a cached function pointer. Setting the environment variable
 //! `JDVS_FORCE_SCALAR` (to anything but `0`) before first use pins the
 //! dispatcher to the scalar set — CI runs the whole test suite in that mode
-//! so both code paths stay green.
+//! so both code paths stay green. [`supported`] lists every set this CPU
+//! can run, whatever the override, for tests that call each one directly.
 //!
 //! Floating-point caveat: SIMD kernels associate the reduction differently
 //! from the scalar ones (and FMA skips an intermediate rounding), so results
@@ -31,8 +42,8 @@
 
 use std::sync::OnceLock;
 
-/// Codes per fast-scan block: one 4-bit fast-scan kernel call scores this
-/// many candidates at once (mirrors `jdvs_core`'s interleaved block size).
+/// Codes per fast-scan block, the kernels' tile: a run kernel call scores
+/// a whole number of blocks (mirrors `jdvs_core`'s interleaved block size).
 pub const FASTSCAN_LANES: usize = 32;
 
 /// Bytes per subspace row in a fast-scan block / quantized LUT: 16 packed
@@ -48,14 +59,16 @@ fn assert_same_len(a: &[f32], b: &[f32]) {
     );
 }
 
+/// The fast-scan run kernel's signature: see [`KernelSet::fastscan16_run_le`].
+type RunKernel = fn(&[u8], &[u8], u16, &mut [u32], &mut [[u16; FASTSCAN_LANES]]);
+
 /// One complete set of distance kernels (see the module docs).
 #[derive(Clone, Copy)]
 pub struct KernelSet {
     name: &'static str,
     squared_l2: fn(&[f32], &[f32]) -> f32,
     dot: fn(&[f32], &[f32]) -> f32,
-    fastscan16: fn(&[u8], &[u8], &mut [u16; FASTSCAN_LANES]),
-    fastscan16_le: fn(&[u8], &[u8], u16, &mut [u16; FASTSCAN_LANES]) -> u32,
+    fastscan16_run_le: RunKernel,
 }
 
 impl std::fmt::Debug for KernelSet {
@@ -67,7 +80,8 @@ impl std::fmt::Debug for KernelSet {
 }
 
 impl KernelSet {
-    /// Kernel family name: `"scalar"`, `"avx2-fma"` or `"neon"`.
+    /// Kernel family name: `"scalar"`, `"avx2-fma"`, `"avx512bw"` or
+    /// `"neon"`.
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -101,93 +115,88 @@ impl KernelSet {
     /// block lane `t` in its low nibble and of lane `t + 16` in its high
     /// nibble; in `luts`, byte `w` of a row is the quantized distance of
     /// codeword `w` (see [`crate::pq::QuantizedAdcTable`]). Writes the 32
-    /// per-lane sums into `out` using **saturating** u16 adds in subspace
-    /// order `0..m` — every implementation accumulates in this exact order,
-    /// so scalar and SIMD results are bit-identical.
+    /// per-lane sums into `out`: saturating u16 adds, so every
+    /// implementation writes exactly [`scalar::fastscan16`]'s sums. This is
+    /// a one-block run at bound `u16::MAX`, where every lane survives.
     ///
     /// # Panics
     ///
-    /// Panics if `block` and `luts` differ in length or are not a whole
-    /// number of 16-byte rows.
+    /// Panics if `block` and `luts` differ in length or are not a whole,
+    /// non-zero number of 16-byte rows.
     #[inline]
     pub fn fastscan16(&self, block: &[u8], luts: &[u8], out: &mut [u16; FASTSCAN_LANES]) {
-        assert_eq!(
-            block.len(),
-            luts.len(),
-            "fast-scan block/LUT shape mismatch"
-        );
-        assert_eq!(
-            block.len() % FASTSCAN_ROW,
-            0,
-            "fast-scan rows must be 16 bytes"
-        );
-        (self.fastscan16)(block, luts, out)
+        self.fastscan16_run_le(block, luts, u16::MAX, &mut [0], std::slice::from_mut(out));
     }
 
-    /// Fused score + prune over one interleaved 32-code block: the mask of
-    /// [`scalar::lanes_le16`]`(acc, bound)` (bit `t` ⇔ `acc[t] <= bound`)
-    /// over the sums [`Self::fastscan16`]`(block, luts)` would write,
-    /// without the round trip through memory between the two. The scan
-    /// uses it as a block-level top-k prune: with the current k-th distance
-    /// mapped back to a quantized bound, a zero mask skips the block's
-    /// candidate processing entirely. `out` receives the 32 sums only
-    /// when the mask is non-zero — the common block, all of whose lanes lie
-    /// above a warmed-up prune bound, never stores its accumulators.
-    /// Accumulation is the same saturating add order as `fastscan16` and
-    /// the compare is integral, so every implementation returns the
-    /// identical mask and row.
+    /// Fused score + prune over a **run** of interleaved 32-code blocks,
+    /// laid out back to back in `tiles` (`masks.len()` tiles of
+    /// `luts.len()` bytes each, the layout of [`Self::fastscan16`]'s
+    /// `block`). For block `b`, `masks[b]` receives the mask of
+    /// [`scalar::lanes_le16`]`(sums, bound)` (bit `t` ⇔ `sums[t] <= bound`)
+    /// over the sums [`Self::fastscan16`] would write for it, and
+    /// `sums[b]` receives those sums **only when `masks[b] != 0`** — a
+    /// block all of whose lanes lie above a warmed-up prune bound never
+    /// stores its accumulators. The LUTs are loaded once per call and the
+    /// sums stay in registers until the compare, so the scan calls this
+    /// once per run of sealed blocks rather than once per block. The
+    /// compare is integral and the sums order-free, so every
+    /// implementation writes the identical masks and rows.
     ///
     /// # Panics
     ///
-    /// Panics if `block` and `luts` differ in length or are not a whole
-    /// number of 16-byte rows.
+    /// Panics if `luts` is not a whole, non-zero number of 16-byte rows,
+    /// if `tiles` is not `masks.len()` tiles of `luts.len()` bytes, or if
+    /// `sums` is shorter than `masks`.
     #[inline]
-    pub fn fastscan16_le(
+    pub fn fastscan16_run_le(
         &self,
-        block: &[u8],
+        tiles: &[u8],
         luts: &[u8],
         bound: u16,
-        out: &mut [u16; FASTSCAN_LANES],
-    ) -> u32 {
-        assert_eq!(
-            block.len(),
-            luts.len(),
-            "fast-scan block/LUT shape mismatch"
-        );
-        assert_eq!(
-            block.len() % FASTSCAN_ROW,
-            0,
+        masks: &mut [u32],
+        sums: &mut [[u16; FASTSCAN_LANES]],
+    ) {
+        assert!(
+            !luts.is_empty() && luts.len().is_multiple_of(FASTSCAN_ROW),
             "fast-scan rows must be 16 bytes"
         );
-        (self.fastscan16_le)(block, luts, bound, out)
+        assert_eq!(
+            tiles.len(),
+            masks.len() * luts.len(),
+            "fast-scan block/LUT shape mismatch"
+        );
+        assert!(sums.len() >= masks.len(), "one sum row per block");
+        (self.fastscan16_run_le)(tiles, luts, bound, masks, sums)
     }
 }
 
-/// [`KernelSet::fastscan16_le`] by its definition — `score`'s sums, then the
-/// reference compare — for kernel sets without a fused implementation.
+/// [`KernelSet::fastscan16_run_le`] by its definition, one block at a time:
+/// `score`'s sums, then the reference compare. The scalar set's kernel, and
+/// the run kernel of sets without a wider one.
 #[inline]
-fn score_then_prune(
+fn run_by_blocks(
     score: fn(&[u8], &[u8], &mut [u16; FASTSCAN_LANES]),
-    block: &[u8],
+    tiles: &[u8],
     luts: &[u8],
     bound: u16,
-    out: &mut [u16; FASTSCAN_LANES],
-) -> u32 {
+    masks: &mut [u32],
+    sums: &mut [[u16; FASTSCAN_LANES]],
+) {
     let mut row = [0u16; FASTSCAN_LANES];
-    score(block, luts, &mut row);
-    let mask = scalar::lanes_le16(&row, bound);
-    if mask != 0 {
-        *out = row;
+    for ((tile, mask), out) in tiles.chunks_exact(luts.len()).zip(masks).zip(sums) {
+        score(tile, luts, &mut row);
+        *mask = scalar::lanes_le16(&row, bound);
+        if *mask != 0 {
+            *out = row;
+        }
     }
-    mask
 }
 
 static SCALAR: KernelSet = KernelSet {
     name: "scalar",
     squared_l2: scalar::squared_l2,
     dot: scalar::dot,
-    fastscan16: scalar::fastscan16,
-    fastscan16_le: scalar::fastscan16_le,
+    fastscan16_run_le: scalar::fastscan16_run_le,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -195,8 +204,15 @@ static AVX2: KernelSet = KernelSet {
     name: "avx2-fma",
     squared_l2: x86::squared_l2,
     dot: x86::dot,
-    fastscan16: x86::fastscan16,
-    fastscan16_le: x86::fastscan16_le,
+    fastscan16_run_le: x86::fastscan16_run_le,
+};
+
+#[cfg(target_arch = "x86_64")]
+static AVX512BW: KernelSet = KernelSet {
+    name: "avx512bw",
+    squared_l2: x86::squared_l2,
+    dot: x86::dot,
+    fastscan16_run_le: x86::fastscan16_run_le_512,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -204,8 +220,7 @@ static NEON: KernelSet = KernelSet {
     name: "neon",
     squared_l2: neon::squared_l2,
     dot: neon::dot,
-    fastscan16: neon::fastscan16,
-    fastscan16_le: neon::fastscan16_le,
+    fastscan16_run_le: neon::fastscan16_run_le,
 };
 
 /// The scalar reference kernels (always correct, never dispatched away).
@@ -213,21 +228,33 @@ pub fn scalar() -> &'static KernelSet {
     &SCALAR
 }
 
-/// The best kernel set this CPU supports, ignoring `JDVS_FORCE_SCALAR`.
-/// Differential tests use this to exercise the SIMD path explicitly.
-pub fn detect_best() -> &'static KernelSet {
+/// Every kernel set this CPU can run, reference first and best last,
+/// ignoring `JDVS_FORCE_SCALAR`: `scalar`, then `avx2-fma` and
+/// `avx512bw` as detected on `x86_64`, or `neon` on `aarch64`.
+/// Differential tests call each one directly.
+pub fn supported() -> Vec<&'static KernelSet> {
+    #[allow(unused_mut)]
+    let mut sets = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return &AVX2;
+            sets.push(&AVX2);
+            if is_x86_feature_detected!("avx512bw") {
+                sets.push(&AVX512BW);
+            }
         }
     }
     #[cfg(target_arch = "aarch64")]
-    {
-        return &NEON;
-    }
-    #[allow(unreachable_code)]
-    &SCALAR
+    sets.push(&NEON);
+    sets
+}
+
+/// The best kernel set this CPU supports (the last of [`supported`]),
+/// ignoring `JDVS_FORCE_SCALAR`.
+pub fn detect_best() -> &'static KernelSet {
+    supported()
+        .pop()
+        .expect("the scalar set is always supported")
 }
 
 /// The kernel set every hot path dispatches through: [`detect_best`] unless
@@ -314,22 +341,23 @@ pub mod scalar {
         }
     }
 
-    /// Reference fused score + prune (see
-    /// [`super::KernelSet::fastscan16_le`]): literally [`fastscan16`] then
-    /// [`lanes_le16`], the definition the SIMD versions must reproduce.
-    pub fn fastscan16_le(
-        block: &[u8],
+    /// Reference run kernel (see [`super::KernelSet::fastscan16_run_le`]):
+    /// literally [`fastscan16`] then [`lanes_le16`] per block, the
+    /// definition the SIMD versions must reproduce.
+    pub fn fastscan16_run_le(
+        tiles: &[u8],
         luts: &[u8],
         bound: u16,
-        out: &mut [u16; super::FASTSCAN_LANES],
-    ) -> u32 {
-        super::score_then_prune(fastscan16, block, luts, bound, out)
+        masks: &mut [u32],
+        sums: &mut [[u16; super::FASTSCAN_LANES]],
+    ) {
+        super::run_by_blocks(fastscan16, tiles, luts, bound, masks, sums)
     }
 
     /// Reference lane-prune mask (the compare half of
-    /// [`super::KernelSet::fastscan16_le`]): bit `t` ⇔ `accs[t] <= bound`.
-    /// Integer compares only — the fused SIMD kernels must return this
-    /// exact mask.
+    /// [`super::KernelSet::fastscan16_run_le`]): bit `t` ⇔
+    /// `accs[t] <= bound`. Integer compares only — the fused SIMD kernels
+    /// must return this exact mask.
     pub fn lanes_le16(accs: &[u16; super::FASTSCAN_LANES], bound: u16) -> u32 {
         let mut mask = 0u32;
         for (lane, &acc) in accs.iter().enumerate() {
@@ -342,6 +370,8 @@ pub mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::*;
+
+    use super::{FASTSCAN_LANES, FASTSCAN_ROW};
 
     /// Horizontal sum of the 8 lanes of `v`.
     #[inline]
@@ -356,9 +386,9 @@ mod x86 {
     }
 
     pub(super) fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: this function is only reachable through the AVX2 kernel
-        // set, which `detect_best` installs after `is_x86_feature_detected!`
-        // confirmed avx2+fma support.
+        // SAFETY: this function is only reachable through the AVX2 and
+        // AVX-512 kernel sets, which `supported` lists after
+        // `is_x86_feature_detected!` confirmed avx2+fma support.
         unsafe { squared_l2_avx2(a, b) }
     }
 
@@ -366,7 +396,6 @@ mod x86 {
         // SAFETY: as above — only selected on avx2+fma hardware.
         unsafe { dot_avx2(a, b) }
     }
-
     #[target_feature(enable = "avx2,fma")]
     unsafe fn squared_l2_avx2(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -428,95 +457,271 @@ mod x86 {
         total
     }
 
-    pub(super) fn fastscan16(block: &[u8], luts: &[u8], out: &mut [u16; super::FASTSCAN_LANES]) {
-        // SAFETY: as above — only selected on avx2+fma hardware.
-        unsafe { fastscan16_avx2(block, luts, out) }
+    pub(super) fn fastscan16_run_le(
+        tiles: &[u8],
+        luts: &[u8],
+        bound: u16,
+        masks: &mut [u32],
+        sums: &mut [[u16; FASTSCAN_LANES]],
+    ) {
+        // SAFETY: as above — only selected on avx2+fma hardware; the
+        // `KernelSet` wrapper checked the shapes the loads rely on, and
+        // eight LUT row pairs are held only when there are 16 rows.
+        unsafe {
+            if luts.len() >= 16 * FASTSCAN_ROW {
+                run_avx2::<8>(tiles, luts, bound, masks, sums)
+            } else {
+                run_avx2::<0>(tiles, luts, bound, masks, sums)
+            }
+        }
     }
 
-    /// 4-bit fast-scan sums: per subspace, one `_mm256_shuffle_epi8`
-    /// performs all 32 LUT lookups with the 16-entry LUT broadcast into both
-    /// register halves — the table never leaves registers. Accumulation is
-    /// `_mm256_adds_epu16` (saturating), one subspace per iteration, which
-    /// matches the scalar oracle's per-lane add order exactly.
-    ///
-    /// Returns `(acc_lo, acc_hi)`: `acc_lo` holds the u16 sums of block
-    /// lanes 0..8 (128-bit half 0) and 16..24 (half 1), `acc_hi` those of
-    /// lanes 8..16 and 24..32 — `unpacklo/hi` interleave within each half.
+    /// Scores two subspaces of one block. `codes` holds the block's rows
+    /// `s` and `s + 1` (one per 128-bit half) and `lut` their LUT rows in
+    /// the same halves, so each `vpshufb` performs 32 lookups: the low
+    /// nibbles give lanes 0..16, the high nibbles lanes 16..32. The u8
+    /// results are widened without a shuffle — even bytes by a mask, odd
+    /// bytes by a shift — into `acc` = [even lanes 0..16, odd lanes 0..16,
+    /// even lanes 16..32, odd lanes 16..32], each half still per subspace.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn fastscan16_sums(block: &[u8], luts: &[u8]) -> (__m256i, __m256i) {
-        let m = block.len() / super::FASTSCAN_ROW;
-        let zero = _mm256_setzero_si256();
+    fn add_pair(codes: __m256i, lut: __m256i, acc: &mut [__m256i; 4]) {
         let nib = _mm256_set1_epi8(0x0f);
-        let mut acc_lo = zero;
-        let mut acc_hi = zero;
-        for sub in 0..m {
-            let row = sub * super::FASTSCAN_ROW;
-            let codes = _mm_loadu_si128(block.as_ptr().add(row) as *const __m128i);
-            let lut = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                luts.as_ptr().add(row) as *const __m128i
-            ));
-            // Half 0 indexes with the low nibbles (lanes 0..16), half 1
-            // with the high nibbles (lanes 16..32).
-            let idx = _mm256_and_si256(_mm256_set_m128i(_mm_srli_epi16::<4>(codes), codes), nib);
-            let vals = _mm256_shuffle_epi8(lut, idx);
-            acc_lo = _mm256_adds_epu16(acc_lo, _mm256_unpacklo_epi8(vals, zero));
-            acc_hi = _mm256_adds_epu16(acc_hi, _mm256_unpackhi_epi8(vals, zero));
-        }
-        (acc_lo, acc_hi)
+        let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(codes, nib));
+        let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16::<4>(codes), nib));
+        let byte = _mm256_set1_epi16(0x00ff);
+        acc[0] = _mm256_adds_epu16(acc[0], _mm256_and_si256(lo, byte));
+        acc[1] = _mm256_adds_epu16(acc[1], _mm256_srli_epi16::<8>(lo));
+        acc[2] = _mm256_adds_epu16(acc[2], _mm256_and_si256(hi, byte));
+        acc[3] = _mm256_adds_epu16(acc[3], _mm256_srli_epi16::<8>(hi));
     }
 
-    /// Stores [`fastscan16_sums`]' register pair in lane order: acc_lo half
-    /// 0 → out[0..8], acc_hi half 0 → out[8..16], acc_lo half 1 →
-    /// out[16..24], acc_hi half 1 → out[24..32].
+    /// 32 bytes at `p`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and `p..p + 32` is readable.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn store_sums(acc_lo: __m256i, acc_hi: __m256i, out: &mut [u16; super::FASTSCAN_LANES]) {
-        let op = out.as_mut_ptr() as *mut __m128i;
-        _mm_storeu_si128(op, _mm256_castsi256_si128(acc_lo));
-        _mm_storeu_si128(op.add(1), _mm256_castsi256_si128(acc_hi));
-        _mm_storeu_si128(op.add(2), _mm256_extracti128_si256::<1>(acc_lo));
-        _mm_storeu_si128(op.add(3), _mm256_extracti128_si256::<1>(acc_hi));
+    unsafe fn load256(p: *const u8) -> __m256i {
+        _mm256_loadu_si256(p as *const __m256i)
     }
 
+    /// 16 bytes at `p` in the low half, zeros in the high one.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and `p..p + 16` is readable.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn fastscan16_avx2(block: &[u8], luts: &[u8], out: &mut [u16; super::FASTSCAN_LANES]) {
-        let (acc_lo, acc_hi) = fastscan16_sums(block, luts);
-        store_sums(acc_lo, acc_hi, out);
+    unsafe fn load_half(p: *const u8) -> __m256i {
+        _mm256_set_m128i(_mm_setzero_si128(), _mm_loadu_si128(p as *const __m128i))
     }
 
-    pub(super) fn fastscan16_le(
-        block: &[u8],
+    /// Adds the two halves of an [`add_pair`] accumulator.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn fold(v: __m256i) -> __m128i {
+        _mm_adds_epu16(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v))
+    }
+
+    /// Lane mask of `v <= bound` per u16 (AVX2 has no unsigned compare:
+    /// `saturating_sub(v, bound) == 0`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn le(v: __m256i, bound: __m256i) -> __m256i {
+        _mm256_cmpeq_epi16(_mm256_subs_epu16(v, bound), _mm256_setzero_si256())
+    }
+
+    /// The run kernel: the LUT rows of the first `2 · HELD` subspaces are
+    /// loaded into registers once per call (`HELD` is a constant, so they
+    /// stay there across the block loop), the rest — and an odd last
+    /// subspace, in a half-width register beside a zero LUT half — per
+    /// block. Per block, the four accumulators are folded and put in lane
+    /// order, compared, and stored only if a lane survives.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2; `luts` is a whole, non-zero number of
+    /// 16-byte rows, at least `2 · HELD` of them; `tiles` is whole tiles of
+    /// `luts.len()` bytes (the [`super::KernelSet`] wrapper asserts all but
+    /// the feature).
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2<const HELD: usize>(
+        tiles: &[u8],
         luts: &[u8],
         bound: u16,
-        out: &mut [u16; super::FASTSCAN_LANES],
-    ) -> u32 {
-        // SAFETY: as above — only selected on avx2+fma hardware.
-        unsafe { fastscan16_le_avx2(block, luts, bound, out) }
-    }
-
-    /// Fused score + prune: the sums never leave registers unless a lane
-    /// survives. `acc <= bound` is `saturating_sub(acc, bound) == 0` (AVX2
-    /// has no unsigned compare); `packs` of the two compare results puts
-    /// lanes 0..8 | 8..16 in half 0 and 16..24 | 24..32 in half 1 — already
-    /// lane order, so one `movemask` yields the mask with bit `t` = lane `t`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn fastscan16_le_avx2(
-        block: &[u8],
-        luts: &[u8],
-        bound: u16,
-        out: &mut [u16; super::FASTSCAN_LANES],
-    ) -> u32 {
-        let (acc_lo, acc_hi) = fastscan16_sums(block, luts);
-        let zero = _mm256_setzero_si256();
-        let b = _mm256_set1_epi16(bound as i16);
-        let le_lo = _mm256_cmpeq_epi16(_mm256_subs_epu16(acc_lo, b), zero);
-        let le_hi = _mm256_cmpeq_epi16(_mm256_subs_epu16(acc_hi, b), zero);
-        let mask = _mm256_movemask_epi8(_mm256_packs_epi16(le_lo, le_hi)) as u32;
-        if mask != 0 {
-            store_sums(acc_lo, acc_hi, out);
+        masks: &mut [u32],
+        sums: &mut [[u16; FASTSCAN_LANES]],
+    ) {
+        let tile_len = luts.len();
+        let pairs = tile_len / (2 * FASTSCAN_ROW);
+        let odd = !tile_len.is_multiple_of(2 * FASTSCAN_ROW);
+        let lp = luts.as_ptr();
+        let mut held = [_mm256_setzero_si256(); HELD];
+        for (p, lut) in held.iter_mut().enumerate() {
+            *lut = load256(lp.add(32 * p));
         }
-        mask
+        let last = if odd {
+            load_half(lp.add(32 * pairs))
+        } else {
+            _mm256_setzero_si256()
+        };
+        let bound = _mm256_set1_epi16(bound as i16);
+        for ((tile, mask), out) in tiles.chunks_exact(tile_len).zip(masks).zip(sums) {
+            let tp = tile.as_ptr();
+            let mut acc = [_mm256_setzero_si256(); 4];
+            for (p, &lut) in held.iter().enumerate() {
+                add_pair(load256(tp.add(32 * p)), lut, &mut acc);
+            }
+            for p in HELD..pairs {
+                add_pair(load256(tp.add(32 * p)), load256(lp.add(32 * p)), &mut acc);
+            }
+            if odd {
+                add_pair(load_half(tp.add(32 * pairs)), last, &mut acc);
+            }
+            let (even_lo, odd_lo) = (fold(acc[0]), fold(acc[1]));
+            let (even_hi, odd_hi) = (fold(acc[2]), fold(acc[3]));
+            // Lanes 0..8, 8..16, 16..24 and 24..32.
+            let l0 = _mm_unpacklo_epi16(even_lo, odd_lo);
+            let l1 = _mm_unpackhi_epi16(even_lo, odd_lo);
+            let l2 = _mm_unpacklo_epi16(even_hi, odd_hi);
+            let l3 = _mm_unpackhi_epi16(even_hi, odd_hi);
+            // `packs` works per half: [l0 | l2] with [l1 | l3] packs to
+            // lanes 0..16 | 16..32, so one `movemask` is the lane mask.
+            let le_a = le(_mm256_set_m128i(l2, l0), bound);
+            let le_b = le(_mm256_set_m128i(l3, l1), bound);
+            *mask = _mm256_movemask_epi8(_mm256_packs_epi16(le_a, le_b)) as u32;
+            if *mask != 0 {
+                let op = out.as_mut_ptr() as *mut __m128i;
+                _mm_storeu_si128(op, l0);
+                _mm_storeu_si128(op.add(1), l1);
+                _mm_storeu_si128(op.add(2), l2);
+                _mm_storeu_si128(op.add(3), l3);
+            }
+        }
+    }
+
+    pub(super) fn fastscan16_run_le_512(
+        tiles: &[u8],
+        luts: &[u8],
+        bound: u16,
+        masks: &mut [u32],
+        sums: &mut [[u16; FASTSCAN_LANES]],
+    ) {
+        // SAFETY: only reachable through the AVX-512 kernel set, which
+        // `supported` lists after `is_x86_feature_detected!` confirmed
+        // avx512bw; the `KernelSet` wrapper checked the shapes, and four
+        // LUT row quads are held only when there are 16 rows.
+        unsafe {
+            if luts.len() >= 16 * FASTSCAN_ROW {
+                run_avx512::<4>(tiles, luts, bound, masks, sums)
+            } else {
+                run_avx512::<0>(tiles, luts, bound, masks, sums)
+            }
+        }
+    }
+
+    /// [`add_pair`] four subspaces wide: `codes` and `lut` hold rows `s`
+    /// to `s + 3`, one per 128-bit quarter (`vpshufb` looks up within each
+    /// quarter).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn add_quad(codes: __m512i, lut: __m512i, acc: &mut [__m512i; 4]) {
+        let nib = _mm512_set1_epi8(0x0f);
+        let lo = _mm512_shuffle_epi8(lut, _mm512_and_si512(codes, nib));
+        let hi = _mm512_shuffle_epi8(lut, _mm512_and_si512(_mm512_srli_epi16::<4>(codes), nib));
+        let byte = _mm512_set1_epi16(0x00ff);
+        acc[0] = _mm512_adds_epu16(acc[0], _mm512_and_si512(lo, byte));
+        acc[1] = _mm512_adds_epu16(acc[1], _mm512_srli_epi16::<8>(lo));
+        acc[2] = _mm512_adds_epu16(acc[2], _mm512_and_si512(hi, byte));
+        acc[3] = _mm512_adds_epu16(acc[3], _mm512_srli_epi16::<8>(hi));
+    }
+
+    /// 64 bytes at `p`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F, and `p..p + 64` is readable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load512(p: *const u8) -> __m512i {
+        _mm512_loadu_si512(p as *const __m512i)
+    }
+
+    /// [`run_avx2`] four subspaces per register, `4 · HELD` LUT rows held;
+    /// the last 1–3 subspaces load through a byte mask (masked-off bytes
+    /// read as zero and are not touched), so their LUT quarters beyond `m`
+    /// are zero and add nothing. The 32 lane sums end up in one register
+    /// in lane order, and `vpcmpuw` yields the lane mask directly.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512BW; `luts` is a whole, non-zero number of
+    /// 16-byte rows, at least `4 · HELD` of them; `tiles` is whole tiles of
+    /// `luts.len()` bytes (the [`super::KernelSet`] wrapper asserts all but
+    /// the feature).
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn run_avx512<const HELD: usize>(
+        tiles: &[u8],
+        luts: &[u8],
+        bound: u16,
+        masks: &mut [u32],
+        sums: &mut [[u16; FASTSCAN_LANES]],
+    ) {
+        let tile_len = luts.len();
+        let quads = tile_len / (4 * FASTSCAN_ROW);
+        let rest: __mmask64 = (1u64 << (tile_len % (4 * FASTSCAN_ROW))) - 1;
+        let lp = luts.as_ptr();
+        let mut held = [_mm512_setzero_si512(); HELD];
+        for (q, lut) in held.iter_mut().enumerate() {
+            *lut = load512(lp.add(64 * q));
+        }
+        let last = _mm512_maskz_loadu_epi8(rest, lp.add(64 * quads) as *const i8);
+        let bound = _mm512_set1_epi16(bound as i16);
+        for ((tile, mask), out) in tiles.chunks_exact(tile_len).zip(masks).zip(sums) {
+            let tp = tile.as_ptr();
+            let mut acc = [_mm512_setzero_si512(); 4];
+            for (q, &lut) in held.iter().enumerate() {
+                add_quad(load512(tp.add(64 * q)), lut, &mut acc);
+            }
+            for q in HELD..quads {
+                add_quad(load512(tp.add(64 * q)), load512(lp.add(64 * q)), &mut acc);
+            }
+            if rest != 0 {
+                let codes = _mm512_maskz_loadu_epi8(rest, tp.add(64 * quads) as *const i8);
+                add_quad(codes, last, &mut acc);
+            }
+            // Quarter `q` of every accumulator holds the subspaces ≡ q
+            // (mod 4): sum the quarters of all four at once, to
+            // [even lanes 0..16, odd 0..16, even 16..32, odd 16..32].
+            let [a, b, c, d] = acc;
+            let ab = _mm512_adds_epu16(
+                _mm512_shuffle_i64x2::<0x44>(a, b),
+                _mm512_shuffle_i64x2::<0xEE>(a, b),
+            );
+            let cd = _mm512_adds_epu16(
+                _mm512_shuffle_i64x2::<0x44>(c, d),
+                _mm512_shuffle_i64x2::<0xEE>(c, d),
+            );
+            let total = _mm512_adds_epu16(
+                _mm512_shuffle_i64x2::<0x88>(ab, cd),
+                _mm512_shuffle_i64x2::<0xDD>(ab, cd),
+            );
+            // Interleave evens with odds: [l0, l0, l2, l2] and
+            // [l1, l1, l3, l3], then blend to lanes 0..32 in order.
+            let even = _mm512_shuffle_i64x2::<0xA0>(total, total);
+            let odd = _mm512_shuffle_i64x2::<0xF5>(total, total);
+            let lanes = _mm512_mask_blend_epi64(
+                0xCC,
+                _mm512_unpacklo_epi16(even, odd),
+                _mm512_unpackhi_epi16(even, odd),
+            );
+            *mask = _mm512_cmple_epu16_mask(lanes, bound);
+            if *mask != 0 {
+                _mm512_storeu_si512(out.as_mut_ptr() as *mut _, lanes);
+            }
+        }
     }
 }
 
@@ -619,18 +824,16 @@ mod neon {
         }
     }
 
-    /// Fused score + prune: the NEON sums, then the reference compare
-    /// (32 u16 compares are branch-free and already cheap unrolled).
-    pub(super) fn fastscan16_le(
-        block: &[u8],
+    pub(super) fn fastscan16_run_le(
+        tiles: &[u8],
         luts: &[u8],
         bound: u16,
-        out: &mut [u16; super::FASTSCAN_LANES],
-    ) -> u32 {
-        super::score_then_prune(fastscan16, block, luts, bound, out)
+        masks: &mut [u32],
+        sums: &mut [[u16; super::FASTSCAN_LANES]],
+    ) {
+        super::run_by_blocks(fastscan16, tiles, luts, bound, masks, sums)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,7 +853,7 @@ mod tests {
     fn active_is_cached_and_named() {
         let k = active();
         assert_eq!(k.name(), active().name(), "selection is stable");
-        assert!(["scalar", "avx2-fma", "neon"].contains(&k.name()));
+        assert!(["scalar", "avx2-fma", "avx512bw", "neon"].contains(&k.name()));
     }
 
     #[test]
@@ -737,49 +940,106 @@ mod tests {
         active().fastscan16(&[0u8; 16], &[0u8; 32], &mut out);
     }
 
-    /// The fused kernel's contract on the scalar and the best set: mask and
-    /// row are exactly `fastscan16` then `lanes_le16`, the row is written
-    /// only when a lane survives, at `bound` 0 and `u16::MAX` and under
-    /// saturation (m ≥ 258 clamps every sum to `u16::MAX`).
+    /// Each set's run kernel against its definition — [`scalar::fastscan16`]
+    /// then [`scalar::lanes_le16`], block by block — over run lengths
+    /// around one full run of the code store's (16 blocks) (1, 2, 15, 16, 17 blocks), subspace
+    /// counts around every register width (odd `m` and `m` not a multiple
+    /// of 4 leave a partial register), and bounds 0, 1, a random one and
+    /// `u16::MAX`. A block's sum row is written only when its mask is not
+    /// zero: rows of pruned blocks must come back untouched.
     #[test]
-    fn fastscan_le_equals_fastscan_then_lanes_le() {
+    fn fastscan_run_equals_fastscan_then_lanes_le() {
         const UNTOUCHED: [u16; FASTSCAN_LANES] = [0xBEEF; FASTSCAN_LANES];
-        for kernels in [scalar(), detect_best()] {
-            for (m, lut_max) in [
-                (1usize, 255u8),
-                (8, 40),
-                (16, 255),
-                (17, 3),
-                (64, 255),
-                (300, 255),
-            ] {
-                let (block, mut luts) = random_fastscan(m, m as u64 * 13 + 1, lut_max);
-                if m == 300 {
-                    luts.fill(255);
+        let sets = supported();
+        let names: Vec<&str> = sets.iter().map(|k| k.name()).collect();
+        eprintln!("fastscan_run: kernel sets covered: {}", names.join(", "));
+        let mut rng = Xoshiro256::seed_from(0x5CA7);
+        for (i, m) in [1usize, 2, 3, 4, 8, 16, 17, 32].into_iter().enumerate() {
+            // Small tables make bounds 0 and 1 admit some lanes.
+            let lut_max = [1usize, 255, 3, 40, 255, 255, 2, 255][i];
+            let luts: Vec<u8> = (0..m * 16)
+                .map(|_| rng.next_index(lut_max + 1) as u8)
+                .collect();
+            for blocks in [1usize, 2, 15, 16, 17] {
+                let tiles: Vec<u8> = (0..blocks * m * 16)
+                    .map(|_| rng.next_index(256) as u8)
+                    .collect();
+                let want: Vec<[u16; FASTSCAN_LANES]> = tiles
+                    .chunks_exact(m * 16)
+                    .map(|tile| {
+                        let mut row = [0u16; FASTSCAN_LANES];
+                        scalar::fastscan16(tile, &luts, &mut row);
+                        row
+                    })
+                    .collect();
+                let lo = want.iter().flatten().copied().min().unwrap();
+                let hi = want.iter().flatten().copied().max().unwrap();
+                let random = lo + rng.next_index(usize::from(hi - lo) + 1) as u16;
+                for bound in [0, 1, random, u16::MAX] {
+                    for kernels in &sets {
+                        let mut masks = vec![0xDEAD_BEEF; blocks];
+                        let mut sums = vec![UNTOUCHED; blocks];
+                        kernels.fastscan16_run_le(&tiles, &luts, bound, &mut masks, &mut sums);
+                        for (b, row) in want.iter().enumerate() {
+                            let case = format!(
+                                "{} m {m} blocks {blocks} bound {bound} block {b}",
+                                kernels.name()
+                            );
+                            let mask = scalar::lanes_le16(row, bound);
+                            assert_eq!(masks[b], mask, "{case}");
+                            let expect = if mask == 0 { UNTOUCHED } else { *row };
+                            assert_eq!(sums[b], expect, "{case}");
+                        }
+                    }
                 }
-                let mut sums = [0u16; FASTSCAN_LANES];
-                scalar().fastscan16(&block, &luts, &mut sums);
-                let lo = *sums.iter().min().unwrap();
-                let hi = *sums.iter().max().unwrap();
-                for bound in [0, lo.saturating_sub(1), lo, lo / 2 + hi / 2, hi, u16::MAX] {
-                    let want = scalar::lanes_le16(&sums, bound);
-                    let mut row = UNTOUCHED;
-                    let got = kernels.fastscan16_le(&block, &luts, bound, &mut row);
-                    let name = kernels.name();
-                    assert_eq!(got, want, "{name} m {m} bound {bound}");
-                    let expect_row = if want == 0 { UNTOUCHED } else { sums };
-                    assert_eq!(row, expect_row, "{name} m {m} bound {bound}");
-                }
-                assert!(m != 300 || lo == u16::MAX, "m = 300 must saturate");
+            }
+        }
+    }
+
+    /// m·255 > u16::MAX for m ≥ 258: every lane of every block clamps to
+    /// 65535 on every set, so bound `u16::MAX` admits all lanes and
+    /// `u16::MAX - 1` none (and stores no row).
+    #[test]
+    fn fastscan_run_saturates_on_every_set() {
+        const UNTOUCHED: [u16; FASTSCAN_LANES] = [7; FASTSCAN_LANES];
+        for kernels in supported() {
+            for (m, blocks) in [(258usize, 1usize), (300, 3)] {
+                let (tiles, _) = random_fastscan(m * blocks, 98, 255);
+                let luts = vec![255u8; m * 16];
+                let mut masks = vec![0; blocks];
+                let mut sums = vec![UNTOUCHED; blocks];
+                kernels.fastscan16_run_le(&tiles, &luts, u16::MAX - 1, &mut masks, &mut sums);
+                assert!(
+                    masks.iter().all(|&mask| mask == 0),
+                    "{} m {m}",
+                    kernels.name()
+                );
+                assert!(
+                    sums.iter().all(|row| *row == UNTOUCHED),
+                    "{} m {m}",
+                    kernels.name()
+                );
+                kernels.fastscan16_run_le(&tiles, &luts, u16::MAX, &mut masks, &mut sums);
+                assert!(
+                    masks.iter().all(|&mask| mask == u32::MAX),
+                    "{} m {m}",
+                    kernels.name()
+                );
+                let saturated = [u16::MAX; FASTSCAN_LANES];
+                assert!(
+                    sums.iter().all(|row| *row == saturated),
+                    "{} m {m}",
+                    kernels.name()
+                );
             }
         }
     }
 
     #[test]
     #[should_panic(expected = "block/LUT shape mismatch")]
-    fn fastscan_le_shape_mismatch_panics() {
-        let mut out = [0u16; FASTSCAN_LANES];
-        active().fastscan16_le(&[0u8; 32], &[0u8; 16], 0, &mut out);
+    fn fastscan_run_shape_mismatch_panics() {
+        let mut sums = [[0u16; FASTSCAN_LANES]; 2];
+        active().fastscan16_run_le(&[0u8; 48], &[0u8; 16], 0, &mut [0; 2], &mut sums);
     }
 
     /// The reference mask the fused kernels are held to.

@@ -149,11 +149,11 @@ impl TopK {
             self.heap.push(n);
             return true;
         }
-        // Full: replace the current worst only if strictly better.
-        match self.heap.peek() {
-            Some(worst) if n < *worst => {
-                self.heap.pop();
-                self.heap.push(n);
+        // Full: replace the current worst only if strictly better — in
+        // place, one sift down.
+        match self.heap.peek_mut() {
+            Some(mut worst) if n < *worst => {
+                *worst = n;
                 true
             }
             _ => false,

@@ -169,19 +169,6 @@ impl BitmapReader<'_> {
             None => false,
         }
     }
-
-    /// Loads the whole 64-flag word `wi` (covering bits `wi*64..wi*64+64`);
-    /// words beyond the pinned capacity read as 0. Filtered scans AND
-    /// these across constraint bitmaps to reject 64 ids per load instead
-    /// of testing lane by lane.
-    #[inline]
-    pub fn word(&self, wi: usize) -> u64 {
-        match self.words.get(wi) {
-            // Acquire: see `test`.
-            Some(w) => w.load(Ordering::Acquire),
-            None => 0,
-        }
-    }
 }
 
 #[cfg(all(test, not(loom)))]

@@ -12,18 +12,16 @@
 //!   single-word atomic loads;
 //! - [`QueryFilter`] / [`FilterView`]: the per-query evaluation context —
 //!   bitmap readers and a pinned forward-index reader acquired once per
-//!   query, exposing `admits(id)` and a per-group lane mask for the
-//!   fast-scan kernel.
+//!   query, exposing `admits(id)`.
 //!
 //! ## Pushdown contract
 //!
-//! The scan computes the filter lane mask **before** the distance kernel
-//! runs and skips the kernel for any 32-lane group whose combined
-//! `published ∧ filter` mask is zero; a fully-filtered 256-id block
-//! therefore costs a handful of bitmap word loads and no LUT work. The
-//! result set is bit-identical to the post-filter reference (score every
-//! valid candidate, then discard non-matching ones before top-k
-//! insertion): both sides evaluate the same predicate over the same
+//! The raw scan tests the filter **before** a vector is touched; the
+//! fast-scan scores a run of codes first and tests the filter only on the
+//! candidates under the top-k prune bound, before they reach the top-k.
+//! Either way the result set is bit-identical to the post-filter reference
+//! (score every valid candidate, then discard non-matching ones before
+//! top-k insertion): both sides evaluate the same predicate over the same
 //! snapshot, only the evaluation order differs.
 //!
 //! Filter bitmaps are *hints about listings*, not liveness: bits are set at
@@ -266,74 +264,6 @@ impl FilterView<'_> {
         }
         true
     }
-
-    /// The admitted-lane mask for one fast-scan group: bit `l` survives iff
-    /// it is set in `published` and `ids[l]` passes the filter. Computed
-    /// before the distance kernel runs — a zero return means the whole
-    /// group (kernel, LUT accumulation, bound pruning) is skipped.
-    ///
-    /// Bitmap-backed constraints (category, stock) are evaluated at **word
-    /// granularity** first: the constraint words covering a run of lanes
-    /// are loaded once and ANDed, so a 64-id span whose combined word is
-    /// zero — the common case for selective categories — rejects every
-    /// lane mapping into it with one load per bitmap and no per-lane
-    /// verdicts. Only lanes surviving the word mask pay the per-lane
-    /// forward-index range checks.
-    pub fn lane_mask(&self, ids: &[ImageId], published: u32) -> u32 {
-        if self.category_missing {
-            return 0;
-        }
-        let lane_limit = if ids.len() >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << ids.len()) - 1
-        };
-        let mut bits = published & lane_limit;
-        if bits != 0 && (self.category.is_some() || self.stock.is_some()) {
-            // One combined (category ∧ stock) word load per distinct 64-id
-            // word; lanes in a group map to consecutive ids, so this is one
-            // or two loads per group, cached across the lane walk.
-            let mut cached_wi = usize::MAX;
-            let mut cached_word = 0u64;
-            let mut scan = bits;
-            while scan != 0 {
-                let lane = scan.trailing_zeros() as usize;
-                scan &= scan - 1;
-                let idx = ids[lane].as_usize();
-                let wi = idx / 64;
-                if wi != cached_wi {
-                    let mut word = u64::MAX;
-                    if let Some(cat) = &self.category {
-                        word &= cat.word(wi);
-                    }
-                    if let Some(stock) = &self.stock {
-                        word &= stock.word(wi);
-                    }
-                    cached_wi = wi;
-                    cached_word = word;
-                }
-                if cached_word & (1u64 << (idx % 64)) == 0 {
-                    bits &= !(1u32 << lane);
-                }
-            }
-        }
-        let Some(fwd) = &self.forward else {
-            return bits;
-        };
-        let mut mask = 0u32;
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let idx = ids[lane].as_usize();
-            if fwd
-                .numeric(idx)
-                .is_some_and(|n| self.spec.ranges_admit(n.sales, n.price))
-            {
-                mask |= 1 << lane;
-            }
-        }
-        mask
-    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -424,102 +354,5 @@ mod tests {
                 assert_eq!(view.admits(i), truth, "spec {spec:?} id {i}");
             }
         }
-    }
-
-    #[test]
-    fn lane_mask_respects_published_and_filter() {
-        let fi = FilterIndex::new();
-        let fwd = ForwardIndex::new();
-        use jdvs_storage::model::ProductAttributes;
-        for i in 0..32u64 {
-            let attrs = ProductAttributes::new(ProductId(i), 0, 0, 0, format!("u{i}"))
-                .with_category((i % 2) as u32);
-            let id = fwd.append(&attrs).unwrap();
-            fi.note_listing(id, attrs.category, attrs.in_stock, None);
-        }
-        let spec = FilterSpec::by_category(1);
-        let qf = QueryFilter::new(&spec, &fi, &fwd);
-        let view = qf.view();
-        let ids: Vec<ImageId> = (0..32).map(ImageId).collect();
-        // Odd ids are category 1 → odd lanes survive, masked by published.
-        assert_eq!(view.lane_mask(&ids, u32::MAX), 0xAAAA_AAAA);
-        assert_eq!(view.lane_mask(&ids, 0x0000_00FF), 0x0000_00AA);
-        assert_eq!(view.lane_mask(&ids, 0), 0);
-        // A ragged tail: lanes beyond the ids slice never survive.
-        assert_eq!(view.lane_mask(&ids[..4], u32::MAX), 0x0000_000A);
-    }
-
-    #[test]
-    fn lane_mask_matches_per_lane_admits_across_word_boundaries() {
-        let fi = FilterIndex::new();
-        let fwd = ForwardIndex::new();
-        use jdvs_storage::model::ProductAttributes;
-        // 200 listings spread over four bitmap words, mixed attributes.
-        for i in 0..200u64 {
-            let attrs = ProductAttributes::new(ProductId(i), i * 3, i * 7, 0, format!("u{i}"))
-                .with_category((i % 5) as u32)
-                .with_stock(i % 3 != 0);
-            let id = fwd.append(&attrs).unwrap();
-            fi.note_listing(id, attrs.category, attrs.in_stock, None);
-        }
-        let specs = [
-            FilterSpec::by_category(2),
-            FilterSpec::by_category(2).in_stock(),
-            FilterSpec::none().in_stock(),
-            FilterSpec::by_category(4).with_price_range(100, 900),
-            FilterSpec::none().with_min_sales(90),
-            FilterSpec::by_category(99), // never listed
-        ];
-        // Groups straddling word boundaries: ids 48..80 span words 0 and 1.
-        let windows: [Vec<ImageId>; 3] = [
-            (48..80).map(ImageId).collect(),
-            (120..152).map(ImageId).collect(),
-            (180..205).map(ImageId).collect(), // ragged: ids 200.. unseen
-        ];
-        for spec in &specs {
-            let qf = QueryFilter::new(spec, &fi, &fwd);
-            let view = qf.view();
-            for ids in &windows {
-                for published in [u32::MAX, 0xF0F0_F0F0, 0x0000_FFFF, 1, 0] {
-                    let mut want = 0u32;
-                    for (lane, id) in ids.iter().enumerate() {
-                        if published & (1 << lane) != 0 && view.admits(id.as_usize()) {
-                            want |= 1 << lane;
-                        }
-                    }
-                    assert_eq!(
-                        view.lane_mask(ids, published),
-                        want,
-                        "spec {spec:?} window {:?} published {published:#x}",
-                        ids[0]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fully_filtered_word_rejects_without_per_lane_checks() {
-        let fi = FilterIndex::new();
-        let fwd = ForwardIndex::new();
-        use jdvs_storage::model::ProductAttributes;
-        // Ids 0..64 (word 0) all category 8; ids 64..128 (word 1) category 9.
-        for i in 0..128u64 {
-            let cat = if i < 64 { 8 } else { 9 };
-            let attrs =
-                ProductAttributes::new(ProductId(i), 0, 0, 0, format!("u{i}")).with_category(cat);
-            let id = fwd.append(&attrs).unwrap();
-            fi.note_listing(id, attrs.category, attrs.in_stock, None);
-        }
-        let spec = FilterSpec::by_category(9);
-        let qf = QueryFilter::new(&spec, &fi, &fwd);
-        let view = qf.view();
-        // A group entirely inside word 0: the category word is all-zero, so
-        // the word pre-mask alone empties the group.
-        let w0: Vec<ImageId> = (16..48).map(ImageId).collect();
-        assert_eq!(view.lane_mask(&w0, u32::MAX), 0);
-        // A group straddling the boundary keeps exactly the word-1 lanes.
-        let straddle: Vec<ImageId> = (48..80).map(ImageId).collect();
-        assert_eq!(view.lane_mask(&straddle, u32::MAX), 0xFFFF_0000);
     }
 }

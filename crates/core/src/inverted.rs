@@ -445,6 +445,16 @@ impl ListSnapshot {
         ImageId(self.slab.slots[pos].load(Ordering::Relaxed) as u32)
     }
 
+    /// Starts loading the id at `pos` into cache, for a reader that will
+    /// ask for it with [`Self::id`] a little later; a no-op past the
+    /// snapshot.
+    #[inline]
+    pub fn prefetch(&self, pos: usize) {
+        if let Some(slot) = self.slab.slots[..self.len].get(pos) {
+            jdvs_vector::simd::prefetch(std::slice::from_ref(slot));
+        }
+    }
+
     /// Copies the ids at positions `start..start + out.len()` into `out`.
     ///
     /// # Panics

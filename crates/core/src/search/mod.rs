@@ -16,25 +16,29 @@
 //! 2. **Scan.** One of two per-list scanners (raw `f32` or 4-bit PQ
 //!    fast-scan; see `scan.rs`) walks each list once over one
 //!    [`crate::inverted::InvertedList::snapshot`] into the plan's
-//!    [`TopK`], with [`TopK::would_accept`] threshold pruning. The raw
-//!    scanner walks id blocks; the fast-scan scanner walks the code store
-//!    itself in **runs** ([`crate::pq_store::PqListReader::load_run`]):
-//!    up to 16 sealed 32-code blocks scored **in place**, or a list's
-//!    still-filling tail block copied out, each run one call of a fused
-//!    score-and-prune kernel that holds the LUTs in registers; the prune
-//!    bound is refreshed between runs, and an id is read only for a lane
-//!    under it. The validity bitmap, the vector store and the plan's
-//!    filter are pinned once per plan, PQ segments are borrowed without a
-//!    lock, so the per-candidate cost is a SIMD kernel
+//!    [`TopK`] — a reservoir whose threshold, the k-th distance as of its
+//!    last compaction, prunes the scan. The raw scanner walks id blocks;
+//!    the fast-scan scanner walks the code store itself in **runs**
+//!    ([`crate::pq_store::PqListReader::load_run`]): up to 16 sealed
+//!    32-code blocks scored **in place**, or a list's still-filling tail
+//!    block copied out, each run one call of a fused score-and-prune
+//!    kernel that holds the LUTs in registers; the prune bound is
+//!    refreshed between runs. Candidates then take two passes: the
+//!    first adds every lane under the bound to a batch from the kernel's
+//!    sums alone, the second reads the batch's ids back to back (their
+//!    cache misses overlap), tests validity and pushes — as late as the
+//!    end of the list, as long as the pushes could not have moved the
+//!    bound ([`TopK::room`]). The validity bitmap, the vector store and
+//!    the plan's filter are pinned once per plan, PQ segments are
+//!    borrowed without a lock, so the per-candidate cost is a SIMD kernel
 //!    ([`jdvs_vector::simd::active`]) over bytes that stream. Invalid
 //!    images — cleared validity bits — are skipped, so logically deleted
 //!    products never surface. The raw scanner resolves the filter
 //!    **before** a vector is touched (a rejected candidate costs bitmap
 //!    word loads); the fast-scan scanner scores first and filters
-//!    **after** the prune, so the filter reads a block's ids only when
-//!    one of its lanes is under the bound — the two tests commute and
-//!    survivors are pushed in lane order, so the answer is the same. An
-//!    unfiltered plan is simply one whose lane mask is the published mask.
+//!    **after** the prune, on the lanes under the bound only — the two
+//!    tests commute, so the answer is the same. An unfiltered plan is
+//!    simply one with no filter view.
 //! 3. **Escalate.** A *filtered* plan whose top-k is still underfull
 //!    widens its probing (doubling, scanning only lists not yet probed,
 //!    through the same scanner) up to
@@ -42,7 +46,9 @@
 //!    early when its deadline cannot pay for another round.
 //! 4. **Re-rank once.** A compressed plan re-ranks its quantized
 //!    shortlist (`k · rerank_factor`) with exact `f32` distances, so the
-//!    over-fetch — not the u8 rounding — decides final quality.
+//!    over-fetch — not the u8 rounding — decides final quality. The
+//!    shortlist is walked unsorted, as the reservoir holds it, and every
+//!    row's vector is requested before the first distance is computed.
 //!
 //! [`TopK`]'s total (distance, id) order makes the outcome independent of
 //! list visit order. The sequential per-id oracles in [`reference`] share
@@ -56,6 +62,7 @@ use std::time::{Duration, Instant};
 
 use jdvs_vector::simd::{self, KernelSet};
 use jdvs_vector::topk::{Neighbor, TopK};
+use jdvs_vector::Vector;
 
 use crate::bitmap::BitmapReader;
 use crate::config::IndexConfig;
@@ -284,8 +291,12 @@ fn escalate(
     }
 }
 
-/// Stage 2 of a compressed plan: exact distances over the shortlist.
-/// Split out so the between-stage deletion guard is directly testable.
+/// Stage 2 of a compressed plan: exact distances over the shortlist,
+/// walked as the collector holds it — the result's total order does not
+/// depend on the order of the pushes. Every row's vector is asked for
+/// before the first distance is computed: the rows are scattered over the
+/// vector store, and their loads overlap. Split out so the between-stage
+/// deletion guard is directly testable.
 fn exact_rerank(
     bitmap: &BitmapReader<'_>,
     vectors: &VectorSnapshot,
@@ -294,17 +305,26 @@ fn exact_rerank(
     shortlist: TopK,
     k: usize,
 ) -> Vec<Neighbor> {
+    let rows: Vec<(u64, &Vector)> = shortlist
+        .into_vec()
+        .into_iter()
+        .filter_map(|candidate| {
+            let id = ImageId(candidate.id as u32);
+            // Re-check validity: the bitmap words are atomics behind the
+            // pinned guard, so an image deleted after the scan admitted it
+            // to the shortlist is seen as invalid here and cannot be
+            // returned.
+            if !bitmap.test(id.as_usize()) {
+                return None;
+            }
+            let v = vectors.get(id)?;
+            simd::prefetch(v.as_slice());
+            Some((candidate.id, v))
+        })
+        .collect();
     let mut topk = TopK::new(k);
-    for candidate in shortlist.into_sorted_vec() {
-        let id = ImageId(candidate.id as u32);
-        // Re-check validity: the bitmap words are atomics behind the pinned
-        // guard, so an image deleted after the scan admitted it to the
-        // shortlist is seen as invalid here and cannot be returned.
-        if !bitmap.test(id.as_usize()) {
-            continue;
-        }
-        let Some(v) = vectors.get(id) else { continue };
-        topk.push(candidate.id, kernels.squared_l2(query, v.as_slice()));
+    for (id, v) in rows {
+        topk.push(id, kernels.squared_l2(query, v.as_slice()));
     }
     topk.into_sorted_vec()
 }

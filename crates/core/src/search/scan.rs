@@ -14,9 +14,12 @@
 //! snapshot in id blocks; the fast-scan scanner walks the *codes* in runs
 //! of up to [`RUN`] sealed blocks, one kernel call per run, and goes back
 //! to the snapshot only for lanes under the prune bound: a scan streams 8
-//! code bytes per candidate (m = 16) and nothing else. A filtered plan
-//! scores first and filters after — the filter reads the ids of a block
-//! only when one of its lanes survived the prune.
+//! code bytes per candidate (m = 16) and nothing else. Candidates take
+//! two passes — the lanes under the bound into a batch from the sums
+//! alone, then the batch's ids read back to back, the validity (and
+//! filter) test and the push into the reservoir [`TopK`], whose
+//! threshold moves only when it compacts. A filtered plan scores first
+//! and filters after, on the lanes under the bound only.
 
 use jdvs_vector::pq::QuantizedAdcTable;
 use jdvs_vector::simd::{self, KernelSet, FASTSCAN_LANES};
@@ -26,7 +29,7 @@ use crate::bitmap::BitmapReader;
 use crate::filter::FilterView;
 use crate::ids::{ImageId, ListId};
 use crate::index::VisualIndex;
-use crate::inverted::InvertedIndex;
+use crate::inverted::{InvertedIndex, ListSnapshot};
 use crate::pq_store::{PqStore, FASTSCAN_BLOCK, RUN};
 use crate::vectors::VectorSnapshot;
 
@@ -129,9 +132,16 @@ fn set_bits(mut bits: u32) -> impl Iterator<Item = usize> {
 /// blocks scored where they lie in the code store, or the one unsealed
 /// tail block copied out — and each run is one call of the fused
 /// score-and-prune kernel, which keeps the plan's LUTs in registers
-/// across the run. The scan touches code bytes and nothing else until a
-/// lane survives the prune bound: only then are the lane's id (and, for a
-/// filtered plan, the group's ids and the filter) read.
+/// across the run. Candidates then take two passes. The first reads
+/// nothing but the kernel's masks and sums and adds every lane under the
+/// prune bound to a batch, asking the CPU for its id. The second reads
+/// the batch's ids back to back, so their cache misses overlap (or were
+/// hidden behind later runs), tests each against the validity bitmap
+/// (and a filtered plan's filter) and pushes it. A batch is held back
+/// across runs for as long as its pushes could not move the top-k
+/// threshold ([`TopK::room`]) — the bound the next run is scored against
+/// is then the one it would have had anyway — and pushed at the latest
+/// at the end of the list, whose id snapshot it indexes.
 pub(super) struct FastScanner<'a> {
     lanes: &'a Lanes<'a>,
     pq: &'a PqStore,
@@ -140,6 +150,10 @@ pub(super) struct FastScanner<'a> {
     /// and the sums, written only for a block with such a lane.
     masks: [u32; RUN],
     sums: [[u16; FASTSCAN_LANES]; RUN],
+    /// The batch: list position and quantized distance of each lane under
+    /// the bound, and (in pass two) their ids.
+    batch: Vec<(u32, u16)>,
+    found: Vec<ImageId>,
     /// The copy of an unsealed block.
     tile: Vec<u8>,
 }
@@ -152,7 +166,39 @@ impl<'a> FastScanner<'a> {
             qt,
             masks: [0; RUN],
             sums: [[0; FASTSCAN_LANES]; RUN],
+            batch: Vec::new(),
+            found: Vec::new(),
             tile: Vec::new(),
+        }
+    }
+
+    /// Pass two: pushes the batch and empties it.
+    fn push_batch(&mut self, ids: &ListSnapshot, topk: &mut TopK) {
+        // The filter dispatch is hoisted out of the candidate loop.
+        match &self.lanes.view {
+            None => self.push_admitted(ids, topk, |_| true),
+            Some(view) => self.push_admitted(ids, topk, |id| view.admits(id)),
+        }
+        self.batch.clear();
+    }
+
+    /// The ids, then bitmap, filter and top-k. The filter is tested after
+    /// the prune, on the lanes under the bound only — the two tests
+    /// commute.
+    #[inline]
+    fn push_admitted(
+        &mut self,
+        ids: &ListSnapshot,
+        topk: &mut TopK,
+        admits: impl Fn(usize) -> bool,
+    ) {
+        self.found.clear();
+        self.found
+            .extend(self.batch.iter().map(|&(at, _)| ids.id(at as usize)));
+        for (&id, &(_, sum)) in self.found.iter().zip(&self.batch) {
+            if self.lanes.bitmap.test(id.as_usize()) && admits(id.as_usize()) {
+                topk.push(id.as_u64(), self.qt.to_f32(sum));
+            }
         }
     }
 }
@@ -168,9 +214,8 @@ impl ListScanner for FastScanner<'_> {
         // when the k-th distance moved: [`QuantizedAdcTable::prune_bound`]
         // is the exact `would_accept` edge, so skipped lanes provably
         // change nothing, and a bound gone stale within a run only sends
-        // more lanes to the exact test.
+        // more lanes to the exact test in `TopK::push`.
         let (mut bound, mut bound_thr) = (Some(u16::MAX), f32::INFINITY);
-        let mut group = [ImageId(0); FASTSCAN_BLOCK];
         let mut base = 0;
         while base < ids.len() {
             let run = reader.load_run(base, ids.len(), &mut self.tile);
@@ -192,45 +237,25 @@ impl ListScanner for FastScanner<'_> {
             lanes
                 .kernels
                 .fastscan16_run_le(run.tiles, qt.luts(), bound, masks, &mut self.sums);
-            // Blocks with a lane under the bound: after the bound warms up
-            // almost no run has one.
+            // Pass one, over the masks and sums alone (an id is only asked
+            // for, to arrive by pass two). Blocks with a lane under the
+            // bound: after the bound warms up almost no run has one.
             let live = masks
                 .iter()
                 .enumerate()
                 .fold(0u32, |live, (i, &m)| live | u32::from(m != 0) << i);
             for i in set_bits(live) {
                 let at = first + i * FASTSCAN_BLOCK;
-                let n = FASTSCAN_BLOCK.min(ids.len() - at);
-                let sums = &self.sums[i];
-                // The bound is as of the run's start; lanes the threshold
-                // has passed since cannot enter (it never rises), so they
-                // are dropped before their ids are read.
-                let mut hits = set_bits(masks[i] & run.mask & low_lanes(n))
-                    .filter(|&lane| topk.would_accept(qt.to_f32(sums[lane])))
-                    .fold(0u32, |hits, lane| hits | 1 << lane);
-                if hits == 0 {
-                    continue;
-                }
-                // Filter after the prune, on the surviving lanes only: the
-                // two tests commute, and survivors go on in lane order.
-                if let Some(view) = &lanes.view {
-                    ids.copy_to(at, &mut group[..n]);
-                    hits = view.lane_mask(&group[..n], hits);
-                }
-                for lane in set_bits(hits) {
-                    let id = match lanes.view {
-                        Some(_) => group[lane],
-                        None => ids.id(at + lane),
-                    };
-                    if !lanes.bitmap.test(id.as_usize()) {
-                        continue;
-                    }
-                    let d = qt.to_f32(sums[lane]);
-                    if topk.would_accept(d) {
-                        topk.push(id.as_u64(), d);
-                    }
+                let listed = low_lanes(FASTSCAN_BLOCK.min(ids.len() - at));
+                for lane in set_bits(masks[i] & run.mask & listed) {
+                    ids.prefetch(at + lane);
+                    self.batch.push(((at + lane) as u32, self.sums[i][lane]));
                 }
             }
+            if self.batch.len() >= topk.room() {
+                self.push_batch(&ids, topk);
+            }
         }
+        self.push_batch(&ids, topk);
     }
 }

@@ -880,21 +880,69 @@ mod tests {
         assert_eq!((snap.hedges_launched, snap.hedges_won), (0, 0));
     }
 
+    /// A latch a service blocks on until the test opens it.
+    #[derive(Default)]
+    struct Latch {
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Latch {
+        fn open(&self) {
+            *self.open.lock().expect("latch poisoned") = true;
+            self.opened.notify_all();
+        }
+
+        /// Blocks until the latch is open; gives up after `limit` so a
+        /// failing test cannot hang the tier it is dropping.
+        fn wait(&self, limit: Duration) {
+            let open = self.open.lock().expect("latch poisoned");
+            let _ = self
+                .opened
+                .wait_timeout_while(open, limit, |open| !*open)
+                .expect("latch poisoned");
+        }
+    }
+
+    /// Answers `self.0` once the latch opens.
+    struct Gated(u64, Arc<Latch>);
+    impl Service for Gated {
+        type Request = ();
+        type Response = u64;
+        fn handle(&self, _: ()) -> u64 {
+            self.1.wait(Duration::from_secs(30));
+            self.0
+        }
+    }
+
     #[test]
     fn fired_hedge_is_counted_and_raced_on_helper_threads() {
         let m = Arc::new(ResilienceMetrics::new());
-        let slow = tier("fired-s", SlowTagged(7, Duration::from_millis(300)));
-        let fast = tier("fired-f", SlowTagged(42, Duration::ZERO));
+        // The straggler answers only after the helper thread waiting on it
+        // has been seen, however slowly this host runs.
+        let latch = Arc::new(Latch::default());
+        let slow = tier("fired-s", Gated(7, Arc::clone(&latch)));
+        let fast = tier("fired-f", Tagged(42));
         let lb = Balancer::new(vec![target(&slow), target(&fast)]).with_metrics(Arc::clone(&m));
-        let got = lb.call_hedged((), Duration::from_secs(2), Duration::from_millis(20));
+        // The call's deadline outlives the wait below: the helper thread
+        // keeps waiting on the straggler until then.
+        let got = lb.call_hedged((), Duration::from_secs(20), Duration::from_millis(20));
         assert_eq!(got, Ok(42));
-        // The straggler is still being waited on, by a helper thread.
+        // The straggler is still being waited on, by a helper thread. It
+        // names itself once it runs, which may be after the hedge won.
         #[cfg(target_os = "linux")]
-        assert!(
-            thread_names().iter().any(|n| n == "straggler:fired"),
-            "{:?}",
-            thread_names()
-        );
+        {
+            let seen = Instant::now();
+            while !thread_names().iter().any(|n| n == "straggler:fired") {
+                assert!(
+                    seen.elapsed() < Duration::from_secs(10),
+                    "{:?}",
+                    thread_names()
+                );
+                std::thread::yield_now();
+            }
+        }
+        latch.open();
         let snap = m.snapshot();
         assert_eq!((snap.hedges_launched, snap.hedges_won), (1, 1));
     }

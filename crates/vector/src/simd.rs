@@ -271,6 +271,28 @@ pub fn active() -> &'static KernelSet {
     })
 }
 
+/// Asks the CPU to start loading `data` into cache, one request per
+/// 64-byte line: for memory a loop will read soon and whose address is
+/// known early — the ids of the fast-scan's candidates, a shortlist's raw
+/// vectors. A hint only: it never faults and changes no value; a no-op
+/// off x86-64.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let base = data.as_ptr().cast::<i8>();
+        for offset in (0..std::mem::size_of_val(data)).step_by(64) {
+            // SAFETY: `offset` is below the slice's size, so the pointer
+            // stays inside its allocation; a prefetch reads nothing into
+            // the program and cannot fault. SSE is part of x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(offset)) }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 /// The scalar reference implementations (4-way unrolled; the pre-SIMD hot
 /// loops, kept verbatim as the correctness oracle).
 pub mod scalar {

@@ -7,7 +7,7 @@ use jdvs_vector::kmeans::{Kmeans, KmeansConfig};
 use jdvs_vector::pq::{PqConfig, ProductQuantizer};
 use jdvs_vector::rng::Xoshiro256;
 use jdvs_vector::simd;
-use jdvs_vector::topk::TopK;
+use jdvs_vector::topk::{Neighbor, TopK};
 use jdvs_vector::Vector;
 
 /// `dim` seeded values in roughly [-100, 100] — big enough to stress
@@ -214,5 +214,49 @@ proptest! {
         for w in sorted.windows(2) {
             prop_assert!(w[0].distance <= w[1].distance);
         }
+    }
+
+    /// The reservoir against a sort-and-truncate oracle, on streams full of
+    /// equal (u16-quantized) distances and NaNs: the same k survive, the
+    /// threshold never undercuts the oracle's running k-th distance (NaN
+    /// counting as +inf), never rises and moves only when `room` runs
+    /// out, and a candidate `would_accept` turns away is never in the
+    /// oracle's top k.
+    #[test]
+    fn topk_matches_sorted_oracle(
+        stream in prop::collection::vec((0u16..300, 0u8..24), 1..700),
+        k in 1usize..=100,
+    ) {
+        let mut topk = TopK::new(k);
+        let mut oracle: Vec<Neighbor> = Vec::with_capacity(k + 1);
+        let mut last = f32::INFINITY;
+        for (i, &(q, nan)) in stream.iter().enumerate() {
+            let id = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let d = if nan == 0 { f32::NAN } else { f32::from(q) * 0.25 };
+            let accept = topk.would_accept(d);
+            let (room, before) = (topk.room(), topk.threshold());
+            if topk.push(id, d) && room == 1 {
+                prop_assert_eq!(topk.room(), k, "a compaction makes room for k");
+            } else {
+                prop_assert_eq!(topk.threshold().to_bits(), before.to_bits(), "moved without a compaction");
+            }
+            let n = Neighbor::new(id, d);
+            let at = oracle.partition_point(|o| *o < n);
+            oracle.insert(at, n);
+            oracle.truncate(k);
+            if !accept {
+                prop_assert!(!oracle.iter().any(|o| o.id == id), "rejected {n:?} is in the top {k}");
+            }
+            let kth = match oracle.get(k - 1) {
+                Some(o) if !o.distance.is_nan() => o.distance,
+                _ => f32::INFINITY,
+            };
+            let threshold = topk.threshold();
+            prop_assert!(threshold >= kth, "threshold {threshold} under the k-th {kth}");
+            prop_assert!(threshold <= last, "threshold rose from {last} to {threshold}");
+            last = threshold;
+        }
+        let bits = |v: &[Neighbor]| v.iter().map(|n| (n.id, n.distance.to_bits())).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&topk.into_sorted_vec()), bits(&oracle));
     }
 }

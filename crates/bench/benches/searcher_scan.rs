@@ -3,7 +3,9 @@
 //! `searcher-scan` repro experiment records the same comparison into
 //! `bench_results/`. The `pq4_fastscan` arm is the per-layer number of the
 //! 4-bit block scan alone — nanoseconds per candidate on a world whose
-//! probed codes do not fit a core's L2 — without standing any tier up.
+//! probed codes do not fit a core's L2 — without standing any tier up; the
+//! `raw_rows` arm is the same figure for the raw `f32` row scan on one
+//! partition of the `hop-bound` world.
 
 use std::time::Instant;
 
@@ -11,7 +13,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jdvs_bench::baselines::ann_search_scalar_baseline;
 use jdvs_core::search;
 use jdvs_core::{IndexConfig, ListId, VisualIndex};
+use jdvs_features::{ExtractorConfig, FeatureExtractor};
 use jdvs_storage::model::{ProductAttributes, ProductId};
+use jdvs_storage::ImageStore;
 use jdvs_vector::rng::Xoshiro256;
 use jdvs_vector::Vector;
 
@@ -98,28 +102,88 @@ fn bench_pq4_fastscan(_c: &mut Criterion) {
             .expect("insert");
     }
     index.flush();
-    let queries = &data[..64];
+    let (ns, per_query) = ns_per_candidate(&index, &data[..64], NPROBE, |q| {
+        black_box(index.search_compressed(q, K, NPROBE, RERANK));
+    });
+    println!(
+        "searcher_scan/pq4_fastscan                       {ns:.3} ns/candidate \
+         ({per_query} candidates/query, whole query incl. assign, LUTs, re-rank)"
+    );
+}
+
+/// Whole-query nanoseconds per candidate over `queries` (assignment
+/// included), with the mean candidates per query.
+fn ns_per_candidate(
+    index: &VisualIndex,
+    queries: &[Vector],
+    nprobe: usize,
+    search: impl Fn(&[f32]),
+) -> (f64, usize) {
     let candidates: usize = queries
         .iter()
-        .flat_map(|q| index.quantizer().assign_multi(q.as_slice(), NPROBE))
+        .flat_map(|q| index.quantizer().assign_multi(q.as_slice(), nprobe))
         .map(|list| index.inverted().list(ListId(list as u32)).len())
         .sum();
-    let pass = || {
-        for q in queries {
-            black_box(index.search_compressed(black_box(q.as_slice()), K, NPROBE, RERANK));
-        }
-    };
+    let pass = || queries.iter().for_each(|q| search(black_box(q.as_slice())));
     pass(); // warm-up
     const PASSES: usize = 10;
     let start = Instant::now();
     (0..PASSES).for_each(|_| pass());
     let ns = start.elapsed().as_nanos() as f64 / (PASSES * candidates) as f64;
+    (ns, candidates / queries.len())
+}
+
+/// Raw `f32` row scan in the shape of one `hop-bound` partition: 10k
+/// images from 400 visual clusters, extracted with jitter 1.0 (dim 64),
+/// 128 lists, nprobe 8 — about 750 candidates per query.
+fn bench_raw_rows(_c: &mut Criterion) {
+    const N: usize = 10_000;
+    const CLUSTERS: u64 = 400;
+    const LISTS: usize = 128;
+    const NPROBE: usize = 8;
+    let images = ImageStore::with_blob_len(256);
+    let extractor = FeatureExtractor::new(ExtractorConfig {
+        dim: DIM,
+        jitter: 1.0,
+        ..ExtractorConfig::default()
+    });
+    let mut rng = Xoshiro256::seed_from(0x4A11);
+    let mut extract = |url: String| {
+        let key = images.put_synthetic(&url, rng.next_u64() % CLUSTERS);
+        extractor.extract(&images.get(key).expect("just stored"))
+    };
+    let data: Vec<Vector> = (0..N).map(|i| extract(format!("sku/{i}.jpg"))).collect();
+    let queries: Vec<Vector> = (0..64).map(|i| extract(format!("query/{i}.jpg"))).collect();
+    let index = VisualIndex::bootstrap(
+        IndexConfig {
+            dim: DIM,
+            num_lists: LISTS,
+            ..Default::default()
+        },
+        &data,
+    );
+    for (i, v) in data.iter().enumerate() {
+        index
+            .insert(
+                v.clone(),
+                ProductAttributes::new(ProductId(i as u64), 0, 0, 0, format!("b/u{i}")),
+            )
+            .expect("insert");
+    }
+    index.flush();
+    let (ns, per_query) = ns_per_candidate(&index, &queries, NPROBE, |q| {
+        black_box(index.search(q, K, NPROBE));
+    });
     println!(
-        "searcher_scan/pq4_fastscan                       {ns:.3} ns/candidate \
-         ({} candidates/query, whole query incl. assign, LUTs, re-rank)",
-        candidates / queries.len()
+        "searcher_scan/raw_rows                           {ns:.3} ns/candidate \
+         ({per_query} candidates/query, whole query incl. assign)"
     );
 }
 
-criterion_group!(benches, bench_searcher_scan, bench_pq4_fastscan);
+criterion_group!(
+    benches,
+    bench_searcher_scan,
+    bench_pq4_fastscan,
+    bench_raw_rows
+);
 criterion_main!(benches);

@@ -31,10 +31,8 @@ pub fn ann_search_scalar_baseline(
             if !index.is_valid(id) {
                 return;
             }
-            if let Some(d) = index
-                .vectors()
-                .with(id, |v| kernels.squared_l2(query, v.as_slice()))
-            {
+            if let Some(row) = index.vectors().snapshot().get(id) {
+                let d = row.with(|v| kernels.squared_l2(query, v));
                 topk.push(id.as_u64(), d);
             }
         });

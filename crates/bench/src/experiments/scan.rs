@@ -8,8 +8,11 @@
 //!   issue's ≥2x acceptance bar is measured against).
 //! - `dispatched-per-id` — same scan shape, SIMD-dispatched kernel
 //!   (isolates the kernel win from the memory-path win).
-//! - `engine` — block scan + pinned snapshots + threshold-pruned top-k
+//! - `engine` — rows streamed in list order + threshold-pruned top-k
 //!   (`VisualIndex::execute`).
+//!
+//! Each row also gives the whole query's nanoseconds per candidate (an
+//! entry of a probed list, assignment included).
 //!
 //! Every variant's results are differentially checked against the
 //! reference scan before timing starts; a mismatch fails the experiment.
@@ -17,7 +20,7 @@
 use std::time::Instant;
 
 use jdvs_core::search;
-use jdvs_core::{IndexConfig, VisualIndex};
+use jdvs_core::{IndexConfig, ListId, VisualIndex};
 
 use crate::baselines::ann_search_scalar_baseline;
 use jdvs_storage::model::{ImageKey, ProductAttributes, ProductId};
@@ -101,6 +104,15 @@ pub fn searcher_scan(ctx: &Ctx) -> ExperimentResult {
         assert_eq!(baseline_ids, reference_ids, "baseline diverged on ids");
     }
 
+    // Inverted-list entries the probed lists hold, per query: what the
+    // `ns_per_candidate` column divides by (assignment included).
+    let candidates = queries
+        .iter()
+        .flat_map(|q| index.quantizer().assign_multi(q.as_slice(), NPROBE))
+        .map(|list| index.inverted().list(ListId(list as u32)).len())
+        .sum::<usize>() as f64
+        / queries.len() as f64;
+
     let repeats = if ctx.quick { 10 } else { 40 };
     let baseline_us = measure(&queries, repeats, |q| {
         ann_search_scalar_baseline(&index, q, K, NPROBE).len()
@@ -124,10 +136,11 @@ pub fn searcher_scan(ctx: &Ctx) -> ExperimentResult {
             "variant" => variant,
             "mean_us_per_query" => format!("{us:.1}"),
             "speedup_vs_baseline" => format!("{:.2}", baseline_us / us),
+            "ns_per_candidate" => format!("{:.1}", us * 1e3 / candidates),
         ]);
     }
     r.note(format!(
-        "{n_images} images, dim {DIM}, {NUM_LISTS} lists, nprobe {NPROBE}, k {K}, 5% deleted; active kernel: {}",
+        "{n_images} images, dim {DIM}, {NUM_LISTS} lists, nprobe {NPROBE}, k {K}, 5% deleted, {candidates:.0} candidates per query; active kernel: {}",
         simd::active().name()
     ));
     r.note(format!(

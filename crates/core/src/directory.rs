@@ -2,9 +2,9 @@
 //!
 //! A [`Directory`] maps small indexes to values that are created once and
 //! then never moved or dropped before the directory itself, so [`Directory::get`]
-//! hands out plain borrows with no lock and no refcount. The PQ code store
-//! keeps its id map in one; the search topology keeps its live replica
-//! table in them.
+//! hands out plain borrows with no lock and no refcount. The row store
+//! keeps its id map, its regions and each list's blocks in them; the
+//! search topology keeps its live replica table in them.
 
 use std::sync::OnceLock;
 
@@ -16,7 +16,7 @@ pub struct Directory<T> {
 }
 
 /// `2^25 - 1` slots: more than every `u32` id at 4,096 ids per chunk needs
-/// (the PQ store's id map, the largest directory in use).
+/// (the row store's id map), and a list's blocks up to 2^30 rows.
 const DIRECTORY_BUCKETS: usize = 25;
 
 impl<T> std::fmt::Debug for Directory<T> {

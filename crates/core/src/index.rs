@@ -2,9 +2,10 @@
 //!
 //! [`VisualIndex`] wires together every structure of Section 2 for one
 //! index partition: the k-means coarse quantizer, the forward index and its
-//! variable-length buffer, the feature-vector store, the validity bitmap,
-//! the inverted lists, and the URL→id map that lets update/delete messages
-//! (which carry URLs) find their records.
+//! variable-length buffer, the validity bitmap, the inverted lists with
+//! the feature rows stored at their list positions, and the URL→id map
+//! that lets update/delete messages (which carry URLs) find their
+//! records.
 //!
 //! Concurrency contract, matching the paper's deployment:
 //!
@@ -30,9 +31,9 @@ use crate::forward::ForwardIndex;
 use crate::ids::{ImageId, ListId};
 use crate::inverted::InvertedIndex;
 use crate::pq_store::PqStore;
+use crate::rows::RowStore;
 use crate::search::{self, SearchPlan};
 use crate::stats::IndexStats;
-use crate::vectors::VectorStore;
 
 /// Result of an upsert: what the index actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +65,8 @@ pub struct VisualIndex {
     config: IndexConfig,
     quantizer: Kmeans,
     forward: ForwardIndex,
-    vectors: VectorStore,
+    /// Every image's features, at its list position (and the id map).
+    rows: RowStore,
     bitmap: AtomicBitmap,
     inverted: InvertedIndex,
     key_map: KvStore<ImageKey, ImageId>,
@@ -188,10 +190,10 @@ impl VisualIndex {
             config.background_expansion,
         );
         Self {
+            rows: RowStore::new(config.dim, num_lists),
             config,
             quantizer,
             forward: ForwardIndex::new(),
-            vectors: VectorStore::new(),
             bitmap: AtomicBitmap::new(),
             inverted,
             key_map: KvStore::new(),
@@ -263,13 +265,14 @@ impl VisualIndex {
 
     /// Reads the feature vector of `id`.
     pub fn features(&self, id: ImageId) -> Option<Vector> {
-        self.vectors.get(id)
+        self.rows.snapshot().get(id).map(|row| row.to_vector())
     }
 
     /// Inserts a brand-new image (Figure 8): appends the forward record
-    /// (fixed fields + URL into the buffer), stores the vector, assigns the
-    /// nearest-centroid inverted list and appends the id to its tail, sets
-    /// the validity bit, and registers the URL mapping.
+    /// (fixed fields + URL into the buffer), assigns the nearest-centroid
+    /// inverted list and appends the id to its tail, stores the features
+    /// (and PQ code) at that position, sets the validity bit, and
+    /// registers the URL mapping.
     ///
     /// # Errors
     ///
@@ -289,15 +292,16 @@ impl VisualIndex {
         let key = attrs.image_key();
         let list = ListId(self.quantizer.assign(features.as_slice()) as u32);
         let id = self.forward.append(&attrs)?;
-        // The list position is the PQ code's storage key, so the inverted
-        // append happens first; the id stays invisible to searches (and the
-        // code tile's lane stays masked) until the bitmap bit below — which
-        // is Release-ordered after both — flips on.
+        // The list position is the row's and the PQ code's storage key, so
+        // the inverted append happens first; the id stays invisible to
+        // searches (and its row and code lanes stay masked) until the
+        // bitmap bit below — which is Release-ordered after all three —
+        // flips on.
         let pos = self.inverted.append(list, id);
         if let Some(pq) = &self.pq {
             pq.put(id, list, pos, &features);
         }
-        self.vectors.put(id, features);
+        self.rows.put(id, list, pos, features.as_slice());
         // Filter bits land before the validity bit so a filtered search
         // that sees the image also sees its category / stock membership.
         self.filters
@@ -490,10 +494,10 @@ impl VisualIndex {
         &self.bitmap
     }
 
-    /// The raw feature-vector store (borrowing reads, for evaluation code
-    /// that must not pay [`VisualIndex::features`]' clone per candidate).
-    pub fn vectors(&self) -> &VectorStore {
-        &self.vectors
+    /// The feature rows (borrowing reads, for evaluation code that must
+    /// not pay [`VisualIndex::features`]' clone per candidate).
+    pub fn vectors(&self) -> &RowStore {
+        &self.rows
     }
 
     pub(crate) fn inverted_internal(&self) -> &InvertedIndex {

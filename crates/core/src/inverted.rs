@@ -40,7 +40,7 @@
 //! ("Memory model of the mutation path").
 
 use crate::sync::{
-    thread, zeroed_words, Arc, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock,
+    thread, zeroed, Arc, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock,
 };
 
 use crate::ids::{ImageId, ListId};
@@ -53,14 +53,15 @@ pub const SCAN_BLOCK: usize = 256;
 /// A fixed-capacity array of image-id slots with a published-length counter.
 #[derive(Debug)]
 pub struct Slab {
-    slots: Box<[AtomicU64]>,
+    /// One [`ImageId`] (a `u32`) per slot.
+    slots: Box<[AtomicU32]>,
     len: AtomicUsize,
 }
 
 impl Slab {
     fn new(capacity: usize) -> Self {
         Self {
-            slots: zeroed_words(capacity),
+            slots: zeroed(capacity),
             len: AtomicUsize::new(0),
         }
     }
@@ -223,7 +224,7 @@ impl InvertedList {
                     // after this store by the writer-mutex hand-off (or by
                     // program order when this thread publishes below).
                     let pos = m.next_pos;
-                    m.new_slab.slots[pos].store(id.as_u64(), Ordering::Relaxed);
+                    m.new_slab.slots[pos].store(id.0, Ordering::Relaxed);
                     m.next_pos += 1;
                     // Re-check after the tail write: if the copy finished
                     // while we appended, the copier's try_lock lost to our
@@ -249,7 +250,7 @@ impl InvertedList {
             if len < slab.capacity() {
                 // Relaxed slot store, published by the Release below —
                 // the paper's "write the slot, then bump the position".
-                slab.slots[len].store(id.as_u64(), Ordering::Relaxed);
+                slab.slots[len].store(id.0, Ordering::Relaxed);
                 // Release: pairs with the Acquire in `Slab::len`; a scan
                 // that observes `len + 1` also observes the slot write.
                 slab.len.store(len + 1, Ordering::Release);
@@ -442,7 +443,7 @@ impl ListSnapshot {
         assert!(pos < self.len, "position past the snapshot");
         // Relaxed: slot writes below `len` happened-before the Acquire
         // `len` load in `InvertedList::snapshot`.
-        ImageId(self.slab.slots[pos].load(Ordering::Relaxed) as u32)
+        ImageId(self.slab.slots[pos].load(Ordering::Relaxed))
     }
 
     /// Starts loading the id at `pos` into cache, for a reader that will
@@ -464,7 +465,7 @@ impl ListSnapshot {
         let slots = &self.slab.slots[..self.len][start..start + out.len()];
         for (dst, slot) in out.iter_mut().zip(slots) {
             // Relaxed: as in `id`.
-            *dst = ImageId(slot.load(Ordering::Relaxed) as u32);
+            *dst = ImageId(slot.load(Ordering::Relaxed));
         }
     }
 }

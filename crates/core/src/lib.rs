@@ -14,12 +14,13 @@
 //! - [`forward`] — the **forward index**: a growable array of fixed-field
 //!   records (product id, sales, price, praise as atomic cells + the URL
 //!   reference word), updated in place with no search/update conflict.
-//! - [`vectors`] — append-only store of each image's feature vector,
-//!   aligned with forward-index ids (the scan path needs raw features).
 //! - [`inverted`] — the **IVF inverted lists** with the paper's pre-
 //!   allocated slabs, per-list atomic tail positions (the auxiliary array
 //!   of Figure 5) and lock-free double-size expansion with background copy
 //!   (Figure 9).
+//! - [`rows`] — each image's raw feature row, stored at its inverted-list
+//!   position so a list's rows stream in scan order, plus the id →
+//!   (list, position) map by-id readers go through.
 //! - [`index`] — [`index::VisualIndex`] composing all of the above behind
 //!   one coherent API.
 //! - [`realtime`] — the **real-time indexer** applying
@@ -65,11 +66,11 @@ pub mod inverted;
 pub mod persist;
 pub mod pq_store;
 pub mod realtime;
+pub mod rows;
 pub mod search;
 pub mod stats;
 pub mod swap;
 pub(crate) mod sync;
-pub mod vectors;
 
 pub use config::IndexConfig;
 pub use error::IndexError;

@@ -9,7 +9,10 @@
 //! - Codes live **per inverted list**, keyed by the position
 //!   [`crate::inverted::InvertedList::append`] assigned, so a probed list's
 //!   codes are one contiguous streak of cache lines instead of a pointer
-//!   chase through per-id boxes.
+//!   chase through per-id boxes. They are a parallel array to the list's
+//!   `f32` rows ([`crate::rows`]), keyed by the same positions and never
+//!   interleaved with them, so the code stream stays dense; an id's
+//!   position is found through [`crate::rows::RowStore::locate`].
 //! - Positions are grouped into blocks of [`FASTSCAN_BLOCK`] codes,
 //!   **subspace-major within the block**: byte `t` of subspace `s`'s
 //!   16-byte row packs the sub-`s` code of block lane `t` (low nibble) and
@@ -60,7 +63,9 @@
 //! loads (at most the tail of a list, while writers still fill it), and
 //! its unpublished lanes are masked out of scans — they are also never
 //! bitmap-visible, because [`crate::index::VisualIndex::insert`] sets the
-//! validity bit after `put` returns.
+//! validity bit after `put` returns. The row store publishes rows under
+//! the same claimed/published protocol; its lanes share no bytes, so a
+//! published row is read in place even in an unsealed block.
 //!
 //! The `ablate-pq` experiment quantifies the trade: memory shrinks by
 //! `8·d/m`, and the fast-scan path trades a bounded quantization error for
@@ -68,12 +73,11 @@
 
 use std::sync::OnceLock;
 
-use crate::sync::{zeroed_words, AtomicU32, AtomicU64, Ordering};
+use crate::sync::{zeroed, AtomicU32, AtomicU64, Ordering};
 
 use jdvs_vector::pq::{ProductQuantizer, QuantizedAdcTable};
 use jdvs_vector::Vector;
 
-use crate::directory::Directory;
 use crate::ids::{ImageId, ListId};
 
 /// Codes per fast-scan block (one kernel tile), and positions per
@@ -91,9 +95,6 @@ pub const RUN: usize = 16;
 /// Segments per list: `FIRST_SEGMENT · (2^25 - 1)` positions cover every
 /// `u32` position.
 const SEGMENTS: usize = 25;
-
-/// Ids per id-map chunk.
-const ID_CHUNK: usize = 4096;
 
 /// `(segment, offset within it)` of list position `pos`.
 #[inline]
@@ -128,7 +129,7 @@ impl CodeSegment {
         };
         Self {
             // `m` nibbles per position, 16 nibbles per word.
-            words: zeroed_words(positions * m / 16),
+            words: zeroed(positions * m / 16),
             claimed: masks(),
             published: masks(),
         }
@@ -163,31 +164,6 @@ fn byte_of(m: usize, off: usize, sub: usize) -> (usize, u32) {
     (byte, if lane < 16 { 0 } else { 4 })
 }
 
-/// A chunk of the id → (list, position) map.
-struct IdChunk {
-    /// Packed entries: bit 63 = present, bits 32..63 = list, bits 0..32 =
-    /// position. Written once per id (Release), read with Acquire.
-    slots: Box<[AtomicU64]>,
-}
-
-impl IdChunk {
-    fn new() -> Self {
-        Self {
-            slots: (0..ID_CHUNK).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-const ID_PRESENT: u64 = 1 << 63;
-
-/// Unpacks an id-map entry; `None` while the id was never put.
-fn unpack_entry(entry: u64) -> Option<(ListId, usize)> {
-    (entry & ID_PRESENT != 0).then_some((
-        ListId(((entry >> 32) & 0x7fff_ffff) as u32),
-        (entry & 0xffff_ffff) as usize,
-    ))
-}
-
 /// One list's code segments, each created on its first write.
 type Segments = [OnceLock<Box<CodeSegment>>; SEGMENTS];
 
@@ -200,7 +176,6 @@ pub struct PqStore {
     /// Per list: its segments, boxed on the list's first `put` so an index
     /// of many (mostly short) lists pays two words per list.
     lists: Box<[OnceLock<Box<Segments>>]>,
-    id_chunks: Directory<IdChunk>,
 }
 
 impl std::fmt::Debug for PqStore {
@@ -225,7 +200,6 @@ impl PqStore {
             m: quantizer.num_subspaces(),
             quantizer,
             lists: (0..num_lists).map(|_| OnceLock::new()).collect(),
-            id_chunks: Directory::new(),
         }
     }
 
@@ -271,14 +245,16 @@ impl PqStore {
 
     /// Encodes and stores `vector` as the code of position `pos` of `list`
     /// (the position [`crate::inverted::InvertedIndex::append`] returned
-    /// for `id`), then registers `id → (list, pos)`. Write-once: only the
-    /// first `put` of a position writes it, later ones change nothing.
+    /// for the image `_id`). Codes are keyed by position alone: the index
+    /// finds an id's position through [`crate::rows::RowStore::locate`].
+    /// Write-once: only the first `put` of a position writes it, later
+    /// ones change nothing.
     ///
     /// # Panics
     ///
     /// Panics if `vector`'s dimension differs from the quantizer's or
     /// `list` is out of range.
-    pub fn put(&self, id: ImageId, list: ListId, pos: usize, vector: &Vector) {
+    pub fn put(&self, _id: ImageId, list: ListId, pos: usize, vector: &Vector) {
         let code = self.quantizer.encode(vector.as_slice());
         let (seg_idx, off) = segment_of(pos);
         let seg = self.lists[list.as_usize()]
@@ -305,22 +281,6 @@ impl PqStore {
         // — a reader that observes the bit observes every `fetch_or`
         // above.
         seg.published[block].fetch_or(lane_bit, Ordering::Release);
-
-        let entry = ID_PRESENT | (list.as_usize() as u64) << 32 | pos as u64;
-        // Release: pairs with the Acquire load in `locate`, so an id-keyed
-        // reader that finds the entry also finds the published bit (set
-        // above in program order) and therefore the code bits.
-        self.id_chunks
-            .get_or_init(id.as_usize() / ID_CHUNK, IdChunk::new)
-            .slots[id.as_usize() % ID_CHUNK]
-            .store(entry, Ordering::Release);
-    }
-
-    /// The (list, position) a code was stored under, if `id` was put.
-    pub fn locate(&self, id: ImageId) -> Option<(ListId, usize)> {
-        let chunk = self.id_chunks.get(id.as_usize() / ID_CHUNK)?;
-        // Acquire: pairs with the Release store in `put`; see there.
-        unpack_entry(chunk.slots[id.as_usize() % ID_CHUNK].load(Ordering::Acquire))
     }
 
     /// A reader over one list's codes — the scan path's view. Borrows the
@@ -345,22 +305,10 @@ impl PqStore {
         self.quantizer.quantized_adc_table(query)
     }
 
-    /// Reads `id`'s unpacked code into `code`; `false` if never written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code.len()` differs from the number of subspaces.
-    pub fn code_into(&self, id: ImageId, code: &mut [u8]) -> bool {
-        let Some((list, pos)) = self.locate(id) else {
-            return false;
-        };
-        self.list_reader(list).read_code(pos, code)
-    }
-
-    /// `f` over `id`'s unpacked code, read into stack scratch (heap only
-    /// for more subspaces than any shipped configuration uses); `None` if
-    /// the id was never written.
-    fn with_code<R>(&self, id: ImageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    /// `f` over the unpacked code at `pos` of `list`, read into stack
+    /// scratch (heap only for more subspaces than any shipped
+    /// configuration uses); `None` if the position was never written.
+    fn with_code<R>(&self, list: ListId, pos: usize, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let mut stack = [0u8; 64];
         let mut heap = Vec::new();
         let code = match stack.get_mut(..self.m) {
@@ -370,20 +318,25 @@ impl PqStore {
                 &mut heap[..]
             }
         };
-        self.code_into(id, code).then(|| f(code))
+        self.list_reader(list).read_code(pos, code).then(|| f(code))
     }
 
-    /// Quantized fast-scan distance of `id` — the per-id twin of the block
-    /// kernels, bit-identical to a masked
-    /// [`jdvs_vector::simd::KernelSet::fastscan16`] lane (`None` if the id
-    /// was never written).
-    pub fn quantized_distance(&self, table: &QuantizedAdcTable, id: ImageId) -> Option<f32> {
-        self.with_code(id, |code| table.distance(code))
+    /// Quantized fast-scan distance of the code at `pos` of `list` — the
+    /// per-position twin of the block kernels, bit-identical to a masked
+    /// [`jdvs_vector::simd::KernelSet::fastscan16`] lane (`None` if the
+    /// position was never written).
+    pub fn quantized_distance(
+        &self,
+        table: &QuantizedAdcTable,
+        list: ListId,
+        pos: usize,
+    ) -> Option<f32> {
+        self.with_code(list, pos, |code| table.distance(code))
     }
 
-    /// Reconstructs the approximate vector stored for `id`.
-    pub fn decode(&self, id: ImageId) -> Option<Vector> {
-        self.with_code(id, |code| self.quantizer.decode(code))
+    /// Reconstructs the approximate vector stored at `pos` of `list`.
+    pub fn decode(&self, list: ListId, pos: usize) -> Option<Vector> {
+        self.with_code(list, pos, |code| self.quantizer.decode(code))
     }
 }
 
@@ -567,13 +520,14 @@ mod tests {
             store.put(ImageId(i as u32), ListId(0), i, v);
         }
         let table = store.quantized_adc_table(data[0].as_slice());
-        let d_self = store.quantized_distance(&table, ImageId(0)).unwrap();
-        let d_other = store.quantized_distance(&table, ImageId(25)).unwrap();
+        let d_self = store.quantized_distance(&table, ListId(0), 0).unwrap();
+        let d_other = store.quantized_distance(&table, ListId(0), 25).unwrap();
         assert!(
             d_self < d_other,
             "self-distance {d_self} must beat {d_other}"
         );
-        assert!(store.quantized_distance(&table, ImageId(9_999)).is_none());
+        assert!(store.quantized_distance(&table, ListId(0), 9_999).is_none());
+        assert!(store.quantized_distance(&table, ListId(1), 0).is_none());
     }
 
     #[test]
@@ -588,7 +542,8 @@ mod tests {
         }
         let mut code = vec![0u8; 8];
         for (i, v) in data.iter().enumerate() {
-            assert!(store.code_into(ImageId(i as u32), &mut code));
+            let list = store.list_reader(ListId((i % 2) as u32));
+            assert!(list.read_code(i / 2 + 200, &mut code));
             assert_eq!(code, pq.encode(v.as_slice()), "id {i}");
         }
     }
@@ -698,9 +653,7 @@ mod tests {
                     let pos = base + i * FASTSCAN_BLOCK + lane;
                     assert_eq!(run.mask & (1 << lane) != 0, pos < n, "publication at {pos}");
                     if pos < n {
-                        let per_id = store
-                            .quantized_distance(&table, ImageId(pos as u32))
-                            .unwrap();
+                        let per_id = store.quantized_distance(&table, ListId(0), pos).unwrap();
                         assert_eq!(
                             table.to_f32(lane_acc).to_bits(),
                             per_id.to_bits(),
@@ -772,11 +725,11 @@ mod tests {
         let (pq, data) = trained(16, 8);
         let store = PqStore::new(pq, 1);
         store.put(ImageId(0), ListId(0), 0, &data[0]);
-        let approx = store.decode(ImageId(0)).unwrap();
+        let approx = store.decode(ListId(0), 0).unwrap();
         let err = jdvs_vector::distance::squared_l2(approx.as_slice(), data[0].as_slice());
         let base = data[0].squared_norm();
         assert!(err < base, "reconstruction beats the origin baseline");
-        assert!(store.decode(ImageId(1)).is_none());
+        assert!(store.decode(ListId(0), 1).is_none());
     }
 
     #[test]
@@ -785,7 +738,7 @@ mod tests {
         let store = PqStore::new(pq, 1);
         store.put(ImageId(0), ListId(0), 0, &data[0]);
         store.put(ImageId(0), ListId(0), 0, &data[1]);
-        let decoded = store.decode(ImageId(0)).unwrap();
+        let decoded = store.decode(ListId(0), 0).unwrap();
         let d0 = jdvs_vector::distance::squared_l2(decoded.as_slice(), data[0].as_slice());
         let d1 = jdvs_vector::distance::squared_l2(decoded.as_slice(), data[1].as_slice());
         assert!(d0 <= d1, "first write wins");
@@ -807,8 +760,7 @@ mod tests {
         let store = PqStore::new(pq, 1);
         let pos = 1000; // segment 2
         store.put(ImageId(7), ListId(0), pos, &data[0]);
-        assert_eq!(store.locate(ImageId(7)), Some((ListId(0), pos)));
-        assert!(store.decode(ImageId(7)).is_some());
+        assert!(store.decode(ListId(0), pos).is_some());
         // Gap segments hold nothing.
         let reader = store.list_reader(ListId(0));
         let mut code = vec![0u8; 2];
@@ -883,7 +835,7 @@ mod tests {
         // After the race: everything published and exact.
         let mut code = vec![0u8; 8];
         for (pos, v) in data.iter().enumerate().take(n) {
-            assert!(store.code_into(ImageId(pos as u32), &mut code));
+            assert!(store.list_reader(ListId(0)).read_code(pos, &mut code));
             assert_eq!(code, pq.encode(v.as_slice()), "pos {pos}");
         }
     }

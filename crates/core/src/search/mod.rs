@@ -17,28 +17,30 @@
 //!    fast-scan; see `scan.rs`) walks each list once over one
 //!    [`crate::inverted::InvertedList::snapshot`] into the plan's
 //!    [`TopK`] — a reservoir whose threshold, the k-th distance as of its
-//!    last compaction, prunes the scan. The raw scanner walks id blocks;
-//!    the fast-scan scanner walks the code store itself in **runs**
+//!    last compaction, prunes the scan. Both walk the list's payload in
+//!    position order, where [`crate::inverted::InvertedList::append`]
+//!    put it, and go back to the snapshot only for candidates under the
+//!    threshold. The raw scanner walks the list's 32-row blocks
+//!    ([`crate::rows::ListRows::block`]) and scores every published row
+//!    in place; the fast-scan scanner walks the code store in **runs**
 //!    ([`crate::pq_store::PqListReader::load_run`]): up to 16 sealed
 //!    32-code blocks scored **in place**, or a list's still-filling tail
 //!    block copied out, each run one call of a fused score-and-prune
 //!    kernel that holds the LUTs in registers; the prune bound is
-//!    refreshed between runs. Candidates then take two passes: the
+//!    refreshed between runs. Its candidates then take two passes: the
 //!    first adds every lane under the bound to a batch from the kernel's
 //!    sums alone, the second reads the batch's ids back to back (their
 //!    cache misses overlap), tests validity and pushes — as late as the
 //!    end of the list, as long as the pushes could not have moved the
-//!    bound ([`TopK::room`]). The validity bitmap, the vector store and
-//!    the plan's filter are pinned once per plan, PQ segments are
-//!    borrowed without a lock, so the per-candidate cost is a SIMD kernel
+//!    bound ([`TopK::room`]). The validity bitmap and the plan's filter
+//!    are pinned once per plan; rows and codes are borrowed without a
+//!    lock, so the per-candidate cost is a SIMD kernel
 //!    ([`jdvs_vector::simd::active`]) over bytes that stream. Invalid
 //!    images — cleared validity bits — are skipped, so logically deleted
-//!    products never surface. The raw scanner resolves the filter
-//!    **before** a vector is touched (a rejected candidate costs bitmap
-//!    word loads); the fast-scan scanner scores first and filters
-//!    **after** the prune, on the lanes under the bound only — the two
-//!    tests commute, so the answer is the same. An unfiltered plan is
-//!    simply one with no filter view.
+//!    products never surface. Both scanners score first and test
+//!    validity and the filter **after** the prune, on the candidates
+//!    under the threshold only — the tests commute, so the answer is the
+//!    same. An unfiltered plan is simply one with no filter view.
 //! 3. **Escalate.** A *filtered* plan whose top-k is still underfull
 //!    widens its probing (doubling, scanning only lists not yet probed,
 //!    through the same scanner) up to
@@ -47,8 +49,9 @@
 //! 4. **Re-rank once.** A compressed plan re-ranks its quantized
 //!    shortlist (`k · rerank_factor`) with exact `f32` distances, so the
 //!    over-fetch — not the u8 rounding — decides final quality. The
-//!    shortlist is walked unsorted, as the reservoir holds it, and every
-//!    row's vector is requested before the first distance is computed.
+//!    shortlist is walked unsorted, as the reservoir holds it; each row is
+//!    found by id through [`crate::rows::RowStore::locate`], and every
+//!    row is requested before the first distance is computed.
 //!
 //! [`TopK`]'s total (distance, id) order makes the outcome independent of
 //! list visit order. The sequential per-id oracles in [`reference`] share
@@ -62,14 +65,13 @@ use std::time::{Duration, Instant};
 
 use jdvs_vector::simd::{self, KernelSet};
 use jdvs_vector::topk::{Neighbor, TopK};
-use jdvs_vector::Vector;
 
 use crate::bitmap::BitmapReader;
 use crate::config::IndexConfig;
 use crate::filter::{FilterSpec, QueryFilter};
 use crate::ids::ImageId;
 use crate::index::VisualIndex;
-use crate::vectors::VectorSnapshot;
+use crate::rows::{Row, RowReader};
 
 pub use reference::{
     ann_search_reference, compressed_search_reference, filtered_ann_search_reference,
@@ -181,11 +183,10 @@ pub fn execute(index: &VisualIndex, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
         .filter(|f| !f.is_unconstrained())
         .map(|f| QueryFilter::new(f, index.filters(), index.forward()));
     let lanes = Lanes::pin(index, filter.as_ref().map(QueryFilter::view));
-    let vectors = index.vectors().snapshot();
     if plan.stage == Stage::Raw {
         let scanner = RawScanner {
             lanes: &lanes,
-            vectors: &vectors,
+            rows: index.vectors(),
             query: plan.features,
         };
         return scan(index, plan, &lanes, scanner).into_sorted_vec();
@@ -197,7 +198,7 @@ pub fn execute(index: &VisualIndex, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
     let shortlist = scan(index, plan, &lanes, FastScanner::new(&lanes, pq, &qt));
     exact_rerank(
         &lanes.bitmap,
-        &vectors,
+        &index.vectors().snapshot(),
         lanes.kernels,
         plan.features,
         shortlist,
@@ -293,19 +294,19 @@ fn escalate(
 
 /// Stage 2 of a compressed plan: exact distances over the shortlist,
 /// walked as the collector holds it — the result's total order does not
-/// depend on the order of the pushes. Every row's vector is asked for
-/// before the first distance is computed: the rows are scattered over the
-/// vector store, and their loads overlap. Split out so the between-stage
-/// deletion guard is directly testable.
+/// depend on the order of the pushes. Every row is located (through the
+/// id map) and asked for before the first distance is computed: the rows
+/// are scattered over the probed lists, and their loads overlap. Split
+/// out so the between-stage deletion guard is directly testable.
 fn exact_rerank(
     bitmap: &BitmapReader<'_>,
-    vectors: &VectorSnapshot,
+    rows: &RowReader<'_>,
     kernels: &KernelSet,
     query: &[f32],
     shortlist: TopK,
     k: usize,
 ) -> Vec<Neighbor> {
-    let rows: Vec<(u64, &Vector)> = shortlist
+    let found: Vec<(u64, Row<'_>)> = shortlist
         .into_vec()
         .into_iter()
         .filter_map(|candidate| {
@@ -317,14 +318,14 @@ fn exact_rerank(
             if !bitmap.test(id.as_usize()) {
                 return None;
             }
-            let v = vectors.get(id)?;
-            simd::prefetch(v.as_slice());
-            Some((candidate.id, v))
+            let row = rows.get(id)?;
+            row.prefetch();
+            Some((candidate.id, row))
         })
         .collect();
     let mut topk = TopK::new(k);
-    for (id, v) in rows {
-        topk.push(id, kernels.squared_l2(query, v.as_slice()));
+    for (id, row) in found {
+        topk.push(id, row.with(|row| kernels.squared_l2(query, row)));
     }
     topk.into_sorted_vec()
 }
@@ -344,10 +345,9 @@ pub fn ann_search_with_probes(
     lists: &[usize],
 ) -> Vec<Neighbor> {
     let lanes = Lanes::pin(index, None);
-    let vectors = index.vectors().snapshot();
     let mut scanner = RawScanner {
         lanes: &lanes,
-        vectors: &vectors,
+        rows: index.vectors(),
         query,
     };
     let mut topk = TopK::new(k);
@@ -368,12 +368,12 @@ pub fn brute_force(index: &VisualIndex, query: &[f32], k: usize) -> Vec<Neighbor
     assert!(k > 0, "k must be positive");
     assert_eq!(query.len(), index.config().dim, "query dimension mismatch");
     let kernels = simd::active();
-    let vectors = index.vectors().snapshot();
+    let rows = index.vectors().snapshot();
     let mut topk = TopK::new(k);
     index.bitmap().for_each_valid(index.forward().len(), |raw| {
         let id = ImageId(raw as u32);
-        if let Some(v) = vectors.get(id) {
-            let d = kernels.squared_l2(query, v.as_slice());
+        if let Some(row) = rows.get(id) {
+            let d = row.with(|row| kernels.squared_l2(query, row));
             if topk.would_accept(d) {
                 topk.push(id.as_u64(), d);
             }
@@ -400,6 +400,7 @@ mod tests {
     use crate::config::IndexConfig;
     use crate::ids::ListId;
     use crate::pq_store::FASTSCAN_BLOCK;
+    use crate::rows::ROW_BLOCK;
     use jdvs_storage::model::{ImageKey, ProductAttributes, ProductId};
     use jdvs_vector::rng::Xoshiro256;
     use jdvs_vector::Vector;
@@ -739,6 +740,43 @@ mod tests {
             let len = index.inverted().list(list).len();
             ragged += usize::from(len % FASTSCAN_BLOCK != 0);
             pq.put(ImageId(10_000 + l as u32), list, len, vector);
+        }
+        assert!(ragged > 0, "the world must have a ragged list tail");
+
+        for (q, expected) in data.iter().take(5).zip(&before) {
+            assert_eq!(&search_all(q.as_slice()), expected);
+        }
+    }
+
+    /// The raw twin of the test above: a row is published at position
+    /// `len` of a list whose id snapshot still ends at `len` — the stray
+    /// row is the query itself, so a scanner that scored it would rank it
+    /// first. The raw scanner must ignore that lane rather than index one
+    /// past the id block — unfiltered and filtered.
+    #[test]
+    fn row_published_past_the_id_snapshot_is_ignored() {
+        let (index, data) = build(300, 4, 53, false, 0, 9);
+        let category = FilterSpec::by_category(0);
+        let search_all = |q: &[f32]| {
+            let plain = SearchPlan::new(q, 10, 4);
+            let filtered = plain.filtered(&category);
+            (execute(&index, &plain), execute(&index, &filtered))
+        };
+        let before: Vec<_> = data
+            .iter()
+            .take(5)
+            .map(|q| search_all(q.as_slice()))
+            .collect();
+
+        // Every list gets the stray row (only ragged tails can show it; a
+        // full last block's successor is never read).
+        let mut ragged = 0;
+        for (l, vector) in data.iter().enumerate().take(index.config().num_lists) {
+            let list = ListId(l as u32);
+            let len = index.inverted().list(list).len();
+            ragged += usize::from(len % ROW_BLOCK != 0);
+            let stray = ImageId(10_000 + l as u32);
+            index.vectors().put(stray, list, len, vector.as_slice());
         }
         assert!(ragged > 0, "the world must have a ragged list tail");
 

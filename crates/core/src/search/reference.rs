@@ -95,7 +95,10 @@ pub fn filtered_compressed_search_reference(
         .expect("compressed search requires config.pq_subspaces (see IndexConfig)");
     let capacity = k.saturating_mul(rerank_factor).max(k);
     let qt = pq.quantized_adc_table(query);
-    let score = |id| pq.quantized_distance(&qt, id);
+    let score = |id| {
+        let (list, pos) = index.vectors().locate(id)?;
+        pq.quantized_distance(&qt, list, pos)
+    };
     let shortlist = collect(index, query, k, nprobe, capacity, filter, score);
     let mut topk = TopK::new(k);
     for candidate in shortlist.into_sorted_vec() {
@@ -110,12 +113,12 @@ pub fn filtered_compressed_search_reference(
     topk.into_sorted_vec()
 }
 
-/// Exact distance to `id`; `None` while its vector has not landed (such an
-/// id is skipped, never ranked at infinity).
+/// Exact distance to `id`, whose row is found through the id map; `None`
+/// while its row has not landed (such an id is skipped, never ranked at
+/// infinity).
 fn exact(index: &VisualIndex, query: &[f32], id: ImageId) -> Option<f32> {
-    index
-        .vectors()
-        .with(id, |v| squared_l2(query, v.as_slice()))
+    let row = index.vectors().snapshot().get(id)?;
+    Some(row.with(|row| squared_l2(query, row)))
 }
 
 /// The sequential scan every reference shares: the `nprobe` nearest

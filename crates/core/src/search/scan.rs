@@ -9,17 +9,22 @@
 //!
 //! Per probed list a scanner takes one
 //! [`crate::inverted::InvertedList::snapshot`] (the list's one lock and
-//! refcount) and, on the PQ paths, one borrowed
-//! [`crate::pq_store::PqListReader`] (neither). The raw scanner walks the
-//! snapshot in id blocks; the fast-scan scanner walks the *codes* in runs
-//! of up to [`RUN`] sealed blocks, one kernel call per run, and goes back
-//! to the snapshot only for lanes under the prune bound: a scan streams 8
-//! code bytes per candidate (m = 16) and nothing else. Candidates take
-//! two passes — the lanes under the bound into a batch from the sums
-//! alone, then the batch's ids read back to back, the validity (and
-//! filter) test and the push into the reservoir [`TopK`], whose
-//! threshold moves only when it compacts. A filtered plan scores first
-//! and filters after, on the lanes under the bound only.
+//! refcount) and one borrowed view of the list's payload, stored at the
+//! positions the list assigned: [`crate::rows::ListRows`] for the raw
+//! scanner, [`crate::pq_store::PqListReader`] for the fast-scan one
+//! (neither locks). Both stream that payload in position order and go
+//! back to the snapshot only for candidates under the prune bound. The
+//! raw scanner scores every published row of a 32-row block in place,
+//! with one kernel call per row, and reads the id, validity bit and
+//! filter of a row only when its distance passes
+//! [`TopK::would_accept`]. The fast-scan scanner walks the *codes* in
+//! runs of up to [`RUN`] sealed blocks, one kernel call per run: a scan
+//! streams 8 code bytes per candidate (m = 16) and nothing else. Its
+//! candidates take two passes — the lanes under the bound into a batch
+//! from the sums alone, then the batch's ids read back to back, the
+//! validity (and filter) test and the push into the reservoir [`TopK`],
+//! whose threshold moves only when it compacts. Both scanners score
+//! first and filter after, on the candidates under the bound only.
 
 use jdvs_vector::pq::QuantizedAdcTable;
 use jdvs_vector::simd::{self, KernelSet, FASTSCAN_LANES};
@@ -31,7 +36,7 @@ use crate::ids::{ImageId, ListId};
 use crate::index::VisualIndex;
 use crate::inverted::{InvertedIndex, ListSnapshot};
 use crate::pq_store::{PqStore, FASTSCAN_BLOCK, RUN};
-use crate::vectors::VectorSnapshot;
+use crate::rows::{RowStore, ROW_BLOCK};
 
 /// What every scanner reads about the plan it serves.
 pub(super) struct Lanes<'a> {
@@ -62,45 +67,52 @@ pub(super) trait ListScanner {
     fn scan_list(&mut self, list: usize, topk: &mut TopK);
 }
 
-/// Raw-vector scan: exact squared L2 over the stored `f32` features.
+/// Raw scan: exact squared L2 over the list's `f32` rows
+/// ([`crate::rows`]), published rows in position order. A row is scored
+/// before anything else about it is read: only a distance under the
+/// top-k threshold costs the id, its validity bit and the plan's filter.
 pub(super) struct RawScanner<'a> {
     pub lanes: &'a Lanes<'a>,
-    pub vectors: &'a VectorSnapshot,
+    pub rows: &'a RowStore,
     pub query: &'a [f32],
 }
 
 impl ListScanner for RawScanner<'_> {
     fn scan_list(&mut self, list: usize, topk: &mut TopK) {
-        let lanes = self.lanes;
         // The filter dispatch is hoisted out of the candidate loop.
-        lanes
-            .inverted
-            .scan_blocks(ListId(list as u32), |ids| match &lanes.view {
-                None => self.score_block(ids, topk, |_| true),
-                Some(view) => self.score_block(ids, topk, |id| view.admits(id)),
-            });
+        match &self.lanes.view {
+            None => self.scan(ListId(list as u32), topk, |_| true),
+            Some(view) => self.scan(ListId(list as u32), topk, |id| view.admits(id)),
+        }
     }
 }
 
 impl RawScanner<'_> {
-    /// Scores one id block; `admits` is the plan's filter.
+    /// Scans one list; `admits` is the plan's filter.
     #[inline]
-    fn score_block(&self, ids: &[ImageId], topk: &mut TopK, admits: impl Fn(usize) -> bool) {
+    fn scan(&self, list: ListId, topk: &mut TopK, admits: impl Fn(usize) -> bool) {
         let (bitmap, kernels) = (&self.lanes.bitmap, self.lanes.kernels);
-        for &id in ids {
-            // Deleted, or rejected before the vector is touched.
-            if !bitmap.test(id.as_usize()) || !admits(id.as_usize()) {
-                continue;
-            }
-            // A published id whose vector has not landed yet is *skipped*,
-            // not ranked at infinity — a sentinel distance would surface
-            // the phantom whenever fewer than k real candidates exist.
-            let Some(v) = self.vectors.get(id) else {
+        let ids = self.lanes.inverted.list(list).snapshot();
+        let rows = self.rows.list(list);
+        for (b, at) in (0..ids.len()).step_by(ROW_BLOCK).enumerate() {
+            // A block nobody wrote yet holds no published row.
+            let Some(block) = rows.block(b) else {
                 continue;
             };
-            let d = kernels.squared_l2(self.query, v.as_slice());
-            if topk.would_accept(d) {
-                topk.push(id.as_u64(), d);
+            // An unpublished lane is mid-insert (or an id whose row never
+            // landed): skipped, never ranked at infinity.
+            let listed = low_lanes(ROW_BLOCK.min(ids.len() - at));
+            for lane in set_bits(block.published() & listed) {
+                let d = block
+                    .row(lane)
+                    .with(|row| kernels.squared_l2(self.query, row));
+                if !topk.would_accept(d) {
+                    continue;
+                }
+                let id = ids.id(at + lane);
+                if bitmap.test(id.as_usize()) && admits(id.as_usize()) {
+                    topk.push(id.as_u64(), d);
+                }
             }
         }
     }
@@ -108,12 +120,13 @@ impl RawScanner<'_> {
 
 /// Mask of a block's first `lanes` lanes. The ids a scanner holds are a
 /// snapshot; the real-time indexer may since have appended to the list and
-/// published the new position's code, so the published-lane mask read
-/// afterwards can cover lanes the snapshot has no id for. Clipping to the
-/// snapshot leaves such an image to the next query (its validity bit was
-/// not set when this one began either).
+/// published the new position's row or code, so the published-lane mask
+/// read afterwards can cover lanes the snapshot has no id for. Clipping to
+/// the snapshot leaves such an image to the next query (its validity bit
+/// was not set when this one began either).
 fn low_lanes(lanes: usize) -> u32 {
     const _: () = assert!(FASTSCAN_BLOCK == u32::BITS as usize);
+    const _: () = assert!(ROW_BLOCK == u32::BITS as usize);
     debug_assert!((1..=FASTSCAN_BLOCK).contains(&lanes));
     u32::MAX >> (FASTSCAN_BLOCK - lanes)
 }

@@ -40,29 +40,58 @@ mod std_impl {
     pub(crate) use std::thread;
 }
 
+/// An atomic integer whose all-zero bit pattern is its zero and whose
+/// layout is that of [`Zeroed::Plain`] — what [`zeroed`] may allocate.
+pub(crate) trait Zeroed: Sized {
+    /// The plain integer of the same size and alignment.
+    type Plain: Copy + Default;
+    #[cfg(loom)]
+    fn zero() -> Self;
+}
+
+impl Zeroed for AtomicU64 {
+    type Plain = u64;
+    #[cfg(loom)]
+    fn zero() -> Self {
+        AtomicU64::new(0)
+    }
+}
+
+impl Zeroed for AtomicU32 {
+    type Plain = u32;
+    #[cfg(loom)]
+    fn zero() -> Self {
+        AtomicU32::new(0)
+    }
+}
+
 /// `n` zeroed atomic words. Normal builds allocate through the zeroing
-/// allocator (`vec![0u64; n]` is `calloc`), which hands back lazily-zeroed
-/// pages in O(1): element-wise `AtomicU64::new(0)` construction would touch
-/// every word on the writer path — an O(n) stall when an inverted list
-/// doubles (Figure 9's protocol exists to avoid it) and resident memory
-/// for a code segment's unwritten tail.
+/// allocator (`vec![0; n]` is `calloc`), which hands back lazily-zeroed
+/// pages in O(1): element-wise `new(0)` construction would touch every
+/// word on the writer path — an O(n) stall when an inverted list doubles
+/// (Figure 9's protocol exists to avoid it) and resident memory for a
+/// code segment's unwritten tail.
 #[cfg(not(loom))]
-pub(crate) fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>());
-    let zeroed: Box<[u64]> = vec![0u64; n].into_boxed_slice();
-    // SAFETY: `AtomicU64` has the size of `u64` (guaranteed by std) and,
-    // on this target, its alignment (asserted above); the all-zero bit
-    // pattern is a valid `AtomicU64`. Ownership transfers through the raw
-    // pointer without aliasing. `unsafe_slab_cast_round_trips` in
-    // tests/concurrency.rs exercises this cast under the interpreter
+pub(crate) fn zeroed<A: Zeroed>(n: usize) -> Box<[A]> {
+    const {
+        assert!(std::mem::size_of::<A>() == std::mem::size_of::<A::Plain>());
+        assert!(std::mem::align_of::<A>() == std::mem::align_of::<A::Plain>());
+    }
+    let zeroed: Box<[A::Plain]> = vec![A::Plain::default(); n].into_boxed_slice();
+    // SAFETY: `A` has the size and alignment of `A::Plain` (asserted
+    // above) and the all-zero bit pattern is a valid `A` (the `Zeroed`
+    // contract; the implementors are std's atomic integers). Ownership
+    // transfers through the raw pointer without aliasing.
+    // `unsafe_slab_cast_round_trips` in tests/concurrency.rs exercises
+    // this cast under the interpreter
     // (`cargo miri test -p jdvs-core --test concurrency unsafe_slab`).
-    unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [AtomicU64]) }
+    unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [A]) }
 }
 
 /// The loom shim's instrumented atomics are not layout-compatible with
-/// `u64`, so model builds construct element-wise. Model allocations are
-/// tiny; the O(n) cost is irrelevant there.
+/// plain integers, so model builds construct element-wise. Model
+/// allocations are tiny; the O(n) cost is irrelevant there.
 #[cfg(loom)]
-pub(crate) fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
+pub(crate) fn zeroed<A: Zeroed>(n: usize) -> Box<[A]> {
+    (0..n).map(|_| A::zero()).collect()
 }

@@ -23,6 +23,7 @@ use jdvs_core::forward::ForwardIndex;
 use jdvs_core::ids::{ImageId, ListId};
 use jdvs_core::inverted::InvertedList;
 use jdvs_core::pq_store::{PqStore, FASTSCAN_BLOCK, FIRST_SEGMENT};
+use jdvs_core::rows::{RowStore, ROW_BLOCK};
 use jdvs_core::swap::IndexHandle;
 use jdvs_storage::model::{ProductAttributes, ProductId};
 use jdvs_vector::pq::{PqConfig, ProductQuantizer};
@@ -261,6 +262,69 @@ fn pq_block_mask_publishes_complete_codes() {
                     assert_eq!(code[..], want[..], "read_code pos {pos}");
                 }
                 base += blocks * FASTSCAN_BLOCK;
+            }
+        };
+        check(false);
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        check(true);
+    });
+}
+
+/// Protocol 6, for rows — the block-mask publication of
+/// [`RowStore`]: a list of two row blocks, all lanes in place but three,
+/// which three writers fill while a reader walks both blocks. Any lane a
+/// mask admits must read back its exact final row — in the block walk and
+/// by id, through the id map — so a writer that set the published bit
+/// before its row's words were stored fails the model; once the writers
+/// are joined both blocks are sealed.
+#[test]
+fn list_row_mask_publishes_complete_rows() {
+    const DIM: usize = 2;
+    const END: usize = 2 * ROW_BLOCK;
+    const WRITTEN_LATE: [usize; 3] = [15, 31, ROW_BLOCK + 15];
+    let row = |pos: usize| [pos as f32 + 0.5, -(pos as f32) - 0.25];
+    loom::model(move || {
+        let store = Arc::new(RowStore::new(DIM, 1));
+        for pos in (0..END).filter(|pos| !WRITTEN_LATE.contains(pos)) {
+            store.put(ImageId(pos as u32), ListId(0), pos, &row(pos));
+        }
+        let writers: Vec<_> = WRITTEN_LATE
+            .into_iter()
+            .map(|pos| {
+                let store = Arc::clone(&store);
+                thread::spawn(move || store.put(ImageId(pos as u32), ListId(0), pos, &row(pos)))
+            })
+            .collect();
+
+        let check = |expect_sealed: bool| {
+            let list = store.list(ListId(0));
+            for b in 0..END / ROW_BLOCK {
+                let block = list.block(b).expect("every block has rows");
+                let mask = block.published();
+                let late = WRITTEN_LATE
+                    .iter()
+                    .filter(|&&pos| pos / ROW_BLOCK == b)
+                    .fold(0u32, |late, &pos| late | 1 << (pos % ROW_BLOCK));
+                assert_eq!(mask | late, u32::MAX, "pre-filled lanes of block {b}");
+                assert!(!expect_sealed || mask == u32::MAX, "all 32 lanes are in");
+                // The late lanes first, right after the mask load: a row
+                // published ahead of its words is still being written.
+                let lanes = (0..ROW_BLOCK).filter(|lane| late & 1 << lane != 0);
+                let lanes = lanes.chain((0..ROW_BLOCK).filter(|lane| late & 1 << lane == 0));
+                for lane in lanes.filter(|lane| mask & 1 << lane != 0) {
+                    let pos = b * ROW_BLOCK + lane;
+                    let got = block.row(lane).with(|r| r.to_vec());
+                    assert_eq!(got, row(pos), "pos {pos} under mask {mask:#x}");
+                }
+            }
+            for pos in WRITTEN_LATE {
+                // The id map is written after the row's publish: an id it
+                // finds has its complete row.
+                if let Some(found) = store.snapshot().get(ImageId(pos as u32)) {
+                    assert_eq!(found.with(|r| r.to_vec()), row(pos), "by id, pos {pos}");
+                }
             }
         };
         check(false);

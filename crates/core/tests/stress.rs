@@ -26,6 +26,7 @@ use jdvs_core::search::{self, SearchPlan};
 use jdvs_core::swap::IndexHandle;
 use jdvs_core::FilterSpec;
 use jdvs_storage::model::{ProductAttributes, ProductId};
+use jdvs_vector::distance::squared_l2;
 use jdvs_vector::Vector;
 use rand::{Rng, SmallRng};
 
@@ -267,6 +268,112 @@ fn pq_tail_blocks_race_compressed_execute() {
         assert_eq!(
             index.execute(&plain.filtered(&category)),
             search::filtered_compressed_search_reference(&index, q.as_slice(), 8, 4, 3, &category)
+        );
+    }
+}
+
+/// Writers taking turns at a raw index while readers execute raw plans
+/// over every list: the tail block of each list is the one the writers
+/// are filling, row by row, so readers keep meeting lanes whose row is
+/// published and lanes whose row is not yet, and the thread sanitizer
+/// checks that a block's Acquire mask load orders the in-place row reads
+/// after the row's stores. Every hit's distance must be bit-identical to
+/// one computed from the features read back by id — a torn or stale row
+/// would score differently. Once the writers are done every plan must
+/// equal its sequential oracle.
+#[test]
+fn raw_tail_blocks_race_raw_execute() {
+    const WRITERS: u64 = 3;
+    const DIM: usize = 16;
+    let ops = stress_ops(3_000);
+    let point = |rng: &mut SmallRng| -> Vector {
+        (0..DIM)
+            .map(|_| rng.gen_range(0..1000) as f32 / 500.0 - 1.0)
+            .collect()
+    };
+    let mut rng = SmallRng::seed_from_u64(stress_seed() ^ 0x12a3);
+    let training: Vec<Vector> = (0..200).map(|_| point(&mut rng)).collect();
+    let index = Arc::new(VisualIndex::bootstrap(
+        IndexConfig {
+            dim: DIM,
+            num_lists: 4,
+            initial_list_capacity: 2, // migrations under the id snapshots too
+            ..Default::default()
+        },
+        &training,
+    ));
+    let category = FilterSpec::by_category(1);
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..3u64)
+        .map(|t| {
+            let (index, stop, category) = (Arc::clone(&index), Arc::clone(&stop), category.clone());
+            std::thread::spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(stress_seed() ^ (0x51c3 + t));
+                let mut hits = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let q = point(&mut rng);
+                    let plain = SearchPlan::new(q.as_slice(), 8, 4);
+                    for plan in [plain, plain.filtered(&category)] {
+                        let result = index.execute(&plan);
+                        for pair in result.windows(2) {
+                            assert!(pair[0].distance <= pair[1].distance, "sorted");
+                            assert_ne!(pair[0].id, pair[1].id, "one slot per image");
+                        }
+                        for hit in &result {
+                            let id = ImageId(hit.id as u32);
+                            let features = index.features(id).expect("a hit has its row");
+                            let exact = squared_l2(q.as_slice(), features.as_slice());
+                            assert_eq!(hit.distance.to_bits(), exact.to_bits(), "id {id:?}");
+                            let attrs = index.attributes(id).expect("resolves");
+                            assert!(plan.filter.is_none() || attrs.category == 1);
+                            hits += 1;
+                        }
+                    }
+                }
+                hits
+            })
+        })
+        .collect();
+    let turn = Arc::new(Mutex::new(()));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (index, turn) = (Arc::clone(&index), Arc::clone(&turn));
+            std::thread::spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(stress_seed() ^ (w << 36));
+                for op in (w..ops).step_by(WRITERS as usize) {
+                    let attrs = ProductAttributes::new(ProductId(op), 1, 2, 3, format!("raw/{op}"))
+                        .with_category((op % 3) as u32);
+                    let v = point(&mut rng);
+                    let _turn = turn.lock().unwrap();
+                    index.insert(v, attrs).expect("insert");
+                }
+            })
+        })
+        .collect();
+    for h in writers {
+        h.join().unwrap();
+    }
+    index.flush();
+    stop.store(true, Ordering::Relaxed);
+    let hits: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(hits > 0, "readers observed hits while the writers ran");
+    assert_eq!(index.inverted().total_entries() as u64, ops);
+    let (allocated, written) = index.vectors().row_bytes();
+    assert_eq!(written, ops as usize * DIM * 4);
+    assert!(
+        allocated - written <= 4 * 32 * DIM * 4,
+        "one open block per list"
+    );
+    for _ in 0..20 {
+        let q = point(&mut rng);
+        let plain = SearchPlan::new(q.as_slice(), 8, 4);
+        assert_eq!(
+            index.execute(&plain),
+            search::ann_search_reference(&index, q.as_slice(), 8, 4)
+        );
+        assert_eq!(
+            index.execute(&plain.filtered(&category)),
+            search::filtered_ann_search_reference(&index, q.as_slice(), 8, 4, &category)
         );
     }
 }

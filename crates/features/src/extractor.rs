@@ -89,10 +89,9 @@ impl FeatureExtractor {
 
     /// Extracts features from an image blob.
     pub fn extract(&self, blob: &ImageBlob) -> Vector {
-        let center = self.cluster_center(blob.visual_seed);
+        let mut data = self.center_components(blob.visual_seed);
         let content = content_hash(&blob.bytes);
         let mut rng = Xoshiro256::seed_from(content ^ self.config.model_seed.rotate_left(17));
-        let mut data = center.into_inner();
         for x in &mut data {
             *x += rng.next_gaussian() as f32 * self.config.jitter;
         }
@@ -106,11 +105,17 @@ impl FeatureExtractor {
     /// The (unjittered, unnormalized) center of a visual cluster — exposed
     /// so workload generators can place query images inside a known cluster.
     pub fn cluster_center(&self, visual_seed: u64) -> Vector {
+        Vector::from(self.center_components(visual_seed))
+    }
+
+    /// The components of [`Self::cluster_center`], as a buffer `extract`
+    /// jitters in place.
+    fn center_components(&self, visual_seed: u64) -> Vec<f32> {
         let mut sm = SplitMix64::new(visual_seed ^ self.config.model_seed);
         let mut rng = Xoshiro256::seed_from(sm.next_u64());
         let mut data = vec![0.0f32; self.config.dim];
         rng.fill_gaussian(&mut data);
-        Vector::from(data)
+        data
     }
 }
 

@@ -183,6 +183,7 @@ impl AdmissionController {
             return Ok(Permit {
                 controller: self,
                 begun: Instant::now(),
+                served: false,
             });
         }
 
@@ -225,6 +226,7 @@ impl AdmissionController {
                 return Ok(Permit {
                     controller: self,
                     begun: Instant::now(),
+                    served: false,
                 });
             }
             let remaining = deadline.saturating_duration_since(now);
@@ -266,7 +268,9 @@ impl AdmissionController {
         }
     }
 
-    fn release(&self, began: Instant) {
+    /// Records one served request: its service time into the EWMA
+    /// estimate, and the `completed` count.
+    fn record_service(&self, began: Instant) {
         let elapsed_ns = u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // EWMA the service-time estimate; first sample seeds it directly.
         let prev = self.service_ns.load(Ordering::Relaxed);
@@ -278,26 +282,44 @@ impl AdmissionController {
             blended as u64
         };
         self.service_ns.store(next.max(1), Ordering::Relaxed);
+        self.metrics.completed.incr();
+    }
 
+    /// Frees one concurrency slot and wakes one queued waiter.
+    fn free_slot(&self) {
         let mut slots = self.slots.lock();
         slots.in_flight -= 1;
         drop(slots);
-        self.metrics.completed.incr();
         self.slot_freed.notify_one();
     }
 }
 
-/// RAII concurrency slot: dropping it frees the slot, records the service
-/// time into the EWMA estimate and wakes one queued waiter.
+/// RAII concurrency slot: dropping it frees the slot and wakes one queued
+/// waiter, after recording the service time into the EWMA estimate unless
+/// [`Permit::served`] already did.
 #[derive(Debug)]
 pub struct Permit<'a> {
     controller: &'a AdmissionController,
     begun: Instant,
+    served: bool,
+}
+
+impl Permit<'_> {
+    /// Records the request as served — its service time and the
+    /// `completed` count — while the permit keeps its slot, so work that
+    /// follows the service (writing the reply) still counts as in flight
+    /// but not as service time.
+    pub fn served(&mut self) {
+        if !std::mem::replace(&mut self.served, true) {
+            self.controller.record_service(self.begun);
+        }
+    }
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.controller.release(self.begun);
+        self.served();
+        self.controller.free_slot();
     }
 }
 

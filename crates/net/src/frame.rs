@@ -83,7 +83,9 @@ impl std::fmt::Display for ShedReason {
 /// Errors reading or parsing a frame.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The peer closed the connection cleanly between frames.
+    /// The peer closed the connection between frames: a clean close, or a
+    /// reset before any byte of the next frame (a peer that closes with
+    /// a request of ours unread resets the connection instead).
     Closed,
     /// An I/O error (including read timeouts) mid-frame.
     Io(io::Error),
@@ -262,7 +264,7 @@ impl<R: Read> FrameReader<R> {
     ///
     /// # Errors
     ///
-    /// [`FrameError::Closed`] on clean EOF between frames;
+    /// [`FrameError::Closed`] on EOF or a connection reset between frames;
     /// [`FrameError::Io`] on I/O errors (including timeouts — the bytes
     /// read so far are kept, and calling again resumes the same frame);
     /// [`FrameError::TooLarge`]/[`FrameError::Corrupt`] on malformed
@@ -298,6 +300,9 @@ impl<R: Read> FrameReader<R> {
         while self.end - self.pos < need {
             match self.inner.read(&mut self.buf[self.end..]) {
                 Ok(0) if self.end == self.pos => return Err(FrameError::Closed),
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset && self.end == self.pos => {
+                    return Err(FrameError::Closed)
+                }
                 Ok(0) => return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into())),
                 Ok(n) => self.end += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -404,14 +404,14 @@ fn serve_connection<S: Service>(
             Err(_) => break, // closed, torn or corrupt: drop the connection
         };
         let metrics = admission.metrics();
-        let reply = match envelope {
+        let (reply, permit) = match envelope {
             Err(_) => {
                 metrics.decode_errors.incr();
-                ResponseEnvelope::Error
+                (ResponseEnvelope::Error, None)
             }
             Ok(envelope) => match admission.admit(envelope.budget) {
-                Err(reason) => ResponseEnvelope::Overloaded(reason),
-                Ok(permit) => {
+                Err(reason) => (ResponseEnvelope::Overloaded(reason), None),
+                Ok(mut permit) => {
                     let reply = match decode_request_body(&envelope.body) {
                         Some(request) => {
                             let response = service.handle(request);
@@ -422,8 +422,8 @@ fn serve_connection<S: Service>(
                             ResponseEnvelope::Error
                         }
                     };
-                    drop(permit);
-                    reply
+                    permit.served();
+                    (reply, Some(permit))
                 }
             },
         };
@@ -431,7 +431,12 @@ fn serve_connection<S: Service>(
         if let Some(peer) = peer.filter(|_| delivered && link.delays()) {
             link.sent.lock().insert(peer, Instant::now());
         }
-        if respond(conn.get_mut(), &reply).is_err() {
+        let sent = respond(conn.get_mut(), &reply);
+        // An admitted request holds its slot until its reply is written:
+        // `TcpTier::drain` severs connections once `in_flight()` reads 0,
+        // and must not cut off a reply it admitted.
+        drop(permit);
+        if sent.is_err() {
             break;
         }
     }
@@ -850,6 +855,65 @@ mod tests {
         );
     }
 
+    /// Answers `reply_len` bytes, and signals `handled` as `handle`
+    /// returns.
+    struct SignalsHandled {
+        reply_len: usize,
+        handled: Mutex<std::sync::mpsc::Sender<()>>,
+    }
+    impl Service for SignalsHandled {
+        type Request = Vec<u8>;
+        type Response = Vec<u8>;
+        fn handle(&self, _req: Vec<u8>) -> Vec<u8> {
+            let reply = vec![0xAB; self.reply_len];
+            self.handled.lock().send(()).unwrap();
+            reply
+        }
+    }
+
+    /// A drain that starts while an admitted request's reply is being
+    /// written must wait for the write, not sever it: the reply is larger
+    /// than the loopback socket buffers and the client reads it only after
+    /// the drain began, so the write is still blocked when the drain first
+    /// looks at `in_flight()`.
+    #[test]
+    fn drain_waits_for_an_admitted_reply_to_be_written() {
+        const REPLY: usize = 12 << 20;
+        let (handled, handled_rx) = std::sync::mpsc::channel();
+        let mut tier = TcpTier::spawn(
+            "big-reply",
+            SignalsHandled {
+                reply_len: REPLY,
+                handled: Mutex::new(handled),
+            },
+            bytes_decode,
+            bytes_encode,
+            AdmissionConfig::default(),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(tier.local_addr()).unwrap();
+        write_frame(&mut stream, &encode_request(Duration::from_secs(5), b"q")).unwrap();
+        handled_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the request is handled");
+        let reader = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(100));
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            crate::frame::read_frame(&mut stream)
+        });
+        assert!(tier.drain(Duration::from_secs(5)), "tier should go idle");
+        let frame = reader
+            .join()
+            .unwrap()
+            .expect("an admitted request is answered, not severed");
+        match decode_response(&frame) {
+            Ok(ResponseEnvelope::Ok(body)) => assert_eq!(body.len(), REPLY),
+            other => panic!("expected the full reply, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn draining_tier_sheds_new_requests() {
         let tier = TcpTier::spawn(
@@ -997,6 +1061,32 @@ mod tests {
             served
         });
         (addr, stop, server)
+    }
+
+    /// A pooled connection the server resets — it closed the socket with
+    /// our next request unread, so the kernel answers with a reset, not a
+    /// clean close — is retried on a fresh socket like a closed one.
+    #[test]
+    fn reset_pooled_connection_is_retried_once_on_a_fresh_socket() {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            for _ in 0..2 {
+                let (stream, _) = listener.accept().unwrap();
+                let mut conn = FrameReader::new(stream);
+                let request = decode_request(conn.read_frame().unwrap()).unwrap();
+                respond(conn.get_mut(), &ResponseEnvelope::Ok(request.body)).unwrap();
+                // Wait for the next request (or the close), then drop the
+                // socket with it unread.
+                let _ = conn.get_ref().peek(&mut [0u8; 1]);
+            }
+        });
+        let chan = TcpChannel::new("reset", addr, bytes_encode, bytes_decode);
+        let deadline = Duration::from_secs(2);
+        assert_eq!(chan.call(vec![1], deadline), Ok(vec![1]));
+        assert_eq!(chan.call(vec![2], deadline), Ok(vec![2]));
+        drop(chan);
+        server.join().unwrap();
     }
 
     #[test]

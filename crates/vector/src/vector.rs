@@ -5,14 +5,20 @@
 //! them, the IVF index assigns them to inverted lists, and searchers compare
 //! them against queries.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// An owned, dense `f32` feature vector.
 ///
-/// The in-memory representation is a plain `Vec<f32>`; the wrapper exists so
-/// that vector-level operations (norms, normalization, distance helpers)
-/// have an obvious home and so the rest of the system never confuses a
-/// feature vector with an arbitrary float buffer.
+/// The components live in one shared, copy-on-write buffer: an image's
+/// features are written once by the extractor and then held unchanged by
+/// several owners (the feature database, in-flight records, caches), so a
+/// clone shares the buffer and a mutation copies it only while it is
+/// shared. The wrapper exists so that vector-level operations (norms,
+/// normalization, distance helpers) have an obvious home and so the rest of
+/// the system never confuses a feature vector with an arbitrary float
+/// buffer.
 ///
 /// # Example
 ///
@@ -27,14 +33,14 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Vector {
-    data: Vec<f32>,
+    data: Arc<[f32]>,
 }
 
 impl Vector {
     /// Creates a zero vector of dimension `dim`.
     pub fn zeros(dim: usize) -> Self {
         Self {
-            data: vec![0.0; dim],
+            data: vec![0.0; dim].into(),
         }
     }
 
@@ -55,12 +61,13 @@ impl Vector {
 
     /// Mutably borrows the components.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data)
     }
 
-    /// Consumes the vector, returning the underlying buffer.
+    /// Consumes the vector, returning its components as a `Vec` (a copy:
+    /// the buffer may be shared).
     pub fn into_inner(self) -> Vec<f32> {
-        self.data
+        self.data.to_vec()
     }
 
     /// Euclidean (L2) norm.
@@ -78,7 +85,7 @@ impl Vector {
     pub fn normalize(&mut self) {
         let n = self.norm();
         if n > 0.0 {
-            for x in &mut self.data {
+            for x in self.as_mut_slice() {
                 *x /= n;
             }
         }
@@ -98,14 +105,14 @@ impl Vector {
     /// Panics if dimensions differ.
     pub fn add_assign(&mut self, other: &Vector) {
         assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += b;
         }
     }
 
     /// Multiplies every component by `s`.
     pub fn scale(&mut self, s: f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x *= s;
         }
     }
@@ -113,15 +120,13 @@ impl Vector {
 
 impl From<Vec<f32>> for Vector {
     fn from(data: Vec<f32>) -> Self {
-        Self { data }
+        Self { data: data.into() }
     }
 }
 
 impl From<&[f32]> for Vector {
     fn from(data: &[f32]) -> Self {
-        Self {
-            data: data.to_vec(),
-        }
+        Self { data: data.into() }
     }
 }
 

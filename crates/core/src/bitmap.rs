@@ -8,11 +8,16 @@
 //! concurrent searches immediately, with no index restructuring. Physical
 //! cleanup happens at the next weekly full-index build. [`AtomicBitmap`]
 //! packs 64 validity flags per `AtomicU64` word; set/clear/test are single
-//! atomic ops. The word array grows amortized-doubling behind a `RwLock`
-//! spine — readers pay one uncontended read-lock acquisition, writers only
-//! take the write lock on (rare) growth.
+//! atomic ops. The words live in a never-relocating array
+//! ([`crate::directory`]): growth installs a new bucket and moves nothing,
+//! so a scan borrows the bitmap for a whole query and pins no lock, and a
+//! flip past the current capacity never waits for that scan.
 
-use crate::sync::{AtomicU64, Ordering, RwLock, RwLockReadGuard};
+use crate::directory::AtomicArray;
+use crate::sync::{AtomicU64, Ordering};
+
+/// Words in the bitmap's first bucket (4,096 flags).
+const FIRST_WORDS: usize = 64;
 
 /// A growable, thread-safe bitmap.
 ///
@@ -28,41 +33,48 @@ use crate::sync::{AtomicU64, Ordering, RwLock, RwLockReadGuard};
 /// bm.clear(100);
 /// assert!(!bm.test(100));
 /// ```
-#[derive(Debug, Default)]
 pub struct AtomicBitmap {
-    words: RwLock<Vec<AtomicU64>>,
+    words: AtomicArray<AtomicU64>,
+}
+
+impl std::fmt::Debug for AtomicBitmap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AtomicBitmap")
+            .field("ones", &self.count_ones())
+            .finish()
+    }
+}
+
+impl Default for AtomicBitmap {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AtomicBitmap {
     /// Creates an empty bitmap.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a bitmap pre-sized for at least `bits` flags.
-    pub fn with_capacity(bits: usize) -> Self {
-        let words = bits.div_ceil(64);
         Self {
-            words: RwLock::new((0..words).map(|_| AtomicU64::new(0)).collect()),
+            words: AtomicArray::new(FIRST_WORDS),
         }
     }
 
     /// Sets bit `index` to 1 (image becomes valid), growing as needed.
     pub fn set(&self, index: usize) {
-        self.ensure(index);
-        let words = self.words.read();
         // Release: pairs with the Acquire loads in `test`/`for_each_valid`
         // so a scan that sees the bit flip also sees whatever the flipper
         // wrote before it (e.g. the forward-index record for a re-listing).
-        words[index / 64].fetch_or(1 << (index % 64), Ordering::Release);
+        self.words
+            .get_or_grow(index / 64)
+            .fetch_or(1 << (index % 64), Ordering::Release);
     }
 
     /// Clears bit `index` to 0 (image becomes invalid), growing as needed.
     pub fn clear(&self, index: usize) {
-        self.ensure(index);
-        let words = self.words.read();
         // Release: see `set`.
-        words[index / 64].fetch_and(!(1 << (index % 64)), Ordering::Release);
+        self.words
+            .get_or_grow(index / 64)
+            .fetch_and(!(1 << (index % 64)), Ordering::Release);
     }
 
     /// Writes bit `index` to `value`.
@@ -74,43 +86,40 @@ impl AtomicBitmap {
         }
     }
 
-    /// Tests bit `index`; out-of-range bits read as 0 (an image the bitmap
-    /// has never covered is invalid by definition).
+    /// Tests bit `index`; bits never grown into read as 0 (an image the
+    /// bitmap has never covered is invalid by definition). The scan hot
+    /// path: flips made at any time are visible (the words are atomics),
+    /// and no call takes a lock.
+    #[inline]
     pub fn test(&self, index: usize) -> bool {
-        let words = self.words.read();
-        match words.get(index / 64) {
-            // Acquire: pairs with the Release RMWs in `set`/`clear`.
+        match self.words.get(index / 64) {
+            // Acquire: pairs with the Release RMWs in `set`/`clear` — a
+            // block scan sees flips made after it began.
             Some(w) => w.load(Ordering::Acquire) & (1 << (index % 64)) != 0,
             None => false,
-        }
-    }
-
-    /// Pins the word array once and returns a reader for repeated tests —
-    /// the scan hot path: one read-lock acquisition covers a whole query
-    /// instead of one per candidate. Bit flips made while the reader is
-    /// live remain visible (the words themselves are atomics); only
-    /// *growth* past the pinned capacity is missed, and fresh bits are
-    /// invalid anyway.
-    pub fn reader(&self) -> BitmapReader<'_> {
-        BitmapReader {
-            words: self.words.read(),
         }
     }
 
     /// Calls `f(index)` for every set bit below `limit`, testing 64 flags
     /// per word load and skipping all-clear words outright.
     pub fn for_each_valid(&self, limit: usize, mut f: impl FnMut(usize)) {
-        let words = self.words.read();
-        let last_word = limit.div_ceil(64).min(words.len());
-        for (wi, word) in words[..last_word].iter().enumerate() {
-            let mut bits = word.load(Ordering::Acquire);
-            if (wi + 1) * 64 > limit {
-                bits &= (1u64 << (limit % 64)) - 1;
-            }
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                f(wi * 64 + bit);
-                bits &= bits - 1;
+        let last_word = limit.div_ceil(64);
+        for (start, words) in self.words.installed() {
+            for (i, word) in words
+                .iter()
+                .take(last_word.saturating_sub(start))
+                .enumerate()
+            {
+                let wi = start + i;
+                let mut bits = word.load(Ordering::Acquire);
+                if (wi + 1) * 64 > limit {
+                    bits &= (1u64 << (limit % 64)) - 1;
+                }
+                while bits != 0 {
+                    let bit = bits.trailing_zeros() as usize;
+                    f(wi * 64 + bit);
+                    bits &= bits - 1;
+                }
             }
         }
     }
@@ -118,56 +127,10 @@ impl AtomicBitmap {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words
-            .read()
-            .iter()
+            .installed()
+            .flat_map(|(_, words)| words)
             .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
             .sum()
-    }
-
-    /// Current capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.words.read().len() * 64
-    }
-
-    /// Grows the word array (amortized doubling) so `index` is addressable.
-    fn ensure(&self, index: usize) {
-        let needed = index / 64 + 1;
-        if self.words.read().len() >= needed {
-            return;
-        }
-        let mut words = self.words.write();
-        // Re-check under the write lock; another writer may have grown.
-        let target = needed.max(words.len() * 2).max(4);
-        while words.len() < target {
-            words.push(AtomicU64::new(0));
-        }
-    }
-}
-
-/// A pinned view of the bitmap for repeated lock-free tests; see
-/// [`AtomicBitmap::reader`].
-pub struct BitmapReader<'a> {
-    words: RwLockReadGuard<'a, Vec<AtomicU64>>,
-}
-
-impl std::fmt::Debug for BitmapReader<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BitmapReader")
-            .field("capacity", &(self.words.len() * 64))
-            .finish()
-    }
-}
-
-impl BitmapReader<'_> {
-    /// Tests bit `index`; bits beyond the pinned capacity read as 0.
-    #[inline]
-    pub fn test(&self, index: usize) -> bool {
-        match self.words.get(index / 64) {
-            // Acquire: pairs with the Release RMWs in set/clear — a block
-            // scan sees flips made after the reader was pinned.
-            Some(w) => w.load(Ordering::Acquire) & (1 << (index % 64)) != 0,
-            None => false,
-        }
     }
 }
 
@@ -214,13 +177,10 @@ mod tests {
         let bm = AtomicBitmap::new();
         bm.clear(10_000);
         assert!(!bm.test(10_000));
-        assert!(bm.capacity() > 10_000);
-    }
-
-    #[test]
-    fn with_capacity_presizes() {
-        let bm = AtomicBitmap::with_capacity(1000);
-        assert!(bm.capacity() >= 1000);
+        assert!(
+            bm.words.get(10_000 / 64).is_some(),
+            "the clear grew the bitmap"
+        );
     }
 
     #[test]
@@ -261,15 +221,20 @@ mod tests {
         for i in [0usize, 5, 63, 64, 200] {
             bm.set(i);
         }
-        let r = bm.reader();
-        for i in 0..256 {
-            assert_eq!(r.test(i), bm.test(i), "bit {i}");
-        }
-        // A clear made while the reader is pinned must be visible: the
-        // stage-2 rerank recheck depends on this.
+        // What a plan holds: a plain borrow.
+        let r = &bm;
+        // A clear, and growth far past the first bucket, made while the
+        // borrow is live are both visible: the stage-2 rerank recheck
+        // depends on the first, and nothing waits for the borrow.
         bm.clear(64);
+        bm.set(1 << 20);
         assert!(!r.test(64));
-        assert!(!r.test(1 << 30), "beyond pinned capacity reads 0");
+        assert!(r.test(1 << 20));
+        assert!(r.test(200) && r.test(63));
+        assert!(!r.test(1 << 30), "beyond every installed bucket reads 0");
+        let mut seen = Vec::new();
+        r.for_each_valid(usize::MAX, |i| seen.push(i));
+        assert_eq!(seen, vec![0, 5, 63, 200, 1 << 20]);
     }
 
     #[test]

@@ -10,22 +10,26 @@
 //!
 //! [`VarBuffer`] implements that contract:
 //!
-//! - storage is a chain of fixed-size chunks of `AtomicU8`; chunks are
-//!   never moved or freed, so references stay valid forever;
+//! - storage is a never-relocating array of `AtomicU8` in doubling
+//!   buckets ([`crate::directory`]); bytes are never moved or freed, so
+//!   references stay valid forever, a reader borrows them with no lock
+//!   and no refcount, and an append that opens a new bucket never waits
+//!   for a reader;
 //! - [`VarBuffer::append`] writes the bytes (relaxed stores) and returns a
 //!   [`PackedRef`] — offset and length packed into one `u64` — which the
 //!   caller publishes with a release store into the forward index;
 //! - readers acquire the packed word, then read exactly those bytes.
 //!
-//! A record never straddles a chunk boundary (appends skip to the next
-//! chunk instead), so every read is a single contiguous copy.
+//! A record never straddles a bucket (appends skip to the next bucket
+//! instead), so every read is a single contiguous copy.
 
-use crate::sync::{Arc, AtomicU8, Mutex, Ordering, RwLock};
+use crate::directory::AtomicArray;
+use crate::sync::{AtomicU8, Mutex, Ordering};
 
 use crate::error::IndexError;
 
-/// Chunk size in bytes (1 MiB).
-pub const CHUNK_SIZE: usize = 1 << 20;
+/// Bytes in the first bucket (1 MiB); bucket `b` holds `FIRST_BUCKET << b`.
+pub const FIRST_BUCKET: usize = 1 << 20;
 
 /// Maximum record length: 24 bits of the packed word.
 pub const MAX_RECORD_LEN: usize = (1 << 24) - 1;
@@ -72,20 +76,6 @@ impl PackedRef {
     }
 }
 
-struct Chunk {
-    bytes: Box<[AtomicU8]>,
-}
-
-impl Chunk {
-    fn new(size: usize) -> Self {
-        let mut v = Vec::with_capacity(size);
-        v.resize_with(size, || AtomicU8::new(0));
-        Self {
-            bytes: v.into_boxed_slice(),
-        }
-    }
-}
-
 /// The append-only buffer; see the module docs.
 ///
 /// # Example
@@ -98,17 +88,15 @@ impl Chunk {
 /// assert_eq!(buf.read(r).unwrap(), b"https://img.jd.com/sku/1.jpg");
 /// ```
 pub struct VarBuffer {
-    chunks: RwLock<Vec<Arc<Chunk>>>,
+    bytes: AtomicArray<AtomicU8>,
     // Single append cursor; appends are serialized (the real-time indexer
     // is the only writer per partition), reads are lock-free w.r.t. it.
-    write_pos: Mutex<u64>,
-    chunk_size: usize,
+    write_pos: Mutex<usize>,
 }
 
 impl std::fmt::Debug for VarBuffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VarBuffer")
-            .field("chunks", &self.chunks.read().len())
             .field("bytes_used", &*self.write_pos.lock())
             .finish()
     }
@@ -121,23 +109,23 @@ impl Default for VarBuffer {
 }
 
 impl VarBuffer {
-    /// Creates a buffer with the default chunk size.
+    /// Creates a buffer with the default first bucket.
     pub fn new() -> Self {
-        Self::with_chunk_size(CHUNK_SIZE)
+        Self::with_first_bucket(FIRST_BUCKET)
     }
 
-    /// Creates a buffer with a custom chunk size (tests use small chunks to
-    /// exercise boundary handling cheaply).
+    /// Creates a buffer whose first bucket holds `bytes`, rounded up to a
+    /// power of two (tests use small buckets to exercise boundary handling
+    /// cheaply). No record is longer than the first bucket.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size == 0`.
-    pub fn with_chunk_size(chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
+    /// Panics if `bytes == 0`.
+    pub fn with_first_bucket(bytes: usize) -> Self {
+        assert!(bytes > 0, "first bucket must be positive");
         Self {
-            chunks: RwLock::new(Vec::new()),
+            bytes: AtomicArray::new(bytes.next_power_of_two()),
             write_pos: Mutex::new(0),
-            chunk_size,
         }
     }
 
@@ -146,9 +134,9 @@ impl VarBuffer {
     /// # Errors
     ///
     /// Returns [`IndexError::AttributeTooLarge`] if `bytes` exceeds the
-    /// record limit (or the configured chunk size).
+    /// record limit (or the first bucket).
     pub fn append(&self, bytes: &[u8]) -> Result<PackedRef, IndexError> {
-        let max = MAX_RECORD_LEN.min(self.chunk_size);
+        let max = MAX_RECORD_LEN.min(self.bytes.first());
         if bytes.len() > max {
             return Err(IndexError::AttributeTooLarge {
                 len: bytes.len(),
@@ -156,32 +144,24 @@ impl VarBuffer {
             });
         }
         let mut pos = self.write_pos.lock();
-        let chunk_size = self.chunk_size as u64;
-        // Skip to the next chunk if the record would straddle a boundary.
-        let within = *pos % chunk_size;
-        if within + bytes.len() as u64 > chunk_size {
-            *pos += chunk_size - within;
-        }
-        let offset = *pos;
-        let chunk_idx = (offset / chunk_size) as usize;
-        let chunk_off = (offset % chunk_size) as usize;
-        // Grow the chunk chain if needed.
-        {
-            let chunks = self.chunks.read();
-            if chunks.len() <= chunk_idx {
-                drop(chunks);
-                let mut chunks = self.chunks.write();
-                while chunks.len() <= chunk_idx {
-                    chunks.push(Arc::new(Chunk::new(self.chunk_size)));
-                }
+        let mut offset = *pos;
+        if !bytes.is_empty() {
+            // Skip to the next bucket if the record would straddle one.
+            let next = self.bytes.next_bucket(offset);
+            if offset + bytes.len() > next {
+                offset = next;
+            }
+            self.bytes.get_or_grow(offset);
+            let dst = self
+                .bytes
+                .slice(offset, bytes.len())
+                .expect("a record fits in its bucket");
+            for (d, &b) in dst.iter().zip(bytes) {
+                d.store(b, Ordering::Relaxed);
             }
         }
-        let chunk = Arc::clone(&self.chunks.read()[chunk_idx]);
-        for (i, &b) in bytes.iter().enumerate() {
-            chunk.bytes[chunk_off + i].store(b, Ordering::Relaxed);
-        }
-        *pos = offset + bytes.len() as u64;
-        Ok(PackedRef::new(offset, bytes.len()))
+        *pos = offset + bytes.len();
+        Ok(PackedRef::new(offset as u64, bytes.len()))
     }
 
     /// Reads the bytes behind a reference.
@@ -189,37 +169,30 @@ impl VarBuffer {
     /// # Errors
     ///
     /// Returns [`IndexError::CorruptReference`] if `r` does not reference
-    /// bytes this buffer has allocated — the referenced chunk does not
-    /// exist, or the record would run past a chunk boundary (valid
-    /// references never straddle chunks). A forward-index word can only
+    /// bytes this buffer has allocated — the referenced bucket does not
+    /// exist, or the record would run past a bucket's end (valid
+    /// references never straddle buckets). A forward-index word can only
     /// decode to such a reference through corruption or cross-buffer
     /// mixing, so the serving path reports it instead of panicking the
-    /// searcher (previously this method panicked).
+    /// searcher.
     pub fn read(&self, r: PackedRef) -> Result<Vec<u8>, IndexError> {
         if r.is_empty() {
             return Ok(Vec::new());
         }
-        let corrupt = || IndexError::CorruptReference {
-            offset: r.offset(),
-            len: r.len(),
-        };
-        let chunk_idx = (r.offset() / self.chunk_size as u64) as usize;
-        let chunk_off = (r.offset() % self.chunk_size as u64) as usize;
-        // Both checks matter: the chunk must exist, and the record must fit
-        // inside it — a huge `len` with a small in-range offset would
-        // otherwise index past the chunk.
-        if chunk_off + r.len() > self.chunk_size {
-            return Err(corrupt());
-        }
-        let chunks = self.chunks.read();
-        let chunk = Arc::clone(chunks.get(chunk_idx).ok_or_else(corrupt)?);
-        drop(chunks);
-        Ok((0..r.len())
+        let bytes =
+            self.bytes
+                .slice(r.offset() as usize, r.len())
+                .ok_or(IndexError::CorruptReference {
+                    offset: r.offset(),
+                    len: r.len(),
+                })?;
+        Ok(bytes
+            .iter()
             // Relaxed: the caller obtained `r` from an Acquire load of the
             // forward-index reference word, which pairs with the Release
             // store publishing it; the byte stores in `append` are ordered
             // before that publication.
-            .map(|i| chunk.bytes[chunk_off + i].load(Ordering::Relaxed))
+            .map(|b| b.load(Ordering::Relaxed))
             .collect())
     }
 
@@ -230,11 +203,6 @@ impl VarBuffer {
     /// Propagates [`IndexError::CorruptReference`] from [`Self::read`].
     pub fn read_string(&self, r: PackedRef) -> Result<String, IndexError> {
         Ok(String::from_utf8_lossy(&self.read(r)?).into_owned())
-    }
-
-    /// Total bytes appended (including boundary padding skips).
-    pub fn bytes_used(&self) -> u64 {
-        *self.write_pos.lock()
     }
 }
 
@@ -264,17 +232,26 @@ mod tests {
 
     #[test]
     fn records_never_straddle_chunks() {
-        let buf = VarBuffer::with_chunk_size(16);
-        let r1 = buf.append(b"0123456789").unwrap(); // 10 bytes in chunk 0
-        let r2 = buf.append(b"abcdefghij").unwrap(); // won't fit: starts chunk 1
+        let buf = VarBuffer::with_first_bucket(16);
+        let r1 = buf.append(b"0123456789").unwrap(); // 10 bytes in bucket 0
+        let r2 = buf.append(b"abcdefghij").unwrap(); // won't fit: starts bucket 1
         assert_eq!(buf.read(r1).unwrap(), b"0123456789");
         assert_eq!(buf.read(r2).unwrap(), b"abcdefghij");
-        assert_eq!(r2.offset(), 16, "second record skips to the chunk boundary");
+        assert_eq!(
+            r2.offset(),
+            16,
+            "second record skips to the bucket boundary"
+        );
+        // Bucket 1 holds 16..48: a record that would cross 48 starts there.
+        buf.append(b"0123456789abcdef").unwrap(); // 26..42
+        let r3 = buf.append(b"xyzxyzxy").unwrap();
+        assert_eq!(buf.read(r3).unwrap(), b"xyzxyzxy");
+        assert_eq!(r3.offset(), 48);
     }
 
     #[test]
     fn oversized_record_is_rejected() {
-        let buf = VarBuffer::with_chunk_size(8);
+        let buf = VarBuffer::with_first_bucket(8);
         let err = buf.append(b"123456789").unwrap_err();
         assert!(matches!(
             err,
@@ -304,7 +281,7 @@ mod tests {
 
     #[test]
     fn many_records_across_many_chunks() {
-        let buf = VarBuffer::with_chunk_size(64);
+        let buf = VarBuffer::with_first_bucket(64);
         let refs: Vec<(PackedRef, String)> = (0..1_000)
             .map(|i| {
                 let s = format!("record-{i}");
@@ -314,12 +291,11 @@ mod tests {
         for (r, expect) in refs {
             assert_eq!(buf.read_string(r).unwrap(), expect);
         }
-        assert!(buf.bytes_used() > 0);
     }
 
     #[test]
     fn concurrent_readers_during_appends() {
-        let buf = StdArc::new(VarBuffer::with_chunk_size(256));
+        let buf = StdArc::new(VarBuffer::with_first_bucket(256));
         let r0 = buf.append(b"stable-record").unwrap();
         let stop = StdArc::new(std::sync::atomic::AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
@@ -346,14 +322,14 @@ mod tests {
 
     #[test]
     fn bogus_ref_reports_corrupt_reference() {
-        // Regression: a reference into an unallocated chunk used to panic
+        // Regression: a reference into an unallocated bucket used to panic
         // the reading thread; it must surface as CorruptReference.
         let buf = VarBuffer::new();
-        let r = PackedRef::new(10 * CHUNK_SIZE as u64, 4);
+        let r = PackedRef::new(10 * FIRST_BUCKET as u64, 4);
         assert_eq!(
             buf.read(r).unwrap_err(),
             IndexError::CorruptReference {
-                offset: 10 * CHUNK_SIZE as u64,
+                offset: 10 * FIRST_BUCKET as u64,
                 len: 4
             }
         );
@@ -362,9 +338,9 @@ mod tests {
 
     #[test]
     fn overlong_ref_reports_corrupt_reference() {
-        // An in-range offset with a length running past the chunk boundary
+        // An in-range offset with a length running past the bucket's end
         // must also be rejected, not read out of bounds.
-        let buf = VarBuffer::with_chunk_size(16);
+        let buf = VarBuffer::with_first_bucket(16);
         buf.append(b"abcd").unwrap();
         let r = PackedRef::new(2, 15); // 2 + 15 > 16
         assert!(matches!(

@@ -10,15 +10,18 @@
 //!   [`AtomicBitmap`] per category plus one in-stock bitmap, sharing the
 //!   validity bitmap's word layout so a scan tests them with the same
 //!   single-word atomic loads;
-//! - [`QueryFilter`] / [`FilterView`]: the per-query evaluation context —
-//!   bitmap readers and a pinned forward-index reader acquired once per
-//!   query, exposing `admits(id)`.
+//! - [`QueryFilter`]: the per-query evaluator — the spec resolved once
+//!   against the index's bitmaps and forward index, exposing `admits(id)`.
+//!   It borrows them and pins no lock, so holding it for a whole plan
+//!   never delays an append.
 //!
 //! ## Pushdown contract
 //!
-//! The raw scan tests the filter **before** a vector is touched; the
-//! fast-scan scores a run of codes first and tests the filter only on the
-//! candidates under the top-k prune bound, before they reach the top-k.
+//! While the top-k is underfull the raw scan tests the filter **before**
+//! a row is scored; once it is full, it scores first and tests the filter
+//! only on rows under the threshold. The fast-scan scores a run of codes
+//! first and tests the filter only on the candidates under the top-k
+//! prune bound, before they reach the top-k.
 //! Either way the result set is bit-identical to the post-filter reference
 //! (score every valid candidate, then discard non-matching ones before
 //! top-k insertion): both sides evaluate the same predicate over the same
@@ -32,8 +35,8 @@
 
 use std::collections::HashMap;
 
-use crate::bitmap::{AtomicBitmap, BitmapReader};
-use crate::forward::{ForwardIndex, ForwardReader, NumericAttributes};
+use crate::bitmap::AtomicBitmap;
+use crate::forward::{ForwardIndex, NumericAttributes};
 use crate::ids::ImageId;
 use crate::sync::{Arc, RwLock};
 
@@ -184,11 +187,8 @@ impl FilterIndex {
     }
 }
 
-/// Per-query filter context: resolves the spec against one index's filter
-/// bitmaps and forward index, holding the category bitmap's `Arc` so a
-/// [`FilterView`] can borrow readers from it. Two-phase (context → view)
-/// because the view pins lock guards that must borrow from storage owned
-/// outside the view itself.
+/// Per-query filter evaluator: the spec resolved against one index's
+/// filter bitmaps and forward index, held for a whole plan.
 #[derive(Debug)]
 pub struct QueryFilter<'a> {
     spec: &'a FilterSpec,
@@ -213,29 +213,6 @@ impl<'a> QueryFilter<'a> {
         }
     }
 
-    /// Pins the readers for one query's scan.
-    pub fn view(&self) -> FilterView<'_> {
-        FilterView {
-            spec: self.spec,
-            category: self.category.as_deref().map(AtomicBitmap::reader),
-            category_missing: self.category_missing,
-            stock: self.stock.map(AtomicBitmap::reader),
-            forward: self.forward.map(ForwardIndex::reader),
-        }
-    }
-}
-
-/// Pinned per-query filter evaluator; see [`QueryFilter::view`].
-#[derive(Debug)]
-pub struct FilterView<'a> {
-    spec: &'a FilterSpec,
-    category: Option<BitmapReader<'a>>,
-    category_missing: bool,
-    stock: Option<BitmapReader<'a>>,
-    forward: Option<ForwardReader<'a>>,
-}
-
-impl FilterView<'_> {
     /// Whether the filter admits image `id`. Validity is *not* part of this
     /// predicate — every caller ANDs it with the validity bitmap, exactly
     /// as the unfiltered scan does.
@@ -249,13 +226,13 @@ impl FilterView<'_> {
                 return false;
             }
         }
-        if let Some(stock) = &self.stock {
+        if let Some(stock) = self.stock {
             if !stock.test(id) {
                 return false;
             }
         }
-        if let Some(fwd) = &self.forward {
-            let Some(n) = fwd.numeric(id) else {
+        if let Some(fwd) = self.forward {
+            let Ok(n) = fwd.numeric(ImageId(id as u32)) else {
                 return false;
             };
             if !self.spec.ranges_admit(n.sales, n.price) {
@@ -348,10 +325,9 @@ mod tests {
         ];
         for spec in &specs {
             let qf = QueryFilter::new(spec, &fi, &fwd);
-            let view = qf.view();
             for i in 0..20usize {
                 let truth = spec.matches(&fwd.numeric(ImageId(i as u32)).unwrap());
-                assert_eq!(view.admits(i), truth, "spec {spec:?} id {i}");
+                assert_eq!(qf.admits(i), truth, "spec {spec:?} id {i}");
             }
         }
     }

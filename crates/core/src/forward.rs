@@ -13,17 +13,21 @@
 //!
 //! [`ForwardIndex`] realizes that design:
 //!
-//! - records live in fixed-size chunks that are never moved, so a record's
-//!   address is stable for the life of the index;
-//! - every fixed-length field is an `AtomicU64` cell — updates are
-//!   single-word atomic stores, reads are single-word atomic loads, and a
-//!   reader can never observe a torn value;
+//! - a record is six atomic words at its id's slot of a
+//!   never-relocating array ([`crate::directory`]), so a record's address
+//!   is stable for the life of the index, a reader borrows it with no lock
+//!   and no refcount, and an append that opens a new bucket never waits
+//!   for a reader;
+//! - every fixed-length field is one word — updates are single-word
+//!   atomic stores, reads are single-word atomic loads, and a reader can
+//!   never observe a torn value;
 //! - the URL is a [`PackedRef`] into the [`VarBuffer`], stored in one more
-//!   atomic cell — a URL update appends the new bytes and swings this word;
+//!   word — a URL update appends the new bytes and swings this word;
 //! - appended records become visible when the global `len` counter is
 //!   bumped with release ordering (single appender per partition).
 
-use crate::sync::{Arc, AtomicU64, Ordering, RwLock, RwLockReadGuard};
+use crate::directory::AtomicArray;
+use crate::sync::{AtomicU64, Ordering};
 
 use jdvs_storage::model::{ProductAttributes, ProductId};
 
@@ -31,36 +35,27 @@ use crate::buffer::{PackedRef, VarBuffer};
 use crate::error::IndexError;
 use crate::ids::ImageId;
 
-/// Records per chunk.
-const CHUNK_RECORDS: usize = 4096;
+/// Words per record: product id, sales, price, praise, listing (category
+/// and stock state, see [`pack_listing`]) and the URL reference.
+const RECORD_WORDS: usize = 6;
 
-/// One fixed-length record: the numeric attribute cells plus the packed
-/// URL reference (Figure 7's update targets). Category and stock state are
-/// one cell each so filtered search can read them with the same single-word
-/// atomicity as the ranking attributes.
-#[derive(Debug, Default)]
-struct Record {
-    product_id: AtomicU64,
-    sales: AtomicU64,
-    price: AtomicU64,
-    praise: AtomicU64,
-    category: AtomicU64,
-    in_stock: AtomicU64,
-    url_ref: AtomicU64,
-}
+/// Records in the first bucket.
+const FIRST_RECORDS: usize = 4096;
 
-struct Chunk {
-    records: Box<[Record]>,
-}
+/// One record's words, in the order [`RECORD_WORDS`] lists them.
+type Record = [AtomicU64; RECORD_WORDS];
+const PRODUCT_ID: usize = 0;
+const SALES: usize = 1;
+const PRICE: usize = 2;
+const PRAISE: usize = 3;
+const LISTING: usize = 4;
+const URL_REF: usize = 5;
 
-impl Chunk {
-    fn new() -> Self {
-        let mut v = Vec::with_capacity(CHUNK_RECORDS);
-        v.resize_with(CHUNK_RECORDS, Record::default);
-        Self {
-            records: v.into_boxed_slice(),
-        }
-    }
+/// The listing word: category in bits 0..32, in-stock in bit 32. One word,
+/// so a re-listing's refresh is one store and a reader sees the old or the
+/// new listing, never a mix of the two.
+fn pack_listing(category: u32, in_stock: bool) -> u64 {
+    u64::from(category) | u64::from(in_stock) << 32
 }
 
 /// A snapshot of one record's numeric fields (read atomically field-by-
@@ -84,7 +79,7 @@ pub struct NumericAttributes {
 
 /// The forward index; see the module docs.
 pub struct ForwardIndex {
-    chunks: RwLock<Vec<Arc<Chunk>>>,
+    records: AtomicArray<Record>,
     len: AtomicU64,
     buffer: VarBuffer,
 }
@@ -107,7 +102,7 @@ impl ForwardIndex {
     /// Creates an empty forward index with its own attribute buffer.
     pub fn new() -> Self {
         Self {
-            chunks: RwLock::new(Vec::new()),
+            records: AtomicArray::new(FIRST_RECORDS),
             len: AtomicU64::new(0),
             buffer: VarBuffer::new(),
         }
@@ -145,65 +140,55 @@ impl ForwardIndex {
             return Err(IndexError::CapacityExhausted);
         }
         let url_ref = self.buffer.append(attrs.url.as_bytes())?;
-        let chunk_idx = (id as usize) / CHUNK_RECORDS;
-        let rec_idx = (id as usize) % CHUNK_RECORDS;
-        {
-            let chunks = self.chunks.read();
-            if chunks.len() <= chunk_idx {
-                drop(chunks);
-                let mut chunks = self.chunks.write();
-                while chunks.len() <= chunk_idx {
-                    chunks.push(Arc::new(Chunk::new()));
-                }
-            }
-        }
-        let chunks = self.chunks.read();
-        let rec = &chunks[chunk_idx].records[rec_idx];
+        let rec = self.records.get_or_grow(id as usize);
         // Relaxed field stores: record `id` is unreachable until the
-        // Release `len` store below publishes it, which orders all five.
-        rec.product_id.store(attrs.product_id.0, Ordering::Relaxed);
-        rec.sales.store(attrs.sales, Ordering::Relaxed);
-        rec.price.store(attrs.price, Ordering::Relaxed);
-        rec.praise.store(attrs.praise, Ordering::Relaxed);
-        rec.category
-            .store(u64::from(attrs.category), Ordering::Relaxed);
-        rec.in_stock
-            .store(u64::from(attrs.in_stock), Ordering::Relaxed);
-        rec.url_ref.store(url_ref.as_raw(), Ordering::Relaxed);
-        drop(chunks);
+        // Release `len` store below publishes it, which orders all six.
+        for (word, value) in rec.iter().zip([
+            attrs.product_id.0,
+            attrs.sales,
+            attrs.price,
+            attrs.praise,
+            pack_listing(attrs.category, attrs.in_stock),
+            url_ref.as_raw(),
+        ]) {
+            word.store(value, Ordering::Relaxed);
+        }
         // Release: pairs with the Acquire in `len()`; readers that observe
         // len > id see fully-written fields.
         self.len.store(id + 1, Ordering::Release);
         Ok(ImageId(id as u32))
     }
 
-    fn record(&self, id: ImageId) -> Result<Arc<Chunk>, IndexError> {
+    /// The published record of `id`.
+    #[inline]
+    fn record(&self, id: ImageId) -> Result<&Record, IndexError> {
+        let unknown = || IndexError::UnknownImage(id);
         if id.as_usize() >= self.len() {
-            return Err(IndexError::UnknownImage(id));
+            return Err(unknown());
         }
-        Ok(Arc::clone(
-            &self.chunks.read()[id.as_usize() / CHUNK_RECORDS],
-        ))
+        self.records.get(id.as_usize()).ok_or_else(unknown)
     }
 
-    /// Reads the numeric attributes of `id`.
+    /// Reads the numeric attributes of `id`. Takes no lock: the filtered
+    /// scan calls it per candidate.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::UnknownImage`] for out-of-range ids.
+    #[inline]
     pub fn numeric(&self, id: ImageId) -> Result<NumericAttributes, IndexError> {
-        let chunk = self.record(id)?;
-        let rec = &chunk.records[id.as_usize() % CHUNK_RECORDS];
+        let rec = self.record(id)?;
         // Relaxed loads: the record was published by the Acquire `len`
         // check in `record()`, and later in-place updates are single-word
         // stores with no cross-field ordering promise (module docs).
+        let listing = rec[LISTING].load(Ordering::Relaxed);
         Ok(NumericAttributes {
-            product_id: ProductId(rec.product_id.load(Ordering::Relaxed)),
-            sales: rec.sales.load(Ordering::Relaxed),
-            price: rec.price.load(Ordering::Relaxed),
-            praise: rec.praise.load(Ordering::Relaxed),
-            category: rec.category.load(Ordering::Relaxed) as u32,
-            in_stock: rec.in_stock.load(Ordering::Relaxed) != 0,
+            product_id: ProductId(rec[PRODUCT_ID].load(Ordering::Relaxed)),
+            sales: rec[SALES].load(Ordering::Relaxed),
+            price: rec[PRICE].load(Ordering::Relaxed),
+            praise: rec[PRAISE].load(Ordering::Relaxed),
+            category: listing as u32,
+            in_stock: listing >> 32 != 0,
         })
     }
 
@@ -215,11 +200,10 @@ impl ForwardIndex {
     /// [`IndexError::CorruptReference`] if the stored reference word does
     /// not decode to bytes the attribute buffer allocated.
     pub fn url(&self, id: ImageId) -> Result<String, IndexError> {
-        let chunk = self.record(id)?;
-        let rec = &chunk.records[id.as_usize() % CHUNK_RECORDS];
+        let rec = self.record(id)?;
         // Acquire: pairs with the Release store in `update_url`, making
         // the appended URL bytes visible before the reference is decoded.
-        let r = PackedRef::from_raw(rec.url_ref.load(Ordering::Acquire));
+        let r = PackedRef::from_raw(rec[URL_REF].load(Ordering::Acquire));
         self.buffer.read_string(r)
     }
 
@@ -253,23 +237,20 @@ impl ForwardIndex {
         price: Option<u64>,
         praise: Option<u64>,
     ) -> Result<(), IndexError> {
-        let chunk = self.record(id)?;
-        let rec = &chunk.records[id.as_usize() % CHUNK_RECORDS];
-        if let Some(s) = sales {
-            rec.sales.store(s, Ordering::Relaxed);
-        }
-        if let Some(p) = price {
-            rec.price.store(p, Ordering::Relaxed);
-        }
-        if let Some(p) = praise {
-            rec.praise.store(p, Ordering::Relaxed);
+        let rec = self.record(id)?;
+        for (field, value) in [(SALES, sales), (PRICE, price), (PRAISE, praise)] {
+            if let Some(v) = value {
+                rec[field].store(v, Ordering::Relaxed);
+            }
         }
         Ok(())
     }
 
-    /// Updates the category and stock cells (a re-listing's refresh path).
-    /// Each field is one atomic store, same contract as
-    /// [`ForwardIndex::update_numeric`].
+    /// Updates the category and stock state (a re-listing's refresh path)
+    /// with one store of the listing word. One plain store suffices: the
+    /// partition's single writer is the only thread that stores it, so no
+    /// read-modify-write can be lost, and a reader loads the old or the
+    /// new word whole.
     ///
     /// # Errors
     ///
@@ -280,26 +261,8 @@ impl ForwardIndex {
         category: u32,
         in_stock: bool,
     ) -> Result<(), IndexError> {
-        let chunk = self.record(id)?;
-        let rec = &chunk.records[id.as_usize() % CHUNK_RECORDS];
-        rec.category.store(u64::from(category), Ordering::Relaxed);
-        rec.in_stock.store(u64::from(in_stock), Ordering::Relaxed);
+        self.record(id)?[LISTING].store(pack_listing(category, in_stock), Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Pins the chunk spine once and returns a reader for repeated numeric
-    /// reads — the filtered-scan hot path: one read-lock acquisition covers
-    /// a whole query instead of one per candidate (the same pattern as
-    /// [`crate::bitmap::AtomicBitmap::reader`]). In-place attribute updates
-    /// made while the reader is live remain visible (the cells are
-    /// atomics); only records appended past the pinned length read as
-    /// absent, and those are invisible to the scan's snapshot anyway.
-    pub fn reader(&self) -> ForwardReader<'_> {
-        let len = self.len();
-        ForwardReader {
-            chunks: self.chunks.read(),
-            len,
-        }
     }
 
     /// Updates the variable-length URL: appends the new value to the buffer
@@ -311,63 +274,12 @@ impl ForwardIndex {
     /// Returns [`IndexError::UnknownImage`] for out-of-range ids or
     /// [`IndexError::AttributeTooLarge`] for oversized values.
     pub fn update_url(&self, id: ImageId, url: &str) -> Result<(), IndexError> {
-        let chunk = self.record(id)?;
+        let rec = self.record(id)?;
         let new_ref = self.buffer.append(url.as_bytes())?;
-        let rec = &chunk.records[id.as_usize() % CHUNK_RECORDS];
         // Release: pairs with the Acquire load in `url`; a reader that
         // decodes the new reference also sees the bytes appended above.
-        rec.url_ref.store(new_ref.as_raw(), Ordering::Release);
+        rec[URL_REF].store(new_ref.as_raw(), Ordering::Release);
         Ok(())
-    }
-
-    /// The underlying variable-length buffer (exposed for stats).
-    pub fn buffer(&self) -> &VarBuffer {
-        &self.buffer
-    }
-}
-
-/// A pinned view of the forward index for repeated numeric reads; see
-/// [`ForwardIndex::reader`].
-pub struct ForwardReader<'a> {
-    chunks: RwLockReadGuard<'a, Vec<Arc<Chunk>>>,
-    len: usize,
-}
-
-impl std::fmt::Debug for ForwardReader<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForwardReader")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl ForwardReader<'_> {
-    /// Records visible to this reader.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the pinned view holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads the numeric attributes of record `id`; `None` beyond the
-    /// pinned length.
-    #[inline]
-    pub fn numeric(&self, id: usize) -> Option<NumericAttributes> {
-        if id >= self.len {
-            return None;
-        }
-        let rec = &self.chunks[id / CHUNK_RECORDS].records[id % CHUNK_RECORDS];
-        Some(NumericAttributes {
-            product_id: ProductId(rec.product_id.load(Ordering::Relaxed)),
-            sales: rec.sales.load(Ordering::Relaxed),
-            price: rec.price.load(Ordering::Relaxed),
-            praise: rec.praise.load(Ordering::Relaxed),
-            category: rec.category.load(Ordering::Relaxed) as u32,
-            in_stock: rec.in_stock.load(Ordering::Relaxed) != 0,
-        })
     }
 }
 
@@ -452,21 +364,26 @@ mod tests {
         for i in 0..10u64 {
             fwd.append(&attrs(i, &format!("u{i}"))).unwrap();
         }
-        let r = fwd.reader();
-        assert_eq!(r.len(), 10);
-        assert!(!r.is_empty());
-        for i in 0..10usize {
-            assert_eq!(
-                r.numeric(i).unwrap(),
-                fwd.numeric(ImageId(i as u32)).unwrap()
-            );
-        }
-        assert!(r.numeric(10).is_none(), "beyond pinned length reads absent");
-        // An in-place update made while the reader is pinned is visible —
-        // the filtered scan's freshness contract.
+        // What a filtered plan holds: a plain borrow.
+        let r = &fwd;
+        assert!(
+            r.numeric(ImageId(10)).is_err(),
+            "beyond the length reads absent"
+        );
+        // An in-place update, and appends that open a new bucket, made
+        // while the borrow is live are visible and wait for nothing — the
+        // filtered scan's freshness contract.
         fwd.update_numeric(ImageId(3), Some(777), None, None)
             .unwrap();
-        assert_eq!(r.numeric(3).unwrap().sales, 777);
+        for i in 10..FIRST_RECORDS as u64 + 1 {
+            fwd.append(&attrs(i, "u")).unwrap();
+        }
+        assert_eq!(r.numeric(ImageId(3)).unwrap().sales, 777);
+        let last = ImageId(FIRST_RECORDS as u32);
+        assert_eq!(
+            r.numeric(last).unwrap().product_id,
+            ProductId(FIRST_RECORDS as u64)
+        );
     }
 
     #[test]
@@ -480,7 +397,7 @@ mod tests {
     #[test]
     fn spans_multiple_chunks() {
         let fwd = ForwardIndex::new();
-        let n = CHUNK_RECORDS + 10;
+        let n = FIRST_RECORDS + 10;
         for i in 0..n {
             fwd.append(&attrs(i as u64, &format!("u{i}"))).unwrap();
         }

@@ -45,11 +45,6 @@ use crate::sync::{
 
 use crate::ids::{ImageId, ListId};
 
-/// Ids per [`InvertedList::scan_blocks`] batch. Sized so a block of ids plus
-/// the distances computed from it stay L1-resident while amortizing the
-/// per-block bookkeeping over enough candidates to be negligible.
-pub const SCAN_BLOCK: usize = 256;
-
 /// A fixed-capacity array of image-id slots with a published-length counter.
 #[derive(Debug)]
 pub struct Slab {
@@ -374,22 +369,6 @@ impl InvertedList {
         }
     }
 
-    /// Calls `f` with contiguous blocks of up to [`SCAN_BLOCK`] published
-    /// image ids, in append order — the batched form of [`Self::scan`].
-    /// Handing the execution engine a dense `&[ImageId]` lets it test the
-    /// validity bitmap, resolve vectors, and compute distances over a whole
-    /// block between branch points instead of bouncing through a callback
-    /// per id. Same snapshot semantics as `scan`.
-    pub fn scan_blocks(&self, mut f: impl FnMut(&[ImageId])) {
-        let ids = self.snapshot();
-        let mut block = [ImageId(0); SCAN_BLOCK];
-        for start in (0..ids.len()).step_by(SCAN_BLOCK) {
-            let n = SCAN_BLOCK.min(ids.len() - start);
-            ids.copy_to(start, &mut block[..n]);
-            f(&block[..n]);
-        }
-    }
-
     /// Published entry count — this list's element of the paper's auxiliary
     /// last-position array.
     pub fn len(&self) -> usize {
@@ -455,19 +434,6 @@ impl ListSnapshot {
             jdvs_vector::simd::prefetch(std::slice::from_ref(slot));
         }
     }
-
-    /// Copies the ids at positions `start..start + out.len()` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range runs past `self.len()`.
-    pub fn copy_to(&self, start: usize, out: &mut [ImageId]) {
-        let slots = &self.slab.slots[..self.len][start..start + out.len()];
-        for (dst, slot) in out.iter_mut().zip(slots) {
-            // Relaxed: as in `id`.
-            *dst = ImageId(slot.load(Ordering::Relaxed));
-        }
-    }
 }
 
 /// The `N`-list inverted index.
@@ -513,15 +479,6 @@ impl InvertedIndex {
     /// Panics if `list` is out of range.
     pub fn scan(&self, list: ListId, f: impl FnMut(ImageId)) {
         self.lists[list.as_usize()].scan(f);
-    }
-
-    /// Scans list `list` in blocks; see [`InvertedList::scan_blocks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `list` is out of range.
-    pub fn scan_blocks(&self, list: ListId, f: impl FnMut(&[ImageId])) {
-        self.lists[list.as_usize()].scan_blocks(f);
     }
 
     /// Borrow a list.
@@ -670,29 +627,6 @@ mod tests {
             list.append(ImageId(i + 1));
             list.append(ImageId(i + 2)); // starts the background copy
             drop(list); // must not hang, leak, or panic
-        }
-    }
-
-    #[test]
-    fn scan_blocks_matches_scan_across_block_boundaries() {
-        // 0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, exact multiples, and a ragged
-        // tail all reduce to the same id sequence as the per-id scan.
-        for n in [0usize, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK * 3, 1000] {
-            let list = InvertedList::new(8, false);
-            for i in 0..n {
-                list.append(ImageId(i as u32 * 7));
-            }
-            list.flush();
-            let per_id = collect(&list);
-            let mut blocked = Vec::new();
-            let mut max_block = 0;
-            list.scan_blocks(|ids| {
-                assert!(!ids.is_empty(), "empty blocks are never emitted");
-                max_block = max_block.max(ids.len());
-                blocked.extend(ids.iter().map(|id| id.0));
-            });
-            assert_eq!(blocked, per_id, "n = {n}");
-            assert!(max_block <= SCAN_BLOCK);
         }
     }
 

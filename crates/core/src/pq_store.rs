@@ -73,6 +73,7 @@
 
 use std::sync::OnceLock;
 
+use crate::directory::bucket_of;
 use crate::sync::{zeroed, AtomicU32, AtomicU64, Ordering};
 
 use jdvs_vector::pq::{ProductQuantizer, QuantizedAdcTable};
@@ -99,8 +100,7 @@ const SEGMENTS: usize = 25;
 /// `(segment, offset within it)` of list position `pos`.
 #[inline]
 fn segment_of(pos: usize) -> (usize, usize) {
-    let seg = (pos / FIRST_SEGMENT + 1).ilog2() as usize;
-    (seg, pos - FIRST_SEGMENT * ((1 << seg) - 1))
+    bucket_of(pos, FIRST_SEGMENT.ilog2())
 }
 
 /// One segment of a list's code area: flat atomic words holding packed

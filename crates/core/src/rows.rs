@@ -51,7 +51,7 @@ use std::sync::OnceLock;
 
 use jdvs_vector::Vector;
 
-use crate::directory::Directory;
+use crate::directory::{AtomicArray, Directory};
 use crate::ids::{ImageId, ListId};
 use crate::sync::{zeroed, AtomicU32, AtomicU64, Ordering};
 
@@ -61,8 +61,8 @@ pub const ROW_BLOCK: usize = 32;
 /// Target bytes of one region of row blocks (at least one block).
 pub const REGION_BYTES: usize = 512 << 10;
 
-/// Ids per id-map chunk.
-const ID_CHUNK: usize = 4096;
+/// Ids in the id map's first bucket.
+const FIRST_IDS: usize = 4096;
 
 /// Set in an id-map entry once the id was put.
 const ID_PRESENT: u64 = 1 << 63;
@@ -100,7 +100,7 @@ impl RowBlock {
     }
 }
 
-/// A chunk of the id → (list, position) map. Each id has two words:
+/// One id's slot of the id → (list, position) map, two words:
 ///
 /// - its entry: bit 63 = present, bits 32..63 = list, bits 0..32 =
 ///   position. Written once per id (Release), read with Acquire;
@@ -108,22 +108,7 @@ impl RowBlock {
 ///   it (bits 0..32) — stored before the entry, so a by-id reader reaches
 ///   the row with one dependent load instead of a walk through the list's
 ///   blocks.
-struct IdChunk {
-    slots: Box<[AtomicU64]>,
-}
-
-impl IdChunk {
-    fn new() -> Self {
-        Self {
-            slots: zeroed(2 * ID_CHUNK),
-        }
-    }
-
-    /// The entry and row-location words of `id`.
-    fn slot(&self, id: ImageId) -> &[AtomicU64] {
-        &self.slots[2 * (id.as_usize() % ID_CHUNK)..][..2]
-    }
-}
+type IdSlot = [AtomicU64; 2];
 
 /// Unpacks an id-map entry; `None` while the id was never put.
 fn unpack_entry(entry: u64) -> Option<(ListId, usize)> {
@@ -162,7 +147,7 @@ pub struct RowStore {
     /// publishes nothing (the directories and masks do), and loom models
     /// must not schedule inside a directory slot's initialization.
     issued: parking_lot::Mutex<(usize, usize)>,
-    locations: Directory<IdChunk>,
+    locations: AtomicArray<IdSlot>,
 }
 
 impl std::fmt::Debug for RowStore {
@@ -188,7 +173,7 @@ impl RowStore {
             lists: (0..num_lists).map(|_| OnceLock::new()).collect(),
             regions: Directory::new(),
             issued: parking_lot::Mutex::new((0, 0)),
-            locations: Directory::new(),
+            locations: AtomicArray::new(FIRST_IDS),
         }
     }
 
@@ -224,10 +209,7 @@ impl RowStore {
         // a reader that observes the bit observes every store above.
         block.published.fetch_or(lane_bit, Ordering::Release);
 
-        let slot = self
-            .locations
-            .get_or_init(id.as_usize() / ID_CHUNK, IdChunk::new)
-            .slot(id);
+        let slot = self.locations.get_or_grow(id.as_usize());
         let start = block.start + lane * self.dim;
         // Relaxed: published by the entry's Release store below.
         slot[1].store(
@@ -270,9 +252,9 @@ impl RowStore {
 
     /// The (list, position) `id`'s row was stored under, if it was put.
     pub fn locate(&self, id: ImageId) -> Option<(ListId, usize)> {
-        let chunk = self.locations.get(id.as_usize() / ID_CHUNK)?;
+        let slot = self.locations.get(id.as_usize())?;
         // Acquire: pairs with the Release store in `put`; see there.
-        unpack_entry(chunk.slot(id)[0].load(Ordering::Acquire))
+        unpack_entry(slot[0].load(Ordering::Acquire))
     }
 
     /// A reader over one list's rows — the scan path's view. Borrows the
@@ -467,7 +449,7 @@ impl<'a> RowReader<'a> {
     /// `id`'s row, found through the id map; `None` until it is published.
     #[inline]
     pub fn get(&self, id: ImageId) -> Option<Row<'a>> {
-        let slot = self.store.locations.get(id.as_usize() / ID_CHUNK)?.slot(id);
+        let slot = self.store.locations.get(id.as_usize())?;
         // Acquire: pairs with the Release store of the entry in
         // `RowStore::put`, which follows the row's words, its publish bit
         // and its location.

@@ -32,15 +32,18 @@
 //!    sums alone, the second reads the batch's ids back to back (their
 //!    cache misses overlap), tests validity and pushes — as late as the
 //!    end of the list, as long as the pushes could not have moved the
-//!    bound ([`TopK::room`]). The validity bitmap and the plan's filter
-//!    are pinned once per plan; rows and codes are borrowed without a
-//!    lock, so the per-candidate cost is a SIMD kernel
-//!    ([`jdvs_vector::simd::active`]) over bytes that stream. Invalid
-//!    images — cleared validity bits — are skipped, so logically deleted
-//!    products never surface. Both scanners score first and test
+//!    bound ([`TopK::room`]). The validity bitmap, the plan's filter,
+//!    rows and codes are all borrowed without a lock, so the
+//!    per-candidate cost is a SIMD kernel
+//!    ([`jdvs_vector::simd::active`]) over bytes that stream, and no
+//!    plan ever delays an append. Invalid images — cleared validity
+//!    bits — are skipped, so logically deleted products never surface.
+//!    Once the top-k is full, both scanners score first and test
 //!    validity and the filter **after** the prune, on the candidates
-//!    under the threshold only — the tests commute, so the answer is the
-//!    same. An unfiltered plan is simply one with no filter view.
+//!    under the threshold only; while it is underfull every candidate
+//!    enters, so the raw scanner tests first and scores only what is
+//!    admitted — the tests commute, so the answer is the same. An
+//!    unfiltered plan is simply one with no filter.
 //! 3. **Escalate.** A *filtered* plan whose top-k is still underfull
 //!    widens its probing (doubling, scanning only lists not yet probed,
 //!    through the same scanner) up to
@@ -66,7 +69,7 @@ use std::time::{Duration, Instant};
 use jdvs_vector::simd::{self, KernelSet};
 use jdvs_vector::topk::{Neighbor, TopK};
 
-use crate::bitmap::BitmapReader;
+use crate::bitmap::AtomicBitmap;
 use crate::config::IndexConfig;
 use crate::filter::{FilterSpec, QueryFilter};
 use crate::ids::ImageId;
@@ -182,7 +185,7 @@ pub fn execute(index: &VisualIndex, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
         .filter
         .filter(|f| !f.is_unconstrained())
         .map(|f| QueryFilter::new(f, index.filters(), index.forward()));
-    let lanes = Lanes::pin(index, filter.as_ref().map(QueryFilter::view));
+    let lanes = Lanes::new(index, filter);
     if plan.stage == Stage::Raw {
         let scanner = RawScanner {
             lanes: &lanes,
@@ -197,7 +200,7 @@ pub fn execute(index: &VisualIndex, plan: &SearchPlan<'_>) -> Vec<Neighbor> {
     let qt = pq.quantized_adc_table(plan.features);
     let shortlist = scan(index, plan, &lanes, FastScanner::new(&lanes, pq, &qt));
     exact_rerank(
-        &lanes.bitmap,
+        lanes.bitmap,
         &index.vectors().snapshot(),
         lanes.kernels,
         plan.features,
@@ -221,7 +224,7 @@ fn scan(
         scanner.scan_list(list, &mut topk);
     }
     // Unfiltered plans never escalate.
-    if lanes.view.is_some() {
+    if lanes.filter.is_some() {
         // Seeds the escalation budget: what one list of the first pass cost.
         let per_list = start.elapsed() / probe.len() as u32;
         escalate(index, plan, &probe, per_list, &mut topk, &mut scanner);
@@ -299,7 +302,7 @@ fn escalate(
 /// are scattered over the probed lists, and their loads overlap. Split
 /// out so the between-stage deletion guard is directly testable.
 fn exact_rerank(
-    bitmap: &BitmapReader<'_>,
+    bitmap: &AtomicBitmap,
     rows: &RowReader<'_>,
     kernels: &KernelSet,
     query: &[f32],
@@ -311,10 +314,9 @@ fn exact_rerank(
         .into_iter()
         .filter_map(|candidate| {
             let id = ImageId(candidate.id as u32);
-            // Re-check validity: the bitmap words are atomics behind the
-            // pinned guard, so an image deleted after the scan admitted it
-            // to the shortlist is seen as invalid here and cannot be
-            // returned.
+            // Re-check validity: the bitmap words are atomics, so an image
+            // deleted after the scan admitted it to the shortlist is seen
+            // as invalid here and cannot be returned.
             if !bitmap.test(id.as_usize()) {
                 return None;
             }
@@ -344,7 +346,7 @@ pub fn ann_search_with_probes(
     k: usize,
     lists: &[usize],
 ) -> Vec<Neighbor> {
-    let lanes = Lanes::pin(index, None);
+    let lanes = Lanes::new(index, None);
     let mut scanner = RawScanner {
         lanes: &lanes,
         rows: index.vectors(),
@@ -685,7 +687,7 @@ mod tests {
     fn rerank_drops_images_deleted_between_stages() {
         let (index, data) = build(30, 2, 19, false, 0, 0);
         let kernels = simd::active();
-        let bitmap = index.bitmap().reader();
+        let bitmap = index.bitmap();
         let vectors = index.vectors().snapshot();
         // Stage 1 admitted ids 0 and 1 to the shortlist...
         let mut shortlist = TopK::new(4);
@@ -693,7 +695,7 @@ mod tests {
         shortlist.push(1, 0.7);
         // ...then image 0 is deleted before the rerank runs.
         index.bitmap().clear(0);
-        let got = exact_rerank(&bitmap, &vectors, kernels, data[0].as_slice(), shortlist, 4);
+        let got = exact_rerank(bitmap, &vectors, kernels, data[0].as_slice(), shortlist, 4);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].id, 1, "the deleted image cannot resurface");
     }

@@ -137,7 +137,6 @@ fn collect(
     assert!(nprobe > 0, "nprobe must be positive");
     assert_eq!(query.len(), index.config().dim, "query dimension mismatch");
     let qf = QueryFilter::new(filter, index.filters(), index.forward());
-    let view = qf.view();
     let mut topk = TopK::new(capacity);
     let mut visited = HashSet::new();
     let mut visit = |lists: Vec<usize>, topk: &mut TopK| {
@@ -151,7 +150,7 @@ fn collect(
                 }
                 // Post-filter: score first, discard after.
                 if let Some(d) = score(id) {
-                    if view.admits(id.as_usize()) {
+                    if qf.admits(id.as_usize()) {
                         topk.push(id.as_u64(), d);
                     }
                 }
@@ -195,10 +194,9 @@ pub fn filtered_brute_force(
     assert!(k > 0, "k must be positive");
     assert_eq!(query.len(), index.config().dim, "query dimension mismatch");
     let qf = QueryFilter::new(filter, index.filters(), index.forward());
-    let view = qf.view();
     let mut topk = TopK::new(k);
     for raw in 0..index.forward().len() {
-        if !index.bitmap().test(raw) || !view.admits(raw) {
+        if !index.bitmap().test(raw) || !qf.admits(raw) {
             continue;
         }
         if let Some(d) = exact(index, query, ImageId(raw as u32)) {

@@ -3,9 +3,9 @@
 //! A scanner walks **one** inverted list for the plan it serves and feeds
 //! the plan's [`TopK`]. The first pass over the probed lists and every
 //! escalation round call the same [`ListScanner::scan_list`] — there is no
-//! second scan loop. What the scanners share ([`Lanes`]) is pinned once
+//! second scan loop. What the scanners share ([`Lanes`]) is gathered once
 //! per `execute`; what each needs per list lives in its own scratch,
-//! allocated once per `execute`.
+//! allocated once per `execute`. Nothing in [`Lanes`] holds a lock.
 //!
 //! Per probed list a scanner takes one
 //! [`crate::inverted::InvertedList::snapshot`] (the list's one lock and
@@ -17,21 +17,23 @@
 //! raw scanner scores every published row of a 32-row block in place,
 //! with one kernel call per row, and reads the id, validity bit and
 //! filter of a row only when its distance passes
-//! [`TopK::would_accept`]. The fast-scan scanner walks the *codes* in
-//! runs of up to [`RUN`] sealed blocks, one kernel call per run: a scan
-//! streams 8 code bytes per candidate (m = 16) and nothing else. Its
-//! candidates take two passes — the lanes under the bound into a batch
+//! [`TopK::would_accept`] — except while the top-k is underfull, when
+//! every admitted row enters and the tests come first. The fast-scan
+//! scanner walks the *codes* in runs of up to [`RUN`] sealed blocks, one
+//! kernel call per run: a scan streams 8 code bytes per candidate
+//! (m = 16) and nothing else. Its candidates take two passes — the lanes under the bound into a batch
 //! from the sums alone, then the batch's ids read back to back, the
 //! validity (and filter) test and the push into the reservoir [`TopK`],
-//! whose threshold moves only when it compacts. Both scanners score
-//! first and filter after, on the candidates under the bound only.
+//! whose threshold moves only when it compacts. Once the top-k is full,
+//! both scanners score first and filter after, on the candidates under
+//! the bound only.
 
 use jdvs_vector::pq::QuantizedAdcTable;
 use jdvs_vector::simd::{self, KernelSet, FASTSCAN_LANES};
 use jdvs_vector::topk::TopK;
 
-use crate::bitmap::BitmapReader;
-use crate::filter::FilterView;
+use crate::bitmap::AtomicBitmap;
+use crate::filter::QueryFilter;
 use crate::ids::{ImageId, ListId};
 use crate::index::VisualIndex;
 use crate::inverted::{InvertedIndex, ListSnapshot};
@@ -41,22 +43,22 @@ use crate::rows::{RowStore, ROW_BLOCK};
 /// What every scanner reads about the plan it serves.
 pub(super) struct Lanes<'a> {
     pub inverted: &'a InvertedIndex,
-    /// The validity bitmap, pinned for the whole plan.
-    pub bitmap: BitmapReader<'a>,
+    /// The validity bitmap; flips made during the plan are seen.
+    pub bitmap: &'a AtomicBitmap,
     pub kernels: &'static KernelSet,
-    /// The plan's pinned filter, or `None` for an unconstrained plan — one
-    /// whose lane mask is the published mask itself.
-    pub view: Option<FilterView<'a>>,
+    /// The plan's filter, or `None` for an unconstrained plan — one whose
+    /// lane mask is the published mask itself.
+    pub filter: Option<QueryFilter<'a>>,
 }
 
 impl<'a> Lanes<'a> {
-    /// Pins the index-wide readers next to the plan's filter `view`.
-    pub fn pin(index: &'a VisualIndex, view: Option<FilterView<'a>>) -> Self {
+    /// The index-wide readers next to the plan's `filter`.
+    pub fn new(index: &'a VisualIndex, filter: Option<QueryFilter<'a>>) -> Self {
         Self {
             inverted: index.inverted_internal(),
-            bitmap: index.bitmap().reader(),
+            bitmap: index.bitmap(),
             kernels: simd::active(),
-            view,
+            filter,
         }
     }
 }
@@ -68,9 +70,13 @@ pub(super) trait ListScanner {
 }
 
 /// Raw scan: exact squared L2 over the list's `f32` rows
-/// ([`crate::rows`]), published rows in position order. A row is scored
-/// before anything else about it is read: only a distance under the
-/// top-k threshold costs the id, its validity bit and the plan's filter.
+/// ([`crate::rows`]), published rows in position order. Once the top-k is
+/// full, a row is scored before anything else about it is read: only a
+/// distance under the threshold costs the id, its validity bit and the
+/// plan's filter. While it is underfull (its threshold is +inf) every
+/// scored row would be pushed, so the id, validity and filter come first
+/// and a row they reject is never scored — a selective filter would
+/// otherwise pay a distance for every rejected row until k are found.
 pub(super) struct RawScanner<'a> {
     pub lanes: &'a Lanes<'a>,
     pub rows: &'a RowStore,
@@ -80,9 +86,9 @@ pub(super) struct RawScanner<'a> {
 impl ListScanner for RawScanner<'_> {
     fn scan_list(&mut self, list: usize, topk: &mut TopK) {
         // The filter dispatch is hoisted out of the candidate loop.
-        match &self.lanes.view {
+        match &self.lanes.filter {
             None => self.scan(ListId(list as u32), topk, |_| true),
-            Some(view) => self.scan(ListId(list as u32), topk, |id| view.admits(id)),
+            Some(filter) => self.scan(ListId(list as u32), topk, |id| filter.admits(id)),
         }
     }
 }
@@ -91,7 +97,7 @@ impl RawScanner<'_> {
     /// Scans one list; `admits` is the plan's filter.
     #[inline]
     fn scan(&self, list: ListId, topk: &mut TopK, admits: impl Fn(usize) -> bool) {
-        let (bitmap, kernels) = (&self.lanes.bitmap, self.lanes.kernels);
+        let (bitmap, kernels) = (self.lanes.bitmap, self.lanes.kernels);
         let ids = self.lanes.inverted.list(list).snapshot();
         let rows = self.rows.list(list);
         for (b, at) in (0..ids.len()).step_by(ROW_BLOCK).enumerate() {
@@ -103,15 +109,25 @@ impl RawScanner<'_> {
             // landed): skipped, never ranked at infinity.
             let listed = low_lanes(ROW_BLOCK.min(ids.len() - at));
             for lane in set_bits(block.published() & listed) {
-                let d = block
-                    .row(lane)
-                    .with(|row| kernels.squared_l2(self.query, row));
-                if !topk.would_accept(d) {
-                    continue;
-                }
+                let score = || {
+                    block
+                        .row(lane)
+                        .with(|row| kernels.squared_l2(self.query, row))
+                };
+                // Underfull (threshold +inf): every scored row would enter,
+                // so the tests come first and a rejected row is not scored.
+                let d = if topk.threshold() == f32::INFINITY {
+                    None
+                } else {
+                    let d = score();
+                    if !topk.would_accept(d) {
+                        continue;
+                    }
+                    Some(d)
+                };
                 let id = ids.id(at + lane);
                 if bitmap.test(id.as_usize()) && admits(id.as_usize()) {
-                    topk.push(id.as_u64(), d);
+                    topk.push(id.as_u64(), d.unwrap_or_else(score));
                 }
             }
         }
@@ -188,9 +204,9 @@ impl<'a> FastScanner<'a> {
     /// Pass two: pushes the batch and empties it.
     fn push_batch(&mut self, ids: &ListSnapshot, topk: &mut TopK) {
         // The filter dispatch is hoisted out of the candidate loop.
-        match &self.lanes.view {
+        match &self.lanes.filter {
             None => self.push_admitted(ids, topk, |_| true),
-            Some(view) => self.push_admitted(ids, topk, |id| view.admits(id)),
+            Some(filter) => self.push_admitted(ids, topk, |id| filter.admits(id)),
         }
         self.batch.clear();
     }

@@ -1,28 +1,31 @@
 //! The synchronization facade for the real-time mutation path.
 //!
 //! Every structure mutated concurrently with scans — the inverted lists
-//! ([`crate::inverted`]), forward index ([`crate::forward`]), attribute
-//! buffer ([`crate::buffer`]), validity bitmap ([`crate::bitmap`]) and the
-//! swappable index handle ([`crate::swap`]) — imports its primitives from
-//! here instead of naming `std::sync` / `parking_lot` directly:
+//! ([`crate::inverted`]), the word arrays under the forward index, the
+//! attribute buffer and the validity bitmap ([`crate::directory`]), the
+//! row and code stores and the swappable index handle ([`crate::swap`]) —
+//! imports its primitives from here instead of naming `std::sync` /
+//! `parking_lot` directly:
 //!
 //! - **Normal builds** re-export `parking_lot` locks, `std` atomics and
-//!   `std::thread`, exactly what the modules used before this facade.
+//!   `std::thread`.
 //! - **`--cfg loom` builds** (`RUSTFLAGS="--cfg loom"`) re-export the
 //!   scheduler-instrumented types from the `loom` shim, so the loom model
 //!   suite (`crates/core/tests/loom.rs`) can exhaustively interleave the
 //!   publication protocols at every atomic access and lock operation.
 //!
-//! Keep `crate::realtime` and other control-plane code off this facade:
-//! only the structures the model suite actually interleaves should pay the
-//! instrumentation, and the facade's API is the intersection both backends
-//! support (parking_lot-style non-poisoning locks).
+//! No reader on the scan path holds a lock guard: the facade exports no
+//! guard type. Keep `crate::realtime` and other control-plane code off
+//! this facade: only the structures the model suite actually interleaves
+//! should pay the instrumentation, and the facade's API is the
+//! intersection both backends support (parking_lot-style non-poisoning
+//! locks).
 
 #[cfg(loom)]
 pub(crate) use loom::{
     sync::{
         atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering},
-        Arc, Mutex, RwLock, RwLockReadGuard,
+        Arc, Mutex, RwLock,
     },
     thread,
 };
@@ -32,7 +35,7 @@ pub(crate) use self::std_impl::*;
 
 #[cfg(not(loom))]
 mod std_impl {
-    pub(crate) use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+    pub(crate) use parking_lot::{Mutex, RwLock};
     pub(crate) use std::sync::atomic::{
         AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
     };
@@ -40,52 +43,66 @@ mod std_impl {
     pub(crate) use std::thread;
 }
 
-/// An atomic integer whose all-zero bit pattern is its zero and whose
-/// layout is that of [`Zeroed::Plain`] — what [`zeroed`] may allocate.
-pub(crate) trait Zeroed: Sized {
-    /// The plain integer of the same size and alignment.
-    type Plain: Copy + Default;
+/// An atomic integer, or an array of them, for which the all-zero bit
+/// pattern is a valid value (its zero) — what [`zeroed`] may allocate.
+///
+/// # Safety
+///
+/// Implementors must be valid when every byte is zero and need no drop.
+pub(crate) unsafe trait Zeroed: Sized {
     #[cfg(loom)]
     fn zero() -> Self;
 }
 
-impl Zeroed for AtomicU64 {
-    type Plain = u64;
+macro_rules! zeroed_atomics {
+    ($($atomic:ident),*) => {$(
+        // SAFETY: the facade's atomic integers each hold one integer (the
+        // loom shim's wrap a std atomic); all-zero is the value 0, and
+        // they have no drop glue.
+        unsafe impl Zeroed for $atomic {
+            #[cfg(loom)]
+            fn zero() -> Self {
+                $atomic::new(0)
+            }
+        }
+    )*};
+}
+
+zeroed_atomics!(AtomicU8, AtomicU32, AtomicU64);
+
+// SAFETY: an array is valid all-zero and needs no drop when its element is.
+unsafe impl<A: Zeroed, const N: usize> Zeroed for [A; N] {
     #[cfg(loom)]
     fn zero() -> Self {
-        AtomicU64::new(0)
+        std::array::from_fn(|_| A::zero())
     }
 }
 
-impl Zeroed for AtomicU32 {
-    type Plain = u32;
-    #[cfg(loom)]
-    fn zero() -> Self {
-        AtomicU32::new(0)
-    }
-}
-
-/// `n` zeroed atomic words. Normal builds allocate through the zeroing
-/// allocator (`vec![0; n]` is `calloc`), which hands back lazily-zeroed
-/// pages in O(1): element-wise `new(0)` construction would touch every
-/// word on the writer path — an O(n) stall when an inverted list doubles
-/// (Figure 9's protocol exists to avoid it) and resident memory for a
-/// code segment's unwritten tail.
+/// `n` zeroed atomics. Normal builds allocate through the zeroing
+/// allocator (`calloc`), which hands back lazily-zeroed pages in O(1):
+/// element-wise `new(0)` construction would touch every word on the writer
+/// path — an O(n) stall when an inverted list doubles (Figure 9's protocol
+/// exists to avoid it) and resident memory for the unwritten tail of a
+/// code segment or a word-array bucket.
 #[cfg(not(loom))]
 pub(crate) fn zeroed<A: Zeroed>(n: usize) -> Box<[A]> {
-    const {
-        assert!(std::mem::size_of::<A>() == std::mem::size_of::<A::Plain>());
-        assert!(std::mem::align_of::<A>() == std::mem::align_of::<A::Plain>());
+    let layout = std::alloc::Layout::array::<A>(n).expect("zeroed allocation overflows");
+    if layout.size() == 0 {
+        return Box::new([]);
     }
-    let zeroed: Box<[A::Plain]> = vec![A::Plain::default(); n].into_boxed_slice();
-    // SAFETY: `A` has the size and alignment of `A::Plain` (asserted
-    // above) and the all-zero bit pattern is a valid `A` (the `Zeroed`
-    // contract; the implementors are std's atomic integers). Ownership
-    // transfers through the raw pointer without aliasing.
-    // `unsafe_slab_cast_round_trips` in tests/concurrency.rs exercises
-    // this cast under the interpreter
+    // SAFETY: `layout` has non-zero size (checked above).
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) }.cast::<A>();
+    if ptr.is_null() {
+        std::alloc::handle_alloc_error(layout);
+    }
+    // SAFETY: `ptr` is a live, exclusively owned allocation from the
+    // global allocator with the layout of `[A; n]`, which is what a
+    // `Box<[A]>` of length `n` frees it with; its bytes are all zero,
+    // which is a valid `A` (the `Zeroed` contract).
+    // The `unsafe_slab_cast_round_trips*` tests in tests/concurrency.rs
+    // exercise every element type under the interpreter
     // (`cargo miri test -p jdvs-core --test concurrency unsafe_slab`).
-    unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [A]) }
+    unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, n)) }
 }
 
 /// The loom shim's instrumented atomics are not layout-compatible with

@@ -254,3 +254,129 @@ fn unsafe_slab_cast_round_trips() {
     assert!(list.capacity() >= 33);
     assert!(list.expansions() >= 1, "the cast re-ran for a grown slab");
 }
+
+/// The sibling of `unsafe_slab_cast_round_trips` for the never-relocating
+/// word arrays: every other element type `zeroed` casts — the bitmap's
+/// `AtomicU64` words, the forward index's six-word records, the attribute
+/// buffer's `AtomicU8` bytes, the row store's two-word id slots and
+/// `AtomicU32` row regions — allocated, grown past a bucket, read back and
+/// dropped (`cargo miri test -p jdvs-core --test concurrency unsafe_slab`).
+#[test]
+fn unsafe_slab_cast_round_trips_in_word_arrays() {
+    use jdvs_core::bitmap::AtomicBitmap;
+    use jdvs_core::buffer::VarBuffer;
+    use jdvs_core::forward::ForwardIndex;
+    use jdvs_core::ids::ListId;
+    use jdvs_core::rows::RowStore;
+
+    let bm = AtomicBitmap::new();
+    for bit in [0, 63, 5_000, 70_000] {
+        bm.set(bit);
+    }
+    bm.clear(63);
+    assert_eq!(bm.count_ones(), 3);
+    assert!(bm.test(70_000) && !bm.test(69_999));
+
+    let buf = VarBuffer::with_first_bucket(8);
+    let refs: Vec<_> = (0..6u8).map(|i| buf.append(&[i; 5]).unwrap()).collect();
+    for (i, r) in refs.into_iter().enumerate() {
+        assert_eq!(buf.read(r).unwrap(), [i as u8; 5]);
+    }
+
+    let fwd = ForwardIndex::new();
+    for i in 0..3 {
+        fwd.append(&attrs_for(i)).unwrap();
+    }
+    assert_eq!(fwd.attributes(ImageId(2)).unwrap(), attrs_for(2));
+
+    let rows = RowStore::new(2, 1);
+    rows.put(ImageId(9_000), ListId(0), 0, &[1.0, 2.0]);
+    assert_eq!(rows.locate(ImageId(9_000)), Some((ListId(0), 0)));
+    let row = rows.snapshot().get(ImageId(9_000)).unwrap();
+    assert_eq!(row.with(|r| r.to_vec()), vec![1.0, 2.0]);
+}
+
+/// Figure 7's "no conflict between search and update": what a plan holds
+/// — the scan's borrow of the validity bitmap and its filter — must never
+/// make an append wait, not even one that opens a new bucket. A reader
+/// thread takes both and holds them behind a latch; an appender then grows
+/// one structure past its current bucket, and its completion must arrive
+/// (a bounded wait, no sleep) while the latch is still closed.
+mod an_append_never_waits_for_a_pinned_reader {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use jdvs_core::bitmap::AtomicBitmap;
+    use jdvs_core::filter::{FilterIndex, FilterSpec, QueryFilter};
+    use jdvs_core::forward::ForwardIndex;
+    use jdvs_core::ids::ImageId;
+    use jdvs_storage::model::{ProductAttributes, ProductId};
+
+    /// Far longer than any append takes; a wait that long is a stall.
+    const BOUND: Duration = Duration::from_secs(10);
+
+    fn attrs(i: u64, url: String) -> ProductAttributes {
+        ProductAttributes::new(ProductId(i), i, 100, 0, url).with_category(3)
+    }
+
+    /// Holds a plan's borrows on one thread while `append` runs on another.
+    fn append_beside_a_held_plan(append: impl FnOnce(&AtomicBitmap, &ForwardIndex) + Send) {
+        let (bitmap, fwd, filters) = (AtomicBitmap::new(), ForwardIndex::new(), FilterIndex::new());
+        for i in 0..10 {
+            let id = fwd.append(&attrs(i, format!("u{i}"))).unwrap();
+            filters.note_listing(id, 3, true, None);
+            bitmap.set(id.as_usize());
+        }
+        let spec = FilterSpec::by_category(3)
+            .in_stock()
+            .with_price_range(0, 1_000);
+        let (held_tx, held_rx) = mpsc::channel();
+        let (latch_tx, latch_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let (bitmap, fwd, filters, spec) = (&bitmap, &fwd, &filters, &spec);
+            s.spawn(move || {
+                let scan = bitmap;
+                let filter = QueryFilter::new(spec, filters, fwd);
+                held_tx.send(()).unwrap();
+                latch_rx.recv().unwrap();
+                assert!(
+                    scan.test(5) && filter.admits(5),
+                    "the held plan still reads"
+                );
+            });
+            held_rx.recv().unwrap();
+            s.spawn(move || {
+                append(bitmap, fwd);
+                done_tx.send(()).unwrap();
+            });
+            let waited = done_rx.recv_timeout(BOUND);
+            latch_tx.send(()).unwrap();
+            assert!(waited.is_ok(), "the append waited for the held plan");
+        });
+    }
+
+    #[test]
+    fn bitmap() {
+        append_beside_a_held_plan(|bitmap, _| bitmap.set(1 << 20));
+    }
+
+    #[test]
+    fn forward_index() {
+        append_beside_a_held_plan(|_, fwd| {
+            for i in 10..5_000 {
+                fwd.append(&attrs(i, String::new())).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn var_buffer() {
+        append_beside_a_held_plan(|_, fwd| {
+            let url = "u".repeat(1 << 12);
+            for _ in 0..300 {
+                fwd.update_url(ImageId(0), &url).unwrap();
+            }
+        });
+    }
+}

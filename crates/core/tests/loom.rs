@@ -130,33 +130,73 @@ fn url_swing_publishes_bytes_before_reference() {
     });
 }
 
-/// Protocol 4 — bitmap flip vs. block scan: a pinned `BitmapReader` must
-/// observe flips made while it is live (the rerank recheck depends on
-/// this), and a raced flip pair must leave exactly the final state.
-/// Capacity is pre-sized so no growth happens while the reader pins the
-/// word array (growth while pinned is the one forbidden interleaving —
-/// the writer would spin on the write lock until the reader drops).
+/// Protocol 4 — bitmap flip vs. block scan: a scan's borrow of the bitmap
+/// must observe flips made while it is live (the rerank recheck depends on
+/// this), and a raced flip pair must leave exactly the final state. The
+/// second flip lands past the first bucket, so it grows the bitmap while
+/// the borrow is live: the borrow pins nothing, so the flipper never
+/// waits, and a reader that sees the grown bit sees the flip before it.
 #[test]
 fn bitmap_flip_vs_block_scan() {
+    // Past the first bucket's 4,096 flags: installs bucket 1.
+    const GROWN: usize = 4_096 + 6;
     loom::model(|| {
-        let bm = Arc::new(AtomicBitmap::with_capacity(256));
+        let bm = Arc::new(AtomicBitmap::new());
         bm.set(3);
         let flipper = {
             let bm = Arc::clone(&bm);
             thread::spawn(move || {
                 bm.clear(3);
-                bm.set(70);
+                bm.set(GROWN);
             })
         };
-        {
-            let r = bm.reader();
-            // Any of the four combinations is a legal snapshot, but a set
-            // bit the flipper never touched must always read as set.
-            let _ = (r.test(3), r.test(70));
-            assert!(!r.test(128), "untouched bit must read clear");
-        } // reader guard drops before the join: the flipper may need set()'s read lock
+        let scan = &*bm;
+        // Any of the four combinations is a legal snapshot, but the flips
+        // land in program order,
+        if scan.test(GROWN) {
+            assert!(!scan.test(3), "the grown bit is set after the clear");
+        }
+        // and a bit the flipper never touched always reads clear.
+        assert!(!scan.test(GROWN + 1), "untouched bit must read clear");
         flipper.join().unwrap();
-        assert!(!bm.test(3) && bm.test(70), "final state must win");
+        assert!(!scan.test(3) && scan.test(GROWN), "final state must win");
+    });
+}
+
+/// Forward append vs. record read across a bucket: the append of the
+/// first record past the forward index's first bucket installs bucket 1
+/// while a reader reads the last record of bucket 0 and, once `len` shows
+/// it, the new one. The earlier record must read back whole throughout,
+/// and a record `len` admits must hold its appended fields.
+#[test]
+fn forward_append_opens_a_bucket_beside_a_reader() {
+    // Records in the forward index's first bucket.
+    const FIRST: u64 = 4_096;
+    let attrs = |i: u64| ProductAttributes::new(ProductId(i), i, 2 * i, 0, String::new());
+    loom::model(move || {
+        let fwd = Arc::new(ForwardIndex::new());
+        for i in 0..FIRST {
+            fwd.append(&attrs(i)).unwrap();
+        }
+        let appender = {
+            let fwd = Arc::clone(&fwd);
+            thread::spawn(move || {
+                assert_eq!(fwd.append(&attrs(FIRST)).unwrap(), ImageId(FIRST as u32));
+            })
+        };
+        let last = ImageId(FIRST as u32 - 1);
+        let n = fwd.numeric(last).unwrap();
+        assert_eq!(
+            (n.product_id, n.price),
+            (ProductId(FIRST - 1), 2 * (FIRST - 1))
+        );
+        if fwd.len() > FIRST as usize {
+            let n = fwd.numeric(ImageId(FIRST as u32)).unwrap();
+            assert_eq!((n.product_id, n.price), (ProductId(FIRST), 2 * FIRST));
+        }
+        appender.join().unwrap();
+        assert_eq!(fwd.numeric(last).unwrap().sales, FIRST - 1);
+        assert_eq!(fwd.attributes(ImageId(FIRST as u32)).unwrap(), attrs(FIRST));
     });
 }
 

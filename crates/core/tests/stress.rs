@@ -441,16 +441,15 @@ fn disjoint_writers_race_list_scans() {
     assert!(idx.total_expansions() >= WRITERS, "migrations exercised");
 }
 
-/// Concurrent writers flip disjoint bit ranges while readers run pinned
-/// block scans. Flips must be lossless (no RMW can eat a neighbour's bit)
-/// and never leak outside the owner's range.
+/// Concurrent writers flip disjoint bit ranges while readers run block
+/// scans. Flips must be lossless (no RMW can eat a neighbour's bit) and
+/// never leak outside the owner's range.
 #[test]
 fn bitmap_flips_race_block_scans() {
     const WRITERS: u64 = 4;
-    const RANGE: u64 = 4_096; // bits per writer; capacity pre-sized so
-                              // growth never races a pinned reader
+    const RANGE: u64 = 4_096; // bits per writer
     let flips = stress_ops(20_000);
-    let bm = Arc::new(AtomicBitmap::with_capacity((WRITERS * RANGE) as usize));
+    let bm = Arc::new(AtomicBitmap::new());
     for w in 0..WRITERS {
         bm.set((w * RANGE) as usize); // each writer's permanent guard bit
     }
@@ -461,7 +460,7 @@ fn bitmap_flips_race_block_scans() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let r = bm.reader();
+                    let r = &*bm;
                     // The guard bit each writer keeps permanently set must
                     // never be observed clear.
                     for w in 0..WRITERS {

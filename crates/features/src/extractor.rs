@@ -89,13 +89,15 @@ impl FeatureExtractor {
 
     /// Extracts features from an image blob.
     pub fn extract(&self, blob: &ImageBlob) -> Vector {
-        let mut data = self.center_components(blob.visual_seed);
+        let center = self.center_components(blob.visual_seed);
         let content = content_hash(&blob.bytes);
         let mut rng = Xoshiro256::seed_from(content ^ self.config.model_seed.rotate_left(17));
-        for x in &mut data {
-            *x += rng.next_gaussian() as f32 * self.config.jitter;
-        }
-        let mut v = Vector::from(data);
+        // Jittered straight into the vector's own buffer: no finished
+        // buffer is copied into it.
+        let mut v: Vector = center
+            .iter()
+            .map(|&c| c + rng.next_gaussian() as f32 * self.config.jitter)
+            .collect();
         if self.config.normalize {
             v.normalize();
         }
@@ -108,8 +110,8 @@ impl FeatureExtractor {
         Vector::from(self.center_components(visual_seed))
     }
 
-    /// The components of [`Self::cluster_center`], as a buffer `extract`
-    /// jitters in place.
+    /// The components of [`Self::cluster_center`], which `extract`
+    /// jitters.
     fn center_components(&self, visual_seed: u64) -> Vec<f32> {
         let mut sm = SplitMix64::new(visual_seed ^ self.config.model_seed);
         let mut rng = Xoshiro256::seed_from(sm.next_u64());

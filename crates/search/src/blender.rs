@@ -35,6 +35,7 @@ use jdvs_net::rpc::{CallTarget, RpcError, Service};
 use jdvs_storage::lru::LruCache;
 use jdvs_storage::model::ImageKey;
 use jdvs_storage::ImageStore;
+use jdvs_vector::Vector;
 
 use crate::protocol::{FanoutQuery, PartialResponse, QueryInput, SearchQuery, SearchResponse};
 use crate::ranking::RankingPolicy;
@@ -59,7 +60,7 @@ where
     /// Optional query-feature cache: repeated query images (viral photos,
     /// trending products) skip re-extraction — the most expensive step of
     /// the query path. Shared across blender instances when cloned in.
-    query_cache: Option<Arc<LruCache<ImageKey, Vec<f32>>>>,
+    query_cache: Option<Arc<LruCache<ImageKey, Vector>>>,
     /// Optional query-category detector (Section 2.4's "the product
     /// category of the item is identified").
     category_detector: Option<Arc<CategoryDetector>>,
@@ -166,7 +167,7 @@ where
     }
 
     /// Attaches a query-feature cache (typically shared across blenders).
-    pub fn with_query_cache(mut self, cache: Arc<LruCache<ImageKey, Vec<f32>>>) -> Self {
+    pub fn with_query_cache(mut self, cache: Arc<LruCache<ImageKey, Vector>>) -> Self {
         self.query_cache = Some(cache);
         self
     }
@@ -178,23 +179,23 @@ where
 
     /// Resolves a query's features: pass-through for pre-extracted
     /// features; store-fetch + extraction (cost charged) for image URLs.
+    /// Either way the features are copied once, into the buffer the
+    /// fan-out sends: the cache shares the extracted vector.
     fn resolve_features(&self, input: &QueryInput) -> Option<Vec<f32>> {
         match input {
             QueryInput::Features(f) => Some(f.clone()),
             QueryInput::ImageUrl(url) => {
                 let key = ImageKey::from_url(url);
-                if let Some(cache) = &self.query_cache {
-                    if let Some(hit) = cache.get(&key) {
-                        return Some(hit);
-                    }
+                if let Some(hit) = self.query_cache.as_ref().and_then(|c| c.get(&key)) {
+                    return Some(hit.into_inner());
                 }
                 let blob = self.images.get(key)?;
                 self.extractor.cost().charge();
-                let features = self.extractor.extractor().extract(&blob).into_inner();
+                let features = self.extractor.extractor().extract(&blob);
                 if let Some(cache) = &self.query_cache {
                     cache.put(key, features.clone());
                 }
-                Some(features)
+                Some(features.into_inner())
             }
         }
     }

@@ -200,7 +200,7 @@ struct Core {
     feature_db: Arc<FeatureDb>,
     durable: Option<DurableParts>,
     /// The query-feature cache every blender shares, when configured.
-    query_cache: Option<Arc<LruCache<ImageKey, Vec<f32>>>>,
+    query_cache: Option<Arc<LruCache<ImageKey, Vector>>>,
     /// Live per-group partition counts, shared with the coverage
     /// accounting of every blender over this table; a split bumps the
     /// parent's group.

@@ -44,13 +44,13 @@ proptest! {
     }
 
     /// Every appended record reads back byte-identical, regardless of
-    /// chunk-size-induced boundary skips.
+    /// bucket-boundary skips.
     #[test]
     fn buffer_round_trips(
         chunk in 32usize..256,
         records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..32), 1..100),
     ) {
-        let buf = VarBuffer::with_chunk_size(chunk);
+        let buf = VarBuffer::with_first_bucket(chunk);
         let refs: Vec<_> = records.iter().map(|r| buf.append(r).unwrap()).collect();
         for (r, expected) in refs.iter().zip(&records) {
             prop_assert_eq!(&buf.read(*r).unwrap(), expected);

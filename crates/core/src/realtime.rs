@@ -483,9 +483,8 @@ impl RealtimeIndexer {
 }
 
 /// Restricts `event` to the single image `url`, for targeted re-application
-/// of a dead-lettered operation. Returns `None` when the event no longer
-/// mentions the URL (e.g. the letter's offset points at a different event
-/// after queue compaction).
+/// of a dead-lettered operation. Returns `None` when the event does not
+/// mention the URL.
 fn narrow_event_to_url(event: &ProductEvent, url: &str) -> Option<ProductEvent> {
     match event {
         ProductEvent::AddProduct { product_id, images } => {
@@ -622,6 +621,14 @@ mod tests {
         assert_eq!(r.inserted, 0);
         assert_eq!(f.indexer.index().valid_images(), 1);
         assert_eq!(f.indexer.index().num_images(), 1, "no duplicate record");
+        // A remove naming no URL (the tombstone older builds' per-key log
+        // compaction wrote) applies as nothing.
+        let r = f.indexer.apply(&ProductEvent::RemoveProduct {
+            product_id: ProductId(1),
+            urls: vec![],
+        });
+        assert_eq!(r.touched() + r.failed, 0);
+        assert_eq!(f.indexer.index().valid_images(), 1);
     }
 
     #[test]

@@ -31,10 +31,8 @@
 //! Retention ties the pieces together: once a checkpoint covers offset
 //! *W*, log segments wholly below *W* are deleted
 //! ([`DurableQueue::prune_to`]); the queue keeps absolute offsets across
-//! pruning via its base offset. Between prunes, [`compact`] reclaims the
-//! middle of the log: cold-segment events superseded per image URL by
-//! later ones are blanked into no-op tombstones (offsets preserved, so
-//! replay and checkpoints are oblivious) with a crash-safe segment swap.
+//! pruning via its base offset. Checkpoint cadence is what bounds replay:
+//! nothing rewrites the log.
 //!
 //! ## Example
 //!
@@ -67,7 +65,6 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod commit;
-pub mod compact;
 pub mod log;
 pub mod queue;
 pub mod recovery;
@@ -75,7 +72,6 @@ pub mod recovery;
 pub use checkpoint::{CheckpointConfig, CheckpointStore, Manifest, SharedCheckpoint};
 pub use codec::{decode_event, encode_event, CodecError};
 pub use commit::CommitQueue;
-pub use compact::{compact_log, CompactionReport};
 pub use log::{FsyncPolicy, LogConfig, OpenReport, SegmentedLog};
 pub use queue::DurableQueue;
 pub use recovery::{recover_partition_seeded, RecoveryReport};

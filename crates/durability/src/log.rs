@@ -19,7 +19,7 @@
 //! disk blocks, and nothing to trim when the segment is sealed. Rotation
 //! **seals** the finished segment back to its valid length before it
 //! creates the next one, so every *cold* segment is exactly its frames —
-//! what retention, compaction and their byte accounting work on.
+//! what retention and its byte accounting work on.
 //!
 //! **End of log.** Walking a segment (`frames`) ends at the first frame
 //! that is zero-length, incomplete or CRC-invalid, and `End` names what
@@ -129,8 +129,7 @@ struct Segment {
     /// Records currently in the segment.
     records: u64,
     /// Valid bytes (frames only). On the active segment this is the append
-    /// position; on a cold one it is an upper bound (compaction shrinks
-    /// the file underneath, keeping the record count).
+    /// position; on a cold one, its file length.
     bytes: u64,
 }
 
@@ -140,7 +139,7 @@ impl Segment {
     }
 }
 
-pub(crate) fn segment_path(dir: &Path, first_offset: Offset) -> PathBuf {
+fn segment_path(dir: &Path, first_offset: Offset) -> PathBuf {
     dir.join(format!("wal-{first_offset:020}.seg"))
 }
 
@@ -300,16 +299,6 @@ impl SegmentedLog {
         self.segments.len()
     }
 
-    /// The directory holding this log's segment files.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.config.dir
-    }
-
-    /// The metrics sink this log reports into.
-    pub(crate) fn metrics(&self) -> &DurabilityMetrics {
-        &self.metrics
-    }
-
     /// Appends one record, returning its offset. Honors the fsync policy.
     ///
     /// # Errors
@@ -376,9 +365,9 @@ impl SegmentedLog {
 
     /// Rolls to a fresh preallocated segment starting at `next_offset`.
     /// The finished segment is first sealed to its valid length and synced
-    /// (one sync covers its data and its size), so retention, compaction
-    /// and recovery never see a dirty or padded cold segment. A crash
-    /// between the steps is put right by `open`.
+    /// (one sync covers its data and its size), so retention and recovery
+    /// never see a dirty or padded cold segment. A crash between the steps
+    /// is put right by `open`.
     fn rotate(&mut self) -> io::Result<()> {
         let last = self.segments.last().expect("at least one segment");
         self.writer.set_len(last.bytes)?;
@@ -460,7 +449,7 @@ impl SegmentedLog {
 }
 
 /// Appends the frame of `payload` (header, then payload) to `buf`.
-pub(crate) fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32c(payload).to_le_bytes());
     buf.extend_from_slice(payload);
@@ -468,7 +457,7 @@ pub(crate) fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
 
 /// What sits after the last valid frame of a walked byte run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum End {
+enum End {
     /// Nothing: the bytes are exactly their frames (a sealed segment).
     Clean,
     /// Only zeros: untouched preallocation (the active segment).
@@ -483,12 +472,12 @@ pub(crate) enum End {
 /// Walks the frames of `bytes` from the start: an iterator over the
 /// payloads of the valid prefix, and [`Frames::finish`] for where and how
 /// that prefix ends. The one place the end-of-log rule lives.
-pub(crate) fn frames(bytes: &[u8]) -> Frames<'_> {
+fn frames(bytes: &[u8]) -> Frames<'_> {
     Frames { bytes, pos: 0 }
 }
 
 #[derive(Debug)]
-pub(crate) struct Frames<'a> {
+struct Frames<'a> {
     bytes: &'a [u8],
     /// End of the valid prefix walked so far.
     pos: usize,
@@ -522,7 +511,7 @@ impl<'a> Frames<'a> {
 
     /// Walks whatever is left and returns the length of the valid prefix
     /// and what follows it.
-    pub(crate) fn finish(mut self) -> (usize, End) {
+    fn finish(mut self) -> (usize, End) {
         self.by_ref().for_each(drop);
         let rest = &self.bytes[self.pos..];
         let end = if rest.is_empty() {
@@ -568,26 +557,23 @@ fn dirty_len(bytes: &[u8]) -> usize {
 const SCAN_CHUNK: u64 = 256 * 1024;
 
 #[derive(Debug)]
-pub(crate) struct SegmentScan {
-    /// The file's bytes as far as they were read: all of the valid prefix
-    /// and whatever of the rest it took to judge its end.
-    pub(crate) bytes: Vec<u8>,
+struct SegmentScan {
     /// Whole valid frames found before the first invalid byte.
-    pub(crate) records: u64,
+    records: u64,
     /// Bytes those frames occupy.
-    pub(crate) valid_bytes: u64,
+    valid_bytes: u64,
     /// What follows them, as far as was read: `ZeroTail` vouches for the
     /// chunk behind the zero header, not for the megabytes behind that.
-    pub(crate) end: End,
+    end: End,
     /// Bytes past the valid prefix up to the file's last non-zero one (0
     /// unless the end is torn or corrupt).
-    pub(crate) dirty_bytes: u64,
+    dirty_bytes: u64,
 }
 
 /// Scans a segment file for its valid frame prefix, reading on only until
 /// the end of that prefix can be judged — never the preallocation behind
 /// a zero header, so a scan costs what the records cost.
-pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
+fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let mut file = File::open(path)?;
     let mut bytes = Vec::new();
     let (mut valid, mut records) = (0, 0);
@@ -613,7 +599,6 @@ pub(crate) fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         }
     };
     Ok(SegmentScan {
-        bytes,
         records,
         valid_bytes: valid as u64,
         end,
@@ -645,7 +630,7 @@ fn write_at(file: &mut File, buf: &[u8], pos: u64) -> io::Result<()> {
 }
 
 /// Lists segment first-offsets present in `dir`.
-pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<Offset>> {
+fn list_segments(dir: &Path) -> io::Result<Vec<Offset>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let name = entry?.file_name();
@@ -749,11 +734,19 @@ mod tests {
         }
         assert!(log.num_segments() > 2, "tiny segments must rotate");
         assert_eq!(log.replay(0).unwrap().len(), 40);
+        let segments = log.num_segments();
         drop(log);
+        // A directory an older build's interrupted segment rewrite left
+        // behind holds a `wal-*.tmp` beside the segments: open must neither
+        // read it as a segment nor delete it.
+        let tmp = dir.join("wal-00000000000000000000.tmp");
+        fs::write(&tmp, b"garbage").unwrap();
         // Reopen sees the same shape.
         let log = open(&dir, FsyncPolicy::Os, 64);
         assert_eq!(log.next_offset(), 40);
+        assert_eq!(log.num_segments(), segments);
         assert_eq!(log.replay(17).unwrap().len(), 23);
+        assert_eq!(fs::read(&tmp).unwrap(), b"garbage");
         fs::remove_dir_all(&dir).unwrap();
     }
 

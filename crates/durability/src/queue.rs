@@ -12,9 +12,7 @@
 //! failed would silently break the recovery contract (etcd and friends
 //! fatal on WAL write errors for the same reason).
 
-use std::collections::HashSet;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -37,53 +35,6 @@ pub struct DurableQueue {
     open_report: OpenReport,
     /// Events replayed from the log into the in-memory queue on open.
     recovered: u64,
-    /// Estimates how much of the log a per-key compaction could blank.
-    stale: Arc<StaleEstimator>,
-}
-
-/// Estimates the blanked-frame potential of the log: every `AddProduct`
-/// whose URLs have *all* been added before supersedes at least one earlier
-/// frame of each URL (see [`crate::compact`]'s rules), so it bumps the
-/// superseded counter. A cheap scheduling hint, not the ground truth — the
-/// compaction pass itself computes the real droppable set; this only
-/// decides *when* a pass is worth its segment rewrites. Fed by log replay
-/// on open and by the publish tee afterwards, and corrected back down by
-/// [`DurableQueue::compact`]'s report.
-#[derive(Debug, Default)]
-struct StaleEstimator {
-    /// URLs an `AddProduct` has ever carried (replayed or published).
-    seen_urls: Mutex<HashSet<String>>,
-    /// Frames estimated to be superseded somewhere in the log.
-    superseded: AtomicU64,
-    /// Frames observed (log length floor for the ratio's denominator).
-    total: AtomicU64,
-}
-
-impl StaleEstimator {
-    fn observe(&self, event: &ProductEvent) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if let ProductEvent::AddProduct { images, .. } = event {
-            if images.is_empty() {
-                return;
-            }
-            let mut seen = self.seen_urls.lock();
-            let mut all_seen = true;
-            for a in images {
-                all_seen &= !seen.insert(a.url.clone());
-            }
-            if all_seen {
-                self.superseded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn ratio(&self) -> f64 {
-        let total = self.total.load(Ordering::Relaxed);
-        if total == 0 {
-            return 0.0;
-        }
-        self.superseded.load(Ordering::Relaxed) as f64 / total as f64
-    }
 }
 
 impl DurableQueue {
@@ -109,11 +60,6 @@ impl DurableQueue {
         }
         let recovered = backlog.len() as u64;
 
-        let stale = Arc::new(StaleEstimator::default());
-        for event in &backlog {
-            stale.observe(event);
-        }
-
         let queue = Arc::new(MessageQueue::with_base(base));
         // Tee is installed after the backlog lands, so recovery does not
         // re-append what the log already holds.
@@ -122,9 +68,7 @@ impl DurableQueue {
 
         let log = Arc::new(Mutex::new(log));
         let tee_log = Arc::clone(&log);
-        let tee_stale = Arc::clone(&stale);
         queue.set_tee(move |offset: Offset, event: &ProductEvent| {
-            tee_stale.observe(event);
             let payload = encode_event(event);
             let appended = tee_log
                 .lock()
@@ -147,7 +91,6 @@ impl DurableQueue {
             log,
             open_report,
             recovered,
-            stale,
         })
     }
 
@@ -181,43 +124,6 @@ impl DurableQueue {
     /// [`SegmentedLog::retain_from`]. Returns segments pruned.
     pub fn prune_to(&self, watermark: Offset) -> io::Result<u64> {
         self.log.lock().retain_from(watermark)
-    }
-
-    /// Live segment count (for tests and ops).
-    pub fn num_segments(&self) -> usize {
-        self.log.lock().num_segments()
-    }
-
-    /// Estimated fraction of logged frames a per-key compaction could
-    /// blank into tombstones — the scheduling signal for
-    /// [`DurableQueue::compact`]. See [`StaleEstimator`]; corrected by
-    /// each compaction's report, and zeroed by a pass that found nothing
-    /// droppable (the superseded frames sit in the active segment) so a
-    /// threshold scheduler does not re-trigger futile rewrites.
-    pub fn stale_frame_ratio(&self) -> f64 {
-        self.stale.ratio()
-    }
-
-    /// Runs per-key compaction over the cold log segments (see
-    /// [`compact_log`](crate::compact::compact_log)) while holding the
-    /// append lock, so no rotation or retention races the segment swap.
-    /// Publishes block for the duration; run it in quiet periods.
-    pub fn compact(&self) -> io::Result<crate::compact::CompactionReport> {
-        let report = self.log.lock().compact()?;
-        // Settle the estimate against what the pass actually reclaimed. A
-        // no-op pass zeroes it: whatever the estimator saw is not (yet)
-        // droppable, and the next superseding publish re-raises it.
-        let _ = self
-            .stale
-            .superseded
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(if report.events_dropped == 0 {
-                    0
-                } else {
-                    v.saturating_sub(report.events_dropped)
-                })
-            });
-        Ok(report)
     }
 }
 
@@ -342,48 +248,6 @@ mod tests {
         drop(dq); // crash: group commit already made everything durable
         let dq = DurableQueue::open(cfg, Arc::new(DurabilityMetrics::new())).unwrap();
         assert_eq!(dq.recovered_events(), total);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_frame_ratio_tracks_hot_key_churn_and_settles_after_compaction() {
-        let dir = temp_dir("stale");
-        let hot = |i: u64| ProductEvent::AddProduct {
-            product_id: ProductId(i),
-            images: vec![ProductAttributes::new(
-                ProductId(i),
-                i,
-                100,
-                1,
-                "hot".into(),
-            )],
-        };
-        let dq = DurableQueue::open(config(&dir), Arc::new(DurabilityMetrics::new())).unwrap();
-        assert_eq!(dq.stale_frame_ratio(), 0.0, "empty log has nothing stale");
-        for i in 0..10 {
-            dq.queue().publish(hot(i));
-        }
-        // 9 of the 10 frames re-add an already-seen URL.
-        let before = dq.stale_frame_ratio();
-        assert!(before >= 0.8, "got {before}");
-        let report = dq.compact().unwrap();
-        assert!(report.events_dropped > 0);
-        assert!(dq.stale_frame_ratio() < before, "estimate settles down");
-        // A second pass finds nothing (the remaining superseded frames sit
-        // in the active segment) and must zero the estimate — a threshold
-        // scheduler would otherwise re-trigger futile rewrites forever.
-        let again = dq.compact().unwrap();
-        assert_eq!(again.events_dropped, 0);
-        assert_eq!(dq.stale_frame_ratio(), 0.0);
-        drop(dq);
-        // Reopen rebuilds the estimate from replay: tombstones are not
-        // adds, so the compacted log reads as mostly fresh.
-        let dq = DurableQueue::open(config(&dir), Arc::new(DurabilityMetrics::new())).unwrap();
-        assert!(
-            dq.stale_frame_ratio() < 0.5,
-            "got {}",
-            dq.stale_frame_ratio()
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -24,12 +24,6 @@ pub struct DurabilityMetrics {
     pub segments_created: Counter,
     /// Segment files deleted by watermark-keyed retention.
     pub segments_pruned: Counter,
-    /// Per-key compaction passes completed over the log.
-    pub log_compactions: Counter,
-    /// Events blanked into no-op tombstones by compaction.
-    pub compaction_events_dropped: Counter,
-    /// Log bytes reclaimed by compaction's segment rewrites.
-    pub compaction_bytes_reclaimed: Counter,
     /// Checkpoints written successfully.
     pub checkpoints_written: Counter,
     /// Snapshot bytes written across all checkpoints.
@@ -68,9 +62,6 @@ impl DurabilityMetrics {
             log_syncs: self.log_syncs.get(),
             segments_created: self.segments_created.get(),
             segments_pruned: self.segments_pruned.get(),
-            log_compactions: self.log_compactions.get(),
-            compaction_events_dropped: self.compaction_events_dropped.get(),
-            compaction_bytes_reclaimed: self.compaction_bytes_reclaimed.get(),
             checkpoints_written: self.checkpoints_written.get(),
             checkpoint_bytes: self.checkpoint_bytes.get(),
             recoveries: self.recoveries.get(),
@@ -98,12 +89,6 @@ pub struct DurabilitySnapshot {
     pub segments_created: u64,
     /// See [`DurabilityMetrics::segments_pruned`].
     pub segments_pruned: u64,
-    /// See [`DurabilityMetrics::log_compactions`].
-    pub log_compactions: u64,
-    /// See [`DurabilityMetrics::compaction_events_dropped`].
-    pub compaction_events_dropped: u64,
-    /// See [`DurabilityMetrics::compaction_bytes_reclaimed`].
-    pub compaction_bytes_reclaimed: u64,
     /// See [`DurabilityMetrics::checkpoints_written`].
     pub checkpoints_written: u64,
     /// See [`DurabilityMetrics::checkpoint_bytes`].

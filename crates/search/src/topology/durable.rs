@@ -1,9 +1,9 @@
 //! The durable half of a topology built with
 //! [`SearchTopology::build_durable`](super::SearchTopology::build_durable):
 //! where it persists ([`DurabilityOptions`]), the log and counters it owns
-//! ([`DurableParts`]), the partition-map file a split commits, and the two
-//! duties of the background scheduler — exposure-bounded checkpoints and
-//! threshold-triggered log compaction.
+//! ([`DurableParts`]), the partition-map file a split commits, and the
+//! background scheduler's exposure-bounded checkpoints, which with log
+//! retention are what bounds replay.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -50,22 +50,11 @@ pub struct DurabilityOptions {
     ///
     /// [`SearchTopology::checkpoint_partition`]: super::SearchTopology::checkpoint_partition
     pub checkpoint_exposure: Option<u64>,
-    /// When set (and real-time indexing is on), the background scheduler
-    /// also watches the log's **blanked-frame estimate** — the fraction of
-    /// frames a per-key compaction could rewrite into no-op tombstones
-    /// (see [`DurableQueue::stale_frame_ratio`]) — and runs
-    /// [`DurableQueue::compact`] under the maintenance mutex whenever the
-    /// estimate crosses this threshold. Hot-key churn (the same URLs
-    /// re-added over and over) then stops growing cold-recovery replay
-    /// cost without an operator in the loop. `None` (the default) leaves
-    /// compaction manual-only.
-    pub log_compaction_ratio: Option<f64>,
 }
 
 impl DurabilityOptions {
     /// Defaults: `FsyncPolicy::Always`, no group commit, 8 MiB segments,
-    /// 2 snapshots kept, no background checkpoint scheduler, no background
-    /// log compaction.
+    /// 2 snapshots kept, no background checkpoint scheduler.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
@@ -74,7 +63,6 @@ impl DurabilityOptions {
             segment_max_bytes: 8 * 1024 * 1024,
             snapshots_keep: 2,
             checkpoint_exposure: None,
-            log_compaction_ratio: None,
         }
     }
 
@@ -82,22 +70,6 @@ impl DurabilityOptions {
     /// exposure bound (see [`DurabilityOptions::checkpoint_exposure`]).
     pub fn with_checkpoint_exposure(mut self, events: u64) -> Self {
         self.checkpoint_exposure = Some(events);
-        self
-    }
-
-    /// Enables scheduler-driven per-key log compaction at the given
-    /// blanked-frame ratio threshold (see
-    /// [`DurabilityOptions::log_compaction_ratio`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < ratio <= 1.0`.
-    pub fn with_log_compaction(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio > 0.0 && ratio <= 1.0,
-            "log_compaction_ratio must be in (0, 1]"
-        );
-        self.log_compaction_ratio = Some(ratio);
         self
     }
 }
@@ -259,14 +231,12 @@ impl SearchTopology {
     }
 }
 
-/// Spawns the background maintenance scheduler when the topology is durable,
-/// indexes in real time and has a bound set. One thread drives both duties —
-/// they share the maintenance mutex anyway — and walks the live table, so
-/// partitions a split appends later are covered too.
+/// Spawns the background checkpoint scheduler when the topology is
+/// durable, indexes in real time and has an exposure bound set. It walks the
+/// live table, so partitions a split appends later are covered too.
 pub(super) fn spawn_scheduler(core: &Arc<Core>) -> Option<JoinHandle<()>> {
-    let options = &core.durable.as_ref()?.options;
-    let (exposure, compaction) = (options.checkpoint_exposure, options.log_compaction_ratio);
-    if !core.config.realtime_indexing || (exposure.is_none() && compaction.is_none()) {
+    let bound = core.durable.as_ref()?.options.checkpoint_exposure?;
+    if !core.config.realtime_indexing {
         return None;
     }
     let core = Arc::clone(core);
@@ -274,12 +244,7 @@ pub(super) fn spawn_scheduler(core: &Arc<Core>) -> Option<JoinHandle<()>> {
         .name("ckpt-sched".into())
         .spawn(move || {
             while !core.stop.load(Ordering::Relaxed) {
-                if let Some(bound) = exposure {
-                    core.run_exposure_pass(bound);
-                }
-                if let Some(threshold) = compaction {
-                    core.run_compaction_pass(threshold);
-                }
+                core.run_exposure_pass(bound);
                 std::thread::sleep(Duration::from_millis(5));
             }
         })
@@ -302,25 +267,5 @@ impl Core {
                 let _ = self.checkpoint_partition(p);
             }
         }
-    }
-
-    /// One scheduler pass of the log-compaction side: when the estimated
-    /// blanked-frame ratio crosses `threshold` and the log has cold
-    /// segments to rewrite, run per-key compaction under the maintenance
-    /// mutex, so no snapshot save or segment retention races the segment
-    /// swap. Errors are left for the next pass to retry, like a failed
-    /// checkpoint.
-    fn run_compaction_pass(&self, threshold: f64) {
-        let Some(queue) = self.durable.as_ref().map(|d| &d.queue) else {
-            return;
-        };
-        if self.stop.load(Ordering::Relaxed)
-            || queue.stale_frame_ratio() < threshold
-            || queue.num_segments() < 2
-        {
-            return;
-        }
-        let _maintenance = self.maintenance.lock();
-        let _ = queue.compact();
     }
 }

@@ -187,10 +187,9 @@ struct Core {
     /// closure: an online split rewrites it in place and the parent's
     /// indexers immediately stop owning the moved keys.
     layout: Arc<RwLock<PartitionMap>>,
-    /// Serializes checkpoint/rebuild/bootstrap/split/compaction. Pauses are
-    /// per row, but these operations share more than a row: checkpoint
-    /// store writes and reads, retention and compaction of the one log,
-    /// and changes to the layout.
+    /// Serializes checkpoint/rebuild/bootstrap/split. Pauses are per row,
+    /// but these operations share more than a row: checkpoint store writes
+    /// and reads, retention of the one log, and changes to the layout.
     maintenance: Mutex<()>,
     stop: AtomicBool,
     config: TopologyConfig,
@@ -268,9 +267,8 @@ pub struct SearchTopology {
     /// client.
     frontend: Arc<Balancer<TcpChannel<SearchQuery, SearchResponse>>>,
     indexer_threads: Vec<JoinHandle<()>>,
-    /// Background maintenance scheduler
-    /// ([`DurabilityOptions::checkpoint_exposure`],
-    /// [`DurabilityOptions::log_compaction_ratio`]), joined in shutdown.
+    /// Background checkpoint scheduler
+    /// ([`DurabilityOptions::checkpoint_exposure`]), joined in shutdown.
     checkpoint_scheduler: Option<JoinHandle<()>>,
     /// Resilience counters of `net` (every balancer, broker and blender).
     metrics: Arc<ResilienceMetrics>,
@@ -1199,44 +1197,52 @@ mod tests {
 
     #[test]
     fn background_scheduler_checkpoints_on_exposure() {
-        let dir = durable_dir("sched");
-        let images = Arc::new(ImageStore::with_blob_len(64));
-        {
-            let mut t = durable_world_with(&dir, &images, |o| {
-                *o = o.clone().with_checkpoint_exposure(5);
-            });
-            assert_eq!(t.checkpoint_watermark(0), None, "no checkpoint yet");
-            for i in 0..30u64 {
-                t.publish(add_event_for(&images, i));
-            }
-            t.wait_for_freshness(Duration::from_secs(30));
-            // Both partitions' applied watermarks are at 30 with no
-            // checkpoint — replay exposure 30 > 5 — so the scheduler must
-            // checkpoint each down to exposure ≤ 5 without any
-            // checkpoint_partition call from us.
-            let deadline = std::time::Instant::now() + Duration::from_secs(20);
-            loop {
-                let caught_up = (0..2).all(|p| t.checkpoint_watermark(p).is_some_and(|w| w >= 25));
-                if caught_up {
-                    break;
+        // (events published, distinct products): a fresh catalog, and
+        // hot-key churn re-adding the same 3 products over and over.
+        for (events, products) in [(30u64, 30u64), (40, 3)] {
+            let dir = durable_dir(&format!("sched-{products}"));
+            let images = Arc::new(ImageStore::with_blob_len(64));
+            {
+                let mut t = durable_world_with(&dir, &images, |o| {
+                    *o = o.clone().with_checkpoint_exposure(5);
+                });
+                assert_eq!(t.checkpoint_watermark(0), None, "no checkpoint yet");
+                for i in 0..events {
+                    t.publish(add_event_for(&images, i % products));
                 }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "scheduler never brought exposure under the bound: {:?}",
-                    (t.checkpoint_watermark(0), t.checkpoint_watermark(1))
-                );
-                std::thread::sleep(Duration::from_millis(5));
+                t.wait_for_freshness(Duration::from_secs(30));
+                // Both partitions' applied watermarks are at `events` with
+                // no checkpoint — replay exposure > 5 — so the scheduler
+                // must checkpoint each down to exposure ≤ 5 without any
+                // checkpoint_partition call from us.
+                let deadline = std::time::Instant::now() + Duration::from_secs(20);
+                loop {
+                    let caught_up =
+                        (0..2).all(|p| t.checkpoint_watermark(p).is_some_and(|w| w >= events - 5));
+                    if caught_up {
+                        break;
+                    }
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "scheduler never brought exposure under the bound: {:?}",
+                        (t.checkpoint_watermark(0), t.checkpoint_watermark(1))
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                t.shutdown();
             }
+            // Recovery starts from the scheduled checkpoints, not offset 0,
+            // and reproduces the catalog.
+            let mut t = durable_world(&dir, &images);
+            let reports = t.recovery_reports().unwrap();
+            assert!(reports.iter().all(|r| r.from_snapshot));
+            assert!(reports.iter().all(|r| r.start_offset >= events - 5));
+            assert_eq!(t.ops_report().logical_valid_images(), products as usize);
+            let resp = t.search(SearchQuery::by_image_url("u1", 1)).unwrap();
+            assert_eq!(resp.results[0].hit.url, "u1");
             t.shutdown();
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        // Recovery starts from the scheduled checkpoints, not offset 0.
-        let mut t = durable_world(&dir, &images);
-        let reports = t.recovery_reports().unwrap();
-        assert!(reports.iter().all(|r| r.from_snapshot));
-        assert!(reports.iter().all(|r| r.start_offset >= 25));
-        assert_eq!(t.ops_report().logical_valid_images(), 30);
-        t.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1298,46 +1304,6 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn background_scheduler_compacts_hot_key_churn() {
-        let dir = durable_dir("compact");
-        let images = Arc::new(ImageStore::with_blob_len(64));
-        {
-            let mut t = durable_world_with(&dir, &images, |o| {
-                *o = o.clone().with_log_compaction(0.5);
-            });
-            // Re-add the same 3 products over and over: most log frames
-            // are superseded, pushing the blanked-frame estimate over the
-            // threshold — the scheduler must compact without any operator
-            // call.
-            for i in 0..40u64 {
-                t.publish(add_event_for(&images, i % 3));
-            }
-            t.wait_for_freshness(Duration::from_secs(30));
-            let metrics = Arc::clone(t.durability_metrics().unwrap());
-            let deadline = std::time::Instant::now() + Duration::from_secs(20);
-            while metrics.compaction_events_dropped.get() == 0 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "scheduler never compacted the hot-key churn"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            assert!(metrics.log_compactions.get() >= 1);
-            // Serving is unaffected: the catalog still has 3 live images.
-            assert_eq!(t.ops_report().logical_valid_images(), 3);
-            t.shutdown();
-        }
-        // Restart: replay over the tombstoned log reproduces the same
-        // catalog (offsets preserved, superseded frames apply as no-ops).
-        let mut t = durable_world(&dir, &images);
-        assert_eq!(t.ops_report().logical_valid_images(), 3);
-        let resp = t.search(SearchQuery::by_image_url("u1", 1)).unwrap();
-        assert_eq!(resp.results[0].hit.url, "u1");
-        t.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

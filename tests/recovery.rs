@@ -318,173 +318,3 @@ fn every_n_policy_survives_arbitrary_tear_with_bounded_loss() {
     assert_eq!(outcome.replayed, 2 * outcome.recovered_events);
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// Per-key log compaction must be invisible to recovery: a cold replay of
-/// the compacted log reconstructs byte-for-byte the same forward-index
-/// state (presence, validity, every numeric attribute and listing field,
-/// per image URL) as a replay of the original log — while the log itself
-/// shrinks and keeps every offset.
-#[test]
-fn compaction_preserves_cold_recovery_state_exactly() {
-    use jdvs::core::config::IndexConfig;
-    use jdvs::core::index::VisualIndex;
-    use jdvs::core::realtime::RealtimeIndexer;
-    use jdvs::durability::compact_log;
-    use jdvs::features::cost::CostModel;
-    use jdvs::features::{CachingExtractor, ExtractorConfig, FeatureExtractor};
-    use jdvs::storage::model::{ImageKey, ProductAttributes};
-    use jdvs::storage::{FeatureDb, ImageStore};
-    use jdvs::vector::Vector;
-    use std::collections::BTreeMap;
-
-    const DIM: usize = 8;
-    const URLS: u64 = 12;
-    const ROUNDS: u64 = 6;
-    let url_of = |i: u64| format!("https://img.jd.test/churn/{i}.jpg");
-
-    let dir = scratch_dir("compact-equiv");
-    let wal = dir.join("wal");
-    let mut config = LogConfig::new(&wal);
-    config.fsync = FsyncPolicy::Always;
-    config.segment_max_bytes = 192; // a few events per segment: many cold segments
-
-    let images = Arc::new(ImageStore::with_blob_len(64));
-    for i in 0..URLS {
-        images.put_synthetic(&url_of(i), i * 131);
-    }
-
-    // A churn stream with heavy per-URL supersession: each URL cycles
-    // through add / partial update / remove / full update across rounds,
-    // so later adds shadow whole earlier histories (and some updates race
-    // ahead of their adds, exercising the dead-letter path identically on
-    // both replays).
-    {
-        let dq = DurableQueue::open(config.clone(), Arc::new(DurabilityMetrics::new()))
-            .expect("fresh open");
-        for round in 0..ROUNDS {
-            for i in 0..URLS {
-                let pid = ProductId(i);
-                let event = match (round + i) % 4 {
-                    0 => ProductEvent::AddProduct {
-                        product_id: pid,
-                        images: vec![ProductAttributes::new(
-                            pid,
-                            round * 10 + i,
-                            100 + i,
-                            round,
-                            url_of(i),
-                        )],
-                    },
-                    1 => ProductEvent::UpdateAttributes {
-                        product_id: pid,
-                        urls: vec![url_of(i)],
-                        sales: Some(round * 100 + i),
-                        price: None,
-                        praise: None,
-                    },
-                    2 => ProductEvent::RemoveProduct {
-                        product_id: pid,
-                        urls: vec![url_of(i)],
-                    },
-                    _ => ProductEvent::UpdateAttributes {
-                        product_id: pid,
-                        urls: vec![url_of(i)],
-                        sales: Some(round),
-                        price: Some(55 + i),
-                        praise: Some(round + 2),
-                    },
-                };
-                dq.queue().publish(event);
-            }
-        }
-    }
-
-    // Cold-replays the whole log through a fresh indexer and captures the
-    // observable per-URL state.
-    type UrlState = (bool, bool, u64, u64, u64, u64, u32, bool);
-    let replay_state = |images: &Arc<ImageStore>| -> (u64, usize, BTreeMap<u64, UrlState>) {
-        let dq =
-            DurableQueue::open(config.clone(), Arc::new(DurabilityMetrics::new())).expect("reopen");
-        let mut rng = jdvs::vector::rng::Xoshiro256::seed_from(5);
-        let train: Vec<Vector> = (0..64)
-            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
-            .collect();
-        let index = Arc::new(VisualIndex::bootstrap(
-            IndexConfig {
-                dim: DIM,
-                num_lists: 4,
-                ..Default::default()
-            },
-            &train,
-        ));
-        let indexer = RealtimeIndexer::for_index(
-            index,
-            Arc::new(CachingExtractor::new(
-                FeatureExtractor::new(ExtractorConfig {
-                    dim: DIM,
-                    ..Default::default()
-                }),
-                CostModel::free(),
-            )),
-            Arc::clone(images),
-            Arc::new(FeatureDb::new()),
-        );
-        let events = dq.queue().read_range(0, usize::MAX);
-        for (off, event) in events.iter().enumerate() {
-            indexer.apply_at(off as u64, event);
-        }
-        let index = indexer.index();
-        index.flush();
-        let mut state = BTreeMap::new();
-        for i in 0..URLS {
-            let entry = match index.lookup(ImageKey::from_url(&url_of(i))) {
-                Some(id) => {
-                    let a = index.attributes(id).expect("resolved id has attributes");
-                    (
-                        true,
-                        index.is_valid(id),
-                        a.product_id.0,
-                        a.sales,
-                        a.price,
-                        a.praise,
-                        a.category,
-                        a.in_stock,
-                    )
-                }
-                None => (false, false, 0, 0, 0, 0, 0, false),
-            };
-            state.insert(i, entry);
-        }
-        (events.len() as u64, index.valid_images(), state)
-    };
-
-    let before = replay_state(&images);
-    let log_bytes_before: u64 = std::fs::read_dir(&wal)
-        .expect("wal dir")
-        .map(|e| e.unwrap().metadata().unwrap().len())
-        .sum();
-
-    let report = compact_log(&wal, &DurabilityMetrics::new()).expect("compaction");
-    assert!(
-        report.events_dropped > 0,
-        "churn must leave superseded events"
-    );
-    assert!(report.segments_rewritten > 0);
-    assert!(report.bytes_reclaimed > 0);
-
-    let after = replay_state(&images);
-    let log_bytes_after: u64 = std::fs::read_dir(&wal)
-        .expect("wal dir")
-        .map(|e| e.unwrap().metadata().unwrap().len())
-        .sum();
-    assert_eq!(
-        before, after,
-        "compacted replay must reconstruct the identical index state"
-    );
-    assert_eq!(before.0, ROUNDS * URLS, "every offset survives compaction");
-    assert!(
-        log_bytes_after + report.bytes_reclaimed <= log_bytes_before,
-        "reclaimed bytes must actually leave the disk"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}

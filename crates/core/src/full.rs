@@ -8,10 +8,11 @@
 //! [`FullIndexBuilder`] replays a message log, resolves the catalog's final
 //! state (which images exist, their freshest attributes, whether they are
 //! valid), obtains features (reusing the feature database — only genuinely
-//! new images are extracted), trains the k-means coarse quantizer on a
-//! sample, and bulk-builds a fresh [`VisualIndex`] containing **only the
-//! valid images** — the paper's optimization that keeps weekly rebuilds and
-//! subsequent searches fast.
+//! new images are extracted), and bulk-loads **only the valid images** into
+//! an empty [`VisualIndex`] the caller supplies — the paper's optimization
+//! that keeps weekly rebuilds and subsequent searches fast. The caller builds
+//! that index around the quantizers it already serves
+//! ([`VisualIndex::with_quantizers`]), so a full build trains nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,10 +20,7 @@ use std::sync::Arc;
 use jdvs_features::CachingExtractor;
 use jdvs_storage::model::{ImageKey, ProductAttributes, ProductEvent};
 use jdvs_storage::{FeatureDb, ImageStore};
-use jdvs_vector::rng::Xoshiro256;
-use jdvs_vector::Vector;
 
-use crate::config::IndexConfig;
 use crate::index::VisualIndex;
 
 /// Statistics from one full-index build.
@@ -111,7 +109,6 @@ pub type KeyFilter = Arc<dyn Fn(ImageKey) -> bool + Send + Sync>;
 
 /// The full indexer; see the module docs.
 pub struct FullIndexBuilder {
-    config: IndexConfig,
     extractor: Arc<CachingExtractor>,
     images: Arc<ImageStore>,
     feature_db: Arc<FeatureDb>,
@@ -122,7 +119,6 @@ pub struct FullIndexBuilder {
 impl std::fmt::Debug for FullIndexBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FullIndexBuilder")
-            .field("config", &self.config)
             .field("filtered", &self.filter.is_some())
             .finish()
     }
@@ -131,33 +127,16 @@ impl std::fmt::Debug for FullIndexBuilder {
 impl FullIndexBuilder {
     /// Creates a builder over the shared stores.
     pub fn new(
-        config: IndexConfig,
         extractor: Arc<CachingExtractor>,
         images: Arc<ImageStore>,
         feature_db: Arc<FeatureDb>,
     ) -> Self {
-        config.validate();
         Self {
-            config,
             extractor,
             images,
             feature_db,
             filter: None,
         }
-    }
-
-    /// Restricts the build to images hashing into `partition` of
-    /// `num_partitions` — how each searcher's weekly index file is built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition >= num_partitions` or `num_partitions == 0`.
-    pub fn with_partition(self, partition: usize, num_partitions: usize) -> Self {
-        assert!(num_partitions > 0, "num_partitions must be positive");
-        assert!(partition < num_partitions, "partition out of range");
-        self.with_filter(Arc::new(move |key: ImageKey| {
-            key.partition(num_partitions) == partition
-        }))
     }
 
     /// Restricts the build to images accepted by an arbitrary ownership
@@ -168,22 +147,19 @@ impl FullIndexBuilder {
         self
     }
 
-    /// Replays `log` in order and builds a fresh index of the valid images.
-    /// Returns the index and a build report.
+    /// Replays `log` in order and fills `index`, an empty index, with the
+    /// valid images. Returns the index and a build report.
     ///
     /// # Panics
     ///
-    /// Panics if an **unscoped** replay yields no valid image with an
-    /// available blob — an index needs at least one vector to train its
-    /// quantizer. A partition/filter-scoped build may legitimately own zero
-    /// images and yields an empty (degenerate-quantizer) index instead.
-    pub fn build(&self, log: &[ProductEvent]) -> (VisualIndex, BuildReport) {
+    /// Panics if `index` already holds an image.
+    pub fn build(&self, index: VisualIndex, log: &[ProductEvent]) -> (VisualIndex, BuildReport) {
         // Phase 1: resolve final catalog state.
         let mut state = CatalogState::default();
         for event in log {
             state.apply(event);
         }
-        self.build_from_state(state, log.len() as u64)
+        self.build_from_state(index, state, log.len() as u64)
     }
 
     /// Like [`FullIndexBuilder::build`], but seeds the catalog state from an
@@ -200,6 +176,7 @@ impl FullIndexBuilder {
     /// Same contract as [`FullIndexBuilder::build`].
     pub fn build_seeded(
         &self,
+        index: VisualIndex,
         seed: &VisualIndex,
         suffix: &[ProductEvent],
     ) -> (VisualIndex, BuildReport) {
@@ -219,29 +196,29 @@ impl FullIndexBuilder {
         for event in suffix {
             state.apply(event);
         }
-        self.build_from_state(state, suffix.len() as u64)
+        self.build_from_state(index, state, suffix.len() as u64)
     }
 
-    /// Phases 2–4 shared by [`build`](FullIndexBuilder::build) and
-    /// [`build_seeded`](FullIndexBuilder::build_seeded).
+    /// Phase 2, shared by [`build`](FullIndexBuilder::build) and
+    /// [`build_seeded`](FullIndexBuilder::build_seeded): obtain features for
+    /// the valid images (reuse-first) and bulk insert them.
     fn build_from_state(
         &self,
+        index: VisualIndex,
         state: CatalogState,
         messages_replayed: u64,
     ) -> (VisualIndex, BuildReport) {
+        assert_eq!(index.num_images(), 0, "a full build fills an empty index");
         let mut report = BuildReport {
             messages_replayed,
             images_seen: state.images.len() as u64,
             ..Default::default()
         };
-
-        // Phase 2: obtain features for valid images (reuse-first).
         let extractions_before = self.extractor.misses();
         let reuses_before = self.extractor.hits();
-        let mut indexable: Vec<(Vector, ProductAttributes)> = Vec::new();
-        for (key, attrs, valid) in &state.images {
+        for (key, attrs, valid) in state.images {
             if let Some(filter) = &self.filter {
-                if !filter(*key) {
+                if !filter(key) {
                     report.images_foreign += 1;
                     continue;
                 }
@@ -252,60 +229,30 @@ impl FullIndexBuilder {
             }
             let (features, _) = self
                 .extractor
-                .features_for(attrs, &self.images, &self.feature_db);
-            if let Some(f) = features {
-                indexable.push((f, attrs.clone()));
+                .features_for(&attrs, &self.images, &self.feature_db);
+            if let Some(features) = features {
+                index
+                    .insert(features, attrs)
+                    .expect("bulk insert of validated records cannot fail");
+                report.images_indexed += 1;
             }
         }
         report.extractions = self.extractor.misses() - extractions_before;
         report.reuses = self.extractor.hits() - reuses_before;
-        assert!(
-            !indexable.is_empty() || self.filter.is_some(),
-            "full index build requires at least one valid image with features"
-        );
-
-        // Phase 3: train the coarse quantizer on a bounded sample. A
-        // partition-scoped build may legitimately own zero images; it still
-        // needs a valid (degenerate) quantizer to serve empty results.
-        let sample = if indexable.is_empty() {
-            vec![Vector::zeros(self.config.dim)]
-        } else {
-            self.training_sample(&indexable)
-        };
-        let index = VisualIndex::bootstrap(self.config.clone(), &sample);
-
-        // Phase 4: bulk insert.
-        for (features, attrs) in indexable {
-            index
-                .insert(features, attrs)
-                .expect("bulk insert of validated records cannot fail");
-            report.images_indexed += 1;
-        }
         index.flush();
         (index, report)
-    }
-
-    /// Deterministic sample of up to `config.train_sample` feature vectors.
-    fn training_sample(&self, indexable: &[(Vector, ProductAttributes)]) -> Vec<Vector> {
-        let n = indexable.len();
-        let cap = self.config.train_sample.min(n);
-        if cap == n {
-            return indexable.iter().map(|(v, _)| v.clone()).collect();
-        }
-        let mut rng = Xoshiro256::seed_from(self.config.seed ^ 0x7241_1A5E);
-        rng.sample_indices(n, cap)
-            .into_iter()
-            .map(|i| indexable[i].0.clone())
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IndexConfig;
+    use crate::index::train_quantizers;
     use jdvs_features::cost::CostModel;
     use jdvs_features::{ExtractorConfig, FeatureExtractor};
     use jdvs_storage::model::ProductId;
+    use jdvs_vector::{Kmeans, Vector};
 
     const DIM: usize = 16;
 
@@ -313,6 +260,15 @@ mod tests {
         builder: FullIndexBuilder,
         images: Arc<ImageStore>,
         extractor: Arc<CachingExtractor>,
+        config: IndexConfig,
+        quantizer: Kmeans,
+    }
+
+    impl Fixture {
+        /// An empty index around the fixture's one coarse quantizer.
+        fn empty(&self) -> VisualIndex {
+            VisualIndex::with_quantizers(self.config.clone(), self.quantizer.clone(), None)
+        }
     }
 
     fn fixture() -> Fixture {
@@ -325,21 +281,25 @@ mod tests {
             }),
             CostModel::free(),
         ));
-        let builder = FullIndexBuilder::new(
-            IndexConfig {
-                dim: DIM,
-                num_lists: 4,
-                initial_list_capacity: 8,
-                ..Default::default()
-            },
-            Arc::clone(&extractor),
-            Arc::clone(&images),
-            feature_db,
-        );
+        let builder =
+            FullIndexBuilder::new(Arc::clone(&extractor), Arc::clone(&images), feature_db);
+        let config = IndexConfig {
+            dim: DIM,
+            num_lists: 4,
+            initial_list_capacity: 8,
+            ..Default::default()
+        };
+        let mut rng = jdvs_vector::rng::Xoshiro256::seed_from(5);
+        let train: Vec<Vector> = (0..64)
+            .map(|_| (0..DIM).map(|_| rng.next_gaussian() as f32).collect())
+            .collect();
+        let (quantizer, _) = train_quantizers(&config, &train);
         Fixture {
             builder,
             images,
             extractor,
+            config,
+            quantizer,
         }
     }
 
@@ -373,7 +333,7 @@ mod tests {
             add(&f, 3, "u3"),
             remove(2, "u2"), // delisted before end of day
         ];
-        let (index, report) = f.builder.build(&log);
+        let (index, report) = f.builder.build(f.empty(), &log);
         assert_eq!(report.messages_replayed, 4);
         assert_eq!(report.images_seen, 3);
         assert_eq!(report.images_indexed, 2);
@@ -389,7 +349,7 @@ mod tests {
     fn relisting_within_the_day_keeps_image_valid() {
         let f = fixture();
         let log = vec![add(&f, 1, "u1"), remove(1, "u1"), add(&f, 1, "u1")];
-        let (index, report) = f.builder.build(&log);
+        let (index, report) = f.builder.build(f.empty(), &log);
         assert_eq!(report.images_indexed, 1);
         assert_eq!(index.valid_images(), 1);
     }
@@ -407,7 +367,7 @@ mod tests {
                 praise: None,
             },
         ];
-        let (index, _) = f.builder.build(&log);
+        let (index, _) = f.builder.build(f.empty(), &log);
         let id = index.lookup(ImageKey::from_url("u1")).unwrap();
         let attrs = index.attributes(id).unwrap();
         assert_eq!(attrs.sales, 5_000);
@@ -419,10 +379,10 @@ mod tests {
     fn second_build_reuses_features() {
         let f = fixture();
         let log: Vec<ProductEvent> = (0..20).map(|i| add(&f, i, &format!("u{i}"))).collect();
-        let (_, first) = f.builder.build(&log);
+        let (_, first) = f.builder.build(f.empty(), &log);
         assert_eq!(first.extractions, 20);
         assert_eq!(first.reuses, 0);
-        let (_, second) = f.builder.build(&log);
+        let (_, second) = f.builder.build(f.empty(), &log);
         assert_eq!(second.extractions, 0, "second build extracts nothing");
         assert_eq!(second.reuses, 20);
         assert_eq!(f.extractor.misses(), 20);
@@ -432,7 +392,7 @@ mod tests {
     fn built_index_answers_queries() {
         let f = fixture();
         let log: Vec<ProductEvent> = (0..50).map(|i| add(&f, i, &format!("u{i}"))).collect();
-        let (index, _) = f.builder.build(&log);
+        let (index, _) = f.builder.build(f.empty(), &log);
         let id = index.lookup(ImageKey::from_url("u7")).unwrap();
         let feats = index.features(id).unwrap();
         let hits = index.search(feats.as_slice(), 1, index.quantizer().k());
@@ -440,10 +400,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one valid image")]
-    fn empty_log_panics() {
+    fn empty_log_leaves_the_supplied_index_empty() {
         let f = fixture();
-        f.builder.build(&[]);
+        let (index, report) = f.builder.build(f.empty(), &[]);
+        assert_eq!(report, BuildReport::default());
+        assert_eq!(index.num_images(), 0);
     }
 
     #[test]
@@ -472,7 +433,7 @@ mod tests {
         // The seed is what a checkpoint snapshots: a realtime-maintained
         // index, which keeps tombstoned records in first-seen order.
         let seed = {
-            let (cold_prefix, _) = f.builder.build(&prefix[..12]); // adds only
+            let (cold_prefix, _) = f.builder.build(f.empty(), &prefix[..12]); // adds only
             let live = crate::realtime::RealtimeIndexer::for_index(
                 Arc::new(cold_prefix),
                 Arc::clone(&f.extractor),
@@ -485,8 +446,8 @@ mod tests {
             live.index()
         };
 
-        let (seeded, seeded_report) = f.builder.build_seeded(&seed, &suffix);
-        let (cold, _) = f.builder.build(&full);
+        let (seeded, seeded_report) = f.builder.build_seeded(f.empty(), &seed, &suffix);
+        let (cold, _) = f.builder.build(f.empty(), &full);
 
         assert_eq!(seeded_report.messages_replayed, suffix.len() as u64);
         assert_eq!(
@@ -500,10 +461,11 @@ mod tests {
     fn filter_scoped_build_may_own_zero_images() {
         let f = fixture();
         let log = vec![add(&f, 1, "u1"), add(&f, 2, "u2")];
+        let empty = f.empty();
         let (index, report) = f
             .builder
             .with_filter(Arc::new(|_key: ImageKey| false))
-            .build(&log);
+            .build(empty, &log);
         assert_eq!(report.images_indexed, 0);
         assert_eq!(report.images_foreign, 2);
         assert_eq!(index.valid_images(), 0, "empty index, not a panic");
@@ -523,7 +485,7 @@ mod tests {
             remove(1, "u1"),
             add(&f, 1, "u1"),
         ];
-        let (index, report) = f.builder.build(&log);
+        let (index, report) = f.builder.build(f.empty(), &log);
         assert_eq!(report.images_indexed, 1);
         assert_eq!(index.valid_images(), 1);
     }

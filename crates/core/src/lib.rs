@@ -25,8 +25,8 @@
 //!   one coherent API.
 //! - [`realtime`] — the **real-time indexer** applying
 //!   [`jdvs_storage::ProductEvent`]s instantly (Figures 4/6/7/8).
-//! - [`full`] — the **full indexer**: end-of-day message-log replay and
-//!   from-scratch index construction (Figures 2/3).
+//! - [`full`] — the **full indexer**: end-of-day message-log replay into
+//!   an empty index around the quantizers already served (Figures 2/3).
 //! - [`search`] — single-partition query evaluation: probe nearest
 //!   centroids, scan lists, filter by validity, rank top-k.
 //!

@@ -115,11 +115,6 @@ impl DurableQueue {
         self.log.lock().sync()
     }
 
-    /// Next offset the log would assign (== queue length).
-    pub fn next_offset(&self) -> Offset {
-        self.log.lock().next_offset()
-    }
-
     /// Deletes whole log segments below the checkpoint `watermark`; see
     /// [`SegmentedLog::retain_from`]. Returns segments pruned.
     pub fn prune_to(&self, watermark: Offset) -> io::Result<u64> {

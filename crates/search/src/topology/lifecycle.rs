@@ -274,13 +274,28 @@ impl Core {
         .with_filter(Arc::clone(filter))
     }
 
+    /// An empty index around the codebook `row` serves (replica 0's coarse
+    /// quantizer and PQ codebook): the one `assemble` trained, so no plan
+    /// trains and every row of the topology shares it.
+    fn empty_index(&self, row: &Partition) -> VisualIndex {
+        let peer = row.replica(0).handle.get();
+        let (quantizer, pq) = (peer.quantizer().clone(), peer.pq_quantizer());
+        VisualIndex::with_quantizers(self.config.index.clone(), quantizer, pq)
+    }
+
     /// A fresh index of `[0, cut)` scoped to `filter`: `seed` (at or below
     /// `cut`) plus the surviving suffix through [`FullIndexBuilder`], which
-    /// narrows the seed and drops deleted images. Also returns the events
+    /// narrows the seed and drops deleted images, into an
+    /// [`empty_index`](Core::empty_index) of `row`. Also returns the events
     /// replayed.
-    fn build_to_cut(&self, seed: &Seed, filter: &KeyFilter, cut: u64) -> (VisualIndex, u64) {
+    fn build_to_cut(
+        &self,
+        row: &Partition,
+        seed: &Seed,
+        filter: &KeyFilter,
+        cut: u64,
+    ) -> (VisualIndex, u64) {
         let builder = FullIndexBuilder::new(
-            self.config.index.clone(),
             Arc::clone(&self.extractor),
             Arc::clone(&self.images),
             Arc::clone(&self.feature_db),
@@ -289,9 +304,10 @@ impl Core {
         let suffix = self
             .queue
             .read_range(seed.start, (cut - seed.start) as usize);
+        let empty = self.empty_index(row);
         let (fresh, build) = match &seed.checkpoint {
-            Some(c) => builder.build_seeded(&c.index, &suffix),
-            None => builder.build(&suffix),
+            Some(c) => builder.build_seeded(empty, &c.index, &suffix),
+            None => builder.build(empty, &suffix),
         };
         (fresh, build.messages_replayed)
     }
@@ -545,7 +561,7 @@ impl SearchTopology {
         // Build once at the minimum cut and ship it through the on-disk
         // format, as production distributes index files to searcher nodes.
         let (bytes, replayed) = {
-            let (fresh, replayed) = core.build_to_cut(&core.seed(row, cut0), &filter, cut0);
+            let (fresh, replayed) = core.build_to_cut(row, &core.seed(row, cut0), &filter, cut0);
             (persist::save(&fresh), replayed)
         };
         let mut report = RebuildReport {
@@ -593,12 +609,9 @@ impl SearchTopology {
             core.seed(row, core.queue.len())
         };
         let (seed_offset, from_snapshot) = (seed.start, seed.watermark().is_some());
-        let peer = row.replica(0).handle.get();
-        let (quantizer, pq) = (peer.quantizer(), peer.pq_quantizer());
-        let cold = || {
-            VisualIndex::with_quantizers(core.config.index.clone(), quantizer.clone(), pq.clone())
-        };
-        let index = seed.replicas(1, &filter, cold).remove(0);
+        let index = seed
+            .replicas(1, &filter, || core.empty_index(row))
+            .remove(0);
         let indexer = core.indexer(Arc::new(index), &filter);
         let mut consumer = core.queue.consumer_at(seed_offset);
         // Tail the live log until within the lag bound of the head.
@@ -693,10 +706,8 @@ impl SearchTopology {
         let candidate_map = Arc::new(RwLock::new(candidate.clone()));
         let seed = core.seed(parent, cut0);
         let from_snapshot = seed.watermark().is_some();
-        let (parent_half, messages_replayed) =
-            core.build_to_cut(&seed, &partition_filter(&candidate_map, partition), cut0);
-        let (sibling_half, _) =
-            core.build_to_cut(&seed, &partition_filter(&candidate_map, sibling), cut0);
+        let [(parent_half, messages_replayed), (sibling_half, _)] = [partition, sibling]
+            .map(|p| core.build_to_cut(parent, &seed, &partition_filter(&candidate_map, p), cut0));
         drop(seed);
         let checkpoints = core.commit_layout(&candidate, sibling, &sibling_half, cut0)?;
 

@@ -10,10 +10,11 @@ use std::time::Duration;
 use jdvs::core::full::FullIndexBuilder;
 use jdvs::core::realtime::RealtimeIndexer;
 use jdvs::core::search::recall;
-use jdvs::core::IndexConfig;
+use jdvs::core::{IndexConfig, VisualIndex};
 use jdvs::features::cost::CostModel;
 use jdvs::features::{CachingExtractor, ExtractorConfig, FeatureExtractor};
 use jdvs::storage::{FeatureDb, ImageKey, ImageStore, MessageQueue, ProductEvent};
+use jdvs::vector::Vector;
 use jdvs::workload::catalog::{Catalog, CatalogConfig};
 
 const DIM: usize = 16;
@@ -60,17 +61,33 @@ fn index_config() -> IndexConfig {
     }
 }
 
+/// The empty index a full build fills: quantizers trained once on every
+/// catalog image (extracted outside the cache, so no build's extraction
+/// count sees it), as a topology trains them before any build.
+fn empty_index(p: &Pipeline) -> VisualIndex {
+    let training: Vec<Vector> = p
+        .catalog
+        .products()
+        .iter()
+        .flat_map(|product| product.image_attributes())
+        .map(|attrs| {
+            let blob = p.images.get(attrs.image_key()).expect("materialized");
+            p.extractor.extractor().extract(&blob)
+        })
+        .collect();
+    VisualIndex::bootstrap(index_config(), &training)
+}
+
 #[test]
 fn full_index_build_then_ann_matches_brute_force() {
     let p = pipeline(150, 1);
     let builder = FullIndexBuilder::new(
-        index_config(),
         Arc::clone(&p.extractor),
         Arc::clone(&p.images),
         Arc::clone(&p.feature_db),
     );
     let log = p.catalog.bootstrap_events();
-    let (index, report) = builder.build(&log);
+    let (index, report) = builder.build(empty_index(&p), &log);
     assert_eq!(report.images_indexed as usize, p.catalog.num_images());
 
     // Full-probe ANN must equal brute force for 20 random stored images.
@@ -110,12 +127,11 @@ fn realtime_index_converges_to_full_index_state() {
 
     // (a) full build.
     let builder = FullIndexBuilder::new(
-        index_config(),
         Arc::clone(&p.extractor),
         Arc::clone(&p.images),
         Arc::clone(&p.feature_db),
     );
-    let (full_index, _) = builder.build(&log);
+    let (full_index, _) = builder.build(empty_index(&p), &log);
 
     // (b) real-time replay into an index bootstrapped with the same
     // quantizer (as production distributes the weekly centroids).
@@ -174,12 +190,11 @@ fn searches_agree_between_full_and_realtime_indexes() {
     let p = pipeline(100, 3);
     let log = p.catalog.bootstrap_events();
     let builder = FullIndexBuilder::new(
-        index_config(),
         Arc::clone(&p.extractor),
         Arc::clone(&p.images),
         Arc::clone(&p.feature_db),
     );
-    let (full_index, _) = builder.build(&log);
+    let (full_index, _) = builder.build(empty_index(&p), &log);
     let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizers(
         index_config(),
         full_index.quantizer().clone(),
@@ -230,15 +245,14 @@ fn feature_extraction_happens_exactly_once_per_image() {
     let p = pipeline(60, 4);
     let log = p.catalog.bootstrap_events();
     let builder = FullIndexBuilder::new(
-        index_config(),
         Arc::clone(&p.extractor),
         Arc::clone(&p.images),
         Arc::clone(&p.feature_db),
     );
-    let (_, r1) = builder.build(&log);
+    let (_, r1) = builder.build(empty_index(&p), &log);
     assert_eq!(r1.extractions as usize, p.catalog.num_images());
     // A second build and a full real-time replay extract nothing.
-    let (full2, r2) = builder.build(&log);
+    let (full2, r2) = builder.build(empty_index(&p), &log);
     assert_eq!(r2.extractions, 0);
     let rt_index = Arc::new(jdvs::core::VisualIndex::with_quantizers(
         index_config(),

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use jdvs::core::{ImageId, VisualIndex};
-use jdvs::search::SearchQuery;
+use jdvs::search::{SearchQuery, SearchTopology};
 use jdvs::storage::ProductEvent;
 use jdvs::workload::recovery::{RecoveryConfig, RecoveryHarness};
 
@@ -58,10 +58,8 @@ fn kill_during_bootstrap_tail_recovers_bit_identical() {
     kill_during_bootstrap_tail(false);
 }
 
-/// The bootstrap and restart scenarios on the harness's PQ shape, where
-/// every probe is answered by the compressed scan. Split and rebuild stay
-/// raw-only: they retrain per partition by design, so their compressed
-/// answers need not match a cold rebuild's.
+/// The lifecycle scenarios on the harness's PQ shape, where every probe
+/// is answered by the compressed scan.
 mod pq {
     #[test]
     fn kill_during_bootstrap_tail_recovers_bit_identical() {
@@ -72,6 +70,77 @@ mod pq {
     fn stranded_tmp_sweep_then_immediate_bootstrap() {
         super::stranded_tmp_sweep(true);
     }
+
+    #[test]
+    fn torn_checkpoint_during_rebuild_falls_back_and_converges() {
+        super::torn_checkpoint_during_rebuild(true);
+    }
+
+    #[test]
+    fn split_failing_after_the_layout_commit_completes() {
+        super::split_failing_after_the_layout_commit(true);
+    }
+
+    #[test]
+    fn crash_after_layout_commit_narrows_the_parent_seed() {
+        super::crash_after_layout_commit(true);
+    }
+}
+
+/// One codebook per topology: after a split, a rebuild, a replica
+/// bootstrap and a restart of the split layout, every replica of every
+/// partition serves the coarse centroids and the PQ codebook the topology
+/// trained at its first boot.
+#[test]
+fn every_replica_serves_the_topology_codebook() {
+    let dir = scratch_dir("codebook");
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq: true,
+        ..RecoveryConfig::fast(&dir)
+    });
+    let n = harness.events().len();
+
+    let mut topology = harness.boot().expect("first boot");
+    let first = topology.index(0, 0);
+    let (centroids, codebook) = (first.quantizer().centroids().to_vec(), first.pq_quantizer());
+    assert!(codebook.is_some(), "the PQ shape serves a codebook");
+    let check = |topology: &SearchTopology, step: &str| {
+        for (p, row) in topology.indexes().iter().enumerate() {
+            for (r, index) in row.iter().enumerate() {
+                assert!(
+                    index.quantizer().centroids() == centroids.as_slice(),
+                    "after {step}: partition {p} replica {r} serves other coarse centroids"
+                );
+                assert!(
+                    index.pq_quantizer() == codebook,
+                    "after {step}: partition {p} replica {r} serves another PQ codebook"
+                );
+            }
+        }
+    };
+    check(&topology, "boot");
+    harness.publish(&topology, 0..n / 2);
+    check(&topology, "publish");
+    topology.checkpoint_partition(0).expect("checkpoint p0");
+    topology.checkpoint_partition(1).expect("checkpoint p1");
+    check(&topology, "checkpoint");
+    let sibling = topology.split_partition(0).expect("online split").sibling;
+    check(&topology, "split");
+    harness.publish(&topology, n / 2..n);
+    topology.rebuild_partition(1);
+    check(&topology, "rebuild");
+    topology
+        .checkpoint_partition(1)
+        .expect("checkpoint the rebuilt p1");
+    assert!(topology.bootstrap_replica(sibling).from_snapshot);
+    check(&topology, "bootstrap");
+    harness.halt(topology);
+
+    let topology = harness.boot().expect("reboot");
+    assert_eq!(topology.partition_map().num_partitions(), 3);
+    check(&topology, "reboot");
+    harness.halt(topology);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A replica bootstrapped from a checkpoint serves the codebook its
@@ -164,7 +233,11 @@ fn kill_during_bootstrap_tail(pq: bool) {
 /// events published after the split.
 #[test]
 fn kill_between_split_half_swaps_recovers_bit_identical() {
-    // Raw only: split and rebuild retrain per partition by design.
+    // Raw only: the cold reference is a two-partition topology. On the PQ
+    // shape (`rerank_factor` 1) each partition shortlists its own top `k`
+    // by code distance, so the split's three partitions shortlist other
+    // candidates than two do. Run on that shape, this test matches the
+    // killed life but differs from the cold reference on 5 of 18 probes.
     let dir = scratch_dir("split-swap");
     let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
     let n = harness.events().len();
@@ -251,9 +324,15 @@ fn orphan_sibling_store_from_aborted_split_is_ignored() {
 /// follow-up rebuild + checkpoint must repair the chain.
 #[test]
 fn torn_checkpoint_during_rebuild_falls_back_and_converges() {
-    // Raw only: split and rebuild retrain per partition by design.
+    torn_checkpoint_during_rebuild(false);
+}
+
+fn torn_checkpoint_during_rebuild(pq: bool) {
     let dir = scratch_dir("torn-ckpt");
-    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq,
+        ..RecoveryConfig::fast(&dir)
+    });
     let n = harness.events().len();
 
     let topology = harness.boot().expect("first boot");
@@ -378,9 +457,15 @@ fn copy_dir(from: &Path, to: &Path) {
 /// the restarted world serves every image exactly once.
 #[test]
 fn split_failing_after_the_layout_commit_completes() {
-    // Raw only: split and rebuild retrain per partition by design.
+    split_failing_after_the_layout_commit(false);
+}
+
+fn split_failing_after_the_layout_commit(pq: bool) {
     let dir = scratch_dir("commit-rule");
-    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq,
+        ..RecoveryConfig::fast(&dir)
+    });
     let adds: Vec<ProductEvent> = harness
         .events()
         .iter()
@@ -393,7 +478,7 @@ fn split_failing_after_the_layout_commit_completes() {
         .collect();
 
     let mut topology = harness.boot().expect("first boot");
-    let publish = |topology: &jdvs::search::SearchTopology, events: &[ProductEvent]| {
+    let publish = |topology: &SearchTopology, events: &[ProductEvent]| {
         for event in events {
             topology.publish(event.clone());
         }
@@ -445,9 +530,15 @@ fn split_failing_after_the_layout_commit_completes() {
 /// or the parent keeps serving moved keys the sibling later deletes.
 #[test]
 fn crash_after_layout_commit_narrows_the_parent_seed() {
-    // Raw only: split and rebuild retrain per partition by design.
+    crash_after_layout_commit(false);
+}
+
+fn crash_after_layout_commit(pq: bool) {
     let dir = scratch_dir("narrow-seed");
-    let harness = RecoveryHarness::new(RecoveryConfig::fast(&dir));
+    let harness = RecoveryHarness::new(RecoveryConfig {
+        pq,
+        ..RecoveryConfig::fast(&dir)
+    });
     let n = harness.events().len();
 
     let mut topology = harness.boot().expect("first boot");
